@@ -4,9 +4,10 @@ Thirteen checks, each a literal assertion about the package's exact
 values, Monte Carlo output, or file-level determinism.  ``full`` runs
 every check at its committed size; ``quick`` shrinks the expensive grids
 for a sub-minute smoke pass.  Results are reported honestly: a check
-that measures a violated bound FAILS and says what it measured — three
+that measures a violated bound FAILS and says what it measured — four
 bounds in this suite are unattainable as committed (the README's
-verification section carries the analysis) and stay red by design.
+verification section carries the analysis) and stay red by design; they
+are listed in :data:`EXPECTED_RED`.
 """
 
 from __future__ import annotations
@@ -507,7 +508,7 @@ def format_report(results: list[CheckResult], level: str) -> str:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(
-            f"[{r.index:2d}/13] {status} {r.name:<{width}}  "
+            f"[{r.index:2d}/{len(_CHECKS)}] {status} {r.name:<{width}}  "
             f"({r.seconds:6.2f}s)  {r.detail}"
         )
     passed = sum(r.passed for r in results)

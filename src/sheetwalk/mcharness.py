@@ -4,8 +4,10 @@ Replicate ``r`` of an experiment always simulates stream
 ``StreamKey(seed, r)``, and worker ``r mod W`` owns it under a static
 partition, so the full set of simulated values — and every float reduced
 from them, since aggregation happens in replicate order after the pool
-returns — is byte-identical for any worker count.  Raw per-replicate
-values are retained, not just summaries.
+returns — is byte-identical for any worker count.  A worker sweeps its
+replicates of a grid statistic in blocks, one size at a time (see
+:func:`~sheetwalk.walkstats.sweep_fields`).  Raw per-replicate values are
+retained, not just summaries.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .exactprob import DIAG_LOG_COEFF, delta_mean_exact
 from .randfield import RademacherField, Seed, StreamKey
-from .walkstats import annulus_zero_check, diag_zero_count, sweep_grid, twin_zero_count
+from .walkstats import annulus_zero_check, diag_zero_count, sweep_fields, twin_zero_count
 
 
 class Statistic(enum.Enum):
@@ -62,6 +64,8 @@ class ExperimentConfig:
             raise ValueError("need at least one grid size")
         if any(n < 1 for n in self.sizes):
             raise ValueError(f"grid sizes must be >= 1, got {self.sizes}")
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ValueError(f"grid sizes must be distinct, got {self.sizes}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.workers < 1:
@@ -108,18 +112,23 @@ def _evaluate(config: ExperimentConfig, replicate: int, size: int) -> float:
     field = RademacherField(key)
     if stat is Statistic.TWIN_ZEROS:
         return float(twin_zero_count(field, config.eps, size, config.radius))
-    if stat is Statistic.ANNULUS:
-        return float(annulus_zero_check(field, config.eps, size)[1])
-    bundle = sweep_grid(field, size)
-    return float(getattr(bundle, stat.value))
+    return float(annulus_zero_check(field, config.eps, size)[1])
 
 
-def _worker_chunk(args: tuple[ExperimentConfig, int]) -> list[tuple[int, int, float]]:
-    config, worker_index = args
+def _worker_chunk(args: tuple[ExperimentConfig, int, int]) -> list[tuple[int, int, float]]:
+    config, worker_index, workers = args
+    mine = range(worker_index, config.replicates, workers)
+    stat = config.statistic
     out = []
-    for r in range(worker_index, config.replicates, config.workers):
-        for size in config.sizes:
-            out.append((size, r, _evaluate(config, r, size)))
+    for size in config.sizes:
+        if stat in _BUNDLE_FIELDS:
+            fields = (RademacherField(StreamKey(config.seed, r)) for r in mine)
+            bundles = sweep_fields(fields, size)
+            out.extend(
+                (size, r, float(getattr(b, stat.value))) for r, b in zip(mine, bundles)
+            )
+        else:
+            out.extend((size, r, _evaluate(config, r, size)) for r in mine)
     return out
 
 
@@ -127,14 +136,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Simulate every (size, replicate) cell of the experiment grid.
 
     The outcome is a pure function of ``(statistic, sizes, replicates,
-    seed, eps, radius)`` — the worker count only changes wall time.
+    seed, eps, radius)`` — the worker count only changes wall time.  No
+    more processes start than there are replicates to share out.
     """
-    if config.workers == 1:
-        chunks = [_worker_chunk((config, 0))]
+    workers = min(config.workers, config.replicates)
+    if workers == 1:
+        chunks = [_worker_chunk((config, 0, 1))]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(
-                pool.map(_worker_chunk, [(config, w) for w in range(config.workers)])
+                pool.map(_worker_chunk, [(config, w, workers) for w in range(workers)])
             )
     values = {
         size: np.empty(config.replicates, dtype=np.float64) for size in config.sizes

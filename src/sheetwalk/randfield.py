@@ -11,12 +11,14 @@ their streams never collide.
 
 The same finalizer is implemented twice — once on Python ints, once on
 ``numpy`` ``uint64`` arrays — and the two are bit-identical; tests pin
-this down.  All index arithmetic wraps modulo 2**64 by design.
+this down.  The array path hashes whole tiles (:func:`sign_tile`: many
+fields, many rows, one call); a single row is the one-field, one-row
+tile.  All index arithmetic wraps modulo 2**64 by design.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +52,42 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    # uint64 in, uint64 out; multiplication wraps, same as the scalar path.
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    """SplitMix64 finalizer on a ``uint64`` array, in place; returns ``z``.
+
+    Multiplication wraps, same as the scalar path.  One scratch array
+    serves every shift, so a tile costs no temporaries beyond it.
+    """
+    t = np.right_shift(z, _S30)
+    z ^= t
+    z *= _V_MIX1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _V_MIX2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
+
+
+def sign_tile(roots: np.ndarray, start: int, stop: int, count: int) -> np.ndarray:
+    """Signs of rows ``start..stop-1``, columns ``1..count``, for each root.
+
+    ``roots`` holds the field roots of ``R`` streams (``uint64``); the
+    result is an ``(R, stop - start, count)`` int64 tile whose entry
+    ``[r, k, j-1]`` is the sign at cell ``(start + k, j)`` of stream ``r``.
+    Every bit equals :meth:`RademacherField.value` at that cell.
+    """
+    if start < 1:
+        raise ValueError(f"row index must be >= 1, got {start}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    rows = np.arange(start, stop, dtype=np.uint64)
+    row_keys = _mix64_vec(roots.reshape(-1, 1) + rows * _V_GOLDEN)
+    cols = np.arange(1, count + 1, dtype=np.uint64) * _V_GOLDEN
+    cells = _mix64_vec(row_keys[:, :, None] + cols)
+    signs = np.right_shift(cells, _S63, out=cells).view(np.int64)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 class Seed(int):
@@ -84,14 +118,15 @@ class RademacherField:
     """The +/-1 field for one stream, defined on all of i, j >= 1."""
 
     key: StreamKey
+    root: int = field(init=False, repr=False, compare=False)  # hash root of the cells
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_field_root", self.key._root(_FIELD_TAG))
+        object.__setattr__(self, "root", self.key._root(_FIELD_TAG))
 
     def _row_key(self, i: int) -> int:
         if i < 1:
             raise ValueError(f"row index must be >= 1, got {i}")
-        return _mix64(self._field_root + i * _GOLDEN)
+        return _mix64(self.root + i * _GOLDEN)
 
     def value(self, i: int, j: int) -> int:
         """Sign at cell ``(i, j)``; both indices start at 1."""
@@ -102,12 +137,7 @@ class RademacherField:
 
     def row_signs(self, i: int, count: int) -> np.ndarray:
         """Signs for columns ``1..count`` of row ``i`` as an int64 vector."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        row_key = np.uint64(self._row_key(i))
-        j = np.arange(1, count + 1, dtype=np.uint64)
-        bits = _mix64_vec(row_key + j * _V_GOLDEN) >> _S63
-        return bits.astype(np.int64) * 2 - 1
+        return sign_tile(np.array([self.root], dtype=np.uint64), i, i + 1, count)[0, 0]
 
 
 def sample_signed_binomial(key: StreamKey, index: int, count: int) -> int:

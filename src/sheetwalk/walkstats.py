@@ -1,14 +1,16 @@
-"""Pathwise zero-set statistics of one simulated grid.
+"""Pathwise zero-set statistics of simulated grids.
 
 The rectangle sum ``S(i,j)`` is the sum of the sign field over
-``[1,i] x [1,j]``.  A full ``N x N`` array of sums is never materialized:
-:func:`iter_partial_rows` keeps one length-``N`` vector of column sums and
-folds in one row of signs at a time, so memory stays ``O(N)`` while every
-statistic is accumulated in the same pass.
+``[1,i] x [1,j]``.  A full ``N x N`` array of sums is never materialized
+unless it is small: the sweep works on tiles of ``R`` grids x ``b`` rows
+x ``N`` columns holding at most :data:`TILE_CELLS` cells.  Each tile is
+hashed in one call, folded with two ``cumsum`` passes onto the ``(R, 1,
+N)`` column sums carried from the tile above, and reduced to every
+counter at once.  Memory is therefore bounded by the tile cap per worker,
+and stays linear in ``N`` for one grid once a row alone exceeds the cap.
 
 Bounds that keep int64 safe: ``|S(i,j)| <= i*j <= 2**30`` at the sweep
-ceiling, and the crossing test multiplies horizontal neighbors, so
-products stay below ``2**60``.
+ceiling.  The crossing test compares signs, so no products are formed.
 """
 
 from __future__ import annotations
@@ -16,14 +18,19 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .exactprob import CapacityError
-from .randfield import RademacherField, StreamKey, signed_binomial_batch
+from .randfield import RademacherField, StreamKey, sign_tile, signed_binomial_batch
 
-SWEEP_CEILING = 2**15  # largest grid edge the O(N)-memory sweep accepts
+# Largest grid edge the sweep accepts.  Time grows as N**2; memory is one
+# tile per worker (TILE_CELLS cells, or one row of N cells when that is
+# larger), so for a single grid it stays linear in N.
+SWEEP_CEILING = 2**15
+TILE_CELLS = 2**15  # cells per tile; sets both the grids and the rows per tile
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,52 +54,122 @@ class StatBundle:
     zero_coordinates: tuple[tuple[int, int], ...] | None = None
 
 
+def tile_shape(N: int) -> tuple[int, int]:
+    """``(grids, rows)`` per tile at edge ``N``: whole grids while they fit."""
+    if N * N <= TILE_CELLS:
+        return TILE_CELLS // (N * N), N
+    return 1, max(1, TILE_CELLS // N)
+
+
+def _check_edge(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"grid edge must be >= 1, got {N}")
+    if N > SWEEP_CEILING:
+        raise CapacityError(f"sweep capped at N={SWEEP_CEILING}, got {N}")
+
+
+def _tile_reader(fields: Sequence, N: int) -> Callable[[int, int], np.ndarray]:
+    """``read(start, stop)`` -> the ``(R, stop - start, N)`` sign tile."""
+    if all(isinstance(f, RademacherField) for f in fields):
+        roots = np.array([f.root for f in fields], dtype=np.uint64)
+        return lambda start, stop: sign_tile(roots, start, stop, N)
+    # any other field (a test double) is read through its row_signs
+    return lambda start, stop: np.array(
+        [[f.row_signs(i, N) for i in range(start, stop)] for f in fields],
+        dtype=np.int64,
+    )
+
+
+def _partial_sum_tiles(fields: Sequence, N: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, T)`` with ``T[r, k, j-1] = S(start + k, j)`` of grid ``r``."""
+    read = _tile_reader(fields, N)
+    rows = tile_shape(N)[1]
+    carry = np.zeros((len(fields), 1, N), dtype=np.int64)
+    for start in range(1, N + 1, rows):
+        tile = read(start, min(start + rows, N + 1))
+        np.cumsum(tile, axis=2, out=tile)
+        np.cumsum(tile, axis=1, out=tile)
+        tile += carry
+        carry = tile[:, -1:, :]
+        yield start, tile
+
+
 def iter_partial_rows(field: RademacherField, N: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(i, S(i, 1..N))`` for each row; the vector is reused in place.
 
     Callers that keep a row beyond one iteration must copy it.
     """
-    if N < 1:
-        raise ValueError(f"grid edge must be >= 1, got {N}")
-    if N > SWEEP_CEILING:
-        raise CapacityError(f"sweep capped at N={SWEEP_CEILING}, got {N}")
-    col = np.zeros(N, dtype=np.int64)
-    for i in range(1, N + 1):
-        col += np.cumsum(field.row_signs(i, N))
-        yield i, col
+    _check_edge(N)
+    col = np.empty(N, dtype=np.int64)
+    for start, tile in _partial_sum_tiles([field], N):
+        for k, row in enumerate(tile[0]):
+            col[:] = row
+            yield start + k, col
+
+
+def sweep_fields(
+    fields: Iterable, N: int, *, collect_zeros: bool = False
+) -> Iterator[StatBundle]:
+    """Sweep each field's ``N x N`` grid; yield one bundle per field, in order.
+
+    Fields are drawn from ``fields`` (which may be lazy) in blocks of
+    ``tile_shape(N)[0]``, so the memory held at any time is one block's
+    fields, tiles and counters.
+    """
+    _check_edge(N)
+    fields = iter(fields)
+    while block := list(islice(fields, tile_shape(N)[0])):
+        yield from _sweep_block(block, N, collect_zeros)
+
+
+def _sweep_block(fields: Sequence, N: int, collect_zeros: bool) -> list[StatBundle]:
+    R = len(fields)
+    gamma = np.zeros(R, dtype=np.int64)
+    gamma_prime = np.zeros(R, dtype=np.int64)
+    delta = np.zeros(R, dtype=np.int64)
+    anti = np.zeros(R, dtype=np.int64)
+    profiles = np.empty((R, N), dtype=np.int64)
+    coords: list[list[tuple[int, int]]] = [[] for _ in range(R)]
+    for start, tile in _partial_sum_tiles(fields, N):
+        stop = start + tile.shape[1]
+        pos, neg = tile > 0, tile < 0
+        zero = ~(pos | neg)
+        gamma += np.count_nonzero(zero, axis=(1, 2))
+        gamma_prime += np.count_nonzero(tile == 1, axis=(1, 2))
+        # a pair crosses unless both sums are strictly positive or both negative
+        same = np.count_nonzero(pos[:, :, 1:] & pos[:, :, :-1], axis=2)
+        same += np.count_nonzero(neg[:, :, 1:] & neg[:, :, :-1], axis=2)
+        profiles[:, start - 1 : stop - 1] = (N - 1) - same
+        diag = np.arange(start + start % 2, stop, 2)  # (2k, 2k)
+        delta += np.count_nonzero(zero[:, diag - start, diag - 1], axis=1)
+        off = np.arange(start, min(stop, N))  # (i, N - i)
+        anti += np.count_nonzero(zero[:, off - start, N - off - 1], axis=1)
+        if collect_zeros:
+            for r in range(R):
+                k, j = np.nonzero(zero[r])
+                coords[r].extend(zip((k + start).tolist(), (j + 1).tolist()))
+    return [
+        StatBundle(
+            N=N,
+            gamma=int(gamma[r]),
+            gamma_prime=int(gamma_prime[r]),
+            z_crossings=int(profiles[r].sum()),
+            delta=int(delta[r]),
+            d_antidiag=int(anti[r]),
+            row_profiles=profiles[r],
+            max_f=int(profiles[r].max()),
+            zero_coordinates=tuple(coords[r]) if collect_zeros else None,
+        )
+        for r in range(R)
+    ]
 
 
 def sweep_grid(
     field: RademacherField, N: int, *, collect_zeros: bool = False
 ) -> StatBundle:
     """One pass over the grid, returning every pathwise counter at once."""
-    gamma = gamma_prime = z_total = delta = anti = 0
-    profiles = np.zeros(N if N >= 1 else 0, dtype=np.int64)
-    coords: list[tuple[int, int]] = []
-    for i, col in iter_partial_rows(field, N):
-        zero_mask = col == 0
-        gamma += int(np.count_nonzero(zero_mask))
-        gamma_prime += int(np.count_nonzero(col == 1))
-        f_i = int(np.count_nonzero(col[:-1] * col[1:] <= 0))
-        profiles[i - 1] = f_i
-        z_total += f_i
-        if i % 2 == 0 and col[i - 1] == 0:
-            delta += 1
-        if i < N and col[N - i - 1] == 0:
-            anti += 1
-        if collect_zeros and zero_mask.any():
-            coords.extend((i, int(j) + 1) for j in np.nonzero(zero_mask)[0])
-    return StatBundle(
-        N=N,
-        gamma=gamma,
-        gamma_prime=gamma_prime,
-        z_crossings=z_total,
-        delta=delta,
-        d_antidiag=anti,
-        row_profiles=profiles,
-        max_f=int(profiles.max()),
-        zero_coordinates=tuple(coords) if collect_zeros else None,
-    )
+    (bundle,) = sweep_fields([field], N, collect_zeros=collect_zeros)
+    return bundle
 
 
 def brute_force_bundle(field: RademacherField, N: int) -> StatBundle:

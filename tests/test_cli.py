@@ -145,6 +145,24 @@ class TestSimulateCommand:
             == 2
         )
 
+    def test_repeated_sizes_are_usage_errors(self, tmp_path, capsys):
+        argv = ["simulate", "--stat", "gamma", "--sizes", "8,8", "--reps", "2",
+                "--workers", "1", "--out", str(tmp_path / "dup")]
+        assert main(argv) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (tmp_path / "dup" / "raw.csv").exists()
+
+    def test_clamped_pool_keeps_bytes_and_requested_workers(self, tmp_path, inline_pool):
+        for workers in ("1", "8"):
+            argv = ["simulate", "--stat", "z-crossings", "--sizes", "16", "--reps", "2",
+                    "--workers", workers, "--out", str(tmp_path / workers)]
+            assert main(argv) == 0
+        assert inline_pool == [2]
+        for name in ("raw.csv", "summary.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
+        manifest = json.loads((tmp_path / "8" / "manifest.json").read_text())
+        assert manifest["workers"] == 8
+
     def test_capacity_exit(self, tmp_path):
         assert (
             main(

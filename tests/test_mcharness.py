@@ -15,7 +15,8 @@ from sheetwalk.mcharness import (
     summarize,
 )
 from sheetwalk.exactprob import delta_mean_exact
-from sheetwalk.randfield import Seed
+from sheetwalk.randfield import RademacherField, Seed, StreamKey
+from sheetwalk.walkstats import sweep_grid, tile_shape
 
 
 def config(**overrides):
@@ -65,11 +66,36 @@ class TestRunExperiment:
             dict(sizes=(0, 4)),
             dict(replicates=0),
             dict(workers=0),
+            dict(sizes=(8, 16, 8)),
         ],
     )
     def test_config_validation(self, bad):
         with pytest.raises(ValueError):
             config(**bad)
+
+    def test_blocks_that_do_not_divide_the_replicates(self):
+        sizes = (64, 40)
+        replicates = 2 * tile_shape(64)[0] + 5
+        assert all(replicates % tile_shape(n)[0] for n in sizes)
+        one = run_experiment(config(sizes=sizes, replicates=replicates))
+        two = run_experiment(config(sizes=sizes, replicates=replicates, workers=2))
+        for n in sizes:
+            assert np.array_equal(one.values[n], two.values[n])
+            serial = [
+                sweep_grid(RademacherField(StreamKey(Seed(42), r)), n).z_crossings
+                for r in range(replicates)
+            ]
+            assert one.values[n].tolist() == serial
+
+    def test_pool_is_clamped_to_the_replicate_count(self, inline_pool):
+        wide = run_experiment(config(replicates=2, workers=8))
+        assert inline_pool == [2]
+        serial = run_experiment(config(replicates=2))
+        for n in (8, 16):
+            assert np.array_equal(wide.values[n], serial.values[n])
+            assert wide.summaries[n] == serial.summaries[n]
+        run_experiment(config(replicates=1, workers=8))
+        assert inline_pool == [2]  # one replicate runs inline, with no pool
 
     def test_fastpath_matches_sweep_law(self):
         # same distribution, different streams: means agree to 4 combined SEs

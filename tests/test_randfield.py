@@ -12,6 +12,7 @@ from sheetwalk.randfield import (
     Seed,
     StreamKey,
     sample_signed_binomial,
+    sign_tile,
     signed_binomial_batch,
 )
 
@@ -80,6 +81,34 @@ def test_scalar_and_vector_paths_agree(seed, replicate, i, j):
     # value() walks the Python-int mix, row_signs() the uint64 numpy mix.
     f = RademacherField(StreamKey(Seed(seed), replicate))
     assert f.value(i, j) == f.row_signs(i, j)[-1]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    replicates=st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=3),
+    start=st.integers(min_value=1, max_value=2**40),
+    rows=st.integers(min_value=0, max_value=4),
+    count=st.integers(min_value=0, max_value=9),
+)
+@settings(max_examples=100, deadline=None)
+def test_tiles_and_rows_match_scalar_values(seed, replicates, start, rows, count):
+    fields = [RademacherField(StreamKey(Seed(seed), r)) for r in replicates]
+    roots = np.array([f.root for f in fields], dtype=np.uint64)
+    tile = sign_tile(roots, start, start + rows, count)
+    assert tile.shape == (len(fields), rows, count) and tile.dtype == np.int64
+    for f, grid in zip(fields, tile):
+        for k, row in enumerate(grid):
+            i = start + k
+            expected = [f.value(i, j) for j in range(1, count + 1)]
+            assert row.tolist() == expected
+            assert f.row_signs(i, count).tolist() == expected
+
+
+def test_tile_rows_start_at_one():
+    with pytest.raises(ValueError):
+        sign_tile(np.zeros(1, dtype=np.uint64), 0, 2, 3)
+    with pytest.raises(ValueError):
+        field().row_signs(0, 3)
 
 
 class TestFieldStatistics:

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheetwalk import walkstats
 from sheetwalk.exactprob import CapacityError
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
 from sheetwalk.walkstats import (
@@ -13,7 +16,9 @@ from sheetwalk.walkstats import (
     diag_zero_count,
     hitting_set,
     iter_partial_rows,
+    sweep_fields,
     sweep_grid,
+    tile_shape,
     twin_zero_count,
     upcrossing_times,
 )
@@ -147,6 +152,54 @@ def test_zeros_need_even_cell_area(seed, n):
     # S(i,j) sums i*j signs, so an odd-area cell can never vanish
     b = sweep_grid(field(seed), n, collect_zeros=True)
     assert all((i * j) % 2 == 0 for i, j in b.zero_coordinates)
+
+
+def _bundle_key(b):
+    return (
+        b.N, b.gamma, b.gamma_prime, b.z_crossings, b.delta, b.d_antidiag,
+        b.row_profiles.tolist(), b.max_f, b.zero_coordinates,
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 70),
+    stride=st.integers(1, 3),
+    count=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_tile_kernel_equals_brute_force(seed, n, stride, count, data):
+    # a worker's replicates r = w, w + W, ...; tile caps from one row per
+    # tile (rows need not divide n) up to several whole grids per tile
+    worker = data.draw(st.integers(0, stride - 1), label="worker")
+    cap = data.draw(st.integers(1, 3 * n * n), label="cap")
+    fields = [field(seed, worker + k * stride) for k in range(count)]
+    with mock.patch.object(walkstats, "TILE_CELLS", cap):
+        grids, rows = tile_shape(n)
+        assert grids * rows * n <= max(cap, n)
+        bundles = list(sweep_fields(fields, n, collect_zeros=True))
+    assert [_bundle_key(b) for b in bundles] == [
+        _bundle_key(brute_force_bundle(f, n)) for f in fields
+    ]
+
+
+@pytest.mark.parametrize("n,cap", [(17, 3 * 17 + 1), (9, 1), (12, 2 * 144)])
+def test_partial_rows_across_tile_seams(n, cap):
+    f = field(6)
+    signs = np.array([[f.value(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    dense = signs.cumsum(axis=0).cumsum(axis=1)
+    with mock.patch.object(walkstats, "TILE_CELLS", cap):
+        rows = [(i, col.copy()) for i, col in iter_partial_rows(f, n)]
+    assert [i for i, _ in rows] == list(range(1, n + 1))
+    assert all(np.array_equal(col, dense[i - 1]) for i, col in rows)
+
+
+def test_stub_fields_sweep_in_blocks():
+    with mock.patch.object(walkstats, "TILE_CELLS", 40):
+        bundles = list(sweep_fields([AlternatingColumnsField(), ConstantField()], 4))
+    assert _bundle_key(bundles[0]) == _bundle_key(sweep_grid(AlternatingColumnsField(), 4))
+    assert _bundle_key(bundles[1]) == _bundle_key(sweep_grid(ConstantField(), 4))
 
 
 class TestDecompositionAudit:
