@@ -38,6 +38,7 @@ from .mcharness import (
     Statistic,
     delta_log_law_report,
     estimate_exponent,
+    map_workers,
     run_experiment,
 )
 from .randfield import RademacherField, Seed, StreamKey
@@ -213,25 +214,27 @@ def _check_fastpath_consistency(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 7
 
 
+def _zero_count_config(level: str, workers: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        statistic=Statistic.GAMMA,
+        sizes=(1024,),
+        replicates=50 if level == "full" else 12,
+        seed=Seed(2),
+        workers=workers,
+    )
+
+
 def _check_zero_count_scaling(level: str, workers: int) -> tuple[bool, str]:
     sizes = tuple(2**k for k in range(6, 11))
     fit = estimate_exponent(sizes, [gamma_mean_exact(n) for n in sizes])
-    reps = 50 if level == "full" else 12
-    result = run_experiment(
-        ExperimentConfig(
-            statistic=Statistic.GAMMA,
-            sizes=(1024,),
-            replicates=reps,
-            seed=Seed(2),
-            workers=workers,
-        )
-    )
+    config = _zero_count_config(level, workers)
+    result = run_experiment(config)
     ratio = result.summaries[1024].mean / gamma_mean_exact(1024)
     slope_ok = 0.97 <= fit.slope <= 1.03
     mc_ok = abs(ratio - 1.0) <= 0.10
     detail = (
         f"exact-mean slope over 64..1024: {fit.slope:.4f} vs [0.97, 1.03]; "
-        f"Monte Carlo mean / exact at N=1024 (M={reps}): {ratio:.4f}"
+        f"Monte Carlo mean / exact at N=1024 (M={config.replicates}): {ratio:.4f}"
     )
     if not slope_ok:
         detail += (
@@ -277,24 +280,27 @@ def _check_crossing_count_scaling(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 9
 
 
+def _audit_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[bool, int]:
+    # one worker's share: each replicate swept once, every size audited
+    config, worker_index, workers = args
+    mine = range(worker_index, config.replicates, workers)
+    ok = True
+    for r in mine:
+        field = RademacherField(StreamKey(config.seed, r))
+        _, good = decomposition_audit(field, max(config.sizes), config.sizes)
+        ok &= good
+    return ok, len(mine) * len(config.sizes)
+
+
 def _check_crossing_decomposition(level: str, workers: int) -> tuple[bool, str]:
-    # audits exactly the grids simulated by checks 7 and 8
+    # audits exactly the grids simulated by checks 7 and 8, on their partition
     grids = 0
     ok = True
-    gamma_reps = 50 if level == "full" else 12
-    for r in range(gamma_reps):
-        _, good = decomposition_audit(
-            RademacherField(StreamKey(Seed(2), r)), 1024
-        )
-        ok &= good
-        grids += 1
-    config = _full_crossing_config(level, workers)
-    for r in range(config.replicates):
-        field = RademacherField(StreamKey(config.seed, r))
-        for n in config.sizes:
-            _, good = decomposition_audit(field, n)
+    configs = (_zero_count_config(level, workers), _full_crossing_config(level, workers))
+    for config in configs:
+        for good, count in map_workers(_audit_chunk, config):
             ok &= good
-            grids += 1
+            grids += count
     return bool(ok), (
         f"crossing total equals profile sum and zero-touch counts are "
         f"sandwiched by row zeros on all {grids} grids"

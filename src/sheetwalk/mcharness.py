@@ -2,10 +2,11 @@
 
 Replicate ``r`` of an experiment always simulates stream
 ``StreamKey(seed, r)``, and worker ``r mod W`` owns it under a static
-partition, so the full set of simulated values — and every float reduced
-from them, since aggregation happens in replicate order after the pool
-returns — is byte-identical for any worker count.  A worker sweeps its
-replicates of a grid statistic in blocks, one size at a time (see
+partition (:func:`map_workers`), so the full set of simulated values — and
+every float reduced from them, since aggregation happens in replicate
+order after the pool returns — is byte-identical for any worker count.
+A worker sweeps each of its replicates of a grid statistic once, at the
+largest edge, and reads every smaller size as a prefix of that sweep (see
 :func:`~sheetwalk.walkstats.sweep_fields`).  Raw per-replicate values are
 retained, not just summaries.
 """
@@ -17,6 +18,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable
 
 import numpy as np
 
@@ -119,38 +121,43 @@ def _worker_chunk(args: tuple[ExperimentConfig, int, int]) -> list[tuple[int, in
     config, worker_index, workers = args
     mine = range(worker_index, config.replicates, workers)
     stat = config.statistic
-    out = []
-    for size in config.sizes:
-        if stat in _BUNDLE_FIELDS:
-            fields = (RademacherField(StreamKey(config.seed, r)) for r in mine)
-            bundles = sweep_fields(fields, size)
-            out.extend(
-                (size, r, float(getattr(b, stat.value))) for r, b in zip(mine, bundles)
-            )
-        else:
-            out.extend((size, r, _evaluate(config, r, size)) for r in mine)
-    return out
+    if stat in _BUNDLE_FIELDS:
+        fields = (RademacherField(StreamKey(config.seed, r)) for r in mine)
+        return [
+            (b.N, r, float(getattr(b, stat.value)))
+            for r, bundles in zip(mine, sweep_fields(fields, config.sizes))
+            for b in bundles
+        ]
+    return [(size, r, _evaluate(config, r, size)) for size in config.sizes for r in mine]
+
+
+def map_workers(task: Callable, config: ExperimentConfig) -> list:
+    """Run ``task((config, w, W))`` for each worker ``w``; results in worker order.
+
+    This is the static partition: of ``W = min(config.workers,
+    config.replicates)`` workers, worker ``w`` owns replicates ``r = w
+    (mod W)``, so no more processes start than there are replicates to
+    share out.  One worker runs inline; otherwise each runs in its own
+    process, so ``task`` must be a module-level function.
+    """
+    workers = min(config.workers, config.replicates)
+    jobs = [(config, w, workers) for w in range(workers)]
+    if workers == 1:
+        return [task(jobs[0])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, jobs))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Simulate every (size, replicate) cell of the experiment grid.
 
     The outcome is a pure function of ``(statistic, sizes, replicates,
-    seed, eps, radius)`` — the worker count only changes wall time.  No
-    more processes start than there are replicates to share out.
+    seed, eps, radius)`` — the worker count only changes wall time.
     """
-    workers = min(config.workers, config.replicates)
-    if workers == 1:
-        chunks = [_worker_chunk((config, 0, 1))]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(_worker_chunk, [(config, w, workers) for w in range(workers)])
-            )
     values = {
         size: np.empty(config.replicates, dtype=np.float64) for size in config.sizes
     }
-    for chunk in chunks:
+    for chunk in map_workers(_worker_chunk, config):
         for size, r, value in chunk:
             values[size][r] = value
     summaries = {size: summarize(vals) for size, vals in values.items()}

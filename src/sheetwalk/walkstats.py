@@ -9,8 +9,15 @@ N)`` column sums carried from the tile above, and reduced to every
 counter at once.  Memory is therefore bounded by the tile cap per worker,
 and stays linear in ``N`` for one grid once a row alone exceeds the cap.
 
+The field is prefix-consistent: the ``n x n`` grid is the top-left corner
+of any larger one.  So each replicate is swept once, at the largest edge
+asked for, and every smaller size is read from the rows and columns
+``<= n`` of the same tiles (:func:`sweep_fields`); the crossing audit
+(:func:`decomposition_audit`) rides on that same pass.
+
 Bounds that keep int64 safe: ``|S(i,j)| <= i*j <= 2**30`` at the sweep
-ceiling.  The crossing test compares signs, so no products are formed.
+ceiling, so the audit's adjacent products stay below ``2**60``.  The
+sweep's own crossing test compares signs, so it forms no products.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ class StatBundle:
     delta: int  # even diagonal cells (2i,2i) with S = 0
     d_antidiag: int  # anti-diagonal cells (i, N-i) with S = 0
     row_profiles: np.ndarray
-    max_f: int
     zero_coordinates: tuple[tuple[int, int], ...] | None = None
 
 
@@ -108,67 +114,100 @@ def iter_partial_rows(field: RademacherField, N: int) -> Iterator[tuple[int, np.
 
 
 def sweep_fields(
-    fields: Iterable, N: int, *, collect_zeros: bool = False
-) -> Iterator[StatBundle]:
-    """Sweep each field's ``N x N`` grid; yield one bundle per field, in order.
+    fields: Iterable, sizes: Sequence[int], *, collect_zeros: bool = False
+) -> Iterator[tuple[StatBundle, ...]]:
+    """Sweep each field once; yield a tuple of its bundles, one per size as given.
 
-    Fields are drawn from ``fields`` (which may be lazy) in blocks of
-    ``tile_shape(N)[0]``, so the memory held at any time is one block's
+    Every ``n x n`` grid is the top-left corner of the ``M x M`` grid,
+    ``M = max(sizes)``, so one sweep at ``M`` serves all sizes: size
+    ``n`` is read from rows ``<= n`` and columns ``<= n`` of the same
+    tiles.  Fields are drawn from ``fields`` (which may be lazy) in blocks
+    of ``tile_shape(M)[0]``, so the memory held at any time is one block's
     fields, tiles and counters.
     """
-    _check_edge(N)
+    sizes = tuple(sizes)
+    if not sizes:
+        raise ValueError("need at least one grid size")
+    for n in sizes:
+        _check_edge(n)
     fields = iter(fields)
-    while block := list(islice(fields, tile_shape(N)[0])):
-        yield from _sweep_block(block, N, collect_zeros)
+    while block := list(islice(fields, tile_shape(max(sizes))[0])):
+        yield from _sweep_block(block, sizes, collect_zeros)
 
 
-def _sweep_block(fields: Sequence, N: int, collect_zeros: bool) -> list[StatBundle]:
-    R = len(fields)
-    gamma = np.zeros(R, dtype=np.int64)
-    gamma_prime = np.zeros(R, dtype=np.int64)
-    delta = np.zeros(R, dtype=np.int64)
-    anti = np.zeros(R, dtype=np.int64)
-    profiles = np.empty((R, N), dtype=np.int64)
-    coords: list[list[tuple[int, int]]] = [[] for _ in range(R)]
-    for start, tile in _partial_sum_tiles(fields, N):
+def _sweep_block(
+    fields: Sequence,
+    sizes: tuple[int, ...],
+    collect_zeros: bool,
+    inspect: Callable[[int, np.ndarray], None] | None = None,
+) -> list[tuple[StatBundle, ...]]:
+    """Bundles of one block of fields; ``inspect(start, tile)`` sees each tile."""
+    R, K = len(fields), len(sizes)
+    gamma = np.zeros((K, R), dtype=np.int64)
+    gamma_prime = np.zeros((K, R), dtype=np.int64)
+    delta = np.zeros((K, R), dtype=np.int64)
+    anti = np.zeros((K, R), dtype=np.int64)
+    profiles = [np.empty((R, n), dtype=np.int64) for n in sizes]
+    coords: list[list[list[tuple[int, int]]]] = [[[] for _ in range(R)] for _ in sizes]
+    for start, tile in _partial_sum_tiles(fields, max(sizes)):
         stop = start + tile.shape[1]
         pos, neg = tile > 0, tile < 0
         zero = ~(pos | neg)
-        gamma += np.count_nonzero(zero, axis=(1, 2))
-        gamma_prime += np.count_nonzero(tile == 1, axis=(1, 2))
+        one = tile == 1
         # a pair crosses unless both sums are strictly positive or both negative
-        same = np.count_nonzero(pos[:, :, 1:] & pos[:, :, :-1], axis=2)
-        same += np.count_nonzero(neg[:, :, 1:] & neg[:, :, :-1], axis=2)
-        profiles[:, start - 1 : stop - 1] = (N - 1) - same
-        diag = np.arange(start + start % 2, stop, 2)  # (2k, 2k)
-        delta += np.count_nonzero(zero[:, diag - start, diag - 1], axis=1)
-        off = np.arange(start, min(stop, N))  # (i, N - i)
-        anti += np.count_nonzero(zero[:, off - start, N - off - 1], axis=1)
-        if collect_zeros:
-            for r in range(R):
-                k, j = np.nonzero(zero[r])
-                coords[r].extend(zip((k + start).tolist(), (j + 1).tolist()))
-    return [
-        StatBundle(
-            N=N,
-            gamma=int(gamma[r]),
-            gamma_prime=int(gamma_prime[r]),
-            z_crossings=int(profiles[r].sum()),
-            delta=int(delta[r]),
-            d_antidiag=int(anti[r]),
-            row_profiles=profiles[r],
-            max_f=int(profiles[r].max()),
-            zero_coordinates=tuple(coords[r]) if collect_zeros else None,
-        )
-        for r in range(R)
+        same = (pos[:, :, 1:] & pos[:, :, :-1]) | (neg[:, :, 1:] & neg[:, :, :-1])
+        for s, n in enumerate(sizes):
+            rows = min(stop, n + 1) - start  # this tile's rows of the n x n grid
+            if rows <= 0:
+                continue
+            z = zero[:, :rows, :n]
+            gamma[s] += np.count_nonzero(z, axis=(1, 2))
+            gamma_prime[s] += np.count_nonzero(one[:, :rows, :n], axis=(1, 2))
+            profiles[s][:, start - 1 : start - 1 + rows] = (n - 1) - np.count_nonzero(
+                same[:, :rows, : n - 1], axis=2
+            )
+            diag = np.arange(start + start % 2, start + rows, 2)  # (2k, 2k)
+            delta[s] += np.count_nonzero(z[:, diag - start, diag - 1], axis=1)
+            off = np.arange(start, min(stop, n))  # (i, n - i)
+            anti[s] += np.count_nonzero(z[:, off - start, n - off - 1], axis=1)
+            if collect_zeros:
+                for r in range(R):
+                    k, j = np.nonzero(z[r])
+                    coords[s][r].extend(zip((k + start).tolist(), (j + 1).tolist()))
+        if inspect is not None:
+            inspect(start, tile)
+    per_size = [
+        [
+            StatBundle(
+                N=n,
+                gamma=g,
+                gamma_prime=g1,
+                z_crossings=crossings,
+                delta=d,
+                d_antidiag=a,
+                row_profiles=profile,
+                zero_coordinates=tuple(c) if collect_zeros else None,
+            )
+            for g, g1, crossings, d, a, profile, c in zip(
+                gamma[s].tolist(),
+                gamma_prime[s].tolist(),
+                profiles[s].sum(axis=1).tolist(),
+                delta[s].tolist(),
+                anti[s].tolist(),
+                profiles[s],
+                coords[s],
+            )
+        ]
+        for s, n in enumerate(sizes)
     ]
+    return list(zip(*per_size))
 
 
 def sweep_grid(
     field: RademacherField, N: int, *, collect_zeros: bool = False
 ) -> StatBundle:
     """One pass over the grid, returning every pathwise counter at once."""
-    (bundle,) = sweep_fields([field], N, collect_zeros=collect_zeros)
+    ((bundle,),) = sweep_fields([field], (N,), collect_zeros=collect_zeros)
     return bundle
 
 
@@ -210,7 +249,6 @@ def brute_force_bundle(field: RademacherField, N: int) -> StatBundle:
         delta=delta,
         d_antidiag=anti,
         row_profiles=profiles,
-        max_f=int(profiles.max()),
         zero_coordinates=coords,
     )
 
@@ -229,28 +267,62 @@ def upcrossing_times(values) -> tuple[np.ndarray, np.ndarray]:
     return times.astype(np.int64), prod[times - 1] == 0
 
 
-def decomposition_audit(field: RademacherField, N: int) -> tuple[StatBundle, bool]:
-    """Sweep a grid and re-derive the crossing decomposition row by row.
+def _product_crossings(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of adjacent products ``<= 0`` and ``== 0`` in each row of a block.
 
-    Checks, per row: the crossing count from :func:`upcrossing_times`
-    equals the sweep's profile entry, and the zero-touch crossings are
-    sandwiched between the row's zeros over ``[1, N-1]`` and twice its
-    zeros over ``[1, N]`` (every zero makes at most two of the touching
-    products vanish).  Returns the bundle plus the audit verdict.
+    The rule of :func:`upcrossing_times`, applied to many rows at once.
     """
-    bundle = sweep_grid(field, N)
-    ok = True
-    z_recount = 0
-    for i, col in iter_partial_rows(field, N):
-        times, flags = upcrossing_times(col)
-        z_recount += int(times.size)
-        ok &= int(times.size) == int(bundle.row_profiles[i - 1])
-        touched = int(flags.sum())
-        zeros_interior = int(np.count_nonzero(col[: N - 1] == 0))
-        zeros_full = zeros_interior + (1 if col[N - 1] == 0 else 0)
-        ok &= zeros_interior <= touched <= 2 * zeros_full
-    ok &= z_recount == bundle.z_crossings
-    return bundle, bool(ok)
+    prod = rows[:, :-1] * rows[:, 1:]
+    return prod <= 0, prod == 0
+
+
+def decomposition_audit(
+    field: RademacherField, N: int, nested: Sequence[int] = ()
+) -> tuple[StatBundle, bool]:
+    """Sweep a grid once and re-derive its crossing decomposition per row.
+
+    The grid of edge ``N`` and every prefix grid of an edge in ``nested``
+    (each at most ``N``) are audited from the same tiles.  Per row of each
+    grid, the crossing count from adjacent products (the rule of
+    :func:`upcrossing_times`, which shares no code with the sweep's
+    sign-based profiles) must equal the profile entry, and the zero-touch
+    crossings must be sandwiched between the row's zeros over ``[1, n-1]``
+    and twice its zeros over ``[1, n]`` (every zero makes at most two of
+    the touching products vanish).  The crossing totals must match too.
+    Returns the bundle of the ``N`` grid plus the audit verdict.
+    """
+    sizes = tuple(sorted({N, *nested}))
+    if sizes[-1] > N:
+        raise ValueError(f"nested edges must be <= {N}, got {tuple(nested)}")
+    for n in sizes:
+        _check_edge(n)
+    recount = [np.empty(n, dtype=np.int64) for n in sizes]
+    sandwiched = True
+
+    def audit(start: int, tile: np.ndarray) -> None:
+        nonlocal sandwiched
+        crosses, touches = _product_crossings(tile[0])
+        zeros = tile[0] == 0
+        for s, n in enumerate(sizes):
+            rows = min(start + tile.shape[1], n + 1) - start  # rows of the n-grid
+            if rows <= 0:
+                continue
+            recount[s][start - 1 : start - 1 + rows] = np.count_nonzero(
+                crosses[:rows, : n - 1], axis=1
+            )
+            touched = np.count_nonzero(touches[:rows, : n - 1], axis=1)
+            zeros_interior = np.count_nonzero(zeros[:rows, : n - 1], axis=1)
+            zeros_full = zeros_interior + zeros[:rows, n - 1]
+            sandwiched &= bool(
+                np.all((zeros_interior <= touched) & (touched <= 2 * zeros_full))
+            )
+
+    (bundles,) = _sweep_block([field], sizes, False, audit)
+    ok = sandwiched and all(
+        np.array_equal(counts, b.row_profiles) and int(counts.sum()) == b.z_crossings
+        for counts, b in zip(recount, bundles)
+    )
+    return bundles[-1], ok
 
 
 def diag_zero_count(key: StreamKey, N: int) -> int:

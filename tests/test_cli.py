@@ -163,6 +163,22 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "8" / "manifest.json").read_text())
         assert manifest["workers"] == 8
 
+    @pytest.mark.parametrize("stat", ["gamma", "z-crossings", "delta", "antidiag"])
+    def test_nested_sizes_write_the_one_size_rows(self, tmp_path, stat):
+        # one sweep at the largest edge serves every size, in the order given
+        def rows(sizes):
+            outdir = tmp_path / sizes
+            argv = ["simulate", "--stat", stat, "--sizes", sizes, "--reps", "5",
+                    "--seed", "3", "--workers", "1", "--out", str(outdir)]
+            assert main(argv) == 0
+            return {name: (outdir / name).read_text().splitlines()[1:]
+                    for name in ("raw.csv", "summary.csv")}
+
+        nested = rows("64,16,32")
+        singles = [rows(n) for n in ("64", "16", "32")]
+        for name, lines in nested.items():
+            assert lines == [line for one in singles for line in one[name]]
+
     def test_capacity_exit(self, tmp_path):
         assert (
             main(

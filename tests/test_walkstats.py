@@ -57,7 +57,6 @@ class TestSweepFrozenExamples:
         assert b.gamma_prime == 1  # only S(1,1) == 1
         assert b.z_crossings == 0
         assert b.delta == 0
-        assert b.max_f == 0
 
     def test_alternating_columns_four_by_four(self):
         b = sweep_grid(AlternatingColumnsField(), 4)
@@ -66,7 +65,6 @@ class TestSweepFrozenExamples:
         assert b.delta == 2
         assert b.d_antidiag == 1  # only S(2,2) on the i+j=4 line
         assert b.row_profiles.tolist() == [3, 3, 3, 3]
-        assert b.max_f == 3
 
     def test_zero_coordinates_collection(self):
         b = sweep_grid(AlternatingColumnsField(), 3, collect_zeros=True)
@@ -157,7 +155,7 @@ def test_zeros_need_even_cell_area(seed, n):
 def _bundle_key(b):
     return (
         b.N, b.gamma, b.gamma_prime, b.z_crossings, b.delta, b.d_antidiag,
-        b.row_profiles.tolist(), b.max_f, b.zero_coordinates,
+        b.row_profiles.tolist(), b.zero_coordinates,
     )
 
 
@@ -178,7 +176,7 @@ def test_tile_kernel_equals_brute_force(seed, n, stride, count, data):
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
         grids, rows = tile_shape(n)
         assert grids * rows * n <= max(cap, n)
-        bundles = list(sweep_fields(fields, n, collect_zeros=True))
+        bundles = [b for (b,) in sweep_fields(fields, (n,), collect_zeros=True)]
     assert [_bundle_key(b) for b in bundles] == [
         _bundle_key(brute_force_bundle(f, n)) for f in fields
     ]
@@ -197,9 +195,44 @@ def test_partial_rows_across_tile_seams(n, cap):
 
 def test_stub_fields_sweep_in_blocks():
     with mock.patch.object(walkstats, "TILE_CELLS", 40):
-        bundles = list(sweep_fields([AlternatingColumnsField(), ConstantField()], 4))
+        stubs = [AlternatingColumnsField(), ConstantField()]
+        bundles = [b for (b,) in sweep_fields(stubs, (4,))]
     assert _bundle_key(bundles[0]) == _bundle_key(sweep_grid(AlternatingColumnsField(), 4))
     assert _bundle_key(bundles[1]) == _bundle_key(sweep_grid(ConstantField(), 4))
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    sizes=st.lists(
+        st.one_of(st.just(1), st.integers(2, 70)), min_size=1, max_size=5, unique=True
+    ),
+    count=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_nested_sizes_equal_one_size_sweeps(seed, sizes, count, data):
+    # sizes arrive unsorted; one sweep at the largest edge, tile caps from one
+    # cell (one row per tile, rows need not divide the edge) to several grids
+    top = max(sizes)
+    cap = data.draw(st.integers(1, 3 * top * top), label="cap")
+    fields = [field(seed, r) for r in range(count)]
+    with mock.patch.object(walkstats, "TILE_CELLS", cap):
+        nested = list(sweep_fields(fields, sizes, collect_zeros=True))
+    assert len(nested) == count
+    for f, bundles in zip(fields, nested):
+        assert [b.N for b in bundles] == sizes
+        assert [_bundle_key(b) for b in bundles] == [
+            _bundle_key(sweep_grid(f, n, collect_zeros=True)) for n in sizes
+        ]
+
+
+def test_nested_sweep_needs_valid_sizes():
+    with pytest.raises(ValueError):
+        list(sweep_fields([field()], ()))
+    with pytest.raises(ValueError):
+        list(sweep_fields([field()], (4, 0)))
+    with pytest.raises(CapacityError):
+        list(sweep_fields([field()], (4, SWEEP_CEILING + 1)))
 
 
 class TestDecompositionAudit:
@@ -216,6 +249,45 @@ class TestDecompositionAudit:
     def test_single_column_grid(self):
         _, ok = decomposition_audit(field(3), 1)
         assert ok
+
+    def test_nested_grids_pass_from_one_sweep(self):
+        with mock.patch.object(walkstats, "TILE_CELLS", 5 * 40):
+            bundle, ok = decomposition_audit(field(4), 40, (17, 1, 40, 8))
+        assert ok
+        assert _bundle_key(bundle) == _bundle_key(sweep_grid(field(4), 40))
+
+    def test_nested_edges_beyond_the_sweep_are_rejected(self):
+        with pytest.raises(ValueError):
+            decomposition_audit(field(), 16, (8, 32))
+
+    def test_product_recount_matches_upcrossing_times_per_row(self):
+        n = 45
+        rows = np.array([col.copy() for _, col in iter_partial_rows(field(8), n)])
+        rows[3, 7] = 0  # make sure some products vanish exactly
+        crosses, touches = walkstats._product_crossings(rows)
+        assert crosses.shape == touches.shape == (n, n - 1)
+        for row, cross, touch in zip(rows, crosses, touches):
+            times, flags = upcrossing_times(row)
+            assert np.nonzero(cross)[0].tolist() == (times - 1).tolist()
+            assert touch[times - 1].tolist() == flags.tolist()
+            assert not touch[~cross].any()
+
+    @pytest.mark.parametrize("size,shift", [(12, (1,)), (30, (1, -1)), (7, (-1,))])
+    def test_corrupted_profile_fails_the_audit(self, size, shift):
+        # a profile entry off by one, with or without the grid total kept,
+        # in any of the nested grids, must turn the verdict red
+        real = walkstats._sweep_block
+
+        def corrupted(fields, sizes, collect_zeros, inspect=None):
+            out = real(fields, sizes, collect_zeros, inspect)
+            profile = out[0][sizes.index(size)].row_profiles
+            for row, delta in enumerate(shift, start=2):
+                profile[row] += delta
+            return out
+
+        assert decomposition_audit(field(9), 30, (7, 12))[1]
+        with mock.patch.object(walkstats, "_sweep_block", corrupted):
+            assert not decomposition_audit(field(9), 30, (7, 12))[1]
 
 
 class TestUpcrossingTimes:
