@@ -8,6 +8,10 @@ that measures a violated bound FAILS and says what it measured — four
 bounds in this suite are unattainable as committed (the README's
 verification section carries the analysis) and stay red by design; they
 are listed in :data:`EXPECTED_RED`.
+
+Checks 7 and 8 sweep their grids once, auditing the crossing
+decomposition in the same pass; check 9 reports the verdicts of that
+pass, and sweeps the grids itself only when run without them.
 """
 
 from __future__ import annotations
@@ -35,17 +39,18 @@ from .exactprob import (
 )
 from .mcharness import (
     ExperimentConfig,
+    ExperimentResult,
     Statistic,
+    assemble_result,
     delta_log_law_report,
     estimate_exponent,
     map_workers,
-    run_experiment,
 )
 from .randfield import RademacherField, Seed, StreamKey
 from .walkstats import (
     annulus_zero_check,
+    audit_fields,
     brute_force_bundle,
-    decomposition_audit,
     sweep_grid,
     twin_zero_count,
 )
@@ -211,6 +216,42 @@ def _check_fastpath_consistency(level: str, workers: int) -> tuple[bool, str]:
     )
 
 
+# ------------------------------------------------- checks 7-9: one pass
+
+#: Audited runs of checks 7 and 8 by config, so check 9 reads the verdicts
+#: of the pass they already made.  Lives for one :func:`run_checks` call.
+_AUDITED: dict[ExperimentConfig, tuple[ExperimentResult, bool]] = {}
+
+
+def _audited_chunk(
+    args: tuple[ExperimentConfig, int, int]
+) -> tuple[list[tuple[int, int, float]], bool]:
+    # one worker's share of the harness's partition: each replicate swept
+    # once, its values read and every size audited from that sweep
+    config, worker_index, workers = args
+    mine = range(worker_index, config.replicates, workers)
+    fields = (RademacherField(StreamKey(config.seed, r)) for r in mine)
+    triples, ok = [], True
+    for r, (bundles, good) in zip(mine, audit_fields(fields, config.sizes)):
+        triples.extend((b.N, r, float(getattr(b, config.statistic.value))) for b in bundles)
+        ok &= good
+    return triples, ok
+
+
+def _audited_run(config: ExperimentConfig) -> tuple[ExperimentResult, bool]:
+    """The Monte Carlo result of a grid statistic plus the audit of its grids.
+
+    The result equals ``run_experiment(config)``.  The first call within a
+    :func:`run_checks` call sweeps; later calls with the same config read
+    the memo.
+    """
+    if config not in _AUDITED:
+        chunks = map_workers(_audited_chunk, config)
+        result = assemble_result(config, (triples for triples, _ in chunks))
+        _AUDITED[config] = result, all(ok for _, ok in chunks)
+    return _AUDITED[config]
+
+
 # --------------------------------------------------------------- check 7
 
 
@@ -228,7 +269,7 @@ def _check_zero_count_scaling(level: str, workers: int) -> tuple[bool, str]:
     sizes = tuple(2**k for k in range(6, 11))
     fit = estimate_exponent(sizes, [gamma_mean_exact(n) for n in sizes])
     config = _zero_count_config(level, workers)
-    result = run_experiment(config)
+    result, _ = _audited_run(config)
     ratio = result.summaries[1024].mean / gamma_mean_exact(1024)
     slope_ok = 0.97 <= fit.slope <= 1.03
     mc_ok = abs(ratio - 1.0) <= 0.10
@@ -267,7 +308,7 @@ def _full_crossing_config(level: str, workers: int) -> ExperimentConfig:
 
 def _check_crossing_count_scaling(level: str, workers: int) -> tuple[bool, str]:
     config = _full_crossing_config(level, workers)
-    result = run_experiment(config)
+    result, _ = _audited_run(config)
     means = [result.summaries[n].mean for n in config.sizes]
     fit = estimate_exponent(config.sizes, means)
     ok = 1.40 <= fit.slope <= 1.60
@@ -280,28 +321,16 @@ def _check_crossing_count_scaling(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 9
 
 
-def _audit_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[bool, int]:
-    # one worker's share: each replicate swept once, every size audited
-    config, worker_index, workers = args
-    mine = range(worker_index, config.replicates, workers)
-    ok = True
-    for r in mine:
-        field = RademacherField(StreamKey(config.seed, r))
-        _, good = decomposition_audit(field, max(config.sizes), config.sizes)
-        ok &= good
-    return ok, len(mine) * len(config.sizes)
-
-
 def _check_crossing_decomposition(level: str, workers: int) -> tuple[bool, str]:
-    # audits exactly the grids simulated by checks 7 and 8, on their partition
+    # audits exactly the grids simulated by checks 7 and 8, in their own pass;
+    # run without them, it makes that pass itself
     grids = 0
     ok = True
-    configs = (_zero_count_config(level, workers), _full_crossing_config(level, workers))
-    for config in configs:
-        for good, count in map_workers(_audit_chunk, config):
-            ok &= good
-            grids += count
-    return bool(ok), (
+    for config in (_zero_count_config(level, workers), _full_crossing_config(level, workers)):
+        result, good = _audited_run(config)
+        ok &= good
+        grids += sum(vals.size for vals in result.values.values())
+    return ok, (
         f"crossing total equals profile sum and zero-touch counts are "
         f"sandwiched by row zeros on all {grids} grids"
     )
@@ -488,23 +517,27 @@ def run_checks(
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     results = []
-    for index, (name, func) in enumerate(_CHECKS, start=1):
-        if names is not None and name not in names:
-            continue
-        start = time.perf_counter()
-        try:
-            passed, detail = func(level, workers)
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(
-            CheckResult(
-                index=index,
-                name=name,
-                passed=passed,
-                seconds=time.perf_counter() - start,
-                detail=detail,
+    _AUDITED.clear()  # a memo shared across calls would skip their sweeps
+    try:
+        for index, (name, func) in enumerate(_CHECKS, start=1):
+            if names is not None and name not in names:
+                continue
+            start = time.perf_counter()
+            try:
+                passed, detail = func(level, workers)
+            except Exception as exc:  # a crashed check is a failed check
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            results.append(
+                CheckResult(
+                    index=index,
+                    name=name,
+                    passed=passed,
+                    seconds=time.perf_counter() - start,
+                    detail=detail,
+                )
             )
-        )
+    finally:
+        _AUDITED.clear()
     return results
 
 

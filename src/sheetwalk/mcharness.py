@@ -8,7 +8,10 @@ order after the pool returns — is byte-identical for any worker count.
 A worker sweeps each of its replicates of a grid statistic once, at the
 largest edge, and reads every smaller size as a prefix of that sweep (see
 :func:`~sheetwalk.walkstats.sweep_fields`).  Raw per-replicate values are
-retained, not just summaries.
+retained, not just summaries.  :func:`assemble_result` is the one place
+worker output becomes an :class:`ExperimentResult`; a caller that runs its
+own task on the same partition (the acceptance checks, which also audit
+each grid in the pass) builds its result there too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -148,20 +151,31 @@ def map_workers(task: Callable, config: ExperimentConfig) -> list:
         return list(pool.map(task, jobs))
 
 
+def assemble_result(
+    config: ExperimentConfig, chunks: Iterable[Iterable[tuple[int, int, float]]]
+) -> ExperimentResult:
+    """Place every worker's ``(size, replicate, value)`` triples; summarize each size.
+
+    Values land at their replicate's index, so the result does not depend
+    on how the replicates were shared out among the workers.
+    """
+    values = {
+        size: np.empty(config.replicates, dtype=np.float64) for size in config.sizes
+    }
+    for chunk in chunks:
+        for size, r, value in chunk:
+            values[size][r] = value
+    summaries = {size: summarize(vals) for size, vals in values.items()}
+    return ExperimentResult(config=config, values=values, summaries=summaries)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Simulate every (size, replicate) cell of the experiment grid.
 
     The outcome is a pure function of ``(statistic, sizes, replicates,
     seed, eps, radius)`` — the worker count only changes wall time.
     """
-    values = {
-        size: np.empty(config.replicates, dtype=np.float64) for size in config.sizes
-    }
-    for chunk in map_workers(_worker_chunk, config):
-        for size, r, value in chunk:
-            values[size][r] = value
-    summaries = {size: summarize(vals) for size, vals in values.items()}
-    return ExperimentResult(config=config, values=values, summaries=summaries)
+    return assemble_result(config, map_workers(_worker_chunk, config))
 
 
 @dataclass(frozen=True)
@@ -212,51 +226,6 @@ def estimate_exponent(
         stderr=math.sqrt(s2 / sxx),
         points_used=tuple(int(n) for n in sizes[keep]),
     )
-
-
-@dataclass(frozen=True)
-class DeviationRow:
-    size: int
-    mc_mean: float
-    exact_mean: float
-    stderr: float
-    z_score: float  # inf when the Monte Carlo spread degenerates to zero
-    degenerate: bool
-
-
-def compare_to_exact(
-    summaries: dict[int, SummaryStats], exact: dict[int, float]
-) -> list[DeviationRow]:
-    """Z-scores of Monte Carlo means against exact expectations.
-
-    Requires two replicates minimum (otherwise no spread estimate
-    exists).  A zero standard error yields an infinite sentinel z-score
-    with the row flagged degenerate rather than a crash or a silent pass.
-    """
-    rows = []
-    for size in sorted(exact):
-        if size not in summaries:
-            raise ValueError(f"no Monte Carlo summary for size {size}")
-        s = summaries[size]
-        if s.count < 2:
-            raise ValueError(f"size {size}: need >= 2 replicates, got {s.count}")
-        gap = s.mean - exact[size]
-        degenerate = s.stderr == 0.0
-        if degenerate:
-            z = math.inf if gap != 0 else 0.0
-        else:
-            z = gap / s.stderr
-        rows.append(
-            DeviationRow(
-                size=size,
-                mc_mean=s.mean,
-                exact_mean=exact[size],
-                stderr=s.stderr,
-                z_score=z,
-                degenerate=degenerate,
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ and stays linear in ``N`` for one grid once a row alone exceeds the cap.
 The field is prefix-consistent: the ``n x n`` grid is the top-left corner
 of any larger one.  So each replicate is swept once, at the largest edge
 asked for, and every smaller size is read from the rows and columns
-``<= n`` of the same tiles (:func:`sweep_fields`); the crossing audit
-(:func:`decomposition_audit`) rides on that same pass.
+``<= n`` of the same tiles (:func:`sweep_fields`).  The crossing audit
+(:func:`audit_fields`) rides on that same pass, so a caller that needs
+both the counters and the audit verdict sweeps each grid once.
 
 Bounds that keep int64 safe: ``|S(i,j)| <= i*j <= 2**30`` at the sweep
 ceiling, so the audit's adjacent products stay below ``2**60``.  The
@@ -125,14 +126,25 @@ def sweep_fields(
     of ``tile_shape(M)[0]``, so the memory held at any time is one block's
     fields, tiles and counters.
     """
+    sizes = _check_sizes(sizes)
+    for block in _field_blocks(fields, max(sizes)):
+        yield from _sweep_block(block, sizes, collect_zeros)
+
+
+def _check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     sizes = tuple(sizes)
     if not sizes:
         raise ValueError("need at least one grid size")
     for n in sizes:
         _check_edge(n)
+    return sizes
+
+
+def _field_blocks(fields: Iterable, N: int) -> Iterator[list]:
+    """Draw ``fields`` (possibly lazy) in blocks of ``tile_shape(N)[0]``."""
     fields = iter(fields)
-    while block := list(islice(fields, tile_shape(max(sizes))[0])):
-        yield from _sweep_block(block, sizes, collect_zeros)
+    while block := list(islice(fields, tile_shape(N)[0])):
+        yield block
 
 
 def _sweep_block(
@@ -268,60 +280,78 @@ def upcrossing_times(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _product_crossings(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of adjacent products ``<= 0`` and ``== 0`` in each row of a block.
+    """Masks of adjacent products ``<= 0`` and ``== 0`` along the last axis.
 
     The rule of :func:`upcrossing_times`, applied to many rows at once.
     """
-    prod = rows[:, :-1] * rows[:, 1:]
+    prod = rows[..., :-1] * rows[..., 1:]
     return prod <= 0, prod == 0
+
+
+def audit_fields(
+    fields: Iterable, sizes: Sequence[int]
+) -> Iterator[tuple[tuple[StatBundle, ...], bool]]:
+    """Sweep each field once; yield its bundles (in the order of ``sizes``) and audit verdict.
+
+    The bundles are those of :func:`sweep_fields`.  The audit rides on the
+    same tiles: per row of each ``n x n`` grid, the crossing count from
+    adjacent products (the rule of :func:`upcrossing_times`, which shares
+    no code with the sweep's sign-based profiles) must equal the profile
+    entry, and the zero-touch crossings must be sandwiched between the
+    row's zeros over ``[1, n-1]`` and twice its zeros over ``[1, n]``
+    (every zero makes at most two of the touching products vanish).  The
+    crossing totals must match too.  A field passes only if every one of
+    its grids does.
+    """
+    sizes = _check_sizes(sizes)
+    for block in _field_blocks(fields, max(sizes)):
+        yield from _audit_block(block, sizes)
+
+
+def _audit_block(
+    fields: Sequence, sizes: tuple[int, ...]
+) -> Iterator[tuple[tuple[StatBundle, ...], bool]]:
+    R = len(fields)
+    recount = [np.empty((R, n), dtype=np.int64) for n in sizes]
+    sandwiched = np.ones(R, dtype=bool)
+
+    def audit(start: int, tile: np.ndarray) -> None:
+        crosses, touches = _product_crossings(tile)
+        zeros = tile == 0
+        for s, n in enumerate(sizes):
+            rows = min(start + tile.shape[1], n + 1) - start  # rows of the n-grid
+            if rows <= 0:
+                continue
+            recount[s][:, start - 1 : start - 1 + rows] = np.count_nonzero(
+                crosses[:, :rows, : n - 1], axis=2
+            )
+            touched = np.count_nonzero(touches[:, :rows, : n - 1], axis=2)
+            zeros_interior = np.count_nonzero(zeros[:, :rows, : n - 1], axis=2)
+            zeros_full = zeros_interior + zeros[:, :rows, n - 1]
+            held = (zeros_interior <= touched) & (touched <= 2 * zeros_full)
+            np.logical_and(sandwiched, held.all(axis=1), out=sandwiched)
+
+    for r, bundles in enumerate(_sweep_block(fields, sizes, False, audit)):
+        ok = bool(sandwiched[r]) and all(
+            np.array_equal(counts[r], b.row_profiles)
+            and int(counts[r].sum()) == b.z_crossings
+            for counts, b in zip(recount, bundles)
+        )
+        yield bundles, ok
 
 
 def decomposition_audit(
     field: RademacherField, N: int, nested: Sequence[int] = ()
 ) -> tuple[StatBundle, bool]:
-    """Sweep a grid once and re-derive its crossing decomposition per row.
+    """Audit one field's ``N`` grid and its nested grids: :func:`audit_fields` of one field.
 
-    The grid of edge ``N`` and every prefix grid of an edge in ``nested``
-    (each at most ``N``) are audited from the same tiles.  Per row of each
-    grid, the crossing count from adjacent products (the rule of
-    :func:`upcrossing_times`, which shares no code with the sweep's
-    sign-based profiles) must equal the profile entry, and the zero-touch
-    crossings must be sandwiched between the row's zeros over ``[1, n-1]``
-    and twice its zeros over ``[1, n]`` (every zero makes at most two of
-    the touching products vanish).  The crossing totals must match too.
-    Returns the bundle of the ``N`` grid plus the audit verdict.
+    Every edge in ``nested`` must be at most ``N``.  Returns the bundle of
+    the ``N`` grid plus the audit verdict over all of them.
     """
     sizes = tuple(sorted({N, *nested}))
     if sizes[-1] > N:
         raise ValueError(f"nested edges must be <= {N}, got {tuple(nested)}")
-    for n in sizes:
-        _check_edge(n)
-    recount = [np.empty(n, dtype=np.int64) for n in sizes]
-    sandwiched = True
-
-    def audit(start: int, tile: np.ndarray) -> None:
-        nonlocal sandwiched
-        crosses, touches = _product_crossings(tile[0])
-        zeros = tile[0] == 0
-        for s, n in enumerate(sizes):
-            rows = min(start + tile.shape[1], n + 1) - start  # rows of the n-grid
-            if rows <= 0:
-                continue
-            recount[s][start - 1 : start - 1 + rows] = np.count_nonzero(
-                crosses[:rows, : n - 1], axis=1
-            )
-            touched = np.count_nonzero(touches[:rows, : n - 1], axis=1)
-            zeros_interior = np.count_nonzero(zeros[:rows, : n - 1], axis=1)
-            zeros_full = zeros_interior + zeros[:rows, n - 1]
-            sandwiched &= bool(
-                np.all((zeros_interior <= touched) & (touched <= 2 * zeros_full))
-            )
-
-    (bundles,) = _sweep_block([field], sizes, False, audit)
-    ok = sandwiched and all(
-        np.array_equal(counts, b.row_profiles) and int(counts.sum()) == b.z_crossings
-        for counts, b in zip(recount, bundles)
-    )
+    ((bundles, ok),) = audit_fields([field], sizes)
     return bundles[-1], ok
 
 
@@ -342,18 +372,6 @@ def diag_zero_count(key: StreamKey, N: int) -> int:
     counts = 8 * np.arange(1, steps + 1, dtype=np.int64) - 4
     increments = signed_binomial_batch(key, counts)
     return int(np.count_nonzero(np.cumsum(increments) == 0))
-
-
-def hitting_set(bundle: StatBundle, alpha: float, beta: float) -> set[int]:
-    """Rows ``i <= N**(1-alpha)`` whose crossing count beats ``N**(1/2-beta)``."""
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not 0 < beta < 0.5:
-        raise ValueError(f"beta must be in (0,1/2), got {beta}")
-    row_cap = int(bundle.N ** (1.0 - alpha))
-    threshold = bundle.N ** (0.5 - beta)
-    profiles = bundle.row_profiles
-    return {i for i in range(1, min(row_cap, bundle.N) + 1) if profiles[i - 1] > threshold}
 
 
 def annulus_zero_check(field: RademacherField, eps: float, N: int) -> tuple[bool, int]:

@@ -9,10 +9,15 @@ that crashes fails the gate even when it is one of those four.
 README.md carries the full analysis.
 """
 
+import numpy as np
 import pytest
 
 from sheetwalk import checks
 from sheetwalk.checks import EXPECTED_RED, CheckResult, check_names, run_checks
+from sheetwalk.mcharness import run_experiment
+
+# the checks that share one audited pass over the same grids
+SHARED_PASS = {"zero-count-scaling", "crossing-count-scaling", "crossing-decomposition"}
 
 # committed wall-clock ceilings (seconds)
 RUNTIME_LIMITS = {
@@ -92,3 +97,55 @@ def test_audit_on_two_workers_keeps_the_verdict(full_results, inline_pool):
     serial = full_results["crossing-decomposition"]
     assert (wide.passed, wide.detail) == (serial.passed, serial.detail)
     assert "850 grids" in wide.detail
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("make", [checks._zero_count_config, checks._full_crossing_config])
+def test_audited_run_equals_run_experiment(make, workers, inline_pool):
+    config = make("quick", workers)
+    try:
+        audited, ok = checks._audited_run(config)
+    finally:
+        checks._AUDITED.clear()
+    plain = run_experiment(config)
+    assert ok
+    assert audited.config == plain.config
+    assert list(audited.values) == list(plain.values) == list(config.sizes)
+    for n in config.sizes:
+        assert np.array_equal(audited.values[n], plain.values[n])
+        assert audited.summaries[n] == plain.summaries[n]
+    assert inline_pool == ([2, 2] if workers == 2 else [])  # one pool per run
+
+
+def test_each_verify_call_sweeps_its_grids_again(inline_pool):
+    # checks 7-8 sweep once per config and check 9 reads their pass; the
+    # memo does not outlive the call, so a second call sweeps again
+    first = run_checks(level="quick", workers=2, names=SHARED_PASS)
+    assert inline_pool == [2, 2]
+    second = run_checks(level="quick", workers=2, names=SHARED_PASS)
+    assert inline_pool == [2, 2] * 2
+    assert checks._AUDITED == {}
+    assert [(r.passed, r.detail) for r in first] == [(r.passed, r.detail) for r in second]
+    # run alone, check 9 sweeps the same grids itself, to the same verdict
+    (alone,) = run_checks(level="quick", workers=2, names={"crossing-decomposition"})
+    assert inline_pool == [2, 2] * 3
+    assert (alone.passed, alone.detail) == (second[-1].passed, second[-1].detail)
+    assert "252 grids" in alone.detail
+
+
+def test_the_memo_is_emptied_when_a_check_aborts(monkeypatch):
+    class Abort(BaseException):
+        pass
+
+    def abort(level, workers):
+        assert checks._AUDITED  # check 7 has filled it
+        raise Abort
+
+    patched = tuple(
+        (name, abort if name == "crossing-decomposition" else func)
+        for name, func in checks._CHECKS
+    )
+    monkeypatch.setattr(checks, "_CHECKS", patched)
+    with pytest.raises(Abort):
+        run_checks(level="quick", names={"zero-count-scaling", "crossing-decomposition"})
+    assert checks._AUDITED == {}

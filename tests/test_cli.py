@@ -6,6 +6,8 @@ import pytest
 
 from sheetwalk.cli import main, render_zero_set
 from sheetwalk.exactprob import delta_mean_exact
+from sheetwalk.randfield import RademacherField, Seed, StreamKey
+from sheetwalk.walkstats import annulus_zero_check
 
 
 class PlusField:
@@ -178,6 +180,21 @@ class TestSimulateCommand:
         singles = [rows(n) for n in ("64", "16", "32")]
         for name, lines in nested.items():
             assert lines == [line for one in singles for line in one[name]]
+
+    def test_annulus_column_is_the_zero_count(self, tmp_path):
+        # the value is the number of zeros in [eps*N, N]^2, not the indicator
+        argv = ["simulate", "--stat", "annulus", "--sizes", "32", "--reps", "6",
+                "--seed", "5", "--eps", "0.25", "--workers", "1",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        raw = (tmp_path / "run" / "raw.csv").read_text().splitlines()[1:]
+        assert raw == [
+            "32,0,34.0", "32,1,8.0", "32,2,18.0", "32,3,31.0", "32,4,44.0", "32,5,0.0"
+        ]
+        for line in raw:
+            _, r, value = line.split(",")
+            field = RademacherField(StreamKey(Seed(5), int(r)))
+            assert float(value) == annulus_zero_check(field, 0.25, 32)[1]
 
     def test_capacity_exit(self, tmp_path):
         assert (

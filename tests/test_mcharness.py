@@ -5,10 +5,8 @@ import pytest
 from scipy import stats
 
 from sheetwalk.mcharness import (
-    DeviationRow,
     ExperimentConfig,
     Statistic,
-    compare_to_exact,
     delta_log_law_report,
     estimate_exponent,
     run_experiment,
@@ -162,35 +160,6 @@ class TestEstimateExponent:
     def test_too_few_points(self):
         with pytest.warns(UserWarning), pytest.raises(ValueError):
             estimate_exponent([4, 8], [0.0, 8.0])
-
-
-class TestCompareToExact:
-    def test_z_scores(self):
-        res = run_experiment(config(statistic=Statistic.DELTA, replicates=40))
-        exact = {8: delta_mean_exact(4), 16: delta_mean_exact(8)}
-        rows = compare_to_exact(res.summaries, exact)
-        assert [r.size for r in rows] == [8, 16]
-        for row in rows:
-            assert not row.degenerate
-            assert row.z_score == pytest.approx(
-                (row.mc_mean - row.exact_mean) / row.stderr
-            )
-
-    def test_requires_two_replicates(self):
-        s = {4: summarize(np.array([1.0]))}
-        with pytest.raises(ValueError, match="replicates"):
-            compare_to_exact(s, {4: 0.5})
-
-    def test_missing_size(self):
-        with pytest.raises(ValueError, match="size 9"):
-            compare_to_exact({}, {9: 1.0})
-
-    def test_degenerate_spread_is_flagged_not_crashed(self):
-        s = {4: summarize(np.array([2.0, 2.0, 2.0]))}
-        (row,) = compare_to_exact(s, {4: 1.5})
-        assert row.degenerate and row.z_score == math.inf
-        (row,) = compare_to_exact(s, {4: 2.0})
-        assert row.degenerate and row.z_score == 0.0
 
 
 class TestDeltaLogLawReport:

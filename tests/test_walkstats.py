@@ -11,10 +11,10 @@ from sheetwalk.randfield import RademacherField, Seed, StreamKey
 from sheetwalk.walkstats import (
     SWEEP_CEILING,
     annulus_zero_check,
+    audit_fields,
     brute_force_bundle,
     decomposition_audit,
     diag_zero_count,
-    hitting_set,
     iter_partial_rows,
     sweep_fields,
     sweep_grid,
@@ -235,6 +235,51 @@ def test_nested_sweep_needs_valid_sizes():
         list(sweep_fields([field()], (4, SWEEP_CEILING + 1)))
 
 
+@given(
+    seed=st.integers(0, 2**32),
+    sizes=st.lists(
+        st.one_of(st.just(1), st.integers(2, 70)), min_size=1, max_size=5, unique=True
+    ),
+    count=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_audit_fields_equal_the_sweep_and_the_one_field_audit(seed, sizes, count, data):
+    # unsorted sizes, tile caps from one cell to several grids; the audited
+    # pass gives the sweep's bundles and each field's own audit verdict
+    top = max(sizes)
+    cap = data.draw(st.integers(1, 3 * top * top), label="cap")
+    fields = [field(seed, r) for r in range(count)]
+    with mock.patch.object(walkstats, "TILE_CELLS", cap):
+        audited = list(audit_fields(fields, sizes))
+        swept = list(sweep_fields(fields, sizes))
+        verdicts = [decomposition_audit(f, top, sizes)[1] for f in fields]
+    assert len(audited) == count
+    for (bundles, ok), plain, verdict in zip(audited, swept, verdicts):
+        assert [b.N for b in bundles] == sizes
+        assert [_bundle_key(b) for b in bundles] == [_bundle_key(b) for b in plain]
+        assert ok is verdict is True
+
+    # one profile entry of the first field off by one: only its verdict turns red
+    size = data.draw(st.sampled_from(sizes), label="size")
+    row = data.draw(st.integers(0, size - 1), label="row")
+    real = walkstats._sweep_block
+    first = []
+
+    def corrupted(fields, sizes, collect_zeros, inspect=None):
+        out = real(fields, sizes, collect_zeros, inspect)
+        if not first:
+            first.append(out[0][sizes.index(size)].row_profiles)
+            first[0][row] += 1
+        return out
+
+    with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
+        walkstats, "_sweep_block", corrupted
+    ):
+        verdicts = [ok for _, ok in audit_fields(fields, sizes)]
+    assert verdicts == [False] + [True] * (count - 1)
+
+
 class TestDecompositionAudit:
     def test_random_fields_pass(self):
         for seed in range(5):
@@ -339,22 +384,6 @@ class TestDiagZeroCount:
         diff = np.mean(key_vals) - np.mean(sweep_vals)
         scale = np.sqrt((np.var(key_vals) + np.var(sweep_vals)) / 400)
         assert abs(diff) < 5 * scale
-
-
-class TestHittingSet:
-    def test_frozen_example(self):
-        b = sweep_grid(AlternatingColumnsField(), 16)
-        assert hitting_set(b, 0.5, 0.25) == {1, 2, 3, 4}
-
-    def test_empty_when_threshold_unreachable(self):
-        b = sweep_grid(ConstantField(), 16)
-        assert hitting_set(b, 0.5, 0.25) == set()
-
-    @pytest.mark.parametrize("alpha,beta", [(0, 0.25), (1, 0.25), (0.5, 0), (0.5, 0.5)])
-    def test_parameter_domain(self, alpha, beta):
-        b = sweep_grid(ConstantField(), 4)
-        with pytest.raises(ValueError):
-            hitting_set(b, alpha, beta)
 
 
 class TestTwinZeros:
