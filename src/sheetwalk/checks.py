@@ -164,10 +164,10 @@ def _check_diagonal_mean_law(level: str, workers: int) -> tuple[bool, str]:
     else:
         chain = [100 * 2**k for k in range(5)]
         ratio_at = 10**5
-    centered = {n: delta_mean_exact(n, centered=True) for n in chain}
-    centered.update(
-        (2 * n, delta_mean_exact(2 * n, centered=True)) for n in chain
-    )
+    centered = {
+        n: delta_mean_exact(n) - DIAG_LOG_COEFF * math.log(n)
+        for n in {*chain, *(2 * n for n in chain)}
+    }
     gaps = [abs(centered[2 * n] - centered[n]) for n in chain]
     ratio = delta_mean_exact(ratio_at) / math.log(ratio_at)
     ok = max(gaps) <= 0.01 and 0.34 <= ratio <= 0.46

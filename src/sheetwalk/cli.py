@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -25,7 +26,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,6 +63,12 @@ SUMMARY_HEADER = "N,M,mean,variance,stderr,min,max"
 
 def _fmt15(x: float) -> str:
     return "%.15g" % x
+
+
+def _digits(k: int) -> str:
+    # str(int) refuses ints above the interpreter's digit limit (4300 by
+    # default, passed at n = 7148); Decimal converts any length
+    return str(decimal.Decimal(k))
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -117,17 +124,7 @@ class RunManifest:
     outputs: list[dict]
 
     def to_json(self) -> bytes:
-        payload = {
-            "version": self.version,
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "workers": self.workers,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": self.outputs,
-        }
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        return (json.dumps(asdict(self), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _output_entry(path: Path) -> dict:
@@ -186,21 +183,30 @@ def _resolve_workers(flag: int | None) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     target = args.target
+    if target in ("delta-mean", "delta-var", "gamma-mean") and args.n < 1:
+        # their centered column takes ln N or divides by N
+        raise ValueError(f"--n must be >= 1 for {target}, got {args.n}")
     if target == "pn":
         if args.max < 0:
             raise ValueError(f"--max must be >= 0, got {args.max}")
-        rows = []
-        for n in range(args.max + 1):
-            value = exactprob.p_exact(n)
-            rows.append(
-                (n, f"{value.numerator}/{value.denominator}")
-                if args.rational
-                else (n, _fmt15(float(value)))
+        if args.max > exactprob.EXACT_CEILING:
+            raise CapacityError(
+                f"exact values stop at n={exactprob.EXACT_CEILING}, got --max {args.max}"
             )
+        table = exactprob._table()
+        if args.rational:
+            pairs = table.exact_values[: args.max + 1]
+            rows = (
+                (n, f"{_digits(num)}/{_digits(1 << exp)}")
+                for n, (num, exp) in enumerate(pairs)
+            )
+        else:
+            floats = table.float_values[: args.max + 1].tolist()
+            rows = ((n, _fmt15(p)) for n, p in enumerate(floats))
         body = _csv_bytes("n,p", rows)
     elif target == "delta-mean":
         mean = exactprob.delta_mean_exact(args.n)
-        centered = exactprob.delta_mean_exact(args.n, centered=True)
+        centered = mean - exactprob.DIAG_LOG_COEFF * math.log(args.n)
         body = _csv_bytes(
             "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
         )
@@ -212,7 +218,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         )
     elif target == "gamma-mean":
         mean = exactprob.gamma_mean_exact(args.n)
-        centered = exactprob.gamma_mean_exact(args.n, centered=True)
+        centered = mean / args.n  # per-column mean
         body = _csv_bytes(
             "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
         )

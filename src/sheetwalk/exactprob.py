@@ -52,12 +52,10 @@ class ReturnProbTable:
 
     ``exact_values[n]`` is ``(odd numerator, exponent)`` with
     ``p(n) = numerator / 2**exponent``; ``float_values[n]`` is the
-    correctly rounded float of that rational.  ``n_exact == max_index``:
-    every tabulated index is exact.
+    correctly rounded float of that rational.
     """
 
     max_index: int
-    n_exact: int
     exact_values: tuple[tuple[int, int], ...]
     float_values: np.ndarray
 
@@ -77,7 +75,7 @@ class ReturnProbTable:
             exp += 1 + twos
             pairs.append((num, exp))
             floats[n + 1] = num / (1 << exp)  # big-int division rounds correctly
-        return cls(max_index, max_index, tuple(pairs), floats)
+        return cls(max_index, tuple(pairs), floats)
 
     def fraction(self, n: int) -> Fraction:
         num, exp = self.exact_values[n]
@@ -105,10 +103,11 @@ def p_exact(n: int) -> Fraction:
     return _table().fraction(n)
 
 
-def _p_series(n: float) -> float:
+def _p_series(n):
+    """The asymptotic series for ``p(n)``; ``n`` is a float or a float array."""
     inv = 1.0 / n
     correction = 1.0 + inv * (_C1 + inv * (_C2 + inv * (_C3 + inv * (_C4 + inv * _C5))))
-    return correction / math.sqrt(math.pi * n)
+    return correction / np.sqrt(np.pi * n)
 
 
 def p_float(n: int) -> float:
@@ -118,7 +117,7 @@ def p_float(n: int) -> float:
     table = _table()
     if n <= table.max_index:
         return float(table.float_values[n])
-    return _p_series(float(n))
+    return float(_p_series(float(n)))
 
 
 def p_float_vec(ns: np.ndarray) -> np.ndarray:
@@ -132,65 +131,25 @@ def p_float_vec(ns: np.ndarray) -> np.ndarray:
     out[small] = table.float_values[ns[small]]
     big = ~small
     if big.any():
-        x = ns[big].astype(np.float64)
-        inv = 1.0 / x
-        corr = 1.0 + inv * (_C1 + inv * (_C2 + inv * (_C3 + inv * (_C4 + inv * _C5))))
-        out[big] = corr / np.sqrt(np.pi * x)
+        out[big] = _p_series(ns[big].astype(np.float64))
     return out
 
 
-def p_difference(n: int) -> float:
-    """``p(n) - p(n+1)``, via the identity ``p(n) / (2n+2)`` (no cancellation)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return p_float(n) / (2 * n + 2)
-
-
-def envelope_defect(n: int) -> float:
-    """``p(n) * sqrt(pi*n) - (1 - 1/(8n))``: the two-term envelope residual.
-
-    Nonnegative and bounded by ``0.012 / n**2`` for all n >= 1 (the worst
-    scaled defect is 0.011227 at n=1); this replaces a bracketed series
-    bound with explicit constants.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return p_float(n) * math.sqrt(math.pi * n) - (1.0 - 1.0 / (8.0 * n))
-
-
-def pair_prob(i: int, j: int) -> float:
-    """Probability both diagonal sums at ``(2i,2i)`` and ``(2j,2j)`` vanish.
-
-    Requires ``0 < i < j``.  Factors as ``p(2 i^2) * p(2 (j^2 - i^2))``:
-    the square block behind ``(2i,2i)`` and the L-shaped extension out to
-    ``(2j,2j)`` hold disjoint, hence independent, sets of signs.
-    """
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
-    if j <= i:
-        raise ValueError(f"need i < j, got i={i}, j={j}")
-    return p_float(2 * i * i) * p_float(2 * (j * j - i * i))
-
-
-def delta_mean_exact(N: int, *, centered: bool = False) -> float:
-    """``E[# of i <= N with zero diagonal sum at (2i,2i)]``.
-
-    With ``centered=True``, subtracts the predicted ``ln N / sqrt(2 pi)``
-    (N >= 1), exposing the additive constant of the log law.
-    """
+def delta_mean_exact(N: int) -> float:
+    """``E[# of i <= N with zero diagonal sum at (2i,2i)]``."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     i = np.arange(1, N + 1, dtype=np.int64)
-    mean = float(p_float_vec(2 * i * i).sum())
-    if not centered:
-        return mean
-    if N < 1:
-        raise ValueError("centered form needs N >= 1")
-    return mean - DIAG_LOG_COEFF * math.log(N)
+    return float(p_float_vec(2 * i * i).sum())
 
 
 def delta_var_exact(N: int) -> float:
-    """Exact variance of the diagonal zero count up to ``(2N,2N)``."""
+    """Exact variance of the diagonal zero count up to ``(2N,2N)``.
+
+    For ``i < j`` both diagonal sums vanish with probability
+    ``p(2 i^2) * p(2 (j^2 - i^2))``: the square block behind ``(2i,2i)``
+    and the L-shaped extension out to ``(2j,2j)`` hold disjoint signs.
+    """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N > VAR_SUM_CEILING:
@@ -205,12 +164,11 @@ def delta_var_exact(N: int) -> float:
     return mean + 2.0 * cross - mean * mean
 
 
-def gamma_mean_exact(N: int, *, centered: bool = False) -> float:
+def gamma_mean_exact(N: int) -> float:
     """``E[# of interior zeros of the rectangle-sum array on [1,N]^2]``.
 
     A cell ``(i,j)`` can only vanish when ``i*j`` is even, contributing
-    ``p(i*j/2)``.  With ``centered=True`` returns the mean divided by
-    ``N`` (N >= 1), the per-column normalization.
+    ``p(i*j/2)``.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
@@ -222,11 +180,7 @@ def gamma_mean_exact(N: int, *, centered: bool = False) -> float:
             2, N + 1, 2, dtype=np.int64
         )
         total += float(p_float_vec(i * js // 2).sum())
-    if not centered:
-        return total
-    if N < 1:
-        raise ValueError("centered form needs N >= 1")
-    return total / N
+    return total
 
 
 def antidiag_mean_exact(N: int) -> float:
@@ -239,21 +193,10 @@ def antidiag_mean_exact(N: int) -> float:
     return float(p_float_vec(area[even] // 2).sum())
 
 
-def cond_hit_prob(n: int, x: int) -> float:
-    """``P(2n-step sign sum = x | sum >= x)`` for even ``x`` in ``[2, 2n]``."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if x < 2 or x > 2 * n or x % 2 != 0:
-        raise ValueError(f"x must be even in [2, {2 * n}], got {x}")
-    k = n + x // 2  # heads needed for sum exactly x
-    at = math.comb(2 * n, k)
-    tail = sum(math.comb(2 * n, m) for m in range(k, 2 * n + 1))
-    return at / tail
-
-
 def hit_constant_estimate(n_max: int) -> float:
-    """``min over n <= n_max, even x`` of ``sqrt(n) * cond_hit_prob(n, x)``.
+    """Minimum of ``sqrt(n) * P(S = x | S >= x)`` over ``n <= n_max``, even ``x``.
 
+    ``S`` is a sum of ``2n`` fair signs and ``x`` runs over ``[2, 2n]``.
     Lower-bounds the constant in the ``K / sqrt(n)`` floor for the
     conditional point mass.  Brute force over the whole (n, x) triangle.
     """

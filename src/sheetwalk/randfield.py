@@ -5,9 +5,9 @@ hashes the coordinates instead of advancing sequential generator state, so
 any cell can be read in any order, from any worker, and the value never
 changes.  The hash is the SplitMix64 finalizer (Steele, Lea & Flood's
 ``mix64``), applied to a per-row key that is itself derived from a
-per-replicate root.  Distinct consumers (field cells, scalar binomial
-draws, batched binomial draws) mix the seed with distinct domain tags so
-their streams never collide.
+per-replicate root.  The two consumers (field cells and batched binomial
+draws) mix the seed with distinct domain tags so their streams never
+collide.
 
 The same finalizer is implemented twice — once on Python ints, once on
 ``numpy`` ``uint64`` arrays — and the two are bit-identical; tests pin
@@ -29,9 +29,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Arbitrary odd tags separating the three consumer domains.
+# Arbitrary odd tags separating the two consumer domains.
 _FIELD_TAG = 0x663D80A819C3A3A7
-_BINOM_TAG = 0x8C6F1D2B9E4A5377
 _BATCH_TAG = 0x51C64FD8A13B97E5
 
 _V_GOLDEN = np.uint64(_GOLDEN)
@@ -140,40 +139,13 @@ class RademacherField:
         return sign_tile(np.array([self.root], dtype=np.uint64), i, i + 1, count)[0, 0]
 
 
-def sample_signed_binomial(key: StreamKey, index: int, count: int) -> int:
-    """Sum of ``count`` fresh +/-1 signs, exact for every count.
-
-    Draw ``index`` of stream ``key``; distinct indices are independent
-    draws.  For ``count <= 64`` the sum is the popcount of one hashed
-    word (each bit is one sign); larger counts take one exact Binomial
-    variate from a Philox generator keyed off the same draw key, so no
-    normal approximation enters at any size.
-    """
-    if index < 0:
-        raise ValueError(f"draw index must be >= 0, got {index}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    draw_key = _mix64(key._root(_BINOM_TAG) + index * _GOLDEN)
-    if count <= 64:
-        word = _mix64(draw_key + _GOLDEN)
-        heads = (word & ((1 << count) - 1)).bit_count()
-    else:
-        gen = np.random.Generator(
-            np.random.Philox(
-                key=[_mix64(draw_key + 2 * _GOLDEN), _mix64(draw_key + 3 * _GOLDEN)]
-            )
-        )
-        heads = int(gen.binomial(count, 0.5))
-    return 2 * heads - count
-
-
 def signed_binomial_batch(key: StreamKey, counts: np.ndarray) -> np.ndarray:
     """Vector of independent signed binomial sums, one per entry of ``counts``.
 
-    Same distribution as mapping :func:`sample_signed_binomial` over
-    ``counts`` but drawn from a single Philox stream in one shot (~100x
-    faster for large batches).  Domain-separated from the scalar path, so
-    the two never share variates.
+    Entry ``k`` is the sum of ``counts[k]`` fresh +/-1 signs, drawn as one
+    exact Binomial variate (no normal approximation at any count) from a
+    single Philox stream keyed off ``key``.  Domain-separated from the
+    field cells, so the two never share variates.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size and counts.min() < 1:

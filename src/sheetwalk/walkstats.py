@@ -14,7 +14,9 @@ of any larger one.  So each replicate is swept once, at the largest edge
 asked for, and every smaller size is read from the rows and columns
 ``<= n`` of the same tiles (:func:`sweep_fields`).  The crossing audit
 (:func:`audit_fields`) rides on that same pass, so a caller that needs
-both the counters and the audit verdict sweeps each grid once.
+both the counters and the audit verdict sweeps each grid once.  Its rule
+is on adjacent products: ``S(i,j) * S(i,j+1) <= 0`` crosses, and a
+product ``== 0`` touches a zero.
 
 Bounds that keep int64 safe: ``|S(i,j)| <= i*j <= 2**30`` at the sweep
 ceiling, so the audit's adjacent products stay below ``2**60``.  The
@@ -265,24 +267,11 @@ def brute_force_bundle(field: RademacherField, N: int) -> StatBundle:
     )
 
 
-def upcrossing_times(values) -> tuple[np.ndarray, np.ndarray]:
-    """Indices ``t`` (1-based) where ``values[t-1] * values[t] <= 0``.
-
-    Returns ``(times, zero_flags)``; a flag marks crossings whose product
-    is exactly zero (sign ambiguous at the boundary).
-    """
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("need a nonempty 1-d sequence of values")
-    prod = arr[:-1] * arr[1:]
-    times = np.nonzero(prod <= 0)[0] + 1
-    return times.astype(np.int64), prod[times - 1] == 0
-
-
 def _product_crossings(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of adjacent products ``<= 0`` and ``== 0`` along the last axis.
 
-    The rule of :func:`upcrossing_times`, applied to many rows at once.
+    A product ``<= 0`` is a crossing; one ``== 0`` is a crossing that
+    touches a zero (its sign is ambiguous at the boundary).
     """
     prod = rows[..., :-1] * rows[..., 1:]
     return prod <= 0, prod == 0
@@ -294,12 +283,12 @@ def audit_fields(
     """Sweep each field once; yield its bundles (in the order of ``sizes``) and audit verdict.
 
     The bundles are those of :func:`sweep_fields`.  The audit rides on the
-    same tiles: per row of each ``n x n`` grid, the crossing count from
-    adjacent products (the rule of :func:`upcrossing_times`, which shares
-    no code with the sweep's sign-based profiles) must equal the profile
-    entry, and the zero-touch crossings must be sandwiched between the
-    row's zeros over ``[1, n-1]`` and twice its zeros over ``[1, n]``
-    (every zero makes at most two of the touching products vanish).  The
+    same tiles: per row of each ``n x n`` grid, the count of adjacent
+    products ``S(i,j) * S(i,j+1) <= 0`` (a rule that shares no code with
+    the sweep's sign-based profiles) must equal the profile entry, and
+    the products ``== 0`` (crossings that touch a zero) must be sandwiched
+    between the row's zeros over ``[1, n-1]`` and twice its zeros over
+    ``[1, n]`` (every zero makes at most two of them vanish).  The
     crossing totals must match too.  A field passes only if every one of
     its grids does.
     """

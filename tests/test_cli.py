@@ -1,11 +1,15 @@
+import dataclasses
+import decimal
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sheetwalk import exactprob
 from sheetwalk.cli import main, render_zero_set
-from sheetwalk.exactprob import delta_mean_exact
+from sheetwalk.exactprob import gamma_mean_exact
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
 from sheetwalk.walkstats import annulus_zero_check
 
@@ -40,8 +44,28 @@ class TestExactCommand:
     def test_pn_negative_max_is_usage_error(self, capsys):
         assert main(["exact", "pn", "--max", "-1"]) == 2
 
-    def test_pn_beyond_ceiling_is_capacity_error(self):
+    def test_pn_beyond_ceiling_is_capacity_error(self, monkeypatch):
+        # rejected up front: the p(n) table is never read
+        def unread():
+            raise AssertionError("the p(n) table was consulted")
+
+        monkeypatch.setattr(exactprob, "_table", unread)
         assert main(["exact", "pn", "--max", "10001"]) == 3
+        assert main(["exact", "pn", "--max", "10001", "--rational"]) == 3
+
+    def test_pn_rational_past_the_int_digit_limit(self, tmp_path):
+        # n = 7148 is the first numerator with more than 4300 digits, the
+        # interpreter's default limit on int-to-str conversion
+        n = 7148
+        target = tmp_path / "pn.csv"
+        argv = ["exact", "pn", "--max", str(n), "--rational", "--out", str(target)]
+        assert main(argv) == 0
+        lines = target.read_text().splitlines()
+        assert len(lines) == n + 2
+        index, value = lines[-1].split(",")
+        num, den = (int(decimal.Decimal(part)) for part in value.split("/"))
+        p = Fraction(math.comb(2 * n, n), 4**n)
+        assert (int(index), num, den) == (n, p.numerator, p.denominator)
 
     def test_delta_mean_frozen_row(self, capsys):
         assert main(["exact", "delta-mean", "--n", "2"]) == 0
@@ -55,6 +79,19 @@ class TestExactCommand:
 
     def test_delta_var_capacity(self):
         assert main(["exact", "delta-var", "--n", "4001"]) == 3
+
+    def test_gamma_mean_centered_is_the_per_column_mean(self, capsys):
+        assert main(["exact", "gamma-mean", "--n", "8"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "N,mean,centered"
+        mean = gamma_mean_exact(8)
+        assert row == "8,%.15g,%.15g" % (mean, mean / 8)
+
+    @pytest.mark.parametrize("target", ["delta-mean", "delta-var", "gamma-mean"])
+    def test_centered_tables_need_a_positive_n(self, target, capsys):
+        # the centered column takes ln N or divides by N
+        assert main(["exact", target, "--n", "0"]) == 2
+        assert "--n must be >= 1" in capsys.readouterr().err
 
     def test_antidiag_mean_runs(self, capsys):
         assert main(["exact", "antidiag-mean", "--n", "64"]) == 0
@@ -348,9 +385,7 @@ class TestVerifyCommand:
         table = ep._table()
         floats = table.float_values.copy()
         floats[137] *= 1.0000001
-        corrupted = ep.ReturnProbTable(
-            table.max_index, table.n_exact, table.exact_values, floats
-        )
+        corrupted = dataclasses.replace(table, float_values=floats)
         monkeypatch.setattr(ep, "_TABLE", corrupted)
         report_path = tmp_path / "report.json"
         code = main(["verify", "--level", "quick", "--out", str(report_path)])

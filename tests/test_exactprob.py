@@ -9,6 +9,18 @@ from hypothesis import strategies as st
 from sheetwalk import exactprob as ep
 
 
+def _cond_hit_prob(n, x):
+    """Oracle: ``P(2n-step sign sum = x | sum >= x)`` for even ``x`` in ``[2, 2n]``."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if x < 2 or x > 2 * n or x % 2 != 0:
+        raise ValueError(f"x must be even in [2, {2 * n}], got {x}")
+    k = n + x // 2  # heads needed for sum exactly x
+    at = math.comb(2 * n, k)
+    tail = sum(math.comb(2 * n, m) for m in range(k, 2 * n + 1))
+    return at / tail
+
+
 class TestReturnProbExact:
     def test_first_values(self):
         expected = [
@@ -77,43 +89,44 @@ class TestReturnProbFloat:
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=120, deadline=None)
 def test_difference_identity_everywhere(n):
-    # p(n) - p(n+1) collapses to p(n)/(2n+2); check the float path honors it
-    assert ep.p_difference(n) == pytest.approx(
+    # p(n) - p(n+1) collapses to p(n)/(2n+2), the form check 3 evaluates;
+    # check the float path honors it
+    assert ep.p_float(n) / (2 * n + 2) == pytest.approx(
         ep.p_float(n) - ep.p_float(n + 1), rel=1e-9, abs=1e-18
     )
 
 
 class TestDifference:
     def test_small_values(self):
-        assert ep.p_difference(1) == 0.125
-        assert ep.p_difference(2) == 0.0625
+        assert ep.p_float(1) - ep.p_float(2) == ep.p_float(1) / 4 == 0.125
+        assert ep.p_float(2) - ep.p_float(3) == ep.p_float(2) / 6 == 0.0625
 
     def test_scaled_difference_at_ten_thousand(self):
-        scaled = 10_000**1.5 * ep.p_difference(10_000)
+        scaled = 10_000**1.5 * ep.p_float(10_000) / 20_002
         assert 0.28195 < scaled < 0.28210
+
+
+def _envelope_defect(n):
+    # p(n) * sqrt(pi n) - (1 - 1/(8n)): the residual check 2 bounds
+    return ep.p_float(n) * math.sqrt(math.pi * n) - (1.0 - 1.0 / (8.0 * n))
 
 
 class TestEnvelope:
     def test_defect_is_nonnegative_and_small(self):
-        worst = max(ep.envelope_defect(n) * n * n for n in range(1, 3000))
+        worst = max(_envelope_defect(n) * n * n for n in range(1, 3000))
         assert 0 < worst < 0.012
 
     def test_worst_case_is_at_one(self):
-        assert ep.envelope_defect(1) * 1 == pytest.approx(0.011226925452757941)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            ep.envelope_defect(0)
+        assert _envelope_defect(1) * 1 == pytest.approx(0.011226925452757941)
 
 
 class TestPairProb:
     def test_frozen_value(self):
-        assert ep.pair_prob(1, 2) == 0.0845947265625
-
-    def test_requires_strict_order(self):
-        for i, j in [(2, 2), (3, 2), (0, 1)]:
-            with pytest.raises(ValueError):
-                ep.pair_prob(i, j)
+        # the one pair (1, 2) of delta_var_exact(2): p(2 * 1) * p(2 * (4 - 1))
+        pair = ep.p_float(2) * ep.p_float(6)
+        assert pair == 0.0845947265625
+        mean = ep.delta_mean_exact(2)
+        assert ep.delta_var_exact(2) == mean + 2.0 * pair - mean * mean
 
 
 class TestDiagonalMoments:
@@ -121,12 +134,6 @@ class TestDiagonalMoments:
         assert ep.delta_mean_exact(0) == 0.0
         assert ep.delta_mean_exact(1) == 0.375
         assert ep.delta_mean_exact(2) == 0.571380615234375
-
-    def test_centered_mean_subtracts_log_law(self):
-        n = 50
-        raw = ep.delta_mean_exact(n)
-        centered = ep.delta_mean_exact(n, centered=True)
-        assert centered == pytest.approx(raw - math.log(n) / math.sqrt(2 * math.pi))
 
     def test_variance_frozen_values(self):
         assert ep.delta_var_exact(0) == 0.0
@@ -170,15 +177,10 @@ class TestGridMoments:
         with pytest.raises(ep.CapacityError):
             ep.gamma_mean_exact(ep.GAMMA_SUM_CEILING + 1)
 
-    def test_centered_divides_by_n(self):
-        assert ep.gamma_mean_exact(8, centered=True) == ep.gamma_mean_exact(8) / 8
-
     def test_per_column_mean_spread_over_large_sizes(self):
         # mean/N still drifts ~5% across 512..4096 (a -c/sqrt(N) boundary
         # term); the committed 2% spread is not attainable on this range
-        values = [
-            ep.gamma_mean_exact(n, centered=True) for n in (512, 1024, 2048, 4096)
-        ]
+        values = [ep.gamma_mean_exact(n) / n for n in (512, 1024, 2048, 4096)]
         spread = (max(values) - min(values)) / min(values)
         if spread >= 0.02:
             pytest.xfail(
@@ -199,19 +201,19 @@ class TestGridMoments:
 
 class TestHitProbability:
     def test_frozen_example(self):
-        assert ep.cond_hit_prob(2, 2) == 0.8
+        assert _cond_hit_prob(2, 2) == 0.8
 
     def test_point_mass_at_the_top(self):
-        assert ep.cond_hit_prob(5, 10) == 1.0
+        assert _cond_hit_prob(5, 10) == 1.0
 
     @pytest.mark.parametrize("n,x", [(1, 1), (1, 4), (2, 0), (0, 2), (2, -2)])
     def test_domain_errors(self, n, x):
         with pytest.raises(ValueError):
-            ep.cond_hit_prob(n, x)
+            _cond_hit_prob(n, x)
 
     def test_constant_estimate_matches_brute_force(self):
         brute = min(
-            math.sqrt(n) * ep.cond_hit_prob(n, x)
+            math.sqrt(n) * _cond_hit_prob(n, x)
             for n in range(1, 26)
             for x in range(2, 2 * n + 1, 2)
         )

@@ -11,7 +11,6 @@ from sheetwalk.randfield import (
     RademacherField,
     Seed,
     StreamKey,
-    sample_signed_binomial,
     sign_tile,
     signed_binomial_batch,
 )
@@ -127,30 +126,21 @@ class TestFieldStatistics:
 
 
 class TestSignedBinomial:
-    def test_parity_and_range(self):
-        key = StreamKey(Seed(4), 0)
-        for count in (1, 2, 3, 64, 65, 100):
-            v = sample_signed_binomial(key, 0, count)
-            assert -count <= v <= count and (v - count) % 2 == 0
+    """The law of :func:`signed_binomial_batch`, the one binomial sampler."""
 
     def test_deterministic_per_index(self):
-        key = StreamKey(Seed(4), 2)
-        first = [sample_signed_binomial(key, k, 65) for k in range(20)]
-        again = [sample_signed_binomial(key, k, 65) for k in range(20)]
-        assert first == again
-        assert len(set(first)) > 1
-
-    def test_rejects_bad_arguments(self):
-        key = StreamKey(Seed(0), 0)
-        with pytest.raises(ValueError):
-            sample_signed_binomial(key, -1, 2)
-        with pytest.raises(ValueError):
-            sample_signed_binomial(key, 0, 0)
+        counts = np.full(20, 65, dtype=np.int64)
+        first = signed_binomial_batch(StreamKey(Seed(4), 2), counts)
+        again = signed_binomial_batch(StreamKey(Seed(4), 2), counts)
+        other = signed_binomial_batch(StreamKey(Seed(4), 3), counts)
+        assert np.array_equal(first, again)
+        assert len(set(first.tolist())) > 1
+        assert not np.array_equal(first, other)
 
     def test_count_two_hits_zero_half_the_time(self):
         key = StreamKey(Seed(6), 0)
         n = 100_000
-        zeros = sum(sample_signed_binomial(key, k, 2) == 0 for k in range(n))
+        zeros = int((signed_binomial_batch(key, np.full(n, 2)) == 0).sum())
         se = math.sqrt(0.25 / n)
         assert abs(zeros / n - 0.5) < 4 * se
 
@@ -158,7 +148,7 @@ class TestSignedBinomial:
         # chi-square GOF against C(8,k)/2^8 at significance 1e-3.
         key = StreamKey(Seed(8), 0)
         n = 100_000
-        draws = np.array([sample_signed_binomial(key, k, 8) for k in range(n)])
+        draws = signed_binomial_batch(key, np.full(n, 8))
         observed = np.array([(draws == s).sum() for s in range(-8, 9, 2)])
         expected = n * np.array([math.comb(8, k) / 256 for k in range(9)])
         _, pvalue = stats.chisquare(observed, expected)
@@ -167,7 +157,7 @@ class TestSignedBinomial:
     def test_large_count_moments(self):
         key = StreamKey(Seed(9), 0)
         n, count = 20_000, 1000
-        draws = np.array([sample_signed_binomial(key, k, count) for k in range(n)])
+        draws = signed_binomial_batch(key, np.full(n, count))
         assert abs(draws.mean()) < 4 * math.sqrt(count / n)
         assert abs(draws.var() / count - 1) < 0.05
 

