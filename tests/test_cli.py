@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -276,6 +277,52 @@ class TestSimulateCommand:
         ) == 0
         manifest = json.loads((tmp_path / "env2/manifest.json").read_text())
         assert manifest["workers"] == 2
+
+
+# seed-0 bytes of the grid statistics, taken before the tile kernel was
+# rebuilt; any change to the field stream or to a counter moves them
+SIMULATE_PINS = {
+    ("z-crossings", "16,32,64", "12"): (
+        "051a31348c043502286d34b632786953da359ac48172840974c9cc29abc173f4",
+        "4b12e1af18a2917f70dfaffa4997824c0bbe9df418a2e7a5c8a711407c588d59",
+    ),
+    ("gamma", "64", "40"): (
+        "8bbedff157146a23b953cc9645222a71892aceca3057a849abd76b9be1870989",
+        "575b56b97778ff66f35df1f3471a2ce19d52fab89582a9c96c2f23a77518fd7a",
+    ),
+    ("gamma-prime", "16,32,64", "12"): (
+        "e88e6de2a2eaa89de92fa12cde9f8b4573682eb028eff66e55c8a087dfffd830",
+        "5387ea52d5b3000a30eacfb3a4dac88ab2f567fd09579a033482c0b1270be2c6",
+    ),
+    ("delta", "16,32,64", "12"): (
+        "85298175e2ffca56302fc59e30cb411d5762c4e5996cc21bcee45e2486b0e6be",
+        "a358e8623098a2c981ecb87f29a71cc1f8357b0b2d4f53ffcabdcbd5032f412d",
+    ),
+    ("antidiag", "16,32,64", "12"): (
+        "4e4e57c274f69d2930d0d254838bd909da264a0f58a9fa4729c77412a1bf9d55",
+        "a06d2e83ecb87b8ecfa754a18faa6225fef0bf0bacf6b0a120660bba3a4f7b78",
+    ),
+}
+RENDER_PIN = "4aab753360e18b1d4993bbdf2aaf502bc666a04644dad2009dc506a8bcd63464"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestBytePins:
+    @pytest.mark.parametrize("stat,sizes,reps", sorted(SIMULATE_PINS))
+    def test_simulate_bytes_at_seed_zero(self, tmp_path, stat, sizes, reps):
+        argv = ["simulate", "--stat", stat, "--sizes", sizes, "--reps", reps,
+                "--seed", "0", "--workers", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        digests = (_sha256(tmp_path / "raw.csv"), _sha256(tmp_path / "summary.csv"))
+        assert digests == SIMULATE_PINS[stat, sizes, reps]
+
+    def test_render_bytes_at_seed_seven(self, tmp_path):
+        target = tmp_path / "zeros.pgm"
+        assert main(["render", "--seed", "7", "--n", "128", "--out", str(target)]) == 0
+        assert _sha256(target) == RENDER_PIN
 
 
 class TestEstimateCommand:
