@@ -20,7 +20,6 @@ import contextlib
 import csv
 import decimal
 import hashlib
-import io
 import json
 import math
 import os
@@ -29,6 +28,7 @@ import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .mcharness import (
     run_experiment,
 )
 from .randfield import RademacherField, Seed, StreamKey
-from .walkstats import iter_partial_rows
+from .walkstats import _partial_sum_tiles, _tile_buffers
 
 RENDER_CEILING = 2**13
 
@@ -71,12 +71,18 @@ def _digits(k: int) -> str:
     return str(decimal.Decimal(k))
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: Path, mode: str = "wb", **kwargs):
+    """A handle on a temporary file that replaces ``path`` once the block completes.
+
+    ``mode`` and ``kwargs`` go to :func:`open`.  If the block raises, the
+    temporary file is removed and ``path`` is left as it was.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, mode, **kwargs) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -84,12 +90,24 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _csv_bytes(header: str, rows) -> bytes:
-    out = io.StringIO()
-    out.write(header + "\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(rows)
-    return out.getvalue().encode("utf-8")
+def _atomic_write(path: Path, data: bytes) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(data)
+
+
+def _write_csv(target: Path | str | None, header: str, rows: Iterable) -> None:
+    """Write ``header`` and ``rows`` to ``target`` (atomically) or, without one, to stdout.
+
+    Each row is written as it is formatted, so ``rows`` may be a generator
+    and the table is never held in memory whole.
+    """
+    if not target:
+        sys.stdout.write(header + "\n")
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        return
+    with _atomic_file(Path(target), "w", encoding="utf-8", newline="") as handle:
+        handle.write(header + "\n")
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 @contextlib.contextmanager
@@ -152,11 +170,13 @@ def render_zero_set(field, n: int) -> ZeroSetImage:
         raise ValueError(f"image edge must be >= 1, got {n}")
     if n > RENDER_CEILING:
         raise CapacityError(f"render capped at N={RENDER_CEILING}, got {n}")
-    buf = bytearray()
-    for _, col in iter_partial_rows(field, n):
-        row = np.where(col == 0, 0, np.where(col < 0, 128, 255)).astype(np.uint8)
-        buf += row.tobytes()
-    return ZeroSetImage(n=n, pixels=bytes(buf))
+    pixels = np.empty((n, n), dtype=np.uint8)
+    for start, tile in _partial_sum_tiles([field], n, *_tile_buffers(n, 1)):
+        sums = tile[:, 0]
+        pixels[start - 1 : start - 1 + len(sums)] = np.where(
+            sums == 0, 0, np.where(sums < 0, 128, 255)
+        )
+    return ZeroSetImage(n=n, pixels=pixels.tobytes())
 
 
 def _now() -> str:
@@ -203,38 +223,34 @@ def cmd_exact(args: argparse.Namespace) -> int:
         else:
             floats = table.float_values[: args.max + 1].tolist()
             rows = ((n, _fmt15(p)) for n, p in enumerate(floats))
-        body = _csv_bytes("n,p", rows)
+        _write_csv(args.out, "n,p", rows)
     elif target == "delta-mean":
         mean = exactprob.delta_mean_exact(args.n)
         centered = mean - exactprob.DIAG_LOG_COEFF * math.log(args.n)
-        body = _csv_bytes(
-            "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
+        _write_csv(
+            args.out, "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
         )
     elif target == "delta-var":
         var = exactprob.delta_var_exact(args.n)
         centered = var - exactprob.DIAG_LOG_COEFF * math.log(args.n)
-        body = _csv_bytes(
-            "N,variance,centered", [(args.n, _fmt15(var), _fmt15(centered))]
+        _write_csv(
+            args.out, "N,variance,centered", [(args.n, _fmt15(var), _fmt15(centered))]
         )
     elif target == "gamma-mean":
         mean = exactprob.gamma_mean_exact(args.n)
         centered = mean / args.n  # per-column mean
-        body = _csv_bytes(
-            "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
+        _write_csv(
+            args.out, "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
         )
     elif target == "antidiag-mean":
         mean = exactprob.antidiag_mean_exact(args.n)
         centered = mean - math.sqrt(math.pi / 2)  # gap to the limiting constant
-        body = _csv_bytes(
-            "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
+        _write_csv(
+            args.out, "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
         )
     else:  # hit-constant
         estimate = exactprob.hit_constant_estimate(args.n)
-        body = _csv_bytes("n_max,estimate", [(args.n, _fmt15(estimate))])
-    if args.out:
-        _atomic_write(Path(args.out), body)
-    else:
-        sys.stdout.write(body.decode("utf-8"))
+        _write_csv(args.out, "n_max,estimate", [(args.n, _fmt15(estimate))])
     return 0
 
 
@@ -258,13 +274,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     started = _now()
     with _directory_lock(outdir):
         result = run_experiment(config)
-        raw_rows = [
+        raw_rows = (
             (n, r, repr(float(result.values[n][r])))
             for n in sizes
             for r in range(config.replicates)
-        ]
+        )
         raw_path = outdir / "raw.csv"
-        _atomic_write(raw_path, _csv_bytes(RAW_HEADER, raw_rows))
+        _write_csv(raw_path, RAW_HEADER, raw_rows)
         summary_rows = []
         for n in sizes:
             s = result.summaries[n]
@@ -280,7 +296,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 )
             )
         summary_path = outdir / "summary.csv"
-        _atomic_write(summary_path, _csv_bytes(SUMMARY_HEADER, summary_rows))
+        _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
         manifest = RunManifest(
             version=__version__,
             command="simulate",

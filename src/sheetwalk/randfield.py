@@ -11,9 +11,14 @@ collide.
 
 The same finalizer is implemented twice — once on Python ints, once on
 ``numpy`` ``uint64`` arrays — and the two are bit-identical; tests pin
-this down.  The array path hashes whole tiles (:func:`sign_tile`: many
-fields, many rows, one call); a single row is the one-field, one-row
-tile.  All index arithmetic wraps modulo 2**64 by design.
+this down.  The array path hashes whole tiles, rows outermost, into
+buffers the caller owns (:func:`sign_rows`: many fields, many rows, one
+call); :func:`sign_tile` is the same tile in fresh buffers, seen as
+``(fields, rows, columns)``, and a single row is its one-field, one-row
+case.  The tile path stops the cell finalizer one step early, since its
+last step ``z ^= z >> 31`` cannot change bit 63, the only bit a sign
+reads; :meth:`RademacherField.value` runs the full finalizer and is the
+scalar oracle.  All index arithmetic wraps modulo 2**64 by design.
 """
 
 from __future__ import annotations
@@ -53,18 +58,52 @@ def _mix64(z: int) -> int:
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a ``uint64`` array, in place; returns ``z``.
 
-    Multiplication wraps, same as the scalar path.  One scratch array
-    serves every shift, so a tile costs no temporaries beyond it.
+    Multiplication wraps, same as the scalar path.
     """
-    t = np.right_shift(z, _S30)
+    t = np.empty_like(z)
+    _mix64_head(z, t)
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
+
+
+def _mix64_head(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The finalizer without its last step ``z ^= z >> 31``, in place on ``z``.
+
+    ``t`` is scratch of ``z``'s shape, so no temporary is made.  The last
+    step never changes bit 63 (``z >> 31`` has it clear), so a caller that
+    reads only the sign bit may stop here.
+    """
+    np.right_shift(z, _S30, out=t)
     z ^= t
     z *= _V_MIX1
     np.right_shift(z, _S27, out=t)
     z ^= t
     z *= _V_MIX2
-    np.right_shift(z, _S31, out=t)
-    z ^= t
     return z
+
+
+def sign_rows(roots: np.ndarray, start: int, words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Hash the signs of rows ``start, start + 1, ...`` into ``words``; return them as int64.
+
+    ``words`` and ``scratch`` are ``uint64`` buffers of shape ``(b, R,
+    count)``, rows outermost: entry ``[k, r, j-1]`` becomes the sign at
+    cell ``(start + k, j)`` of the stream with root ``roots[r]``.  The
+    result is ``words`` viewed as int64, so it lives as long as the
+    buffer's contents do.
+    """
+    if start < 1:
+        raise ValueError(f"row index must be >= 1, got {start}")
+    b, _, count = words.shape
+    rows = np.arange(start, start + b, dtype=np.uint64)
+    row_keys = _mix64_vec(rows.reshape(-1, 1) * _V_GOLDEN + roots)
+    cols = np.arange(1, count + 1, dtype=np.uint64) * _V_GOLDEN
+    np.add(row_keys[:, :, None], cols, out=words)
+    _mix64_head(words, scratch)  # the sign is bit 63, set before the last step
+    signs = np.right_shift(words, _S63, out=words).view(np.int64)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def sign_tile(roots: np.ndarray, start: int, stop: int, count: int) -> np.ndarray:
@@ -73,20 +112,13 @@ def sign_tile(roots: np.ndarray, start: int, stop: int, count: int) -> np.ndarra
     ``roots`` holds the field roots of ``R`` streams (``uint64``); the
     result is an ``(R, stop - start, count)`` int64 tile whose entry
     ``[r, k, j-1]`` is the sign at cell ``(start + k, j)`` of stream ``r``.
-    Every bit equals :meth:`RademacherField.value` at that cell.
+    Every bit equals :meth:`RademacherField.value` at that cell.  It is a
+    view of the rows-outer buffer that :func:`sign_rows` fills.
     """
-    if start < 1:
-        raise ValueError(f"row index must be >= 1, got {start}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    rows = np.arange(start, stop, dtype=np.uint64)
-    row_keys = _mix64_vec(roots.reshape(-1, 1) + rows * _V_GOLDEN)
-    cols = np.arange(1, count + 1, dtype=np.uint64) * _V_GOLDEN
-    cells = _mix64_vec(row_keys[:, :, None] + cols)
-    signs = np.right_shift(cells, _S63, out=cells).view(np.int64)
-    signs *= 2
-    signs -= 1
-    return signs
+    words = np.empty((max(stop - start, 0), len(roots), count), dtype=np.uint64)
+    return sign_rows(roots, start, words, np.empty_like(words)).transpose(1, 0, 2)
 
 
 class Seed(int):

@@ -2,12 +2,17 @@
 
 The rectangle sum ``S(i,j)`` is the sum of the sign field over
 ``[1,i] x [1,j]``.  A full ``N x N`` array of sums is never materialized
-unless it is small: the sweep works on tiles of ``R`` grids x ``b`` rows
-x ``N`` columns holding at most :data:`TILE_CELLS` cells.  Each tile is
-hashed in one call, folded with two ``cumsum`` passes onto the ``(R, 1,
-N)`` column sums carried from the tile above, and reduced to every
-counter at once.  Memory is therefore bounded by the tile cap per worker,
-and stays linear in ``N`` for one grid once a row alone exceeds the cap.
+unless it is small: the sweep works on tiles of ``b`` rows x ``R`` grids
+x ``N`` columns, rows outermost, holding at most :data:`TILE_CELLS`
+cells.  Each tile is hashed in one call, summed along its rows with one
+contiguous ``cumsum``, and folded down with ``b`` in-place row adds, the
+first of which adds the row carried from the tile above.  The reduction
+takes int8 signs and counts, per row, the zeros, the ones and the
+crossings on each column segment between the sorted sizes, so nested
+sizes cost one pass over the largest grid, not one per size.  Every
+tile-sized array is allocated once per sweep call and filled in place,
+so memory is bounded by the tile cap per worker, stays linear in ``N``
+for one grid once a row alone exceeds the cap, and no tile allocates.
 
 The field is prefix-consistent: the ``n x n`` grid is the top-left corner
 of any larger one.  So each replicate is swept once, at the largest edge
@@ -34,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .exactprob import CapacityError
-from .randfield import RademacherField, StreamKey, sign_tile, signed_binomial_batch
+from .randfield import RademacherField, StreamKey, sign_rows, signed_binomial_batch
 
 # Largest grid edge the sweep accepts.  Time grows as N**2; memory is one
 # tile per worker (TILE_CELLS cells, or one row of N cells when that is
@@ -77,29 +82,58 @@ def _check_edge(N: int) -> None:
         raise CapacityError(f"sweep capped at N={SWEEP_CEILING}, got {N}")
 
 
-def _tile_reader(fields: Sequence, N: int) -> Callable[[int, int], np.ndarray]:
-    """``read(start, stop)`` -> the ``(R, stop - start, N)`` sign tile."""
+def _tile_buffers(N: int, grids: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``uint64`` buffers for tiles of ``grids`` grids at edge ``N``: sums, hash scratch.
+
+    The sums buffer holds one row more than a tile, for the carried row.
+    """
+    cells = grids * tile_shape(N)[1] * N
+    return np.empty(cells + grids * N, dtype=np.uint64), np.empty(cells, dtype=np.uint64)
+
+
+def _partial_sum_tiles(
+    fields: Sequence, N: int, words: np.ndarray, scratch: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, T)`` with ``T[k, r, j-1] = S(start + k, j)`` of grid ``r``.
+
+    ``words`` and ``scratch`` come from :func:`_tile_buffers` for at least
+    ``len(fields)`` grids, and may serve several calls in turn.  Every
+    ``T`` is a view of ``words`` that the next tile overwrites, so it
+    lives for one iteration; a caller that keeps it must copy it.
+
+    Row 0 of the buffer carries ``S(start - 1, .)``.  Each tile's signs
+    are hashed into rows ``1..b``, summed along each row with one
+    ``cumsum``, and folded down with ``b`` in-place row adds, the first
+    of which adds the carried row.
+    """
+    R, rows = len(fields), tile_shape(N)[1]
+    words = words[: (rows + 1) * R * N].reshape(rows + 1, R, N)
+    scratch = scratch[: rows * R * N].reshape(rows, R, N)
+    sums = words.view(np.int64)  # the same memory: the hash words become the sums
+    sums[0] = 0  # S(0, j)
     if all(isinstance(f, RademacherField) for f in fields):
         roots = np.array([f.root for f in fields], dtype=np.uint64)
-        return lambda start, stop: sign_tile(roots, start, stop, N)
-    # any other field (a test double) is read through its row_signs
-    return lambda start, stop: np.array(
-        [[f.row_signs(i, N) for i in range(start, stop)] for f in fields],
-        dtype=np.int64,
-    )
 
+        def read(start: int, b: int) -> np.ndarray:
+            return sign_rows(roots, start, words[1 : b + 1], scratch[:b])
 
-def _partial_sum_tiles(fields: Sequence, N: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, T)`` with ``T[r, k, j-1] = S(start + k, j)`` of grid ``r``."""
-    read = _tile_reader(fields, N)
-    rows = tile_shape(N)[1]
-    carry = np.zeros((len(fields), 1, N), dtype=np.int64)
+    else:
+
+        def read(start: int, b: int) -> np.ndarray:
+            # any other field (a test double) is read through its row_signs
+            for k in range(b):
+                for r, f in enumerate(fields):
+                    sums[1 + k, r] = f.row_signs(start + k, N)
+            return sums[1 : b + 1]
+
+    row_views = list(sums)  # made once: indexing a row per add costs as much as the add
     for start in range(1, N + 1, rows):
-        tile = read(start, min(start + rows, N + 1))
+        b = min(rows, N + 1 - start)
+        tile = read(start, b)
         np.cumsum(tile, axis=2, out=tile)
-        np.cumsum(tile, axis=1, out=tile)
-        tile += carry
-        carry = tile[:, -1:, :]
+        for above, row in zip(row_views, row_views[1 : b + 1]):
+            row += above
+        sums[0] = sums[b]  # the carry, copied out before the next tile is hashed over it
         yield start, tile
 
 
@@ -110,8 +144,8 @@ def iter_partial_rows(field: RademacherField, N: int) -> Iterator[tuple[int, np.
     """
     _check_edge(N)
     col = np.empty(N, dtype=np.int64)
-    for start, tile in _partial_sum_tiles([field], N):
-        for k, row in enumerate(tile[0]):
+    for start, tile in _partial_sum_tiles([field], N, *_tile_buffers(N, 1)):
+        for k, row in enumerate(tile[:, 0]):
             col[:] = row
             yield start + k, col
 
@@ -126,11 +160,11 @@ def sweep_fields(
     ``n`` is read from rows ``<= n`` and columns ``<= n`` of the same
     tiles.  Fields are drawn from ``fields`` (which may be lazy) in blocks
     of ``tile_shape(M)[0]``, so the memory held at any time is one block's
-    fields, tiles and counters.
+    fields, the tile buffers and the counters.
     """
-    sizes = _check_sizes(sizes)
-    for block in _field_blocks(fields, max(sizes)):
-        yield from _sweep_block(block, sizes, collect_zeros)
+    plan = _SweepPlan(_check_sizes(sizes))
+    for block in _field_blocks(fields, plan.M):
+        yield from _sweep_block(block, plan, collect_zeros)
 
 
 def _check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
@@ -149,71 +183,115 @@ def _field_blocks(fields: Iterable, N: int) -> Iterator[list]:
         yield block
 
 
+class _SweepPlan:
+    """What a sweep of ``sizes`` sets up once and every block reuses.
+
+    The sorted edges cut each row of the ``M x M`` grid into column
+    segments ``[e_{t-1}, e_t)``.  The buffers are flat and sized for a
+    full block, so a smaller last block uses a prefix of each and no tile
+    allocates.
+    """
+
+    def __init__(self, sizes: tuple[int, ...]) -> None:
+        self.sizes = sizes
+        self.M = M = max(sizes)
+        self.edges = edges = sorted(set(sizes))
+        self.rank = [edges.index(n) for n in sizes]  # sizes[s] == edges[rank[s]]
+        self.bounds = np.array([0, *edges[:-1]])
+        grids, rows = tile_shape(M)
+        cells = grids * rows * M
+        self.words, self.scratch = _tile_buffers(M, grids)
+        self.signs = np.empty(cells, dtype=np.int8)
+        self.products = np.empty(cells, dtype=np.int8)
+        self.flags = np.empty(3 * cells, dtype=bool)
+        # a row has at most SWEEP_CEILING = 2**15 cells, so its counts fit uint16
+        self.counts = np.empty(3 * M * grids * len(edges), dtype=np.uint16)
+        self.diagonal = np.empty(M * grids, dtype=bool)
+
+
 def _sweep_block(
     fields: Sequence,
-    sizes: tuple[int, ...],
+    plan: _SweepPlan,
     collect_zeros: bool,
     inspect: Callable[[int, np.ndarray], None] | None = None,
 ) -> list[tuple[StatBundle, ...]]:
-    """Bundles of one block of fields; ``inspect(start, tile)`` sees each tile."""
-    R, K = len(fields), len(sizes)
-    gamma = np.zeros((K, R), dtype=np.int64)
-    gamma_prime = np.zeros((K, R), dtype=np.int64)
-    delta = np.zeros((K, R), dtype=np.int64)
+    """Bundles of one block of fields; ``inspect(start, tile)`` sees each tile.
+
+    Every size is reduced in one pass over the tiles of the largest edge
+    ``M``.  From the int8 signs, each row's zeros, ones and crossings are
+    counted on every column segment of ``plan`` (a crossing is filed
+    under the column of its right-hand cell, so the pairs of the ``n``
+    grid are those filed at columns ``< n``); size ``n`` sums the
+    segments up to ``n`` over its first ``n`` rows.  The diagonal cells
+    ``(i, i)`` are kept per row for the same end-of-block sums; each
+    size's anti-diagonal ``(i, n - i)`` is read off a reversed diagonal
+    view of the tile.
+    """
+    R, M, K = len(fields), plan.M, len(plan.edges)
+    b = tile_shape(M)[1]
+    cells = b * R * M
+    signs = plan.signs[:cells].reshape(b, R, M)
+    products = plan.products[: cells - b * R].reshape(b, R, M - 1)
+    flags = plan.flags[: 3 * cells].reshape(3, b, R, M)
+    zero, one, cross = flags  # cross[k, r, j]: the pair (j - 1, j) crosses
+    cross[:, :, 0] = False  # no pair ends at column 1
+    counts = plan.counts[: 3 * M * R * K].reshape(3, M, R, K)  # per row, per segment
+    diagonal = plan.diagonal[: M * R].reshape(M, R)  # S(i, i) == 0
     anti = np.zeros((K, R), dtype=np.int64)
-    profiles = [np.empty((R, n), dtype=np.int64) for n in sizes]
-    coords: list[list[list[tuple[int, int]]]] = [[[] for _ in range(R)] for _ in sizes]
-    for start, tile in _partial_sum_tiles(fields, max(sizes)):
-        stop = start + tile.shape[1]
-        pos, neg = tile > 0, tile < 0
-        zero = ~(pos | neg)
-        one = tile == 1
-        # a pair crosses unless both sums are strictly positive or both negative
-        same = (pos[:, :, 1:] & pos[:, :, :-1]) | (neg[:, :, 1:] & neg[:, :, :-1])
-        for s, n in enumerate(sizes):
-            rows = min(stop, n + 1) - start  # this tile's rows of the n x n grid
-            if rows <= 0:
-                continue
-            z = zero[:, :rows, :n]
-            gamma[s] += np.count_nonzero(z, axis=(1, 2))
-            gamma_prime[s] += np.count_nonzero(one[:, :rows, :n], axis=(1, 2))
-            profiles[s][:, start - 1 : start - 1 + rows] = (n - 1) - np.count_nonzero(
-                same[:, :rows, : n - 1], axis=2
-            )
-            diag = np.arange(start + start % 2, start + rows, 2)  # (2k, 2k)
-            delta[s] += np.count_nonzero(z[:, diag - start, diag - 1], axis=1)
-            off = np.arange(start, min(stop, n))  # (i, n - i)
-            anti[s] += np.count_nonzero(z[:, off - start, n - off - 1], axis=1)
-            if collect_zeros:
-                for r in range(R):
-                    k, j = np.nonzero(z[r])
-                    coords[s][r].extend(zip((k + start).tolist(), (j + 1).tolist()))
+    coords: list[list[np.ndarray]] = [[] for _ in range(R)]  # (i, j) of zeros
+    for start, tile in _partial_sum_tiles(fields, M, plan.words, plan.scratch):
+        rows = len(tile)
+        sg, z = signs[:rows], zero[:rows]
+        np.sign(tile, out=sg, casting="unsafe")  # -1, 0, 1: exact in int8
+        np.equal(sg, 0, out=z)
+        np.equal(tile, 1, out=one[:rows])
+        np.multiply(sg[:, :, :-1], sg[:, :, 1:], out=products[:rows])
+        np.less_equal(products[:rows], 0, out=cross[:rows, :, 1:])
+        np.add.reduceat(
+            flags[:, :rows], plan.bounds, axis=3, dtype=np.uint16,
+            out=counts[:, start - 1 : start - 1 + rows],
+        )
+        square = z[:, :, start - 1 : start - 1 + rows]  # columns of this tile's rows
+        diagonal[start - 1 : start - 1 + rows].T[...] = square.diagonal(axis1=0, axis2=2)
+        for t, n in enumerate(plan.edges):
+            above = min(start + rows, n) - start  # rows i < n here, each with (i, n - i)
+            if above > 0:
+                corner = z[:above, :, n - start - above : n - start][:, :, ::-1]
+                anti[t] += corner.diagonal(axis1=0, axis2=2).sum(axis=1)
+        if collect_zeros:
+            for r in range(R):
+                k, j = np.nonzero(z[:, r])
+                coords[r].append(np.stack((k + start, j + 1), axis=1))
         if inspect is not None:
             inspect(start, tile)
-    per_size = [
-        [
-            StatBundle(
-                N=n,
-                gamma=g,
-                gamma_prime=g1,
-                z_crossings=crossings,
-                delta=d,
-                d_antidiag=a,
-                row_profiles=profile,
-                zero_coordinates=tuple(c) if collect_zeros else None,
-            )
-            for g, g1, crossings, d, a, profile, c in zip(
-                gamma[s].tolist(),
-                gamma_prime[s].tolist(),
-                profiles[s].sum(axis=1).tolist(),
-                delta[s].tolist(),
-                anti[s].tolist(),
-                profiles[s],
-                coords[s],
-            )
-        ]
-        for s, n in enumerate(sizes)
-    ]
+    points = [np.concatenate(c) for c in coords] if collect_zeros else [None] * R
+    per_size = []
+    for n, t in zip(plan.sizes, plan.rank):
+        per_row = counts[:, :n, :, 0].astype(np.int64)  # the segments up to edge n
+        for u in range(1, t + 1):
+            per_row += counts[:, :n, :, u]
+        gamma, gamma_prime, crossings = per_row.sum(axis=1).tolist()
+        profiles = per_row[2].T.copy()
+        delta = diagonal[1:n:2].sum(axis=0).tolist()  # (2k, 2k) with 2k <= n
+        per_size.append(
+            [
+                StatBundle(
+                    N=n,
+                    gamma=g,
+                    gamma_prime=g1,
+                    z_crossings=c,
+                    delta=d,
+                    d_antidiag=a,
+                    row_profiles=profile,
+                    zero_coordinates=None if p is None else tuple(
+                        map(tuple, p[(p[:, 0] <= n) & (p[:, 1] <= n)].tolist())
+                    ),
+                )
+                for g, g1, c, d, a, profile, p in zip(
+                    gamma, gamma_prime, crossings, delta, anti[t].tolist(), profiles, points
+                )
+            ]
+        )
     return list(zip(*per_size))
 
 
@@ -292,15 +370,15 @@ def audit_fields(
     crossing totals must match too.  A field passes only if every one of
     its grids does.
     """
-    sizes = _check_sizes(sizes)
-    for block in _field_blocks(fields, max(sizes)):
-        yield from _audit_block(block, sizes)
+    plan = _SweepPlan(_check_sizes(sizes))
+    for block in _field_blocks(fields, plan.M):
+        yield from _audit_block(block, plan)
 
 
 def _audit_block(
-    fields: Sequence, sizes: tuple[int, ...]
+    fields: Sequence, plan: _SweepPlan
 ) -> Iterator[tuple[tuple[StatBundle, ...], bool]]:
-    R = len(fields)
+    R, sizes = len(fields), plan.sizes
     recount = [np.empty((R, n), dtype=np.int64) for n in sizes]
     sandwiched = np.ones(R, dtype=bool)
 
@@ -308,19 +386,19 @@ def _audit_block(
         crosses, touches = _product_crossings(tile)
         zeros = tile == 0
         for s, n in enumerate(sizes):
-            rows = min(start + tile.shape[1], n + 1) - start  # rows of the n-grid
+            rows = min(start + len(tile), n + 1) - start  # rows of the n-grid
             if rows <= 0:
                 continue
             recount[s][:, start - 1 : start - 1 + rows] = np.count_nonzero(
-                crosses[:, :rows, : n - 1], axis=2
-            )
-            touched = np.count_nonzero(touches[:, :rows, : n - 1], axis=2)
-            zeros_interior = np.count_nonzero(zeros[:, :rows, : n - 1], axis=2)
-            zeros_full = zeros_interior + zeros[:, :rows, n - 1]
+                crosses[:rows, :, : n - 1], axis=2
+            ).T
+            touched = np.count_nonzero(touches[:rows, :, : n - 1], axis=2)
+            zeros_interior = np.count_nonzero(zeros[:rows, :, : n - 1], axis=2)
+            zeros_full = zeros_interior + zeros[:rows, :, n - 1]
             held = (zeros_interior <= touched) & (touched <= 2 * zeros_full)
-            np.logical_and(sandwiched, held.all(axis=1), out=sandwiched)
+            np.logical_and(sandwiched, held.all(axis=0), out=sandwiched)
 
-    for r, bundles in enumerate(_sweep_block(fields, sizes, False, audit)):
+    for r, bundles in enumerate(_sweep_block(fields, plan, False, audit)):
         ok = bool(sandwiched[r]) and all(
             np.array_equal(counts[r], b.row_profiles)
             and int(counts[r].sum()) == b.z_crossings

@@ -239,6 +239,26 @@ def test_nested_sizes_equal_one_size_sweeps(seed, sizes, count, data):
         ]
 
 
+@pytest.mark.parametrize("sizes", [(1, 2), (2, 1, 3), (3, 2)], ids=str)
+@pytest.mark.parametrize("whole_grids", [False, True], ids=["cap-1", "cap-n2"])
+@pytest.mark.parametrize("kind", ["real", "stub"])
+def test_adjacent_edges_equal_brute_force(sizes, whole_grids, kind):
+    # edges one apart leave crossing segments of width 0 (size 1 has no
+    # pair; size 2 has one); one row per tile, or every grid in one tile
+    if kind == "real":
+        fields = [field(seed, r) for seed in range(4) for r in range(3)]
+    else:
+        fields = [AlternatingColumnsField(), ConstantField(), AlternatingColumnsField()]
+    cap = max(sizes) ** 2 if whole_grids else 1
+    with mock.patch.object(walkstats, "TILE_CELLS", cap):
+        swept = list(sweep_fields(fields, sizes, collect_zeros=True))
+    assert len(swept) == len(fields)
+    for f, bundles in zip(fields, swept):
+        assert [_bundle_key(b) for b in bundles] == [
+            _bundle_key(brute_force_bundle(f, n)) for n in sizes
+        ]
+
+
 def test_nested_sweep_needs_valid_sizes():
     with pytest.raises(ValueError):
         list(sweep_fields([field()], ()))
@@ -279,10 +299,10 @@ def test_audit_fields_equal_the_sweep_and_the_one_field_audit(seed, sizes, count
     real = walkstats._sweep_block
     first = []
 
-    def corrupted(fields, sizes, collect_zeros, inspect=None):
-        out = real(fields, sizes, collect_zeros, inspect)
+    def corrupted(fields, plan, collect_zeros, inspect=None):
+        out = real(fields, plan, collect_zeros, inspect)
         if not first:
-            first.append(out[0][sizes.index(size)].row_profiles)
+            first.append(out[0][plan.sizes.index(size)].row_profiles)
             first[0][row] += 1
         return out
 
@@ -336,9 +356,9 @@ class TestDecompositionAudit:
         # in any of the nested grids, must turn the verdict red
         real = walkstats._sweep_block
 
-        def corrupted(fields, sizes, collect_zeros, inspect=None):
-            out = real(fields, sizes, collect_zeros, inspect)
-            profile = out[0][sizes.index(size)].row_profiles
+        def corrupted(fields, plan, collect_zeros, inspect=None):
+            out = real(fields, plan, collect_zeros, inspect)
+            profile = out[0][plan.sizes.index(size)].row_profiles
             for row, delta in enumerate(shift, start=2):
                 profile[row] += delta
             return out
