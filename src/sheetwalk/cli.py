@@ -101,11 +101,11 @@ def _write_csv(target: Path | str | None, header: str, rows: Iterable) -> None:
     Each row is written as it is formatted, so ``rows`` may be a generator
     and the table is never held in memory whole.
     """
-    if not target:
-        sys.stdout.write(header + "\n")
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
-        return
-    with _atomic_file(Path(target), "w", encoding="utf-8", newline="") as handle:
+    with (
+        _atomic_file(Path(target), "w", encoding="utf-8", newline="")
+        if target
+        else contextlib.nullcontext(sys.stdout)
+    ) as handle:
         handle.write(header + "\n")
         csv.writer(handle, lineterminator="\n").writerows(rows)
 

@@ -83,7 +83,9 @@ def _mix64_head(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def sign_rows(roots: np.ndarray, start: int, words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def sign_rows(
+    roots: np.ndarray, start: int, words: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """Hash the signs of rows ``start, start + 1, ...`` into ``words``; return them as int64.
 
     ``words`` and ``scratch`` are ``uint64`` buffers of shape ``(b, R,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sheetwalk import exactprob
+from sheetwalk import cli, exactprob
 from sheetwalk.cli import main, render_zero_set
 from sheetwalk.exactprob import gamma_mean_exact
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
@@ -67,6 +67,24 @@ class TestExactCommand:
         num, den = (int(decimal.Decimal(part)) for part in value.split("/"))
         p = Fraction(math.comb(2 * n, n), 4**n)
         assert (int(index), num, den) == (n, p.numerator, p.denominator)
+
+    def test_a_failing_row_leaves_no_table(self, tmp_path, monkeypatch):
+        # rows stream into a temporary file; one that fails mid-table must
+        # leave neither a partial table nor the temporary file behind
+        formatted = []
+
+        def digits(k):
+            formatted.append(k)
+            if len(formatted) > 6:
+                raise ValueError("formatting failed")
+            return str(k)
+
+        monkeypatch.setattr(cli, "_digits", digits)
+        target = tmp_path / "pn.csv"
+        argv = ["exact", "pn", "--max", "50", "--rational", "--out", str(target)]
+        assert main(argv) == 2
+        assert len(formatted) == 7
+        assert list(tmp_path.iterdir()) == []
 
     def test_delta_mean_frozen_row(self, capsys):
         assert main(["exact", "delta-mean", "--n", "2"]) == 0

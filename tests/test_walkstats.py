@@ -243,8 +243,8 @@ def test_nested_sizes_equal_one_size_sweeps(seed, sizes, count, data):
 @pytest.mark.parametrize("whole_grids", [False, True], ids=["cap-1", "cap-n2"])
 @pytest.mark.parametrize("kind", ["real", "stub"])
 def test_adjacent_edges_equal_brute_force(sizes, whole_grids, kind):
-    # edges one apart leave crossing segments of width 0 (size 1 has no
-    # pair; size 2 has one); one row per tile, or every grid in one tile
+    # edges one apart: one-column segments, and size 1 has no pair to
+    # cross at all; one row per tile, or every grid in one tile
     if kind == "real":
         fields = [field(seed, r) for seed in range(4) for r in range(3)]
     else:
