@@ -320,6 +320,23 @@ SIMULATE_PINS = {
         "4e4e57c274f69d2930d0d254838bd909da264a0f58a9fa4729c77412a1bf9d55",
         "a06d2e83ecb87b8ecfa754a18faa6225fef0bf0bacf6b0a120660bba3a4f7b78",
     ),
+    # the zero-set statistics at the default --eps 0.25 and --radius 8
+    ("annulus", "16,32,64", "12"): (
+        "a30d0e498a57d422b23f7ce63bd2b2005638a27a3b44c5d0a0b030019d091309",
+        "a820af30d80b4f2cde168756756fc5f49c476b08a994da2a37603f58bd4d1558",
+    ),
+    ("annulus", "128", "20"): (
+        "c43507da8c550848b41f9b09af97918817d115c9909440c9ffa2c89e6329650f",
+        "704eee7b5adf2ccc073790aa5a12d7a5bba70dcb75418e20e3a2ea0a1e789db0",
+    ),
+    ("twin-zeros", "16,32,64", "12"): (
+        "fcc6f3b35a4135d57c6ccd5b045fdf64a539509c4731bd022840489a257e0cd8",
+        "5ca0e9feb657ff47a4fcd02e8b15b3e238a6395dd4fed52d71b7b1d57842a119",
+    ),
+    ("twin-zeros", "64", "20"): (
+        "86bb174d37e939a40f240f800a96d92514b39fd2d9443d35446911b8543a97a2",
+        "9922d742cca83e3d891f23694d0d490539c0c9a29f1099acd4088fabb0b0ee9a",
+    ),
 }
 RENDER_PIN = "4aab753360e18b1d4993bbdf2aaf502bc666a04644dad2009dc506a8bcd63464"
 
