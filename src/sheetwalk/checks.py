@@ -53,6 +53,7 @@ from .walkstats import (
     brute_force_bundle,
     sweep_grid,
     twin_zero_count,
+    zero_points,
 )
 
 
@@ -340,8 +341,8 @@ def _check_crossing_decomposition(level: str, workers: int) -> tuple[bool, str]:
 
 
 def _recount_twins(field, eps: float, N: int, radius: int) -> int:
-    # dense quadratic recount over the extended band; no shared code with
-    # the rolling-window implementation
+    # dense quadratic recount over a square holding the band; no shared
+    # code with the tile reader or the vectorized companion search
     rows = N - 1 + radius
     cols = math.ceil((N - 1) / eps) - 1 + radius
     extent = max(rows, cols)
@@ -368,7 +369,7 @@ def _check_oracle_equivalence(level: str, workers: int) -> tuple[bool, str]:
     for seed in range(seeds):
         n = sizes[seed % len(sizes)]
         field = RademacherField(StreamKey(Seed(seed), 0))
-        a = sweep_grid(field, n, collect_zeros=True)
+        a = sweep_grid(field, n)
         b = brute_force_bundle(field, n)
         ok &= (
             a.gamma == b.gamma
@@ -377,7 +378,7 @@ def _check_oracle_equivalence(level: str, workers: int) -> tuple[bool, str]:
             and a.delta == b.delta
             and a.d_antidiag == b.d_antidiag
             and a.row_profiles.tolist() == b.row_profiles.tolist()
-            and a.zero_coordinates == b.zero_coordinates
+            and tuple(map(tuple, zero_points(field, n, n).tolist())) == b.zero_coordinates
         )
         ok &= twin_zero_count(field, 0.5, n, 3) == _recount_twins(field, 0.5, n, 3)
         lo = math.ceil(0.5 * n)

@@ -42,7 +42,7 @@ from .mcharness import (
     run_experiment,
 )
 from .randfield import RademacherField, Seed, StreamKey
-from .walkstats import _partial_sum_tiles, _tile_buffers
+from .walkstats import partial_sum_blocks
 
 RENDER_CEILING = 2**13
 
@@ -171,8 +171,7 @@ def render_zero_set(field, n: int) -> ZeroSetImage:
     if n > RENDER_CEILING:
         raise CapacityError(f"render capped at N={RENDER_CEILING}, got {n}")
     pixels = np.empty((n, n), dtype=np.uint8)
-    for start, tile in _partial_sum_tiles([field], n, *_tile_buffers(n, 1)):
-        sums = tile[:, 0]
+    for start, sums in partial_sum_blocks(field, n, n):
         pixels[start - 1 : start - 1 + len(sums)] = np.where(
             sums == 0, 0, np.where(sums < 0, 128, 255)
         )

@@ -7,7 +7,8 @@ every float reduced from them, since aggregation happens in replicate
 order after the pool returns — is byte-identical for any worker count.
 A worker sweeps each of its replicates of a grid statistic once, at the
 largest edge, and reads every smaller size as a prefix of that sweep (see
-:func:`~sheetwalk.walkstats.sweep_fields`).  Raw per-replicate values are
+:func:`~sheetwalk.walkstats.sweep_fields`); the zero-set statistics read
+each replicate's zeros once, for all sizes.  Raw per-replicate values are
 retained, not just summaries.  :func:`assemble_result` is the one place
 worker output becomes an :class:`ExperimentResult`; a caller that runs its
 own task on the same partition (the acceptance checks, which also audit
@@ -27,7 +28,7 @@ import numpy as np
 
 from .exactprob import DIAG_LOG_COEFF, delta_mean_exact
 from .randfield import RademacherField, Seed, StreamKey
-from .walkstats import annulus_zero_check, diag_zero_count, sweep_fields, twin_zero_count
+from .walkstats import annulus_counts, diag_zero_count, sweep_fields, twin_zero_counts
 
 
 class Statistic(enum.Enum):
@@ -75,6 +76,10 @@ class ExperimentConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 0 < self.eps < 1:
+            raise ValueError(f"eps must be in (0,1), got {self.eps}")
+        if self.radius < 1:
+            raise ValueError(f"radius must be >= 1, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -109,29 +114,21 @@ def summarize(values: np.ndarray) -> SummaryStats:
     )
 
 
-def _evaluate(config: ExperimentConfig, replicate: int, size: int) -> float:
-    key = StreamKey(config.seed, replicate)
-    stat = config.statistic
-    if stat is Statistic.DELTA_FASTPATH:
-        return float(diag_zero_count(key, size))
-    field = RademacherField(key)
-    if stat is Statistic.TWIN_ZEROS:
-        return float(twin_zero_count(field, config.eps, size, config.radius))
-    return float(annulus_zero_check(field, config.eps, size)[1])
-
-
 def _worker_chunk(args: tuple[ExperimentConfig, int, int]) -> list[tuple[int, int, float]]:
     config, worker_index, workers = args
     mine = range(worker_index, config.replicates, workers)
-    stat = config.statistic
-    if stat in _BUNDLE_FIELDS:
-        fields = (RademacherField(StreamKey(config.seed, r)) for r in mine)
-        return [
-            (b.N, r, float(getattr(b, stat.value)))
-            for r, bundles in zip(mine, sweep_fields(fields, config.sizes))
-            for b in bundles
-        ]
-    return [(size, r, _evaluate(config, r, size)) for size in config.sizes for r in mine]
+    stat, sizes = config.statistic, config.sizes
+    fields = (RademacherField(StreamKey(config.seed, r)) for r in mine)
+    # per replicate, one value per size in the order of sizes
+    if stat is Statistic.DELTA_FASTPATH:  # drawn, not read from a grid
+        values = ([diag_zero_count(StreamKey(config.seed, r), n) for n in sizes] for r in mine)
+    elif stat in _BUNDLE_FIELDS:
+        values = ([getattr(b, stat.value) for b in bs] for bs in sweep_fields(fields, sizes))
+    elif stat is Statistic.TWIN_ZEROS:
+        values = (twin_zero_counts(f, config.eps, sizes, config.radius) for f in fields)
+    else:
+        values = (annulus_counts(f, config.eps, sizes) for f in fields)
+    return [(n, r, float(v)) for r, vs in zip(mine, values) for n, v in zip(sizes, vs)]
 
 
 def map_workers(task: Callable, config: ExperimentConfig) -> list:

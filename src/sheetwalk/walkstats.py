@@ -1,27 +1,23 @@
 """Pathwise zero-set statistics of simulated grids.
 
 The rectangle sum ``S(i,j)`` is the sum of the sign field over
-``[1,i] x [1,j]``.  A full ``N x N`` array of sums is never materialized
-unless it is small: the sweep works on tiles of ``b`` rows x ``R`` grids
-x ``N`` columns, rows outermost, holding at most :data:`TILE_CELLS`
-cells.  Each tile is hashed in one call, summed along its rows with one
+``[1,i] x [1,j]``.  Sums are never held whole: every reader works on
+tiles of ``b`` rows x ``R`` grids x ``cols`` columns, rows outermost,
+holding at most :data:`TILE_CELLS` cells, or one row when a row alone is
+larger.  Each tile is hashed in one call, summed along its rows with one
 contiguous ``cumsum``, and folded down with ``b`` in-place row adds, the
-first of which adds the row carried from the tile above.  The reduction
-takes int8 signs and counts, per row, the zeros, the ones and the
-crossings on each column segment between the sorted sizes, so nested
-sizes cost one pass over the largest grid, not one per size.  Every
-tile-sized array is allocated once per sweep call and filled in place,
-so memory is bounded by the tile cap per worker, stays linear in ``N``
-for one grid once a row alone exceeds the cap, and no tile allocates.
+first of which adds the row carried from the tile above.  The buffers
+are allocated once per call and filled in place, so no tile allocates.
 
 The field is prefix-consistent: the ``n x n`` grid is the top-left corner
-of any larger one.  So each replicate is swept once, at the largest edge
-asked for, and every smaller size is read from the rows and columns
-``<= n`` of the same tiles (:func:`sweep_fields`).  The crossing audit
-(:func:`audit_fields`) rides on that same pass, so a caller that needs
-both the counters and the audit verdict sweeps each grid once.  Its rule
-is on adjacent products: ``S(i,j) * S(i,j+1) <= 0`` crosses, and a
-product ``== 0`` touches a zero.
+of any larger one, so each replicate is read once, at the largest edge
+asked for, for every size.  The sweep (:func:`sweep_fields`) counts from
+int8 signs, per row, the zeros, the ones and the crossings on each column
+segment between the sorted sizes.  The crossing audit
+(:func:`audit_fields`) rides on that same pass; its rule is on adjacent
+products: ``S(i,j) * S(i,j+1) <= 0`` crosses, and ``== 0`` touches a
+zero.  :func:`zero_points` is the one zero-set reader: the annulus and
+twin-zero counts, and the oracle check, read the zeros from it.
 
 Bounds that keep int64 safe: ``|S(i,j)| <= i*j <= 2**30`` at the sweep
 ceiling, so the audit's adjacent products stay below ``2**60``.  The
@@ -31,7 +27,6 @@ sweep's own crossing test compares signs, so it forms no products.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -54,8 +49,9 @@ class StatBundle:
 
     ``row_profiles[i-1]`` is the number of horizontal sign changes
     (weak: zero counts) in row ``i``; summing it recovers
-    ``z_crossings`` exactly.  ``zero_coordinates`` is populated only
-    when the sweep was asked to collect them.
+    ``z_crossings`` exactly.  ``zero_coordinates`` is filled only by the
+    dense oracle :func:`brute_force_bundle`; the sweep's zero set is read
+    by :func:`zero_points`.
     """
 
     N: int
@@ -68,11 +64,12 @@ class StatBundle:
     zero_coordinates: tuple[tuple[int, int], ...] | None = None
 
 
-def tile_shape(N: int) -> tuple[int, int]:
-    """``(grids, rows)`` per tile at edge ``N``: whole grids while they fit."""
-    if N * N <= TILE_CELLS:
-        return TILE_CELLS // (N * N), N
-    return 1, max(1, TILE_CELLS // N)
+def tile_shape(rows: int, cols: int | None = None) -> tuple[int, int]:
+    """``(grids, rows)`` per tile of a ``rows x cols`` grid, square by default."""
+    cols = cols or rows  # whole grids while they fit, else rows of one grid
+    if rows * cols <= TILE_CELLS:
+        return TILE_CELLS // (rows * cols), rows
+    return 1, max(1, TILE_CELLS // cols)
 
 
 def _check_edge(N: int) -> None:
@@ -82,33 +79,37 @@ def _check_edge(N: int) -> None:
         raise CapacityError(f"sweep capped at N={SWEEP_CEILING}, got {N}")
 
 
-def _tile_buffers(N: int, grids: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``uint64`` buffers for tiles of ``grids`` grids at edge ``N``: sums, hash scratch.
+def _tile_buffers(rows: int, cols: int, grids: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``uint64`` buffers for tiles of ``grids`` ``rows x cols`` grids: sums, hash scratch.
 
-    The sums buffer holds one row more than a tile, for the carried row.
+    Both sides are checked against :data:`SWEEP_CEILING` first.  The sums
+    buffer holds one row more than a tile, for the carried row.
     """
-    cells = grids * tile_shape(N)[1] * N
-    return np.empty(cells + grids * N, dtype=np.uint64), np.empty(cells, dtype=np.uint64)
+    _check_edge(rows)
+    _check_edge(cols)
+    cells = grids * tile_shape(rows, cols)[1] * cols
+    return np.empty(cells + grids * cols, dtype=np.uint64), np.empty(cells, dtype=np.uint64)
 
 
 def _partial_sum_tiles(
-    fields: Sequence, N: int, words: np.ndarray, scratch: np.ndarray
+    fields: Sequence, rows: int, cols: int, words: np.ndarray, scratch: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, T)`` with ``T[k, r, j-1] = S(start + k, j)`` of grid ``r``.
 
-    ``words`` and ``scratch`` come from :func:`_tile_buffers` for at least
-    ``len(fields)`` grids, and may serve several calls in turn.  Every
-    ``T`` is a view of ``words`` that the next tile overwrites, so it
-    lives for one iteration; a caller that keeps it must copy it.
+    ``words`` and ``scratch`` come from :func:`_tile_buffers` for these
+    sides and at least ``len(fields)`` grids, and may serve several calls
+    in turn.  Every ``T`` is a view of ``words`` that the next tile
+    overwrites, so it lives for one iteration; a caller that keeps it
+    must copy it.
 
     Row 0 of the buffer carries ``S(start - 1, .)``.  Each tile's signs
     are hashed into rows ``1..b``, summed along each row with one
     ``cumsum``, and folded down with ``b`` in-place row adds, the first
     of which adds the carried row.
     """
-    R, rows = len(fields), tile_shape(N)[1]
-    words = words[: (rows + 1) * R * N].reshape(rows + 1, R, N)
-    scratch = scratch[: rows * R * N].reshape(rows, R, N)
+    R, height = len(fields), tile_shape(rows, cols)[1]
+    words = words[: (height + 1) * R * cols].reshape(height + 1, R, cols)
+    scratch = scratch[: height * R * cols].reshape(height, R, cols)
     sums = words.view(np.int64)  # the same memory: the hash words become the sums
     sums[0] = 0  # S(0, j)
     if all(isinstance(f, RademacherField) for f in fields):
@@ -123,12 +124,12 @@ def _partial_sum_tiles(
             # any other field (a test double) is read through its row_signs
             for k in range(b):
                 for r, f in enumerate(fields):
-                    sums[1 + k, r] = f.row_signs(start + k, N)
+                    sums[1 + k, r] = f.row_signs(start + k, cols)
             return sums[1 : b + 1]
 
     row_views = list(sums)  # made once: indexing a row per add costs as much as the add
-    for start in range(1, N + 1, rows):
-        b = min(rows, N + 1 - start)
+    for start in range(1, rows + 1, height):
+        b = min(height, rows + 1 - start)
         tile = read(start, b)
         np.cumsum(tile, axis=2, out=tile)
         for above, row in zip(row_views, row_views[1 : b + 1]):
@@ -137,22 +138,41 @@ def _partial_sum_tiles(
         yield start, tile
 
 
+def partial_sum_blocks(field, rows: int, cols: int) -> Iterator[tuple[int, np.ndarray]]:
+    """One field's tiles as ``(start, B)``, ``B[k, j-1] = S(start + k, j)``, in row order.
+
+    The sides are checked on the call, before any row is read.  The next
+    block overwrites ``B``; copy it to keep it.
+    """
+    buffers = _tile_buffers(rows, cols, 1)
+    return ((start, t[:, 0]) for start, t in _partial_sum_tiles([field], rows, cols, *buffers))
+
+
+def zero_points(field, rows: int, cols: int) -> np.ndarray:
+    """``(k, 2)`` int64 ``(i, j)`` of every zero of ``S`` on ``[1, rows] x [1, cols]``, row-major.
+
+    The package's one zero-set reader; memory is the points plus one tile.
+    """
+    found = [np.empty(0, dtype=np.int64)]  # row-major cell indices (i - 1) * cols + j - 1
+    for start, block in partial_sum_blocks(field, rows, cols):
+        found.append(np.flatnonzero(block == 0) + (start - 1) * cols)
+    return np.stack(np.divmod(np.concatenate(found), cols), axis=1) + 1
+
+
 def iter_partial_rows(field: RademacherField, N: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(i, S(i, 1..N))`` for each row; the vector is reused in place.
 
     Callers that keep a row beyond one iteration must copy it.
     """
-    _check_edge(N)
+    blocks = partial_sum_blocks(field, N, N)
     col = np.empty(N, dtype=np.int64)
-    for start, tile in _partial_sum_tiles([field], N, *_tile_buffers(N, 1)):
-        for k, row in enumerate(tile[:, 0]):
+    for start, block in blocks:
+        for k, row in enumerate(block):
             col[:] = row
             yield start + k, col
 
 
-def sweep_fields(
-    fields: Iterable, sizes: Sequence[int], *, collect_zeros: bool = False
-) -> Iterator[tuple[StatBundle, ...]]:
+def sweep_fields(fields: Iterable, sizes: Sequence[int]) -> Iterator[tuple[StatBundle, ...]]:
     """Sweep each field once; yield a tuple of its bundles, one per size as given.
 
     Every ``n x n`` grid is the top-left corner of the ``M x M`` grid,
@@ -164,7 +184,7 @@ def sweep_fields(
     """
     plan = _SweepPlan(_check_sizes(sizes))
     for block in _field_blocks(fields, plan.M):
-        yield from _sweep_block(block, plan, collect_zeros)
+        yield from _sweep_block(block, plan)
 
 
 def _check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
@@ -200,7 +220,7 @@ class _SweepPlan:
         self.bounds = np.array([0, *edges[:-1]])
         grids, rows = tile_shape(M)
         cells = grids * rows * M
-        self.words, self.scratch = _tile_buffers(M, grids)
+        self.words, self.scratch = _tile_buffers(M, M, grids)
         self.signs = np.empty(cells, dtype=np.int8)
         self.products = np.empty(cells, dtype=np.int8)
         self.flags = np.empty(3 * cells, dtype=bool)
@@ -212,7 +232,6 @@ class _SweepPlan:
 def _sweep_block(
     fields: Sequence,
     plan: _SweepPlan,
-    collect_zeros: bool,
     inspect: Callable[[int, np.ndarray], None] | None = None,
 ) -> list[tuple[StatBundle, ...]]:
     """Bundles of one block of fields; ``inspect(start, tile)`` sees each tile.
@@ -238,8 +257,7 @@ def _sweep_block(
     counts = plan.counts[: 3 * M * R * K].reshape(3, M, R, K)  # per row, per segment
     diagonal = plan.diagonal[: M * R].reshape(M, R)  # S(i, i) == 0
     anti = np.zeros((K, R), dtype=np.int64)
-    coords: list[list[np.ndarray]] = [[] for _ in range(R)]  # (i, j) of zeros
-    for start, tile in _partial_sum_tiles(fields, M, plan.words, plan.scratch):
+    for start, tile in _partial_sum_tiles(fields, M, M, plan.words, plan.scratch):
         rows = len(tile)
         sg, z = signs[:rows], zero[:rows]
         np.sign(tile, out=sg, casting="unsafe")  # -1, 0, 1: exact in int8
@@ -258,13 +276,8 @@ def _sweep_block(
             if above > 0:
                 corner = z[:above, :, n - start - above : n - start][:, :, ::-1]
                 anti[t] += corner.diagonal(axis1=0, axis2=2).sum(axis=1)
-        if collect_zeros:
-            for r in range(R):
-                k, j = np.nonzero(z[:, r])
-                coords[r].append(np.stack((k + start, j + 1), axis=1))
         if inspect is not None:
             inspect(start, tile)
-    points = [np.concatenate(c) for c in coords] if collect_zeros else [None] * R
     per_size = []
     for n, t in zip(plan.sizes, plan.rank):
         per_row = counts[:, :n, :, 0].astype(np.int64)  # the segments up to edge n
@@ -283,23 +296,18 @@ def _sweep_block(
                     delta=d,
                     d_antidiag=a,
                     row_profiles=profile,
-                    zero_coordinates=None if p is None else tuple(
-                        map(tuple, p[(p[:, 0] <= n) & (p[:, 1] <= n)].tolist())
-                    ),
                 )
-                for g, g1, c, d, a, profile, p in zip(
-                    gamma, gamma_prime, crossings, delta, anti[t].tolist(), profiles, points
+                for g, g1, c, d, a, profile in zip(
+                    gamma, gamma_prime, crossings, delta, anti[t].tolist(), profiles
                 )
             ]
         )
     return list(zip(*per_size))
 
 
-def sweep_grid(
-    field: RademacherField, N: int, *, collect_zeros: bool = False
-) -> StatBundle:
+def sweep_grid(field: RademacherField, N: int) -> StatBundle:
     """One pass over the grid, returning every pathwise counter at once."""
-    ((bundle,),) = sweep_fields([field], (N,), collect_zeros=collect_zeros)
+    ((bundle,),) = sweep_fields([field], (N,))
     return bundle
 
 
@@ -398,7 +406,7 @@ def _audit_block(
             held = (zeros_interior <= touched) & (touched <= 2 * zeros_full)
             np.logical_and(sandwiched, held.all(axis=0), out=sandwiched)
 
-    for r, bundles in enumerate(_sweep_block(fields, plan, False, audit)):
+    for r, bundles in enumerate(_sweep_block(fields, plan, audit)):
         ok = bool(sandwiched[r]) and all(
             np.array_equal(counts[r], b.row_profiles)
             and int(counts[r].sum()) == b.z_crossings
@@ -441,71 +449,60 @@ def diag_zero_count(key: StreamKey, N: int) -> int:
     return int(np.count_nonzero(np.cumsum(increments) == 0))
 
 
-def annulus_zero_check(field: RademacherField, eps: float, N: int) -> tuple[bool, int]:
-    """Presence and count of zeros on the co-annulus square ``[eps*N, N]^2``."""
+def annulus_counts(field, eps: float, sizes: Sequence[int]) -> list[int]:
+    """Zeros on ``[ceil(eps*n), n]^2`` for each size ``n``, from one read of the largest grid."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    lo = math.ceil(eps * N)
-    count = 0
-    for i, col in iter_partial_rows(field, N):
-        if i >= lo:
-            count += int(np.count_nonzero(col[lo - 1 :] == 0))
+    M = max(_check_sizes(sizes))
+    i, j = zero_points(field, M, M).T
+    near, far = np.minimum(i, j), np.maximum(i, j)
+    return [int(np.count_nonzero((near >= math.ceil(eps * n)) & (far <= n))) for n in sizes]
+
+
+def annulus_zero_check(field: RademacherField, eps: float, N: int) -> tuple[bool, int]:
+    """Presence and count of zeros on the co-annulus square ``[eps*N, N]^2``."""
+    (count,) = annulus_counts(field, eps, (N,))
     return count > 0, count
+
+
+def twin_zero_counts(field, eps: float, sizes: Sequence[int], radius: int) -> list[int]:
+    """:func:`twin_zero_count` for each size, from one read of the largest size's band.
+
+    The band of ``M = max(sizes)``, ``M - 1 + radius`` rows by ``ceil((M -
+    1) / eps) - 1 + radius`` columns, holds every wedge zero of every size
+    and every zero within ``radius`` of one, so one companion mask serves
+    all sizes.  Zeros are coded ``i * stride + j``, sorted as they are
+    row-major; per row offset, two binary searches count the codes in the
+    span of each wedge zero's L1 ball on that row.
+    """
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0,1), got {eps}")
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
+    if min(sizes) < 0:
+        raise ValueError(f"N must be >= 0, got {tuple(sizes)}")
+    M = max(sizes)
+    if M <= 2:
+        return [0] * len(sizes)
+    cols = math.ceil((M - 1) / eps) - 1 + radius
+    i, j = zero_points(field, M - 1 + radius, cols).T
+    stride = cols + radius + 1  # a ball's span on a row never reaches the next row's codes
+    codes = i * stride + j
+    wedge = (1 < i) & (i < M) & (eps * i < j) & (j < i / eps)  # the definition's float tests
+    hits = np.full(np.count_nonzero(wedge), -1)  # each wedge zero finds itself at offset 0
+    for di in range(-radius, radius + 1):
+        w, centre = radius - abs(di), codes[wedge] + di * stride
+        hits += np.searchsorted(codes, centre + w, "right") - np.searchsorted(codes, centre - w)
+    twin_rows = i[wedge][hits > 0]  # ascending
+    return [int(np.searchsorted(twin_rows, n)) for n in sizes]  # rows i < n
 
 
 def twin_zero_count(field: RademacherField, eps: float, N: int, radius: int) -> int:
     """Zeros in the wedge ``{eps*i < j < i/eps, 1 < i < N}`` with a companion.
 
     A companion is any *other* zero of the sum array (wedge membership not
-    required) at L1 distance at most ``radius``.  The sweep runs over a
-    band of ``radius`` extra rows and columns so companions just outside
-    the wedge are seen; memory stays ``O((N + radius) / eps)`` by keeping
-    only ``2*radius + 1`` rows of zero positions at a time.
+    required) at L1 distance at most ``radius``.  Memory is the zero points
+    of the band :func:`twin_zero_counts` reads, plus one tile.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if N <= 2:
-        return 0
-    max_wedge_col = math.ceil((N - 1) / eps) - 1
-    width = max_wedge_col + radius
-    last_row = N - 1 + radius
-    zero_rows: dict[int, np.ndarray] = {}
-
-    def has_companion(i: int, j: int) -> bool:
-        for r in range(max(1, i - radius), i + radius + 1):
-            cols = zero_rows.get(r)
-            if cols is None or cols.size == 0:
-                continue
-            w = radius - abs(r - i)
-            hits = int(np.searchsorted(cols, j + w, side="right")) - int(
-                np.searchsorted(cols, j - w, side="left")
-            )
-            if r == i:
-                hits -= 1  # the candidate itself always falls in the window
-            if hits > 0:
-                return True
-        return False
-
-    twins = 0
-    col = np.zeros(width, dtype=np.int64)
-    pending: deque[tuple[int, int]] = deque()  # wedge zeros awaiting the full band
-    for i in range(1, last_row + 1):
-        col += np.cumsum(field.row_signs(i, width))
-        zero_rows[i] = np.nonzero(col == 0)[0].astype(np.int64) + 1
-        if 1 < i < N:
-            zc = zero_rows[i]
-            in_wedge = zc[(zc > eps * i) & (zc < i / eps)]
-            pending.extend((i, int(j)) for j in in_wedge)
-        while pending and pending[0][0] + radius <= i:
-            ci, cj = pending.popleft()
-            twins += has_companion(ci, cj)
-        zero_rows.pop(i - 2 * radius, None)
-    for ci, cj in pending:
-        twins += has_companion(ci, cj)
-    return twins
+    (count,) = twin_zero_counts(field, eps, (N,), radius)
+    return count

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sheetwalk import cli, exactprob
+from sheetwalk import cli, exactprob, walkstats
 from sheetwalk.cli import main, render_zero_set
 from sheetwalk.exactprob import gamma_mean_exact
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
@@ -269,6 +269,35 @@ class TestSimulateCommand:
             )
             == 3
         )
+
+    @pytest.mark.parametrize(
+        "stat,sizes,eps",
+        [
+            ("annulus", "40000", "0.25"),
+            ("twin-zeros", "40000", "0.25"),
+            ("twin-zeros", "1024", "0.01"),  # a band of 102307 columns
+        ],
+    )
+    def test_zero_sets_past_the_ceiling_exit_before_any_sweep(
+        self, tmp_path, monkeypatch, stat, sizes, eps
+    ):
+        # both sides of the swept rectangle are checked before a tile is read
+        def unread(*args):
+            raise AssertionError("a tile was read")
+
+        monkeypatch.setattr(walkstats, "_partial_sum_tiles", unread)
+        argv = ["simulate", "--stat", stat, "--sizes", sizes, "--eps", eps, "--reps", "1",
+                "--workers", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--eps", "7"], ["--eps", "0"], ["--radius", "-3"]])
+    def test_eps_and_radius_out_of_range_are_usage_errors(self, tmp_path, capsys, flags):
+        argv = ["simulate", "--stat", "gamma", "--sizes", "8", "--reps", "2", *flags,
+                "--workers", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert flags[0][2:] in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_workers_env_default_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WORKERS", "2")

@@ -65,6 +65,10 @@ class TestRunExperiment:
             dict(replicates=0),
             dict(workers=0),
             dict(sizes=(8, 16, 8)),
+            dict(eps=7.0),
+            dict(eps=0.0),
+            dict(radius=-3),
+            dict(radius=0),
         ],
     )
     def test_config_validation(self, bad):

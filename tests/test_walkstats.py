@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetwalk import walkstats
+from sheetwalk.checks import _recount_twins
 from sheetwalk.exactprob import CapacityError
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
 from sheetwalk.walkstats import (
     SWEEP_CEILING,
+    annulus_counts,
     annulus_zero_check,
     audit_fields,
     brute_force_bundle,
@@ -20,6 +23,8 @@ from sheetwalk.walkstats import (
     sweep_grid,
     tile_shape,
     twin_zero_count,
+    twin_zero_counts,
+    zero_points,
 )
 
 
@@ -63,6 +68,17 @@ def field(seed=1, replicate=0):
     return RademacherField(StreamKey(Seed(seed), replicate))
 
 
+def zero_tuples(f, rows, cols):
+    """:func:`zero_points` in the oracle's form: a tuple of ``(i, j)`` tuples."""
+    return tuple(map(tuple, zero_points(f, rows, cols).tolist()))
+
+
+def _oracle_field(kind, seed):
+    if kind == "real":
+        return field(seed % 1000, seed % 7)
+    return AlternatingColumnsField() if kind == "alternating" else ConstantField()
+
+
 class TestSweepFrozenExamples:
     def test_all_plus_grid_has_no_zeros_and_one_unit_cell(self):
         b = sweep_grid(ConstantField(), 5)
@@ -80,9 +96,21 @@ class TestSweepFrozenExamples:
         assert b.row_profiles.tolist() == [3, 3, 3, 3]
 
     def test_zero_coordinates_collection(self):
-        b = sweep_grid(AlternatingColumnsField(), 3, collect_zeros=True)
-        assert b.zero_coordinates == ((1, 2), (2, 2), (3, 2))
+        # the sweep keeps no coordinates; the zero-set reader lists them row-major
+        points = zero_points(AlternatingColumnsField(), 3, 3)
+        assert points.dtype == np.int64
+        assert points.tolist() == [[1, 2], [2, 2], [3, 2]]
+        assert zero_tuples(AlternatingColumnsField(), 2, 5) == ((1, 2), (1, 4), (2, 2), (2, 4))
+        assert zero_points(ConstantField(), 4, 6).shape == (0, 2)
         assert sweep_grid(AlternatingColumnsField(), 3).zero_coordinates is None
+
+    def test_zero_reader_checks_both_sides(self):
+        with pytest.raises(ValueError):
+            zero_points(field(), 4, 0)
+        with pytest.raises(CapacityError):
+            zero_points(field(), 4, SWEEP_CEILING + 1)
+        with pytest.raises(CapacityError):
+            zero_points(field(), SWEEP_CEILING + 1, 4)
 
     def test_profile_sums_to_crossings(self):
         b = sweep_grid(field(3), 64)
@@ -119,7 +147,7 @@ class TestPartialRows:
 class TestBruteForceOracle:
     def test_matches_sweep_on_stub(self):
         for N in (1, 2, 3, 4, 7):
-            a = sweep_grid(AlternatingColumnsField(), N, collect_zeros=True)
+            a = sweep_grid(AlternatingColumnsField(), N)
             b = brute_force_bundle(AlternatingColumnsField(), N)
             assert (a.gamma, a.gamma_prime, a.z_crossings, a.delta, a.d_antidiag) == (
                 b.gamma,
@@ -129,12 +157,12 @@ class TestBruteForceOracle:
                 b.d_antidiag,
             )
             assert a.row_profiles.tolist() == b.row_profiles.tolist()
-            assert a.zero_coordinates == b.zero_coordinates
+            assert zero_tuples(AlternatingColumnsField(), N, N) == b.zero_coordinates
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sweep_on_random_fields(self, seed):
         f = field(seed)
-        a = sweep_grid(f, 17, collect_zeros=True)
+        a = sweep_grid(f, 17)
         b = brute_force_bundle(f, 17)
         assert a.gamma == b.gamma
         assert a.gamma_prime == b.gamma_prime
@@ -142,7 +170,7 @@ class TestBruteForceOracle:
         assert a.delta == b.delta
         assert a.d_antidiag == b.d_antidiag
         assert a.row_profiles.tolist() == b.row_profiles.tolist()
-        assert a.zero_coordinates == b.zero_coordinates
+        assert zero_tuples(f, 17, 17) == b.zero_coordinates
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -161,14 +189,13 @@ def test_sweep_equals_brute_force(seed, n):
 @settings(max_examples=40, deadline=None)
 def test_zeros_need_even_cell_area(seed, n):
     # S(i,j) sums i*j signs, so an odd-area cell can never vanish
-    b = sweep_grid(field(seed), n, collect_zeros=True)
-    assert all((i * j) % 2 == 0 for i, j in b.zero_coordinates)
+    assert all((i * j) % 2 == 0 for i, j in zero_points(field(seed), n, n).tolist())
 
 
 def _bundle_key(b):
     return (
         b.N, b.gamma, b.gamma_prime, b.z_crossings, b.delta, b.d_antidiag,
-        b.row_profiles.tolist(), b.zero_coordinates,
+        b.row_profiles.tolist(),
     )
 
 
@@ -189,10 +216,11 @@ def test_tile_kernel_equals_brute_force(seed, n, stride, count, data):
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
         grids, rows = tile_shape(n)
         assert grids * rows * n <= max(cap, n)
-        bundles = [b for (b,) in sweep_fields(fields, (n,), collect_zeros=True)]
-    assert [_bundle_key(b) for b in bundles] == [
-        _bundle_key(brute_force_bundle(f, n)) for f in fields
-    ]
+        bundles = [b for (b,) in sweep_fields(fields, (n,))]
+        zeros = [zero_tuples(f, n, n) for f in fields]
+    oracles = [brute_force_bundle(f, n) for f in fields]
+    assert [_bundle_key(b) for b in bundles] == [_bundle_key(b) for b in oracles]
+    assert zeros == [b.zero_coordinates for b in oracles]
 
 
 @pytest.mark.parametrize("n,cap", [(17, 3 * 17 + 1), (9, 1), (12, 2 * 144)])
@@ -230,12 +258,12 @@ def test_nested_sizes_equal_one_size_sweeps(seed, sizes, count, data):
     cap = data.draw(st.integers(1, 3 * top * top), label="cap")
     fields = [field(seed, r) for r in range(count)]
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
-        nested = list(sweep_fields(fields, sizes, collect_zeros=True))
+        nested = list(sweep_fields(fields, sizes))
     assert len(nested) == count
     for f, bundles in zip(fields, nested):
         assert [b.N for b in bundles] == sizes
         assert [_bundle_key(b) for b in bundles] == [
-            _bundle_key(sweep_grid(f, n, collect_zeros=True)) for n in sizes
+            _bundle_key(sweep_grid(f, n)) for n in sizes
         ]
 
 
@@ -251,7 +279,7 @@ def test_adjacent_edges_equal_brute_force(sizes, whole_grids, kind):
         fields = [AlternatingColumnsField(), ConstantField(), AlternatingColumnsField()]
     cap = max(sizes) ** 2 if whole_grids else 1
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
-        swept = list(sweep_fields(fields, sizes, collect_zeros=True))
+        swept = list(sweep_fields(fields, sizes))
     assert len(swept) == len(fields)
     for f, bundles in zip(fields, swept):
         assert [_bundle_key(b) for b in bundles] == [
@@ -299,8 +327,8 @@ def test_audit_fields_equal_the_sweep_and_the_one_field_audit(seed, sizes, count
     real = walkstats._sweep_block
     first = []
 
-    def corrupted(fields, plan, collect_zeros, inspect=None):
-        out = real(fields, plan, collect_zeros, inspect)
+    def corrupted(fields, plan, inspect=None):
+        out = real(fields, plan, inspect)
         if not first:
             first.append(out[0][plan.sizes.index(size)].row_profiles)
             first[0][row] += 1
@@ -356,8 +384,8 @@ class TestDecompositionAudit:
         # in any of the nested grids, must turn the verdict red
         real = walkstats._sweep_block
 
-        def corrupted(fields, plan, collect_zeros, inspect=None):
-            out = real(fields, plan, collect_zeros, inspect)
+        def corrupted(fields, plan, inspect=None):
+            out = real(fields, plan, inspect)
             profile = out[0][plan.sizes.index(size)].row_profiles
             for row, delta in enumerate(shift, start=2):
                 profile[row] += delta
@@ -441,27 +469,42 @@ class TestTwinZeros:
         # vertical ones, which always exist
         assert twin_zero_count(AlternatingColumnsField(), 0.5, 6, 1) == 8
 
-    def test_matches_quadratic_recount(self):
-        eps, N, radius = 0.4, 18, 3
-        for seed in range(6):
-            f = field(seed, 2)
-            extent_rows = N - 1 + radius
-            extent_cols = int(np.ceil((N - 1) / eps)) - 1 + radius
-            wide = max(extent_rows, extent_cols)
-            zeros = set()
-            col = np.zeros(wide, dtype=np.int64)
-            for i in range(1, wide + 1):
-                col += np.cumsum(f.row_signs(i, wide))
-                zeros.update((i, int(j) + 1) for j in np.nonzero(col == 0)[0])
-            expected = 0
-            for (zi, zj) in zeros:
-                if not (1 < zi < N and eps * zi < zj < zi / eps):
-                    continue
-                expected += any(
-                    (oi, oj) != (zi, zj) and abs(oi - zi) + abs(oj - zj) <= radius
-                    for (oi, oj) in zeros
-                )
-            assert twin_zero_count(f, eps, N, radius) == expected
+    @pytest.mark.parametrize(
+        "seed,eps,N,radius",
+        [(310, 0.3, 6, 2), (313, 0.45, 3, 2), (986, 0.3, 6, 2), (12, 0.8, 5, 2), (14, 0.7, 5, 2)],
+    )
+    def test_companions_at_the_band_edges(self, seed, eps, N, radius):
+        # the first three have wedge zeros near column 1 and a zero at the end
+        # of the row above, which zero codes spaced too closely would count as
+        # a companion; the last two have wedge zeros whose only companion lies
+        # in the band's extra columns past the wedge
+        f = field(seed)
+        assert twin_zero_count(f, eps, N, radius) == _recount_twins(f, eps, N, radius)
+
+    @given(
+        kind=st.sampled_from(["real", "alternating", "constant"]),
+        seed=st.integers(0, 2**32),
+        eps=st.floats(0.25, 0.95),
+        radius=st.integers(1, 8),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_quadratic_recount(self, kind, seed, eps, radius, data):
+        # nested unsorted sizes read from one band, tile caps from one cell
+        # (one row per tile) to three bands; the stubs' dense zero sets keep
+        # their quadratic recount small only on small grids
+        f = _oracle_field(kind, seed)
+        top = 70 if kind == "real" else 12
+        sizes = data.draw(
+            st.lists(st.integers(0, top), min_size=1, max_size=4, unique=True), label="sizes"
+        )
+        M = max(sizes)
+        band = (M - 1 + radius) * (math.ceil((M - 1) / eps) - 1 + radius)
+        cap = data.draw(st.integers(1, max(1, 3 * band)), label="cap")
+        with mock.patch.object(walkstats, "TILE_CELLS", cap):
+            counts = twin_zero_counts(f, eps, sizes, radius)
+        assert counts == [_recount_twins(f, eps, n, radius) for n in sizes]
+        assert twin_zero_count(f, eps, M, radius) == counts[sizes.index(M)]
 
 
 class TestAnnulus:
@@ -474,13 +517,43 @@ class TestAnnulus:
     def test_eps_domain(self):
         with pytest.raises(ValueError):
             annulus_zero_check(field(), 1.0, 8)
+        with pytest.raises(ValueError):
+            annulus_counts(field(), 0.0, (8, 16))
 
-    def test_count_agrees_with_zero_coordinates(self):
-        f = field(11)
-        N, eps = 40, 0.3
-        lo = int(np.ceil(eps * N))
-        b = sweep_grid(f, N, collect_zeros=True)
-        expected = sum(1 for (i, j) in b.zero_coordinates if i >= lo and j >= lo)
-        nonempty, count = annulus_zero_check(f, eps, N)
-        assert count == expected
-        assert nonempty == (count > 0)
+    @given(
+        kind=st.sampled_from(["real", "alternating", "constant"]),
+        seed=st.integers(0, 2**32),
+        eps=st.floats(0.01, 0.99),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_count_agrees_with_zero_coordinates(self, kind, seed, eps, data):
+        # nested unsorted sizes from one read of the largest grid, and the
+        # reader's points on rectangles inside it, against the dense oracle;
+        # tile caps from one cell to three grids
+        f = _oracle_field(kind, seed)
+        sizes = data.draw(
+            st.lists(st.integers(1, 70), min_size=1, max_size=4, unique=True), label="sizes"
+        )
+        M = max(sizes)
+        rows = data.draw(st.integers(1, M), label="rows")
+        cols = data.draw(st.integers(1, M), label="cols")
+        cap = data.draw(st.integers(1, 3 * M * M), label="cap")
+        with mock.patch.object(walkstats, "TILE_CELLS", cap):
+            counts = annulus_counts(f, eps, sizes)
+            zeros = zero_tuples(f, rows, cols)
+        oracle = brute_force_bundle(f, M).zero_coordinates
+        expected = []
+        for n in sizes:
+            lo = math.ceil(eps * n)
+            expected.append(sum(1 for i, j in oracle if lo <= i <= n and lo <= j <= n))
+        assert counts == expected
+        assert zeros == tuple((i, j) for i, j in oracle if i <= rows and j <= cols)
+        largest = expected[sizes.index(M)]
+        assert annulus_zero_check(f, eps, M) == (largest > 0, largest)
+
+    def test_sizes_are_checked(self):
+        with pytest.raises(ValueError):
+            annulus_counts(field(), 0.5, (8, 0))
+        with pytest.raises(CapacityError):
+            annulus_counts(field(), 0.5, (8, SWEEP_CEILING + 1))
