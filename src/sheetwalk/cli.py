@@ -376,6 +376,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import platform  # deferred with checks: no other command needs either
+
     from . import checks
 
     workers = _resolve_workers(args.workers)
@@ -394,6 +396,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 }
                 for r in results
             ],
+            "environment": {
+                "cpu_count": os.cpu_count(),
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+                "workers": workers,
+            },
         }
         _atomic_write(
             Path(args.out),

@@ -14,14 +14,15 @@ of any larger one, so each replicate is read once, at the largest edge
 asked for, for every size.  The sweep (:func:`sweep_fields`) counts from
 int8 signs, per row, the zeros, the ones and the crossings on each column
 segment between the sorted sizes.  The crossing audit
-(:func:`audit_fields`) rides on that same pass; its rule is on adjacent
-products: ``S(i,j) * S(i,j+1) <= 0`` crosses, and ``== 0`` touches a
-zero.  :func:`zero_points` is the one zero-set reader: the annulus and
-twin-zero counts, and the oracle check, read the zeros from it.
+(:func:`audit_fields`) is counted in that same pass, on the same
+segments; its rule is on int64 adjacent products of the sums:
+``S(i,j) * S(i,j+1) <= 0`` crosses, and ``== 0`` touches a zero.
+:func:`zero_points` is the one zero-set reader: the annulus and twin-zero
+counts, and the oracle check, read the zeros from it.
 
 Bounds that keep int64 safe: ``|S(i,j)| <= i*j <= 2**30`` at the sweep
 ceiling, so the audit's adjacent products stay below ``2**60``.  The
-sweep's own crossing test compares signs, so it forms no products.
+sweep's own crossing test multiplies int8 signs, never the sums.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .randfield import RademacherField, StreamKey, sign_rows, signed_binomial_ba
 # tile per worker (TILE_CELLS cells, or one row of N cells when that is
 # larger), so for a single grid it stays linear in N.
 SWEEP_CEILING = 2**15
-TILE_CELLS = 2**15  # cells per tile; sets both the grids and the rows per tile
+TILE_CELLS = 2**16  # cells per tile; sets both the grids and the rows per tile
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +50,7 @@ class StatBundle:
 
     ``row_profiles[i-1]`` is the number of horizontal sign changes
     (weak: zero counts) in row ``i``; summing it recovers
-    ``z_crossings`` exactly.  ``zero_coordinates`` is filled only by the
-    dense oracle :func:`brute_force_bundle`; the sweep's zero set is read
-    by :func:`zero_points`.
+    ``z_crossings`` exactly.  The zero set is read by :func:`zero_points`.
     """
 
     N: int
@@ -61,7 +60,6 @@ class StatBundle:
     delta: int  # even diagonal cells (2i,2i) with S = 0
     d_antidiag: int  # anti-diagonal cells (i, N-i) with S = 0
     row_profiles: np.ndarray
-    zero_coordinates: tuple[tuple[int, int], ...] | None = None
 
 
 def tile_shape(rows: int, cols: int | None = None) -> tuple[int, int]:
@@ -203,60 +201,94 @@ def _field_blocks(fields: Iterable, N: int) -> Iterator[list]:
         yield block
 
 
+ZEROS, ONES, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES = range(5)  # flag planes
+
+
 class _SweepPlan:
     """What a sweep of ``sizes`` sets up once and every block reuses.
 
     The sorted edges cut each row of the ``M x M`` grid into column
-    segments ``[e_{t-1}, e_t)``.  The buffers are flat and sized for a
-    full block, so a smaller last block uses a prefix of each and no tile
-    allocates.
+    segments ``[e_{t-1}, e_t)``.  Each row is counted per segment on the
+    flag planes zeros, ones and crossings, plus, when ``audit`` is set,
+    the audit's product crossings and product touches.  The buffers are
+    flat and sized for a full block, so a smaller last block uses a
+    prefix of each and no tile allocates.
     """
 
-    def __init__(self, sizes: tuple[int, ...]) -> None:
+    def __init__(self, sizes: tuple[int, ...], audit: bool = False) -> None:
         self.sizes = sizes
         self.M = M = max(sizes)
         self.edges = edges = sorted(set(sizes))
         self.rank = [edges.index(n) for n in sizes]  # sizes[s] == edges[rank[s]]
         self.bounds = np.array([0, *edges[:-1]])
+        self.audit = audit
+        self.planes = 5 if audit else 3
         grids, rows = tile_shape(M)
         cells = grids * rows * M
         self.words, self.scratch = _tile_buffers(M, M, grids)
         self.signs = np.empty(cells, dtype=np.int8)
         self.products = np.empty(cells, dtype=np.int8)
-        self.flags = np.empty(3 * cells, dtype=bool)
+        self.flags = np.empty(self.planes * cells, dtype=bool)
         # a row has at most SWEEP_CEILING = 2**15 cells, so its counts fit uint16
-        self.counts = np.empty(3 * M * grids * len(edges), dtype=np.uint16)
+        self.counts = np.empty(self.planes * M * grids * len(edges), dtype=np.uint16)
         self.diagonal = np.empty(M * grids, dtype=bool)
+        if audit:
+            self.sum_products = np.empty(cells, dtype=np.int64)
+            self.edge_cols = np.array(edges) - 1
+            self.edge_zeros = np.empty(M * grids * len(edges), dtype=bool)
+
+    def segment_counts(self, R: int) -> np.ndarray:
+        """``(planes, M, R, K)``: each plane's count per row and per segment, for ``R`` fields."""
+        K = len(self.edges)
+        return self.counts[: self.planes * self.M * R * K].reshape(self.planes, self.M, R, K)
+
+    def edge_zero_flags(self, R: int) -> np.ndarray:
+        """``(M, R, K)``: ``S(i, e_t) == 0`` for row ``i`` and edge ``e_t``, for ``R`` fields."""
+        K = len(self.edges)
+        return self.edge_zeros[: self.M * R * K].reshape(self.M, R, K)
+
+    def per_row(self, R: int, n: int, t: int, planes) -> np.ndarray:
+        """``(len(planes), n, R)`` int64 counts of grid ``n = edges[t]``, per row.
+
+        Rows ``1..n``, summed over the segments up to edge ``n``.
+        """
+        counts = self.segment_counts(R)[planes, :n]
+        rows = counts[..., 0].astype(np.int64)
+        for u in range(1, t + 1):
+            rows += counts[..., u]
+        return rows
 
 
-def _sweep_block(
-    fields: Sequence,
-    plan: _SweepPlan,
-    inspect: Callable[[int, np.ndarray], None] | None = None,
-) -> list[tuple[StatBundle, ...]]:
-    """Bundles of one block of fields; ``inspect(start, tile)`` sees each tile.
+def _sweep_block(fields: Sequence, plan: _SweepPlan) -> list[tuple[StatBundle, ...]]:
+    """Bundles of one block of fields; the per-row counts stay in ``plan``.
 
     Every size is reduced in one pass over the tiles of the largest edge
     ``M``.  From the int8 signs, each row's zeros, ones and crossings are
     counted on every column segment of ``plan`` (a crossing is filed
     under the column of its right-hand cell, so the pairs of the ``n``
     grid are those filed at columns ``< n``); size ``n`` sums the
-    segments up to ``n`` over its first ``n`` rows.  The diagonal cells
-    ``(i, i)`` are kept per row for the same end-of-block sums; each
-    size's anti-diagonal ``(i, n - i)`` is read off a reversed diagonal
-    view of the tile.
+    segments up to ``n`` over its first ``n`` rows.  An auditing plan
+    adds the product rule's two planes to the same count, filed the same
+    way, and keeps each row's zero flag at every edge.  The diagonal
+    cells ``(i, i)`` are kept per row for the same end-of-block sums;
+    each size's anti-diagonal ``(i, n - i)`` is read off a reversed
+    diagonal view of the tile.
     """
     R, M, K = len(fields), plan.M, len(plan.edges)
     b = tile_shape(M)[1]
     cells = b * R * M
     signs = plan.signs[:cells].reshape(b, R, M)
     products = plan.products[: cells - b * R].reshape(b, R, M - 1)
-    flags = plan.flags[: 3 * cells].reshape(3, b, R, M)
-    zero, one, cross = flags  # cross[k, r, j]: the pair (j - 1, j) crosses
-    cross[:, :, 0] = False  # no pair ends at column 1
-    counts = plan.counts[: 3 * M * R * K].reshape(3, M, R, K)  # per row, per segment
+    flags = plan.flags[: plan.planes * cells].reshape(plan.planes, b, R, M)
+    zero, one, cross = flags[:3]  # cross[k, r, j]: the pair (j - 1, j) crosses
+    flags[CROSSINGS:, :, :, 0] = False  # no pair ends at column 1
+    counts = plan.segment_counts(R)
     diagonal = plan.diagonal[: M * R].reshape(M, R)  # S(i, i) == 0
     anti = np.zeros((K, R), dtype=np.int64)
+    if plan.audit:
+        sum_products = plan.sum_products[: cells - b * R].reshape(b, R, M - 1)
+        crossed, touched = flags[PRODUCT_CROSSINGS:, :, :, 1:]
+        edge_zeros = plan.edge_zero_flags(R)
     for start, tile in _partial_sum_tiles(fields, M, M, plan.words, plan.scratch):
         rows = len(tile)
         sg, z = signs[:rows], zero[:rows]
@@ -265,6 +297,9 @@ def _sweep_block(
         np.equal(tile, 1, out=one[:rows])
         np.multiply(sg[:, :, :-1], sg[:, :, 1:], out=products[:rows])
         np.less_equal(products[:rows], 0, out=cross[:rows, :, 1:])
+        if plan.audit:
+            _product_crossings(tile, sum_products[:rows], crossed[:rows], touched[:rows])
+            edge_zeros[start - 1 : start - 1 + rows] = z[:, :, plan.edge_cols]
         np.add.reduceat(
             flags[:, :rows], plan.bounds, axis=3, dtype=np.uint16,
             out=counts[:, start - 1 : start - 1 + rows],
@@ -276,15 +311,11 @@ def _sweep_block(
             if above > 0:
                 corner = z[:above, :, n - start - above : n - start][:, :, ::-1]
                 anti[t] += corner.diagonal(axis1=0, axis2=2).sum(axis=1)
-        if inspect is not None:
-            inspect(start, tile)
     per_size = []
     for n, t in zip(plan.sizes, plan.rank):
-        per_row = counts[:, :n, :, 0].astype(np.int64)  # the segments up to edge n
-        for u in range(1, t + 1):
-            per_row += counts[:, :n, :, u]
+        per_row = plan.per_row(R, n, t, slice(ZEROS, CROSSINGS + 1))
         gamma, gamma_prime, crossings = per_row.sum(axis=1).tolist()
-        profiles = per_row[2].T.copy()
+        profiles = per_row[CROSSINGS].T.copy()
         delta = diagonal[1:n:2].sum(axis=0).tolist()  # (2k, 2k) with 2k <= n
         per_size.append(
             [
@@ -311,11 +342,14 @@ def sweep_grid(field: RademacherField, N: int) -> StatBundle:
     return bundle
 
 
-def brute_force_bundle(field: RademacherField, N: int) -> StatBundle:
+def brute_force_bundle(
+    field: RademacherField, N: int
+) -> tuple[StatBundle, tuple[tuple[int, int], ...]]:
     """Reference recount via a dense table of sums, pure Python arithmetic.
 
-    Quadratic memory; exists to cross-check :func:`sweep_grid` on small
-    grids, not for production sizes.
+    Returns the bundle and the zeros' ``(i, j)`` in row-major order.
+    Quadratic memory; exists to cross-check :func:`sweep_grid` and
+    :func:`zero_points` on small grids, not for production sizes.
     """
     if N < 1:
         raise ValueError(f"grid edge must be >= 1, got {N}")
@@ -341,7 +375,7 @@ def brute_force_bundle(field: RademacherField, N: int) -> StatBundle:
     coords = tuple(
         (i, j) for i in range(1, N + 1) for j in range(1, N + 1) if S[i][j] == 0
     )
-    return StatBundle(
+    bundle = StatBundle(
         N=N,
         gamma=gamma,
         gamma_prime=gamma_prime,
@@ -349,18 +383,22 @@ def brute_force_bundle(field: RademacherField, N: int) -> StatBundle:
         delta=delta,
         d_antidiag=anti,
         row_profiles=profiles,
-        zero_coordinates=coords,
     )
+    return bundle, coords
 
 
-def _product_crossings(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of adjacent products ``<= 0`` and ``== 0`` along the last axis.
+def _product_crossings(
+    rows: np.ndarray, products: np.ndarray, crosses: np.ndarray, touches: np.ndarray
+) -> None:
+    """Adjacent products of ``rows`` along the last axis, and their masks, in place.
 
-    A product ``<= 0`` is a crossing; one ``== 0`` is a crossing that
-    touches a zero (its sign is ambiguous at the boundary).
+    ``products``, ``crosses`` and ``touches`` have one column fewer than
+    ``rows``.  A product ``<= 0`` is a crossing; one ``== 0`` is a
+    crossing that touches a zero (its sign is ambiguous at the boundary).
     """
-    prod = rows[..., :-1] * rows[..., 1:]
-    return prod <= 0, prod == 0
+    np.multiply(rows[..., :-1], rows[..., 1:], out=products)
+    np.less_equal(products, 0, out=crosses)
+    np.equal(products, 0, out=touches)
 
 
 def audit_fields(
@@ -368,45 +406,45 @@ def audit_fields(
 ) -> Iterator[tuple[tuple[StatBundle, ...], bool]]:
     """Sweep each field once; yield its bundles (in the order of ``sizes``) and audit verdict.
 
-    The bundles are those of :func:`sweep_fields`.  The audit rides on the
-    same tiles: per row of each ``n x n`` grid, the count of adjacent
-    products ``S(i,j) * S(i,j+1) <= 0`` (a rule that shares no code with
-    the sweep's sign-based profiles) must equal the profile entry, and
-    the products ``== 0`` (crossings that touch a zero) must be sandwiched
+    The bundles are those of :func:`sweep_fields`.  The audit is counted
+    in the same pass, on the sweep's column segments: per row of each
+    ``n x n`` grid, the count of adjacent products ``S(i,j) * S(i,j+1) <=
+    0`` (int64 products of the sums, a rule that shares no code with the
+    sweep's sign-based profiles) must equal the profile entry, and the
+    products ``== 0`` (crossings that touch a zero) must be sandwiched
     between the row's zeros over ``[1, n-1]`` and twice its zeros over
     ``[1, n]`` (every zero makes at most two of them vanish).  The
     crossing totals must match too.  A field passes only if every one of
     its grids does.
     """
-    plan = _SweepPlan(_check_sizes(sizes))
+    plan = _SweepPlan(_check_sizes(sizes), audit=True)
     for block in _field_blocks(fields, plan.M):
         yield from _audit_block(block, plan)
+
+
+def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, ...]:
+    """Per-row audit counts of grid ``n = edges[t]`` of the block just swept, each ``(n, R)``.
+
+    Product crossings, product touches, zeros over ``[1, n-1]`` and
+    zeros over ``[1, n]``: the last from the sweep's zero segments, the
+    first zero count from it less the row's zero flag at column ``n``.
+    """
+    zeros, crossings, touched = plan.per_row(R, n, t, [ZEROS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES])
+    return crossings, touched, zeros - plan.edge_zero_flags(R)[:n, :, t], zeros
 
 
 def _audit_block(
     fields: Sequence, plan: _SweepPlan
 ) -> Iterator[tuple[tuple[StatBundle, ...], bool]]:
-    R, sizes = len(fields), plan.sizes
-    recount = [np.empty((R, n), dtype=np.int64) for n in sizes]
-    sandwiched = np.ones(R, dtype=bool)
-
-    def audit(start: int, tile: np.ndarray) -> None:
-        crosses, touches = _product_crossings(tile)
-        zeros = tile == 0
-        for s, n in enumerate(sizes):
-            rows = min(start + len(tile), n + 1) - start  # rows of the n-grid
-            if rows <= 0:
-                continue
-            recount[s][:, start - 1 : start - 1 + rows] = np.count_nonzero(
-                crosses[:rows, :, : n - 1], axis=2
-            ).T
-            touched = np.count_nonzero(touches[:rows, :, : n - 1], axis=2)
-            zeros_interior = np.count_nonzero(zeros[:rows, :, : n - 1], axis=2)
-            zeros_full = zeros_interior + zeros[:rows, :, n - 1]
-            held = (zeros_interior <= touched) & (touched <= 2 * zeros_full)
-            np.logical_and(sandwiched, held.all(axis=0), out=sandwiched)
-
-    for r, bundles in enumerate(_sweep_block(fields, plan, audit)):
+    R = len(fields)
+    swept = _sweep_block(fields, plan)
+    recount, sandwiched = [], np.ones(R, dtype=bool)
+    for n, t in zip(plan.sizes, plan.rank):
+        crossings, touched, zeros_interior, zeros_full = _audit_rows(plan, R, n, t)
+        held = (zeros_interior <= touched) & (touched <= 2 * zeros_full)
+        sandwiched &= held.all(axis=0)
+        recount.append(crossings.T)
+    for r, bundles in enumerate(swept):
         ok = bool(sandwiched[r]) and all(
             np.array_equal(counts[r], b.row_profiles)
             and int(counts[r].sum()) == b.z_crossings

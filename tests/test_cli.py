@@ -3,6 +3,8 @@ import decimal
 import hashlib
 import json
 import math
+import os
+import platform
 from fractions import Fraction
 
 import numpy as np
@@ -507,6 +509,25 @@ class TestVerifyCommand:
         assert report["passed"] is False
         named = {c["name"]: c["passed"] for c in report["checks"]}
         assert named["return-probability"] is False
+
+    def test_report_keys_and_environment(self, tmp_path, monkeypatch):
+        # one fast check stands in for the suite; the report's keys are pinned
+        from sheetwalk import checks
+
+        only = tuple(c for c in checks._CHECKS if c[0] == "hitting-floor")
+        monkeypatch.setattr(checks, "_CHECKS", only)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--workers", "3", "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert set(report) == {"level", "passed", "checks", "environment"}
+        assert (report["level"], report["passed"]) == ("quick", True)
+        assert [set(c) for c in report["checks"]] == [{"name", "passed", "seconds", "detail"}]
+        assert report["environment"] == {
+            "cpu_count": os.cpu_count(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "workers": 3,
+        }
 
     def test_quick_verify_reports_the_documented_red_checks(self, capsys):
         # four committed bounds are unattainable (see README), so a correct

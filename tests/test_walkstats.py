@@ -64,6 +64,16 @@ class AlternatingColumnsField:
         return signs
 
 
+class AlternatingRowsField:
+    """Stub: +1 on odd rows, -1 on even, so S(i,j) = j*(i mod 2): even rows vanish."""
+
+    def value(self, i, j):
+        return 1 if i % 2 else -1
+
+    def row_signs(self, i, count):
+        return np.full(count, 1 if i % 2 else -1, dtype=np.int64)
+
+
 def field(seed=1, replicate=0):
     return RademacherField(StreamKey(Seed(seed), replicate))
 
@@ -102,7 +112,7 @@ class TestSweepFrozenExamples:
         assert points.tolist() == [[1, 2], [2, 2], [3, 2]]
         assert zero_tuples(AlternatingColumnsField(), 2, 5) == ((1, 2), (1, 4), (2, 2), (2, 4))
         assert zero_points(ConstantField(), 4, 6).shape == (0, 2)
-        assert sweep_grid(AlternatingColumnsField(), 3).zero_coordinates is None
+        assert brute_force_bundle(AlternatingColumnsField(), 3)[1] == ((1, 2), (2, 2), (3, 2))
 
     def test_zero_reader_checks_both_sides(self):
         with pytest.raises(ValueError):
@@ -148,7 +158,7 @@ class TestBruteForceOracle:
     def test_matches_sweep_on_stub(self):
         for N in (1, 2, 3, 4, 7):
             a = sweep_grid(AlternatingColumnsField(), N)
-            b = brute_force_bundle(AlternatingColumnsField(), N)
+            b, zeros = brute_force_bundle(AlternatingColumnsField(), N)
             assert (a.gamma, a.gamma_prime, a.z_crossings, a.delta, a.d_antidiag) == (
                 b.gamma,
                 b.gamma_prime,
@@ -157,20 +167,20 @@ class TestBruteForceOracle:
                 b.d_antidiag,
             )
             assert a.row_profiles.tolist() == b.row_profiles.tolist()
-            assert zero_tuples(AlternatingColumnsField(), N, N) == b.zero_coordinates
+            assert zero_tuples(AlternatingColumnsField(), N, N) == zeros
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sweep_on_random_fields(self, seed):
         f = field(seed)
         a = sweep_grid(f, 17)
-        b = brute_force_bundle(f, 17)
+        b, zeros = brute_force_bundle(f, 17)
         assert a.gamma == b.gamma
         assert a.gamma_prime == b.gamma_prime
         assert a.z_crossings == b.z_crossings
         assert a.delta == b.delta
         assert a.d_antidiag == b.d_antidiag
         assert a.row_profiles.tolist() == b.row_profiles.tolist()
-        assert zero_tuples(f, 17, 17) == b.zero_coordinates
+        assert zero_tuples(f, 17, 17) == zeros
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -181,7 +191,7 @@ class TestBruteForceOracle:
 @settings(max_examples=40, deadline=None)
 def test_sweep_equals_brute_force(seed, n):
     f = field(seed)
-    a, b = sweep_grid(f, n), brute_force_bundle(f, n)
+    a, (b, _) = sweep_grid(f, n), brute_force_bundle(f, n)
     assert (a.gamma, a.z_crossings, a.delta) == (b.gamma, b.z_crossings, b.delta)
 
 
@@ -219,8 +229,8 @@ def test_tile_kernel_equals_brute_force(seed, n, stride, count, data):
         bundles = [b for (b,) in sweep_fields(fields, (n,))]
         zeros = [zero_tuples(f, n, n) for f in fields]
     oracles = [brute_force_bundle(f, n) for f in fields]
-    assert [_bundle_key(b) for b in bundles] == [_bundle_key(b) for b in oracles]
-    assert zeros == [b.zero_coordinates for b in oracles]
+    assert [_bundle_key(b) for b in bundles] == [_bundle_key(b) for b, _ in oracles]
+    assert zeros == [coords for _, coords in oracles]
 
 
 @pytest.mark.parametrize("n,cap", [(17, 3 * 17 + 1), (9, 1), (12, 2 * 144)])
@@ -283,7 +293,7 @@ def test_adjacent_edges_equal_brute_force(sizes, whole_grids, kind):
     assert len(swept) == len(fields)
     for f, bundles in zip(fields, swept):
         assert [_bundle_key(b) for b in bundles] == [
-            _bundle_key(brute_force_bundle(f, n)) for n in sizes
+            _bundle_key(brute_force_bundle(f, n)[0]) for n in sizes
         ]
 
 
@@ -327,8 +337,8 @@ def test_audit_fields_equal_the_sweep_and_the_one_field_audit(seed, sizes, count
     real = walkstats._sweep_block
     first = []
 
-    def corrupted(fields, plan, inspect=None):
-        out = real(fields, plan, inspect)
+    def corrupted(fields, plan):
+        out = real(fields, plan)
         if not first:
             first.append(out[0][plan.sizes.index(size)].row_profiles)
             first[0][row] += 1
@@ -339,6 +349,67 @@ def test_audit_fields_equal_the_sweep_and_the_one_field_audit(seed, sizes, count
     ):
         verdicts = [ok for _, ok in audit_fields(fields, sizes)]
     assert verdicts == [False] + [True] * (count - 1)
+
+
+def _dense_sums(f, n):
+    """``S(i, j)`` on ``[1, n]^2`` from the field's rows, as an ``(n, n)`` int64 array."""
+    signs = np.array([f.row_signs(i, n) for i in range(1, n + 1)], dtype=np.int64)
+    return signs.cumsum(axis=0).cumsum(axis=1)
+
+
+def _audit_oracle(sums, n):
+    """The audit's per-size rule on dense sums, one ``count_nonzero`` per quantity.
+
+    Per row of the ``n`` grid: adjacent products ``<= 0``, products ``== 0``,
+    zeros over ``[1, n-1]`` and zeros over ``[1, n]``.
+    """
+    grid = sums[:n, :n]
+    products = grid[:, :-1] * grid[:, 1:]
+    interior = np.count_nonzero(grid[:, : n - 1] == 0, axis=1)
+    return (
+        np.count_nonzero(products <= 0, axis=1),
+        np.count_nonzero(products == 0, axis=1),
+        interior,
+        interior + (grid[:, n - 1] == 0),
+    )
+
+
+@given(
+    kinds=st.lists(st.sampled_from(["real", "alternating", "constant"]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32),
+    sizes=st.one_of(
+        st.sampled_from([[1, 2], [2, 1, 3], [3, 2]]),
+        st.lists(st.one_of(st.just(1), st.integers(2, 40)), min_size=1, max_size=4, unique=True),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_segment_audit_counts_equal_the_per_size_rule(kinds, seed, sizes, data):
+    # per row of every grid, the counts read off the sweep's segments equal the
+    # per-size count_nonzero rule; unsorted sizes, adjacent edges, tile caps
+    # from one cell to three grids, real fields and both row_signs stubs
+    top = max(sizes)
+    cap = data.draw(st.integers(1, 3 * top * top), label="cap")
+    fields = [_oracle_field(kind, seed + r) for r, kind in enumerate(kinds)]
+    # per size and block: recount, touched, zeros over [1, n-1] and over [1, n]
+    seen = {n: [] for n in sizes}
+    real = walkstats._audit_rows
+
+    def recorded(plan, R, n, t):
+        counts = real(plan, R, n, t)
+        seen[n].append([c.copy() for c in counts])
+        return counts
+
+    with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
+        walkstats, "_audit_rows", recorded
+    ):
+        verdicts = [ok for _, ok in audit_fields(fields, sizes)]
+    assert verdicts == [True] * len(fields)
+    for n in sizes:
+        got = [np.concatenate(blocks, axis=1) for blocks in zip(*seen[n])]  # each (n, fields)
+        for r, f in enumerate(fields):
+            want = _audit_oracle(_dense_sums(f, top), n)
+            assert [g[:, r].tolist() for g in got] == [w.tolist() for w in want]
 
 
 class TestDecompositionAudit:
@@ -370,8 +441,10 @@ class TestDecompositionAudit:
         n = 45
         rows = np.array([col.copy() for _, col in iter_partial_rows(field(8), n)])
         rows[3, 7] = 0  # make sure some products vanish exactly
-        crosses, touches = walkstats._product_crossings(rows)
-        assert crosses.shape == touches.shape == (n, n - 1)
+        products = np.empty((n, n - 1), dtype=np.int64)
+        crosses, touches = np.empty((2, n, n - 1), dtype=bool)
+        walkstats._product_crossings(rows, products, crosses, touches)
+        assert np.array_equal(products, rows[:, :-1] * rows[:, 1:])
         for row, cross, touch in zip(rows, crosses, touches):
             times, flags = _upcrossing_times(row)
             assert np.nonzero(cross)[0].tolist() == (times - 1).tolist()
@@ -384,8 +457,8 @@ class TestDecompositionAudit:
         # in any of the nested grids, must turn the verdict red
         real = walkstats._sweep_block
 
-        def corrupted(fields, plan, inspect=None):
-            out = real(fields, plan, inspect)
+        def corrupted(fields, plan):
+            out = real(fields, plan)
             profile = out[0][plan.sizes.index(size)].row_profiles
             for row, delta in enumerate(shift, start=2):
                 profile[row] += delta
@@ -394,6 +467,31 @@ class TestDecompositionAudit:
         assert decomposition_audit(field(9), 30, (7, 12))[1]
         with mock.patch.object(walkstats, "_sweep_block", corrupted):
             assert not decomposition_audit(field(9), 30, (7, 12))[1]
+
+
+    @pytest.mark.parametrize("misbooking", ["edge-zero-inside", "zeros-unbooked"])
+    def test_misbooked_zeros_fail_the_sandwich(self, misbooking):
+        # even rows of the stub vanish, so n - 1 pairs touch a zero and both
+        # sides of the sandwich are tight; the profiles and totals stay right,
+        # so only the sandwich can turn the verdict red
+        real = walkstats._sweep_block
+
+        def misbooked(fields, plan):
+            out = real(fields, plan)
+            R = len(fields)
+            if misbooking == "edge-zero-inside":  # the zero at column n counted in [1, n-1]
+                plan.edge_zero_flags(R)[...] = False
+            else:  # no zero booked on any segment: touches exceed twice the zeros
+                plan.segment_counts(R)[walkstats.ZEROS] = 0
+            return out
+
+        stub = AlternatingRowsField()
+        bundle, ok = decomposition_audit(stub, 6, (3,))
+        assert ok and bundle.row_profiles.tolist() == [0, 5, 0, 5, 0, 5]
+        with mock.patch.object(walkstats, "_sweep_block", misbooked):
+            bundle, ok = decomposition_audit(stub, 6, (3,))
+        assert not ok
+        assert bundle.row_profiles.tolist() == [0, 5, 0, 5, 0, 5]
 
 
 class TestUpcrossingTimes:
@@ -542,7 +640,7 @@ class TestAnnulus:
         with mock.patch.object(walkstats, "TILE_CELLS", cap):
             counts = annulus_counts(f, eps, sizes)
             zeros = zero_tuples(f, rows, cols)
-        oracle = brute_force_bundle(f, M).zero_coordinates
+        _, oracle = brute_force_bundle(f, M)
         expected = []
         for n in sizes:
             lo = math.ceil(eps * n)
