@@ -369,6 +369,16 @@ SIMULATE_PINS = {
         "9922d742cca83e3d891f23694d0d490539c0c9a29f1099acd4088fabb0b0ee9a",
     ),
 }
+# the exact-table rows of the closed-form benchmark workload, byte for byte
+EXACT_ROW_PINS = {
+    ("gamma-mean", "4096"): b"N,mean,centered\n4096,9552.18129467865,2.33207551139615\n",
+    ("delta-var", "4000"): b"N,variance,centered\n4000,4.56371485171044,1.25486777452546\n",
+    ("delta-mean", "1000000"):
+        b"N,mean,centered\n1000000,5.71291763983048,0.20132635292614\n",
+    ("antidiag-mean", "1000000"):
+        b"N,mean,centered\n1000000,1.25166630310814,-0.00164783420735737\n",
+    ("hit-constant", "200"): b"n_max,estimate\n200,1\n",
+}
 RENDER_PIN = "4aab753360e18b1d4993bbdf2aaf502bc666a04644dad2009dc506a8bcd63464"
 
 
@@ -384,6 +394,12 @@ class TestBytePins:
         assert main(argv) == 0
         digests = (_sha256(tmp_path / "raw.csv"), _sha256(tmp_path / "summary.csv"))
         assert digests == SIMULATE_PINS[stat, sizes, reps]
+
+    @pytest.mark.parametrize("target,n", sorted(EXACT_ROW_PINS))
+    def test_exact_row_bytes(self, tmp_path, target, n):
+        out = tmp_path / "table.csv"
+        assert main(["exact", target, "--n", n, "--out", str(out)]) == 0
+        assert out.read_bytes() == EXACT_ROW_PINS[target, n]
 
     def test_render_bytes_at_seed_seven(self, tmp_path):
         target = tmp_path / "zeros.pgm"

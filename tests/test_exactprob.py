@@ -199,6 +199,63 @@ class TestGridMoments:
         assert ep.antidiag_mean_exact(5) == pytest.approx(expected, abs=1e-15)
 
 
+# float.hex of the exact sums, taken from the per-row evaluation; any change
+# to an element's arithmetic or to a summation order moves them
+SUM_PINS = {
+    "gamma_mean_exact": {
+        0: "0x0.0p+0",
+        1: "0x0.0p+0",
+        2: "0x1.6000000000000p+0",
+        3: "0x1.0000000000000p+1",
+        64: "0x1.ef116add1d83cp+6",
+        1024: "0x1.22c5e0b4da5b3p+11",
+        4096: "0x1.2a81734a9fddfp+13",
+    },
+    "delta_var_exact": {
+        0: "0x0.0p+0",
+        1: "0x1.e000000000000p-3",
+        2: "0x1.a808537000000p-2",
+        3: "0x1.1a9b69619fb2ep-1",
+        100: "0x1.2b0fbc30b0e80p+1",
+        2000: "0x1.08df730477842p+2",
+        4000: "0x1.2413e775176a0p+2",
+    },
+    "delta_mean_exact": {
+        0: "0x0.0p+0",
+        1: "0x1.8000000000000p-2",
+        2: "0x1.248c000000000p-1",
+        70: "0x1.e629d5a673159p+0",
+        71: "0x1.e79a1211fe3fcp+0",
+        65536: "0x1.280c229522e9bp+2",
+        65537: "0x1.280c3c1d4e956p+2",
+        1_000_000: "0x1.6da0714ef40edp+2",
+    },
+    "antidiag_mean_exact": {
+        0: "0x0.0p+0",
+        1: "0x0.0p+0",
+        2: "0x0.0p+0",
+        70: "0x1.0e2b18d87d58bp+0",
+        71: "0x1.1d31396a5ca82p+1",
+        65536: "0x1.3f3358f8b2340p+0",
+        65537: "0x1.3faee7cd2eb11p+1",
+        1_000_000: "0x1.406d33ed5acd6p+0",
+    },
+    "hit_constant_estimate": {
+        1: "0x1.0000000000000p+0",
+        2: "0x1.0000000000000p+0",
+        25: "0x1.0000000000000p+0",
+        200: "0x1.0000000000000p+0",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name,n", [(name, n) for name, pins in SUM_PINS.items() for n in pins]
+)
+def test_sum_bits_are_pinned(name, n):
+    assert getattr(ep, name)(n).hex() == SUM_PINS[name][n]
+
+
 class TestHitProbability:
     def test_frozen_example(self):
         assert _cond_hit_prob(2, 2) == 0.8
