@@ -4,7 +4,8 @@ Everything here reduces to ``p(n) = C(2n, n) / 4**n``, the chance that a
 balanced +/-1 sum of length ``2n`` returns to zero.  ``p(n)`` is a dyadic
 rational with odd numerator, so the table stores (odd numerator, binary
 exponent) pairs built by the recurrence ``p(n+1) = p(n) * (2n+1)/(2n+2)``
-and converts to correctly rounded floats by big-int division.
+and converts each to a correctly rounded float from its top 60 bits plus a
+sticky bit.
 
 Float evaluation is hybrid: exact table up to ``EXACT_CEILING``, then a
 five-term asymptotic expansion of ``1/sqrt(pi*n)``.  On the overlap window
@@ -17,10 +18,22 @@ Moment sums exploit independence of disjoint increment blocks: a partial
 sum over a rectangle extends another by a block of fresh signs, so joint
 zero probabilities factor into ``p`` values of block half-areas.  Sums with
 an odd number of signs can never vanish, hence the even-parity filters.
+
+Sums are evaluated in blocks.  Every ``p`` evaluation runs through
+:func:`_p_fill`, which works through its cells ``CHUNK_CELLS`` at a time in
+reused scratch buffers: the series in place, then the table values patched
+in wherever ``k <= EXACT_CEILING``.  The grid sums stack whole rows into
+blocks of about ``CHUNK_CELLS`` cells, but still sum each row as its own
+contiguous slice and add the row sums in row order; the diagonal and
+anti-diagonal means fill one output chunk by chunk and sum it once.  Each
+element is the same IEEE operations and each sum the same reduction over the
+same values in the same order as a per-row evaluation, so the results are
+bit-identical to it (the tests keep that evaluation as the oracle).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +43,8 @@ import numpy as np
 EXACT_CEILING = 10_000  # largest n with a tabulated exact p(n)
 VAR_SUM_CEILING = 4_000  # pairwise diagonal sums: O(N^2) p evaluations
 GAMMA_SUM_CEILING = 4_096  # full-grid mean: O(N^2) p evaluations
+# cells per evaluation chunk; each float scratch buffer takes 8 bytes a cell
+CHUNK_CELLS = 2**16
 
 #: Slope of the diagonal zero-count law: E delta_N ~ this * ln N.
 DIAG_LOG_COEFF = 1.0 / math.sqrt(2.0 * math.pi)
@@ -74,7 +89,10 @@ class ReturnProbTable:
             num //= m >> twos
             exp += 1 + twos
             pairs.append((num, exp))
-            floats[n + 1] = num / (1 << exp)  # big-int division rounds correctly
+            # num is odd, so bits dropped below the top 60 are never all zero:
+            # the OR-ed 1 is an exact sticky bit and the rounding is correct
+            shift = max(num.bit_length() - 60, 0)
+            floats[n + 1] = math.ldexp(float((num >> shift) | 1), shift - exp)
         return cls(max_index, tuple(pairs), floats)
 
     def fraction(self, n: int) -> Fraction:
@@ -103,11 +121,54 @@ def p_exact(n: int) -> Fraction:
     return _table().fraction(n)
 
 
-def _p_series(n):
-    """The asymptotic series for ``p(n)``; ``n`` is a float or a float array."""
-    inv = 1.0 / n
-    correction = 1.0 + inv * (_C1 + inv * (_C2 + inv * (_C3 + inv * (_C4 + inv * _C5))))
-    return correction / np.sqrt(np.pi * n)
+def _p_series(x: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Write the asymptotic series for ``p`` at the float arguments ``x`` into ``out``.
+
+    Runs in place: ``x`` is overwritten and ``inv`` is scratch of the same
+    shape.  The operations are those of the closed form
+    ``(1 + inv*(c1 + inv*(c2 + ...))) / sqrt(pi*x)``, in that order.
+    """
+    np.divide(1.0, x, out=inv)
+    np.multiply(inv, _C5, out=out)
+    for c in (_C4, _C3, _C2, _C1):
+        out += c
+        out *= inv
+    out += 1.0
+    x *= np.pi
+    np.sqrt(x, out=x)
+    out /= x
+    return out
+
+
+class _Scratch:
+    """Buffers one evaluation chunk reuses: series argument, ``1/x`` and table mask."""
+
+    def __init__(self, cells: int) -> None:
+        size = max(1, min(cells, CHUNK_CELLS))
+        self.x = np.empty(size)
+        self.inv = np.empty(size)
+        self.small = np.empty(size, dtype=bool)
+
+
+def _p_fill(ks: np.ndarray, out: np.ndarray, scratch: _Scratch) -> None:
+    """Write ``p(ks)`` into ``out``; both 1-D of one length, ``ks`` int64 and >= 0.
+
+    Works ``CHUNK_CELLS`` cells at a time: the series over the chunk, with
+    table cells given a finite stand-in argument, then the table values
+    patched in over them.
+    """
+    table = _table()
+    step = scratch.x.size
+    for lo in range(0, ks.size, step):
+        k = ks[lo:lo + step]
+        o = out[lo:lo + step]
+        x, inv, small = scratch.x[: k.size], scratch.inv[: k.size], scratch.small[: k.size]
+        np.copyto(x, k)
+        np.maximum(x, table.max_index + 1.0, out=x)
+        _p_series(x, o, inv)
+        np.less_equal(k, table.max_index, out=small)
+        if small.any():
+            o[small] = table.float_values[k[small]]
 
 
 def p_float(n: int) -> float:
@@ -117,30 +178,57 @@ def p_float(n: int) -> float:
     table = _table()
     if n <= table.max_index:
         return float(table.float_values[n])
-    return float(_p_series(float(n)))
+    x = np.array([float(n)])
+    return float(_p_series(x, np.empty(1), np.empty(1))[0])
 
 
 def p_float_vec(ns: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`p_float` over an int array (entries >= 0)."""
-    ns = np.asarray(ns, dtype=np.int64)
+    """Vectorized :func:`p_float` over an int array of any shape (entries >= 0)."""
+    ns = np.ascontiguousarray(ns, dtype=np.int64)
     if ns.size and ns.min() < 0:
         raise ValueError("all indices must be >= 0")
-    table = _table()
     out = np.empty(ns.shape)
-    small = ns <= table.max_index
-    out[small] = table.float_values[ns[small]]
-    big = ~small
-    if big.any():
-        out[big] = _p_series(ns[big].astype(np.float64))
+    _p_fill(ns.reshape(-1), out.reshape(-1), _Scratch(ns.size))
     return out
+
+
+def _chunked_sum(count: int, ks_between) -> float:
+    """Sum of ``p`` over ``count`` cells; ``ks_between(lo, hi)`` gives cells ``lo..hi-1``.
+
+    The values fill one ``count``-long array chunk by chunk, so only the
+    output is ever ``count`` long, and it is summed once.
+    """
+    out = np.empty(count)
+    scratch = _Scratch(count)
+    for lo in range(0, count, CHUNK_CELLS):
+        hi = min(lo + CHUNK_CELLS, count)
+        _p_fill(ks_between(lo, hi), out[lo:hi], scratch)
+    return float(out.sum())
+
+
+def _row_blocks(rows: int, width: int) -> int:
+    """Rows of ``width`` cells that one block of about ``CHUNK_CELLS`` cells holds."""
+    return max(1, min(rows, CHUNK_CELLS // max(width, 1)))
+
+
+def _add_in_order(values: np.ndarray) -> float:
+    """Left-to-right float sum, the order of a running ``total += value`` loop."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
 
 
 def delta_mean_exact(N: int) -> float:
     """``E[# of i <= N with zero diagonal sum at (2i,2i)]``."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    i = np.arange(1, N + 1, dtype=np.int64)
-    return float(p_float_vec(2 * i * i).sum())
+
+    def ks_between(lo, hi):
+        i = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        return 2 * i * i
+
+    return _chunked_sum(N, ks_between)
 
 
 def delta_var_exact(N: int) -> float:
@@ -149,6 +237,9 @@ def delta_var_exact(N: int) -> float:
     For ``i < j`` both diagonal sums vanish with probability
     ``p(2 i^2) * p(2 (j^2 - i^2))``: the square block behind ``(2i,2i)``
     and the L-shaped extension out to ``(2j,2j)`` hold disjoint signs.
+    Row ``i`` sums ``p(2 (j^2 - i^2))`` over ``j > i``; a block of rows
+    ``a..a+b-1`` is evaluated over the columns ``a+1..N``, and the cells
+    with ``j <= i`` in it are evaluated at ``p(0)`` and never read.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
@@ -157,10 +248,24 @@ def delta_var_exact(N: int) -> float:
     i = np.arange(1, N + 1, dtype=np.int64)
     singles = p_float_vec(2 * i * i)
     mean = float(singles.sum())
-    cross = 0.0
-    for a in range(1, N):
-        js = np.arange(a + 1, N + 1, dtype=np.int64)
-        cross += float(singles[a - 1] * p_float_vec(2 * (js * js - a * a)).sum())
+    squares = i * i
+    row_sums = np.empty(max(N - 1, 0))
+    cells = max(min(CHUNK_CELLS, N * N), N)
+    ks, values, scratch = np.empty(cells, dtype=np.int64), np.empty(cells), _Scratch(cells)
+    a = 1
+    while a < N:
+        width = N - a  # columns j = a+1..N
+        b = _row_blocks(width, width)  # rows a..a+b-1; b <= width
+        kb = ks[: b * width].reshape(b, width)
+        np.subtract(squares[a:], squares[a - 1 : a - 1 + b, None], out=kb)
+        kb *= 2
+        np.maximum(kb[:, :b], 0, out=kb[:, :b])  # the unread j <= i corner
+        _p_fill(ks[: b * width], values[: b * width], scratch)
+        vb = values[: b * width].reshape(b, width)
+        for r in range(b):
+            row_sums[a - 1 + r] = vb[r, r:].sum()
+        a += b
+    cross = _add_in_order(singles[: N - 1] * row_sums)
     return mean + 2.0 * cross - mean * mean
 
 
@@ -168,29 +273,48 @@ def gamma_mean_exact(N: int) -> float:
     """``E[# of interior zeros of the rectangle-sum array on [1,N]^2]``.
 
     A cell ``(i,j)`` can only vanish when ``i*j`` is even, contributing
-    ``p(i*j/2)``.
+    ``p(i*j/2)``: ``p((i/2) * j)`` for ``j = 1..N`` on even rows and
+    ``p(i * h)`` for ``h = 1..N/2`` (``j = 2h``) on odd rows.  Rows of one
+    parity share a width, so they are evaluated in stacked blocks.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N > GAMMA_SUM_CEILING:
         raise CapacityError(f"full-grid sum capped at N={GAMMA_SUM_CEILING}, got {N}")
-    total = 0.0
-    for i in range(1, N + 1):
-        js = np.arange(1, N + 1, dtype=np.int64) if i % 2 == 0 else np.arange(
-            2, N + 1, 2, dtype=np.int64
-        )
-        total += float(p_float_vec(i * js // 2).sum())
-    return total
+    row_sums = np.empty(N)
+    for first, width in ((1, N // 2), (2, N)):
+        rows = np.arange(first, N + 1, 2, dtype=np.int64)
+        factors = rows if first == 1 else rows // 2
+        cols = np.arange(1, width + 1, dtype=np.int64)
+        b_max = _row_blocks(rows.size, width)
+        cells = b_max * width
+        ks, values, scratch = np.empty(cells, dtype=np.int64), np.empty(cells), _Scratch(cells)
+        for r0 in range(0, rows.size, b_max):
+            b = min(b_max, rows.size - r0)
+            np.multiply(factors[r0 : r0 + b, None], cols, out=ks[: b * width].reshape(b, width))
+            _p_fill(ks[: b * width], values[: b * width], scratch)
+            vb = values[: b * width].reshape(b, width)
+            for r in range(b):
+                row_sums[rows[r0 + r] - 1] = vb[r].sum()
+    return _add_in_order(row_sums)
 
 
 def antidiag_mean_exact(N: int) -> float:
-    """``E[# of zeros along the anti-diagonal i + j = N, 1 <= i <= N-1]``."""
+    """``E[# of zeros along the anti-diagonal i + j = N, 1 <= i <= N-1]``.
+
+    The area ``i * (N - i)`` is even for every ``i`` when ``N`` is odd, and
+    for even ``i = 2t`` only when ``N`` is even, giving ``p(t * (N - 2t))``.
+    """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    i = np.arange(1, N, dtype=np.int64)
-    area = i * (N - i)
-    even = area % 2 == 0
-    return float(p_float_vec(area[even] // 2).sum())
+
+    def ks_between(lo, hi):
+        i = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        if N % 2:
+            return i * (N - i) // 2
+        return i * (N - 2 * i)
+
+    return _chunked_sum(N - 1 if N % 2 else max(N // 2 - 1, 0), ks_between)
 
 
 def hit_constant_estimate(n_max: int) -> float:
@@ -204,11 +328,15 @@ def hit_constant_estimate(n_max: int) -> float:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     best = math.inf
     for n in range(1, n_max + 1):
-        row = [math.comb(2 * n, k) for k in range(n + 1, 2 * n + 1)]
-        tail = 0
-        scale = math.sqrt(n)
-        # walk x = 2n down to 2 so the tail is a running suffix sum
-        for at in reversed(row):
-            tail += at
-            best = min(best, scale * at / tail)
+        # C(2n, k) for k = 2n down to n+1 (x = 2n down to 2), by the
+        # recurrence C(2n, k-1) = C(2n, k) * k / (2n - k + 1)
+        at = [1]
+        for k in range(2 * n, n + 1, -1):
+            at.append(at[-1] * k // (2 * n - k + 1))
+        tail = list(itertools.accumulate(at))  # the running suffix sums
+        # Python's float * int and float / int round the int to a float first
+        ratios = math.sqrt(n) * np.array([float(v) for v in at]) / np.array(
+            [float(v) for v in tail]
+        )
+        best = min(best, float(ratios.min()))
     return best

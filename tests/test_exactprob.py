@@ -21,6 +21,75 @@ def _cond_hit_prob(n, x):
     return at / tail
 
 
+def _gamma_mean_oracle(N):
+    """Oracle: the per-row grid sum, one ``p_float_vec`` call per row."""
+    total = 0.0
+    for i in range(1, N + 1):
+        js = np.arange(1, N + 1, dtype=np.int64) if i % 2 == 0 else np.arange(
+            2, N + 1, 2, dtype=np.int64
+        )
+        total += float(ep.p_float_vec(i * js // 2).sum())
+    return total
+
+
+def _delta_var_oracle(N):
+    """Oracle: the per-row pairwise diagonal sum, one ``p_float_vec`` call per row."""
+    i = np.arange(1, N + 1, dtype=np.int64)
+    singles = ep.p_float_vec(2 * i * i)
+    mean = float(singles.sum())
+    cross = 0.0
+    for a in range(1, N):
+        js = np.arange(a + 1, N + 1, dtype=np.int64)
+        cross += float(singles[a - 1] * ep.p_float_vec(2 * (js * js - a * a)).sum())
+    return mean + 2.0 * cross - mean * mean
+
+
+def _delta_mean_oracle(N):
+    i = np.arange(1, N + 1, dtype=np.int64)
+    return float(ep.p_float_vec(2 * i * i).sum())
+
+
+def _antidiag_mean_oracle(N):
+    i = np.arange(1, N, dtype=np.int64)
+    area = i * (N - i)
+    return float(ep.p_float_vec(area[area % 2 == 0] // 2).sum())
+
+
+_ORACLES = {
+    "gamma_mean_exact": _gamma_mean_oracle,
+    "delta_var_exact": _delta_var_oracle,
+    "delta_mean_exact": _delta_mean_oracle,
+    "antidiag_mean_exact": _antidiag_mean_oracle,
+}
+
+
+@given(
+    name=st.sampled_from(sorted(_ORACLES)),
+    N=st.integers(min_value=0, max_value=300),
+    chunk=st.integers(min_value=1, max_value=48),
+)
+@settings(max_examples=50, deadline=None)
+def test_block_sums_are_bit_identical_to_the_per_row_oracles(name, N, chunk):
+    # a chunk of a handful of cells splits rows across chunks and puts the
+    # table/series seam inside chunks; every sum must keep its bits
+    want = _ORACLES[name](N)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ep, "CHUNK_CELLS", chunk)
+        got = getattr(ep, name)(N)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("chunk", [ep.CHUNK_CELLS, 1000])
+@pytest.mark.parametrize(
+    "name,N",
+    [("gamma_mean_exact", ep.GAMMA_SUM_CEILING), ("delta_var_exact", ep.VAR_SUM_CEILING)],
+)
+def test_block_sums_at_the_ceilings_match_the_oracles(monkeypatch, name, N, chunk):
+    want = _ORACLES[name](N)
+    monkeypatch.setattr(ep, "CHUNK_CELLS", chunk)  # 1000: one row spans chunks
+    assert getattr(ep, name)(N).hex() == want.hex()
+
+
 class TestReturnProbExact:
     def test_first_values(self):
         expected = [
@@ -35,6 +104,13 @@ class TestReturnProbExact:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 333, 1000])
     def test_matches_central_binomial_closed_form(self, n):
         assert ep.p_exact(n) == Fraction(math.comb(2 * n, n), 4**n)
+
+    def test_table_floats_are_the_rounded_quotients(self):
+        table = ep._table()
+        quotients = [num / (1 << exp) for num, exp in table.exact_values]
+        assert [v.hex() for v in table.float_values.tolist()] == [
+            q.hex() for q in quotients
+        ]
 
     def test_numerators_are_odd(self):
         table = ep._table()
@@ -61,9 +137,11 @@ class TestReturnProbFloat:
 
     def test_series_branch_agrees_on_overlap_window(self):
         # table vs pure series where both are trustworthy
-        for n in range(9000, 10001, 37):
-            exact = ep.p_float(n)
-            assert abs(ep._p_series(float(n)) - exact) <= 1e-12 * exact
+        ns = np.arange(9000, 10001, 37)
+        x = ns.astype(np.float64)
+        series = ep._p_series(x, np.empty_like(x), np.empty_like(x))
+        exact = np.array([ep.p_float(int(n)) for n in ns])
+        assert np.all(np.abs(series - exact) <= 1e-12 * exact)
 
     def test_monotone_across_the_table_series_seam(self):
         values = [ep.p_float(n) for n in range(9995, 10006)]
@@ -78,6 +156,27 @@ class TestReturnProbFloat:
         ns = np.array([0, 1, 5, 10_000, 10_001, 123_456])
         vec = ep.p_float_vec(ns)
         assert vec.tolist() == [ep.p_float(int(n)) for n in ns]
+
+    @pytest.mark.parametrize("chunk", [ep.CHUNK_CELLS, 3])
+    def test_vector_of_unsorted_mixed_input_matches_scalar(self, monkeypatch, chunk):
+        # table and series entries interleave, so chunks mix both branches
+        ns = np.array([123_456, 0, 10_001, 7, 10_000, 9_999, 10**7, 1, 10_002, 64])
+        monkeypatch.setattr(ep, "CHUNK_CELLS", chunk)
+        want = [ep.p_float(int(n)) for n in ns]
+        assert ep.p_float_vec(ns).tolist() == want
+        assert ep.p_float_vec(ns[::-2]).tolist() == want[::-2]  # strided view
+
+    def test_vector_keeps_a_two_dimensional_shape(self, monkeypatch):
+        ns = np.array([[0, 10_001, 5], [20_000, 3, 10_000]])
+        monkeypatch.setattr(ep, "CHUNK_CELLS", 4)  # a chunk crosses the row break
+        vals = ep.p_float_vec(ns)
+        assert vals.shape == (2, 3)
+        assert vals.tolist() == [[ep.p_float(int(n)) for n in row] for row in ns]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_vector_of_empty_input(self, shape):
+        vals = ep.p_float_vec(np.zeros(shape, dtype=np.int64))
+        assert vals.shape == shape and vals.dtype == np.float64
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
