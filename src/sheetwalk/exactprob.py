@@ -245,10 +245,9 @@ def delta_var_exact(N: int) -> float:
         raise ValueError(f"N must be >= 0, got {N}")
     if N > VAR_SUM_CEILING:
         raise CapacityError(f"pairwise sum capped at N={VAR_SUM_CEILING}, got {N}")
-    i = np.arange(1, N + 1, dtype=np.int64)
-    singles = p_float_vec(2 * i * i)
+    squares = np.arange(1, N + 1, dtype=np.int64) ** 2
+    singles = p_float_vec(2 * squares)
     mean = float(singles.sum())
-    squares = i * i
     row_sums = np.empty(max(N - 1, 0))
     cells = max(min(CHUNK_CELLS, N * N), N)
     ks, values, scratch = np.empty(cells, dtype=np.int64), np.empty(cells), _Scratch(cells)
