@@ -7,12 +7,16 @@ every float reduced from them, since aggregation happens in replicate
 order after the pool returns — is byte-identical for any worker count.
 A worker sweeps each of its replicates of a grid statistic once, at the
 largest edge, and reads every smaller size as a prefix of that sweep (see
-:func:`~sheetwalk.walkstats.sweep_fields`); the zero-set statistics read
-each replicate's zeros once, for all sizes.  Raw per-replicate values are
-retained, not just summaries.  :func:`assemble_result` is the one place
-worker output becomes an :class:`ExperimentResult`; a caller that runs its
-own task on the same partition (the acceptance checks, which also audit
-each grid in the pass) builds its result there too.
+:func:`~sheetwalk.walkstats.sweep_fields`); the sweep computes only the one
+counter the statistic reads.  The diagonal fast path draws each
+replicate's increments once, for the largest size, and counts every size
+on a prefix of them (:func:`~sheetwalk.walkstats.diag_zero_counts`); the
+zero-set statistics read each replicate's zeros once, for all sizes.  Raw
+per-replicate values are retained, not just summaries.
+:func:`assemble_result` is the one place worker output becomes an
+:class:`ExperimentResult`; a caller that runs its own task on the same
+partition (the acceptance checks, which also audit each grid in the pass)
+builds its result there too.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .exactprob import DIAG_LOG_COEFF, delta_mean_exact
 from .randfield import RademacherField, Seed, StreamKey
-from .walkstats import annulus_counts, diag_zero_count, sweep_fields, twin_zero_counts
+from .walkstats import annulus_counts, diag_zero_counts, sweep_fields, twin_zero_counts
 
 
 class Statistic(enum.Enum):
@@ -121,9 +125,10 @@ def _worker_chunk(args: tuple[ExperimentConfig, int, int]) -> list[tuple[int, in
     fields = (RademacherField(StreamKey(config.seed, r)) for r in mine)
     # per replicate, one value per size in the order of sizes
     if stat is Statistic.DELTA_FASTPATH:  # drawn, not read from a grid
-        values = ([diag_zero_count(StreamKey(config.seed, r), n) for n in sizes] for r in mine)
-    elif stat in _BUNDLE_FIELDS:
-        values = ([getattr(b, stat.value) for b in bs] for bs in sweep_fields(fields, sizes))
+        values = (diag_zero_counts(StreamKey(config.seed, r), sizes) for r in mine)
+    elif stat in _BUNDLE_FIELDS:  # only the counter read is swept
+        swept = sweep_fields(fields, sizes, (stat.value,))
+        values = ([getattr(b, stat.value) for b in bs] for bs in swept)
     elif stat is Statistic.TWIN_ZEROS:
         values = (twin_zero_counts(f, config.eps, sizes, config.radius) for f in fields)
     else:

@@ -11,12 +11,16 @@ are allocated once per call and filled in place, so no tile allocates.
 
 The field is prefix-consistent: the ``n x n`` grid is the top-left corner
 of any larger one, so each replicate is read once, at the largest edge
-asked for, for every size.  The sweep (:func:`sweep_fields`) counts from
-int8 signs, per row, the zeros, the ones and the crossings on each column
-segment between the sorted sizes.  The crossing audit
-(:func:`audit_fields`) is counted in that same pass, on the same
-segments; its rule is on int64 adjacent products of the sums:
-``S(i,j) * S(i,j+1) <= 0`` crosses, and ``== 0`` touches a zero.
+asked for, for every size.  The sweep (:func:`sweep_fields`) counts, per
+row, on each column segment between the sorted sizes, only the flag
+planes that the counters its caller reads need: the zeros (``S == 0``)
+for ``gamma``, the ones for ``gamma_prime``, and the crossings, from int8
+signs, for ``z_crossings``; ``delta`` and ``d_antidiag`` read the
+diagonal and anti-diagonal cells of the sums and no plane at all.  The
+crossing audit (:func:`audit_fields`) is counted in that same pass, on
+the same segments, and always adds the planes it reads; its rule is on
+int64 adjacent products of the sums: ``S(i,j) * S(i,j+1) <= 0`` crosses,
+and ``== 0`` touches a zero.
 :func:`zero_points` is the one zero-set reader: the annulus and twin-zero
 counts, and the oracle check, read the zeros from it.
 
@@ -28,7 +32,7 @@ sweep's own crossing test multiplies int8 signs, never the sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -46,20 +50,26 @@ TILE_CELLS = 2**16  # cells per tile; sets both the grids and the rows per tile
 
 @dataclass(frozen=True, eq=False)
 class StatBundle:
-    """All counters from one sweep of an ``N x N`` grid.
+    """The counters from one sweep of an ``N x N`` grid.
 
-    ``row_profiles[i-1]`` is the number of horizontal sign changes
-    (weak: zero counts) in row ``i``; summing it recovers
-    ``z_crossings`` exactly.  The zero set is read by :func:`zero_points`.
+    A counter the sweep was not asked for is ``None``; ``row_profiles``
+    comes with ``z_crossings``.  ``row_profiles[i-1]`` is the number of
+    horizontal sign changes (weak: zero counts) in row ``i``; summing it
+    recovers ``z_crossings`` exactly.  The zero set is read by
+    :func:`zero_points`.
     """
 
     N: int
-    gamma: int  # cells with S = 0
-    gamma_prime: int  # cells with S = 1
-    z_crossings: int  # horizontal pairs with S(i,j) * S(i,j+1) <= 0
-    delta: int  # even diagonal cells (2i,2i) with S = 0
-    d_antidiag: int  # anti-diagonal cells (i, N-i) with S = 0
-    row_profiles: np.ndarray
+    gamma: int | None  # cells with S = 0
+    gamma_prime: int | None  # cells with S = 1
+    z_crossings: int | None  # horizontal pairs with S(i,j) * S(i,j+1) <= 0
+    delta: int | None  # even diagonal cells (2i,2i) with S = 0
+    d_antidiag: int | None  # anti-diagonal cells (i, N-i) with S = 0
+    row_profiles: np.ndarray | None
+
+
+#: The counters of a :class:`StatBundle`, in field order.
+COUNTERS = ("gamma", "gamma_prime", "z_crossings", "delta", "d_antidiag")
 
 
 def tile_shape(rows: int, cols: int | None = None) -> tuple[int, int]:
@@ -170,17 +180,21 @@ def iter_partial_rows(field: RademacherField, N: int) -> Iterator[tuple[int, np.
             yield start + k, col
 
 
-def sweep_fields(fields: Iterable, sizes: Sequence[int]) -> Iterator[tuple[StatBundle, ...]]:
+def sweep_fields(
+    fields: Iterable, sizes: Sequence[int], counters: Iterable[str] = COUNTERS
+) -> Iterator[tuple[StatBundle, ...]]:
     """Sweep each field once; yield a tuple of its bundles, one per size as given.
 
     Every ``n x n`` grid is the top-left corner of the ``M x M`` grid,
     ``M = max(sizes)``, so one sweep at ``M`` serves all sizes: size
     ``n`` is read from rows ``<= n`` and columns ``<= n`` of the same
-    tiles.  Fields are drawn from ``fields`` (which may be lazy) in blocks
-    of ``tile_shape(M)[0]``, so the memory held at any time is one block's
+    tiles.  Only the ``counters`` asked for (names from :data:`COUNTERS`)
+    are computed; the others are ``None`` in every bundle.  Fields are
+    drawn from ``fields`` (which may be lazy) in blocks of
+    ``tile_shape(M)[0]``, so the memory held at any time is one block's
     fields, the tile buffers and the counters.
     """
-    plan = _SweepPlan(_check_sizes(sizes))
+    plan = _SweepPlan(_check_sizes(sizes), _check_counters(counters))
     for block in _field_blocks(fields, plan.M):
         yield from _sweep_block(block, plan)
 
@@ -194,6 +208,15 @@ def _check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
+def _check_counters(counters: Iterable[str]) -> frozenset[str]:
+    counters = frozenset(counters)
+    if not counters:
+        raise ValueError("need at least one counter")
+    if unknown := counters - set(COUNTERS):
+        raise ValueError(f"unknown counters {sorted(unknown)}; choose from {COUNTERS}")
+    return counters
+
+
 def _field_blocks(fields: Iterable, N: int) -> Iterator[list]:
     """Draw ``fields`` (possibly lazy) in blocks of ``tile_shape(N)[0]``."""
     fields = iter(fields)
@@ -202,6 +225,7 @@ def _field_blocks(fields: Iterable, N: int) -> Iterator[list]:
 
 
 ZEROS, ONES, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES = range(5)  # flag planes
+_PLANE_OF = {"gamma": ZEROS, "gamma_prime": ONES, "z_crossings": CROSSINGS}
 
 
 class _SweepPlan:
@@ -209,29 +233,43 @@ class _SweepPlan:
 
     The sorted edges cut each row of the ``M x M`` grid into column
     segments ``[e_{t-1}, e_t)``.  Each row is counted per segment on the
-    flag planes zeros, ones and crossings, plus, when ``audit`` is set,
-    the audit's product crossings and product touches.  The buffers are
-    flat and sized for a full block, so a smaller last block uses a
-    prefix of each and no tile allocates.
+    flag planes that ``counters`` read: zeros for ``gamma``, ones for
+    ``gamma_prime`` and crossings for ``z_crossings``.  An auditing plan
+    always adds the zeros and the crossings, the audit's product
+    crossings and product touches, and each row's zero flag at every
+    edge.  ``planes`` lists the planes filled, in plane order, and
+    ``slot[p]`` is plane ``p``'s place in the flag and count buffers.
+    The buffers are flat and sized for a full block, so a smaller last
+    block uses a prefix of each and no tile allocates; a buffer no
+    counter reads is not allocated.
     """
 
-    def __init__(self, sizes: tuple[int, ...], audit: bool = False) -> None:
+    def __init__(
+        self, sizes: tuple[int, ...], counters: frozenset[str], audit: bool = False
+    ) -> None:
         self.sizes = sizes
+        self.counters = counters
         self.M = M = max(sizes)
         self.edges = edges = sorted(set(sizes))
         self.rank = [edges.index(n) for n in sizes]  # sizes[s] == edges[rank[s]]
         self.bounds = np.array([0, *edges[:-1]])
         self.audit = audit
-        self.planes = 5 if audit else 3
+        read = {_PLANE_OF[c] for c in counters if c in _PLANE_OF}
+        if audit:
+            read |= {ZEROS, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES}
+        self.planes = sorted(read)
+        self.slot = {p: k for k, p in enumerate(self.planes)}
         grids, rows = tile_shape(M)
         cells = grids * rows * M
         self.words, self.scratch = _tile_buffers(M, M, grids)
-        self.signs = np.empty(cells, dtype=np.int8)
-        self.products = np.empty(cells, dtype=np.int8)
-        self.flags = np.empty(self.planes * cells, dtype=bool)
+        self.flags = np.empty(len(self.planes) * cells, dtype=bool)
         # a row has at most SWEEP_CEILING = 2**15 cells, so its counts fit uint16
-        self.counts = np.empty(self.planes * M * grids * len(edges), dtype=np.uint16)
-        self.diagonal = np.empty(M * grids, dtype=bool)
+        self.counts = np.empty(len(self.planes) * M * grids * len(edges), dtype=np.uint16)
+        if CROSSINGS in read:  # the crossing test multiplies int8 signs
+            self.signs = np.empty(cells, dtype=np.int8)
+            self.products = np.empty(cells, dtype=np.int8)
+        if "delta" in counters:
+            self.diagonal = np.empty(M * grids, dtype=bool)
         if audit:
             self.sum_products = np.empty(cells, dtype=np.int64)
             self.edge_cols = np.array(edges) - 1
@@ -240,7 +278,7 @@ class _SweepPlan:
     def segment_counts(self, R: int) -> np.ndarray:
         """``(planes, M, R, K)``: each plane's count per row and per segment, for ``R`` fields."""
         K = len(self.edges)
-        return self.counts[: self.planes * self.M * R * K].reshape(self.planes, self.M, R, K)
+        return self.counts[: len(self.planes) * self.M * R * K].reshape(-1, self.M, R, K)
 
     def edge_zero_flags(self, R: int) -> np.ndarray:
         """``(M, R, K)``: ``S(i, e_t) == 0`` for row ``i`` and edge ``e_t``, for ``R`` fields."""
@@ -252,7 +290,7 @@ class _SweepPlan:
 
         Rows ``1..n``, summed over the segments up to edge ``n``.
         """
-        counts = self.segment_counts(R)[planes, :n]
+        counts = self.segment_counts(R)[[self.slot[p] for p in planes], :n]
         rows = counts[..., 0].astype(np.int64)
         for u in range(1, t + 1):
             rows += counts[..., u]
@@ -263,74 +301,88 @@ def _sweep_block(fields: Sequence, plan: _SweepPlan) -> list[tuple[StatBundle, .
     """Bundles of one block of fields; the per-row counts stay in ``plan``.
 
     Every size is reduced in one pass over the tiles of the largest edge
-    ``M``.  From the int8 signs, each row's zeros, ones and crossings are
-    counted on every column segment of ``plan`` (a crossing is filed
-    under the column of its right-hand cell, so the pairs of the ``n``
-    grid are those filed at columns ``< n``); size ``n`` sums the
-    segments up to ``n`` over its first ``n`` rows.  An auditing plan
-    adds the product rule's two planes to the same count, filed the same
-    way, and keeps each row's zero flag at every edge.  The diagonal
-    cells ``(i, i)`` are kept per row for the same end-of-block sums;
-    each size's anti-diagonal ``(i, n - i)`` is read off a reversed
-    diagonal view of the tile.
+    ``M``, and each tile fills only the planes of ``plan``.  Zeros come
+    from the int8 signs when the crossing plane has made them, else
+    straight from the sums; each row's counts are taken on every column
+    segment of ``plan`` by one ``reduceat`` over the planes (a crossing
+    is filed under the column of its right-hand cell, so the pairs of
+    the ``n`` grid are those filed at columns ``< n``); size ``n`` sums
+    the segments up to ``n`` over its first ``n`` rows.  An auditing
+    plan adds the product rule's two planes to the same count, filed the
+    same way, and keeps each row's zero flag at every edge.  For
+    ``delta``, the diagonal cells ``(i, i)`` are flagged per row for the
+    same end-of-block sums; for ``d_antidiag``, each size's anti-diagonal
+    ``(i, n - i)`` is read off a reversed diagonal view of the tile.
     """
-    R, M, K = len(fields), plan.M, len(plan.edges)
+    R, M, slot = len(fields), plan.M, plan.slot
     b = tile_shape(M)[1]
     cells = b * R * M
-    signs = plan.signs[:cells].reshape(b, R, M)
-    products = plan.products[: cells - b * R].reshape(b, R, M - 1)
-    flags = plan.flags[: plan.planes * cells].reshape(plan.planes, b, R, M)
-    zero, one, cross = flags[:3]  # cross[k, r, j]: the pair (j - 1, j) crosses
-    flags[CROSSINGS:, :, :, 0] = False  # no pair ends at column 1
+    flags = plan.flags[: len(plan.planes) * cells].reshape(-1, b, R, M)
     counts = plan.segment_counts(R)
-    diagonal = plan.diagonal[: M * R].reshape(M, R)  # S(i, i) == 0
-    anti = np.zeros((K, R), dtype=np.int64)
+    zero = flags[slot[ZEROS]] if ZEROS in slot else None
+    crossing = CROSSINGS in slot
+    if crossing:
+        signs = plan.signs[:cells].reshape(b, R, M)
+        products = plan.products[: cells - b * R].reshape(b, R, M - 1)
+        flags[slot[CROSSINGS] :, :, :, 0] = False  # no pair ends at column 1
+        cross = flags[slot[CROSSINGS], :, :, 1:]  # cross[k, r, j - 1]: the pair (j - 1, j) crosses
+    delta = "delta" in plan.counters
+    if delta:
+        diagonal = plan.diagonal[: M * R].reshape(M, R)  # S(i, i) == 0
+    antidiagonal = "d_antidiag" in plan.counters
+    if antidiagonal:
+        anti = np.zeros((len(plan.edges), R), dtype=np.int64)
     if plan.audit:
         sum_products = plan.sum_products[: cells - b * R].reshape(b, R, M - 1)
-        crossed, touched = flags[PRODUCT_CROSSINGS:, :, :, 1:]
+        crossed, touched = flags[slot[PRODUCT_CROSSINGS] :, :, :, 1:]
         edge_zeros = plan.edge_zero_flags(R)
     for start, tile in _partial_sum_tiles(fields, M, M, plan.words, plan.scratch):
         rows = len(tile)
-        sg, z = signs[:rows], zero[:rows]
-        np.sign(tile, out=sg, casting="unsafe")  # -1, 0, 1: exact in int8
-        np.equal(sg, 0, out=z)
-        np.equal(tile, 1, out=one[:rows])
-        np.multiply(sg[:, :, :-1], sg[:, :, 1:], out=products[:rows])
-        np.less_equal(products[:rows], 0, out=cross[:rows, :, 1:])
+        here = slice(start - 1, start - 1 + rows)
+        if crossing:
+            sg = signs[:rows]
+            np.sign(tile, out=sg, casting="unsafe")  # -1, 0, 1: exact in int8
+            if zero is not None:
+                np.equal(sg, 0, out=zero[:rows])
+            np.multiply(sg[:, :, :-1], sg[:, :, 1:], out=products[:rows])
+            np.less_equal(products[:rows], 0, out=cross[:rows])
+        elif zero is not None:
+            np.equal(tile, 0, out=zero[:rows])
+        if ONES in slot:
+            np.equal(tile, 1, out=flags[slot[ONES], :rows])
         if plan.audit:
             _product_crossings(tile, sum_products[:rows], crossed[:rows], touched[:rows])
-            edge_zeros[start - 1 : start - 1 + rows] = z[:, :, plan.edge_cols]
-        np.add.reduceat(
-            flags[:, :rows], plan.bounds, axis=3, dtype=np.uint16,
-            out=counts[:, start - 1 : start - 1 + rows],
-        )
-        square = z[:, :, start - 1 : start - 1 + rows]  # columns of this tile's rows
-        diagonal[start - 1 : start - 1 + rows].T[...] = square.diagonal(axis1=0, axis2=2)
-        for t, n in enumerate(plan.edges):
-            above = min(start + rows, n) - start  # rows i < n here, each with (i, n - i)
-            if above > 0:
-                corner = z[:above, :, n - start - above : n - start][:, :, ::-1]
-                anti[t] += corner.diagonal(axis1=0, axis2=2).sum(axis=1)
+            edge_zeros[here] = zero[:rows, :, plan.edge_cols]
+        if plan.planes:
+            np.add.reduceat(
+                flags[:, :rows], plan.bounds, axis=3, dtype=np.uint16, out=counts[:, here]
+            )
+        if delta:  # columns of this tile's rows
+            np.equal(tile[:, :, here].diagonal(axis1=0, axis2=2), 0, out=diagonal[here].T)
+        if antidiagonal:
+            for t, n in enumerate(plan.edges):
+                above = min(start + rows, n) - start  # rows i < n here, each with (i, n - i)
+                if above > 0:
+                    corner = tile[:above, :, n - start - above : n - start][:, :, ::-1]
+                    anti[t] += np.count_nonzero(corner.diagonal(axis1=0, axis2=2) == 0, axis=1)
+    read = [c for c in COUNTERS if c in _PLANE_OF and c in plan.counters]  # off the planes
+    unread = [None] * R
     per_size = []
     for n, t in zip(plan.sizes, plan.rank):
-        per_row = plan.per_row(R, n, t, slice(ZEROS, CROSSINGS + 1))
-        gamma, gamma_prime, crossings = per_row.sum(axis=1).tolist()
-        profiles = per_row[CROSSINGS].T.copy()
-        delta = diagonal[1:n:2].sum(axis=0).tolist()  # (2k, 2k) with 2k <= n
+        values = dict.fromkeys(COUNTERS, unread)
+        per_row = plan.per_row(R, n, t, [_PLANE_OF[c] for c in read])
+        values.update(zip(read, per_row.sum(axis=1).tolist()))
+        profiles = unread
+        if "z_crossings" in read:
+            profiles = per_row[read.index("z_crossings")].T.copy()
+        if delta:
+            values["delta"] = diagonal[1:n:2].sum(axis=0).tolist()  # (2k, 2k) with 2k <= n
+        if antidiagonal:
+            values["d_antidiag"] = anti[t].tolist()
         per_size.append(
             [
-                StatBundle(
-                    N=n,
-                    gamma=g,
-                    gamma_prime=g1,
-                    z_crossings=c,
-                    delta=d,
-                    d_antidiag=a,
-                    row_profiles=profile,
-                )
-                for g, g1, c, d, a, profile in zip(
-                    gamma, gamma_prime, crossings, delta, anti[t].tolist(), profiles
-                )
+                StatBundle(n, *row, profile)
+                for *row, profile in zip(*(values[c] for c in COUNTERS), profiles)
             ]
         )
     return list(zip(*per_size))
@@ -402,24 +454,29 @@ def _product_crossings(
 
 
 def audit_fields(
-    fields: Iterable, sizes: Sequence[int]
+    fields: Iterable, sizes: Sequence[int], counters: Iterable[str] = COUNTERS
 ) -> Iterator[tuple[tuple[StatBundle, ...], bool]]:
     """Sweep each field once; yield its bundles (in the order of ``sizes``) and audit verdict.
 
-    The bundles are those of :func:`sweep_fields`.  The audit is counted
-    in the same pass, on the sweep's column segments: per row of each
-    ``n x n`` grid, the count of adjacent products ``S(i,j) * S(i,j+1) <=
-    0`` (int64 products of the sums, a rule that shares no code with the
-    sweep's sign-based profiles) must equal the profile entry, and the
-    products ``== 0`` (crossings that touch a zero) must be sandwiched
-    between the row's zeros over ``[1, n-1]`` and twice its zeros over
-    ``[1, n]`` (every zero makes at most two of them vanish).  The
-    crossing totals must match too.  A field passes only if every one of
-    its grids does.
+    The bundles are those of :func:`sweep_fields` with the same
+    ``counters``.  The audit is counted in the same pass, on the sweep's
+    column segments: per row of each ``n x n`` grid, the count of
+    adjacent products ``S(i,j) * S(i,j+1) <= 0`` (int64 products of the
+    sums, a rule that shares no code with the sweep's sign-based
+    profiles) must equal the profile entry, and the products ``== 0``
+    (crossings that touch a zero) must be sandwiched between the row's
+    zeros over ``[1, n-1]`` and twice its zeros over ``[1, n]`` (every
+    zero makes at most two of them vanish).  The crossing totals must
+    match too.  A field passes only if every one of its grids does.  The
+    profiles are swept whatever ``counters`` asks for, since the audit
+    reads them; the verdict does not depend on ``counters``.
     """
-    plan = _SweepPlan(_check_sizes(sizes), audit=True)
+    counters = _check_counters(counters)
+    plan = _SweepPlan(_check_sizes(sizes), counters | {"z_crossings"}, audit=True)
+    unread = {} if "z_crossings" in counters else {"z_crossings": None, "row_profiles": None}
     for block in _field_blocks(fields, plan.M):
-        yield from _audit_block(block, plan)
+        for bundles, ok in _audit_block(block, plan):
+            yield tuple(replace(b, **unread) for b in bundles) if unread else bundles, ok
 
 
 def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, ...]:
@@ -468,23 +525,33 @@ def decomposition_audit(
     return bundles[-1], ok
 
 
-def diag_zero_count(key: StreamKey, N: int) -> int:
-    """Zero count on the even diagonal, sampled distribution-only.
+def diag_zero_counts(key: StreamKey, sizes: Sequence[int]) -> list[int]:
+    """Zero counts on the even diagonal of each ``N`` in ``sizes``, sampled distribution-only.
 
     Draws the diagonal increments directly — ``S(2k,2k) - S(2k-2,2k-2)``
     is a signed binomial over the ``8k-4`` fresh cells of the L-shaped
     block — instead of sweeping the whole grid.  Same law as the
     ``delta`` field of :func:`sweep_grid`, NOT pathwise equal to it:
-    the draws come from a different stream than the sign field.
+    the draws come from a different stream than the sign field.  The
+    increments are drawn once, ``max(sizes) // 2`` of them, and size
+    ``N`` counts the zeros among the first ``N // 2``: the batch's first
+    ``k`` draws are those of a batch of ``k``, so each count equals a
+    draw of its own size.
     """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    steps = N // 2
+    if min(sizes) < 0:
+        raise ValueError(f"N must be >= 0, got {tuple(sizes)}")
+    steps = max(sizes) // 2
     if steps == 0:
-        return 0
+        return [0] * len(sizes)
     counts = 8 * np.arange(1, steps + 1, dtype=np.int64) - 4
-    increments = signed_binomial_batch(key, counts)
-    return int(np.count_nonzero(np.cumsum(increments) == 0))
+    hits = np.cumsum(signed_binomial_batch(key, counts)) == 0
+    return [int(np.count_nonzero(hits[: n // 2])) for n in sizes]
+
+
+def diag_zero_count(key: StreamKey, N: int) -> int:
+    """:func:`diag_zero_counts` of one size."""
+    (count,) = diag_zero_counts(key, (N,))
+    return count
 
 
 def annulus_counts(field, eps: float, sizes: Sequence[int]) -> list[int]:

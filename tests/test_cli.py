@@ -223,9 +223,8 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "8" / "manifest.json").read_text())
         assert manifest["workers"] == 8
 
-    @pytest.mark.parametrize("stat", ["gamma", "z-crossings", "delta", "antidiag"])
-    def test_nested_sizes_write_the_one_size_rows(self, tmp_path, stat):
-        # one sweep at the largest edge serves every size, in the order given
+    @staticmethod
+    def assert_nested_rows_equal_one_size_rows(tmp_path, stat, sizes):
         def rows(sizes):
             outdir = tmp_path / sizes
             argv = ["simulate", "--stat", stat, "--sizes", sizes, "--reps", "5",
@@ -234,10 +233,19 @@ class TestSimulateCommand:
             return {name: (outdir / name).read_text().splitlines()[1:]
                     for name in ("raw.csv", "summary.csv")}
 
-        nested = rows("64,16,32")
-        singles = [rows(n) for n in ("64", "16", "32")]
+        nested = rows(sizes)
+        singles = [rows(n) for n in sizes.split(",")]
         for name, lines in nested.items():
             assert lines == [line for one in singles for line in one[name]]
+
+    @pytest.mark.parametrize("stat", ["gamma", "z-crossings", "delta", "antidiag"])
+    def test_nested_sizes_write_the_one_size_rows(self, tmp_path, stat):
+        # one sweep at the largest edge serves every size, in the order given
+        self.assert_nested_rows_equal_one_size_rows(tmp_path, stat, "64,16,32")
+
+    def test_nested_fast_path_sizes_write_the_one_size_rows(self, tmp_path):
+        # one draw at the largest size serves every size
+        self.assert_nested_rows_equal_one_size_rows(tmp_path, "delta-fast", "20,200,2000")
 
     def test_annulus_column_is_the_zero_count(self, tmp_path):
         # the value is the number of zeros in [eps*N, N]^2, not the indicator
@@ -346,6 +354,11 @@ SIMULATE_PINS = {
     ("delta", "16,32,64", "12"): (
         "85298175e2ffca56302fc59e30cb411d5762c4e5996cc21bcee45e2486b0e6be",
         "a358e8623098a2c981ecb87f29a71cc1f8357b0b2d4f53ffcabdcbd5032f412d",
+    ),
+    # taken on the per-size draws before nested sizes shared one draw
+    ("delta-fast", "20,200,2000", "12"): (
+        "1d8c90ab3662b074d264e2395b6446d386539b24cab2d2fe6e369ef768badaae",
+        "c8bfd800e6b6dc6e0e7d92634317f977378b8be91ec9017b89d5bbe4d469a587",
     ),
     ("antidiag", "16,32,64", "12"): (
         "4e4e57c274f69d2930d0d254838bd909da264a0f58a9fa4729c77412a1bf9d55",

@@ -172,6 +172,17 @@ class TestSignedBinomialBatch:
         assert np.all((a - counts) % 2 == 0)
         assert np.all(np.abs(a) <= counts)
 
+    @pytest.mark.parametrize("seed", [0, 3, 2**63 + 11])
+    def test_a_prefix_of_the_counts_draws_a_prefix_of_the_batch(self, seed):
+        # the delta fast path draws nested sizes once and reads prefixes; the
+        # diagonal's counts 8k - 4 run under and over the sampler's switch
+        # from inversion to BTPE at count * p = 30
+        key = StreamKey(Seed(seed), seed % 4)
+        counts = 8 * np.arange(1, 1001, dtype=np.int64) - 4
+        full = signed_binomial_batch(key, counts)
+        for k in (1, 2, 7, 8, 9, 100, 999):
+            assert np.array_equal(signed_binomial_batch(key, counts[:k]), full[:k])
+
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             signed_binomial_batch(StreamKey(Seed(0), 0), np.array([3, 0]))

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from sheetwalk import walkstats
 from sheetwalk.checks import _recount_twins
 from sheetwalk.exactprob import CapacityError
-from sheetwalk.randfield import RademacherField, Seed, StreamKey
+from sheetwalk.randfield import RademacherField, Seed, StreamKey, signed_binomial_batch
 from sheetwalk.walkstats import (
+    COUNTERS,
     SWEEP_CEILING,
     annulus_counts,
     annulus_zero_check,
@@ -18,6 +19,7 @@ from sheetwalk.walkstats import (
     brute_force_bundle,
     decomposition_audit,
     diag_zero_count,
+    diag_zero_counts,
     iter_partial_rows,
     sweep_fields,
     sweep_grid,
@@ -351,6 +353,118 @@ def test_audit_fields_equal_the_sweep_and_the_one_field_audit(seed, sizes, count
     assert verdicts == [False] + [True] * (count - 1)
 
 
+def _counter_values(b, counters):
+    """The bundle's ``counters``, plus ``row_profiles`` when ``z_crossings`` is among them."""
+    values = {c: getattr(b, c) for c in counters}
+    if "z_crossings" in counters:
+        values["row_profiles"] = b.row_profiles.tolist()
+    return values
+
+
+@given(
+    kinds=st.lists(st.sampled_from(["real", "alternating", "constant"]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32),
+    counters=st.sets(st.sampled_from(COUNTERS), min_size=1),
+    sizes=st.lists(st.one_of(st.just(1), st.integers(2, 70)), min_size=1, max_size=4, unique=True),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_selected_counters_equal_brute_force(kinds, seed, counters, sizes, data):
+    # a sweep fills only the planes its counters read: each counter asked for
+    # equals the dense recount, every other one is None; unsorted nested
+    # sizes, tile caps from one cell to three grids, real fields and both
+    # row_signs stubs
+    top = max(sizes)
+    cap = data.draw(st.integers(1, 3 * top * top), label="cap")
+    fields = [_oracle_field(kind, seed + r) for r, kind in enumerate(kinds)]
+    with mock.patch.object(walkstats, "TILE_CELLS", cap):
+        swept = list(sweep_fields(fields, sizes, counters))
+    assert len(swept) == len(fields)
+    unread = set(COUNTERS) - counters
+    for f, bundles in zip(fields, swept):
+        assert [b.N for b in bundles] == sizes
+        for b in bundles:
+            assert all(getattr(b, c) is None for c in unread)
+            assert (b.row_profiles is None) == ("z_crossings" in unread)
+        assert [_counter_values(b, counters) for b in bundles] == [
+            _counter_values(brute_force_bundle(f, n)[0], counters) for n in sizes
+        ]
+
+
+@pytest.mark.parametrize(
+    "counters,audit,planes",
+    [
+        (("gamma",), False, [walkstats.ZEROS]),
+        (("gamma_prime",), False, [walkstats.ONES]),
+        (("z_crossings",), False, [walkstats.CROSSINGS]),
+        (("delta",), False, []),
+        (("d_antidiag",), False, []),
+        (("gamma", "delta"), False, [walkstats.ZEROS]),
+        (("delta",), True, [0, 2, 3, 4]),
+        (COUNTERS, True, [0, 1, 2, 3, 4]),
+    ],
+    ids=str,
+)
+def test_plan_fills_only_the_planes_read(counters, audit, planes):
+    plan = walkstats._SweepPlan((64, 16), frozenset(counters), audit=audit)
+    assert plan.planes == planes
+    assert plan.flags.size == len(planes) * 64 * 64 * tile_shape(64)[0]
+    assert hasattr(plan, "signs") == (walkstats.CROSSINGS in planes)  # the int8 sign pass
+    assert hasattr(plan, "diagonal") == ("delta" in counters)
+
+
+def test_counters_are_checked():
+    with pytest.raises(ValueError):
+        list(sweep_fields([field()], (4,), ()))
+    with pytest.raises(ValueError):
+        list(sweep_fields([field()], (4,), ("gamma", "zeros")))
+    with pytest.raises(ValueError):
+        list(audit_fields([field()], (4,), ("crossings",)))
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    counter=st.sampled_from(COUNTERS),
+    sizes=st.lists(st.one_of(st.just(1), st.integers(2, 70)), min_size=1, max_size=4, unique=True),
+    count=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_one_counter_audit_gives_the_full_verdicts(seed, counter, sizes, count, data):
+    # the audit sweeps what it reads whatever the caller reads, so its verdict,
+    # green or turned red by a corrupted profile, is that of the full audit
+    top = max(sizes)
+    cap = data.draw(st.integers(1, 3 * top * top), label="cap")
+    fields = [field(seed, r) for r in range(count)]
+    with mock.patch.object(walkstats, "TILE_CELLS", cap):
+        one = list(audit_fields(fields, sizes, (counter,)))
+        full = list(audit_fields(fields, sizes))
+    assert [ok for _, ok in one] == [ok for _, ok in full] == [True] * count
+    for (bundles, _), (whole, _) in zip(one, full):
+        assert [_counter_values(b, {counter}) for b in bundles] == [
+            _counter_values(b, {counter}) for b in whole
+        ]
+        assert all(getattr(b, c) is None for b in bundles for c in set(COUNTERS) - {counter})
+
+    size = data.draw(st.sampled_from(sizes), label="size")
+    row = data.draw(st.integers(0, size - 1), label="row")
+    real = walkstats._sweep_block
+
+    def corrupted(fields, plan):
+        out = real(fields, plan)
+        out[0][plan.sizes.index(size)].row_profiles[row] += 1
+        return out
+
+    with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
+        walkstats, "_sweep_block", corrupted
+    ):
+        one = [ok for _, ok in audit_fields(fields, sizes, (counter,))]
+        full = [ok for _, ok in audit_fields(fields, sizes)]
+    # each block's first field is corrupted, so the verdicts agree block by block
+    assert one == full
+    assert not one[0]
+
+
 def _dense_sums(f, n):
     """``S(i, j)`` on ``[1, n]^2`` from the field's rows, as an ``(n, n)`` int64 array."""
     signs = np.array([f.row_signs(i, n) for i in range(1, n + 1)], dtype=np.int64)
@@ -467,6 +581,10 @@ class TestDecompositionAudit:
         assert decomposition_audit(field(9), 30, (7, 12))[1]
         with mock.patch.object(walkstats, "_sweep_block", corrupted):
             assert not decomposition_audit(field(9), 30, (7, 12))[1]
+            # an audit that reports one counter still audits the profiles
+            for counter in COUNTERS:
+                ((_, ok),) = audit_fields([field(9)], (7, 12, 30), (counter,))
+                assert not ok
 
 
     @pytest.mark.parametrize("misbooking", ["edge-zero-inside", "zeros-unbooked"])
@@ -532,6 +650,23 @@ class TestDiagZeroCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             diag_zero_count(StreamKey(Seed(1), 0), -2)
+        with pytest.raises(ValueError):
+            diag_zero_counts(StreamKey(Seed(1), 0), (20, -2))
+
+    @pytest.mark.parametrize("N", [2, 3, 40, 41, 999])
+    def test_counts_the_zeros_of_the_diagonal_walk(self, N):
+        # oracle: the walk S(2k, 2k), k = 1..N // 2, from one batch of its own size
+        key = StreamKey(Seed(N), 1)
+        increments = signed_binomial_batch(key, 8 * np.arange(1, N // 2 + 1) - 4)
+        assert diag_zero_count(key, N) == int(np.count_nonzero(np.cumsum(increments) == 0))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_nested_sizes_equal_one_size_draws(self, seed):
+        # one draw at the largest size; each size counts the zeros of its prefix
+        key = StreamKey(Seed(seed), seed % 3)
+        sizes = (2000, 0, 1, 20, 3, 200, 1999)
+        assert diag_zero_counts(key, sizes) == [diag_zero_count(key, n) for n in sizes]
+        assert diag_zero_counts(key, (1, 0)) == [0, 0]
 
     def test_distribution_matches_sweep_law(self):
         # same mean as the pathwise delta across replicates, loose 5-sigma band
