@@ -19,15 +19,17 @@ sum over a rectangle extends another by a block of fresh signs, so joint
 zero probabilities factor into ``p`` values of block half-areas.  Sums with
 an odd number of signs can never vanish, hence the even-parity filters.
 
-Sums are evaluated in blocks.  Every ``p`` evaluation runs through
-:func:`_p_fill`, which works through its cells ``CHUNK_CELLS`` at a time in
-reused scratch buffers: the series in place, then the table values patched
-in wherever ``k <= EXACT_CEILING``.  The grid sums stack whole rows into
-blocks of about ``CHUNK_CELLS`` cells, but still sum each row as its own
-contiguous slice and add the row sums in row order; the diagonal and
-anti-diagonal means fill one output chunk by chunk and sum it once.  Each
-element is the same IEEE operations and each sum the same reduction over the
-same values in the same order as a per-row evaluation, so the results are
+Sums are evaluated in blocks, and the callers do the blocking.  Every
+``p`` evaluation runs through :func:`_p_fill`, which evaluates one block in
+scratch buffers its caller sized and reuses: the series in place, then the
+table values patched in wherever ``k <= EXACT_CEILING``.  The grid sums
+stack whole rows into blocks of about ``CHUNK_CELLS`` cells (a row wider
+than that is a block of its own), but still sum each row as its own
+contiguous slice and add the row sums in row order.  :func:`p_float_vec`
+and the diagonal and anti-diagonal means fill one output ``CHUNK_CELLS``
+cells at a time (:func:`_p_chunks`); the means sum it once.  Each element
+is the same IEEE operations and each sum the same reduction over the same
+values in the same order as a per-row evaluation, so the results are
 bit-identical to it (the tests keep that evaluation as the oracle).
 """
 
@@ -63,26 +65,23 @@ class CapacityError(Exception):
 
 @dataclass(frozen=True)
 class ReturnProbTable:
-    """Dyadic table of ``p(0..max_index)`` plus its rounded float image.
+    """Dyadic table of ``p(0..EXACT_CEILING)`` plus its rounded float image.
 
     ``exact_values[n]`` is ``(odd numerator, exponent)`` with
     ``p(n) = numerator / 2**exponent``; ``float_values[n]`` is the
     correctly rounded float of that rational.
     """
 
-    max_index: int
     exact_values: tuple[tuple[int, int], ...]
     float_values: np.ndarray
 
     @classmethod
-    def build(cls, max_index: int = EXACT_CEILING) -> "ReturnProbTable":
-        if max_index < 0:
-            raise ValueError(f"max_index must be >= 0, got {max_index}")
+    def build(cls) -> "ReturnProbTable":
         num, exp = 1, 0
         pairs = [(1, 0)]
-        floats = np.empty(max_index + 1)
+        floats = np.empty(EXACT_CEILING + 1)
         floats[0] = 1.0
-        for n in range(max_index):
+        for n in range(EXACT_CEILING):
             num *= 2 * n + 1
             m = n + 1
             twos = (m & -m).bit_length() - 1  # strip the even part of 2n+2
@@ -93,11 +92,7 @@ class ReturnProbTable:
             # the OR-ed 1 is an exact sticky bit and the rounding is correct
             shift = max(num.bit_length() - 60, 0)
             floats[n + 1] = math.ldexp(float((num >> shift) | 1), shift - exp)
-        return cls(max_index, tuple(pairs), floats)
-
-    def fraction(self, n: int) -> Fraction:
-        num, exp = self.exact_values[n]
-        return Fraction(num, 1 << exp)
+        return cls(tuple(pairs), floats)
 
 
 _TABLE: ReturnProbTable | None = None
@@ -118,7 +113,8 @@ def p_exact(n: int) -> Fraction:
         raise CapacityError(
             f"exact values stop at n={EXACT_CEILING}; use p_float for n={n}"
         )
-    return _table().fraction(n)
+    num, exp = _table().exact_values[n]
+    return Fraction(num, 1 << exp)
 
 
 def _p_series(x: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -141,43 +137,37 @@ def _p_series(x: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 
 class _Scratch:
-    """Buffers one evaluation chunk reuses: series argument, ``1/x`` and table mask."""
+    """Buffers the blocks of one sum reuse: series argument, ``1/x`` and table mask."""
 
     def __init__(self, cells: int) -> None:
-        size = max(1, min(cells, CHUNK_CELLS))
-        self.x = np.empty(size)
-        self.inv = np.empty(size)
-        self.small = np.empty(size, dtype=bool)
+        self.x = np.empty(cells)
+        self.inv = np.empty(cells)
+        self.small = np.empty(cells, dtype=bool)
 
 
 def _p_fill(ks: np.ndarray, out: np.ndarray, scratch: _Scratch) -> None:
     """Write ``p(ks)`` into ``out``; both 1-D of one length, ``ks`` int64 and >= 0.
 
-    Works ``CHUNK_CELLS`` cells at a time: the series over the chunk, with
-    table cells given a finite stand-in argument, then the table values
-    patched in over them.
+    One block, no larger than ``scratch``: the series over it, with table
+    cells given a finite stand-in argument, then the table values patched
+    in over them.
     """
-    table = _table()
-    step = scratch.x.size
-    for lo in range(0, ks.size, step):
-        k = ks[lo:lo + step]
-        o = out[lo:lo + step]
-        x, inv, small = scratch.x[: k.size], scratch.inv[: k.size], scratch.small[: k.size]
-        np.copyto(x, k)
-        np.maximum(x, table.max_index + 1.0, out=x)
-        _p_series(x, o, inv)
-        np.less_equal(k, table.max_index, out=small)
-        if small.any():
-            o[small] = table.float_values[k[small]]
+    n = ks.size
+    x, inv, small = scratch.x[:n], scratch.inv[:n], scratch.small[:n]
+    np.copyto(x, ks)
+    np.maximum(x, EXACT_CEILING + 1.0, out=x)
+    _p_series(x, out, inv)
+    np.less_equal(ks, EXACT_CEILING, out=small)
+    if small.any():
+        out[small] = _table().float_values[ks[small]]
 
 
 def p_float(n: int) -> float:
     """``p(n)`` as a float, exact-table below the ceiling, series above."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    table = _table()
-    if n <= table.max_index:
-        return float(table.float_values[n])
+    if n <= EXACT_CEILING:
+        return float(_table().float_values[n])
     x = np.array([float(n)])
     return float(_p_series(x, np.empty(1), np.empty(1))[0])
 
@@ -187,23 +177,22 @@ def p_float_vec(ns: np.ndarray) -> np.ndarray:
     ns = np.ascontiguousarray(ns, dtype=np.int64)
     if ns.size and ns.min() < 0:
         raise ValueError("all indices must be >= 0")
-    out = np.empty(ns.shape)
-    _p_fill(ns.reshape(-1), out.reshape(-1), _Scratch(ns.size))
-    return out
+    flat = ns.reshape(-1)
+    return _p_chunks(flat.size, lambda lo, hi: flat[lo:hi]).reshape(ns.shape)
 
 
-def _chunked_sum(count: int, ks_between) -> float:
-    """Sum of ``p`` over ``count`` cells; ``ks_between(lo, hi)`` gives cells ``lo..hi-1``.
+def _p_chunks(count: int, ks_between) -> np.ndarray:
+    """``p`` over ``count`` cells; ``ks_between(lo, hi)`` gives cells ``lo..hi-1``.
 
-    The values fill one ``count``-long array chunk by chunk, so only the
-    output is ever ``count`` long, and it is summed once.
+    The values fill one ``count``-long array ``CHUNK_CELLS`` cells at a
+    time, so only the output is ever ``count`` long.
     """
     out = np.empty(count)
-    scratch = _Scratch(count)
+    scratch = _Scratch(min(count, CHUNK_CELLS))
     for lo in range(0, count, CHUNK_CELLS):
         hi = min(lo + CHUNK_CELLS, count)
         _p_fill(ks_between(lo, hi), out[lo:hi], scratch)
-    return float(out.sum())
+    return out
 
 
 def _row_blocks(rows: int, width: int) -> int:
@@ -228,7 +217,7 @@ def delta_mean_exact(N: int) -> float:
         i = np.arange(lo + 1, hi + 1, dtype=np.int64)
         return 2 * i * i
 
-    return _chunked_sum(N, ks_between)
+    return float(_p_chunks(N, ks_between).sum())
 
 
 def delta_var_exact(N: int) -> float:
@@ -313,7 +302,8 @@ def antidiag_mean_exact(N: int) -> float:
             return i * (N - i) // 2
         return i * (N - 2 * i)
 
-    return _chunked_sum(N - 1 if N % 2 else max(N // 2 - 1, 0), ks_between)
+    count = N - 1 if N % 2 else max(N // 2 - 1, 0)
+    return float(_p_chunks(count, ks_between).sum())
 
 
 def hit_constant_estimate(n_max: int) -> float:

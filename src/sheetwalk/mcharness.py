@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
@@ -32,7 +33,7 @@ import numpy as np
 
 from .exactprob import DIAG_LOG_COEFF, delta_mean_exact
 from .randfield import RademacherField, Seed, StreamKey
-from .walkstats import annulus_counts, diag_zero_counts, sweep_fields, twin_zero_counts
+from .walkstats import COUNTERS, annulus_counts, diag_zero_counts, sweep_fields, twin_zero_counts
 
 
 class Statistic(enum.Enum):
@@ -48,13 +49,7 @@ class Statistic(enum.Enum):
     ANNULUS = "annulus"
 
 
-_BUNDLE_FIELDS = {
-    Statistic.GAMMA,
-    Statistic.GAMMA_PRIME,
-    Statistic.Z_CROSSINGS,
-    Statistic.DELTA,
-    Statistic.D_ANTIDIAG,
-}
+_BUNDLE_FIELDS = {Statistic(c) for c in COUNTERS}  # the statistics a sweep counts
 
 
 @dataclass(frozen=True)
@@ -141,15 +136,17 @@ def map_workers(task: Callable, config: ExperimentConfig) -> list:
 
     This is the static partition: of ``W = min(config.workers,
     config.replicates)`` workers, worker ``w`` owns replicates ``r = w
-    (mod W)``, so no more processes start than there are replicates to
-    share out.  One worker runs inline; otherwise each runs in its own
-    process, so ``task`` must be a module-level function.
+    (mod W)``.  The ``W`` jobs run on ``min(W, os.cpu_count())``
+    processes, so no more processes start than there are replicates to
+    share out or CPUs to run them.  With one process the jobs run inline;
+    otherwise ``task`` must be a module-level function.
     """
     workers = min(config.workers, config.replicates)
     jobs = [(config, w, workers) for w in range(workers)]
-    if workers == 1:
-        return [task(jobs[0])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    processes = min(workers, os.cpu_count() or 1)
+    if processes == 1:
+        return [task(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(task, jobs))
 
 

@@ -13,12 +13,11 @@ The same finalizer is implemented twice — once on Python ints, once on
 ``numpy`` ``uint64`` arrays — and the two are bit-identical; tests pin
 this down.  The array path hashes whole tiles, rows outermost, into
 buffers the caller owns (:func:`sign_rows`: many fields, many rows, one
-call); :func:`sign_tile` is the same tile in fresh buffers, seen as
-``(fields, rows, columns)``, and a single row is its one-field, one-row
-case.  The tile path stops the cell finalizer one step early, since its
-last step ``z ^= z >> 31`` cannot change bit 63, the only bit a sign
-reads; :meth:`RademacherField.value` runs the full finalizer and is the
-scalar oracle.  All index arithmetic wraps modulo 2**64 by design.
+call); :meth:`RademacherField.row_signs` is its one-field, one-row case.
+The tile path stops the cell finalizer one step early, since its last
+step ``z ^= z >> 31`` cannot change bit 63, the only bit a sign reads;
+:meth:`RademacherField.value` runs the full finalizer and is the scalar
+oracle.  All index arithmetic wraps modulo 2**64 by design.
 """
 
 from __future__ import annotations
@@ -108,21 +107,6 @@ def sign_rows(
     return signs
 
 
-def sign_tile(roots: np.ndarray, start: int, stop: int, count: int) -> np.ndarray:
-    """Signs of rows ``start..stop-1``, columns ``1..count``, for each root.
-
-    ``roots`` holds the field roots of ``R`` streams (``uint64``); the
-    result is an ``(R, stop - start, count)`` int64 tile whose entry
-    ``[r, k, j-1]`` is the sign at cell ``(start + k, j)`` of stream ``r``.
-    Every bit equals :meth:`RademacherField.value` at that cell.  It is a
-    view of the rows-outer buffer that :func:`sign_rows` fills.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    words = np.empty((max(stop - start, 0), len(roots), count), dtype=np.uint64)
-    return sign_rows(roots, start, words, np.empty_like(words)).transpose(1, 0, 2)
-
-
 class Seed(int):
     """A 64-bit seed.  Arbitrary ints are accepted and reduced mod 2**64."""
 
@@ -170,7 +154,9 @@ class RademacherField:
 
     def row_signs(self, i: int, count: int) -> np.ndarray:
         """Signs for columns ``1..count`` of row ``i`` as an int64 vector."""
-        return sign_tile(np.array([self.root], dtype=np.uint64), i, i + 1, count)[0, 0]
+        words = np.empty((1, 1, count), dtype=np.uint64)
+        roots = np.array([self.root], dtype=np.uint64)
+        return sign_rows(roots, i, words, np.empty_like(words))[0, 0]
 
 
 def signed_binomial_batch(key: StreamKey, counts: np.ndarray) -> np.ndarray:

@@ -70,8 +70,9 @@ _ORACLES = {
 )
 @settings(max_examples=50, deadline=None)
 def test_block_sums_are_bit_identical_to_the_per_row_oracles(name, N, chunk):
-    # a chunk of a handful of cells splits rows across chunks and puts the
-    # table/series seam inside chunks; every sum must keep its bits
+    # a chunk of a handful of cells makes most rows wider than a chunk, each
+    # then a block of its own, and puts the table/series seam inside blocks
+    # and chunks; every sum must keep its bits
     want = _ORACLES[name](N)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ep, "CHUNK_CELLS", chunk)
@@ -86,7 +87,7 @@ def test_block_sums_are_bit_identical_to_the_per_row_oracles(name, N, chunk):
 )
 def test_block_sums_at_the_ceilings_match_the_oracles(monkeypatch, name, N, chunk):
     want = _ORACLES[name](N)
-    monkeypatch.setattr(ep, "CHUNK_CELLS", chunk)  # 1000: one row spans chunks
+    monkeypatch.setattr(ep, "CHUNK_CELLS", chunk)  # 1000: each wide row is its own block
     assert getattr(ep, name)(N).hex() == want.hex()
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -98,6 +99,18 @@ class TestRunExperiment:
             assert wide.summaries[n] == serial.summaries[n]
         run_experiment(config(replicates=1, workers=8))
         assert inline_pool == [2]  # one replicate runs inline, with no pool
+
+    @pytest.mark.parametrize("cpus,pools", [(3, [3]), (1, []), (None, [])])
+    def test_processes_are_capped_at_the_cpu_count(self, inline_pool, monkeypatch, cpus, pools):
+        # 20 jobs of the static partition share out over the CPUs; one CPU
+        # (or an unknown count) runs them all inline
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        wide = run_experiment(config(replicates=20, workers=10_000))
+        assert inline_pool == pools
+        serial = run_experiment(config(replicates=20))
+        for n in (8, 16):
+            assert np.array_equal(wide.values[n], serial.values[n])
+            assert wide.summaries[n] == serial.summaries[n]
 
     def test_fastpath_matches_sweep_law(self):
         # same distribution, different streams: means agree to 4 combined SEs

@@ -11,7 +11,7 @@ from sheetwalk.randfield import (
     RademacherField,
     Seed,
     StreamKey,
-    sign_tile,
+    sign_rows,
     signed_binomial_batch,
 )
 
@@ -91,21 +91,27 @@ def test_scalar_and_vector_paths_agree(seed, replicate, i, j):
 )
 @settings(max_examples=100, deadline=None)
 def test_tiles_and_rows_match_scalar_values(seed, replicates, start, rows, count):
+    # sign_rows fills rows 1.. of a buffer whose row 0 carries the sums
+    # above the tile, as the sweep calls it; row 0 must stay as it was
     fields = [RademacherField(StreamKey(Seed(seed), r)) for r in replicates]
     roots = np.array([f.root for f in fields], dtype=np.uint64)
-    tile = sign_tile(roots, start, start + rows, count)
-    assert tile.shape == (len(fields), rows, count) and tile.dtype == np.int64
-    for f, grid in zip(fields, tile):
-        for k, row in enumerate(grid):
-            i = start + k
+    words = np.full((rows + 1, len(fields), count), 0xA5A5, dtype=np.uint64)
+    tile = sign_rows(roots, start, words[1:], np.empty_like(words[1:]))
+    assert tile.shape == (rows, len(fields), count) and tile.dtype == np.int64
+    assert np.shares_memory(tile, words) or tile.size == 0
+    assert (words[0] == 0xA5A5).all()
+    for k, grids in enumerate(tile):
+        i = start + k
+        for f, row in zip(fields, grids):
             expected = [f.value(i, j) for j in range(1, count + 1)]
             assert row.tolist() == expected
             assert f.row_signs(i, count).tolist() == expected
 
 
 def test_tile_rows_start_at_one():
+    words = np.empty((2, 1, 3), dtype=np.uint64)
     with pytest.raises(ValueError):
-        sign_tile(np.zeros(1, dtype=np.uint64), 0, 2, 3)
+        sign_rows(np.zeros(1, dtype=np.uint64), 0, words, np.empty_like(words))
     with pytest.raises(ValueError):
         field().row_signs(0, 3)
 
