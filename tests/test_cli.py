@@ -393,10 +393,26 @@ EXACT_ROW_PINS = {
     ("hit-constant", "200"): b"n_max,estimate\n200,1\n",
 }
 RENDER_PIN = "4aab753360e18b1d4993bbdf2aaf502bc666a04644dad2009dc506a8bcd63464"
+# every size and mean a power of two, so each log the fit takes is one that
+# any libm rounds the same way
+ESTIMATE_SUMMARY = (
+    "N,M,mean,variance,stderr,min,max\n"
+    "4,10,8.0,1.0,0.1,0.0,9.9\n"
+    "16,10,64.0,1.0,0.1,0.0,9.9\n"
+    "64,10,1024.0,1.0,0.1,0.0,9.9\n"
+    "256,10,4096.0,1.0,0.1,0.0,9.9\n"
+)
+ESTIMATE_PIN = "ee11aa1e8485e611338959687d3cdddf1caee8181cc0bbca37ab3b292737eb23"
 
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _assert_canonical_json(text):
+    # pins the layout, not the values: timestamps, timings and the
+    # environment block differ from run to run
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestBytePins:
@@ -418,6 +434,36 @@ class TestBytePins:
         target = tmp_path / "zeros.pgm"
         assert main(["render", "--seed", "7", "--n", "128", "--out", str(target)]) == 0
         assert _sha256(target) == RENDER_PIN
+
+    def test_manifest_layout(self, tmp_path):
+        argv = ["simulate", "--stat", "gamma", "--sizes", "8", "--reps", "2",
+                "--workers", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        _assert_canonical_json((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_estimate_report_bytes(self, tmp_path, capsys, to_file):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(ESTIMATE_SUMMARY, encoding="utf-8")
+        argv = ["estimate", "--summary", str(summary)]
+        if to_file:
+            argv += ["--out", str(tmp_path / "fit.json")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        text = (tmp_path / "fit.json").read_text(encoding="utf-8") if to_file else out
+        assert out == ("" if to_file else text)
+        _assert_canonical_json(text)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ESTIMATE_PIN
+
+    def test_verify_report_layout(self, tmp_path, monkeypatch):
+        # one fast check stands in for the suite
+        from sheetwalk import checks
+
+        only = tuple(c for c in checks._CHECKS if c[0] == "hitting-floor")
+        monkeypatch.setattr(checks, "_CHECKS", only)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--workers", "1", "--out", str(report_path)]) == 0
+        _assert_canonical_json(report_path.read_text(encoding="utf-8"))
 
 
 class TestEstimateCommand:
