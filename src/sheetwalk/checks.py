@@ -521,6 +521,8 @@ def run_checks(
 ) -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     results = []
     _AUDITED.clear()  # a memo shared across calls would skip their sweeps
     try:

@@ -5,12 +5,14 @@ Carlo runs to CSV), ``estimate`` (log-log slope fits of summary means),
 ``render`` (zero-set images), ``verify`` (the acceptance-check suite).
 
 Exit codes are part of the contract: 0 success, 1 verification failure,
-2 usage/validation, 3 capacity, 4 I/O.  All file output is atomic
-(temp file + rename), and a run's manifest is written last, so a
-manifest's existence certifies complete outputs.  Reals are serialized
-with shortest round-trip ``repr``; the ``exact`` tables use 15
-significant digits, with exact numerator/denominator available under
-``--rational``.
+2 usage/validation, 3 capacity, 4 I/O.  Every table and report goes
+through :func:`_destination`: stdout without ``--out``, else a temporary
+file renamed over the target once complete.  ``render_zero_set``
+returns the PGM bytes, written the same atomic way.  A run's manifest
+is written last, so a manifest's existence certifies complete outputs.
+Reals are serialized with shortest round-trip ``repr``; the ``exact``
+tables use 15 significant digits, with exact numerator/denominator
+available under ``--rational``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -72,7 +73,7 @@ def _digits(k: int) -> str:
 
 
 @contextlib.contextmanager
-def _atomic_file(path: Path, mode: str = "wb", **kwargs):
+def _atomic_file(path: Path | str, mode: str = "wb", **kwargs):
     """A handle on a temporary file that replaces ``path`` once the block completes.
 
     ``mode`` and ``kwargs`` go to :func:`open`.  If the block raises, the
@@ -90,24 +91,28 @@ def _atomic_file(path: Path, mode: str = "wb", **kwargs):
         raise
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    with _atomic_file(path) as handle:
-        handle.write(data)
+def _destination(target: Path | str | None):
+    """A text handle on ``target``, replaced atomically on success, or else on stdout."""
+    if target:
+        return _atomic_file(target, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _write_csv(target: Path | str | None, header: str, rows: Iterable) -> None:
-    """Write ``header`` and ``rows`` to ``target`` (atomically) or, without one, to stdout.
+    """Write ``header`` and ``rows`` to ``target`` through :func:`_destination`.
 
     Each row is written as it is formatted, so ``rows`` may be a generator
     and the table is never held in memory whole.
     """
-    with (
-        _atomic_file(Path(target), "w", encoding="utf-8", newline="")
-        if target
-        else contextlib.nullcontext(sys.stdout)
-    ) as handle:
+    with _destination(target) as handle:
         handle.write(header + "\n")
         csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def _write_json(target: Path | str | None, payload: dict) -> None:
+    """Write ``payload`` to ``target`` through :func:`_destination`, indented, keys sorted."""
+    with _destination(target) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @contextlib.contextmanager
@@ -128,23 +133,6 @@ def _directory_lock(outdir: Path):
             os.unlink(lock)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record for one CLI run; always the last file written."""
-
-    version: str
-    command: str
-    config: dict
-    seed: int
-    workers: int
-    started: str
-    finished: str
-    outputs: list[dict]
-
-    def to_json(self) -> bytes:
-        return (json.dumps(asdict(self), indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def _output_entry(path: Path) -> dict:
     data = path.read_bytes()
     return {
@@ -154,18 +142,12 @@ def _output_entry(path: Path) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ZeroSetImage:
-    """Grayscale zero-set image: pixel (1,1) top-left, rows in row-major order."""
+def render_zero_set(field, n: int) -> bytes:
+    """The zero set of ``field`` on ``[1, n]^2`` as a binary PGM.
 
-    n: int
-    pixels: bytes  # one byte per cell: 0 zero, 128 negative, 255 positive
-
-    def to_pgm(self) -> bytes:
-        return b"P5\n%d %d\n255\n" % (self.n, self.n) + self.pixels
-
-
-def render_zero_set(field, n: int) -> ZeroSetImage:
+    Pixel (1, 1) is top left and rows run in row-major order, one byte
+    per cell: 0 zero, 128 negative, 255 positive.
+    """
     if n < 1:
         raise ValueError(f"image edge must be >= 1, got {n}")
     if n > RENDER_CEILING:
@@ -175,7 +157,7 @@ def render_zero_set(field, n: int) -> ZeroSetImage:
         pixels[start - 1 : start - 1 + len(sums)] = np.where(
             sums == 0, 0, np.where(sums < 0, 128, 255)
         )
-    return ZeroSetImage(n=n, pixels=pixels.tobytes())
+    return b"P5\n%d %d\n255\n" % (n, n) + pixels.tobytes()
 
 
 def _now() -> str:
@@ -223,33 +205,24 @@ def cmd_exact(args: argparse.Namespace) -> int:
             floats = table.float_values[: args.max + 1].tolist()
             rows = ((n, _fmt15(p)) for n, p in enumerate(floats))
         _write_csv(args.out, "n,p", rows)
-    elif target == "delta-mean":
-        mean = exactprob.delta_mean_exact(args.n)
-        centered = mean - exactprob.DIAG_LOG_COEFF * math.log(args.n)
-        _write_csv(
-            args.out, "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
-        )
-    elif target == "delta-var":
-        var = exactprob.delta_var_exact(args.n)
-        centered = var - exactprob.DIAG_LOG_COEFF * math.log(args.n)
-        _write_csv(
-            args.out, "N,variance,centered", [(args.n, _fmt15(var), _fmt15(centered))]
-        )
-    elif target == "gamma-mean":
-        mean = exactprob.gamma_mean_exact(args.n)
-        centered = mean / args.n  # per-column mean
-        _write_csv(
-            args.out, "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
-        )
-    elif target == "antidiag-mean":
-        mean = exactprob.antidiag_mean_exact(args.n)
-        centered = mean - math.sqrt(math.pi / 2)  # gap to the limiting constant
-        _write_csv(
-            args.out, "N,mean,centered", [(args.n, _fmt15(mean), _fmt15(centered))]
-        )
-    else:  # hit-constant
+    elif target == "hit-constant":
         estimate = exactprob.hit_constant_estimate(args.n)
         _write_csv(args.out, "n_max,estimate", [(args.n, _fmt15(estimate))])
+    else:  # a moment and its centered form
+        n, column = args.n, "mean"
+        if target == "delta-mean":
+            value = exactprob.delta_mean_exact(n)
+            centered = value - exactprob.DIAG_LOG_COEFF * math.log(n)
+        elif target == "delta-var":
+            column, value = "variance", exactprob.delta_var_exact(n)
+            centered = value - exactprob.DIAG_LOG_COEFF * math.log(n)
+        elif target == "gamma-mean":
+            value = exactprob.gamma_mean_exact(n)
+            centered = value / n  # per-column mean
+        else:  # antidiag-mean
+            value = exactprob.antidiag_mean_exact(n)
+            centered = value - math.sqrt(math.pi / 2)  # gap to the limiting constant
+        _write_csv(args.out, f"N,{column},centered", [(n, _fmt15(value), _fmt15(centered))])
     return 0
 
 
@@ -296,23 +269,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         summary_path = outdir / "summary.csv"
         _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
-        manifest = RunManifest(
-            version=__version__,
-            command="simulate",
-            config={
+        manifest = {  # provenance of the run; always the last file written
+            "version": __version__,
+            "command": "simulate",
+            "config": {
                 "statistic": args.stat,
                 "sizes": list(sizes),
                 "replicates": config.replicates,
                 "eps": config.eps,
                 "radius": config.radius,
             },
-            seed=int(config.seed),
-            workers=workers,
-            started=started,
-            finished=_now(),
-            outputs=[_output_entry(raw_path), _output_entry(summary_path)],
-        )
-        _atomic_write(outdir / "manifest.json", manifest.to_json())
+            "seed": int(config.seed),
+            "workers": workers,
+            "started": started,
+            "finished": _now(),
+            "outputs": [_output_entry(raw_path), _output_entry(summary_path)],
+        }
+        _write_json(outdir / "manifest.json", manifest)
     return 0
 
 
@@ -328,7 +301,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{path}: expected header {SUMMARY_HEADER!r}, got {header}"
             )
-        rows = [(int(row[0]), float(row[2])) for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            rows.append((int(row[0]), float(row[2])))
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two summary rows, got {len(rows)}")
     sizes = np.array([n for n, _ in rows], dtype=np.float64)
@@ -354,11 +334,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "points_used": list(fit.points_used),
         "residuals": residuals,
     }
-    body = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    if args.out:
-        _atomic_write(Path(args.out), body)
-    else:
-        sys.stdout.write(body.decode("utf-8"))
+    _write_json(args.out, report)
     return 0
 
 
@@ -367,8 +343,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     field = RademacherField(StreamKey(Seed(args.seed), 0))
-    image = render_zero_set(field, args.n)
-    _atomic_write(Path(args.out), image.to_pgm())
+    pgm = render_zero_set(field, args.n)
+    with _atomic_file(args.out) as handle:
+        handle.write(pgm)
     return 0
 
 
@@ -403,10 +380,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "workers": workers,
             },
         }
-        _atomic_write(
-            Path(args.out),
-            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        _write_json(args.out, payload)
     return 0 if all(r.passed for r in results) else 1
 
 

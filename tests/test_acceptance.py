@@ -149,3 +149,14 @@ def test_the_memo_is_emptied_when_a_check_aborts(monkeypatch):
     with pytest.raises(Abort):
         run_checks(level="quick", names={"zero-count-scaling", "crossing-decomposition"})
     assert checks._AUDITED == {}
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_nonpositive_workers_are_rejected_before_any_check(monkeypatch, workers):
+    # rejected at entry, like a bad level: no check runs and no pool starts
+    def unrun(level, workers):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(checks, "_CHECKS", tuple((name, unrun) for name, _ in checks._CHECKS))
+    with pytest.raises(ValueError, match="workers must be >= 1, got"):
+        run_checks(level="quick", workers=workers)

@@ -509,6 +509,23 @@ class TestEstimateCommand:
         path.write_text("a,b\n1,2\n")
         assert main(["estimate", "--summary", str(path)]) == 2
 
+    @pytest.mark.parametrize("bad_row", ["", "8,4", "8,10,8.0,1,0.1,0,9.9,x"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_malformed_row_is_usage_error(self, tmp_path, capsys, bad_row, to_file):
+        # a row must have the header's seven fields; a blank line has none
+        path = tmp_path / "summary.csv"
+        path.write_text(
+            f"N,M,mean,variance,stderr,min,max\n4,10,4.0,1,0.1,0,9.9\n{bad_row}\n"
+            "16,10,16.0,1,0.1,0,9.9\n"
+        )
+        out = tmp_path / "fit.json"
+        argv = ["estimate", "--summary", str(path)] + (["--out", str(out)] if to_file else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "line 3:" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["estimate", "--summary", str(tmp_path / "nope.csv")]) == 4
 
@@ -522,13 +539,13 @@ class TestEstimateCommand:
 
 class TestRenderCommand:
     def test_all_plus_stub_image(self):
-        image = render_zero_set(PlusField(), 2)
-        assert image.to_pgm() == b"P5\n2 2\n255\n" + b"\xff\xff\xff\xff"
+        pgm = render_zero_set(PlusField(), 2)
+        assert pgm == b"P5\n2 2\n255\n" + b"\xff\xff\xff\xff"
 
     def test_negative_odd_columns_stub_image(self):
-        image = render_zero_set(NegativeOddColumnsField(), 2)
+        pgm = render_zero_set(NegativeOddColumnsField(), 2)
         # column 1 negative, column 2 zero, both rows
-        assert image.to_pgm() == b"P5\n2 2\n255\n" + bytes([128, 0, 128, 0])
+        assert pgm == b"P5\n2 2\n255\n" + bytes([128, 0, 128, 0])
 
     def test_real_field_roundtrip(self, tmp_path):
         target = tmp_path / "zeros.pgm"

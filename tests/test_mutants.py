@@ -5,11 +5,14 @@ The killing tests are called on fixed inputs (hypothesis tests through
 ``.hypothesis.inner_test``), so the file runs in seconds.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 import test_exactprob
 import test_randfield
+import test_walkstats
 from test_walkstats import AlternatingRowsField
 
 from sheetwalk import checks, exactprob, randfield, walkstats
@@ -49,6 +52,15 @@ def _audit_rows_edge_zero_kept(plan, R, n, t):
         R, n, t, [walkstats.ZEROS, walkstats.PRODUCT_CROSSINGS, walkstats.PRODUCT_TOUCHES]
     )
     return crossings, touched, zeros, zeros
+
+
+def _sweep_block_with(old, new):
+    """Mutant of :func:`walkstats._sweep_block` with the one occurrence of ``old`` made ``new``."""
+    source = inspect.getsource(walkstats._sweep_block)
+    assert source.count(old) == 1
+    namespace = dict(vars(walkstats))
+    exec(compile(source.replace(old, new), walkstats.__file__, "exec"), namespace)
+    return namespace["_sweep_block"]
 
 
 class TestSignRowsColumnsFromZero:
@@ -97,3 +109,37 @@ class TestAuditRowsEdgeZeroKept:
         # edge zero's subtraction keeps the zeros on [1, n-1] at the touches
         _, ok = walkstats.decomposition_audit(AlternatingRowsField(), 6, (3,))
         assert not ok
+
+
+# one text replacement in walkstats._sweep_block each: (old, new)
+_SWEEP_BLOCK_EDITS = {
+    # the diagonal counted on the odd cells (2k - 1, 2k - 1), where S never vanishes
+    "diagonal-parity": ("diagonal[1:n:2]", "diagonal[0:n:2]"),
+    # the anti-diagonal read one column right, on the cells (i, n + 1 - i)
+    "antidiagonal-offset": (
+        "tile[:above, :, n - start - above : n - start]",
+        "tile[:above, :, n - start - above + 1 : n - start + 1]",
+    ),
+}
+
+
+def test_an_unmutated_copy_survives(monkeypatch):
+    # the copy itself is sound, so each kill below is the replacement's
+    monkeypatch.setattr(walkstats, "_sweep_block", _sweep_block_with("[1:n:2]", "[1:n:2]"))
+    assert checks._check_oracle_equivalence("quick", 1)[0]
+    test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
+
+
+class TestSweepBlockEdits:
+    @pytest.fixture(autouse=True, params=sorted(_SWEEP_BLOCK_EDITS))
+    def mutant(self, request, monkeypatch):
+        mutant = _sweep_block_with(*_SWEEP_BLOCK_EDITS[request.param])
+        monkeypatch.setattr(walkstats, "_sweep_block", mutant)
+
+    def test_killed_by_check_10(self):
+        ok, _ = checks._check_oracle_equivalence("quick", 1)
+        assert not ok
+
+    def test_killed_by_the_frozen_example(self):
+        with pytest.raises(AssertionError):
+            test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
