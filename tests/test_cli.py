@@ -393,8 +393,8 @@ EXACT_ROW_PINS = {
     ("hit-constant", "200"): b"n_max,estimate\n200,1\n",
 }
 RENDER_PIN = "4aab753360e18b1d4993bbdf2aaf502bc666a04644dad2009dc506a8bcd63464"
-# every size and mean a power of two, so each log the fit takes is one that
-# any libm rounds the same way
+# every size and mean is a power of two, the inputs whose logs libms most
+# often agree on to the last bit; the fitted floats still rest on np.log
 ESTIMATE_SUMMARY = (
     "N,M,mean,variance,stderr,min,max\n"
     "4,10,8.0,1.0,0.1,0.0,9.9\n"
