@@ -77,10 +77,15 @@ def _atomic_file(path: Path | str, mode: str = "wb", **kwargs):
     """A handle on a temporary file that replaces ``path`` once the block completes.
 
     ``mode`` and ``kwargs`` go to :func:`open`.  If the block raises, the
-    temporary file is removed and ``path`` is left as it was.
+    temporary file is removed and ``path`` is left as it was.  A directory
+    that cannot take the temporary file raises an ``OSError`` naming
+    ``path``.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    except OSError as exc:  # name the target, not the temporary file that was never made
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, mode, **kwargs) as handle:
             yield handle

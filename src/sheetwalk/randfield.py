@@ -13,9 +13,12 @@ The same finalizer is implemented twice — once on Python ints, once on
 ``numpy`` ``uint64`` arrays — and the two are bit-identical; tests pin
 this down.  The array path hashes whole tiles, rows outermost, into
 buffers the caller owns (:func:`sign_rows`: many fields, many rows, one
-call); :meth:`RademacherField.row_signs` is its one-field, one-row case.
-The tile path stops the cell finalizer one step early, since its last
-step ``z ^= z >> 31`` cannot change bit 63, the only bit a sign reads;
+call), and stops at the raw hash words: bit 63 of each is its sign, which
+the sweep reads straight into its fold.  The tile path stops the cell
+finalizer one step early, since its last step ``z ^= z >> 31`` cannot
+change bit 63, the only bit a sign reads.
+:meth:`RademacherField.row_signs` is the one-field, one-row case, and
+the only place the words become int64 +/-1 signs;
 :meth:`RademacherField.value` runs the full finalizer and is the scalar
 oracle.  All index arithmetic wraps modulo 2**64 by design.
 """
@@ -85,13 +88,12 @@ def _mix64_head(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 def sign_rows(
     roots: np.ndarray, start: int, words: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Hash the signs of rows ``start, start + 1, ...`` into ``words``; return them as int64.
+    """Hash the sign words of rows ``start, start + 1, ...`` into ``words``; return ``words``.
 
     ``words`` and ``scratch`` are ``uint64`` buffers of shape ``(b, R,
-    count)``, rows outermost: entry ``[k, r, j-1]`` becomes the sign at
-    cell ``(start + k, j)`` of the stream with root ``roots[r]``.  The
-    result is ``words`` viewed as int64, so it lives as long as the
-    buffer's contents do.
+    count)``, rows outermost: bit 63 of entry ``[k, r, j-1]`` is set
+    exactly when the sign at cell ``(start + k, j)`` of the stream with
+    root ``roots[r]`` is +1.  The other bits are hash state, not signs.
     """
     if start < 1:
         raise ValueError(f"row index must be >= 1, got {start}")
@@ -100,11 +102,7 @@ def sign_rows(
     row_keys = _mix64_vec(rows.reshape(-1, 1) * _V_GOLDEN + roots)
     cols = np.arange(1, count + 1, dtype=np.uint64) * _V_GOLDEN
     np.add(row_keys[:, :, None], cols, out=words)
-    _mix64_head(words, scratch)  # the sign is bit 63, set before the last step
-    signs = np.right_shift(words, _S63, out=words).view(np.int64)
-    signs *= 2
-    signs -= 1
-    return signs
+    return _mix64_head(words, scratch)  # the sign is bit 63, set before the last step
 
 
 class Seed(int):
@@ -156,7 +154,11 @@ class RademacherField:
         """Signs for columns ``1..count`` of row ``i`` as an int64 vector."""
         words = np.empty((1, 1, count), dtype=np.uint64)
         roots = np.array([self.root], dtype=np.uint64)
-        return sign_rows(roots, i, words, np.empty_like(words))[0, 0]
+        sign_rows(roots, i, words, np.empty_like(words))
+        signs = np.right_shift(words[0, 0], _S63, out=words[0, 0]).view(np.int64)
+        signs *= 2
+        signs -= 1
+        return signs
 
 
 def signed_binomial_batch(key: StreamKey, counts: np.ndarray) -> np.ndarray:

@@ -4,10 +4,13 @@ The rectangle sum ``S(i,j)`` is the sum of the sign field over
 ``[1,i] x [1,j]``.  Sums are never held whole: every reader works on
 tiles of ``b`` rows x ``R`` grids x ``cols`` columns, rows outermost,
 holding at most :data:`TILE_CELLS` cells, or one row when a row alone is
-larger.  Each tile is hashed in one call, summed along its rows with one
-contiguous ``cumsum``, and folded down with ``b`` in-place row adds, the
-first of which adds the row carried from the tile above.  The buffers
-are allocated once per call and filled in place, so no tile allocates.
+larger.  Each tile is hashed in one call and read into a 0/1 byte plane
+of its sign bits; :class:`_RowFold` sums it along its rows eight cells
+per ``uint64`` word, by exact byte-lane arithmetic, with a ``cumsum``
+only over each row's 64-cell block counts; ``b`` in-place row adds fold
+the rows down, the first of which adds the row carried from the tile
+above.  The buffers are allocated once per call and filled in place, so
+no tile allocates.
 
 The field is prefix-consistent: the ``n x n`` grid is the top-left corner
 of any larger one, so each replicate is read once, at the largest edge
@@ -87,59 +90,182 @@ def _check_edge(N: int) -> None:
         raise CapacityError(f"sweep capped at N={SWEEP_CEILING}, got {N}")
 
 
-def _tile_buffers(rows: int, cols: int, grids: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``uint64`` buffers for tiles of ``grids`` ``rows x cols`` grids: sums, hash scratch.
+def _tile_buffers(rows: int, cols: int, grids: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for tiles of ``grids`` ``rows x cols`` grids: sums, hash scratch, fold.
 
     Both sides are checked against :data:`SWEEP_CEILING` first.  The sums
-    buffer holds one row more than a tile, for the carried row.
+    buffer holds one row more than a tile, for the carried row.  The
+    last two are the bit plane and word scratch of :class:`_RowFold`: per
+    row, a byte per cell, and a word per 8 cells plus two per 64-cell block.
     """
     _check_edge(rows)
     _check_edge(cols)
-    cells = grids * tile_shape(rows, cols)[1] * cols
-    return np.empty(cells + grids * cols, dtype=np.uint64), np.empty(cells, dtype=np.uint64)
+    height = tile_shape(rows, cols)[1]
+    words, blocks = -(-cols // 8), -(-cols // 64)
+    return (
+        np.empty(grids * (height + 1) * cols, dtype=np.uint64),
+        np.empty(grids * height * cols, dtype=np.uint64),
+        np.empty(grids * height * words * 8, dtype=np.uint8),
+        np.empty(grids * height * (words + 2 * blocks + 2), dtype=np.uint64),
+    )
+
+
+_ONES = np.uint64(0x0101010101010101)  # a multiply sums each byte lane with the lanes below
+_TWOS = np.uint64(0x0202020202020202)  # the same, doubled
+_S8 = np.uint64(8)
+_S55 = np.uint64(55)
+# 63 - p in the lane of block place p, for each of the 8 words of a 64-cell block:
+# bytes 0x3F down to 0x38 in the first word, each 8 less in every word after it
+_LANE_BIAS = np.uint64(0x38393A3B3C3D3E3F) - np.arange(0, 64, 8, dtype=np.uint64) * _ONES
+
+
+class _RowFold:
+    """Row sums of tiles of signs read as 0/1 bytes, eight cells per ``uint64`` word.
+
+    ``bits[k, r, j-1]`` is 1 where the sign at tile row ``k``, grid ``r``,
+    column ``j`` is +1, else 0; each row is padded to whole 8-cell words.
+    Calling the fold on ``b`` rows writes ``S_row(j)``, the sum of the
+    row's signs over columns ``1..j``, as int64.  Viewed as ``uint64``, a
+    word of the plane holds 8 cells, one per byte lane, and exact lane
+    arithmetic turns it, in place, into ``S_blk + 64`` per cell, where
+    ``S_blk`` sums the row from the start of the cell's 64-cell block:
+
+    - one multiply by ``0x0101...01`` leaves each word's count of +1
+      cells in its top byte;
+    - those counts, packed 8 to a word (one word per block), multiplied
+      the same way and shifted left one byte, give each word's count of
+      +1 cells before it in its block, ``B``;
+    - ``(word + B) * 0x0202...02`` puts ``2C`` in each lane, ``C`` the +1
+      cells of the block up to that cell, and adding ``63 - p`` to the
+      lane of block place ``p`` makes it ``2C + 63 - p = S_blk + 64``.
+      Since ``C <= p + 1``, every lane stays in ``[0, 128]``, so no
+      carry crosses a lane.
+
+    A ``cumsum`` over the block counts gives each row's sum before each
+    block; a row of one block needs none.  One add of the lanes and those
+    sums, less 64, writes the int64 row sums.  The block sums are int16:
+    its arithmetic wraps modulo ``2**16``, and every block sum fits int16,
+    so each comes out exact.  The add runs in int16 too, which holds every
+    sum of a row narrower than ``2**15``, and in int32 for the widest rows.
+    A padding byte only reaches lanes, words and blocks to its right, past
+    column ``cols``, so its value does not matter.
+    """
+
+    def __init__(self, bits: np.ndarray, scratch: np.ndarray, grids: int, height: int, cols: int):
+        nwords, self.blocks, self.full = -(-cols // 8), -(-cols // 64), cols // 64
+        self.bits = bits[: height * grids * nwords * 8].reshape(height, grids, nwords * 8)
+        self.words = self.bits.view(np.uint64)
+        # a row of more than one block starts with a zero word, a pad for the block cumsum
+        pad = int(self.blocks > 1)
+        # three regions of the scratch, each contiguous for any number of rows
+        rows, per_row = height * grids, self.blocks + pad
+        counts, scratch = scratch[: rows * nwords], scratch[rows * nwords :]
+        packed, before = scratch[: rows * per_row], scratch[rows * per_row :]
+        self.counts = counts.reshape(height, grids, nwords)  # each word's +1 cells, in byte 7
+        self.packed = packed.reshape(height, grids, per_row)  # one word per block
+        self.packed[:, :, :pad] = 0
+        self.word_base = self.packed.view(np.uint8)[:, :, 8 * pad : 8 * pad + nwords]  # B
+        self.before = before.view(np.int16)[: self.packed.size].reshape(self.packed.shape)
+        self.before[:, :, 0] = -64  # a row's first block starts at S_row = 0
+        # a whole tile row of it, so the add runs in long loops
+        self.lane_bias = _LANE_BIAS[np.arange(grids * nwords) % nwords % 8].reshape(grids, -1)
+        # S_row before block q is 2 * (+1 cells before it) - 64 q; the lanes hold 64 more
+        self.block_bias = (64 * np.arange(1, self.blocks + 1)).astype(np.int16)
+        self.sum_type = np.int16 if cols < 2**15 else np.int32  # |S_row| <= cols
+
+    def __call__(self, b: int, out: np.ndarray) -> np.ndarray:
+        """Write the row sums of the plane's first ``b`` rows into ``out``; return it."""
+        words, counts, packed, word_base = (
+            self.words[:b], self.counts[:b], self.packed[:b], self.word_base[:b]
+        )
+        np.multiply(words, _ONES, out=counts)
+        np.copyto(word_base, counts.view(np.uint8)[:, :, 7::8])
+        packed *= _ONES
+        before = self.before[:b]
+        block_base = before[:, :, : self.blocks]  # S_row before each block, less 64
+        if self.blocks > 1:
+            # twice each block's +1 cells: byte 6 of a whole block is at most 56, so
+            # bit 55 is clear (the last block's count is never read)
+            np.right_shift(packed, _S55, out=before, casting="unsafe")
+            # one cumsum down the whole tile; less each row's first entry, whatever
+            # that held, it leaves twice the +1 cells before each block of the row
+            np.cumsum(before.reshape(-1), dtype=np.int16, out=before.reshape(-1))
+            np.subtract(block_base, before[:, :, :1], out=block_base)
+            block_base -= self.block_bias
+        np.left_shift(packed, _S8, out=packed)
+        np.add(words, word_base, out=words)
+        words *= _TWOS
+        words += self.lane_bias
+        full, split = self.full, 64 * self.full
+        if full:
+            blocks = (b, out.shape[1], full, 64)
+            np.add(
+                self.bits[:b, :, :split].reshape(blocks),
+                block_base[:, :, :full, None],
+                out=out[:, :, :split].reshape(blocks),
+                dtype=self.sum_type,
+            )
+        if full < self.blocks:  # the last, shorter block
+            cols = out.shape[2]
+            np.add(
+                self.bits[:b, :, split:cols],
+                block_base[:, :, full:],
+                out=out[:, :, split:],
+                dtype=self.sum_type,
+            )
+        return out
 
 
 def _partial_sum_tiles(
-    fields: Sequence, rows: int, cols: int, words: np.ndarray, scratch: np.ndarray
+    fields: Sequence,
+    rows: int,
+    cols: int,
+    words: np.ndarray,
+    scratch: np.ndarray,
+    bits: np.ndarray,
+    fold: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, T)`` with ``T[k, r, j-1] = S(start + k, j)`` of grid ``r``.
 
-    ``words`` and ``scratch`` come from :func:`_tile_buffers` for these
-    sides and at least ``len(fields)`` grids, and may serve several calls
-    in turn.  Every ``T`` is a view of ``words`` that the next tile
-    overwrites, so it lives for one iteration; a caller that keeps it
-    must copy it.
+    The buffers come from :func:`_tile_buffers` for these sides and at
+    least ``len(fields)`` grids, and may serve several calls in turn.
+    Every ``T`` is a view of ``words`` that the next tile overwrites, so
+    it lives for one iteration; a caller that keeps it must copy it.
 
     Row 0 of the buffer carries ``S(start - 1, .)``.  Each tile's signs
-    are hashed into rows ``1..b``, summed along each row with one
-    ``cumsum``, and folded down with ``b`` in-place row adds, the first
-    of which adds the carried row.
+    are read into the 0/1 plane of a :class:`_RowFold`: a real field's
+    hash words (bit 63 is the sign) are hashed into rows ``1..b`` and
+    compared once, and any other field (a test double) writes its
+    ``row_signs`` rows.  The fold writes the row sums over the hash
+    words, and ``b`` in-place row adds, the first of which adds the
+    carried row, fold them down.
     """
     R, height = len(fields), tile_shape(rows, cols)[1]
     words = words[: (height + 1) * R * cols].reshape(height + 1, R, cols)
-    scratch = scratch[: height * R * cols].reshape(height, R, cols)
     sums = words.view(np.int64)  # the same memory: the hash words become the sums
     sums[0] = 0  # S(0, j)
+    fold = _RowFold(bits, fold, R, height, cols)
+    plane = fold.bits[:, :, :cols]
     if all(isinstance(f, RademacherField) for f in fields):
         roots = np.array([f.root for f in fields], dtype=np.uint64)
+        scratch = scratch[: height * R * cols].reshape(height, R, cols)
 
-        def read(start: int, b: int) -> np.ndarray:
-            return sign_rows(roots, start, words[1 : b + 1], scratch[:b])
+        def read(start: int, b: int) -> None:
+            hashed = sign_rows(roots, start, words[1 : b + 1], scratch[:b])
+            np.less(hashed.view(np.int64), 0, out=plane[:b])
 
     else:
 
-        def read(start: int, b: int) -> np.ndarray:
-            # any other field (a test double) is read through its row_signs
+        def read(start: int, b: int) -> None:
             for k in range(b):
                 for r, f in enumerate(fields):
-                    sums[1 + k, r] = f.row_signs(start + k, cols)
-            return sums[1 : b + 1]
+                    np.greater(f.row_signs(start + k, cols), 0, out=plane[k, r])
 
     row_views = list(sums)  # made once: indexing a row per add costs as much as the add
     for start in range(1, rows + 1, height):
         b = min(height, rows + 1 - start)
-        tile = read(start, b)
-        np.cumsum(tile, axis=2, out=tile)
+        read(start, b)
+        tile = fold(b, sums[1 : b + 1])
         for above, row in zip(row_views, row_views[1 : b + 1]):
             row += above
         sums[0] = sums[b]  # the carry, copied out before the next tile is hashed over it
@@ -261,7 +387,7 @@ class _SweepPlan:
         self.slot = {p: k for k, p in enumerate(self.planes)}
         grids, rows = tile_shape(M)
         cells = grids * rows * M
-        self.words, self.scratch = _tile_buffers(M, M, grids)
+        self.tiles = _tile_buffers(M, M, grids)
         self.flags = np.empty(len(self.planes) * cells, dtype=bool)
         # a row has at most SWEEP_CEILING = 2**15 cells, so its counts fit uint16
         self.counts = np.empty(len(self.planes) * M * grids * len(edges), dtype=np.uint16)
@@ -336,7 +462,7 @@ def _sweep_block(fields: Sequence, plan: _SweepPlan) -> list[tuple[StatBundle, .
         sum_products = plan.sum_products[: cells - b * R].reshape(b, R, M - 1)
         crossed, touched = flags[slot[PRODUCT_CROSSINGS] :, :, :, 1:]
         edge_zeros = plan.edge_zero_flags(R)
-    for start, tile in _partial_sum_tiles(fields, M, M, plan.words, plan.scratch):
+    for start, tile in _partial_sum_tiles(fields, M, M, *plan.tiles):
         rows = len(tile)
         here = slice(start - 1, start - 1 + rows)
         if crossing:

@@ -648,3 +648,31 @@ class TestVerifyCommand:
         assert len(results) == 1 and results[0].passed
         report = format_report(results, level="quick")
         assert "hitting-floor" in report and "PASS" in report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "pn", "--max", "4"],
+        ["render", "--n", "4"],
+        ["estimate", "--summary", "summary.csv"],
+        ["verify"],
+    ],
+    ids=["exact", "render", "estimate", "verify"],
+)
+def test_missing_out_directory_names_the_target(tmp_path, capsys, monkeypatch, argv):
+    # the error names the path given, not the random temporary file beside it
+    from sheetwalk import checks
+
+    only = tuple(c for c in checks._CHECKS if c[0] == "hitting-floor")
+    monkeypatch.setattr(checks, "_CHECKS", only)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "summary.csv").write_text(
+        "N,M,mean,variance,stderr,min,max\n8,10,8.0,1,0.1,0,9.9\n16,10,16.0,1,0.1,0,9.9\n"
+    )
+    target = tmp_path / "missing" / "dir" / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("sheetwalk: i/o error: ")
+    assert err.endswith(f"'{target}'\n")
+    assert not (tmp_path / "missing").exists()

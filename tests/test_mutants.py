@@ -1,5 +1,5 @@
-"""Mutant catalogue: each mutant is a patched copy of one function, and each
-test asserts that a named check or test kills it.
+"""Mutant catalogue: each mutant is a patched copy of one function or class,
+and each test asserts that a named check or test kills it.
 
 The killing tests are called on fixed inputs (hypothesis tests through
 ``.hypothesis.inner_test``), so the file runs in seconds.
@@ -10,6 +10,7 @@ import inspect
 import numpy as np
 import pytest
 
+import test_cli
 import test_exactprob
 import test_randfield
 import test_walkstats
@@ -27,11 +28,7 @@ def _sign_rows_columns_from_zero(roots, start, words, scratch):
     row_keys = randfield._mix64_vec(rows.reshape(-1, 1) * randfield._V_GOLDEN + roots)
     cols = np.arange(0, count, dtype=np.uint64) * randfield._V_GOLDEN
     np.add(row_keys[:, :, None], cols, out=words)
-    randfield._mix64_head(words, scratch)
-    signs = np.right_shift(words, randfield._S63, out=words).view(np.int64)
-    signs *= 2
-    signs -= 1
-    return signs
+    return randfield._mix64_head(words, scratch)
 
 
 def _p_fill_table_below_the_ceiling(ks, out, scratch):
@@ -54,13 +51,13 @@ def _audit_rows_edge_zero_kept(plan, R, n, t):
     return crossings, touched, zeros, zeros
 
 
-def _sweep_block_with(old, new):
-    """Mutant of :func:`walkstats._sweep_block` with the one occurrence of ``old`` made ``new``."""
-    source = inspect.getsource(walkstats._sweep_block)
+def _edited(name, old, new):
+    """Mutant of ``walkstats.<name>`` with the one occurrence of ``old`` made ``new``."""
+    source = inspect.getsource(getattr(walkstats, name))
     assert source.count(old) == 1
     namespace = dict(vars(walkstats))
     exec(compile(source.replace(old, new), walkstats.__file__, "exec"), namespace)
-    return namespace["_sweep_block"]
+    return namespace[name]
 
 
 class TestSignRowsColumnsFromZero:
@@ -124,16 +121,20 @@ _SWEEP_BLOCK_EDITS = {
 
 
 def test_an_unmutated_copy_survives(monkeypatch):
-    # the copy itself is sound, so each kill below is the replacement's
-    monkeypatch.setattr(walkstats, "_sweep_block", _sweep_block_with("[1:n:2]", "[1:n:2]"))
+    # the copies themselves are sound, so each kill below is the replacement's
+    monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", "[1:n:2]", "[1:n:2]"))
+    same = "block_base -= self.block_bias"
+    monkeypatch.setattr(walkstats, "_RowFold", _edited("_RowFold", same, same))
     assert checks._check_oracle_equivalence("quick", 1)[0]
     test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
+    test_walkstats.test_fold_equals_dense_recount_across_word_and_block_edges(65, False)
+    test_walkstats.test_fold_at_the_ceiling_width(walkstats.SWEEP_CEILING)
 
 
 class TestSweepBlockEdits:
     @pytest.fixture(autouse=True, params=sorted(_SWEEP_BLOCK_EDITS))
     def mutant(self, request, monkeypatch):
-        mutant = _sweep_block_with(*_SWEEP_BLOCK_EDITS[request.param])
+        mutant = _edited("_sweep_block", *_SWEEP_BLOCK_EDITS[request.param])
         monkeypatch.setattr(walkstats, "_sweep_block", mutant)
 
     def test_killed_by_check_10(self):
@@ -143,3 +144,32 @@ class TestSweepBlockEdits:
     def test_killed_by_the_frozen_example(self):
         with pytest.raises(AssertionError):
             test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
+
+
+class TestRowFoldBlockCarryDropped:
+    """Every 64-cell block of a row starts again from ``S_row = 0``.
+
+    Check 10 cannot see it: its widest rows (the twin-zero band at N = 24)
+    have 48 columns, one block.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        carry = "block_base -= self.block_bias\n"
+        mutant = _edited("_RowFold", carry, "block_base[:] = -64\n")
+        monkeypatch.setattr(walkstats, "_RowFold", mutant)
+
+    def test_killed_by_the_fold_widths(self):
+        with pytest.raises(AssertionError):
+            test_walkstats.test_fold_equals_dense_recount_across_word_and_block_edges(65, False)
+
+    def test_killed_by_the_ceiling_width(self):
+        with pytest.raises(AssertionError):
+            test_walkstats.test_fold_at_the_ceiling_width(walkstats.SWEEP_CEILING)
+
+    def test_killed_by_the_render_pin(self, tmp_path):
+        with pytest.raises(AssertionError):
+            test_cli.TestBytePins().test_render_bytes_at_seed_seven(tmp_path)
+
+    def test_survives_check_10(self):
+        assert checks._check_oracle_equivalence("quick", 1)[0]

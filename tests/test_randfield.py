@@ -97,14 +97,14 @@ def test_tiles_and_rows_match_scalar_values(seed, replicates, start, rows, count
     roots = np.array([f.root for f in fields], dtype=np.uint64)
     words = np.full((rows + 1, len(fields), count), 0xA5A5, dtype=np.uint64)
     tile = sign_rows(roots, start, words[1:], np.empty_like(words[1:]))
-    assert tile.shape == (rows, len(fields), count) and tile.dtype == np.int64
+    assert tile.shape == (rows, len(fields), count) and tile.dtype == np.uint64
     assert np.shares_memory(tile, words) or tile.size == 0
     assert (words[0] == 0xA5A5).all()
     for k, grids in enumerate(tile):
         i = start + k
         for f, row in zip(fields, grids):
             expected = [f.value(i, j) for j in range(1, count + 1)]
-            assert row.tolist() == expected
+            assert [1 if word >> 63 else -1 for word in row.tolist()] == expected  # bit 63
             assert f.row_signs(i, count).tolist() == expected
 
 

@@ -235,15 +235,72 @@ def test_tile_kernel_equals_brute_force(seed, n, stride, count, data):
     assert zeros == [coords for _, coords in oracles]
 
 
+def _value_sums(f, rows, cols):
+    """``S(i, j)`` on ``[1, rows] x [1, cols]`` from the scalar ``value``, as an int64 array."""
+    signs = np.array([[f.value(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)])
+    return signs.cumsum(axis=0).cumsum(axis=1)
+
+
 @pytest.mark.parametrize("n,cap", [(17, 3 * 17 + 1), (9, 1), (12, 2 * 144)])
 def test_partial_rows_across_tile_seams(n, cap):
     f = field(6)
-    signs = np.array([[f.value(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
-    dense = signs.cumsum(axis=0).cumsum(axis=1)
+    dense = _value_sums(f, n, n)
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
         rows = [(i, col.copy()) for i, col in iter_partial_rows(f, n)]
     assert [i for i, _ in rows] == list(range(1, n + 1))
     assert all(np.array_equal(col, dense[i - 1]) for i, col in rows)
+
+
+class RowSignsField:
+    """Stub: a real field read only through ``row_signs``, as any test double is."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def value(self, i, j):
+        return self.f.value(i, j)
+
+    def row_signs(self, i, count):
+        return self.f.row_signs(i, count)
+
+
+@pytest.mark.parametrize("band", [False, True], ids=["whole-grids", "row-bands"])
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200])
+def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
+    # the widths cross the fold's 8-cell words and 64-cell blocks; tiles of
+    # two whole grids leave a last block of one, row bands carry a row, and
+    # every block is a new call on the same buffers, real fields first, so a
+    # stale padding byte or block count would show
+    rows = 5
+    real = [field(cols, r) for r in range(3)]
+    stubs = [RowSignsField(f) for f in real]
+    stubs += [AlternatingColumnsField(), ConstantField(), AlternatingRowsField()]
+    with mock.patch.object(walkstats, "TILE_CELLS", 2 * (1 if band else rows) * cols):
+        grids = tile_shape(rows, cols)[0]
+        assert grids == (1 if band else 2)
+        buffers = walkstats._tile_buffers(rows, cols, grids)
+        for fields in (real, stubs):
+            for at in range(0, len(fields), grids):
+                block = fields[at : at + grids]
+                dense = [_value_sums(f, rows, cols) for f in block]
+                starts = []
+                for start, tile in walkstats._partial_sum_tiles(block, rows, cols, *buffers):
+                    starts.append(start)
+                    for r, sums in enumerate(dense):
+                        assert np.array_equal(tile[:, r], sums[start - 1 : start - 1 + len(tile)])
+                assert starts == ([1, 3, 5] if band else [1])
+
+
+@pytest.mark.parametrize("cols", [SWEEP_CEILING - 1, SWEEP_CEILING])
+def test_fold_at_the_ceiling_width(cols):
+    # 512 blocks in a row and the largest row sums a sweep can make: the block
+    # sums wrap in int16 on the way, and only the widest rows add in int32
+    for stub, sums in (
+        (ConstantField(), np.arange(1, cols + 1)),
+        (AlternatingColumnsField(), np.arange(1, cols + 1) % 2),
+    ):
+        ((_, block),) = walkstats.partial_sum_blocks(stub, 1, cols)
+        assert np.array_equal(block[0], sums)
 
 
 def test_stub_fields_sweep_in_blocks():
