@@ -46,10 +46,10 @@ from .mcharness import (
     estimate_exponent,
     map_workers,
 )
-from .randfield import RademacherField, Seed, StreamKey
+from .randfield import RademacherField, Seed, StreamKey, field_roots
 from .walkstats import (
     annulus_zero_check,
-    audit_fields,
+    audit_roots,
     brute_force_bundle,
     sweep_grid,
     twin_zero_count,
@@ -226,18 +226,14 @@ _AUDITED: dict[ExperimentConfig, tuple[ExperimentResult, bool]] = {}
 
 def _audited_chunk(
     args: tuple[ExperimentConfig, int, int]
-) -> tuple[list[tuple[int, int, float]], bool]:
+) -> tuple[tuple[np.ndarray, np.ndarray], bool]:
     # one worker's share of the harness's partition: each replicate swept
     # once, its values read and every size audited from that sweep
     config, worker_index, workers = args
-    mine = range(worker_index, config.replicates, workers)
-    fields = (RademacherField(StreamKey(config.seed, r)) for r in mine)
-    triples, ok = [], True
+    mine = np.arange(worker_index, config.replicates, workers)
     stat = config.statistic.value
-    for r, (bundles, good) in zip(mine, audit_fields(fields, config.sizes, (stat,))):
-        triples.extend((b.N, r, float(getattr(b, stat))) for b in bundles)
-        ok &= good
-    return triples, ok
+    values, ok = audit_roots(field_roots(config.seed, mine), config.sizes, (stat,))
+    return (mine, values[stat]), bool(ok.all())
 
 
 def _audited_run(config: ExperimentConfig) -> tuple[ExperimentResult, bool]:
@@ -249,7 +245,7 @@ def _audited_run(config: ExperimentConfig) -> tuple[ExperimentResult, bool]:
     """
     if config not in _AUDITED:
         chunks = map_workers(_audited_chunk, config)
-        result = assemble_result(config, (triples for triples, _ in chunks))
+        result = assemble_result(config, (chunk for chunk, _ in chunks))
         _AUDITED[config] = result, all(ok for _, ok in chunks)
     return _AUDITED[config]
 

@@ -41,6 +41,7 @@ from .mcharness import (
     Statistic,
     estimate_exponent,
     run_experiment,
+    usable_cpus,
 )
 from .randfield import RademacherField, Seed, StreamKey
 from .walkstats import partial_sum_blocks
@@ -181,7 +182,7 @@ def _resolve_workers(flag: int | None) -> int:
         if value < 1:
             raise ValueError(f"WORKERS must be >= 1, got {value}")
         return value
-    return os.cpu_count() or 1
+    return usable_cpus()
 
 
 # ---------------------------------------------------------------- exact

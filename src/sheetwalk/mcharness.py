@@ -7,14 +7,19 @@ every float reduced from them, since aggregation happens in replicate
 order after the pool returns — is byte-identical for any worker count.
 A worker sweeps each of its replicates of a grid statistic once, at the
 largest edge, and reads every smaller size as a prefix of that sweep (see
-:func:`~sheetwalk.walkstats.sweep_fields`); the sweep computes only the one
-counter the statistic reads.  The diagonal fast path draws each
-replicate's increments once, for the largest size, and counts every size
-on a prefix of them (:func:`~sheetwalk.walkstats.diag_zero_counts`); the
-zero-set statistics read each replicate's zeros once, for all sizes.  Raw
-per-replicate values are retained, not just summaries.
-:func:`assemble_result` is the one place worker output becomes an
-:class:`ExperimentResult`; a caller that runs its own task on the same
+:func:`~sheetwalk.walkstats.sweep_roots`).  It derives the roots of all its
+streams in one call (:func:`~sheetwalk.randfield.field_roots`), and the
+sweep takes that array and hands back one int64 array per counter, sizes
+by replicates; it computes only the one counter the statistic reads.  No
+field, key or bundle object is made per replicate on that path.  The
+diagonal fast path draws each replicate's increments once, for the
+largest size, and counts every size on a prefix of them
+(:func:`~sheetwalk.walkstats.diag_zero_counts`); the zero-set statistics
+read each replicate's zeros once, for all sizes.  Raw per-replicate
+values are retained, not just summaries.  A worker's output is its
+replicate indices and a sizes-by-replicates array of their values;
+:func:`assemble_result` is the one place that output becomes an
+:class:`ExperimentResult`.  A caller that runs its own task on the same
 partition (the acceptance checks, which also audit each grid in the pass)
 builds its result there too.
 """
@@ -32,8 +37,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .exactprob import DIAG_LOG_COEFF, delta_mean_exact
-from .randfield import RademacherField, Seed, StreamKey
-from .walkstats import COUNTERS, annulus_counts, diag_zero_counts, sweep_fields, twin_zero_counts
+from .randfield import RademacherField, Seed, StreamKey, field_roots
+from .walkstats import COUNTERS, annulus_counts, diag_zero_counts, sweep_roots, twin_zero_counts
 
 
 class Statistic(enum.Enum):
@@ -113,22 +118,30 @@ def summarize(values: np.ndarray) -> SummaryStats:
     )
 
 
-def _worker_chunk(args: tuple[ExperimentConfig, int, int]) -> list[tuple[int, int, float]]:
+def _worker_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
     config, worker_index, workers = args
-    mine = range(worker_index, config.replicates, workers)
+    mine = np.arange(worker_index, config.replicates, workers)
     stat, sizes = config.statistic, config.sizes
-    fields = (RademacherField(StreamKey(config.seed, r)) for r in mine)
+    if stat in _BUNDLE_FIELDS:  # only the counter read is swept, from the roots
+        roots = field_roots(config.seed, mine)
+        return mine, sweep_roots(roots, sizes, (stat.value,))[stat.value]
+    keys = [StreamKey(config.seed, r) for r in mine.tolist()]
+    fields = (RademacherField(key) for key in keys)
     # per replicate, one value per size in the order of sizes
     if stat is Statistic.DELTA_FASTPATH:  # drawn, not read from a grid
-        values = (diag_zero_counts(StreamKey(config.seed, r), sizes) for r in mine)
-    elif stat in _BUNDLE_FIELDS:  # only the counter read is swept
-        swept = sweep_fields(fields, sizes, (stat.value,))
-        values = ([getattr(b, stat.value) for b in bs] for bs in swept)
+        values = [diag_zero_counts(key, sizes) for key in keys]
     elif stat is Statistic.TWIN_ZEROS:
-        values = (twin_zero_counts(f, config.eps, sizes, config.radius) for f in fields)
+        values = [twin_zero_counts(f, config.eps, sizes, config.radius) for f in fields]
     else:
-        values = (annulus_counts(f, config.eps, sizes) for f in fields)
-    return [(n, r, float(v)) for r, vs in zip(mine, values) for n, v in zip(sizes, vs)]
+        values = [annulus_counts(f, config.eps, sizes) for f in fields]
+    return mine, np.array(values, dtype=np.float64).T
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def map_workers(task: Callable, config: ExperimentConfig) -> list:
@@ -136,14 +149,14 @@ def map_workers(task: Callable, config: ExperimentConfig) -> list:
 
     This is the static partition: of ``W = min(config.workers,
     config.replicates)`` workers, worker ``w`` owns replicates ``r = w
-    (mod W)``.  The ``W`` jobs run on ``min(W, os.cpu_count())``
+    (mod W)``.  The ``W`` jobs run on ``min(W, usable_cpus())``
     processes, so no more processes start than there are replicates to
     share out or CPUs to run them.  With one process the jobs run inline;
     otherwise ``task`` must be a module-level function.
     """
     workers = min(config.workers, config.replicates)
     jobs = [(config, w, workers) for w in range(workers)]
-    processes = min(workers, os.cpu_count() or 1)
+    processes = min(workers, usable_cpus())
     if processes == 1:
         return [task(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=processes) as pool:
@@ -151,19 +164,22 @@ def map_workers(task: Callable, config: ExperimentConfig) -> list:
 
 
 def assemble_result(
-    config: ExperimentConfig, chunks: Iterable[Iterable[tuple[int, int, float]]]
+    config: ExperimentConfig, chunks: Iterable[tuple[np.ndarray, np.ndarray]]
 ) -> ExperimentResult:
-    """Place every worker's ``(size, replicate, value)`` triples; summarize each size.
+    """Place every worker's values at their replicates; summarize each size.
 
-    Values land at their replicate's index, so the result does not depend
-    on how the replicates were shared out among the workers.
+    A chunk is ``(replicates, values)``: the worker's replicate indices
+    and a ``(len(sizes), len(replicates))`` array, one row per size in
+    the order of ``config.sizes``.  Values land at their replicate's
+    index, so the result does not depend on how the replicates were
+    shared out among the workers.
     """
     values = {
         size: np.empty(config.replicates, dtype=np.float64) for size in config.sizes
     }
-    for chunk in chunks:
-        for size, r, value in chunk:
-            values[size][r] = value
+    for replicates, chunk in chunks:
+        for size, row in zip(config.sizes, chunk):
+            values[size][replicates] = row
     summaries = {size: summarize(vals) for size, vals in values.items()}
     return ExperimentResult(config=config, values=values, summaries=summaries)
 

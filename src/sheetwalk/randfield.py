@@ -11,7 +11,10 @@ collide.
 
 The same finalizer is implemented twice — once on Python ints, once on
 ``numpy`` ``uint64`` arrays — and the two are bit-identical; tests pin
-this down.  The array path hashes whole tiles, rows outermost, into
+this down.  So are the field roots: :func:`field_roots` derives a whole
+run of replicates' roots in one array call, and
+:attr:`RademacherField.root` (via ``StreamKey._root``) is its scalar
+oracle.  The array path hashes whole tiles, rows outermost, into
 buffers the caller owns (:func:`sign_rows`: many fields, many rows, one
 call), and stops at the raw hash words: bit 63 of each is its sign, which
 the sweep reads straight into its fold.  The tile path stops the cell
@@ -103,6 +106,22 @@ def sign_rows(
     cols = np.arange(1, count + 1, dtype=np.uint64) * _V_GOLDEN
     np.add(row_keys[:, :, None], cols, out=words)
     return _mix64_head(words, scratch)  # the sign is bit 63, set before the last step
+
+
+def field_roots(seed: int, replicates) -> np.ndarray:
+    """The cell-hash roots of the streams ``StreamKey(seed, r)``, ``r`` in ``replicates``.
+
+    Entry ``k`` is ``RademacherField(StreamKey(seed, replicates[k])).root``,
+    bit for bit, as a ``uint64`` array.  The seed is reduced mod ``2**64``
+    as :class:`Seed` reduces it, and ``r * GOLDEN`` wraps as the scalar
+    path's does.  Replicates are ints in ``[0, 2**63)``; a negative one is
+    rejected, as :class:`StreamKey` rejects it.
+    """
+    replicates = np.asarray(replicates, dtype=np.int64)
+    if replicates.size and replicates.min() < 0:
+        raise ValueError(f"replicate must be >= 0, got {int(replicates.min())}")
+    base = np.uint64(_mix64(Seed(seed) ^ _FIELD_TAG))
+    return _mix64_vec(replicates.astype(np.uint64) * _V_GOLDEN + base)
 
 
 class Seed(int):

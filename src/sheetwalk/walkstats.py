@@ -9,14 +9,24 @@ of its sign bits; :class:`_RowFold` sums it along its rows eight cells
 per ``uint64`` word, by exact byte-lane arithmetic, with a ``cumsum``
 only over each row's 64-cell block counts; ``b`` in-place row adds fold
 the rows down, the first of which adds the row carried from the tile
-above.  The buffers are allocated once per call and filled in place, so
-no tile allocates.
+above.  The buffers, and their views and fold for each block width, are
+made once per call and filled in place, so no tile allocates.
+
+The kernel's input is a block of stream roots, a ``uint64`` array (see
+:func:`~sheetwalk.randfield.field_roots`); its output is one int64 array
+per counter, sizes by grids.  :func:`sweep_roots` and
+:func:`audit_roots`, the production path, take and return just those
+arrays.  :func:`sweep_fields`, :func:`audit_fields` and
+:func:`sweep_grid` take field objects, send each block of real fields
+through the same kernel as its roots, and are the only places the arrays
+become :class:`StatBundle` objects.  A block holding a test double is
+read through its ``row_signs`` instead.
 
 The field is prefix-consistent: the ``n x n`` grid is the top-left corner
 of any larger one, so each replicate is read once, at the largest edge
-asked for, for every size.  The sweep (:func:`sweep_fields`) counts, per
-row, on each column segment between the sorted sizes, only the flag
-planes that the counters its caller reads need: the zeros (``S == 0``)
+asked for, for every size.  The sweep counts, per row, on each column
+segment between the sorted sizes, only the flag planes that the
+counters its caller reads need: the zeros (``S == 0``)
 for ``gamma``, the ones for ``gamma_prime``, and the crossings, from int8
 signs, for ``z_crossings``; ``delta`` and ``d_antidiag`` read the
 diagonal and anti-diagonal cells of the sums and no plane at all.  The
@@ -35,7 +45,7 @@ sweep's own crossing test multiplies int8 signs, never the sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -90,26 +100,6 @@ def _check_edge(N: int) -> None:
         raise CapacityError(f"sweep capped at N={SWEEP_CEILING}, got {N}")
 
 
-def _tile_buffers(rows: int, cols: int, grids: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for tiles of ``grids`` ``rows x cols`` grids: sums, hash scratch, fold.
-
-    Both sides are checked against :data:`SWEEP_CEILING` first.  The sums
-    buffer holds one row more than a tile, for the carried row.  The
-    last two are the bit plane and word scratch of :class:`_RowFold`: per
-    row, a byte per cell, and a word per 8 cells plus two per 64-cell block.
-    """
-    _check_edge(rows)
-    _check_edge(cols)
-    height = tile_shape(rows, cols)[1]
-    words, blocks = -(-cols // 8), -(-cols // 64)
-    return (
-        np.empty(grids * (height + 1) * cols, dtype=np.uint64),
-        np.empty(grids * height * cols, dtype=np.uint64),
-        np.empty(grids * height * words * 8, dtype=np.uint8),
-        np.empty(grids * height * (words + 2 * blocks + 2), dtype=np.uint64),
-    )
-
-
 _ONES = np.uint64(0x0101010101010101)  # a multiply sums each byte lane with the lanes below
 _TWOS = np.uint64(0x0202020202020202)  # the same, doubled
 _S8 = np.uint64(8)
@@ -151,21 +141,37 @@ class _RowFold:
     column ``cols``, so its value does not matter.
     """
 
-    def __init__(self, bits: np.ndarray, scratch: np.ndarray, grids: int, height: int, cols: int):
+    @staticmethod
+    def buffers(rows: int, cols: int) -> tuple[np.ndarray, ...]:
+        """Flat buffers for folds of up to ``rows`` rows of ``cols`` cells.
+
+        The bit plane (a byte per cell, in whole 8-cell words), each word's
+        count, one word per block and the block sums.
+        """
+        nwords, blocks = -(-cols // 8), -(-cols // 64)
+        per_row = blocks + int(blocks > 1)
+        return (
+            np.empty(rows * nwords * 8, dtype=np.uint8),
+            np.empty(rows * nwords, dtype=np.uint64),
+            np.empty(rows * per_row, dtype=np.uint64),
+            np.empty(rows * per_row, dtype=np.int16),
+        )
+
+    def __init__(self, buffers: tuple[np.ndarray, ...], grids: int, height: int, cols: int):
         nwords, self.blocks, self.full = -(-cols // 8), -(-cols // 64), cols // 64
-        self.bits = bits[: height * grids * nwords * 8].reshape(height, grids, nwords * 8)
-        self.words = self.bits.view(np.uint64)
         # a row of more than one block starts with a zero word, a pad for the block cumsum
         pad = int(self.blocks > 1)
-        # three regions of the scratch, each contiguous for any number of rows
         rows, per_row = height * grids, self.blocks + pad
-        counts, scratch = scratch[: rows * nwords], scratch[rows * nwords :]
-        packed, before = scratch[: rows * per_row], scratch[rows * per_row :]
-        self.counts = counts.reshape(height, grids, nwords)  # each word's +1 cells, in byte 7
-        self.packed = packed.reshape(height, grids, per_row)  # one word per block
+        # a prefix of each buffer: the pad words and block sums set here sit at the same
+        # places for any grids, so folds of several widths may share the buffers
+        bits, counts, packed, before = buffers
+        self.bits = bits[: rows * nwords * 8].reshape(height, grids, nwords * 8)
+        self.words = self.bits.view(np.uint64)
+        self.counts = counts[: rows * nwords].reshape(height, grids, nwords)  # +1 cells, byte 7
+        self.packed = packed[: rows * per_row].reshape(height, grids, per_row)  # a word per block
         self.packed[:, :, :pad] = 0
         self.word_base = self.packed.view(np.uint8)[:, :, 8 * pad : 8 * pad + nwords]  # B
-        self.before = before.view(np.int16)[: self.packed.size].reshape(self.packed.shape)
+        self.before = before[: rows * per_row].reshape(height, grids, per_row)
         self.before[:, :, 0] = -64  # a row's first block starts at S_row = 0
         # a whole tile row of it, so the add runs in long loops
         self.lane_bias = _LANE_BIAS[np.arange(grids * nwords) % nwords % 8].reshape(grids, -1)
@@ -216,52 +222,74 @@ class _RowFold:
         return out
 
 
-def _partial_sum_tiles(
-    fields: Sequence,
-    rows: int,
-    cols: int,
-    words: np.ndarray,
-    scratch: np.ndarray,
-    bits: np.ndarray,
-    fold: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray]]:
+class _Tiles:
+    """Buffers for tiles of up to ``grids`` ``rows x cols`` grids, and their views per block.
+
+    Both sides are checked against :data:`SWEEP_CEILING` first.  The sums
+    buffer holds one row more than a tile, for the carried row; the hash
+    scratch holds one tile; the fold's buffers come from
+    :meth:`_RowFold.buffers`.  The views of a block of ``R`` grids, its
+    :class:`_RowFold` among them, are made for the first block of that
+    width and serve every later one: a sweep has at most two widths, the
+    full block and the last.
+    """
+
+    def __init__(self, rows: int, cols: int, grids: int) -> None:
+        _check_edge(rows)
+        _check_edge(cols)
+        self.rows, self.cols = rows, cols
+        self.height = height = tile_shape(rows, cols)[1]
+        self.words = np.empty(grids * (height + 1) * cols, dtype=np.uint64)
+        self.scratch = np.empty(grids * height * cols, dtype=np.uint64)
+        self.fold = _RowFold.buffers(grids * height, cols)
+        self._views: dict[int, tuple] = {}
+
+    def views(self, R: int) -> tuple:
+        """``(words, sums, row_views, scratch, fold, plane)`` for a block of ``R`` grids."""
+        if R not in self._views:
+            height, cols = self.height, self.cols
+            words = self.words[: (height + 1) * R * cols].reshape(height + 1, R, cols)
+            sums = words.view(np.int64)  # the same memory: the hash words become the sums
+            scratch = self.scratch[: height * R * cols].reshape(height, R, cols)
+            fold = _RowFold(self.fold, R, height, cols)
+            # a list of rows: indexing a row per add costs as much as the add
+            self._views[R] = words, sums, list(sums), scratch, fold, fold.bits[:, :, :cols]
+        return self._views[R]
+
+
+def _partial_sum_tiles(source, tiles: _Tiles) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, T)`` with ``T[k, r, j-1] = S(start + k, j)`` of grid ``r``.
 
-    The buffers come from :func:`_tile_buffers` for these sides and at
-    least ``len(fields)`` grids, and may serve several calls in turn.
-    Every ``T`` is a view of ``words`` that the next tile overwrites, so
-    it lives for one iteration; a caller that keeps it must copy it.
+    ``source`` is a block of at most the ``grids`` of ``tiles``: a
+    ``uint64`` array of stream roots, or a list of fields (test doubles)
+    read through their ``row_signs``.  ``tiles`` may serve several calls
+    in turn.  Every ``T`` is a view of the sums buffer that the next tile
+    overwrites, so it lives for one iteration; a caller that keeps it must
+    copy it.
 
     Row 0 of the buffer carries ``S(start - 1, .)``.  Each tile's signs
-    are read into the 0/1 plane of a :class:`_RowFold`: a real field's
-    hash words (bit 63 is the sign) are hashed into rows ``1..b`` and
-    compared once, and any other field (a test double) writes its
-    ``row_signs`` rows.  The fold writes the row sums over the hash
-    words, and ``b`` in-place row adds, the first of which adds the
-    carried row, fold them down.
+    are read into the 0/1 plane of a :class:`_RowFold`: the roots' hash
+    words (bit 63 is the sign) are hashed into rows ``1..b`` and compared
+    once, and a list of fields writes its ``row_signs`` rows.  The fold
+    writes the row sums over the hash words, and ``b`` in-place row adds,
+    the first of which adds the carried row, fold them down.
     """
-    R, height = len(fields), tile_shape(rows, cols)[1]
-    words = words[: (height + 1) * R * cols].reshape(height + 1, R, cols)
-    sums = words.view(np.int64)  # the same memory: the hash words become the sums
+    rows, cols, height = tiles.rows, tiles.cols, tiles.height
+    words, sums, row_views, scratch, fold, plane = tiles.views(len(source))
     sums[0] = 0  # S(0, j)
-    fold = _RowFold(bits, fold, R, height, cols)
-    plane = fold.bits[:, :, :cols]
-    if all(isinstance(f, RademacherField) for f in fields):
-        roots = np.array([f.root for f in fields], dtype=np.uint64)
-        scratch = scratch[: height * R * cols].reshape(height, R, cols)
+    if isinstance(source, np.ndarray):
 
         def read(start: int, b: int) -> None:
-            hashed = sign_rows(roots, start, words[1 : b + 1], scratch[:b])
+            hashed = sign_rows(source, start, words[1 : b + 1], scratch[:b])
             np.less(hashed.view(np.int64), 0, out=plane[:b])
 
     else:
 
         def read(start: int, b: int) -> None:
             for k in range(b):
-                for r, f in enumerate(fields):
+                for r, f in enumerate(source):
                     np.greater(f.row_signs(start + k, cols), 0, out=plane[k, r])
 
-    row_views = list(sums)  # made once: indexing a row per add costs as much as the add
     for start in range(1, rows + 1, height):
         b = min(height, rows + 1 - start)
         read(start, b)
@@ -272,14 +300,21 @@ def _partial_sum_tiles(
         yield start, tile
 
 
+def _block_source(fields: list):
+    """A block's :func:`_partial_sum_tiles` source: its roots if every field is real, else itself."""
+    if all(isinstance(f, RademacherField) for f in fields):
+        return np.array([f.root for f in fields], dtype=np.uint64)
+    return fields
+
+
 def partial_sum_blocks(field, rows: int, cols: int) -> Iterator[tuple[int, np.ndarray]]:
     """One field's tiles as ``(start, B)``, ``B[k, j-1] = S(start + k, j)``, in row order.
 
     The sides are checked on the call, before any row is read.  The next
     block overwrites ``B``; copy it to keep it.
     """
-    buffers = _tile_buffers(rows, cols, 1)
-    return ((start, t[:, 0]) for start, t in _partial_sum_tiles([field], rows, cols, *buffers))
+    tiles = _Tiles(rows, cols, 1)
+    return ((start, t[:, 0]) for start, t in _partial_sum_tiles(_block_source([field]), tiles))
 
 
 def zero_points(field, rows: int, cols: int) -> np.ndarray:
@@ -318,11 +353,29 @@ def sweep_fields(
     are computed; the others are ``None`` in every bundle.  Fields are
     drawn from ``fields`` (which may be lazy) in blocks of
     ``tile_shape(M)[0]``, so the memory held at any time is one block's
-    fields, the tile buffers and the counters.
+    fields, the tile buffers and the counters.  A block of real fields
+    enters the kernel as its roots, as in :func:`sweep_roots`; only here
+    and in :func:`audit_fields` do the kernel's counter arrays become
+    bundles.
+    """
+    counters = _check_counters(counters)
+    plan = _SweepPlan(_check_sizes(sizes), counters)
+    for block in _field_blocks(fields, plan.M):
+        yield from _bundles(*_sweep_block(block, plan), plan.sizes, counters)
+
+
+def sweep_roots(
+    roots: np.ndarray, sizes: Sequence[int], counters: Iterable[str]
+) -> dict[str, np.ndarray]:
+    """Sweep the streams with ``roots`` (see :func:`~sheetwalk.randfield.field_roots`).
+
+    The production sweep: :func:`sweep_fields` without the objects.  Each
+    counter asked for comes back as an int64 ``(len(sizes), len(roots))``
+    array, sizes in the order given and streams in the order of ``roots``.
     """
     plan = _SweepPlan(_check_sizes(sizes), _check_counters(counters))
-    for block in _field_blocks(fields, plan.M):
-        yield from _sweep_block(block, plan)
+    swept = [_sweep_block(block, plan)[0] for block in _field_blocks(roots, plan.M)]
+    return {c: np.concatenate([values[c] for values in swept], axis=1) for c in plan.counters}
 
 
 def _check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
@@ -343,11 +396,18 @@ def _check_counters(counters: Iterable[str]) -> frozenset[str]:
     return counters
 
 
-def _field_blocks(fields: Iterable, N: int) -> Iterator[list]:
-    """Draw ``fields`` (possibly lazy) in blocks of ``tile_shape(N)[0]``."""
+def _field_blocks(fields, N: int) -> Iterator:
+    """``fields`` in blocks of ``tile_shape(N)[0]``, each a :func:`_partial_sum_tiles` source.
+
+    A ``uint64`` array of roots is sliced; any other iterable of fields
+    (possibly lazy) is drawn a block at a time, and a block of real
+    fields goes as its roots (:func:`_block_source`).
+    """
+    grids = tile_shape(N)[0]
+    if isinstance(fields, np.ndarray):
+        return (fields[at : at + grids] for at in range(0, len(fields), grids))
     fields = iter(fields)
-    while block := list(islice(fields, tile_shape(N)[0])):
-        yield block
+    return (_block_source(block) for block in iter(lambda: list(islice(fields, grids)), []))
 
 
 ZEROS, ONES, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES = range(5)  # flag planes
@@ -387,7 +447,7 @@ class _SweepPlan:
         self.slot = {p: k for k, p in enumerate(self.planes)}
         grids, rows = tile_shape(M)
         cells = grids * rows * M
-        self.tiles = _tile_buffers(M, M, grids)
+        self.tiles = _Tiles(M, M, grids)
         self.flags = np.empty(len(self.planes) * cells, dtype=bool)
         # a row has at most SWEEP_CEILING = 2**15 cells, so its counts fit uint16
         self.counts = np.empty(len(self.planes) * M * grids * len(edges), dtype=np.uint16)
@@ -423,8 +483,14 @@ class _SweepPlan:
         return rows
 
 
-def _sweep_block(fields: Sequence, plan: _SweepPlan) -> list[tuple[StatBundle, ...]]:
-    """Bundles of one block of fields; the per-row counts stay in ``plan``.
+def _sweep_block(
+    source, plan: _SweepPlan
+) -> tuple[dict[str, np.ndarray], list[np.ndarray] | None]:
+    """Counters of one block of grids (a :func:`_partial_sum_tiles` source).
+
+    Returns each counter of ``plan`` as an int64 ``(len(sizes), R)``
+    array, and with ``z_crossings`` the row profiles, one int64 ``(R, n)``
+    array per size (else ``None``); the per-row counts stay in ``plan``.
 
     Every size is reduced in one pass over the tiles of the largest edge
     ``M``, and each tile fills only the planes of ``plan``.  Zeros come
@@ -440,8 +506,8 @@ def _sweep_block(fields: Sequence, plan: _SweepPlan) -> list[tuple[StatBundle, .
     same end-of-block sums; for ``d_antidiag``, each size's anti-diagonal
     ``(i, n - i)`` is read off a reversed diagonal view of the tile.
     """
-    R, M, slot = len(fields), plan.M, plan.slot
-    b = tile_shape(M)[1]
+    R, M, slot = len(source), plan.M, plan.slot
+    b = plan.tiles.height
     cells = b * R * M
     flags = plan.flags[: len(plan.planes) * cells].reshape(-1, b, R, M)
     counts = plan.segment_counts(R)
@@ -462,7 +528,7 @@ def _sweep_block(fields: Sequence, plan: _SweepPlan) -> list[tuple[StatBundle, .
         sum_products = plan.sum_products[: cells - b * R].reshape(b, R, M - 1)
         crossed, touched = flags[slot[PRODUCT_CROSSINGS] :, :, :, 1:]
         edge_zeros = plan.edge_zero_flags(R)
-    for start, tile in _partial_sum_tiles(fields, M, M, *plan.tiles):
+    for start, tile in _partial_sum_tiles(source, plan.tiles):
         rows = len(tile)
         here = slice(start - 1, start - 1 + rows)
         if crossing:
@@ -492,25 +558,35 @@ def _sweep_block(fields: Sequence, plan: _SweepPlan) -> list[tuple[StatBundle, .
                     corner = tile[:above, :, n - start - above : n - start][:, :, ::-1]
                     anti[t] += np.count_nonzero(corner.diagonal(axis1=0, axis2=2) == 0, axis=1)
     read = [c for c in COUNTERS if c in _PLANE_OF and c in plan.counters]  # off the planes
+    values = {c: np.empty((len(plan.sizes), R), dtype=np.int64) for c in plan.counters}
+    profiles = [] if "z_crossings" in read else None
+    for s, (n, t) in enumerate(zip(plan.sizes, plan.rank)):
+        per_row = plan.per_row(R, n, t, [_PLANE_OF[c] for c in read])
+        for c, total in zip(read, per_row.sum(axis=1)):
+            values[c][s] = total
+        if profiles is not None:
+            profiles.append(per_row[read.index("z_crossings")].T.copy())
+        if delta:
+            values["delta"][s] = diagonal[1:n:2].sum(axis=0)  # (2k, 2k) with 2k <= n
+        if antidiagonal:
+            values["d_antidiag"][s] = anti[t]
+    return values, profiles
+
+
+def _bundles(
+    values: dict[str, np.ndarray],
+    profiles: list[np.ndarray] | None,
+    sizes: tuple[int, ...],
+    counters: frozenset[str],
+) -> list[tuple[StatBundle, ...]]:
+    """Per grid of a swept block, its bundles, one per size; only ``counters`` are set."""
+    R = next(iter(values.values())).shape[1]
     unread = [None] * R
     per_size = []
-    for n, t in zip(plan.sizes, plan.rank):
-        values = dict.fromkeys(COUNTERS, unread)
-        per_row = plan.per_row(R, n, t, [_PLANE_OF[c] for c in read])
-        values.update(zip(read, per_row.sum(axis=1).tolist()))
-        profiles = unread
-        if "z_crossings" in read:
-            profiles = per_row[read.index("z_crossings")].T.copy()
-        if delta:
-            values["delta"] = diagonal[1:n:2].sum(axis=0).tolist()  # (2k, 2k) with 2k <= n
-        if antidiagonal:
-            values["d_antidiag"] = anti[t].tolist()
-        per_size.append(
-            [
-                StatBundle(n, *row, profile)
-                for *row, profile in zip(*(values[c] for c in COUNTERS), profiles)
-            ]
-        )
+    for s, n in enumerate(sizes):
+        columns = [values[c][s].tolist() if c in counters else unread for c in COUNTERS]
+        rows = profiles[s] if "z_crossings" in counters else unread
+        per_size.append([StatBundle(n, *row, profile) for *row, profile in zip(*columns, rows)])
     return list(zip(*per_size))
 
 
@@ -599,10 +675,24 @@ def audit_fields(
     """
     counters = _check_counters(counters)
     plan = _SweepPlan(_check_sizes(sizes), counters | {"z_crossings"}, audit=True)
-    unread = {} if "z_crossings" in counters else {"z_crossings": None, "row_profiles": None}
     for block in _field_blocks(fields, plan.M):
-        for bundles, ok in _audit_block(block, plan):
-            yield tuple(replace(b, **unread) for b in bundles) if unread else bundles, ok
+        values, profiles, ok = _audit_block(block, plan)
+        yield from zip(_bundles(values, profiles, plan.sizes, counters), ok.tolist())
+
+
+def audit_roots(
+    roots: np.ndarray, sizes: Sequence[int], counters: Iterable[str]
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """:func:`audit_fields` of the streams with ``roots``, without the objects.
+
+    Returns the counters asked for, as :func:`sweep_roots` does, and each
+    stream's audit verdict as a bool array in the order of ``roots``.
+    """
+    counters = _check_counters(counters)
+    plan = _SweepPlan(_check_sizes(sizes), counters | {"z_crossings"}, audit=True)
+    audited = [_audit_block(block, plan) for block in _field_blocks(roots, plan.M)]
+    values = {c: np.concatenate([v[c] for v, _, _ in audited], axis=1) for c in counters}
+    return values, np.concatenate([ok for _, _, ok in audited])
 
 
 def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, ...]:
@@ -617,23 +707,17 @@ def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, .
 
 
 def _audit_block(
-    fields: Sequence, plan: _SweepPlan
-) -> Iterator[tuple[tuple[StatBundle, ...], bool]]:
-    R = len(fields)
-    swept = _sweep_block(fields, plan)
-    recount, sandwiched = [], np.ones(R, dtype=bool)
-    for n, t in zip(plan.sizes, plan.rank):
-        crossings, touched, zeros_interior, zeros_full = _audit_rows(plan, R, n, t)
-        held = (zeros_interior <= touched) & (touched <= 2 * zeros_full)
-        sandwiched &= held.all(axis=0)
-        recount.append(crossings.T)
-    for r, bundles in enumerate(swept):
-        ok = bool(sandwiched[r]) and all(
-            np.array_equal(counts[r], b.row_profiles)
-            and int(counts[r].sum()) == b.z_crossings
-            for counts, b in zip(recount, bundles)
-        )
-        yield bundles, ok
+    source, plan: _SweepPlan
+) -> tuple[dict[str, np.ndarray], list[np.ndarray], np.ndarray]:
+    """:func:`_sweep_block` of an auditing plan, plus each grid's verdict as a bool array."""
+    values, profiles = _sweep_block(source, plan)
+    ok = np.ones(len(source), dtype=bool)
+    for s, (n, t) in enumerate(zip(plan.sizes, plan.rank)):
+        crossings, touched, zeros_interior, zeros_full = _audit_rows(plan, len(source), n, t)
+        ok &= ((zeros_interior <= touched) & (touched <= 2 * zeros_full)).all(axis=0)
+        ok &= (crossings.T == profiles[s]).all(axis=1)
+        ok &= crossings.sum(axis=0) == values["z_crossings"][s]
+    return values, profiles, ok
 
 
 def decomposition_audit(

@@ -9,11 +9,13 @@ from sheetwalk import mcharness
 def inline_pool(monkeypatch):
     """Run the harness's pool chunks inline; returns the widths it asked for.
 
-    The CPU count is pinned above every width a test asks for, so the
-    widths do not depend on the machine; a test may patch it again.
+    The CPU count, installed and usable, is pinned above every width a
+    test asks for, so the widths do not depend on the machine; a test may
+    patch it again.
     """
     opened = []
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
 
     class InlinePool:
         def __init__(self, max_workers):

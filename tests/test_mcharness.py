@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sheetwalk import checks, mcharness, walkstats
+from sheetwalk.cli import _resolve_workers
 from sheetwalk.mcharness import (
     ExperimentConfig,
     Statistic,
@@ -15,7 +17,7 @@ from sheetwalk.mcharness import (
 )
 from sheetwalk.exactprob import delta_mean_exact
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
-from sheetwalk.walkstats import sweep_grid, tile_shape
+from sheetwalk.walkstats import brute_force_bundle, sweep_grid, tile_shape
 
 
 def config(**overrides):
@@ -90,6 +92,38 @@ class TestRunExperiment:
             ]
             assert one.values[n].tolist() == serial
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_swept_values_equal_the_dense_recount(self, inline_pool, workers):
+        # the production path (roots in one call, counter arrays out) against
+        # brute_force_bundle, which shares no code with it; N = 70 crosses a
+        # 64-cell fold block, and 14 replicates cross a block of 13 grids
+        sizes, replicates = (9, 70), tile_shape(70)[0] + 1
+        results = {
+            stat.value: run_experiment(
+                config(statistic=stat, sizes=sizes, replicates=replicates, workers=workers)
+            )
+            for stat in (Statistic.GAMMA, Statistic.Z_CROSSINGS)
+        }
+        for r in range(replicates):
+            f = RademacherField(StreamKey(Seed(42), r))
+            for n in sizes:
+                bundle, _ = brute_force_bundle(f, n)
+                for stat, res in results.items():
+                    assert res.values[n][r] == getattr(bundle, stat)
+
+    def test_swept_statistics_build_no_object_per_replicate(self, monkeypatch):
+        # simulate's sweep and the checks' audited sweep go roots in, arrays out
+        def refused(*args, **kwargs):
+            raise AssertionError("an object was built on the roots path")
+
+        for module in (mcharness, walkstats, checks):
+            for name in ("RademacherField", "StreamKey", "StatBundle"):
+                monkeypatch.setattr(module, name, refused, raising=False)
+        for stat in walkstats.COUNTERS:
+            swept = config(statistic=Statistic(stat), replicates=tile_shape(16)[0] + 3)
+            run_experiment(swept)
+            checks._audited_chunk((swept, 0, 1))
+
     def test_pool_is_clamped_to_the_replicate_count(self, inline_pool):
         wide = run_experiment(config(replicates=2, workers=8))
         assert inline_pool == [2]
@@ -103,7 +137,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("cpus,pools", [(3, [3]), (1, []), (None, [])])
     def test_processes_are_capped_at_the_cpu_count(self, inline_pool, monkeypatch, cpus, pools):
         # 20 jobs of the static partition share out over the CPUs; one CPU
-        # (or an unknown count) runs them all inline
+        # (or an unknown count) runs them all inline.  With no affinity mask
+        # to read, the installed count is the usable one
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         wide = run_experiment(config(replicates=20, workers=10_000))
         assert inline_pool == pools
@@ -111,6 +147,19 @@ class TestRunExperiment:
         for n in (8, 16):
             assert np.array_equal(wide.values[n], serial.values[n])
             assert wide.summaries[n] == serial.summaries[n]
+
+    def test_processes_are_capped_at_the_usable_cpus(self, inline_pool, monkeypatch):
+        # two CPUs installed, one in the affinity mask (as under `taskset -c 0`):
+        # two workers run inline, and the command line defaults to one worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.delenv("WORKERS", raising=False)
+        pinned = run_experiment(config(replicates=20, workers=2))
+        assert inline_pool == []
+        assert _resolve_workers(None) == 1
+        serial = run_experiment(config(replicates=20))
+        for n in (8, 16):
+            assert np.array_equal(pinned.values[n], serial.values[n])
 
     def test_fastpath_matches_sweep_law(self):
         # same distribution, different streams: means agree to 4 combined SEs

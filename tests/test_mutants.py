@@ -16,7 +16,7 @@ import test_randfield
 import test_walkstats
 from test_walkstats import AlternatingRowsField
 
-from sheetwalk import checks, exactprob, randfield, walkstats
+from sheetwalk import checks, exactprob, mcharness, randfield, walkstats
 
 
 def _sign_rows_columns_from_zero(roots, start, words, scratch):
@@ -29,6 +29,13 @@ def _sign_rows_columns_from_zero(roots, start, words, scratch):
     cols = np.arange(0, count, dtype=np.uint64) * randfield._V_GOLDEN
     np.add(row_keys[:, :, None], cols, out=words)
     return randfield._mix64_head(words, scratch)
+
+
+def _field_roots_of_the_next_replicate(seed, replicates):
+    """Mutant of :func:`randfield.field_roots`: replicate ``r`` gets the root of ``r + 1``."""
+    replicates = np.asarray(replicates, dtype=np.int64) + 1
+    base = np.uint64(randfield._mix64(randfield.Seed(seed) ^ randfield._FIELD_TAG))
+    return randfield._mix64_vec(replicates.astype(np.uint64) * randfield._V_GOLDEN + base)
 
 
 def _p_fill_table_below_the_ceiling(ks, out, scratch):
@@ -74,6 +81,21 @@ class TestSignRowsColumnsFromZero:
     def test_killed_by_check_10(self):
         ok, _ = checks._check_oracle_equivalence("quick", 1)
         assert not ok
+
+
+class TestFieldRootsOfTheNextReplicate:
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        for module in (randfield, mcharness, checks, test_randfield):  # every holder of the name
+            monkeypatch.setattr(module, "field_roots", _field_roots_of_the_next_replicate)
+
+    def test_killed_by_the_root_identity(self):
+        with pytest.raises(AssertionError):
+            test_randfield.TestFieldRoots().test_roots_equal_the_scalar_roots(0)
+
+    def test_killed_by_the_simulate_pin(self, tmp_path):
+        with pytest.raises(AssertionError):
+            test_cli.TestBytePins().test_simulate_bytes_at_seed_zero(tmp_path, "gamma", "64", "40")
 
 
 class TestPFillTableBelowTheCeiling:

@@ -11,6 +11,7 @@ from sheetwalk.randfield import (
     RademacherField,
     Seed,
     StreamKey,
+    field_roots,
     sign_rows,
     signed_binomial_batch,
 )
@@ -33,6 +34,22 @@ class TestSeedAndKey:
     def test_keys_are_hashable_values(self):
         assert StreamKey(Seed(3), 1) == StreamKey(Seed(3), 1)
         assert len({StreamKey(Seed(3), r) for r in (0, 1, 1)}) == 2
+
+
+class TestFieldRoots:
+    # 2**40 and 2**62 wrap r * GOLDEN mod 2**64; 2**64 + 5 and -1 are reduced seeds
+    REPLICATES = (0, 1, 2**40, 2**62, 7)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5, -1])
+    def test_roots_equal_the_scalar_roots(self, seed):
+        roots = field_roots(seed, self.REPLICATES)
+        assert roots.dtype == np.uint64
+        scalar = [RademacherField(StreamKey(seed, r)).root for r in self.REPLICATES]
+        assert roots.tolist() == scalar
+
+    def test_negative_replicate_is_rejected(self):
+        with pytest.raises(ValueError):
+            field_roots(Seed(0), [2, -1])
 
 
 class TestFieldValues:

@@ -269,7 +269,8 @@ class RowSignsField:
 def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
     # the widths cross the fold's 8-cell words and 64-cell blocks; tiles of
     # two whole grids leave a last block of one, row bands carry a row, and
-    # every block is a new call on the same buffers, real fields first, so a
+    # every block is a new call on the same buffers and views, real fields
+    # (as roots) first, so blocks of two grids follow a block of one and a
     # stale padding byte or block count would show
     rows = 5
     real = [field(cols, r) for r in range(3)]
@@ -278,13 +279,14 @@ def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
     with mock.patch.object(walkstats, "TILE_CELLS", 2 * (1 if band else rows) * cols):
         grids = tile_shape(rows, cols)[0]
         assert grids == (1 if band else 2)
-        buffers = walkstats._tile_buffers(rows, cols, grids)
+        tiles = walkstats._Tiles(rows, cols, grids)
         for fields in (real, stubs):
             for at in range(0, len(fields), grids):
                 block = fields[at : at + grids]
                 dense = [_value_sums(f, rows, cols) for f in block]
+                source = walkstats._block_source(block)
                 starts = []
-                for start, tile in walkstats._partial_sum_tiles(block, rows, cols, *buffers):
+                for start, tile in walkstats._partial_sum_tiles(source, tiles):
                     starts.append(start)
                     for r, sums in enumerate(dense):
                         assert np.array_equal(tile[:, r], sums[start - 1 : start - 1 + len(tile)])
@@ -396,12 +398,12 @@ def test_audit_fields_equal_the_sweep_and_the_one_field_audit(seed, sizes, count
     real = walkstats._sweep_block
     first = []
 
-    def corrupted(fields, plan):
-        out = real(fields, plan)
+    def corrupted(source, plan):
+        values, profiles = real(source, plan)
         if not first:
-            first.append(out[0][plan.sizes.index(size)].row_profiles)
+            first.append(profiles[plan.sizes.index(size)][0])
             first[0][row] += 1
-        return out
+        return values, profiles
 
     with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
         walkstats, "_sweep_block", corrupted
@@ -507,10 +509,10 @@ def test_one_counter_audit_gives_the_full_verdicts(seed, counter, sizes, count, 
     row = data.draw(st.integers(0, size - 1), label="row")
     real = walkstats._sweep_block
 
-    def corrupted(fields, plan):
-        out = real(fields, plan)
-        out[0][plan.sizes.index(size)].row_profiles[row] += 1
-        return out
+    def corrupted(source, plan):
+        values, profiles = real(source, plan)
+        profiles[plan.sizes.index(size)][0, row] += 1
+        return values, profiles
 
     with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
         walkstats, "_sweep_block", corrupted
@@ -628,12 +630,12 @@ class TestDecompositionAudit:
         # in any of the nested grids, must turn the verdict red
         real = walkstats._sweep_block
 
-        def corrupted(fields, plan):
-            out = real(fields, plan)
-            profile = out[0][plan.sizes.index(size)].row_profiles
+        def corrupted(source, plan):
+            values, profiles = real(source, plan)
+            profile = profiles[plan.sizes.index(size)][0]
             for row, delta in enumerate(shift, start=2):
                 profile[row] += delta
-            return out
+            return values, profiles
 
         assert decomposition_audit(field(9), 30, (7, 12))[1]
         with mock.patch.object(walkstats, "_sweep_block", corrupted):
@@ -651,9 +653,9 @@ class TestDecompositionAudit:
         # so only the sandwich can turn the verdict red
         real = walkstats._sweep_block
 
-        def misbooked(fields, plan):
-            out = real(fields, plan)
-            R = len(fields)
+        def misbooked(source, plan):
+            out = real(source, plan)
+            R = len(source)
             if misbooking == "edge-zero-inside":  # the zero at column n counted in [1, n-1]
                 plan.edge_zero_flags(R)[...] = False
             else:  # no zero booked on any segment: touches exceed twice the zeros
