@@ -383,6 +383,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "cpu_count": os.cpu_count(),
                 "numpy": np.__version__,
                 "python": platform.python_version(),
+                "usable_cpus": usable_cpus(),  # the default worker count follows it
                 "workers": workers,
             },
         }

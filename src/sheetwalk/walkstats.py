@@ -3,14 +3,18 @@
 The rectangle sum ``S(i,j)`` is the sum of the sign field over
 ``[1,i] x [1,j]``.  Sums are never held whole: every reader works on
 tiles of ``b`` rows x ``R`` grids x ``cols`` columns, rows outermost,
-holding at most :data:`TILE_CELLS` cells, or one row when a row alone is
-larger.  Each tile is hashed in one call and read into a 0/1 byte plane
-of its sign bits; :class:`_RowFold` sums it along its rows eight cells
-per ``uint64`` word, by exact byte-lane arithmetic, with a ``cumsum``
-only over each row's 64-cell block counts; ``b`` in-place row adds fold
-the rows down, the first of which adds the row carried from the tile
-above.  The buffers, and their views and fold for each block width, are
-made once per call and filled in place, so no tile allocates.
+holding at most :data:`TILE_CELLS` cells, rows counted at their width
+padded to whole 8-cell words, or one row when a row alone is larger.  A
+full block of grids lies side by side in bands of :data:`BAND_ROWS`
+rows; a block of fewer grids, a lone field among them, gets taller tiles
+(see :func:`tile_shape`).  Each tile is hashed in one call and read into
+a 0/1 byte plane of its sign bits; :class:`_RowFold` sums it along its
+rows eight cells per ``uint64`` word, by exact byte-lane arithmetic, with
+a ``cumsum`` only over each row's 64-cell block counts; ``b`` in-place
+row adds fold the rows down, the first of which adds the row carried
+from the tile above.  The buffers, and their views and fold for each
+block width, are made once per call and filled in place, so no tile
+allocates.
 
 The kernel's input is a block of stream roots, a ``uint64`` array (see
 :func:`~sheetwalk.randfield.field_roots`); its output is one int64 array
@@ -58,7 +62,8 @@ from .randfield import RademacherField, StreamKey, sign_rows, signed_binomial_ba
 # tile per worker (TILE_CELLS cells, or one row of N cells when that is
 # larger), so for a single grid it stays linear in N.
 SWEEP_CEILING = 2**15
-TILE_CELLS = 2**16  # cells per tile; sets both the grids and the rows per tile
+TILE_CELLS = 2**16  # cells per tile, each row counted at its padded width
+BAND_ROWS = 8  # rows per tile of a full block: grids side by side, few row adds per cell
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +91,31 @@ COUNTERS = ("gamma", "gamma_prime", "z_crossings", "delta", "d_antidiag")
 
 
 def tile_shape(rows: int, cols: int | None = None) -> tuple[int, int]:
-    """``(grids, rows)`` per tile of a ``rows x cols`` grid, square by default."""
-    cols = cols or rows  # whole grids while they fit, else rows of one grid
-    if rows * cols <= TILE_CELLS:
-        return TILE_CELLS // (rows * cols), rows
-    return 1, max(1, TILE_CELLS // cols)
+    """``(grids, rows)`` per tile of a full block of ``rows x cols`` grids, square by default.
+
+    A full block puts as many grids side by side as fit in a band of
+    :data:`BAND_ROWS` rows (the whole grid when it is shorter) within
+    :data:`TILE_CELLS`; its tiles, like those of any block of ``R`` grids,
+    are :func:`_tile_height` rows tall.  A row counts at its width padded
+    to whole 8-cell words, the width of the fold's byte plane.
+    """
+    cols = cols or rows
+    grids = max(1, TILE_CELLS // (min(BAND_ROWS, rows) * _padded(cols)))
+    return grids, _tile_height(rows, cols, grids)
+
+
+def _padded(cols: int) -> int:
+    """``cols`` rounded up to whole 8-cell words."""
+    return -(-cols // 8) * 8
+
+
+def _tile_height(rows: int, cols: int, R: int) -> int:
+    """Rows per tile of a block of ``R`` grids: as many as fit in :data:`TILE_CELLS`, at least one.
+
+    Fewer grids than a full block get taller tiles, so a lone field or a
+    short last block is read in as few tiles as the cap allows.
+    """
+    return min(rows, max(1, TILE_CELLS // (R * _padded(cols))))
 
 
 def _check_edge(N: int) -> None:
@@ -223,13 +248,16 @@ class _RowFold:
 
 
 class _Tiles:
-    """Buffers for tiles of up to ``grids`` ``rows x cols`` grids, and their views per block.
+    """Buffers for tiles of blocks of up to ``grids`` ``rows x cols`` grids, and their views.
 
-    Both sides are checked against :data:`SWEEP_CEILING` first.  The sums
-    buffer holds one row more than a tile, for the carried row; the hash
-    scratch holds one tile; the fold's buffers come from
-    :meth:`_RowFold.buffers`.  The views of a block of ``R`` grids, its
-    :class:`_RowFold` among them, are made for the first block of that
+    Both sides are checked against :data:`SWEEP_CEILING` first.  A block
+    of ``R`` grids is read in tiles of :meth:`height` rows, so every tile
+    has at most ``lines`` grid rows: :data:`TILE_CELLS` cells at the padded
+    width, or one row per grid when a row alone is larger.  The buffers
+    are sized for ``lines``: the sums buffer holds each grid's carried row
+    besides, the hash scratch holds one tile, and the fold's buffers come
+    from :meth:`_RowFold.buffers`.  The views of a block of ``R`` grids,
+    its :class:`_RowFold` among them, are made for the first block of that
     width and serve every later one: a sweep has at most two widths, the
     full block and the last.
     """
@@ -238,22 +266,28 @@ class _Tiles:
         _check_edge(rows)
         _check_edge(cols)
         self.rows, self.cols = rows, cols
-        self.height = height = tile_shape(rows, cols)[1]
-        self.words = np.empty(grids * (height + 1) * cols, dtype=np.uint64)
-        self.scratch = np.empty(grids * height * cols, dtype=np.uint64)
-        self.fold = _RowFold.buffers(grids * height, cols)
+        # R * height(R) <= min(R * rows, max(R, TILE_CELLS // padded)) for every R <= grids
+        self.lines = lines = min(grids * rows, max(grids, TILE_CELLS // _padded(cols)))
+        self.words = np.empty((lines + grids) * cols, dtype=np.uint64)
+        self.scratch = np.empty(lines * cols, dtype=np.uint64)
+        self.fold = _RowFold.buffers(lines, cols)
         self._views: dict[int, tuple] = {}
 
+    def height(self, R: int) -> int:
+        """Rows per tile of a block of ``R`` grids."""
+        return _tile_height(self.rows, self.cols, R)
+
     def views(self, R: int) -> tuple:
-        """``(words, sums, row_views, scratch, fold, plane)`` for a block of ``R`` grids."""
+        """``(height, words, sums, row_views, scratch, fold, plane)`` for a block of ``R`` grids."""
         if R not in self._views:
-            height, cols = self.height, self.cols
+            height, cols = self.height(R), self.cols
             words = self.words[: (height + 1) * R * cols].reshape(height + 1, R, cols)
             sums = words.view(np.int64)  # the same memory: the hash words become the sums
             scratch = self.scratch[: height * R * cols].reshape(height, R, cols)
             fold = _RowFold(self.fold, R, height, cols)
+            plane = fold.bits[:, :, :cols]
             # a list of rows: indexing a row per add costs as much as the add
-            self._views[R] = words, sums, list(sums), scratch, fold, fold.bits[:, :, :cols]
+            self._views[R] = height, words, sums, list(sums), scratch, fold, plane
         return self._views[R]
 
 
@@ -274,8 +308,8 @@ def _partial_sum_tiles(source, tiles: _Tiles) -> Iterator[tuple[int, np.ndarray]
     writes the row sums over the hash words, and ``b`` in-place row adds,
     the first of which adds the carried row, fold them down.
     """
-    rows, cols, height = tiles.rows, tiles.cols, tiles.height
-    words, sums, row_views, scratch, fold, plane = tiles.views(len(source))
+    rows, cols = tiles.rows, tiles.cols
+    height, words, sums, row_views, scratch, fold, plane = tiles.views(len(source))
     sums[0] = 0  # S(0, j)
     if isinstance(source, np.ndarray):
 
@@ -425,9 +459,11 @@ class _SweepPlan:
     crossings and product touches, and each row's zero flag at every
     edge.  ``planes`` lists the planes filled, in plane order, and
     ``slot[p]`` is plane ``p``'s place in the flag and count buffers.
-    The buffers are flat and sized for a full block, so a smaller last
-    block uses a prefix of each and no tile allocates; a buffer no
-    counter reads is not allocated.
+    The buffers are flat.  The per-cell ones (flags, signs, products) hold
+    the largest tile of any block, ``tiles.lines`` grid rows; the per-row
+    ones hold a full block's grids.  A block of ``R`` grids, read in tiles
+    of ``tiles.height(R)`` rows, uses a prefix of each, so no tile
+    allocates; a buffer no counter reads is not allocated.
     """
 
     def __init__(
@@ -445,9 +481,9 @@ class _SweepPlan:
             read |= {ZEROS, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES}
         self.planes = sorted(read)
         self.slot = {p: k for k, p in enumerate(self.planes)}
-        grids, rows = tile_shape(M)
-        cells = grids * rows * M
+        grids = tile_shape(M)[0]
         self.tiles = _Tiles(M, M, grids)
+        cells = self.tiles.lines * M  # the most a tile of any block holds
         self.flags = np.empty(len(self.planes) * cells, dtype=bool)
         # a row has at most SWEEP_CEILING = 2**15 cells, so its counts fit uint16
         self.counts = np.empty(len(self.planes) * M * grids * len(edges), dtype=np.uint16)
@@ -507,7 +543,7 @@ def _sweep_block(
     ``(i, n - i)`` is read off a reversed diagonal view of the tile.
     """
     R, M, slot = len(source), plan.M, plan.slot
-    b = plan.tiles.height
+    b = plan.tiles.height(R)
     cells = b * R * M
     flags = plan.flags[: len(plan.planes) * cells].reshape(-1, b, R, M)
     counts = plan.segment_counts(R)

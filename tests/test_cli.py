@@ -13,6 +13,7 @@ import pytest
 from sheetwalk import cli, exactprob, walkstats
 from sheetwalk.cli import main, render_zero_set
 from sheetwalk.exactprob import gamma_mean_exact
+from sheetwalk.mcharness import usable_cpus
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
 from sheetwalk.walkstats import annulus_zero_check
 
@@ -618,8 +619,25 @@ class TestVerifyCommand:
             "cpu_count": os.cpu_count(),
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "usable_cpus": usable_cpus(),
             "workers": 3,
         }
+
+    def test_report_says_why_one_worker_ran(self, tmp_path, monkeypatch):
+        # an affinity mask of one CPU on a larger machine: the default worker
+        # count follows the mask, and the report records both counts
+        from sheetwalk import checks
+
+        only = tuple(c for c in checks._CHECKS if c[0] == "hitting-floor")
+        monkeypatch.setattr(checks, "_CHECKS", only)
+        monkeypatch.delenv("WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--out", str(report_path)]) == 0
+        environment = json.loads(report_path.read_text())["environment"]
+        assert (environment["cpu_count"], environment["usable_cpus"]) == (4, 1)
+        assert environment["workers"] == 1
 
     def test_quick_verify_reports_the_documented_red_checks(self, capsys):
         # four committed bounds are unattainable (see README), so a correct

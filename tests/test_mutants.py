@@ -147,7 +147,14 @@ def test_an_unmutated_copy_survives(monkeypatch):
     monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", "[1:n:2]", "[1:n:2]"))
     same = "block_base -= self.block_bias"
     monkeypatch.setattr(walkstats, "_RowFold", _edited("_RowFold", same, same))
+    adds = "zip(row_views, row_views[1 : b + 1])"
+    monkeypatch.setattr(
+        walkstats, "_partial_sum_tiles", _edited("_partial_sum_tiles", adds, adds)
+    )
+    height = "_tile_height(self.rows, self.cols, R)"
+    monkeypatch.setattr(walkstats, "_Tiles", _edited("_Tiles", height, height))
     assert checks._check_oracle_equivalence("quick", 1)[0]
+    test_walkstats.test_band_seams_equal_brute_force((65, 70))
     test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
     test_walkstats.test_fold_equals_dense_recount_across_word_and_block_edges(65, False)
     test_walkstats.test_fold_at_the_ceiling_width(walkstats.SWEEP_CEILING)
@@ -166,6 +173,45 @@ class TestSweepBlockEdits:
     def test_killed_by_the_frozen_example(self):
         with pytest.raises(AssertionError):
             test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
+
+
+class TestCarryRowNotAdded:
+    """Each tile's first row add skipped: a band starts again from ``S(start - 1, .) = 0``."""
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        adds = "zip(row_views, row_views[1 : b + 1])"
+        mutant = _edited("_partial_sum_tiles", adds, "zip(row_views[1:], row_views[2 : b + 1])")
+        monkeypatch.setattr(walkstats, "_partial_sum_tiles", mutant)
+
+    def test_killed_by_the_band_seams(self):
+        with pytest.raises(AssertionError):
+            test_walkstats.test_band_seams_equal_brute_force((65, 70))
+
+    def test_killed_by_the_simulate_pin(self, tmp_path):
+        with pytest.raises(AssertionError):
+            test_cli.TestBytePins().test_simulate_bytes_at_seed_zero(tmp_path, "gamma", "64", "40")
+
+
+class TestShortBlockKeepsTheFullHeight:
+    """A short last block, or a lone field, read in a full block's 8-row bands.
+
+    The bytes do not depend on the tile height, so the byte pins cannot see
+    it; only the seam test's height assertion does.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        height = "_tile_height(self.rows, self.cols, R)"
+        mutant = _edited("_Tiles", height, "tile_shape(self.rows, self.cols)[1]")
+        monkeypatch.setattr(walkstats, "_Tiles", mutant)
+
+    def test_killed_by_the_band_seams(self):
+        with pytest.raises(AssertionError):
+            test_walkstats.test_band_seams_equal_brute_force((65, 70))
+
+    def test_survives_the_simulate_pin(self, tmp_path):
+        test_cli.TestBytePins().test_simulate_bytes_at_seed_zero(tmp_path, "gamma", "64", "40")
 
 
 class TestRowFoldBlockCarryDropped:

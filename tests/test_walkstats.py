@@ -9,13 +9,20 @@ from hypothesis import strategies as st
 from sheetwalk import walkstats
 from sheetwalk.checks import _recount_twins
 from sheetwalk.exactprob import CapacityError
-from sheetwalk.randfield import RademacherField, Seed, StreamKey, signed_binomial_batch
+from sheetwalk.randfield import (
+    RademacherField,
+    Seed,
+    StreamKey,
+    field_roots,
+    signed_binomial_batch,
+)
 from sheetwalk.walkstats import (
     COUNTERS,
     SWEEP_CEILING,
     annulus_counts,
     annulus_zero_check,
     audit_fields,
+    audit_roots,
     brute_force_bundle,
     decomposition_audit,
     diag_zero_count,
@@ -23,6 +30,7 @@ from sheetwalk.walkstats import (
     iter_partial_rows,
     sweep_fields,
     sweep_grid,
+    sweep_roots,
     tile_shape,
     twin_zero_count,
     twin_zero_counts,
@@ -276,7 +284,8 @@ def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
     real = [field(cols, r) for r in range(3)]
     stubs = [RowSignsField(f) for f in real]
     stubs += [AlternatingColumnsField(), ConstantField(), AlternatingRowsField()]
-    with mock.patch.object(walkstats, "TILE_CELLS", 2 * (1 if band else rows) * cols):
+    width = walkstats._padded(cols)  # the tile cap counts rows at their padded width
+    with mock.patch.object(walkstats, "TILE_CELLS", 2 * (1 if band else rows) * width):
         grids = tile_shape(rows, cols)[0]
         assert grids == (1 if band else 2)
         tiles = walkstats._Tiles(rows, cols, grids)
@@ -467,9 +476,54 @@ def test_selected_counters_equal_brute_force(kinds, seed, counters, sizes, data)
 def test_plan_fills_only_the_planes_read(counters, audit, planes):
     plan = walkstats._SweepPlan((64, 16), frozenset(counters), audit=audit)
     assert plan.planes == planes
-    assert plan.flags.size == len(planes) * 64 * 64 * tile_shape(64)[0]
+    # a full block's tile at N = 64: 128 grids side by side in 8-row bands
+    assert tile_shape(64) == (128, 8)
+    assert plan.flags.size == len(planes) * 8 * 64 * tile_shape(64)[0]
     assert hasattr(plan, "signs") == (walkstats.CROSSINGS in planes)  # the int8 sign pass
     assert hasattr(plan, "diagonal") == ("delta" in counters)
+
+
+@pytest.mark.parametrize("sizes", [(65, 70), (9, 70)], ids=str)
+def test_band_seams_equal_brute_force(sizes):
+    # a cap that puts 3 grids of N = 70 (72 cells at the padded width) side by
+    # side in 8-row bands: 5 streams leave a last block of 2 grids, whose tiles
+    # are 12 rows tall; the rows cross a 64-cell fold block, and every grid is
+    # cut by many band seams; the oracle recounts from the scalar field values
+    seed, top = 11, max(sizes)
+    with mock.patch.object(walkstats, "TILE_CELLS", 3 * walkstats.BAND_ROWS * 72):
+        grids, rows = tile_shape(top)
+        assert (grids, rows) == (3, walkstats.BAND_ROWS)
+        tiles = walkstats._SweepPlan(sizes, frozenset(COUNTERS)).tiles
+        assert [tiles.height(R) for R in (1, 2, grids)] == [24, 12, 8]
+        roots = field_roots(seed, range(grids + 2))
+        swept = sweep_roots(roots, sizes, COUNTERS)
+        audited, ok = audit_roots(roots, sizes, COUNTERS)
+        fields = [field(seed, r) for r in range(grids + 2)]
+        bundles = list(sweep_fields(fields, sizes))
+    assert ok.tolist() == [True] * len(roots)
+    for s, n in enumerate(sizes):
+        oracles = [brute_force_bundle(f, n)[0] for f in fields]
+        for c in COUNTERS:
+            want = [getattr(b, c) for b in oracles]
+            assert swept[c][s].tolist() == audited[c][s].tolist() == want, (n, c)
+        assert [_bundle_key(b[s]) for b in bundles] == [_bundle_key(b) for b in oracles]
+
+
+def _plan_bytes(N):
+    """Bytes of every array an auditing sweep plan of ``N`` allocates: its tiles, fold and flags."""
+    plan = walkstats._SweepPlan((N,), frozenset(COUNTERS), audit=True)
+    tiles = plan.tiles
+    arrays = [*vars(plan).values(), *vars(tiles).values(), *tiles.fold]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
+def test_narrow_grids_fit_the_tile_budget():
+    # rows count at their padded width, so no tile of narrow grids holds more
+    # byte-plane cells than one of N = 64; the bound adds what a narrow row
+    # still costs beyond its cells: the fold's block word and int16 block sum
+    # for each of the TILE_CELLS // 8 one-word rows of the narrowest tile
+    limit = _plan_bytes(64) + walkstats.TILE_CELLS // 8 * (8 + 2)
+    assert max(_plan_bytes(N) for N in range(1, 71)) <= limit
 
 
 def test_counters_are_checked():
