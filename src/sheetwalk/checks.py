@@ -339,15 +339,16 @@ def _check_crossing_decomposition(level: str, workers: int) -> tuple[bool, str]:
 
 
 def _recount_twins(field, eps: float, N: int, radius: int) -> int:
-    # dense quadratic recount over a square holding the band; no shared
-    # code with the tile reader or the vectorized companion search
+    # dense quadratic recount over a square holding the band, from the
+    # scalar field values; no shared code with the tile hash, the tile
+    # reader or the vectorized companion search
     rows = N - 1 + radius
     cols = math.ceil((N - 1) / eps) - 1 + radius
     extent = max(rows, cols)
     zeros = set()
     col = np.zeros(extent, dtype=np.int64)
     for i in range(1, extent + 1):
-        col += np.cumsum(field.row_signs(i, extent))
+        col += np.cumsum([field.value(i, j) for j in range(1, extent + 1)])
         zeros.update((i, int(j) + 1) for j in np.nonzero(col == 0)[0])
     count = 0
     for zi, zj in zeros:

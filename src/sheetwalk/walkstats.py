@@ -16,15 +16,16 @@ from the tile above.  The buffers, and their views and fold for each
 block width, are made once per call and filled in place, so no tile
 allocates.
 
-The kernel's input is a block of stream roots, a ``uint64`` array (see
-:func:`~sheetwalk.randfield.field_roots`); its output is one int64 array
+The kernel's one input is a block of stream roots, a ``uint64`` array
+(see :func:`~sheetwalk.randfield.field_roots`), hashed by
+:func:`~sheetwalk.randfield.sign_rows`; its output is one int64 array
 per counter, sizes by grids.  :func:`sweep_roots` and
 :func:`audit_roots`, the production path, take and return just those
-arrays.  :func:`sweep_fields`, :func:`audit_fields` and
-:func:`sweep_grid` take field objects, send each block of real fields
-through the same kernel as its roots, and are the only places the arrays
-become :class:`StatBundle` objects.  A block holding a test double is
-read through its ``row_signs`` instead.
+arrays.  The one-field readers (:func:`sweep_grid`,
+:func:`decomposition_audit`, :func:`partial_sum_blocks` and the zero-set
+readers on it) send in a block of one root, ``field.root``; only
+:func:`sweep_grid` and :func:`decomposition_audit` turn the arrays into
+a :class:`StatBundle`.
 
 The field is prefix-consistent: the ``n x n`` grid is the top-left corner
 of any larger one, so each replicate is read once, at the largest edge
@@ -34,7 +35,7 @@ counters its caller reads need: the zeros (``S == 0``)
 for ``gamma``, the ones for ``gamma_prime``, and the crossings, from int8
 signs, for ``z_crossings``; ``delta`` and ``d_antidiag`` read the
 diagonal and anti-diagonal cells of the sums and no plane at all.  The
-crossing audit (:func:`audit_fields`) is counted in that same pass, on
+crossing audit (:func:`audit_roots`) is counted in that same pass, on
 the same segments, and always adds the planes it reads; its rule is on
 int64 adjacent products of the sums: ``S(i,j) * S(i,j+1) <= 0`` crosses,
 and ``== 0`` touches a zero.
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -68,22 +68,20 @@ BAND_ROWS = 8  # rows per tile of a full block: grids side by side, few row adds
 
 @dataclass(frozen=True, eq=False)
 class StatBundle:
-    """The counters from one sweep of an ``N x N`` grid.
+    """Every counter from one sweep of an ``N x N`` grid.
 
-    A counter the sweep was not asked for is ``None``; ``row_profiles``
-    comes with ``z_crossings``.  ``row_profiles[i-1]`` is the number of
-    horizontal sign changes (weak: zero counts) in row ``i``; summing it
-    recovers ``z_crossings`` exactly.  The zero set is read by
-    :func:`zero_points`.
+    ``row_profiles[i-1]`` is the number of horizontal sign changes (weak:
+    zero counts) in row ``i``; summing it recovers ``z_crossings``
+    exactly.  The zero set is read by :func:`zero_points`.
     """
 
     N: int
-    gamma: int | None  # cells with S = 0
-    gamma_prime: int | None  # cells with S = 1
-    z_crossings: int | None  # horizontal pairs with S(i,j) * S(i,j+1) <= 0
-    delta: int | None  # even diagonal cells (2i,2i) with S = 0
-    d_antidiag: int | None  # anti-diagonal cells (i, N-i) with S = 0
-    row_profiles: np.ndarray | None
+    gamma: int  # cells with S = 0
+    gamma_prime: int  # cells with S = 1
+    z_crossings: int  # horizontal pairs with S(i,j) * S(i,j+1) <= 0
+    delta: int  # even diagonal cells (2i,2i) with S = 0
+    d_antidiag: int  # anti-diagonal cells (i, N-i) with S = 0
+    row_profiles: np.ndarray
 
 
 #: The counters of a :class:`StatBundle`, in field order.
@@ -291,42 +289,28 @@ class _Tiles:
         return self._views[R]
 
 
-def _partial_sum_tiles(source, tiles: _Tiles) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, T)`` with ``T[k, r, j-1] = S(start + k, j)`` of grid ``r``.
+def _partial_sum_tiles(roots: np.ndarray, tiles: _Tiles) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, T)`` with ``T[k, r, j-1] = S(start + k, j)`` of the stream with ``roots[r]``.
 
-    ``source`` is a block of at most the ``grids`` of ``tiles``: a
-    ``uint64`` array of stream roots, or a list of fields (test doubles)
-    read through their ``row_signs``.  ``tiles`` may serve several calls
-    in turn.  Every ``T`` is a view of the sums buffer that the next tile
-    overwrites, so it lives for one iteration; a caller that keeps it must
-    copy it.
+    ``roots`` is a ``uint64`` block of at most the ``grids`` of ``tiles``;
+    ``tiles`` may serve several calls in turn.  Every ``T`` is a view of
+    the sums buffer that the next tile overwrites, so it lives for one
+    iteration; a caller that keeps it must copy it.
 
-    Row 0 of the buffer carries ``S(start - 1, .)``.  Each tile's signs
-    are read into the 0/1 plane of a :class:`_RowFold`: the roots' hash
-    words (bit 63 is the sign) are hashed into rows ``1..b`` and compared
-    once, and a list of fields writes its ``row_signs`` rows.  The fold
-    writes the row sums over the hash words, and ``b`` in-place row adds,
-    the first of which adds the carried row, fold them down.
+    Row 0 of the buffer carries ``S(start - 1, .)``.  Each tile's hash
+    words are hashed into rows ``1..b`` in one call, and their sign bits
+    (bit 63) read by one compare into the 0/1 plane of a
+    :class:`_RowFold`.  The fold writes the row sums over the hash words,
+    and ``b`` in-place row adds, the first of which adds the carried row,
+    fold them down.
     """
-    rows, cols = tiles.rows, tiles.cols
-    height, words, sums, row_views, scratch, fold, plane = tiles.views(len(source))
+    rows = tiles.rows
+    height, words, sums, row_views, scratch, fold, plane = tiles.views(len(roots))
     sums[0] = 0  # S(0, j)
-    if isinstance(source, np.ndarray):
-
-        def read(start: int, b: int) -> None:
-            hashed = sign_rows(source, start, words[1 : b + 1], scratch[:b])
-            np.less(hashed.view(np.int64), 0, out=plane[:b])
-
-    else:
-
-        def read(start: int, b: int) -> None:
-            for k in range(b):
-                for r, f in enumerate(source):
-                    np.greater(f.row_signs(start + k, cols), 0, out=plane[k, r])
-
     for start in range(1, rows + 1, height):
         b = min(height, rows + 1 - start)
-        read(start, b)
+        hashed = sign_rows(roots, start, words[1 : b + 1], scratch[:b])
+        np.less(hashed.view(np.int64), 0, out=plane[:b])
         tile = fold(b, sums[1 : b + 1])
         for above, row in zip(row_views, row_views[1 : b + 1]):
             row += above
@@ -334,11 +318,9 @@ def _partial_sum_tiles(source, tiles: _Tiles) -> Iterator[tuple[int, np.ndarray]
         yield start, tile
 
 
-def _block_source(fields: list):
-    """A block's :func:`_partial_sum_tiles` source: its roots if every field is real, else itself."""
-    if all(isinstance(f, RademacherField) for f in fields):
-        return np.array([f.root for f in fields], dtype=np.uint64)
-    return fields
+def _root_block(field: RademacherField) -> np.ndarray:
+    """The one-stream block of ``field``: its root as a ``uint64`` array."""
+    return np.array([field.root], dtype=np.uint64)
 
 
 def partial_sum_blocks(field, rows: int, cols: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -348,7 +330,7 @@ def partial_sum_blocks(field, rows: int, cols: int) -> Iterator[tuple[int, np.nd
     block overwrites ``B``; copy it to keep it.
     """
     tiles = _Tiles(rows, cols, 1)
-    return ((start, t[:, 0]) for start, t in _partial_sum_tiles(_block_source([field]), tiles))
+    return ((start, t[:, 0]) for start, t in _partial_sum_tiles(_root_block(field), tiles))
 
 
 def zero_points(field, rows: int, cols: int) -> np.ndarray:
@@ -375,37 +357,19 @@ def iter_partial_rows(field: RademacherField, N: int) -> Iterator[tuple[int, np.
             yield start + k, col
 
 
-def sweep_fields(
-    fields: Iterable, sizes: Sequence[int], counters: Iterable[str] = COUNTERS
-) -> Iterator[tuple[StatBundle, ...]]:
-    """Sweep each field once; yield a tuple of its bundles, one per size as given.
-
-    Every ``n x n`` grid is the top-left corner of the ``M x M`` grid,
-    ``M = max(sizes)``, so one sweep at ``M`` serves all sizes: size
-    ``n`` is read from rows ``<= n`` and columns ``<= n`` of the same
-    tiles.  Only the ``counters`` asked for (names from :data:`COUNTERS`)
-    are computed; the others are ``None`` in every bundle.  Fields are
-    drawn from ``fields`` (which may be lazy) in blocks of
-    ``tile_shape(M)[0]``, so the memory held at any time is one block's
-    fields, the tile buffers and the counters.  A block of real fields
-    enters the kernel as its roots, as in :func:`sweep_roots`; only here
-    and in :func:`audit_fields` do the kernel's counter arrays become
-    bundles.
-    """
-    counters = _check_counters(counters)
-    plan = _SweepPlan(_check_sizes(sizes), counters)
-    for block in _field_blocks(fields, plan.M):
-        yield from _bundles(*_sweep_block(block, plan), plan.sizes, counters)
-
-
 def sweep_roots(
     roots: np.ndarray, sizes: Sequence[int], counters: Iterable[str]
 ) -> dict[str, np.ndarray]:
     """Sweep the streams with ``roots`` (see :func:`~sheetwalk.randfield.field_roots`).
 
-    The production sweep: :func:`sweep_fields` without the objects.  Each
-    counter asked for comes back as an int64 ``(len(sizes), len(roots))``
-    array, sizes in the order given and streams in the order of ``roots``.
+    The production sweep.  Every ``n x n`` grid is the top-left corner
+    of the ``M x M`` grid, ``M = max(sizes)``, so one sweep at ``M`` serves
+    all sizes: size ``n`` is read from rows ``<= n`` and columns ``<= n``
+    of the same tiles.  Only the ``counters`` asked for (names from
+    :data:`COUNTERS`) are computed.  The streams are swept in blocks of
+    ``tile_shape(M)[0]``.  Each counter comes back as an int64
+    ``(len(sizes), len(roots))`` array, sizes in the order given and
+    streams in the order of ``roots``.
     """
     plan = _SweepPlan(_check_sizes(sizes), _check_counters(counters))
     swept = [_sweep_block(block, plan)[0] for block in _field_blocks(roots, plan.M)]
@@ -430,18 +394,10 @@ def _check_counters(counters: Iterable[str]) -> frozenset[str]:
     return counters
 
 
-def _field_blocks(fields, N: int) -> Iterator:
-    """``fields`` in blocks of ``tile_shape(N)[0]``, each a :func:`_partial_sum_tiles` source.
-
-    A ``uint64`` array of roots is sliced; any other iterable of fields
-    (possibly lazy) is drawn a block at a time, and a block of real
-    fields goes as its roots (:func:`_block_source`).
-    """
+def _field_blocks(roots: np.ndarray, N: int) -> Iterator[np.ndarray]:
+    """``roots`` in slices of ``tile_shape(N)[0]``, the blocks of a sweep at edge ``N``."""
     grids = tile_shape(N)[0]
-    if isinstance(fields, np.ndarray):
-        return (fields[at : at + grids] for at in range(0, len(fields), grids))
-    fields = iter(fields)
-    return (_block_source(block) for block in iter(lambda: list(islice(fields, grids)), []))
+    return (roots[at : at + grids] for at in range(0, len(roots), grids))
 
 
 ZEROS, ONES, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES = range(5)  # flag planes
@@ -609,27 +565,18 @@ def _sweep_block(
     return values, profiles
 
 
-def _bundles(
-    values: dict[str, np.ndarray],
-    profiles: list[np.ndarray] | None,
-    sizes: tuple[int, ...],
-    counters: frozenset[str],
-) -> list[tuple[StatBundle, ...]]:
-    """Per grid of a swept block, its bundles, one per size; only ``counters`` are set."""
-    R = next(iter(values.values())).shape[1]
-    unread = [None] * R
-    per_size = []
-    for s, n in enumerate(sizes):
-        columns = [values[c][s].tolist() if c in counters else unread for c in COUNTERS]
-        rows = profiles[s] if "z_crossings" in counters else unread
-        per_size.append([StatBundle(n, *row, profile) for *row, profile in zip(*columns, rows)])
-    return list(zip(*per_size))
-
-
 def sweep_grid(field: RademacherField, N: int) -> StatBundle:
     """One pass over the grid, returning every pathwise counter at once."""
-    ((bundle,),) = sweep_fields([field], (N,))
-    return bundle
+    plan = _SweepPlan(_check_sizes((N,)), frozenset(COUNTERS))
+    return _bundle(plan, *_sweep_block(_root_block(field), plan))
+
+
+def _bundle(
+    plan: _SweepPlan, values: dict[str, np.ndarray], profiles: list[np.ndarray]
+) -> StatBundle:
+    """The bundle of the largest grid of a one-stream block swept for every counter."""
+    s = plan.sizes.index(plan.M)
+    return StatBundle(plan.M, *(int(values[c][s, 0]) for c in COUNTERS), profiles[s][0])
 
 
 def brute_force_bundle(
@@ -691,38 +638,24 @@ def _product_crossings(
     np.equal(products, 0, out=touches)
 
 
-def audit_fields(
-    fields: Iterable, sizes: Sequence[int], counters: Iterable[str] = COUNTERS
-) -> Iterator[tuple[tuple[StatBundle, ...], bool]]:
-    """Sweep each field once; yield its bundles (in the order of ``sizes``) and audit verdict.
-
-    The bundles are those of :func:`sweep_fields` with the same
-    ``counters``.  The audit is counted in the same pass, on the sweep's
-    column segments: per row of each ``n x n`` grid, the count of
-    adjacent products ``S(i,j) * S(i,j+1) <= 0`` (int64 products of the
-    sums, a rule that shares no code with the sweep's sign-based
-    profiles) must equal the profile entry, and the products ``== 0``
-    (crossings that touch a zero) must be sandwiched between the row's
-    zeros over ``[1, n-1]`` and twice its zeros over ``[1, n]`` (every
-    zero makes at most two of them vanish).  The crossing totals must
-    match too.  A field passes only if every one of its grids does.  The
-    profiles are swept whatever ``counters`` asks for, since the audit
-    reads them; the verdict does not depend on ``counters``.
-    """
-    counters = _check_counters(counters)
-    plan = _SweepPlan(_check_sizes(sizes), counters | {"z_crossings"}, audit=True)
-    for block in _field_blocks(fields, plan.M):
-        values, profiles, ok = _audit_block(block, plan)
-        yield from zip(_bundles(values, profiles, plan.sizes, counters), ok.tolist())
-
-
 def audit_roots(
     roots: np.ndarray, sizes: Sequence[int], counters: Iterable[str]
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """:func:`audit_fields` of the streams with ``roots``, without the objects.
+    """:func:`sweep_roots` with the crossing audit counted in the same pass.
 
     Returns the counters asked for, as :func:`sweep_roots` does, and each
-    stream's audit verdict as a bool array in the order of ``roots``.
+    stream's audit verdict as a bool array in the order of ``roots``.  The
+    audit is counted on the sweep's column segments: per row of each
+    ``n x n`` grid, the count of adjacent products ``S(i,j) * S(i,j+1) <=
+    0`` (int64 products of the sums, a rule that shares no code with the
+    sweep's sign-based profiles) must equal the profile entry, and the
+    products ``== 0`` (crossings that touch a zero) must be sandwiched
+    between the row's zeros over ``[1, n-1]`` and twice its zeros over
+    ``[1, n]`` (every zero makes at most two of them vanish).  The
+    crossing totals must match too.  A stream passes only if every one of
+    its grids does.  The profiles are swept whatever ``counters`` asks
+    for, since the audit reads them; the verdict does not depend on
+    ``counters``.
     """
     counters = _check_counters(counters)
     plan = _SweepPlan(_check_sizes(sizes), counters | {"z_crossings"}, audit=True)
@@ -759,7 +692,7 @@ def _audit_block(
 def decomposition_audit(
     field: RademacherField, N: int, nested: Sequence[int] = ()
 ) -> tuple[StatBundle, bool]:
-    """Audit one field's ``N`` grid and its nested grids: :func:`audit_fields` of one field.
+    """Audit one field's ``N`` grid and its nested grids: :func:`audit_roots` of one stream.
 
     Every edge in ``nested`` must be at most ``N``.  Returns the bundle of
     the ``N`` grid plus the audit verdict over all of them.
@@ -767,8 +700,9 @@ def decomposition_audit(
     sizes = tuple(sorted({N, *nested}))
     if sizes[-1] > N:
         raise ValueError(f"nested edges must be <= {N}, got {tuple(nested)}")
-    ((bundles, ok),) = audit_fields([field], sizes)
-    return bundles[-1], ok
+    plan = _SweepPlan(_check_sizes(sizes), frozenset(COUNTERS), audit=True)
+    values, profiles, ok = _audit_block(_root_block(field), plan)
+    return _bundle(plan, values, profiles), bool(ok[0])
 
 
 def diag_zero_counts(key: StreamKey, sizes: Sequence[int]) -> list[int]:

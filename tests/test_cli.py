@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import StubField
 
 from sheetwalk import cli, exactprob, walkstats
 from sheetwalk.cli import main, render_zero_set
@@ -18,20 +19,20 @@ from sheetwalk.randfield import RademacherField, Seed, StreamKey
 from sheetwalk.walkstats import annulus_zero_check
 
 
-class PlusField:
+class PlusField(StubField):
     """Stub: all signs +1, S(i,j) = i*j, strictly positive."""
 
-    def row_signs(self, i, count):
-        return np.ones(count, dtype=np.int64)
+    @staticmethod
+    def positive(i, j):
+        return i > 0
 
 
-class NegativeOddColumnsField:
+class NegativeOddColumnsField(StubField):
     """Stub: -1 on odd columns, +1 on even, S(i,j) = -i*(j mod 2)."""
 
-    def row_signs(self, i, count):
-        signs = np.ones(count, dtype=np.int64)
-        signs[0::2] = -1
-        return signs
+    @staticmethod
+    def positive(i, j):
+        return j % 2 == 0
 
 
 class TestExactCommand:
@@ -539,10 +540,12 @@ class TestEstimateCommand:
 
 
 class TestRenderCommand:
+    @pytest.mark.usefixtures("stub_hash")
     def test_all_plus_stub_image(self):
         pgm = render_zero_set(PlusField(), 2)
         assert pgm == b"P5\n2 2\n255\n" + b"\xff\xff\xff\xff"
 
+    @pytest.mark.usefixtures("stub_hash")
     def test_negative_odd_columns_stub_image(self):
         pgm = render_zero_set(NegativeOddColumnsField(), 2)
         # column 1 negative, column 2 zero, both rows

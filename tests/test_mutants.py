@@ -2,7 +2,10 @@
 and each test asserts that a named check or test kills it.
 
 The killing tests are called on fixed inputs (hypothesis tests through
-``.hypothesis.inner_test``), so the file runs in seconds.
+``.hypothesis.inner_test``), so the file runs in seconds.  A test that
+reads a stub asks for the ``stub_hash`` fixture; a mutant made by
+:func:`_edited` asks for it too, so its copy of the module's namespace
+holds the fake hash.
 """
 
 import inspect
@@ -58,12 +61,12 @@ def _audit_rows_edge_zero_kept(plan, R, n, t):
     return crossings, touched, zeros, zeros
 
 
-def _edited(name, old, new):
-    """Mutant of ``walkstats.<name>`` with the one occurrence of ``old`` made ``new``."""
-    source = inspect.getsource(getattr(walkstats, name))
+def _edited(name, old, new, module=walkstats):
+    """Mutant of ``module.<name>`` with the one occurrence of ``old`` made ``new``."""
+    source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
-    namespace = dict(vars(walkstats))
-    exec(compile(source.replace(old, new), walkstats.__file__, "exec"), namespace)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[name]
 
 
@@ -120,7 +123,7 @@ class TestAuditRowsEdgeZeroKept:
     """Survives check 9 on real fields: its lower sandwich bound never binds there."""
 
     @pytest.fixture(autouse=True)
-    def mutant(self, monkeypatch):
+    def mutant(self, monkeypatch, stub_hash):
         monkeypatch.setattr(walkstats, "_audit_rows", _audit_rows_edge_zero_kept)
 
     def test_killed_by_the_alternating_rows_stub(self):
@@ -141,8 +144,25 @@ _SWEEP_BLOCK_EDITS = {
     ),
 }
 
+# one text replacement each in the sweep's segment bookkeeping: (name, old, new)
+_SEGMENT_EDITS = {
+    # each crossing filed under the column of its left-hand cell, so the n grid
+    # also counts the pair (n, n + 1) that leaves it
+    "crossing-under-the-left-cell": (
+        "_sweep_block",
+        "flags[slot[CROSSINGS], :, :, 1:]",
+        "flags[slot[CROSSINGS], :, :, :-1]",
+    ),
+    # segments cut at column e - 1, so the n grid misses its column n
+    "segment-bounds-at-e-1": (
+        "_SweepPlan",
+        "np.array([0, *edges[:-1]])",
+        "np.array([0, *(e - 1 for e in edges[:-1])])",
+    ),
+}
 
-def test_an_unmutated_copy_survives(monkeypatch):
+
+def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     # the copies themselves are sound, so each kill below is the replacement's
     monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", "[1:n:2]", "[1:n:2]"))
     same = "block_base -= self.block_bias"
@@ -153,16 +173,31 @@ def test_an_unmutated_copy_survives(monkeypatch):
     )
     height = "_tile_height(self.rows, self.cols, R)"
     monkeypatch.setattr(walkstats, "_Tiles", _edited("_Tiles", height, height))
+    edges = "np.array(edges) - 1"
+    monkeypatch.setattr(walkstats, "_SweepPlan", _edited("_SweepPlan", edges, edges))
+    touches = "np.equal(products, 0, out=touches)"
+    monkeypatch.setattr(
+        walkstats, "_product_crossings", _edited("_product_crossings", touches, touches)
+    )
+    sticky = "float((num >> shift) | 1)"
+    table = _edited("ReturnProbTable", sticky, sticky, module=exactprob)
+    monkeypatch.setattr(exactprob, "ReturnProbTable", table)
+    monkeypatch.setattr(exactprob, "_TABLE", None)
     assert checks._check_oracle_equivalence("quick", 1)[0]
     test_walkstats.test_band_seams_equal_brute_force((65, 70))
+    test_walkstats.test_band_seams_equal_brute_force((9, 70))
+    test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
+    test_walkstats.TestDecompositionAudit().test_random_fields_pass()
+    test_walkstats.TestDecompositionAudit().test_product_recount_matches_upcrossing_times_per_row()
     test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
     test_walkstats.test_fold_equals_dense_recount_across_word_and_block_edges(65, False)
     test_walkstats.test_fold_at_the_ceiling_width(walkstats.SWEEP_CEILING)
+    test_exactprob.TestReturnProbExact().test_table_floats_are_the_rounded_quotients()
 
 
 class TestSweepBlockEdits:
     @pytest.fixture(autouse=True, params=sorted(_SWEEP_BLOCK_EDITS))
-    def mutant(self, request, monkeypatch):
+    def mutant(self, request, monkeypatch, stub_hash):
         mutant = _edited("_sweep_block", *_SWEEP_BLOCK_EDITS[request.param])
         monkeypatch.setattr(walkstats, "_sweep_block", mutant)
 
@@ -173,6 +208,82 @@ class TestSweepBlockEdits:
     def test_killed_by_the_frozen_example(self):
         with pytest.raises(AssertionError):
             test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
+
+
+class TestSegmentEdits:
+    @pytest.fixture(autouse=True, params=sorted(_SEGMENT_EDITS))
+    def mutant(self, request, monkeypatch):
+        name, old, new = _SEGMENT_EDITS[request.param]
+        monkeypatch.setattr(walkstats, name, _edited(name, old, new))
+
+    @pytest.mark.parametrize("sizes", [(65, 70), (9, 70)], ids=str)
+    def test_killed_by_the_band_seams(self, sizes):
+        with pytest.raises(AssertionError):
+            test_walkstats.test_band_seams_equal_brute_force(sizes)
+
+
+class TestEdgeZeroFlagOneColumnLeft:
+    """Each row's zero flag at edge ``n`` read at column ``n - 1``; edge 1 wraps to the last column.
+
+    Survives check 9 and the band seams: only the lower side of the
+    sandwich reads the flag, and it never binds on real fields.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        edges = "np.array(edges) - 1"
+        mutant = _edited("_SweepPlan", edges, "np.array(edges) - 2")
+        monkeypatch.setattr(walkstats, "_SweepPlan", mutant)
+
+    def test_killed_by_the_segment_counts(self):
+        with pytest.raises(AssertionError):
+            test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
+
+    def test_survives_the_band_seams(self):
+        test_walkstats.test_band_seams_equal_brute_force((65, 70))
+
+
+class TestTouchesAsNegativeProducts:
+    """Touches counted as products ``< 0``, the strict crossings, not ``== 0``."""
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        touches = "np.equal(products, 0, out=touches)"
+        mutant = _edited("_product_crossings", touches, "np.less(products, 0, out=touches)")
+        monkeypatch.setattr(walkstats, "_product_crossings", mutant)
+
+    def test_killed_by_the_upcrossing_oracle(self):
+        audit = test_walkstats.TestDecompositionAudit()
+        with pytest.raises(AssertionError):
+            audit.test_product_recount_matches_upcrossing_times_per_row()
+
+    def test_killed_by_the_sandwich_on_real_fields(self):
+        with pytest.raises(AssertionError):
+            test_walkstats.TestDecompositionAudit().test_random_fields_pass()
+
+
+class TestTableWithoutTheStickyBit:
+    """``ReturnProbTable.build`` rounds the top 60 bits of each numerator without the sticky 1.
+
+    The dropped bits then round ties to even where the exact value lies
+    above the tie: 34 of the 10001 table floats are one ulp low.  Check 1
+    bounds the relative error by ``1e-12``, so it passes; the table's own
+    quotient test does not.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        sticky = "float((num >> shift) | 1)"
+        mutant = _edited("ReturnProbTable", sticky, "float(num >> shift)", module=exactprob)
+        monkeypatch.setattr(exactprob, "ReturnProbTable", mutant)
+        monkeypatch.setattr(exactprob, "_TABLE", None)  # the next read builds the mutant's table
+
+    def test_killed_by_the_rounded_quotients(self):
+        with pytest.raises(AssertionError):
+            test_exactprob.TestReturnProbExact().test_table_floats_are_the_rounded_quotients()
+
+    def test_survives_check_1(self):
+        assert checks._check_return_probability("quick", 1)[0]
 
 
 class TestCarryRowNotAdded:
@@ -222,7 +333,7 @@ class TestRowFoldBlockCarryDropped:
     """
 
     @pytest.fixture(autouse=True)
-    def mutant(self, monkeypatch):
+    def mutant(self, monkeypatch, stub_hash):
         carry = "block_base -= self.block_bias\n"
         mutant = _edited("_RowFold", carry, "block_base[:] = -64\n")
         monkeypatch.setattr(walkstats, "_RowFold", mutant)

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import StubField
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,14 +22,12 @@ from sheetwalk.walkstats import (
     SWEEP_CEILING,
     annulus_counts,
     annulus_zero_check,
-    audit_fields,
     audit_roots,
     brute_force_bundle,
     decomposition_audit,
     diag_zero_count,
     diag_zero_counts,
     iter_partial_rows,
-    sweep_fields,
     sweep_grid,
     sweep_roots,
     tile_shape,
@@ -36,6 +35,9 @@ from sheetwalk.walkstats import (
     twin_zero_counts,
     zero_points,
 )
+
+# every stub below reaches the sweep through the hash, as a tagged root
+pytestmark = pytest.mark.usefixtures("stub_hash")
 
 
 def _upcrossing_times(values):
@@ -52,40 +54,55 @@ def _upcrossing_times(values):
     return times, prod[times - 1] == 0
 
 
-class ConstantField:
+class ConstantField(StubField):
     """Stub: every sign +1, so S(i,j) = i*j."""
 
-    def value(self, i, j):
-        return 1
-
-    def row_signs(self, i, count):
-        return np.ones(count, dtype=np.int64)
+    @staticmethod
+    def positive(i, j):
+        return i > 0
 
 
-class AlternatingColumnsField:
+class AlternatingColumnsField(StubField):
     """Stub: +1 on odd columns, -1 on even, so S(i,j) = i*(j mod 2)."""
 
-    def value(self, i, j):
-        return 1 if j % 2 else -1
-
-    def row_signs(self, i, count):
-        signs = np.ones(count, dtype=np.int64)
-        signs[1::2] = -1
-        return signs
+    @staticmethod
+    def positive(i, j):
+        return j % 2 == 1
 
 
-class AlternatingRowsField:
+class AlternatingRowsField(StubField):
     """Stub: +1 on odd rows, -1 on even, so S(i,j) = j*(i mod 2): even rows vanish."""
 
-    def value(self, i, j):
-        return 1 if i % 2 else -1
-
-    def row_signs(self, i, count):
-        return np.full(count, 1 if i % 2 else -1, dtype=np.int64)
+    @staticmethod
+    def positive(i, j):
+        return i % 2 == 1
 
 
 def field(seed=1, replicate=0):
     return RademacherField(StreamKey(Seed(seed), replicate))
+
+
+def _roots(fields):
+    """The fields' roots, stub tags among them, as one ``uint64`` array of streams."""
+    return np.array([f.root for f in fields], dtype=np.uint64)
+
+
+def _brute(f, n):
+    return brute_force_bundle(f, n)[0]
+
+
+def _layout(bundle_of, fields, sizes, counters=COUNTERS):
+    """The counters of ``bundle_of(f, n)`` laid out as :func:`sweep_roots` returns them.
+
+    A dict of ``(len(sizes), len(fields))`` nested lists, one per counter.
+    """
+    bundles = [[bundle_of(f, n) for f in fields] for n in sizes]
+    return {c: [[getattr(b, c) for b in row] for row in bundles] for c in counters}
+
+
+def _lists(swept):
+    """A dict of counter arrays as nested lists."""
+    return {c: values.tolist() for c, values in swept.items()}
 
 
 def zero_tuples(f, rows, cols):
@@ -229,18 +246,22 @@ def _bundle_key(b):
 @settings(max_examples=30, deadline=None)
 def test_tile_kernel_equals_brute_force(seed, n, stride, count, data):
     # a worker's replicates r = w, w + W, ...; tile caps from one row per
-    # tile (rows need not divide n) up to several whole grids per tile
+    # tile (rows need not divide n) up to several whole grids per tile, in
+    # blocks; the audit checks every row profile against the products of the sums
     worker = data.draw(st.integers(0, stride - 1), label="worker")
     cap = data.draw(st.integers(1, 3 * n * n), label="cap")
-    fields = [field(seed, worker + k * stride) for k in range(count)]
+    replicates = [worker + k * stride for k in range(count)]
+    roots = field_roots(seed, replicates)
+    fields = [field(seed, r) for r in replicates]
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
         grids, rows = tile_shape(n)
         assert grids * rows * n <= max(cap, n)
-        bundles = [b for (b,) in sweep_fields(fields, (n,))]
+        swept = sweep_roots(roots, (n,), COUNTERS)
+        audited, ok = audit_roots(roots, (n,), COUNTERS)
         zeros = [zero_tuples(f, n, n) for f in fields]
-    oracles = [brute_force_bundle(f, n) for f in fields]
-    assert [_bundle_key(b) for b in bundles] == [_bundle_key(b) for b, _ in oracles]
-    assert zeros == [coords for _, coords in oracles]
+    assert _lists(swept) == _lists(audited) == _layout(_brute, fields, (n,))
+    assert ok.all()
+    assert zeros == [brute_force_bundle(f, n)[1] for f in fields]
 
 
 def _value_sums(f, rows, cols):
@@ -259,43 +280,30 @@ def test_partial_rows_across_tile_seams(n, cap):
     assert all(np.array_equal(col, dense[i - 1]) for i, col in rows)
 
 
-class RowSignsField:
-    """Stub: a real field read only through ``row_signs``, as any test double is."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def value(self, i, j):
-        return self.f.value(i, j)
-
-    def row_signs(self, i, count):
-        return self.f.row_signs(i, count)
-
-
 @pytest.mark.parametrize("band", [False, True], ids=["whole-grids", "row-bands"])
 @pytest.mark.parametrize("cols", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200])
 def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
     # the widths cross the fold's 8-cell words and 64-cell blocks; tiles of
     # two whole grids leave a last block of one, row bands carry a row, and
     # every block is a new call on the same buffers and views, real fields
-    # (as roots) first, so blocks of two grids follow a block of one and a
-    # stale padding byte or block count would show
+    # first, so blocks of two grids follow a block of one and a stale
+    # padding byte or block count would show; then blocks that mix stubs
+    # and real fields
     rows = 5
     real = [field(cols, r) for r in range(3)]
-    stubs = [RowSignsField(f) for f in real]
-    stubs += [AlternatingColumnsField(), ConstantField(), AlternatingRowsField()]
+    stubs = [AlternatingColumnsField(), ConstantField(), AlternatingRowsField()]
+    mixed = [f for pair in zip(stubs, real) for f in pair]
     width = walkstats._padded(cols)  # the tile cap counts rows at their padded width
     with mock.patch.object(walkstats, "TILE_CELLS", 2 * (1 if band else rows) * width):
         grids = tile_shape(rows, cols)[0]
         assert grids == (1 if band else 2)
         tiles = walkstats._Tiles(rows, cols, grids)
-        for fields in (real, stubs):
+        for fields in (real, mixed):
             for at in range(0, len(fields), grids):
                 block = fields[at : at + grids]
                 dense = [_value_sums(f, rows, cols) for f in block]
-                source = walkstats._block_source(block)
                 starts = []
-                for start, tile in walkstats._partial_sum_tiles(source, tiles):
+                for start, tile in walkstats._partial_sum_tiles(_roots(block), tiles):
                     starts.append(start)
                     for r, sums in enumerate(dense):
                         assert np.array_equal(tile[:, r], sums[start - 1 : start - 1 + len(tile)])
@@ -315,11 +323,13 @@ def test_fold_at_the_ceiling_width(cols):
 
 
 def test_stub_fields_sweep_in_blocks():
+    stubs = [AlternatingColumnsField(), ConstantField()]
     with mock.patch.object(walkstats, "TILE_CELLS", 40):
-        stubs = [AlternatingColumnsField(), ConstantField()]
-        bundles = [b for (b,) in sweep_fields(stubs, (4,))]
-    assert _bundle_key(bundles[0]) == _bundle_key(sweep_grid(AlternatingColumnsField(), 4))
-    assert _bundle_key(bundles[1]) == _bundle_key(sweep_grid(ConstantField(), 4))
+        assert tile_shape(4)[0] == 1  # a block per stub
+        swept = sweep_roots(_roots(stubs), (4,), COUNTERS)
+        audited, ok = audit_roots(_roots(stubs), (4,), COUNTERS)
+    assert _lists(swept) == _lists(audited) == _layout(sweep_grid, stubs, (4,))
+    assert ok.all()
 
 
 @given(
@@ -338,13 +348,8 @@ def test_nested_sizes_equal_one_size_sweeps(seed, sizes, count, data):
     cap = data.draw(st.integers(1, 3 * top * top), label="cap")
     fields = [field(seed, r) for r in range(count)]
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
-        nested = list(sweep_fields(fields, sizes))
-    assert len(nested) == count
-    for f, bundles in zip(fields, nested):
-        assert [b.N for b in bundles] == sizes
-        assert [_bundle_key(b) for b in bundles] == [
-            _bundle_key(sweep_grid(f, n)) for n in sizes
-        ]
+        nested = sweep_roots(field_roots(seed, range(count)), sizes, COUNTERS)
+    assert _lists(nested) == _layout(sweep_grid, fields, sizes)
 
 
 @pytest.mark.parametrize("sizes", [(1, 2), (2, 1, 3), (3, 2)], ids=str)
@@ -359,21 +364,31 @@ def test_adjacent_edges_equal_brute_force(sizes, whole_grids, kind):
         fields = [AlternatingColumnsField(), ConstantField(), AlternatingColumnsField()]
     cap = max(sizes) ** 2 if whole_grids else 1
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
-        swept = list(sweep_fields(fields, sizes))
-    assert len(swept) == len(fields)
-    for f, bundles in zip(fields, swept):
-        assert [_bundle_key(b) for b in bundles] == [
-            _bundle_key(brute_force_bundle(f, n)[0]) for n in sizes
-        ]
+        swept = sweep_roots(_roots(fields), sizes, COUNTERS)
+        _, ok = audit_roots(_roots(fields), sizes, COUNTERS)
+    assert _lists(swept) == _layout(_brute, fields, sizes)
+    assert ok.all()
 
 
-def test_nested_sweep_needs_valid_sizes():
-    with pytest.raises(ValueError):
-        list(sweep_fields([field()], ()))
-    with pytest.raises(ValueError):
-        list(sweep_fields([field()], (4, 0)))
+# the entry points that take several sizes, called on (N, *nested)
+_NESTED_ENTRIES = {
+    "sweep_roots": lambda sizes: sweep_roots(field_roots(1, [0, 1]), sizes, COUNTERS),
+    "audit_roots": lambda sizes: audit_roots(field_roots(1, [0, 1]), sizes, COUNTERS),
+    "decomposition_audit": lambda sizes: decomposition_audit(field(), sizes[0], sizes[1:]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NESTED_ENTRIES))
+def test_nested_sweep_needs_valid_sizes(entry):
+    run = _NESTED_ENTRIES[entry]
+    for sizes in [(8, 0), (8, -2), (0,)]:  # decomposition_audit(f, 8, (0,)) among them
+        with pytest.raises(ValueError):
+            run(sizes)
     with pytest.raises(CapacityError):
-        list(sweep_fields([field()], (4, SWEEP_CEILING + 1)))
+        run((SWEEP_CEILING + 1, 4))
+    if entry != "decomposition_audit":  # whose N is always given
+        with pytest.raises(ValueError):
+            run(())
 
 
 @given(
@@ -385,21 +400,23 @@ def test_nested_sweep_needs_valid_sizes():
     data=st.data(),
 )
 @settings(max_examples=30, deadline=None)
-def test_audit_fields_equal_the_sweep_and_the_one_field_audit(seed, sizes, count, data):
+def test_audit_roots_equal_the_sweep_and_the_one_field_audit(seed, sizes, count, data):
     # unsorted sizes, tile caps from one cell to several grids; the audited
-    # pass gives the sweep's bundles and each field's own audit verdict
+    # pass gives the sweep's counters, each stream's own audit verdict and,
+    # at the largest size, the one-field audit's bundle
     top = max(sizes)
     cap = data.draw(st.integers(1, 3 * top * top), label="cap")
+    roots = field_roots(seed, range(count))
     fields = [field(seed, r) for r in range(count)]
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
-        audited = list(audit_fields(fields, sizes))
-        swept = list(sweep_fields(fields, sizes))
-        verdicts = [decomposition_audit(f, top, sizes)[1] for f in fields]
-    assert len(audited) == count
-    for (bundles, ok), plain, verdict in zip(audited, swept, verdicts):
-        assert [b.N for b in bundles] == sizes
-        assert [_bundle_key(b) for b in bundles] == [_bundle_key(b) for b in plain]
-        assert ok is verdict is True
+        audited, ok = audit_roots(roots, sizes, COUNTERS)
+        swept = sweep_roots(roots, sizes, COUNTERS)
+        one = [decomposition_audit(f, top, sizes) for f in fields]
+    assert _lists(audited) == _lists(swept)
+    assert ok.tolist() == [True] * count
+    assert all(verdict is True for _, verdict in one)
+    at_top = {c: values[sizes.index(top)].tolist() for c, values in swept.items()}
+    assert at_top == {c: [getattr(bundle, c) for bundle, _ in one] for c in COUNTERS}
 
     # one profile entry of the first field off by one: only its verdict turns red
     size = data.draw(st.sampled_from(sizes), label="size")
@@ -417,16 +434,8 @@ def test_audit_fields_equal_the_sweep_and_the_one_field_audit(seed, sizes, count
     with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
         walkstats, "_sweep_block", corrupted
     ):
-        verdicts = [ok for _, ok in audit_fields(fields, sizes)]
-    assert verdicts == [False] + [True] * (count - 1)
-
-
-def _counter_values(b, counters):
-    """The bundle's ``counters``, plus ``row_profiles`` when ``z_crossings`` is among them."""
-    values = {c: getattr(b, c) for c in counters}
-    if "z_crossings" in counters:
-        values["row_profiles"] = b.row_profiles.tolist()
-    return values
+        _, ok = audit_roots(roots, sizes, COUNTERS)
+    assert ok.tolist() == [False] + [True] * (count - 1)
 
 
 @given(
@@ -438,25 +447,15 @@ def _counter_values(b, counters):
 )
 @settings(max_examples=40, deadline=None)
 def test_selected_counters_equal_brute_force(kinds, seed, counters, sizes, data):
-    # a sweep fills only the planes its counters read: each counter asked for
-    # equals the dense recount, every other one is None; unsorted nested
-    # sizes, tile caps from one cell to three grids, real fields and both
-    # row_signs stubs
+    # a sweep fills only the planes its counters read: it returns just the
+    # counters asked for, each equal to the dense recount; unsorted nested
+    # sizes, tile caps from one cell to three grids, real fields and stubs
     top = max(sizes)
     cap = data.draw(st.integers(1, 3 * top * top), label="cap")
     fields = [_oracle_field(kind, seed + r) for r, kind in enumerate(kinds)]
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
-        swept = list(sweep_fields(fields, sizes, counters))
-    assert len(swept) == len(fields)
-    unread = set(COUNTERS) - counters
-    for f, bundles in zip(fields, swept):
-        assert [b.N for b in bundles] == sizes
-        for b in bundles:
-            assert all(getattr(b, c) is None for c in unread)
-            assert (b.row_profiles is None) == ("z_crossings" in unread)
-        assert [_counter_values(b, counters) for b in bundles] == [
-            _counter_values(brute_force_bundle(f, n)[0], counters) for n in sizes
-        ]
+        swept = sweep_roots(_roots(fields), sizes, counters)
+    assert _lists(swept) == _layout(_brute, fields, sizes, counters)
 
 
 @pytest.mark.parametrize(
@@ -498,15 +497,9 @@ def test_band_seams_equal_brute_force(sizes):
         roots = field_roots(seed, range(grids + 2))
         swept = sweep_roots(roots, sizes, COUNTERS)
         audited, ok = audit_roots(roots, sizes, COUNTERS)
-        fields = [field(seed, r) for r in range(grids + 2)]
-        bundles = list(sweep_fields(fields, sizes))
     assert ok.tolist() == [True] * len(roots)
-    for s, n in enumerate(sizes):
-        oracles = [brute_force_bundle(f, n)[0] for f in fields]
-        for c in COUNTERS:
-            want = [getattr(b, c) for b in oracles]
-            assert swept[c][s].tolist() == audited[c][s].tolist() == want, (n, c)
-        assert [_bundle_key(b[s]) for b in bundles] == [_bundle_key(b) for b in oracles]
+    fields = [field(seed, r) for r in range(grids + 2)]
+    assert _lists(swept) == _lists(audited) == _layout(_brute, fields, sizes)
 
 
 def _plan_bytes(N):
@@ -526,13 +519,11 @@ def test_narrow_grids_fit_the_tile_budget():
     assert max(_plan_bytes(N) for N in range(1, 71)) <= limit
 
 
-def test_counters_are_checked():
-    with pytest.raises(ValueError):
-        list(sweep_fields([field()], (4,), ()))
-    with pytest.raises(ValueError):
-        list(sweep_fields([field()], (4,), ("gamma", "zeros")))
-    with pytest.raises(ValueError):
-        list(audit_fields([field()], (4,), ("crossings",)))
+@pytest.mark.parametrize("sweep", [sweep_roots, audit_roots], ids=lambda f: f.__name__)
+def test_counters_are_checked(sweep):
+    for counters in [(), ("gamma", "zeros"), ("crossings",)]:
+        with pytest.raises(ValueError):
+            sweep(field_roots(1, [0]), (4,), counters)
 
 
 @given(
@@ -548,16 +539,12 @@ def test_one_counter_audit_gives_the_full_verdicts(seed, counter, sizes, count, 
     # green or turned red by a corrupted profile, is that of the full audit
     top = max(sizes)
     cap = data.draw(st.integers(1, 3 * top * top), label="cap")
-    fields = [field(seed, r) for r in range(count)]
+    roots = field_roots(seed, range(count))
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
-        one = list(audit_fields(fields, sizes, (counter,)))
-        full = list(audit_fields(fields, sizes))
-    assert [ok for _, ok in one] == [ok for _, ok in full] == [True] * count
-    for (bundles, _), (whole, _) in zip(one, full):
-        assert [_counter_values(b, {counter}) for b in bundles] == [
-            _counter_values(b, {counter}) for b in whole
-        ]
-        assert all(getattr(b, c) is None for b in bundles for c in set(COUNTERS) - {counter})
+        one, one_ok = audit_roots(roots, sizes, (counter,))
+        full, full_ok = audit_roots(roots, sizes, COUNTERS)
+    assert one_ok.tolist() == full_ok.tolist() == [True] * count
+    assert _lists(one) == {counter: full[counter].tolist()}
 
     size = data.draw(st.sampled_from(sizes), label="size")
     row = data.draw(st.integers(0, size - 1), label="row")
@@ -571,17 +558,11 @@ def test_one_counter_audit_gives_the_full_verdicts(seed, counter, sizes, count, 
     with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
         walkstats, "_sweep_block", corrupted
     ):
-        one = [ok for _, ok in audit_fields(fields, sizes, (counter,))]
-        full = [ok for _, ok in audit_fields(fields, sizes)]
-    # each block's first field is corrupted, so the verdicts agree block by block
-    assert one == full
-    assert not one[0]
-
-
-def _dense_sums(f, n):
-    """``S(i, j)`` on ``[1, n]^2`` from the field's rows, as an ``(n, n)`` int64 array."""
-    signs = np.array([f.row_signs(i, n) for i in range(1, n + 1)], dtype=np.int64)
-    return signs.cumsum(axis=0).cumsum(axis=1)
+        _, one_ok = audit_roots(roots, sizes, (counter,))
+        _, full_ok = audit_roots(roots, sizes, COUNTERS)
+    # each block's first stream is corrupted, so the verdicts agree block by block
+    assert one_ok.tolist() == full_ok.tolist()
+    assert not one_ok[0]
 
 
 def _audit_oracle(sums, n):
@@ -601,23 +582,9 @@ def _audit_oracle(sums, n):
     )
 
 
-@given(
-    kinds=st.lists(st.sampled_from(["real", "alternating", "constant"]), min_size=1, max_size=3),
-    seed=st.integers(0, 2**32),
-    sizes=st.one_of(
-        st.sampled_from([[1, 2], [2, 1, 3], [3, 2]]),
-        st.lists(st.one_of(st.just(1), st.integers(2, 40)), min_size=1, max_size=4, unique=True),
-    ),
-    data=st.data(),
-)
-@settings(max_examples=40, deadline=None)
-def test_segment_audit_counts_equal_the_per_size_rule(kinds, seed, sizes, data):
-    # per row of every grid, the counts read off the sweep's segments equal the
-    # per-size count_nonzero rule; unsorted sizes, adjacent edges, tile caps
-    # from one cell to three grids, real fields and both row_signs stubs
+def _assert_segment_counts(fields, sizes, cap):
+    """Per row of every grid, the audit's segment counts equal the per-size rule on dense sums."""
     top = max(sizes)
-    cap = data.draw(st.integers(1, 3 * top * top), label="cap")
-    fields = [_oracle_field(kind, seed + r) for r, kind in enumerate(kinds)]
     # per size and block: recount, touched, zeros over [1, n-1] and over [1, n]
     seen = {n: [] for n in sizes}
     real = walkstats._audit_rows
@@ -630,13 +597,40 @@ def test_segment_audit_counts_equal_the_per_size_rule(kinds, seed, sizes, data):
     with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
         walkstats, "_audit_rows", recorded
     ):
-        verdicts = [ok for _, ok in audit_fields(fields, sizes)]
-    assert verdicts == [True] * len(fields)
+        _, ok = audit_roots(_roots(fields), sizes, COUNTERS)
+    assert ok.tolist() == [True] * len(fields)
     for n in sizes:
         got = [np.concatenate(blocks, axis=1) for blocks in zip(*seen[n])]  # each (n, fields)
         for r, f in enumerate(fields):
-            want = _audit_oracle(_dense_sums(f, top), n)
+            want = _audit_oracle(_value_sums(f, top, top), n)
             assert [g[:, r].tolist() for g in got] == [w.tolist() for w in want]
+
+
+@given(
+    kinds=st.lists(st.sampled_from(["real", "alternating", "constant"]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32),
+    sizes=st.one_of(
+        st.sampled_from([[1, 2], [2, 1, 3], [3, 2]]),
+        st.lists(st.one_of(st.just(1), st.integers(2, 40)), min_size=1, max_size=4, unique=True),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_segment_audit_counts_equal_the_per_size_rule(kinds, seed, sizes, data):
+    # unsorted sizes, adjacent edges, tile caps from one cell to three grids,
+    # real fields and stubs
+    top = max(sizes)
+    cap = data.draw(st.integers(1, 3 * top * top), label="cap")
+    fields = [_oracle_field(kind, seed + r) for r, kind in enumerate(kinds)]
+    _assert_segment_counts(fields, sizes, cap)
+
+
+def test_segment_audit_counts_where_the_edge_zero_flag_matters():
+    # some rows vanish at column n or at n - 1 but not both (rows 11 and 12
+    # at n = 12 in the first field, eight rows at n = 30 in the second), so
+    # a zero flag read one column off the edge miscounts the zeros over
+    # [1, n-1]; one row per tile
+    _assert_segment_counts([field(3, 3), field(4, 4)], [30, 12], 1)
 
 
 class TestDecompositionAudit:
@@ -696,8 +690,8 @@ class TestDecompositionAudit:
             assert not decomposition_audit(field(9), 30, (7, 12))[1]
             # an audit that reports one counter still audits the profiles
             for counter in COUNTERS:
-                ((_, ok),) = audit_fields([field(9)], (7, 12, 30), (counter,))
-                assert not ok
+                _, ok = audit_roots(field_roots(9, [0]), (7, 12, 30), (counter,))
+                assert not ok[0]
 
 
     @pytest.mark.parametrize("misbooking", ["edge-zero-inside", "zeros-unbooked"])
