@@ -48,6 +48,7 @@ from .mcharness import (
 )
 from .randfield import RademacherField, Seed, StreamKey, field_roots
 from .walkstats import (
+    COUNTERS,
     annulus_zero_check,
     audit_roots,
     brute_force_bundle,
@@ -220,8 +221,9 @@ def _check_fastpath_consistency(level: str, workers: int) -> tuple[bool, str]:
 # ------------------------------------------------- checks 7-9: one pass
 
 #: Audited runs of checks 7 and 8 by config, so check 9 reads the verdicts
-#: of the pass they already made.  Lives for one :func:`run_checks` call.
-_AUDITED: dict[ExperimentConfig, tuple[ExperimentResult, bool]] = {}
+#: of the pass they already made.  A dict only during a :func:`run_checks`
+#: call; outside one it is ``None`` and every audited run sweeps.
+_AUDITED: dict[ExperimentConfig, tuple[ExperimentResult, bool]] | None = None
 
 
 def _audited_chunk(
@@ -239,15 +241,16 @@ def _audited_chunk(
 def _audited_run(config: ExperimentConfig) -> tuple[ExperimentResult, bool]:
     """The Monte Carlo result of a grid statistic plus the audit of its grids.
 
-    The result equals ``run_experiment(config)``.  The first call within a
-    :func:`run_checks` call sweeps; later calls with the same config read
-    the memo.
+    The result equals ``run_experiment(config)``.  Within a :func:`run_checks`
+    call, later calls with the same config read the memo; outside one, every
+    call sweeps.
     """
-    if config not in _AUDITED:
+    memo = {} if _AUDITED is None else _AUDITED
+    if config not in memo:
         chunks = map_workers(_audited_chunk, config)
         result = assemble_result(config, (chunk for chunk, _ in chunks))
-        _AUDITED[config] = result, all(ok for _, ok in chunks)
-    return _AUDITED[config]
+        memo[config] = result, all(ok for _, ok in chunks)
+    return memo[config]
 
 
 # --------------------------------------------------------------- check 7
@@ -365,27 +368,25 @@ def _check_oracle_equivalence(level: str, workers: int) -> tuple[bool, str]:
     seeds = 50 if level == "full" else 12
     sizes = (5, 8, 12, 17, 24)
     ok = True
-    for seed in range(seeds):
-        n = sizes[seed % len(sizes)]
+    wide = (seeds, 70)  # rows of 70 cells span two of the row fold's 64-cell blocks
+    for seed, n in [*((s, sizes[s % len(sizes)]) for s in range(seeds)), wide]:
         field = RademacherField(StreamKey(Seed(seed), 0))
-        a = sweep_grid(field, n)
-        b, zeros = brute_force_bundle(field, n)
+        a, (b, zeros) = sweep_grid(field, n), brute_force_bundle(field, n)
         ok &= (
-            a.gamma == b.gamma
-            and a.gamma_prime == b.gamma_prime
-            and a.z_crossings == b.z_crossings
-            and a.delta == b.delta
-            and a.d_antidiag == b.d_antidiag
+            all(getattr(a, c) == getattr(b, c) for c in COUNTERS)
             and a.row_profiles.tolist() == b.row_profiles.tolist()
             and tuple(map(tuple, zero_points(field, n, n).tolist())) == zeros
         )
+        if (seed, n) == wide:  # the twin and annulus oracles read the small grids only
+            break
         ok &= twin_zero_count(field, 0.5, n, 3) == _recount_twins(field, 0.5, n, 3)
         lo = math.ceil(0.5 * n)
         dense_annulus = sum(1 for (i, j) in zeros if i >= lo and j >= lo)
         ok &= annulus_zero_check(field, 0.5, n) == (dense_annulus > 0, dense_annulus)
     return bool(ok), (
         f"sweep counters, twin zeros (radius 3) and annulus counts (eps 0.5) "
-        f"match dense recounts for {seeds} seeds at N in {sizes}"
+        f"match dense recounts for {seeds} seeds at N in {sizes}; sweep counters, "
+        f"row profiles and zeros also for seed {seeds} at N = 70"
     )
 
 
@@ -520,8 +521,9 @@ def run_checks(
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    global _AUDITED
     results = []
-    _AUDITED.clear()  # a memo shared across calls would skip their sweeps
+    _AUDITED = {}  # a memo shared across calls would skip their sweeps
     try:
         for index, (name, func) in enumerate(_CHECKS, start=1):
             if names is not None and name not in names:
@@ -541,7 +543,7 @@ def run_checks(
                 )
             )
     finally:
-        _AUDITED.clear()
+        _AUDITED = None
     return results
 
 

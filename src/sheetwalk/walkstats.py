@@ -30,15 +30,16 @@ a :class:`StatBundle`.
 The field is prefix-consistent: the ``n x n`` grid is the top-left corner
 of any larger one, so each replicate is read once, at the largest edge
 asked for, for every size.  The sweep counts, per row, on each column
-segment between the sorted sizes, only the flag planes that the
-counters its caller reads need: the zeros (``S == 0``)
-for ``gamma``, the ones for ``gamma_prime``, and the crossings, from int8
-signs, for ``z_crossings``; ``delta`` and ``d_antidiag`` read the
-diagonal and anti-diagonal cells of the sums and no plane at all.  The
-crossing audit (:func:`audit_roots`) is counted in that same pass, on
-the same segments, and always adds the planes it reads; its rule is on
-int64 adjacent products of the sums: ``S(i,j) * S(i,j+1) <= 0`` crosses,
-and ``== 0`` touches a zero.
+segment between the sorted sizes, only the flag planes that the counters
+its caller reads need: the zeros (``S == 0``) for ``gamma``, the ones for
+``gamma_prime``, and the crossings, from int8 signs, for ``z_crossings``;
+``delta`` and ``d_antidiag`` read one cell per row, through one probe
+table and one gather per tile, and no plane at all.  The crossing audit
+(:func:`audit_roots`) is counted in that same pass, on the same segments,
+and always adds the planes it reads, with each row's zero flag at every
+edge column from the same gather; its rule is on int64 adjacent products
+of the sums: ``S(i,j) * S(i,j+1) <= 0`` crosses, and ``== 0`` touches a
+zero.
 :func:`zero_points` is the one zero-set reader: the annulus and twin-zero
 counts, and the oracle check, read the zeros from it.
 
@@ -372,7 +373,7 @@ def sweep_roots(
     streams in the order of ``roots``.
     """
     plan = _SweepPlan(_check_sizes(sizes), _check_counters(counters))
-    swept = [_sweep_block(block, plan)[0] for block in _field_blocks(roots, plan.M)]
+    swept = [_sweep_block(block, plan) for block in _field_blocks(roots, plan.M)]
     return {c: np.concatenate([values[c] for values in swept], axis=1) for c in plan.counters}
 
 
@@ -411,15 +412,20 @@ class _SweepPlan:
     segments ``[e_{t-1}, e_t)``.  Each row is counted per segment on the
     flag planes that ``counters`` read: zeros for ``gamma``, ones for
     ``gamma_prime`` and crossings for ``z_crossings``.  An auditing plan
-    always adds the zeros and the crossings, the audit's product
-    crossings and product touches, and each row's zero flag at every
-    edge.  ``planes`` lists the planes filled, in plane order, and
-    ``slot[p]`` is plane ``p``'s place in the flag and count buffers.
+    always adds the zeros and the crossings, and the audit's product
+    crossings and product touches.  ``planes`` lists the planes filled,
+    in plane order, and ``slot[p]`` is plane ``p``'s place in the flag
+    and count buffers.  Single cells are read through ``probes``, ``(M,
+    P)`` 0-based columns, one per row per probe, clipped to the grid
+    (``None`` with no probe): ``i - 1`` in row ``i`` at ``diag``, for
+    ``delta``; ``n - i - 1`` at ``anti + t`` and ``n - 1`` at ``edge +
+    t``, ``n = edges[t]``, for ``d_antidiag`` and the audit.
     The buffers are flat.  The per-cell ones (flags, signs, products) hold
     the largest tile of any block, ``tiles.lines`` grid rows; the per-row
     ones hold a full block's grids.  A block of ``R`` grids, read in tiles
-    of ``tiles.height(R)`` rows, uses a prefix of each, so no tile
-    allocates; a buffer no counter reads is not allocated.
+    of ``tiles.height(R)`` rows, uses a prefix of each, so a tile
+    allocates only the few cells its probes gather; a buffer no counter
+    reads is empty or not allocated.
     """
 
     def __init__(
@@ -446,22 +452,32 @@ class _SweepPlan:
         if CROSSINGS in read:  # the crossing test multiplies int8 signs
             self.signs = np.empty(cells, dtype=np.int8)
             self.products = np.empty(cells, dtype=np.int8)
-        if "delta" in counters:
-            self.diagonal = np.empty(M * grids, dtype=bool)
         if audit:
             self.sum_products = np.empty(cells, dtype=np.int64)
-            self.edge_cols = np.array(edges) - 1
-            self.edge_zeros = np.empty(M * grids * len(edges), dtype=bool)
+        k = np.arange(M)  # row k + 1
+        probes = []
+        if "delta" in counters:
+            self.diag = len(probes)
+            probes.append(k)
+        if "d_antidiag" in counters:
+            self.anti = len(probes)
+            probes += [n - 2 - k for n in edges]
+        if audit:
+            self.edge = len(probes)
+            probes += [np.full(M, n - 1) for n in edges]
+        # a column is below SWEEP_CEILING = 2**15, so it fits int16
+        self.probes = np.stack(probes, 1).clip(0, M - 1).astype(np.int16) if probes else None
+        self.probe_flags = np.empty(M * grids * len(probes), dtype=bool)
 
     def segment_counts(self, R: int) -> np.ndarray:
         """``(planes, M, R, K)``: each plane's count per row and per segment, for ``R`` fields."""
         K = len(self.edges)
         return self.counts[: len(self.planes) * self.M * R * K].reshape(-1, self.M, R, K)
 
-    def edge_zero_flags(self, R: int) -> np.ndarray:
-        """``(M, R, K)``: ``S(i, e_t) == 0`` for row ``i`` and edge ``e_t``, for ``R`` fields."""
-        K = len(self.edges)
-        return self.edge_zeros[: self.M * R * K].reshape(self.M, R, K)
+    def probed(self, R: int) -> np.ndarray:
+        """``(M, R, P)``: ``S == 0`` at each row's probe columns, for ``R`` fields."""
+        P = self.probes.shape[1]
+        return self.probe_flags[: self.M * R * P].reshape(self.M, R, P)
 
     def per_row(self, R: int, n: int, t: int, planes) -> np.ndarray:
         """``(len(planes), n, R)`` int64 counts of grid ``n = edges[t]``, per row.
@@ -475,14 +491,12 @@ class _SweepPlan:
         return rows
 
 
-def _sweep_block(
-    source, plan: _SweepPlan
-) -> tuple[dict[str, np.ndarray], list[np.ndarray] | None]:
+def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
     """Counters of one block of grids (a :func:`_partial_sum_tiles` source).
 
     Returns each counter of ``plan`` as an int64 ``(len(sizes), R)``
-    array, and with ``z_crossings`` the row profiles, one int64 ``(R, n)``
-    array per size (else ``None``); the per-row counts stay in ``plan``.
+    array; the per-row counts, row profiles among them, stay in ``plan``
+    (see :meth:`_SweepPlan.per_row`), and so do the probe flags.
 
     Every size is reduced in one pass over the tiles of the largest edge
     ``M``, and each tile fills only the planes of ``plan``.  Zeros come
@@ -493,10 +507,10 @@ def _sweep_block(
     the ``n`` grid are those filed at columns ``< n``); size ``n`` sums
     the segments up to ``n`` over its first ``n`` rows.  An auditing
     plan adds the product rule's two planes to the same count, filed the
-    same way, and keeps each row's zero flag at every edge.  For
-    ``delta``, the diagonal cells ``(i, i)`` are flagged per row for the
-    same end-of-block sums; for ``d_antidiag``, each size's anti-diagonal
-    ``(i, n - i)`` is read off a reversed diagonal view of the tile.
+    same way.  One gather per tile flags ``S == 0`` at every probe column
+    of its rows; ``delta`` sums the diagonal probe over the even rows
+    ``<= n``, ``d_antidiag`` the anti-diagonal probe of edge ``n`` over
+    rows ``< n``.
     """
     R, M, slot = len(source), plan.M, plan.slot
     b = plan.tiles.height(R)
@@ -510,16 +524,12 @@ def _sweep_block(
         products = plan.products[: cells - b * R].reshape(b, R, M - 1)
         flags[slot[CROSSINGS] :, :, :, 0] = False  # no pair ends at column 1
         cross = flags[slot[CROSSINGS], :, :, 1:]  # cross[k, r, j - 1]: the pair (j - 1, j) crosses
-    delta = "delta" in plan.counters
-    if delta:
-        diagonal = plan.diagonal[: M * R].reshape(M, R)  # S(i, i) == 0
-    antidiagonal = "d_antidiag" in plan.counters
-    if antidiagonal:
-        anti = np.zeros((len(plan.edges), R), dtype=np.int64)
+    if plan.probes is not None:
+        probed = plan.probed(R)
+        row, grid = np.arange(b)[:, None, None], np.arange(R)[:, None]  # the gather's indices
     if plan.audit:
         sum_products = plan.sum_products[: cells - b * R].reshape(b, R, M - 1)
         crossed, touched = flags[slot[PRODUCT_CROSSINGS] :, :, :, 1:]
-        edge_zeros = plan.edge_zero_flags(R)
     for start, tile in _partial_sum_tiles(source, plan.tiles):
         rows = len(tile)
         here = slice(start - 1, start - 1 + rows)
@@ -536,47 +546,36 @@ def _sweep_block(
             np.equal(tile, 1, out=flags[slot[ONES], :rows])
         if plan.audit:
             _product_crossings(tile, sum_products[:rows], crossed[:rows], touched[:rows])
-            edge_zeros[here] = zero[:rows, :, plan.edge_cols]
         if plan.planes:
             np.add.reduceat(
                 flags[:, :rows], plan.bounds, axis=3, dtype=np.uint16, out=counts[:, here]
             )
-        if delta:  # columns of this tile's rows
-            np.equal(tile[:, :, here].diagonal(axis1=0, axis2=2), 0, out=diagonal[here].T)
-        if antidiagonal:
-            for t, n in enumerate(plan.edges):
-                above = min(start + rows, n) - start  # rows i < n here, each with (i, n - i)
-                if above > 0:
-                    corner = tile[:above, :, n - start - above : n - start][:, :, ::-1]
-                    anti[t] += np.count_nonzero(corner.diagonal(axis1=0, axis2=2) == 0, axis=1)
+        if plan.probes is not None:  # the same columns in every grid
+            np.equal(tile[row[:rows], grid, plan.probes[here, None]], 0, out=probed[here])
     read = [c for c in COUNTERS if c in _PLANE_OF and c in plan.counters]  # off the planes
     values = {c: np.empty((len(plan.sizes), R), dtype=np.int64) for c in plan.counters}
-    profiles = [] if "z_crossings" in read else None
     for s, (n, t) in enumerate(zip(plan.sizes, plan.rank)):
         per_row = plan.per_row(R, n, t, [_PLANE_OF[c] for c in read])
         for c, total in zip(read, per_row.sum(axis=1)):
             values[c][s] = total
-        if profiles is not None:
-            profiles.append(per_row[read.index("z_crossings")].T.copy())
-        if delta:
-            values["delta"][s] = diagonal[1:n:2].sum(axis=0)  # (2k, 2k) with 2k <= n
-        if antidiagonal:
-            values["d_antidiag"][s] = anti[t]
-    return values, profiles
+        if "delta" in plan.counters:
+            values["delta"][s] = probed[1:n:2, :, plan.diag].sum(0)  # (2k, 2k) with 2k <= n
+        if "d_antidiag" in plan.counters:
+            values["d_antidiag"][s] = probed[: n - 1, :, plan.anti + t].sum(0)  # (i, n - i)
+    return values
 
 
 def sweep_grid(field: RademacherField, N: int) -> StatBundle:
     """One pass over the grid, returning every pathwise counter at once."""
     plan = _SweepPlan(_check_sizes((N,)), frozenset(COUNTERS))
-    return _bundle(plan, *_sweep_block(_root_block(field), plan))
+    return _bundle(plan, _sweep_block(_root_block(field), plan))
 
 
-def _bundle(
-    plan: _SweepPlan, values: dict[str, np.ndarray], profiles: list[np.ndarray]
-) -> StatBundle:
+def _bundle(plan: _SweepPlan, values: dict[str, np.ndarray]) -> StatBundle:
     """The bundle of the largest grid of a one-stream block swept for every counter."""
     s = plan.sizes.index(plan.M)
-    return StatBundle(plan.M, *(int(values[c][s, 0]) for c in COUNTERS), profiles[s][0])
+    (profile,) = plan.per_row(1, plan.M, len(plan.edges) - 1, [CROSSINGS])
+    return StatBundle(plan.M, *(int(values[c][s, 0]) for c in COUNTERS), profile[:, 0])
 
 
 def brute_force_bundle(
@@ -660,8 +659,8 @@ def audit_roots(
     counters = _check_counters(counters)
     plan = _SweepPlan(_check_sizes(sizes), counters | {"z_crossings"}, audit=True)
     audited = [_audit_block(block, plan) for block in _field_blocks(roots, plan.M)]
-    values = {c: np.concatenate([v[c] for v, _, _ in audited], axis=1) for c in counters}
-    return values, np.concatenate([ok for _, _, ok in audited])
+    values = {c: np.concatenate([v[c] for v, _ in audited], axis=1) for c in counters}
+    return values, np.concatenate([ok for _, ok in audited])
 
 
 def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, ...]:
@@ -669,24 +668,22 @@ def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, .
 
     Product crossings, product touches, zeros over ``[1, n-1]`` and
     zeros over ``[1, n]``: the last from the sweep's zero segments, the
-    first zero count from it less the row's zero flag at column ``n``.
+    first from it less the row's zero flag at column ``n``, a probe.
     """
     zeros, crossings, touched = plan.per_row(R, n, t, [ZEROS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES])
-    return crossings, touched, zeros - plan.edge_zero_flags(R)[:n, :, t], zeros
+    return crossings, touched, zeros - plan.probed(R)[:n, :, plan.edge + t], zeros
 
 
-def _audit_block(
-    source, plan: _SweepPlan
-) -> tuple[dict[str, np.ndarray], list[np.ndarray], np.ndarray]:
+def _audit_block(source, plan: _SweepPlan) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """:func:`_sweep_block` of an auditing plan, plus each grid's verdict as a bool array."""
-    values, profiles = _sweep_block(source, plan)
-    ok = np.ones(len(source), dtype=bool)
+    values, R = _sweep_block(source, plan), len(source)
+    ok = np.ones(R, dtype=bool)
     for s, (n, t) in enumerate(zip(plan.sizes, plan.rank)):
-        crossings, touched, zeros_interior, zeros_full = _audit_rows(plan, len(source), n, t)
+        crossings, touched, zeros_interior, zeros_full = _audit_rows(plan, R, n, t)
         ok &= ((zeros_interior <= touched) & (touched <= 2 * zeros_full)).all(axis=0)
-        ok &= (crossings.T == profiles[s]).all(axis=1)
+        ok &= (crossings == plan.per_row(R, n, t, [CROSSINGS])[0]).all(axis=0)  # the profile
         ok &= crossings.sum(axis=0) == values["z_crossings"][s]
-    return values, profiles, ok
+    return values, ok
 
 
 def decomposition_audit(
@@ -701,8 +698,8 @@ def decomposition_audit(
     if sizes[-1] > N:
         raise ValueError(f"nested edges must be <= {N}, got {tuple(nested)}")
     plan = _SweepPlan(_check_sizes(sizes), frozenset(COUNTERS), audit=True)
-    values, profiles, ok = _audit_block(_root_block(field), plan)
-    return _bundle(plan, values, profiles), bool(ok[0])
+    values, ok = _audit_block(_root_block(field), plan)
+    return _bundle(plan, values), bool(ok[0])
 
 
 def diag_zero_counts(key: StreamKey, sizes: Sequence[int]) -> list[int]:

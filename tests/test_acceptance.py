@@ -103,10 +103,7 @@ def test_audit_on_two_workers_keeps_the_verdict(full_results, inline_pool):
 @pytest.mark.parametrize("make", [checks._zero_count_config, checks._full_crossing_config])
 def test_audited_run_equals_run_experiment(make, workers, inline_pool):
     config = make("quick", workers)
-    try:
-        audited, ok = checks._audited_run(config)
-    finally:
-        checks._AUDITED.clear()
+    audited, ok = checks._audited_run(config)
     plain = run_experiment(config)
     assert ok
     assert audited.config == plain.config
@@ -124,13 +121,27 @@ def test_each_verify_call_sweeps_its_grids_again(inline_pool):
     assert inline_pool == [2, 2]
     second = run_checks(level="quick", workers=2, names=SHARED_PASS)
     assert inline_pool == [2, 2] * 2
-    assert checks._AUDITED == {}
+    assert checks._AUDITED is None
     assert [(r.passed, r.detail) for r in first] == [(r.passed, r.detail) for r in second]
     # run alone, check 9 sweeps the same grids itself, to the same verdict
     (alone,) = run_checks(level="quick", workers=2, names={"crossing-decomposition"})
     assert inline_pool == [2, 2] * 3
     assert (alone.passed, alone.detail) == (second[-1].passed, second[-1].detail)
     assert "252 grids" in alone.detail
+
+
+def test_a_direct_call_of_check_9_sweeps_again(monkeypatch):
+    # outside run_checks there is no memo: a second direct call sweeps its
+    # grids again, so audit verdicts that turned red since are seen
+    assert checks._check_crossing_decomposition("quick", 1)[0]
+    real = checks.audit_roots
+
+    def all_red(roots, sizes, counters):
+        values, ok = real(roots, sizes, counters)
+        return values, np.zeros_like(ok)
+
+    monkeypatch.setattr(checks, "audit_roots", all_red)
+    assert not checks._check_crossing_decomposition("quick", 1)[0]
 
 
 def test_the_memo_is_emptied_when_a_check_aborts(monkeypatch):
@@ -148,7 +159,7 @@ def test_the_memo_is_emptied_when_a_check_aborts(monkeypatch):
     monkeypatch.setattr(checks, "_CHECKS", patched)
     with pytest.raises(Abort):
         run_checks(level="quick", names={"zero-count-scaling", "crossing-decomposition"})
-    assert checks._AUDITED == {}
+    assert checks._AUDITED is None
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -133,15 +133,12 @@ class TestAuditRowsEdgeZeroKept:
         assert not ok
 
 
-# one text replacement in walkstats._sweep_block each: (old, new)
+# one text replacement each in the sweep's probe reads: (name, old, new)
 _SWEEP_BLOCK_EDITS = {
     # the diagonal counted on the odd cells (2k - 1, 2k - 1), where S never vanishes
-    "diagonal-parity": ("diagonal[1:n:2]", "diagonal[0:n:2]"),
-    # the anti-diagonal read one column right, on the cells (i, n + 1 - i)
-    "antidiagonal-offset": (
-        "tile[:above, :, n - start - above : n - start]",
-        "tile[:above, :, n - start - above + 1 : n - start + 1]",
-    ),
+    "diagonal-parity": ("_sweep_block", "probed[1:n:2", "probed[0:n:2"),
+    # the anti-diagonal probed one column right, on the cells (i, n + 1 - i)
+    "antidiagonal-offset": ("_SweepPlan", "n - 2 - k", "n - 1 - k"),
 }
 
 # one text replacement each in the sweep's segment bookkeeping: (name, old, new)
@@ -164,7 +161,8 @@ _SEGMENT_EDITS = {
 
 def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     # the copies themselves are sound, so each kill below is the replacement's
-    monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", "[1:n:2]", "[1:n:2]"))
+    diagonal = "probed[1:n:2"
+    monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", diagonal, diagonal))
     same = "block_base -= self.block_bias"
     monkeypatch.setattr(walkstats, "_RowFold", _edited("_RowFold", same, same))
     adds = "zip(row_views, row_views[1 : b + 1])"
@@ -173,7 +171,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     )
     height = "_tile_height(self.rows, self.cols, R)"
     monkeypatch.setattr(walkstats, "_Tiles", _edited("_Tiles", height, height))
-    edges = "np.array(edges) - 1"
+    edges = "np.full(M, n - 1)"
     monkeypatch.setattr(walkstats, "_SweepPlan", _edited("_SweepPlan", edges, edges))
     touches = "np.equal(products, 0, out=touches)"
     monkeypatch.setattr(
@@ -198,8 +196,8 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
 class TestSweepBlockEdits:
     @pytest.fixture(autouse=True, params=sorted(_SWEEP_BLOCK_EDITS))
     def mutant(self, request, monkeypatch, stub_hash):
-        mutant = _edited("_sweep_block", *_SWEEP_BLOCK_EDITS[request.param])
-        monkeypatch.setattr(walkstats, "_sweep_block", mutant)
+        name, old, new = _SWEEP_BLOCK_EDITS[request.param]
+        monkeypatch.setattr(walkstats, name, _edited(name, old, new))
 
     def test_killed_by_check_10(self):
         ok, _ = checks._check_oracle_equivalence("quick", 1)
@@ -223,7 +221,7 @@ class TestSegmentEdits:
 
 
 class TestEdgeZeroFlagOneColumnLeft:
-    """Each row's zero flag at edge ``n`` read at column ``n - 1``; edge 1 wraps to the last column.
+    """Each row's zero flag at edge ``n`` probed at column ``n - 1``; edge 1 clips to column 1.
 
     Survives check 9 and the band seams: only the lower side of the
     sandwich reads the flag, and it never binds on real fields.
@@ -231,8 +229,7 @@ class TestEdgeZeroFlagOneColumnLeft:
 
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
-        edges = "np.array(edges) - 1"
-        mutant = _edited("_SweepPlan", edges, "np.array(edges) - 2")
+        mutant = _edited("_SweepPlan", "np.full(M, n - 1)", "np.full(M, n - 2)")
         monkeypatch.setattr(walkstats, "_SweepPlan", mutant)
 
     def test_killed_by_the_segment_counts(self):
@@ -326,11 +323,7 @@ class TestShortBlockKeepsTheFullHeight:
 
 
 class TestRowFoldBlockCarryDropped:
-    """Every 64-cell block of a row starts again from ``S_row = 0``.
-
-    Check 10 cannot see it: its widest rows (the twin-zero band at N = 24)
-    have 48 columns, one block.
-    """
+    """Every 64-cell block of a row starts again from ``S_row = 0``."""
 
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch, stub_hash):
@@ -350,5 +343,6 @@ class TestRowFoldBlockCarryDropped:
         with pytest.raises(AssertionError):
             test_cli.TestBytePins().test_render_bytes_at_seed_seven(tmp_path)
 
-    def test_survives_check_10(self):
-        assert checks._check_oracle_equivalence("quick", 1)[0]
+    def test_killed_by_check_10(self):
+        # its N = 70 grid has rows of two fold blocks
+        assert not checks._check_oracle_equivalence("quick", 1)[0]

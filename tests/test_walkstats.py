@@ -391,6 +391,17 @@ def test_nested_sweep_needs_valid_sizes(entry):
             run(())
 
 
+def _shift_profile(plan, R, size, row, by):
+    """Add ``by`` to the first stream's crossings in ``row`` on the segment of edge ``size``.
+
+    That moves the row's profile in the ``size`` grid and every larger one.
+    The segment counts are uint16, so the shift wraps modulo ``2**16`` on
+    purpose: a zero count shifted by -1 reads 65535.
+    """
+    crossings = plan.segment_counts(R)[plan.slot[walkstats.CROSSINGS]]
+    crossings[row : row + 1, 0, plan.edges.index(size)] += np.uint16(by % 2**16)
+
+
 @given(
     seed=st.integers(0, 2**32),
     sizes=st.lists(
@@ -425,11 +436,11 @@ def test_audit_roots_equal_the_sweep_and_the_one_field_audit(seed, sizes, count,
     first = []
 
     def corrupted(source, plan):
-        values, profiles = real(source, plan)
+        values = real(source, plan)
         if not first:
-            first.append(profiles[plan.sizes.index(size)][0])
-            first[0][row] += 1
-        return values, profiles
+            first.append(True)
+            _shift_profile(plan, len(source), size, row, 1)
+        return values
 
     with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
         walkstats, "_sweep_block", corrupted
@@ -479,7 +490,14 @@ def test_plan_fills_only_the_planes_read(counters, audit, planes):
     assert tile_shape(64) == (128, 8)
     assert plan.flags.size == len(planes) * 8 * 64 * tile_shape(64)[0]
     assert hasattr(plan, "signs") == (walkstats.CROSSINGS in planes)  # the int8 sign pass
-    assert hasattr(plan, "diagonal") == ("delta" in counters)
+    # one probe column per row for delta, one per edge for d_antidiag and for the audit
+    K = len(plan.edges)
+    probes = ("delta" in counters) + K * ("d_antidiag" in counters) + K * audit
+    assert plan.probe_flags.size == probes * 64 * tile_shape(64)[0]
+    if probes:
+        assert plan.probes.shape == (64, probes)
+    else:
+        assert plan.probes is None
 
 
 @pytest.mark.parametrize("sizes", [(65, 70), (9, 70)], ids=str)
@@ -551,9 +569,9 @@ def test_one_counter_audit_gives_the_full_verdicts(seed, counter, sizes, count, 
     real = walkstats._sweep_block
 
     def corrupted(source, plan):
-        values, profiles = real(source, plan)
-        profiles[plan.sizes.index(size)][0, row] += 1
-        return values, profiles
+        values = real(source, plan)
+        _shift_profile(plan, len(source), size, row, 1)
+        return values
 
     with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
         walkstats, "_sweep_block", corrupted
@@ -674,16 +692,16 @@ class TestDecompositionAudit:
 
     @pytest.mark.parametrize("size,shift", [(12, (1,)), (30, (1, -1)), (7, (-1,))])
     def test_corrupted_profile_fails_the_audit(self, size, shift):
-        # a profile entry off by one, with or without the grid total kept,
-        # in any of the nested grids, must turn the verdict red
+        # a profile entry off by one, with or without the grid total kept
+        # (a zero count shifted down wraps), in any of the nested grids,
+        # must turn the verdict red
         real = walkstats._sweep_block
 
         def corrupted(source, plan):
-            values, profiles = real(source, plan)
-            profile = profiles[plan.sizes.index(size)][0]
-            for row, delta in enumerate(shift, start=2):
-                profile[row] += delta
-            return values, profiles
+            values = real(source, plan)
+            for row, by in enumerate(shift, start=2):
+                _shift_profile(plan, len(source), size, row, by)
+            return values
 
         assert decomposition_audit(field(9), 30, (7, 12))[1]
         with mock.patch.object(walkstats, "_sweep_block", corrupted):
@@ -705,7 +723,7 @@ class TestDecompositionAudit:
             out = real(source, plan)
             R = len(source)
             if misbooking == "edge-zero-inside":  # the zero at column n counted in [1, n-1]
-                plan.edge_zero_flags(R)[...] = False
+                plan.probed(R)[:, :, plan.edge :] = False
             else:  # no zero booked on any segment: touches exceed twice the zeros
                 plan.segment_counts(R)[walkstats.ZEROS] = 0
             return out
