@@ -53,6 +53,7 @@ from .walkstats import (
     audit_roots,
     brute_force_bundle,
     sweep_grid,
+    sweep_roots,
     twin_zero_count,
     zero_points,
 )
@@ -106,7 +107,7 @@ def _check_return_probability(level: str, workers: int) -> tuple[bool, str]:
         p_exact(n + 1) * (2 * n + 2) == p_exact(n) * (2 * n + 1)
         for n in range(ident_limit)
     )
-    ok = same_pairs and closed_ok and ident_ok and max_rel <= 1e-12
+    ok = same_pairs and closed_ok and ident_ok and max_rel == 0  # the table is correctly rounded
     return ok, (
         f"rebuilt table to n={limit}: max rel err {max_rel:.1e}, "
         f"closed form ok={closed_ok}, rational recurrence identity to "
@@ -383,10 +384,18 @@ def _check_oracle_equivalence(level: str, workers: int) -> tuple[bool, str]:
         lo = math.ceil(0.5 * n)
         dense_annulus = sum(1 for (i, j) in zeros if i >= lo and j >= lo)
         ok &= annulus_zero_check(field, 0.5, n) == (dense_annulus > 0, dense_annulus)
+    # every grid above is one tile; 14 grids of N = 70 as one block are read in
+    # tiles of 65 + 5 rows, so a fault at a tile seam shows against lone sweeps
+    streams = 14
+    block = sweep_roots(field_roots(Seed(seeds), range(streams)), (70,), COUNTERS)
+    for r in range(streams):
+        lone = sweep_grid(RademacherField(StreamKey(Seed(seeds), r)), 70)
+        ok &= all(block[c][0, r] == getattr(lone, c) for c in COUNTERS)
     return bool(ok), (
         f"sweep counters, twin zeros (radius 3) and annulus counts (eps 0.5) "
         f"match dense recounts for {seeds} seeds at N in {sizes}; sweep counters, "
-        f"row profiles and zeros also for seed {seeds} at N = 70"
+        f"row profiles and zeros also for seed {seeds} at N = 70, and the counters "
+        f"of its first {streams} streams swept as one block match their lone sweeps"
     )
 
 

@@ -12,9 +12,10 @@ a 0/1 byte plane of its sign bits; :class:`_RowFold` sums it along its
 rows eight cells per ``uint64`` word, by exact byte-lane arithmetic, with
 a ``cumsum`` only over each row's 64-cell block counts; ``b`` in-place
 row adds fold the rows down, the first of which adds the row carried
-from the tile above.  The buffers, and their views and fold for each
-block width, are made once per call and filled in place, so no tile
-allocates.
+from the tile above.  Each block width of a sweep has its own buffers,
+a :class:`_Block` at exact shapes, filled in place by every tile of
+that width, so no tile allocates; a sweep has at most two widths, the
+full block's and a short last block's, and holds one at a time.
 
 The kernel's one input is a block of stream roots, a ``uint64`` array
 (see :func:`~sheetwalk.randfield.field_roots`), hashed by
@@ -163,39 +164,23 @@ class _RowFold:
     sum of a row narrower than ``2**15``, and in int32 for the widest rows.
     A padding byte only reaches lanes, words and blocks to its right, past
     column ``cols``, so its value does not matter.
+
+    A fold owns its buffers, shaped for tiles of up to ``height`` rows of
+    ``grids`` grids; the words per block start at zero, so the pad word
+    before a row of several blocks stays zero.
     """
 
-    @staticmethod
-    def buffers(rows: int, cols: int) -> tuple[np.ndarray, ...]:
-        """Flat buffers for folds of up to ``rows`` rows of ``cols`` cells.
-
-        The bit plane (a byte per cell, in whole 8-cell words), each word's
-        count, one word per block and the block sums.
-        """
-        nwords, blocks = -(-cols // 8), -(-cols // 64)
-        per_row = blocks + int(blocks > 1)
-        return (
-            np.empty(rows * nwords * 8, dtype=np.uint8),
-            np.empty(rows * nwords, dtype=np.uint64),
-            np.empty(rows * per_row, dtype=np.uint64),
-            np.empty(rows * per_row, dtype=np.int16),
-        )
-
-    def __init__(self, buffers: tuple[np.ndarray, ...], grids: int, height: int, cols: int):
+    def __init__(self, grids: int, height: int, cols: int):
         nwords, self.blocks, self.full = -(-cols // 8), -(-cols // 64), cols // 64
         # a row of more than one block starts with a zero word, a pad for the block cumsum
         pad = int(self.blocks > 1)
-        rows, per_row = height * grids, self.blocks + pad
-        # a prefix of each buffer: the pad words and block sums set here sit at the same
-        # places for any grids, so folds of several widths may share the buffers
-        bits, counts, packed, before = buffers
-        self.bits = bits[: rows * nwords * 8].reshape(height, grids, nwords * 8)
+        per_row = self.blocks + pad
+        self.bits = np.empty((height, grids, nwords * 8), dtype=np.uint8)  # whole 8-cell words
         self.words = self.bits.view(np.uint64)
-        self.counts = counts[: rows * nwords].reshape(height, grids, nwords)  # +1 cells, byte 7
-        self.packed = packed[: rows * per_row].reshape(height, grids, per_row)  # a word per block
-        self.packed[:, :, :pad] = 0
+        self.counts = np.empty((height, grids, nwords), dtype=np.uint64)  # +1 cells, byte 7
+        self.packed = np.zeros((height, grids, per_row), dtype=np.uint64)  # a word per block
         self.word_base = self.packed.view(np.uint8)[:, :, 8 * pad : 8 * pad + nwords]  # B
-        self.before = before[: rows * per_row].reshape(height, grids, per_row)
+        self.before = np.empty((height, grids, per_row), dtype=np.int16)  # the block sums
         self.before[:, :, 0] = -64  # a row's first block starts at S_row = 0
         # a whole tile row of it, so the add runs in long loops
         self.lane_bias = _LANE_BIAS[np.arange(grids * nwords) % nwords % 8].reshape(grids, -1)
@@ -247,54 +232,35 @@ class _RowFold:
 
 
 class _Tiles:
-    """Buffers for tiles of blocks of up to ``grids`` ``rows x cols`` grids, and their views.
+    """The buffers of a block of ``grids`` ``rows x cols`` grids, read in tiles of ``height`` rows.
 
-    Both sides are checked against :data:`SWEEP_CEILING` first.  A block
-    of ``R`` grids is read in tiles of :meth:`height` rows, so every tile
-    has at most ``lines`` grid rows: :data:`TILE_CELLS` cells at the padded
-    width, or one row per grid when a row alone is larger.  The buffers
-    are sized for ``lines``: the sums buffer holds each grid's carried row
-    besides, the hash scratch holds one tile, and the fold's buffers come
-    from :meth:`_RowFold.buffers`.  The views of a block of ``R`` grids,
-    its :class:`_RowFold` among them, are made for the first block of that
-    width and serve every later one: a sweep has at most two widths, the
-    full block and the last.
+    Both sides are checked against :data:`SWEEP_CEILING` first; ``height``
+    is :func:`_tile_height`.  ``words`` takes each tile's hash words in
+    rows ``1..height`` and the carried row in row 0, and ``sums``, listed
+    by row in ``row_views``, is the same memory as int64.  ``scratch`` is
+    the hash's scratch, and ``fold`` the :class:`_RowFold`, of one tile;
+    ``plane`` is the fold's 0/1 sign plane cut to ``cols``.
     """
 
     def __init__(self, rows: int, cols: int, grids: int) -> None:
         _check_edge(rows)
         _check_edge(cols)
-        self.rows, self.cols = rows, cols
-        # R * height(R) <= min(R * rows, max(R, TILE_CELLS // padded)) for every R <= grids
-        self.lines = lines = min(grids * rows, max(grids, TILE_CELLS // _padded(cols)))
-        self.words = np.empty((lines + grids) * cols, dtype=np.uint64)
-        self.scratch = np.empty(lines * cols, dtype=np.uint64)
-        self.fold = _RowFold.buffers(lines, cols)
-        self._views: dict[int, tuple] = {}
-
-    def height(self, R: int) -> int:
-        """Rows per tile of a block of ``R`` grids."""
-        return _tile_height(self.rows, self.cols, R)
-
-    def views(self, R: int) -> tuple:
-        """``(height, words, sums, row_views, scratch, fold, plane)`` for a block of ``R`` grids."""
-        if R not in self._views:
-            height, cols = self.height(R), self.cols
-            words = self.words[: (height + 1) * R * cols].reshape(height + 1, R, cols)
-            sums = words.view(np.int64)  # the same memory: the hash words become the sums
-            scratch = self.scratch[: height * R * cols].reshape(height, R, cols)
-            fold = _RowFold(self.fold, R, height, cols)
-            plane = fold.bits[:, :, :cols]
-            # a list of rows: indexing a row per add costs as much as the add
-            self._views[R] = height, words, sums, list(sums), scratch, fold, plane
-        return self._views[R]
+        self.rows = rows
+        self.height = height = _tile_height(rows, cols, grids)
+        self.words = np.empty((height + 1, grids, cols), dtype=np.uint64)
+        self.sums = self.words.view(np.int64)  # the same memory: the hash words become the sums
+        # a list of rows: indexing a row per add costs as much as the add
+        self.row_views = list(self.sums)
+        self.scratch = np.empty((height, grids, cols), dtype=np.uint64)
+        self.fold = _RowFold(grids, height, cols)
+        self.plane = self.fold.bits[:, :, :cols]
 
 
 def _partial_sum_tiles(roots: np.ndarray, tiles: _Tiles) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, T)`` with ``T[k, r, j-1] = S(start + k, j)`` of the stream with ``roots[r]``.
 
-    ``roots`` is a ``uint64`` block of at most the ``grids`` of ``tiles``;
-    ``tiles`` may serve several calls in turn.  Every ``T`` is a view of
+    ``roots`` is a ``uint64`` block of exactly the ``grids`` of ``tiles``;
+    ``tiles`` may serve several blocks in turn.  Every ``T`` is a view of
     the sums buffer that the next tile overwrites, so it lives for one
     iteration; a caller that keeps it must copy it.
 
@@ -305,8 +271,8 @@ def _partial_sum_tiles(roots: np.ndarray, tiles: _Tiles) -> Iterator[tuple[int, 
     and ``b`` in-place row adds, the first of which adds the carried row,
     fold them down.
     """
-    rows = tiles.rows
-    height, words, sums, row_views, scratch, fold, plane = tiles.views(len(roots))
+    rows, height, words, sums = tiles.rows, tiles.height, tiles.words, tiles.sums
+    row_views, scratch, fold, plane = tiles.row_views, tiles.scratch, tiles.fold, tiles.plane
     sums[0] = 0  # S(0, j)
     for start in range(1, rows + 1, height):
         b = min(height, rows + 1 - start)
@@ -420,12 +386,8 @@ class _SweepPlan:
     (``None`` with no probe): ``i - 1`` in row ``i`` at ``diag``, for
     ``delta``; ``n - i - 1`` at ``anti + t`` and ``n - 1`` at ``edge +
     t``, ``n = edges[t]``, for ``d_antidiag`` and the audit.
-    The buffers are flat.  The per-cell ones (flags, signs, products) hold
-    the largest tile of any block, ``tiles.lines`` grid rows; the per-row
-    ones hold a full block's grids.  A block of ``R`` grids, read in tiles
-    of ``tiles.height(R)`` rows, uses a prefix of each, so a tile
-    allocates only the few cells its probes gather; a buffer no counter
-    reads is empty or not allocated.
+    The buffers of a block of ``R`` grids are a :class:`_Block`, from
+    :meth:`block`; the plan keeps one width's at a time.
     """
 
     def __init__(
@@ -443,17 +405,6 @@ class _SweepPlan:
             read |= {ZEROS, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES}
         self.planes = sorted(read)
         self.slot = {p: k for k, p in enumerate(self.planes)}
-        grids = tile_shape(M)[0]
-        self.tiles = _Tiles(M, M, grids)
-        cells = self.tiles.lines * M  # the most a tile of any block holds
-        self.flags = np.empty(len(self.planes) * cells, dtype=bool)
-        # a row has at most SWEEP_CEILING = 2**15 cells, so its counts fit uint16
-        self.counts = np.empty(len(self.planes) * M * grids * len(edges), dtype=np.uint16)
-        if CROSSINGS in read:  # the crossing test multiplies int8 signs
-            self.signs = np.empty(cells, dtype=np.int8)
-            self.products = np.empty(cells, dtype=np.int8)
-        if audit:
-            self.sum_products = np.empty(cells, dtype=np.int64)
         k = np.arange(M)  # row k + 1
         probes = []
         if "delta" in counters:
@@ -467,36 +418,63 @@ class _SweepPlan:
             probes += [np.full(M, n - 1) for n in edges]
         # a column is below SWEEP_CEILING = 2**15, so it fits int16
         self.probes = np.stack(probes, 1).clip(0, M - 1).astype(np.int16) if probes else None
-        self.probe_flags = np.empty(M * grids * len(probes), dtype=bool)
+        self._blocks: dict[int, _Block] = {}
 
-    def segment_counts(self, R: int) -> np.ndarray:
-        """``(planes, M, R, K)``: each plane's count per row and per segment, for ``R`` fields."""
-        K = len(self.edges)
-        return self.counts[: len(self.planes) * self.M * R * K].reshape(-1, self.M, R, K)
-
-    def probed(self, R: int) -> np.ndarray:
-        """``(M, R, P)``: ``S == 0`` at each row's probe columns, for ``R`` fields."""
-        P = self.probes.shape[1]
-        return self.probe_flags[: self.M * R * P].reshape(self.M, R, P)
+    def block(self, R: int) -> _Block:
+        """The buffers of a block of ``R`` grids: the last block's when it had ``R`` too."""
+        if R not in self._blocks:
+            self._blocks.clear()  # the old width's buffers go before the new ones are made
+            self._blocks[R] = _Block(self, R)
+        return self._blocks[R]
 
     def per_row(self, R: int, n: int, t: int, planes) -> np.ndarray:
         """``(len(planes), n, R)`` int64 counts of grid ``n = edges[t]``, per row.
 
         Rows ``1..n``, summed over the segments up to edge ``n``.
         """
-        counts = self.segment_counts(R)[[self.slot[p] for p in planes], :n]
+        counts = self.block(R).counts[[self.slot[p] for p in planes], :n]
         rows = counts[..., 0].astype(np.int64)
         for u in range(1, t + 1):
             rows += counts[..., u]
         return rows
 
 
+class _Block:
+    """The buffers a sweep of ``plan`` fills for a block of ``R`` grids, each at its exact shape.
+
+    Per tile of ``b = tiles.height`` rows: ``flags``, ``(planes, b, R,
+    M)``; the crossing test's int8 ``signs`` and ``products``; the audit's
+    int64 ``sum_products``.  Per row: ``counts``, ``(planes, M, R, K)``,
+    each plane's count on each column segment (a row has at most
+    ``SWEEP_CEILING = 2**15`` cells, so they fit uint16), and ``probed``,
+    ``(M, R, P)``, ``S == 0`` at the row's probe columns, gathered through
+    ``row`` and ``grid``.  A buffer no counter of ``plan`` reads is empty
+    or not made.
+    """
+
+    def __init__(self, plan: _SweepPlan, R: int) -> None:
+        M = plan.M
+        self.tiles = _Tiles(M, M, R)
+        b = self.tiles.height
+        self.flags = np.empty((len(plan.planes), b, R, M), dtype=bool)
+        self.counts = np.empty((len(plan.planes), M, R, len(plan.edges)), dtype=np.uint16)
+        if CROSSINGS in plan.slot:  # the crossing test multiplies int8 signs
+            self.signs = np.empty((b, R, M), dtype=np.int8)
+            self.products = np.empty((b, R, M - 1), dtype=np.int8)
+        if plan.audit:
+            self.sum_products = np.empty((b, R, M - 1), dtype=np.int64)
+        if plan.probes is not None:
+            self.probed = np.empty((M, R, plan.probes.shape[1]), dtype=bool)
+            self.row, self.grid = np.arange(b)[:, None, None], np.arange(R)[:, None]
+
+
 def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
     """Counters of one block of grids (a :func:`_partial_sum_tiles` source).
 
     Returns each counter of ``plan`` as an int64 ``(len(sizes), R)``
-    array; the per-row counts, row profiles among them, stay in ``plan``
-    (see :meth:`_SweepPlan.per_row`), and so do the probe flags.
+    array; the per-row counts, row profiles among them, and the probe
+    flags stay in the plan's :class:`_Block` of ``R`` grids (see
+    :meth:`_SweepPlan.per_row`).
 
     Every size is reduced in one pass over the tiles of the largest edge
     ``M``, and each tile fills only the planes of ``plan``.  Zeros come
@@ -512,25 +490,21 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
     ``<= n``, ``d_antidiag`` the anti-diagonal probe of edge ``n`` over
     rows ``< n``.
     """
-    R, M, slot = len(source), plan.M, plan.slot
-    b = plan.tiles.height(R)
-    cells = b * R * M
-    flags = plan.flags[: len(plan.planes) * cells].reshape(-1, b, R, M)
-    counts = plan.segment_counts(R)
+    R, slot = len(source), plan.slot
+    block = plan.block(R)
+    flags, counts = block.flags, block.counts
     zero = flags[slot[ZEROS]] if ZEROS in slot else None
     crossing = CROSSINGS in slot
     if crossing:
-        signs = plan.signs[:cells].reshape(b, R, M)
-        products = plan.products[: cells - b * R].reshape(b, R, M - 1)
+        signs, products = block.signs, block.products
         flags[slot[CROSSINGS] :, :, :, 0] = False  # no pair ends at column 1
         cross = flags[slot[CROSSINGS], :, :, 1:]  # cross[k, r, j - 1]: the pair (j - 1, j) crosses
     if plan.probes is not None:
-        probed = plan.probed(R)
-        row, grid = np.arange(b)[:, None, None], np.arange(R)[:, None]  # the gather's indices
+        probed, row, grid = block.probed, block.row, block.grid
     if plan.audit:
-        sum_products = plan.sum_products[: cells - b * R].reshape(b, R, M - 1)
+        sum_products = block.sum_products
         crossed, touched = flags[slot[PRODUCT_CROSSINGS] :, :, :, 1:]
-    for start, tile in _partial_sum_tiles(source, plan.tiles):
+    for start, tile in _partial_sum_tiles(source, block.tiles):
         rows = len(tile)
         here = slice(start - 1, start - 1 + rows)
         if crossing:
@@ -671,7 +645,7 @@ def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, .
     first from it less the row's zero flag at column ``n``, a probe.
     """
     zeros, crossings, touched = plan.per_row(R, n, t, [ZEROS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES])
-    return crossings, touched, zeros - plan.probed(R)[:n, :, plan.edge + t], zeros
+    return crossings, touched, zeros - plan.block(R).probed[:n, :, plan.edge + t], zeros
 
 
 def _audit_block(source, plan: _SweepPlan) -> tuple[dict[str, np.ndarray], np.ndarray]:

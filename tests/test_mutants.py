@@ -169,7 +169,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     monkeypatch.setattr(
         walkstats, "_partial_sum_tiles", _edited("_partial_sum_tiles", adds, adds)
     )
-    height = "_tile_height(self.rows, self.cols, R)"
+    height = "_tile_height(rows, cols, grids)"
     monkeypatch.setattr(walkstats, "_Tiles", _edited("_Tiles", height, height))
     edges = "np.full(M, n - 1)"
     monkeypatch.setattr(walkstats, "_SweepPlan", _edited("_SweepPlan", edges, edges))
@@ -182,6 +182,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     monkeypatch.setattr(exactprob, "ReturnProbTable", table)
     monkeypatch.setattr(exactprob, "_TABLE", None)
     assert checks._check_oracle_equivalence("quick", 1)[0]
+    assert checks._check_return_probability("quick", 1)[0]
     test_walkstats.test_band_seams_equal_brute_force((65, 70))
     test_walkstats.test_band_seams_equal_brute_force((9, 70))
     test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
@@ -263,9 +264,9 @@ class TestTableWithoutTheStickyBit:
     """``ReturnProbTable.build`` rounds the top 60 bits of each numerator without the sticky 1.
 
     The dropped bits then round ties to even where the exact value lies
-    above the tie: 34 of the 10001 table floats are one ulp low.  Check 1
-    bounds the relative error by ``1e-12``, so it passes; the table's own
-    quotient test does not.
+    above the tie: 34 of the 10001 table floats are one ulp low, the first
+    at n = 166.  Check 1 requires every float to equal its rebuilt
+    quotient, so it fails, and so does the table's own quotient test.
     """
 
     @pytest.fixture(autouse=True)
@@ -279,8 +280,8 @@ class TestTableWithoutTheStickyBit:
         with pytest.raises(AssertionError):
             test_exactprob.TestReturnProbExact().test_table_floats_are_the_rounded_quotients()
 
-    def test_survives_check_1(self):
-        assert checks._check_return_probability("quick", 1)[0]
+    def test_killed_by_check_1(self):
+        assert not checks._check_return_probability("quick", 1)[0]
 
 
 class TestCarryRowNotAdded:
@@ -300,6 +301,10 @@ class TestCarryRowNotAdded:
         with pytest.raises(AssertionError):
             test_cli.TestBytePins().test_simulate_bytes_at_seed_zero(tmp_path, "gamma", "64", "40")
 
+    def test_killed_by_check_10(self):
+        # its block of 14 grids of N = 70 is read in tiles of 65 + 5 rows
+        assert not checks._check_oracle_equivalence("quick", 1)[0]
+
 
 class TestShortBlockKeepsTheFullHeight:
     """A short last block, or a lone field, read in a full block's 8-row bands.
@@ -310,8 +315,8 @@ class TestShortBlockKeepsTheFullHeight:
 
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
-        height = "_tile_height(self.rows, self.cols, R)"
-        mutant = _edited("_Tiles", height, "tile_shape(self.rows, self.cols)[1]")
+        height = "_tile_height(rows, cols, grids)"
+        mutant = _edited("_Tiles", height, "tile_shape(rows, cols)[1]")
         monkeypatch.setattr(walkstats, "_Tiles", mutant)
 
     def test_killed_by_the_band_seams(self):

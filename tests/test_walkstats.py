@@ -285,10 +285,9 @@ def test_partial_rows_across_tile_seams(n, cap):
 def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
     # the widths cross the fold's 8-cell words and 64-cell blocks; tiles of
     # two whole grids leave a last block of one, row bands carry a row, and
-    # every block is a new call on the same buffers and views, real fields
-    # first, so blocks of two grids follow a block of one and a stale
-    # padding byte or block count would show; then blocks that mix stubs
-    # and real fields
+    # each block width has its own buffers, which every block of that width
+    # reuses, real fields first, so a stale padding byte or block count
+    # would show; then blocks that mix stubs and real fields
     rows = 5
     real = [field(cols, r) for r in range(3)]
     stubs = [AlternatingColumnsField(), ConstantField(), AlternatingRowsField()]
@@ -297,13 +296,14 @@ def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
     with mock.patch.object(walkstats, "TILE_CELLS", 2 * (1 if band else rows) * width):
         grids = tile_shape(rows, cols)[0]
         assert grids == (1 if band else 2)
-        tiles = walkstats._Tiles(rows, cols, grids)
+        tiles = {R: walkstats._Tiles(rows, cols, R) for R in {1, grids}}
         for fields in (real, mixed):
             for at in range(0, len(fields), grids):
                 block = fields[at : at + grids]
                 dense = [_value_sums(f, rows, cols) for f in block]
                 starts = []
-                for start, tile in walkstats._partial_sum_tiles(_roots(block), tiles):
+                for start, tile in walkstats._partial_sum_tiles(_roots(block), tiles[len(block)]):
+                    assert tile.shape[1] == len(block)
                     starts.append(start)
                     for r, sums in enumerate(dense):
                         assert np.array_equal(tile[:, r], sums[start - 1 : start - 1 + len(tile)])
@@ -398,7 +398,7 @@ def _shift_profile(plan, R, size, row, by):
     The segment counts are uint16, so the shift wraps modulo ``2**16`` on
     purpose: a zero count shifted by -1 reads 65535.
     """
-    crossings = plan.segment_counts(R)[plan.slot[walkstats.CROSSINGS]]
+    crossings = plan.block(R).counts[plan.slot[walkstats.CROSSINGS]]
     crossings[row : row + 1, 0, plan.edges.index(size)] += np.uint16(by % 2**16)
 
 
@@ -488,16 +488,20 @@ def test_plan_fills_only_the_planes_read(counters, audit, planes):
     assert plan.planes == planes
     # a full block's tile at N = 64: 128 grids side by side in 8-row bands
     assert tile_shape(64) == (128, 8)
-    assert plan.flags.size == len(planes) * 8 * 64 * tile_shape(64)[0]
-    assert hasattr(plan, "signs") == (walkstats.CROSSINGS in planes)  # the int8 sign pass
+    block = plan.block(128)
+    assert block.flags.shape == (len(planes), 8, 128, 64)
+    assert block.counts.shape == (len(planes), 64, 128, 2)
+    assert hasattr(block, "signs") == (walkstats.CROSSINGS in planes)  # the int8 sign pass
+    assert hasattr(block, "sum_products") == audit
     # one probe column per row for delta, one per edge for d_antidiag and for the audit
     K = len(plan.edges)
     probes = ("delta" in counters) + K * ("d_antidiag" in counters) + K * audit
-    assert plan.probe_flags.size == probes * 64 * tile_shape(64)[0]
     if probes:
         assert plan.probes.shape == (64, probes)
+        assert block.probed.shape == (64, 128, probes)
     else:
         assert plan.probes is None
+        assert not hasattr(block, "probed")
 
 
 @pytest.mark.parametrize("sizes", [(65, 70), (9, 70)], ids=str)
@@ -510,8 +514,8 @@ def test_band_seams_equal_brute_force(sizes):
     with mock.patch.object(walkstats, "TILE_CELLS", 3 * walkstats.BAND_ROWS * 72):
         grids, rows = tile_shape(top)
         assert (grids, rows) == (3, walkstats.BAND_ROWS)
-        tiles = walkstats._SweepPlan(sizes, frozenset(COUNTERS)).tiles
-        assert [tiles.height(R) for R in (1, 2, grids)] == [24, 12, 8]
+        plan = walkstats._SweepPlan(sizes, frozenset(COUNTERS))
+        assert [plan.block(R).tiles.height for R in (1, 2, grids)] == [24, 12, 8]
         roots = field_roots(seed, range(grids + 2))
         swept = sweep_roots(roots, sizes, COUNTERS)
         audited, ok = audit_roots(roots, sizes, COUNTERS)
@@ -521,11 +525,22 @@ def test_band_seams_equal_brute_force(sizes):
 
 
 def _plan_bytes(N):
-    """Bytes of every array an auditing sweep plan of ``N`` allocates: its tiles, fold and flags."""
+    """Bytes of the arrays an auditing sweep plan of ``N`` holds for a full block, each once.
+
+    The plan's own, and those of its full block's buffers, tiles and fold;
+    a view (the sums of the hash words, the fold's word and block views,
+    the plane) counts as the array it views.
+    """
     plan = walkstats._SweepPlan((N,), frozenset(COUNTERS), audit=True)
-    tiles = plan.tiles
-    arrays = [*vars(plan).values(), *vars(tiles).values(), *tiles.fold]
-    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    block = plan.block(tile_shape(N)[0])
+    bases = {}
+    for owner in (plan, block, block.tiles, block.tiles.fold):
+        for a in vars(owner).values():
+            if isinstance(a, np.ndarray):
+                while a.base is not None:
+                    a = a.base
+                bases[id(a)] = a
+    return sum(a.nbytes for a in bases.values())
 
 
 def test_narrow_grids_fit_the_tile_budget():
@@ -535,6 +550,25 @@ def test_narrow_grids_fit_the_tile_budget():
     # for each of the TILE_CELLS // 8 one-word rows of the narrowest tile
     limit = _plan_bytes(64) + walkstats.TILE_CELLS // 8 * (8 + 2)
     assert max(_plan_bytes(N) for N in range(1, 71)) <= limit
+
+
+@pytest.mark.parametrize("sweep", [sweep_roots, audit_roots], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("count,widths", [(7, [3, 1]), (6, [3])], ids=["short-last", "whole"])
+def test_a_sweep_makes_one_block_of_buffers_per_width(monkeypatch, sweep, count, widths):
+    # 3 grids of N = 70 per full block: two full blocks and a short one make
+    # the full width's buffers and then the short one's; whole blocks only
+    # make the full width's
+    made = []
+    real = walkstats._Block
+
+    def counted(plan, R):
+        made.append(R)
+        return real(plan, R)
+
+    monkeypatch.setattr(walkstats, "_Block", counted)
+    monkeypatch.setattr(walkstats, "TILE_CELLS", 3 * walkstats.BAND_ROWS * 72)
+    sweep(field_roots(11, range(count)), (9, 70), COUNTERS)
+    assert made == widths
 
 
 @pytest.mark.parametrize("sweep", [sweep_roots, audit_roots], ids=lambda f: f.__name__)
@@ -723,9 +757,9 @@ class TestDecompositionAudit:
             out = real(source, plan)
             R = len(source)
             if misbooking == "edge-zero-inside":  # the zero at column n counted in [1, n-1]
-                plan.probed(R)[:, :, plan.edge :] = False
+                plan.block(R).probed[:, :, plan.edge :] = False
             else:  # no zero booked on any segment: touches exceed twice the zeros
-                plan.segment_counts(R)[walkstats.ZEROS] = 0
+                plan.block(R).counts[walkstats.ZEROS] = 0
             return out
 
         stub = AlternatingRowsField()
