@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
+from typing import Iterator
 
 import numpy as np
 
@@ -71,12 +72,10 @@ class CheckResult:
 # --------------------------------------------------------------- check 1
 
 
-def _rebuild_dyadic(limit: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+def _rebuild_dyadic(limit: int) -> Iterator[tuple[int, int]]:
     # reimplements the ratio recurrence with its own odd-part bookkeeping
     num, exp = 1, 0
-    pairs = [(1, 0)]
-    floats = np.empty(limit + 1)
-    floats[0] = 1.0
+    yield num, exp
     for n in range(limit):
         num *= 2 * n + 1
         m = n + 1
@@ -85,17 +84,19 @@ def _rebuild_dyadic(limit: int) -> tuple[list[tuple[int, int]], np.ndarray]:
             m //= 2
             exp += 1
         num //= m
-        pairs.append((num, exp))
-        floats[n + 1] = num / (1 << exp)
-    return pairs, floats
+        yield num, exp
 
 
 def _check_return_probability(level: str, workers: int) -> tuple[bool, str]:
     limit = exactprob.EXACT_CEILING if level == "full" else 2000
     ident_limit = 1000 if level == "full" else 200
-    pairs, floats = _rebuild_dyadic(limit)
     table = exactprob._table()
-    same_pairs = pairs == list(table.exact_values[: limit + 1])
+    # pair by pair against the table's, so only one full copy is ever held
+    same_pairs = True
+    floats = np.empty(limit + 1)
+    for n, (num, exp) in enumerate(_rebuild_dyadic(limit)):
+        same_pairs &= (num, exp) == table.exact_values[n]
+        floats[n] = num / (1 << exp)
     got = np.array([p_float(n) for n in range(limit + 1)])
     rel = np.abs(got - floats) / floats
     max_rel = float(rel.max())
@@ -137,8 +138,13 @@ def _check_wallis_envelope(level: str, workers: int) -> tuple[bool, str]:
 def _check_difference_window(level: str, workers: int) -> tuple[bool, str]:
     mono_limit = 1_000_000 if level == "full" else 100_000
     window_hi = 10_000 if level == "full" else 2000
-    values = p_float_vec(np.arange(mono_limit + 2, dtype=np.int64))
-    decreasing = bool((np.diff(values) < 0).all())
+    # n and n + 1 for n = 0..mono_limit, CHUNK_CELLS cells at a time; each
+    # chunk starts on the last cell of the one before
+    step = exactprob.CHUNK_CELLS - 1
+    decreasing = True
+    for lo in range(0, mono_limit + 1, step):
+        values = p_float_vec(np.arange(lo, min(lo + step, mono_limit + 1) + 1))
+        decreasing &= bool((np.diff(values) < 0).all())
     n = np.arange(100, window_hi + 1, dtype=np.int64)
     x = n.astype(np.float64)
     scaled = x**1.5 * p_float_vec(n) / (2.0 * x + 2.0)

@@ -2,10 +2,12 @@
 
 Everything here reduces to ``p(n) = C(2n, n) / 4**n``, the chance that a
 balanced +/-1 sum of length ``2n`` returns to zero.  ``p(n)`` is a dyadic
-rational with odd numerator, so the table stores (odd numerator, binary
-exponent) pairs built by the recurrence ``p(n+1) = p(n) * (2n+1)/(2n+2)``
-and converts each to a correctly rounded float from its top 60 bits plus a
-sticky bit.
+rational with odd numerator: one generator, :func:`_dyadic_pairs`, walks
+the recurrence ``p(n+1) = p(n) * (2n+1)/(2n+2)`` as (odd numerator, binary
+exponent) pairs.  The table holds only the correctly rounded float of each
+pair, taken from its top 60 bits plus a sticky bit; it walks the generator
+again to build the pairs (about 13 MB of Python ints) the first time a
+rational reader asks for them.
 
 Float evaluation is hybrid: exact table up to ``EXACT_CEILING``, then a
 five-term asymptotic expansion of ``1/sqrt(pi*n)``.  On the overlap window
@@ -39,6 +41,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -63,36 +67,44 @@ class CapacityError(Exception):
     """An exact computation exceeds its configured ceiling."""
 
 
+def _dyadic_pairs() -> Iterator[tuple[int, int]]:
+    """Yield ``(odd numerator, exponent)`` of ``p(n)`` for ``n = 0..EXACT_CEILING``."""
+    num, exp = 1, 0
+    yield num, exp
+    for n in range(EXACT_CEILING):
+        num *= 2 * n + 1
+        m = n + 1
+        twos = (m & -m).bit_length() - 1  # strip the even part of 2n+2
+        num //= m >> twos
+        exp += 1 + twos
+        yield num, exp
+
+
 @dataclass(frozen=True)
 class ReturnProbTable:
-    """Dyadic table of ``p(0..EXACT_CEILING)`` plus its rounded float image.
+    """Float image of ``p(0..EXACT_CEILING)``, with its dyadic pairs built on demand.
 
+    ``float_values[n]`` is the correctly rounded float of ``p(n)``.
     ``exact_values[n]`` is ``(odd numerator, exponent)`` with
-    ``p(n) = numerator / 2**exponent``; ``float_values[n]`` is the
-    correctly rounded float of that rational.
+    ``p(n) = numerator / 2**exponent``; the pairs are built on first read
+    and then cached on the table.
     """
 
-    exact_values: tuple[tuple[int, int], ...]
     float_values: np.ndarray
 
     @classmethod
     def build(cls) -> "ReturnProbTable":
-        num, exp = 1, 0
-        pairs = [(1, 0)]
         floats = np.empty(EXACT_CEILING + 1)
-        floats[0] = 1.0
-        for n in range(EXACT_CEILING):
-            num *= 2 * n + 1
-            m = n + 1
-            twos = (m & -m).bit_length() - 1  # strip the even part of 2n+2
-            num //= m >> twos
-            exp += 1 + twos
-            pairs.append((num, exp))
+        for n, (num, exp) in enumerate(_dyadic_pairs()):
             # num is odd, so bits dropped below the top 60 are never all zero:
             # the OR-ed 1 is an exact sticky bit and the rounding is correct
             shift = max(num.bit_length() - 60, 0)
-            floats[n + 1] = math.ldexp(float((num >> shift) | 1), shift - exp)
-        return cls(tuple(pairs), floats)
+            floats[n] = math.ldexp(float((num >> shift) | 1), shift - exp)
+        return cls(floats)
+
+    @cached_property
+    def exact_values(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_dyadic_pairs())
 
 
 _TABLE: ReturnProbTable | None = None

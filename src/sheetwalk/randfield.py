@@ -97,10 +97,14 @@ def sign_rows(
     count)``, rows outermost: bit 63 of entry ``[k, r, j-1]`` is set
     exactly when the sign at cell ``(start + k, j)`` of the stream with
     root ``roots[r]`` is +1.  The other bits are hash state, not signs.
+    ``roots`` holds exactly ``R`` roots; numpy would broadcast one root
+    over every grid, so any other count is refused.
     """
     if start < 1:
         raise ValueError(f"row index must be >= 1, got {start}")
-    b, _, count = words.shape
+    b, grids, count = words.shape
+    if len(roots) != grids:
+        raise ValueError(f"{len(roots)} roots for a buffer of {grids} grids")
     rows = np.arange(start, start + b, dtype=np.uint64)
     row_keys = _mix64_vec(rows.reshape(-1, 1) * _V_GOLDEN + roots)
     cols = np.arange(1, count + 1, dtype=np.uint64) * _V_GOLDEN

@@ -395,6 +395,8 @@ EXACT_ROW_PINS = {
     ("hit-constant", "200"): b"n_max,estimate\n200,1\n",
 }
 RENDER_PIN = "4aab753360e18b1d4993bbdf2aaf502bc666a04644dad2009dc506a8bcd63464"
+# `exact pn --max 10000`: the float image of the whole p(n) table
+PN_FLOAT_PIN = "856a612658b78299036653e3ba59c8f38497d524673b4d00bc414999242fec2b"
 # every size and mean is a power of two, the inputs whose logs libms most
 # often agree on to the last bit; the fitted floats still rest on np.log
 ESTIMATE_SUMMARY = (
@@ -431,6 +433,11 @@ class TestBytePins:
         out = tmp_path / "table.csv"
         assert main(["exact", target, "--n", n, "--out", str(out)]) == 0
         assert out.read_bytes() == EXACT_ROW_PINS[target, n]
+
+    def test_pn_table_bytes(self, tmp_path):
+        out = tmp_path / "pn.csv"
+        assert main(["exact", "pn", "--max", str(exactprob.EXACT_CEILING), "--out", str(out)]) == 0
+        assert _sha256(out) == PN_FLOAT_PIN
 
     def test_render_bytes_at_seed_seven(self, tmp_path):
         target = tmp_path / "zeros.pgm"
@@ -587,8 +594,6 @@ class TestVerifyCommand:
     ):
         # mutation probe: perturb one tabulated probability and expect the
         # rebuild check to catch and name it
-        import json
-
         import sheetwalk.exactprob as ep
 
         table = ep._table()
@@ -596,6 +601,21 @@ class TestVerifyCommand:
         floats[137] *= 1.0000001
         corrupted = dataclasses.replace(table, float_values=floats)
         monkeypatch.setattr(ep, "_TABLE", corrupted)
+        self.assert_return_probability_fails(tmp_path, capsys)
+
+    def test_corrupted_pair_is_named_in_the_report(self, tmp_path, monkeypatch, capsys):
+        # one numerator off by two at an n that no closed-form sample or
+        # identity of check 1 reads: only the pair-by-pair compare sees it
+        table = exactprob.ReturnProbTable.build()
+        pairs = list(table.exact_values)
+        num, exp = pairs[1500]
+        pairs[1500] = (num + 2, exp)
+        vars(table)["exact_values"] = tuple(pairs)  # the cached pairs
+        monkeypatch.setattr(exactprob, "_TABLE", table)
+        self.assert_return_probability_fails(tmp_path, capsys)
+
+    @staticmethod
+    def assert_return_probability_fails(tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = main(["verify", "--level", "quick", "--out", str(report_path)])
         out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetwalk import exactprob as ep
+from sheetwalk.checks import _rebuild_dyadic
 
 
 def _cond_hit_prob(n, x):
@@ -91,6 +93,29 @@ def test_block_sums_at_the_ceilings_match_the_oracles(monkeypatch, name, N, chun
     assert getattr(ep, name)(N).hex() == want.hex()
 
 
+class TestTableMemory:
+    """The table holds its floats; only a rational read builds the dyadic pairs."""
+
+    def test_build_stays_under_one_mib(self):
+        tracemalloc.start()
+        try:
+            table = ep.ReturnProbTable.build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "exact_values" not in vars(table)
+
+    def test_float_readers_leave_the_pairs_unbuilt(self, monkeypatch):
+        monkeypatch.setattr(ep, "_TABLE", None)
+        ep.gamma_mean_exact(64)
+        ep.delta_var_exact(50)
+        ep.delta_mean_exact(100)
+        ep.p_float_vec(np.arange(ep.EXACT_CEILING + 2))
+        ep.p_float(7)
+        assert "exact_values" not in vars(ep._table())
+
+
 class TestReturnProbExact:
     def test_first_values(self):
         expected = [
@@ -112,6 +137,14 @@ class TestReturnProbExact:
         assert [v.hex() for v in table.float_values.tolist()] == [
             q.hex() for q in quotients
         ]
+
+    def test_pairs_are_built_once_and_equal_the_independent_rebuild(self, monkeypatch):
+        monkeypatch.setattr(ep, "_TABLE", None)
+        table = ep._table()
+        assert "exact_values" not in vars(table)
+        pairs = table.exact_values
+        assert table.exact_values is pairs  # cached on the table
+        assert list(pairs) == list(_rebuild_dyadic(ep.EXACT_CEILING))
 
     def test_numerators_are_odd(self):
         table = ep._table()

@@ -310,6 +310,13 @@ def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
                 assert starts == ([1, 3, 5] if band else [1])
 
 
+def test_a_short_roots_block_is_refused_by_wider_tiles():
+    # one root through tiles of two grids would hash the same stream into both
+    tiles = walkstats._Tiles(5, 65, 2)
+    with pytest.raises(ValueError, match="1 roots for a buffer of 2 grids"):
+        next(walkstats._partial_sum_tiles(field_roots(0, [0]), tiles))
+
+
 @pytest.mark.parametrize("cols", [SWEEP_CEILING - 1, SWEEP_CEILING])
 def test_fold_at_the_ceiling_width(cols):
     # 512 blocks in a row and the largest row sums a sweep can make: the block
