@@ -9,16 +9,18 @@ bounds in this suite are unattainable as committed (the README's
 verification section carries the analysis) and stay red by design; they
 are listed in :data:`EXPECTED_RED`.
 
-Checks 7 and 8 sweep their grids once, auditing the crossing
-decomposition in the same pass; check 9 reports the verdicts of that
-pass, and sweeps the grids itself only when run without them.
+Checks 7-9 share one pass over check 8's grids: each grid is swept once
+for its zero count and its crossings, and its crossing decomposition is
+audited in the same sweep.  Check 7 reads its Monte Carlo zero counts
+from that pass, check 8 its crossings and check 9 its audit verdict.  The
+first of them to run in a :func:`run_checks` call makes the pass.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -227,64 +229,63 @@ def _check_fastpath_consistency(level: str, workers: int) -> tuple[bool, str]:
 
 # ------------------------------------------------- checks 7-9: one pass
 
-#: Audited runs of checks 7 and 8 by config, so check 9 reads the verdicts
-#: of the pass they already made.  A dict only during a :func:`run_checks`
-#: call; outside one it is ``None`` and every audited run sweeps.
-_AUDITED: dict[ExperimentConfig, tuple[ExperimentResult, bool]] | None = None
+#: Check 8's audited run by config, so checks 7 and 9 read the pass it
+#: makes: its gamma values, its crossing values and the audit verdict of
+#: its grids.  A dict only during a :func:`run_checks` call; outside one it
+#: is ``None`` and every audited run sweeps.
+_AUDITED: dict[ExperimentConfig, tuple[ExperimentResult, ExperimentResult, bool]] | None = None
 
 
-def _audited_chunk(
-    args: tuple[ExperimentConfig, int, int]
-) -> tuple[tuple[np.ndarray, np.ndarray], bool]:
+def _audited_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[
+    tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], bool
+]:
     # one worker's share of the harness's partition: each replicate swept
-    # once, its values read and every size audited from that sweep
+    # once, its gamma and crossings read and every size audited from that sweep
     config, worker_index, workers = args
     mine = np.arange(worker_index, config.replicates, workers)
-    stat = config.statistic.value
-    values, ok = audit_roots(field_roots(config.seed, mine), config.sizes, (stat,))
-    return (mine, values[stat]), bool(ok.all())
+    roots = field_roots(config.seed, mine)
+    values, ok = audit_roots(roots, config.sizes, ("gamma", "z_crossings"))
+    return (mine, values["gamma"]), (mine, values["z_crossings"]), bool(ok.all())
 
 
-def _audited_run(config: ExperimentConfig) -> tuple[ExperimentResult, bool]:
-    """The Monte Carlo result of a grid statistic plus the audit of its grids.
+def _audited_run(
+    config: ExperimentConfig,
+) -> tuple[ExperimentResult, ExperimentResult, bool]:
+    """The gamma and crossing results of the config's grids, plus their audit.
 
-    The result equals ``run_experiment(config)``.  Within a :func:`run_checks`
-    call, later calls with the same config read the memo; outside one, every
+    The results equal ``run_experiment`` of the config with statistic
+    ``GAMMA`` and ``Z_CROSSINGS``.  Within a :func:`run_checks` call,
+    later calls with the same config read the memo; outside one, every
     call sweeps.
     """
     memo = {} if _AUDITED is None else _AUDITED
     if config not in memo:
-        chunks = map_workers(_audited_chunk, config)
-        result = assemble_result(config, (chunk for chunk, _ in chunks))
-        memo[config] = result, all(ok for _, ok in chunks)
+        gamma, crossings, oks = zip(*map_workers(_audited_chunk, config))
+        memo[config] = (
+            assemble_result(replace(config, statistic=Statistic.GAMMA), gamma),
+            assemble_result(replace(config, statistic=Statistic.Z_CROSSINGS), crossings),
+            all(oks),
+        )
     return memo[config]
 
 
 # --------------------------------------------------------------- check 7
 
 
-def _zero_count_config(level: str, workers: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        statistic=Statistic.GAMMA,
-        sizes=(1024,),
-        replicates=50 if level == "full" else 12,
-        seed=Seed(2),
-        workers=workers,
-    )
-
-
 def _check_zero_count_scaling(level: str, workers: int) -> tuple[bool, str]:
     sizes = tuple(2**k for k in range(6, 11))
-    exact = [gamma_mean_exact(n) for n in sizes]
-    fit = estimate_exponent(sizes, exact)
-    config = _zero_count_config(level, workers)
-    result, _ = _audited_run(config)
-    ratio = result.summaries[1024].mean / exact[-1]  # sizes end at 1024
+    exact = {n: gamma_mean_exact(n) for n in sizes}
+    fit = estimate_exponent(sizes, list(exact.values()))
+    config = _full_crossing_config(level, workers)
+    gamma, _, _ = _audited_run(config)
+    top = max(config.sizes)  # 1024 at full, 512 at quick
+    ratio = gamma.summaries[top].mean / exact[top]
     slope_ok = 0.97 <= fit.slope <= 1.03
     mc_ok = abs(ratio - 1.0) <= 0.10
     detail = (
         f"exact-mean slope over 64..1024: {fit.slope:.4f} vs [0.97, 1.03]; "
-        f"Monte Carlo mean / exact at N=1024 (M={config.replicates}): {ratio:.4f}"
+        f"Monte Carlo mean / exact at N={top} (M={config.replicates}, "
+        f"seed {config.seed}): {ratio:.4f}"
     )
     if not slope_ok:
         detail += (
@@ -317,7 +318,7 @@ def _full_crossing_config(level: str, workers: int) -> ExperimentConfig:
 
 def _check_crossing_count_scaling(level: str, workers: int) -> tuple[bool, str]:
     config = _full_crossing_config(level, workers)
-    result, _ = _audited_run(config)
+    _, result, _ = _audited_run(config)
     means = [result.summaries[n].mean for n in config.sizes]
     fit = estimate_exponent(config.sizes, means)
     ok = 1.40 <= fit.slope <= 1.60
@@ -331,14 +332,10 @@ def _check_crossing_count_scaling(level: str, workers: int) -> tuple[bool, str]:
 
 
 def _check_crossing_decomposition(level: str, workers: int) -> tuple[bool, str]:
-    # audits exactly the grids simulated by checks 7 and 8, in their own pass;
+    # audits exactly the grids swept for checks 7 and 8, in their one pass;
     # run without them, it makes that pass itself
-    grids = 0
-    ok = True
-    for config in (_zero_count_config(level, workers), _full_crossing_config(level, workers)):
-        result, good = _audited_run(config)
-        ok &= good
-        grids += sum(vals.size for vals in result.values.values())
+    _, result, ok = _audited_run(_full_crossing_config(level, workers))
+    grids = sum(vals.size for vals in result.values.values())
     return ok, (
         f"crossing total equals profile sum and zero-touch counts are "
         f"sandwiched by row zeros on all {grids} grids"

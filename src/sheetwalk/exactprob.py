@@ -49,6 +49,7 @@ import numpy as np
 EXACT_CEILING = 10_000  # largest n with a tabulated exact p(n)
 VAR_SUM_CEILING = 4_000  # pairwise diagonal sums: O(N^2) p evaluations
 GAMMA_SUM_CEILING = 4_096  # full-grid mean: O(N^2) p evaluations
+HIT_CONSTANT_CEILING = 512  # above it, sqrt(n) * C(2n, n + 1) overflows a float
 # cells per evaluation chunk; each float scratch buffer takes 8 bytes a cell
 CHUNK_CELLS = 2**16
 
@@ -327,6 +328,10 @@ def hit_constant_estimate(n_max: int) -> float:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max > HIT_CONSTANT_CEILING:
+        raise CapacityError(
+            f"hit-constant estimate capped at n_max={HIT_CONSTANT_CEILING}, got {n_max}"
+        )
     best = math.inf
     for n in range(1, n_max + 1):
         # C(2n, k) for k = 2n down to n+1 (x = 2n down to 2), by the

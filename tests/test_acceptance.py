@@ -9,14 +9,17 @@ that crashes fails the gate even when it is one of those four.
 README.md carries the full analysis.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sheetwalk import checks
 from sheetwalk.checks import EXPECTED_RED, CheckResult, check_names, run_checks
-from sheetwalk.mcharness import run_experiment
+from sheetwalk.mcharness import Statistic, run_experiment
 
-# the checks that share one audited pass over the same grids
+# the checks that share one audited pass over check 8's grids: check 7 reads
+# its gamma there, check 8 its crossings and check 9 its audit verdict
 SHARED_PASS = {"zero-count-scaling", "crossing-count-scaling", "crossing-decomposition"}
 
 # committed wall-clock ceilings (seconds)
@@ -91,43 +94,53 @@ def test_a_crashed_expected_red_check_fails_the_gate(monkeypatch):
 
 
 def test_audit_on_two_workers_keeps_the_verdict(full_results, inline_pool):
-    # check 9 shares checks 7-8's partition; the width must not change it
+    # check 9 shares check 8's partition; the width must not change it
     (wide,) = run_checks(level="full", workers=2, names={"crossing-decomposition"})
-    assert inline_pool == [2, 2]
+    assert inline_pool == [2]
     serial = full_results["crossing-decomposition"]
     assert (wide.passed, wide.detail) == (serial.passed, serial.detail)
-    assert "850 grids" in wide.detail
+    assert "800 grids" in wide.detail
+
+
+def _zero_count_config(level, workers):
+    # what check 7 reads: the gamma statistic of check 8's grids
+    config = checks._full_crossing_config(level, workers)
+    return dataclasses.replace(config, statistic=Statistic.GAMMA)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("make", [checks._zero_count_config, checks._full_crossing_config])
+@pytest.mark.parametrize("make", [_zero_count_config, checks._full_crossing_config])
 def test_audited_run_equals_run_experiment(make, workers, inline_pool):
+    # one audited pass gives both statistics, each equal to its own plain run,
+    # whichever of the two statistics the config names
     config = make("quick", workers)
-    audited, ok = checks._audited_run(config)
-    plain = run_experiment(config)
+    gamma, crossings, ok = checks._audited_run(config)
     assert ok
-    assert audited.config == plain.config
-    assert list(audited.values) == list(plain.values) == list(config.sizes)
-    for n in config.sizes:
-        assert np.array_equal(audited.values[n], plain.values[n])
-        assert audited.summaries[n] == plain.summaries[n]
-    assert inline_pool == ([2, 2] if workers == 2 else [])  # one pool per run
+    assert inline_pool == ([2] if workers == 2 else [])  # one pool for both
+    for audited, stat in ((gamma, Statistic.GAMMA), (crossings, Statistic.Z_CROSSINGS)):
+        plain = run_experiment(dataclasses.replace(config, statistic=stat))
+        assert audited.config == plain.config
+        assert list(audited.values) == list(plain.values) == list(config.sizes)
+        for n in config.sizes:
+            assert np.array_equal(audited.values[n], plain.values[n])
+            assert audited.summaries[n] == plain.summaries[n]
+    assert inline_pool == ([2] * 3 if workers == 2 else [])  # one pool per run
 
 
 def test_each_verify_call_sweeps_its_grids_again(inline_pool):
-    # checks 7-8 sweep once per config and check 9 reads their pass; the
-    # memo does not outlive the call, so a second call sweeps again
+    # checks 7-9 share one pass, made by the first of them to run; the memo
+    # does not outlive the call, so a second call sweeps again
     first = run_checks(level="quick", workers=2, names=SHARED_PASS)
-    assert inline_pool == [2, 2]
+    assert inline_pool == [2]
     second = run_checks(level="quick", workers=2, names=SHARED_PASS)
-    assert inline_pool == [2, 2] * 2
+    assert inline_pool == [2] * 2
     assert checks._AUDITED is None
     assert [(r.passed, r.detail) for r in first] == [(r.passed, r.detail) for r in second]
     # run alone, check 9 sweeps the same grids itself, to the same verdict
     (alone,) = run_checks(level="quick", workers=2, names={"crossing-decomposition"})
-    assert inline_pool == [2, 2] * 3
+    assert inline_pool == [2] * 3
     assert (alone.passed, alone.detail) == (second[-1].passed, second[-1].detail)
-    assert "252 grids" in alone.detail
+    assert "240 grids" in alone.detail
 
 
 def test_a_direct_call_of_check_9_sweeps_again(monkeypatch):

@@ -125,6 +125,13 @@ class TestExactCommand:
         assert main(["exact", "hit-constant", "--n", "50"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "n_max,estimate"
 
+    def test_hit_constant_ceiling(self, tmp_path):
+        at, over = tmp_path / "at.csv", tmp_path / "over.csv"
+        assert main(["exact", "hit-constant", "--n", "512", "--out", str(at)]) == 0
+        assert at.read_text() == "n_max,estimate\n512,1\n"
+        assert main(["exact", "hit-constant", "--n", "513", "--out", str(over)]) == 3
+        assert not over.exists()
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "pn.csv"
         assert main(["exact", "pn", "--max", "2", "--out", str(target)]) == 0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -411,3 +412,15 @@ class TestHitProbability:
 
     def test_constant_estimate_frozen(self):
         assert ep.hit_constant_estimate(200) == 1.0
+
+    def test_constant_estimate_at_its_ceiling_stays_in_float_range(self):
+        # sqrt(512) * C(1024, 513) is 1.01e308, below the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ep.hit_constant_estimate(ep.HIT_CONSTANT_CEILING) == 1.0
+
+    def test_constant_estimate_over_its_ceiling_is_capacity(self):
+        # at 513 the scaled binomials overflow to inf and the float of the
+        # largest tail sum raises OverflowError
+        with pytest.raises(ep.CapacityError, match="n_max=512, got 513"):
+            ep.hit_constant_estimate(ep.HIT_CONSTANT_CEILING + 1)

@@ -13,10 +13,12 @@ import inspect
 import numpy as np
 import pytest
 
+import test_acceptance
 import test_cli
 import test_exactprob
 import test_randfield
 import test_walkstats
+from test_acceptance import SHARED_PASS
 from test_walkstats import AlternatingRowsField
 
 from sheetwalk import checks, exactprob, mcharness, randfield, walkstats
@@ -177,6 +179,9 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     monkeypatch.setattr(
         walkstats, "_product_crossings", _edited("_product_crossings", touches, touches)
     )
+    gamma = '(mine, values["gamma"])'
+    chunk = _edited("_audited_chunk", gamma, gamma, module=checks)
+    monkeypatch.setattr(checks, "_audited_chunk", chunk)
     sticky = "float((num >> shift) | 1)"
     table = _edited("ReturnProbTable", sticky, sticky, module=exactprob)
     monkeypatch.setattr(exactprob, "ReturnProbTable", table)
@@ -192,6 +197,9 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     test_walkstats.test_fold_equals_dense_recount_across_word_and_block_edges(65, False)
     test_walkstats.test_fold_at_the_ceiling_width(walkstats.SWEEP_CEILING)
     test_exactprob.TestReturnProbExact().test_table_floats_are_the_rounded_quotients()
+    test_acceptance.test_audited_run_equals_run_experiment(
+        test_acceptance._zero_count_config, 1, []
+    )
 
 
 class TestSweepBlockEdits:
@@ -351,3 +359,35 @@ class TestRowFoldBlockCarryDropped:
     def test_killed_by_check_10(self):
         # its N = 70 grid has rows of two fold blocks
         assert not checks._check_oracle_equivalence("quick", 1)[0]
+
+
+class TestSharedPassFilesCrossingsAsGamma:
+    """The shared pass of checks 7-9 files each grid's crossings where its gamma belongs.
+
+    Check 7 is red from its exact slope whatever its Monte Carlo ratio
+    reads, so its verdict cannot see this; check 8 reads the crossings and
+    check 9 the audit, both intact.  The equality with ``run_experiment``
+    kills it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        gamma = '(mine, values["gamma"])'
+        mutant = _edited(
+            "_audited_chunk", gamma, '(mine, values["z_crossings"])', module=checks
+        )
+        monkeypatch.setattr(checks, "_audited_chunk", mutant)
+
+    def test_killed_by_the_equality_with_run_experiment(self):
+        with pytest.raises(AssertionError):
+            test_acceptance.test_audited_run_equals_run_experiment(
+                test_acceptance._zero_count_config, 1, []
+            )
+
+    def test_survives_checks_7_to_9(self):
+        verdicts = {r.name: r.passed for r in checks.run_checks("quick", names=SHARED_PASS)}
+        assert verdicts == {
+            "zero-count-scaling": False,
+            "crossing-count-scaling": True,
+            "crossing-decomposition": True,
+        }
