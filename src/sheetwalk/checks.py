@@ -36,7 +36,6 @@ from .exactprob import (
     delta_var_exact,
     gamma_mean_exact,
     hit_constant_estimate,
-    p_exact,
     p_float,
     p_float_vec,
 )
@@ -92,24 +91,26 @@ def _rebuild_dyadic(limit: int) -> Iterator[tuple[int, int]]:
 def _check_return_probability(level: str, workers: int) -> tuple[bool, str]:
     limit = exactprob.EXACT_CEILING if level == "full" else 2000
     ident_limit = 1000 if level == "full" else 200
-    table = exactprob._table()
-    # pair by pair against the table's, so only one full copy is ever held
-    same_pairs = True
+    samples = {*range(51), 509, 997, limit}
+    # one pass over the oracle's pairs and the generator's, so no pair is
+    # held; a Fraction is built only at the n a closed form or identity reads
+    same_pairs = closed_ok = ident_ok = True
     floats = np.empty(limit + 1)
-    for n, (num, exp) in enumerate(_rebuild_dyadic(limit)):
-        same_pairs &= (num, exp) == table.exact_values[n]
-        floats[n] = num / (1 << exp)
+    for n, (rebuilt, (num, exp)) in enumerate(
+        zip(_rebuild_dyadic(limit), exactprob.dyadic_pairs())
+    ):
+        same_pairs &= rebuilt == (num, exp)
+        floats[n] = rebuilt[0] / (1 << rebuilt[1])
+        if n in samples or n <= ident_limit:
+            p = Fraction(num, 1 << exp)
+            if n in samples:
+                closed_ok &= p == Fraction(math.comb(2 * n, n), 4**n)
+            if 0 < n <= ident_limit:
+                ident_ok &= p * (2 * n) == prev * (2 * n - 1)
+            prev = p
     got = np.array([p_float(n) for n in range(limit + 1)])
     rel = np.abs(got - floats) / floats
     max_rel = float(rel.max())
-    samples = list(range(51)) + [509, 997, limit]
-    closed_ok = all(
-        p_exact(n) == Fraction(math.comb(2 * n, n), 4**n) for n in samples
-    )
-    ident_ok = all(
-        p_exact(n + 1) * (2 * n + 2) == p_exact(n) * (2 * n + 1)
-        for n in range(ident_limit)
-    )
     ok = same_pairs and closed_ok and ident_ok and max_rel == 0  # the table is correctly rounded
     return ok, (
         f"rebuilt table to n={limit}: max rel err {max_rel:.1e}, "

@@ -22,6 +22,7 @@ import contextlib
 import csv
 import decimal
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -200,15 +201,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
             raise CapacityError(
                 f"exact values stop at n={exactprob.EXACT_CEILING}, got --max {args.max}"
             )
-        table = exactprob._table()
         if args.rational:
-            pairs = table.exact_values[: args.max + 1]
+            pairs = itertools.islice(exactprob.dyadic_pairs(), args.max + 1)
             rows = (
                 (n, f"{_digits(num)}/{_digits(1 << exp)}")
                 for n, (num, exp) in enumerate(pairs)
             )
         else:
-            floats = table.float_values[: args.max + 1].tolist()
+            floats = exactprob._table().float_values[: args.max + 1].tolist()
             rows = ((n, _fmt15(p)) for n, p in enumerate(floats))
         _write_csv(args.out, "n,p", rows)
     elif target == "hit-constant":

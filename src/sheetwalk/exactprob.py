@@ -2,12 +2,12 @@
 
 Everything here reduces to ``p(n) = C(2n, n) / 4**n``, the chance that a
 balanced +/-1 sum of length ``2n`` returns to zero.  ``p(n)`` is a dyadic
-rational with odd numerator: one generator, :func:`_dyadic_pairs`, walks
+rational with odd numerator: one generator, :func:`dyadic_pairs`, walks
 the recurrence ``p(n+1) = p(n) * (2n+1)/(2n+2)`` as (odd numerator, binary
 exponent) pairs.  The table holds only the correctly rounded float of each
-pair, taken from its top 60 bits plus a sticky bit; it walks the generator
-again to build the pairs (about 13 MB of Python ints) the first time a
-rational reader asks for them.
+pair, taken from its top 60 bits plus a sticky bit.  No pair is held: the
+rational readers (``exact pn --rational`` and check 1) read n = 0, 1, 2, ...
+in order and walk the generator themselves.
 
 Float evaluation is hybrid: exact table up to ``EXACT_CEILING``, then a
 five-term asymptotic expansion of ``1/sqrt(pi*n)``.  On the overlap window
@@ -40,8 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -50,6 +48,7 @@ EXACT_CEILING = 10_000  # largest n with a tabulated exact p(n)
 VAR_SUM_CEILING = 4_000  # pairwise diagonal sums: O(N^2) p evaluations
 GAMMA_SUM_CEILING = 4_096  # full-grid mean: O(N^2) p evaluations
 HIT_CONSTANT_CEILING = 512  # above it, sqrt(n) * C(2n, n + 1) overflows a float
+MEAN_SUM_CEILING = 10**7  # diagonal and anti-diagonal means: one N-long float array
 # cells per evaluation chunk; each float scratch buffer takes 8 bytes a cell
 CHUNK_CELLS = 2**16
 
@@ -68,7 +67,7 @@ class CapacityError(Exception):
     """An exact computation exceeds its configured ceiling."""
 
 
-def _dyadic_pairs() -> Iterator[tuple[int, int]]:
+def dyadic_pairs() -> Iterator[tuple[int, int]]:
     """Yield ``(odd numerator, exponent)`` of ``p(n)`` for ``n = 0..EXACT_CEILING``."""
     num, exp = 1, 0
     yield num, exp
@@ -83,12 +82,10 @@ def _dyadic_pairs() -> Iterator[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ReturnProbTable:
-    """Float image of ``p(0..EXACT_CEILING)``, with its dyadic pairs built on demand.
+    """Float image of ``p(0..EXACT_CEILING)``.
 
-    ``float_values[n]`` is the correctly rounded float of ``p(n)``.
-    ``exact_values[n]`` is ``(odd numerator, exponent)`` with
-    ``p(n) = numerator / 2**exponent``; the pairs are built on first read
-    and then cached on the table.
+    ``float_values[n]`` is the correctly rounded float of ``p(n)``, taken
+    from the pair :func:`dyadic_pairs` yields at ``n``; the pairs are not kept.
     """
 
     float_values: np.ndarray
@@ -96,16 +93,12 @@ class ReturnProbTable:
     @classmethod
     def build(cls) -> "ReturnProbTable":
         floats = np.empty(EXACT_CEILING + 1)
-        for n, (num, exp) in enumerate(_dyadic_pairs()):
+        for n, (num, exp) in enumerate(dyadic_pairs()):
             # num is odd, so bits dropped below the top 60 are never all zero:
             # the OR-ed 1 is an exact sticky bit and the rounding is correct
             shift = max(num.bit_length() - 60, 0)
             floats[n] = math.ldexp(float((num >> shift) | 1), shift - exp)
         return cls(floats)
-
-    @cached_property
-    def exact_values(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_dyadic_pairs())
 
 
 _TABLE: ReturnProbTable | None = None
@@ -116,18 +109,6 @@ def _table() -> ReturnProbTable:
     if _TABLE is None:
         _TABLE = ReturnProbTable.build()
     return _TABLE
-
-
-def p_exact(n: int) -> Fraction:
-    """Exact ``P(2n-step sign sum = 0)`` as a rational number."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > EXACT_CEILING:
-        raise CapacityError(
-            f"exact values stop at n={EXACT_CEILING}; use p_float for n={n}"
-        )
-    num, exp = _table().exact_values[n]
-    return Fraction(num, 1 << exp)
 
 
 def _p_series(x: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -225,6 +206,8 @@ def delta_mean_exact(N: int) -> float:
     """``E[# of i <= N with zero diagonal sum at (2i,2i)]``."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
+    if N > MEAN_SUM_CEILING:
+        raise CapacityError(f"linear sum capped at N={MEAN_SUM_CEILING}, got {N}")
 
     def ks_between(lo, hi):
         i = np.arange(lo + 1, hi + 1, dtype=np.int64)
@@ -308,6 +291,8 @@ def antidiag_mean_exact(N: int) -> float:
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
+    if N > MEAN_SUM_CEILING:
+        raise CapacityError(f"linear sum capped at N={MEAN_SUM_CEILING}, got {N}")
 
     def ks_between(lo, hi):
         i = np.arange(lo + 1, hi + 1, dtype=np.int64)

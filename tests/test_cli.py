@@ -55,6 +55,7 @@ class TestExactCommand:
             raise AssertionError("the p(n) table was consulted")
 
         monkeypatch.setattr(exactprob, "_table", unread)
+        monkeypatch.setattr(exactprob, "dyadic_pairs", unread)
         assert main(["exact", "pn", "--max", "10001"]) == 3
         assert main(["exact", "pn", "--max", "10001", "--rational"]) == 3
 
@@ -130,6 +131,14 @@ class TestExactCommand:
         assert main(["exact", "hit-constant", "--n", "512", "--out", str(at)]) == 0
         assert at.read_text() == "n_max,estimate\n512,1\n"
         assert main(["exact", "hit-constant", "--n", "513", "--out", str(over)]) == 3
+        assert not over.exists()
+
+    @pytest.mark.parametrize("target", ["delta-mean", "antidiag-mean"])
+    def test_linear_mean_ceiling(self, tmp_path, target):
+        at, over = tmp_path / "at.csv", tmp_path / "over.csv"
+        assert main(["exact", target, "--n", "10000000", "--out", str(at)]) == 0
+        assert at.read_text().startswith("N,mean,centered\n10000000,")
+        assert main(["exact", target, "--n", "10000001", "--out", str(over)]) == 3
         assert not over.exists()
 
     def test_out_file(self, tmp_path):
@@ -613,12 +622,14 @@ class TestVerifyCommand:
     def test_corrupted_pair_is_named_in_the_report(self, tmp_path, monkeypatch, capsys):
         # one numerator off by two at an n that no closed-form sample or
         # identity of check 1 reads: only the pair-by-pair compare sees it
-        table = exactprob.ReturnProbTable.build()
-        pairs = list(table.exact_values)
-        num, exp = pairs[1500]
-        pairs[1500] = (num + 2, exp)
-        vars(table)["exact_values"] = tuple(pairs)  # the cached pairs
-        monkeypatch.setattr(exactprob, "_TABLE", table)
+        monkeypatch.setattr(exactprob, "_TABLE", exactprob.ReturnProbTable.build())
+        pairs = exactprob.dyadic_pairs
+
+        def corrupted():
+            for n, (num, exp) in enumerate(pairs()):
+                yield (num + 2 if n == 1500 else num), exp
+
+        monkeypatch.setattr(exactprob, "dyadic_pairs", corrupted)
         self.assert_return_probability_fails(tmp_path, capsys)
 
     @staticmethod

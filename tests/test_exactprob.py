@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetwalk import exactprob as ep
-from sheetwalk.checks import _rebuild_dyadic
+from sheetwalk.checks import _check_return_probability, _rebuild_dyadic
+from sheetwalk.cli import main
 
 
 def _cond_hit_prob(n, x):
@@ -95,7 +98,7 @@ def test_block_sums_at_the_ceilings_match_the_oracles(monkeypatch, name, N, chun
 
 
 class TestTableMemory:
-    """The table holds its floats; only a rational read builds the dyadic pairs."""
+    """The table holds its floats; the rational readers stream the dyadic pairs."""
 
     def test_build_stays_under_one_mib(self):
         tracemalloc.start()
@@ -105,7 +108,7 @@ class TestTableMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert "exact_values" not in vars(table)
+        assert set(vars(table)) == {"float_values"}
 
     def test_float_readers_leave_the_pairs_unbuilt(self, monkeypatch):
         monkeypatch.setattr(ep, "_TABLE", None)
@@ -114,7 +117,31 @@ class TestTableMemory:
         ep.delta_mean_exact(100)
         ep.p_float_vec(np.arange(ep.EXACT_CEILING + 2))
         ep.p_float(7)
-        assert "exact_values" not in vars(ep._table())
+        assert set(vars(ep._table())) == {"float_values"}
+
+    @staticmethod
+    def _traced(monkeypatch, read):
+        """``read()`` and its traced peak, on a freshly built float-only table."""
+        monkeypatch.setattr(ep, "_TABLE", ep.ReturnProbTable.build())
+        tracemalloc.start()
+        try:
+            result = read()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_rational_table_at_the_ceiling_streams(self, monkeypatch, tmp_path):
+        target = tmp_path / "pn.csv"
+        argv = ["exact", "pn", "--max", str(ep.EXACT_CEILING), "--rational", "--out", str(target)]
+        code, peak = self._traced(monkeypatch, lambda: main(argv))
+        assert (code, peak < 2**20) == (0, True)
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == "5c18e2c24635c09a893c4979f26e10f9d71b4eb0576d594c7e9b0c6537046b5e"
+
+    def test_check_1_at_full_streams(self, monkeypatch):
+        (ok, _), peak = self._traced(monkeypatch, lambda: _check_return_probability("full", 1))
+        assert (ok, peak < 2**20) == (True, True)
 
 
 class TestReturnProbExact:
@@ -126,47 +153,29 @@ class TestReturnProbExact:
             Fraction(5, 16),
             Fraction(35, 128),
         ]
-        assert [ep.p_exact(n) for n in range(5)] == expected
+        pairs = itertools.islice(ep.dyadic_pairs(), 5)
+        assert [Fraction(num, 1 << exp) for num, exp in pairs] == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 333, 1000])
     def test_matches_central_binomial_closed_form(self, n):
-        assert ep.p_exact(n) == Fraction(math.comb(2 * n, n), 4**n)
+        num, exp = next(itertools.islice(ep.dyadic_pairs(), n, None))
+        assert Fraction(num, 1 << exp) == Fraction(math.comb(2 * n, n), 4**n)
 
     def test_table_floats_are_the_rounded_quotients(self):
-        table = ep._table()
-        quotients = [num / (1 << exp) for num, exp in table.exact_values]
-        assert [v.hex() for v in table.float_values.tolist()] == [
+        quotients = [num / (1 << exp) for num, exp in ep.dyadic_pairs()]
+        assert [v.hex() for v in ep._table().float_values.tolist()] == [
             q.hex() for q in quotients
         ]
 
-    def test_pairs_are_built_once_and_equal_the_independent_rebuild(self, monkeypatch):
-        monkeypatch.setattr(ep, "_TABLE", None)
-        table = ep._table()
-        assert "exact_values" not in vars(table)
-        pairs = table.exact_values
-        assert table.exact_values is pairs  # cached on the table
-        assert list(pairs) == list(_rebuild_dyadic(ep.EXACT_CEILING))
+    def test_pairs_equal_the_independent_rebuild(self):
+        assert list(ep.dyadic_pairs()) == list(_rebuild_dyadic(ep.EXACT_CEILING))
 
     def test_numerators_are_odd(self):
-        table = ep._table()
-        nums = [table.exact_values[n][0] for n in range(0, 10001, 509)]
+        nums = [num for num, _ in itertools.islice(ep.dyadic_pairs(), 0, None, 509)]
         assert all(num % 2 == 1 for num in nums)
-
-    def test_ceiling_is_a_capacity_error(self):
-        ep.p_exact(ep.EXACT_CEILING)  # boundary is fine
-        with pytest.raises(ep.CapacityError, match="p_float"):
-            ep.p_exact(ep.EXACT_CEILING + 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ep.p_exact(-1)
 
 
 class TestReturnProbFloat:
-    def test_float_is_correctly_rounded_rational(self):
-        for n in (0, 1, 2, 8, 100, 2500, 9999, 10000):
-            assert ep.p_float(n) == float(ep.p_exact(n))
-
     def test_known_value(self):
         assert ep.p_float(8) == 0.196380615234375
 
@@ -295,6 +304,14 @@ class TestDiagonalMoments:
             for n in (10, 100, 1000, 2000)
         )
         assert worst <= 1.2
+
+
+@pytest.mark.parametrize("name", ["delta_mean_exact", "antidiag_mean_exact"])
+def test_linear_sums_stop_at_the_ceiling(name):
+    # past it the N-long output array runs out of memory, and past
+    # N ~ 2.1e9 the diagonal areas 2 i^2 wrap int64
+    with pytest.raises(ep.CapacityError, match="N=10000000, got 10000001"):
+        getattr(ep, name)(ep.MEAN_SUM_CEILING + 1)
 
 
 class TestGridMoments:
