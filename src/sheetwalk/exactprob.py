@@ -21,18 +21,16 @@ sum over a rectangle extends another by a block of fresh signs, so joint
 zero probabilities factor into ``p`` values of block half-areas.  Sums with
 an odd number of signs can never vanish, hence the even-parity filters.
 
-Sums are evaluated in blocks, and the callers do the blocking.  Every
-``p`` evaluation runs through :func:`_p_fill`, which evaluates one block in
-scratch buffers its caller sized and reuses: the series in place, then the
-table values patched in wherever ``k <= EXACT_CEILING``.  The grid sums
-stack whole rows into blocks of about ``CHUNK_CELLS`` cells (a row wider
-than that is a block of its own), but still sum each row as its own
-contiguous slice and add the row sums in row order.  :func:`p_float_vec`
-and the diagonal and anti-diagonal means fill one output ``CHUNK_CELLS``
-cells at a time (:func:`_p_chunks`); the means sum it once.  Each element
-is the same IEEE operations and each sum the same reduction over the same
-values in the same order as a per-row evaluation, so the results are
-bit-identical to it (the tests keep that evaluation as the oracle).
+Every array of ``p`` values comes from one block evaluator,
+:func:`_p_blocks`.  It takes as many rows of a sum as fit in
+``CHUNK_CELLS`` cells (at least one), has the caller write their
+arguments into buffers it sized once, evaluates the series in place and
+patches in the table values where ``k <= EXACT_CEILING``.  The grid sums
+add each row's sum in row order; :func:`p_float_vec` and the means read
+one-cell rows straight into one output array, and the means sum it once.
+Each element and each sum is the same IEEE operations in the same order as
+a per-row evaluation, so the results are bit-identical to it (the tests
+keep that evaluation as the oracle).
 """
 
 from __future__ import annotations
@@ -130,32 +128,6 @@ def _p_series(x: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Scratch:
-    """Buffers the blocks of one sum reuse: series argument, ``1/x`` and table mask."""
-
-    def __init__(self, cells: int) -> None:
-        self.x = np.empty(cells)
-        self.inv = np.empty(cells)
-        self.small = np.empty(cells, dtype=bool)
-
-
-def _p_fill(ks: np.ndarray, out: np.ndarray, scratch: _Scratch) -> None:
-    """Write ``p(ks)`` into ``out``; both 1-D of one length, ``ks`` int64 and >= 0.
-
-    One block, no larger than ``scratch``: the series over it, with table
-    cells given a finite stand-in argument, then the table values patched
-    in over them.
-    """
-    n = ks.size
-    x, inv, small = scratch.x[:n], scratch.inv[:n], scratch.small[:n]
-    np.copyto(x, ks)
-    np.maximum(x, EXACT_CEILING + 1.0, out=x)
-    _p_series(x, out, inv)
-    np.less_equal(ks, EXACT_CEILING, out=small)
-    if small.any():
-        out[small] = _table().float_values[ks[small]]
-
-
 def p_float(n: int) -> float:
     """``p(n)`` as a float, exact-table below the ceiling, series above."""
     if n < 0:
@@ -172,26 +144,60 @@ def p_float_vec(ns: np.ndarray) -> np.ndarray:
     if ns.size and ns.min() < 0:
         raise ValueError("all indices must be >= 0")
     flat = ns.reshape(-1)
-    return _p_chunks(flat.size, lambda lo, hi: flat[lo:hi]).reshape(ns.shape)
+    return _p_line(flat.size, lambda lo, k: np.copyto(k, flat[lo : lo + len(k)])).reshape(ns.shape)
 
 
-def _p_chunks(count: int, ks_between) -> np.ndarray:
-    """``p`` over ``count`` cells; ``ks_between(lo, hi)`` gives cells ``lo..hi-1``.
+def _p_blocks(rows: int, width, fill, out: np.ndarray | None = None):
+    """Yield ``(r, V)``, ``V = p(K)`` over each block of rows ``r..r+b-1``.
 
-    The values fill one ``count``-long array ``CHUNK_CELLS`` cells at a
-    time, so only the output is ever ``count`` long.
+    ``width`` is the row width, or a function of ``r`` where it shrinks
+    down the rows.  ``fill(r, K)`` writes the block's int64 arguments into
+    ``K``, shape ``(b, w)``.  A block holds as many rows as fit in
+    ``CHUNK_CELLS`` cells, at least one.  Every buffer is sized once, to the
+    largest block; ``V`` views the values buffer, or ``out`` (all the
+    ``rows * width`` values, one width) when given.  Table cells get a
+    finite stand-in series argument, then their table values.
     """
+    def plan():  # (r, b, w) of each block; read twice, so no list of them is held
+        r = 0
+        while r < rows:
+            w = width(r) if callable(width) else width
+            b = max(1, min(rows - r, CHUNK_CELLS // max(w, 1)))
+            yield r, b, w
+            r += b
+
+    cells = max((b * w for _, b, w in plan()), default=0)
+    ks, x, inv = np.empty(cells, dtype=np.int64), np.empty(cells), np.empty(cells)
+    small = np.empty(cells, dtype=bool)
+    values = np.empty(cells) if out is None else None
+    for r, b, w in plan():
+        n = b * w
+        k, arg, mask = ks[:n], x[:n], small[:n]
+        v = values[:n] if out is None else out[r * w : r * w + n]
+        fill(r, k.reshape(b, w))
+        np.copyto(arg, k)
+        np.maximum(arg, EXACT_CEILING + 1.0, out=arg)
+        _p_series(arg, v, inv[:n])
+        np.less_equal(k, EXACT_CEILING, out=mask)
+        if mask.any():
+            v[mask] = _table().float_values[k[mask]]
+        yield r, v.reshape(b, w)
+
+
+def _p_line(count: int, fill) -> np.ndarray:
+    """``p`` over ``count`` cells in one array; ``fill(lo, k)`` writes the arguments of ``lo..``."""
     out = np.empty(count)
-    scratch = _Scratch(min(count, CHUNK_CELLS))
-    for lo in range(0, count, CHUNK_CELLS):
-        hi = min(lo + CHUNK_CELLS, count)
-        _p_fill(ks_between(lo, hi), out[lo:hi], scratch)
+    for _ in _p_blocks(count, 1, lambda r, K: fill(r, K[:, 0]), out):
+        pass
     return out
 
 
-def _row_blocks(rows: int, width: int) -> int:
-    """Rows of ``width`` cells that one block of about ``CHUNK_CELLS`` cells holds."""
-    return max(1, min(rows, CHUNK_CELLS // max(width, 1)))
+def _count_from(first: int, k: np.ndarray) -> None:
+    """Write ``first, first + 1, ...`` into ``k`` in place, where ``np.arange`` would allocate."""
+    k[:1], done = first, 1
+    while done < k.size:  # the next cells are the written ones shifted by their count
+        np.add(k[: min(done, k.size - done)], done, out=k[done : 2 * done])
+        done *= 2
 
 
 def _add_in_order(values: np.ndarray) -> float:
@@ -202,18 +208,23 @@ def _add_in_order(values: np.ndarray) -> float:
     return total
 
 
-def delta_mean_exact(N: int) -> float:
-    """``E[# of i <= N with zero diagonal sum at (2i,2i)]``."""
+def _check_size(N: int, ceiling: int, what: str) -> None:
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    if N > MEAN_SUM_CEILING:
-        raise CapacityError(f"linear sum capped at N={MEAN_SUM_CEILING}, got {N}")
+    if N > ceiling:
+        raise CapacityError(f"{what} capped at N={ceiling}, got {N}")
 
-    def ks_between(lo, hi):
-        i = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        return 2 * i * i
 
-    return float(_p_chunks(N, ks_between).sum())
+def delta_mean_exact(N: int) -> float:
+    """``E[# of i <= N with zero diagonal sum at (2i,2i)]``."""
+    _check_size(N, MEAN_SUM_CEILING, "linear sum")
+
+    def fill(lo, k):  # 2 i^2 for i = lo+1..lo+len(k)
+        _count_from(lo + 1, k)
+        k *= k
+        k *= 2
+
+    return float(_p_line(N, fill).sum())
 
 
 def delta_var_exact(N: int) -> float:
@@ -224,31 +235,23 @@ def delta_var_exact(N: int) -> float:
     and the L-shaped extension out to ``(2j,2j)`` hold disjoint signs.
     Row ``i`` sums ``p(2 (j^2 - i^2))`` over ``j > i``; a block of rows
     ``a..a+b-1`` is evaluated over the columns ``a+1..N``, and the cells
-    with ``j <= i`` in it are evaluated at ``p(0)`` and never read.
+    with ``j < i`` in it are evaluated at ``p(2 (i^2 - j^2))`` and never read.
     """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if N > VAR_SUM_CEILING:
-        raise CapacityError(f"pairwise sum capped at N={VAR_SUM_CEILING}, got {N}")
+    _check_size(N, VAR_SUM_CEILING, "pairwise sum")
     squares = np.arange(1, N + 1, dtype=np.int64) ** 2
     singles = p_float_vec(2 * squares)
     mean = float(singles.sum())
     row_sums = np.empty(max(N - 1, 0))
-    cells = max(min(CHUNK_CELLS, N * N), N)
-    ks, values, scratch = np.empty(cells, dtype=np.int64), np.empty(cells), _Scratch(cells)
-    a = 1
-    while a < N:
-        width = N - a  # columns j = a+1..N
-        b = _row_blocks(width, width)  # rows a..a+b-1; b <= width
-        kb = ks[: b * width].reshape(b, width)
-        np.subtract(squares[a:], squares[a - 1 : a - 1 + b, None], out=kb)
-        kb *= 2
-        np.maximum(kb[:, :b], 0, out=kb[:, :b])  # the unread j <= i corner
-        _p_fill(ks[: b * width], values[: b * width], scratch)
-        vb = values[: b * width].reshape(b, width)
-        for r in range(b):
-            row_sums[a - 1 + r] = vb[r, r:].sum()
-        a += b
+
+    def fill(r, K):  # rows i = r+1..r+b, columns j = r+2..N
+        b = len(K)
+        np.subtract(squares[r + 1 :], squares[r : r + b, None], out=K)
+        K *= 2
+        np.absolute(K[:, :b], out=K[:, :b])  # the unread j < i corner
+
+    for r, V in _p_blocks(N - 1, lambda r: N - 1 - r, fill):
+        for t in range(len(V)):
+            row_sums[r + t] = V[t, t:].sum()
     cross = _add_in_order(singles[: N - 1] * row_sums)
     return mean + 2.0 * cross - mean * mean
 
@@ -261,25 +264,18 @@ def gamma_mean_exact(N: int) -> float:
     ``p(i * h)`` for ``h = 1..N/2`` (``j = 2h``) on odd rows.  Rows of one
     parity share a width, so they are evaluated in stacked blocks.
     """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if N > GAMMA_SUM_CEILING:
-        raise CapacityError(f"full-grid sum capped at N={GAMMA_SUM_CEILING}, got {N}")
+    _check_size(N, GAMMA_SUM_CEILING, "full-grid sum")
     row_sums = np.empty(N)
     for first, width in ((1, N // 2), (2, N)):
-        rows = np.arange(first, N + 1, 2, dtype=np.int64)
-        factors = rows if first == 1 else rows // 2
+        factors = np.arange(first, N + 1, 2, dtype=np.int64)[:, None] // first  # i or i/2
         cols = np.arange(1, width + 1, dtype=np.int64)
-        b_max = _row_blocks(rows.size, width)
-        cells = b_max * width
-        ks, values, scratch = np.empty(cells, dtype=np.int64), np.empty(cells), _Scratch(cells)
-        for r0 in range(0, rows.size, b_max):
-            b = min(b_max, rows.size - r0)
-            np.multiply(factors[r0 : r0 + b, None], cols, out=ks[: b * width].reshape(b, width))
-            _p_fill(ks[: b * width], values[: b * width], scratch)
-            vb = values[: b * width].reshape(b, width)
-            for r in range(b):
-                row_sums[rows[r0 + r] - 1] = vb[r].sum()
+
+        def fill(r, K):
+            np.multiply(factors[r : r + len(K)], cols, out=K)
+
+        parity_sums = row_sums[first - 1 :: 2]  # rows first, first + 2, ...
+        for r, V in _p_blocks(len(factors), width, fill):
+            parity_sums[r : r + len(V)] = V.sum(axis=1)
     return _add_in_order(row_sums)
 
 
@@ -289,19 +285,18 @@ def antidiag_mean_exact(N: int) -> float:
     The area ``i * (N - i)`` is even for every ``i`` when ``N`` is odd, and
     for even ``i = 2t`` only when ``N`` is even, giving ``p(t * (N - 2t))``.
     """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if N > MEAN_SUM_CEILING:
-        raise CapacityError(f"linear sum capped at N={MEAN_SUM_CEILING}, got {N}")
+    _check_size(N, MEAN_SUM_CEILING, "linear sum")
 
-    def ks_between(lo, hi):
-        i = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    def fill(lo, k):  # i = lo+1..lo+len(k)
+        _count_from(lo + 1, k)
         if N % 2:
-            return i * (N - i) // 2
-        return i * (N - 2 * i)
+            k *= N - k
+            k //= 2
+        else:
+            k *= -2 * k + N  # one temporary: numpy adds N into the product in place
 
     count = N - 1 if N % 2 else max(N // 2 - 1, 0)
-    return float(_p_chunks(count, ks_between).sum())
+    return float(_p_line(count, fill).sum())
 
 
 def hit_constant_estimate(n_max: int) -> float:

@@ -57,13 +57,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exactprob import CapacityError
+from .exactprob import MEAN_SUM_CEILING, CapacityError
 from .randfield import RademacherField, StreamKey, sign_rows, signed_binomial_batch
 
 # Largest grid edge the sweep accepts.  Time grows as N**2; memory is one
 # tile per worker (TILE_CELLS cells, or one row of N cells when that is
 # larger), so for a single grid it stays linear in N.
 SWEEP_CEILING = 2**15
+# Largest grid edge delta-fast draws: its N // 2 diagonal points, as many as delta_mean_exact takes
+DIAG_FAST_CEILING = 2 * MEAN_SUM_CEILING
 TILE_CELLS = 2**16  # cells per tile, each row counted at its padded width
 BAND_ROWS = 8  # rows per tile of a full block: grids side by side, few row adds per cell
 
@@ -691,6 +693,8 @@ def diag_zero_counts(key: StreamKey, sizes: Sequence[int]) -> list[int]:
     """
     if min(sizes) < 0:
         raise ValueError(f"N must be >= 0, got {tuple(sizes)}")
+    if max(sizes) > DIAG_FAST_CEILING:
+        raise CapacityError(f"diagonal draws capped at N={DIAG_FAST_CEILING}, got {max(sizes)}")
     steps = max(sizes) // 2
     if steps == 0:
         return [0] * len(sizes)

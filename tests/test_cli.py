@@ -1,11 +1,9 @@
 import dataclasses
-import decimal
 import hashlib
 import json
 import math
 import os
 import platform
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,20 +56,6 @@ class TestExactCommand:
         monkeypatch.setattr(exactprob, "dyadic_pairs", unread)
         assert main(["exact", "pn", "--max", "10001"]) == 3
         assert main(["exact", "pn", "--max", "10001", "--rational"]) == 3
-
-    def test_pn_rational_past_the_int_digit_limit(self, tmp_path):
-        # n = 7148 is the first numerator with more than 4300 digits, the
-        # interpreter's default limit on int-to-str conversion
-        n = 7148
-        target = tmp_path / "pn.csv"
-        argv = ["exact", "pn", "--max", str(n), "--rational", "--out", str(target)]
-        assert main(argv) == 0
-        lines = target.read_text().splitlines()
-        assert len(lines) == n + 2
-        index, value = lines[-1].split(",")
-        num, den = (int(decimal.Decimal(part)) for part in value.split("/"))
-        p = Fraction(math.comb(2 * n, n), 4**n)
-        assert (int(index), num, den) == (n, p.numerator, p.denominator)
 
     def test_a_failing_row_leaves_no_table(self, tmp_path, monkeypatch):
         # rows stream into a temporary file; one that fails mid-table must
@@ -318,6 +302,13 @@ class TestSimulateCommand:
                 "--workers", "1", "--out", str(tmp_path / "run")]
         assert main(argv) == 3
         assert not (tmp_path / "run" / "manifest.json").exists()
+
+    def test_delta_fast_past_the_ceiling_exits_3_and_writes_no_raw(self, tmp_path):
+        # a grid edge of 2 * 10**7 + 1 asks for more diagonal points than delta-mean takes
+        argv = ["simulate", "--stat", "delta-fast", "--sizes", "20000001", "--reps", "1",
+                "--workers", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert not (tmp_path / "run" / "raw.csv").exists()
 
     @pytest.mark.parametrize("flags", [["--eps", "7"], ["--eps", "0"], ["--radius", "-3"]])
     def test_eps_and_radius_out_of_range_are_usage_errors(self, tmp_path, capsys, flags):

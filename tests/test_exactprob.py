@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import itertools
 import math
@@ -97,6 +98,28 @@ def test_block_sums_at_the_ceilings_match_the_oracles(monkeypatch, name, N, chun
     assert getattr(ep, name)(N).hex() == want.hex()
 
 
+# traced peaks (MiB) of the block sums at their bench sizes while each sum
+# sized its own blocks; the one block evaluator must not hold more
+BLOCK_SUM_PEAKS_MIB = {
+    ("gamma_mean_exact", 4096): 4.22,
+    ("delta_var_exact", 4000): 2.47,
+    ("delta_mean_exact", 10**6): 9.69,
+    ("antidiag_mean_exact", 10**6): 6.38,
+}
+
+
+@pytest.mark.parametrize("name,N", sorted(BLOCK_SUM_PEAKS_MIB))
+def test_block_sums_hold_no_more_than_their_own_blocks_did(name, N):
+    ep.p_float(0)  # the table is built outside the trace
+    tracemalloc.start()
+    try:
+        getattr(ep, name)(N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK_SUM_PEAKS_MIB[name, N] * 2**20
+
+
 class TestTableMemory:
     """The table holds its floats; the rational readers stream the dyadic pairs."""
 
@@ -136,8 +159,18 @@ class TestTableMemory:
         argv = ["exact", "pn", "--max", str(ep.EXACT_CEILING), "--rational", "--out", str(target)]
         code, peak = self._traced(monkeypatch, lambda: main(argv))
         assert (code, peak < 2**20) == (0, True)
-        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        table = target.read_bytes()
+        digest = hashlib.sha256(table).hexdigest()
         assert digest == "5c18e2c24635c09a893c4979f26e10f9d71b4eb0576d594c7e9b0c6537046b5e"
+        lines = table.decode().splitlines()
+        assert len(lines) == ep.EXACT_CEILING + 2
+        # n = 7148 is the first numerator with more than 4300 digits, the
+        # interpreter's default limit on int-to-str conversion; Decimal reads past it
+        for n in (7148, ep.EXACT_CEILING):
+            index, value = lines[n + 1].split(",")
+            num, den = (int(decimal.Decimal(part)) for part in value.split("/"))
+            p = Fraction(math.comb(2 * n, n), 4**n)
+            assert (int(index), num, den) == (n, p.numerator, p.denominator)
 
     def test_check_1_at_full_streams(self, monkeypatch):
         (ok, _), peak = self._traced(monkeypatch, lambda: _check_return_probability("full", 1))

@@ -43,18 +43,6 @@ def _field_roots_of_the_next_replicate(seed, replicates):
     return randfield._mix64_vec(replicates.astype(np.uint64) * randfield._V_GOLDEN + base)
 
 
-def _p_fill_table_below_the_ceiling(ks, out, scratch):
-    """Mutant of :func:`exactprob._p_fill`: table values patched where ``k < EXACT_CEILING``."""
-    n = ks.size
-    x, inv, small = scratch.x[:n], scratch.inv[:n], scratch.small[:n]
-    np.copyto(x, ks)
-    np.maximum(x, exactprob.EXACT_CEILING + 1.0, out=x)
-    exactprob._p_series(x, out, inv)
-    np.less(ks, exactprob.EXACT_CEILING, out=small)
-    if small.any():
-        out[small] = exactprob._table().float_values[ks[small]]
-
-
 def _audit_rows_edge_zero_kept(plan, R, n, t):
     """Mutant of :func:`walkstats._audit_rows`: the zero at column ``n`` stays in ``[1, n-1]``."""
     zeros, crossings, touched = plan.per_row(
@@ -104,9 +92,12 @@ class TestFieldRootsOfTheNextReplicate:
 
 
 class TestPFillTableBelowTheCeiling:
+    """Mutant of :func:`exactprob._p_blocks`: table values patched where ``k < EXACT_CEILING``."""
+
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
-        monkeypatch.setattr(exactprob, "_p_fill", _p_fill_table_below_the_ceiling)
+        blocks = _edited("_p_blocks", "np.less_equal(", "np.less(", module=exactprob)
+        monkeypatch.setattr(exactprob, "_p_blocks", blocks)
 
     def test_killed_by_the_scalar_path(self):
         ceiling = exactprob.EXACT_CEILING
@@ -186,6 +177,9 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     table = _edited("ReturnProbTable", sticky, sticky, module=exactprob)
     monkeypatch.setattr(exactprob, "ReturnProbTable", table)
     monkeypatch.setattr(exactprob, "_TABLE", None)
+    mask = "np.less_equal("
+    monkeypatch.setattr(exactprob, "_p_blocks", _edited("_p_blocks", mask, mask, module=exactprob))
+    test_exactprob.test_sum_bits_are_pinned("gamma_mean_exact", exactprob.GAMMA_SUM_CEILING)
     assert checks._check_oracle_equivalence("quick", 1)[0]
     assert checks._check_return_probability("quick", 1)[0]
     test_walkstats.test_band_seams_equal_brute_force((65, 70))

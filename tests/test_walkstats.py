@@ -19,6 +19,7 @@ from sheetwalk.randfield import (
 )
 from sheetwalk.walkstats import (
     COUNTERS,
+    DIAG_FAST_CEILING,
     SWEEP_CEILING,
     annulus_counts,
     annulus_zero_check,
@@ -818,6 +819,15 @@ class TestDiagZeroCount:
             diag_zero_count(StreamKey(Seed(1), 0), -2)
         with pytest.raises(ValueError):
             diag_zero_counts(StreamKey(Seed(1), 0), (20, -2))
+
+    def test_past_the_ceiling_is_capacity_before_any_draw(self, monkeypatch):
+        # a grid edge of 2 * 10**7 + 1: more diagonal points than delta_mean_exact takes
+        def undrawn(*args):
+            raise AssertionError("increments were drawn")
+
+        monkeypatch.setattr(walkstats, "signed_binomial_batch", undrawn)
+        with pytest.raises(CapacityError, match="N=20000000, got 20000001"):
+            diag_zero_counts(StreamKey(Seed(1), 0), (8, DIAG_FAST_CEILING + 1))
 
     @pytest.mark.parametrize("N", [2, 3, 40, 41, 999])
     def test_counts_the_zeros_of_the_diagonal_walk(self, N):
