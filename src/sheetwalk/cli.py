@@ -123,6 +123,24 @@ def _write_json(target: Path | str | None, payload: dict) -> None:
 
 
 @contextlib.contextmanager
+def _new_directory(path: Path):
+    """Make ``path`` and its missing parents; if the block raises, remove the ones it made.
+
+    Only an empty directory is removed, and one that existed before is
+    left as it was.
+    """
+    missing = [p for p in (path, *path.parents) if not p.exists()]  # deepest first
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for made in missing:
+            with contextlib.suppress(OSError):  # not empty: a run wrote into it
+                made.rmdir()
+        raise
+
+
+@contextlib.contextmanager
 def _directory_lock(outdir: Path):
     # advisory: concurrent runs against one directory would interleave files
     lock = outdir / ".sheetwalk.lock"
@@ -248,9 +266,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         radius=args.radius,
     )
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     started = _now()
-    with _directory_lock(outdir):
+    with _new_directory(outdir), _directory_lock(outdir):
         result = run_experiment(config)
         raw_rows = (
             (n, r, repr(float(result.values[n][r])))

@@ -22,15 +22,19 @@ zero probabilities factor into ``p`` values of block half-areas.  Sums with
 an odd number of signs can never vanish, hence the even-parity filters.
 
 Every array of ``p`` values comes from one block evaluator,
-:func:`_p_blocks`.  It takes as many rows of a sum as fit in
-``CHUNK_CELLS`` cells (at least one), has the caller write their
-arguments into buffers it sized once, evaluates the series in place and
-patches in the table values where ``k <= EXACT_CEILING``.  The grid sums
-add each row's sum in row order; :func:`p_float_vec` and the means read
-one-cell rows straight into one output array, and the means sum it once.
-Each element and each sum is the same IEEE operations in the same order as
-a per-row evaluation, so the results are bit-identical to it (the tests
-keep that evaluation as the oracle).
+:func:`_p_blocks`.  It reads the blocks of a sum from a plan, has the
+caller write their arguments into buffers it sizes once, to the largest
+block, evaluates the series in place and patches in the table values where
+``k <= EXACT_CEILING``.  The grid sums take as many rows as fit in
+``CHUNK_CELLS`` cells (at least one) and add each row's sum in row order;
+:func:`p_float_vec` reads one-cell rows straight into its output array.
+The two means never hold their ``N`` values: :func:`_p_sum` walks numpy's
+pairwise-sum tree over them, evaluates one leaf of at most
+``max(CHUNK_CELLS, 128)`` cells at a time, sums it with ``ndarray.sum`` and
+adds the leaf sums in the tree's order, which is the float ``np.sum`` over
+the whole array returns.  Each element and each sum is the same IEEE
+operations in the same order as a per-row evaluation, so the results are
+bit-identical to it (the tests keep that evaluation as the oracle).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ EXACT_CEILING = 10_000  # largest n with a tabulated exact p(n)
 VAR_SUM_CEILING = 4_000  # pairwise diagonal sums: O(N^2) p evaluations
 GAMMA_SUM_CEILING = 4_096  # full-grid mean: O(N^2) p evaluations
 HIT_CONSTANT_CEILING = 512  # above it, sqrt(n) * C(2n, n + 1) overflows a float
-MEAN_SUM_CEILING = 10**7  # diagonal and anti-diagonal means: one N-long float array
+MEAN_SUM_CEILING = 10**7  # diagonal and anti-diagonal means: linear time, one leaf of cells held
 # cells per evaluation chunk; each float scratch buffer takes 8 bytes a cell
 CHUNK_CELLS = 2**16
 
@@ -144,33 +148,48 @@ def p_float_vec(ns: np.ndarray) -> np.ndarray:
     if ns.size and ns.min() < 0:
         raise ValueError("all indices must be >= 0")
     flat = ns.reshape(-1)
-    return _p_line(flat.size, lambda lo, k: np.copyto(k, flat[lo : lo + len(k)])).reshape(ns.shape)
+    out = np.empty(flat.size)
+
+    def fill(r, K):
+        np.copyto(K[:, 0], flat[r : r + len(K)])
+
+    for _ in _p_blocks(_row_plan(flat.size, 1), fill, out):
+        pass
+    return out.reshape(ns.shape)
 
 
-def _p_blocks(rows: int, width, fill, out: np.ndarray | None = None):
+def _row_plan(rows: int, width) -> list[tuple[int, int]]:
+    """The ``(b, w)`` of each block of ``rows`` rows of width ``w``.
+
+    A block holds as many rows as fit in ``CHUNK_CELLS`` cells, at least
+    one.  ``width`` is the row width, or a function of the block's first
+    row ``r`` where it shrinks down the rows.
+    """
+    plan, r = [], 0
+    while r < rows:
+        w = width(r) if callable(width) else width
+        b = max(1, min(rows - r, CHUNK_CELLS // max(w, 1)))
+        plan.append((b, w))
+        r += b
+    return plan
+
+
+def _p_blocks(plan: list[tuple[int, int]], fill, out: np.ndarray | None = None):
     """Yield ``(r, V)``, ``V = p(K)`` over each block of rows ``r..r+b-1``.
 
-    ``width`` is the row width, or a function of ``r`` where it shrinks
-    down the rows.  ``fill(r, K)`` writes the block's int64 arguments into
-    ``K``, shape ``(b, w)``.  A block holds as many rows as fit in
-    ``CHUNK_CELLS`` cells, at least one.  Every buffer is sized once, to the
-    largest block; ``V`` views the values buffer, or ``out`` (all the
-    ``rows * width`` values, one width) when given.  Table cells get a
-    finite stand-in series argument, then their table values.
+    ``plan`` lists the ``(b, w)`` of the blocks in row order, ``b`` rows of
+    width ``w`` each.  ``fill(r, K)`` writes the block's int64 arguments into
+    ``K``, shape ``(b, w)``.  Every buffer is sized once, to the largest
+    block; ``V`` views the values buffer, or ``out`` (all the values, one
+    width) when given.  Table cells get a finite stand-in series argument,
+    then their table values.
     """
-    def plan():  # (r, b, w) of each block; read twice, so no list of them is held
-        r = 0
-        while r < rows:
-            w = width(r) if callable(width) else width
-            b = max(1, min(rows - r, CHUNK_CELLS // max(w, 1)))
-            yield r, b, w
-            r += b
-
-    cells = max((b * w for _, b, w in plan()), default=0)
+    cells = max((b * w for b, w in plan), default=0)
     ks, x, inv = np.empty(cells, dtype=np.int64), np.empty(cells), np.empty(cells)
     small = np.empty(cells, dtype=bool)
     values = np.empty(cells) if out is None else None
-    for r, b, w in plan():
+    r = 0
+    for b, w in plan:
         n = b * w
         k, arg, mask = ks[:n], x[:n], small[:n]
         v = values[:n] if out is None else out[r * w : r * w + n]
@@ -182,21 +201,43 @@ def _p_blocks(rows: int, width, fill, out: np.ndarray | None = None):
         if mask.any():
             v[mask] = _table().float_values[k[mask]]
         yield r, v.reshape(b, w)
+        r += b
 
 
-def _p_line(count: int, fill) -> np.ndarray:
-    """``p`` over ``count`` cells in one array; ``fill(lo, k)`` writes the arguments of ``lo..``."""
-    out = np.empty(count)
-    for _ in _p_blocks(count, 1, lambda r, K: fill(r, K[:, 0]), out):
-        pass
-    return out
+def _pairwise(n: int, leaf) -> float:
+    """Add ``n`` cells in the order of numpy's ``pairwise_sum``, one leaf at a time.
+
+    ``leaf(m)`` returns the sum of the next ``m`` cells.  numpy splits a
+    run of more than 128 cells at half its length rounded down to a
+    multiple of 8, and adds the two halves' sums.  Here a run of at most
+    ``max(CHUNK_CELLS, 128)`` cells is a leaf: ``ndarray.sum`` over it
+    walks numpy's own tree below that node, so with ``leaf`` summing an
+    array's slices the total has the bits of ``np.sum`` over the array.
+    """
+    if n <= max(CHUNK_CELLS, 128):
+        return leaf(n)
+    h = n // 2 - n // 2 % 8
+    return _pairwise(h, leaf) + _pairwise(n - h, leaf)
 
 
-def _count_from(first: int, k: np.ndarray) -> None:
-    """Write ``first, first + 1, ...`` into ``k`` in place, where ``np.arange`` would allocate."""
+def _p_sum(count: int, fill) -> float:
+    """``float(np.sum(p))`` over ``count`` cells, holding one leaf of them at a time.
+
+    ``fill(lo, k)`` writes the arguments of cells ``lo..lo+len(k)-1``.  The
+    leaves are the blocks of one :func:`_p_blocks` run, so its buffers are
+    sized once, to the largest leaf.
+    """
+    sizes = []
+    _pairwise(count, lambda m: sizes.append(m) or 0.0)  # a dry walk lists the leaves
+    leaves = _p_blocks([(m, 1) for m in sizes], lambda r, K: fill(r, K[:, 0]))
+    return _pairwise(count, lambda m: float(next(leaves)[1].sum()))
+
+
+def _count_from(first: int, k: np.ndarray, step: int = 1) -> None:
+    """Write ``first, first + step, ...`` into ``k`` in place, where ``np.arange`` would allocate."""
     k[:1], done = first, 1
-    while done < k.size:  # the next cells are the written ones shifted by their count
-        np.add(k[: min(done, k.size - done)], done, out=k[done : 2 * done])
+    while done < k.size:  # the next cells are the written ones shifted by their span
+        np.add(k[: min(done, k.size - done)], done * step, out=k[done : 2 * done])
         done *= 2
 
 
@@ -224,7 +265,7 @@ def delta_mean_exact(N: int) -> float:
         k *= k
         k *= 2
 
-    return float(_p_line(N, fill).sum())
+    return _p_sum(N, fill)
 
 
 def delta_var_exact(N: int) -> float:
@@ -249,7 +290,7 @@ def delta_var_exact(N: int) -> float:
         K *= 2
         np.absolute(K[:, :b], out=K[:, :b])  # the unread j < i corner
 
-    for r, V in _p_blocks(N - 1, lambda r: N - 1 - r, fill):
+    for r, V in _p_blocks(_row_plan(N - 1, lambda r: N - 1 - r), fill):
         for t in range(len(V)):
             row_sums[r + t] = V[t, t:].sum()
     cross = _add_in_order(singles[: N - 1] * row_sums)
@@ -274,7 +315,7 @@ def gamma_mean_exact(N: int) -> float:
             np.multiply(factors[r : r + len(K)], cols, out=K)
 
         parity_sums = row_sums[first - 1 :: 2]  # rows first, first + 2, ...
-        for r, V in _p_blocks(len(factors), width, fill):
+        for r, V in _p_blocks(_row_plan(len(factors), width), fill):
             parity_sums[r : r + len(V)] = V.sum(axis=1)
     return _add_in_order(row_sums)
 
@@ -284,19 +325,21 @@ def antidiag_mean_exact(N: int) -> float:
 
     The area ``i * (N - i)`` is even for every ``i`` when ``N`` is odd, and
     for even ``i = 2t`` only when ``N`` is even, giving ``p(t * (N - 2t))``.
+    Both are ``(c^2 - (2k - c)^2) / 2^s`` at ``k = i`` or ``t``: ``c = N, s = 3``
+    for odd ``N`` and ``c = N / 2, s = 1`` for even ``N``, which the cells'
+    arguments take in place, with no temporary array.
     """
     _check_size(N, MEAN_SUM_CEILING, "linear sum")
+    c, s = (N, 3) if N % 2 else (N // 2, 1)
 
-    def fill(lo, k):  # i = lo+1..lo+len(k)
-        _count_from(lo + 1, k)
-        if N % 2:
-            k *= N - k
-            k //= 2
-        else:
-            k *= -2 * k + N  # one temporary: numpy adds N into the product in place
+    def fill(lo, k):  # 2k - c for k = lo+1..lo+len(k), then the argument
+        _count_from(2 * (lo + 1) - c, k, 2)
+        k *= k
+        np.subtract(c * c, k, out=k)
+        k >>= s
 
     count = N - 1 if N % 2 else max(N // 2 - 1, 0)
-    return float(_p_line(count, fill).sum())
+    return _p_sum(count, fill)
 
 
 def hit_constant_estimate(n_max: int) -> float:

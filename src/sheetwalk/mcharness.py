@@ -36,7 +36,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .exactprob import DIAG_LOG_COEFF, delta_mean_exact
+from .exactprob import DIAG_LOG_COEFF, CapacityError, delta_mean_exact
 from .randfield import RademacherField, Seed, StreamKey, field_roots
 from .walkstats import COUNTERS, annulus_counts, diag_zero_counts, sweep_roots, twin_zero_counts
 
@@ -55,6 +55,9 @@ class Statistic(enum.Enum):
 
 
 _BUNDLE_FIELDS = {Statistic(c) for c in COUNTERS}  # the statistics a sweep counts
+
+# replicates x sizes of one result: its values take 80 MB of float64 at the cap
+RESULT_CEILING = 10**7
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,11 @@ class ExperimentConfig:
             raise ValueError(f"grid sizes must be distinct, got {self.sizes}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if self.replicates * len(self.sizes) > RESULT_CEILING:
+            raise CapacityError(
+                f"replicates x sizes capped at {RESULT_CEILING}, "
+                f"got {self.replicates} x {len(self.sizes)}"
+            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not 0 < self.eps < 1:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import StubField
 
-from sheetwalk import cli, exactprob, walkstats
+from sheetwalk import cli, exactprob, mcharness, walkstats
 from sheetwalk.cli import main, render_zero_set
 from sheetwalk.exactprob import gamma_mean_exact
 from sheetwalk.mcharness import usable_cpus
@@ -304,11 +304,58 @@ class TestSimulateCommand:
         assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_delta_fast_past_the_ceiling_exits_3_and_writes_no_raw(self, tmp_path):
-        # a grid edge of 2 * 10**7 + 1 asks for more diagonal points than delta-mean takes
+        # a grid edge of 2 * 10**7 + 1 asks for more diagonal points than delta-mean
+        # takes; diag_zero_counts raises after the output directory was made
         argv = ["simulate", "--stat", "delta-fast", "--sizes", "20000001", "--reps", "1",
                 "--workers", "1", "--out", str(tmp_path / "run")]
         assert main(argv) == 3
-        assert not (tmp_path / "run" / "raw.csv").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_reps_past_the_ceiling_exit_3_before_any_work(self, tmp_path, monkeypatch):
+        # 10**11 replicates once printed numpy's _ArrayMemoryError and exited 1
+        def unrun(*args):
+            raise AssertionError("a worker ran")
+
+        monkeypatch.setattr(mcharness, "_worker_chunk", unrun)
+        argv = ["simulate", "--stat", "gamma", "--sizes", "8", "--reps", "100000000000",
+                "--workers", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert not (tmp_path / "run").exists()
+
+    def _fail_after_mkdir(self, monkeypatch, outdir, error):
+        """Exit code of a ``simulate`` into ``outdir`` whose experiment raises ``error``."""
+        def failing(config):
+            assert outdir.is_dir()  # made before the run, as the lock needs it
+            raise error
+
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        return main(["simulate", "--stat", "gamma", "--sizes", "8", "--reps", "2",
+                     "--workers", "1", "--out", str(outdir)])
+
+    @pytest.mark.parametrize(
+        "error,code", [(exactprob.CapacityError("cap"), 3), (ValueError("usage"), 2)]
+    )
+    def test_a_failed_run_removes_the_directories_it_made(
+        self, tmp_path, monkeypatch, error, code
+    ):
+        assert self._fail_after_mkdir(monkeypatch, tmp_path / "new" / "run", error) == code
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "error,code", [(exactprob.CapacityError("cap"), 3), (ValueError("usage"), 2)]
+    )
+    def test_a_failed_run_leaves_an_existing_directory_as_it_was(
+        self, tmp_path, monkeypatch, error, code
+    ):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "notes.txt").write_text("mine\n")
+        empty = tmp_path / "run" / "empty"
+        empty.mkdir()
+        assert self._fail_after_mkdir(monkeypatch, tmp_path / "run", error) == code
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["empty", "notes.txt"]
+        assert (tmp_path / "run" / "notes.txt").read_text() == "mine\n"
+        assert self._fail_after_mkdir(monkeypatch, empty, error) == code
+        assert empty.is_dir()
 
     @pytest.mark.parametrize("flags", [["--eps", "7"], ["--eps", "0"], ["--radius", "-3"]])
     def test_eps_and_radius_out_of_range_are_usage_errors(self, tmp_path, capsys, flags):

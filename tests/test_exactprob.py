@@ -98,13 +98,18 @@ def test_block_sums_at_the_ceilings_match_the_oracles(monkeypatch, name, N, chun
     assert getattr(ep, name)(N).hex() == want.hex()
 
 
-# traced peaks (MiB) of the block sums at their bench sizes while each sum
-# sized its own blocks; the one block evaluator must not hold more
+# traced peaks (MiB) of the block sums.  The grid sums' bounds are their
+# peaks at their bench sizes while each sum sized its own blocks.  The means
+# hold one leaf of the pairwise tree, 1.97 MiB at 10**6 and 1.24 MiB at the
+# ceiling, where a whole N-long array took 9.20 and 5.88 MiB at 10**6 and
+# 77.9 and 40.2 MiB at the ceiling
 BLOCK_SUM_PEAKS_MIB = {
     ("gamma_mean_exact", 4096): 4.22,
     ("delta_var_exact", 4000): 2.47,
-    ("delta_mean_exact", 10**6): 9.69,
-    ("antidiag_mean_exact", 10**6): 6.38,
+    ("delta_mean_exact", 10**6): 3.0,
+    ("antidiag_mean_exact", 10**6): 3.0,
+    ("delta_mean_exact", ep.MEAN_SUM_CEILING): 3.0,
+    ("antidiag_mean_exact", ep.MEAN_SUM_CEILING): 3.0,
 }
 
 
@@ -118,6 +123,46 @@ def test_block_sums_hold_no_more_than_their_own_blocks_did(name, N):
     finally:
         tracemalloc.stop()
     assert peak <= BLOCK_SUM_PEAKS_MIB[name, N] * 2**20
+
+
+def _tree_sum(values):
+    """``values`` added along ``ep._pairwise``, each leaf summed by ``ndarray.sum``."""
+    at = 0
+
+    def leaf(m):
+        nonlocal at
+        at += m
+        return float(values[at - m : at].sum())
+
+    return ep._pairwise(len(values), leaf)
+
+
+# 131_084 cells first split at 65_536, not at half of them (65_542)
+TREE_LENGTHS = [0, 1, 127, 128, 129, ep.CHUNK_CELLS - 1, ep.CHUNK_CELLS, ep.CHUNK_CELLS + 1,
+                131_084, 1_000_003]
+
+
+@pytest.mark.parametrize("chunk", [1, 200, ep.CHUNK_CELLS])
+@pytest.mark.parametrize("n", TREE_LENGTHS)
+def test_the_tree_walk_adds_as_np_sum_does(monkeypatch, n, chunk):
+    # values over 17 decades whose exact sum nearly cancels: the float sum is
+    # mostly rounding error, so another order of adds, such as a change to
+    # numpy's pairwise_sum, moves its bits (it does at 131_084 cells)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    values = v - rng.permutation(v)
+    monkeypatch.setattr(ep, "CHUNK_CELLS", chunk)  # 1: leaves of numpy's 128 cells
+    assert _tree_sum(values).hex() == float(values.sum()).hex()
+
+
+@pytest.mark.parametrize("n", TREE_LENGTHS)
+def test_p_sum_is_np_sum_of_the_whole_array(n):
+    args = np.random.default_rng(n).integers(0, 3 * ep.EXACT_CEILING, n)  # table and series
+
+    def fill(lo, k):
+        np.copyto(k, args[lo : lo + len(k)])
+
+    assert ep._p_sum(n, fill).hex() == float(ep.p_float_vec(args).sum()).hex()
 
 
 class TestTableMemory:
@@ -341,8 +386,8 @@ class TestDiagonalMoments:
 
 @pytest.mark.parametrize("name", ["delta_mean_exact", "antidiag_mean_exact"])
 def test_linear_sums_stop_at_the_ceiling(name):
-    # past it the N-long output array runs out of memory, and past
-    # N ~ 2.1e9 the diagonal areas 2 i^2 wrap int64
+    # the sums hold one leaf of cells at any N, but their time grows with N,
+    # and past N ~ 2.1e9 the diagonal areas 2 i^2 wrap int64
     with pytest.raises(ep.CapacityError, match="N=10000000, got 10000001"):
         getattr(ep, name)(ep.MEAN_SUM_CEILING + 1)
 
@@ -413,6 +458,7 @@ SUM_PINS = {
         65536: "0x1.280c229522e9bp+2",
         65537: "0x1.280c3c1d4e956p+2",
         1_000_000: "0x1.6da0714ef40edp+2",
+        10_000_000: "0x1.a86ac21e72b79p+2",
     },
     "antidiag_mean_exact": {
         0: "0x0.0p+0",
@@ -423,6 +469,7 @@ SUM_PINS = {
         65536: "0x1.3f3358f8b2340p+0",
         65537: "0x1.3faee7cd2eb11p+1",
         1_000_000: "0x1.406d33ed5acd6p+0",
+        10_000_000: "0x1.40b70b8b9e4f0p+0",
     },
     "hit_constant_estimate": {
         1: "0x1.0000000000000p+0",

@@ -15,7 +15,7 @@ from sheetwalk.mcharness import (
     run_experiment,
     summarize,
 )
-from sheetwalk.exactprob import delta_mean_exact
+from sheetwalk.exactprob import CapacityError, delta_mean_exact
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
 from sheetwalk.walkstats import brute_force_bundle, sweep_grid, tile_shape
 
@@ -77,6 +77,15 @@ class TestRunExperiment:
     def test_config_validation(self, bad):
         with pytest.raises(ValueError):
             config(**bad)
+
+    def test_result_ceiling_is_capacity_before_any_work(self, monkeypatch):
+        def unrun(*args):
+            raise AssertionError("a worker ran")
+
+        monkeypatch.setattr(mcharness, "_worker_chunk", unrun)
+        config(sizes=(8, 16), replicates=mcharness.RESULT_CEILING // 2)  # at the cap
+        with pytest.raises(CapacityError, match="capped at 10000000, got 5000001 x 2"):
+            run_experiment(config(sizes=(8, 16), replicates=mcharness.RESULT_CEILING // 2 + 1))
 
     def test_blocks_that_do_not_divide_the_replicates(self):
         sizes = (64, 40)

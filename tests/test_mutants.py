@@ -112,6 +112,37 @@ class TestPFillTableBelowTheCeiling:
             )
 
 
+class TestPairwiseSplitUnaligned:
+    """Mutant of :func:`exactprob._pairwise`: a run splits at ``n // 2``, not rounded down to 8.
+
+    numpy still sums every leaf, so only the adds above the leaves move:
+    every mean pinned at 10**6 and below keeps its bits, and of the pins
+    only ``delta_mean_exact`` at the ceiling sees it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        split = "h = n // 2 - n // 2 % 8"
+        mutant = _edited("_pairwise", split, "h = n // 2", module=exactprob)
+        monkeypatch.setattr(exactprob, "_pairwise", mutant)
+
+    def test_killed_by_the_delta_mean_pin_at_the_ceiling(self):
+        with pytest.raises(AssertionError):
+            test_exactprob.test_sum_bits_are_pinned("delta_mean_exact", exactprob.MEAN_SUM_CEILING)
+
+    def test_killed_by_the_tree_walk(self, monkeypatch):
+        with pytest.raises(AssertionError):
+            test_exactprob.test_the_tree_walk_adds_as_np_sum_does(
+                monkeypatch, 131_084, exactprob.CHUNK_CELLS
+            )
+
+    def test_survives_the_other_mean_pins(self):
+        for name in ("delta_mean_exact", "antidiag_mean_exact"):
+            for n in test_exactprob.SUM_PINS[name]:
+                if (name, n) != ("delta_mean_exact", exactprob.MEAN_SUM_CEILING):
+                    test_exactprob.test_sum_bits_are_pinned(name, n)
+
+
 class TestAuditRowsEdgeZeroKept:
     """Survives check 9 on real fields: its lower sandwich bound never binds there."""
 
@@ -179,7 +210,11 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     monkeypatch.setattr(exactprob, "_TABLE", None)
     mask = "np.less_equal("
     monkeypatch.setattr(exactprob, "_p_blocks", _edited("_p_blocks", mask, mask, module=exactprob))
+    split = "h = n // 2 - n // 2 % 8"
+    monkeypatch.setattr(exactprob, "_pairwise", _edited("_pairwise", split, split, module=exactprob))
     test_exactprob.test_sum_bits_are_pinned("gamma_mean_exact", exactprob.GAMMA_SUM_CEILING)
+    test_exactprob.test_sum_bits_are_pinned("delta_mean_exact", exactprob.MEAN_SUM_CEILING)
+    test_exactprob.test_the_tree_walk_adds_as_np_sum_does(monkeypatch, 131_084, exactprob.CHUNK_CELLS)
     assert checks._check_oracle_equivalence("quick", 1)[0]
     assert checks._check_return_probability("quick", 1)[0]
     test_walkstats.test_band_seams_equal_brute_force((65, 70))
