@@ -9,11 +9,12 @@ bounds in this suite are unattainable as committed (the README's
 verification section carries the analysis) and stay red by design; they
 are listed in :data:`EXPECTED_RED`.
 
-Checks 7-9 share one pass over check 8's grids: each grid is swept once
-for its zero count and its crossings, and its crossing decomposition is
-audited in the same sweep.  Check 7 reads its Monte Carlo zero counts
-from that pass, check 8 its crossings and check 9 its audit verdict.  The
-first of them to run in a :func:`run_checks` call makes the pass.
+Each check reads the run object of its :func:`run_checks` call, which
+holds the one pass checks 7-9 share over check 8's grids: each grid is
+swept once for its zero count and its crossings, and audited in the same
+sweep.  Check 7 reads its zero counts, check 8 its crossings and check 9
+its audit verdict.  The pass belongs to the run: the first of the three
+to read it makes it, and it ends with the :func:`run_checks` call.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -70,6 +72,32 @@ class CheckResult:
     detail: str
 
 
+@dataclass(frozen=True)
+class _Run:
+    """One :func:`run_checks` call: what every check reads of it."""
+
+    level: str
+    workers: int
+
+    def __post_init__(self) -> None:
+        if self.level not in ("quick", "full"):
+            raise ValueError(f"level must be 'quick' or 'full', got {self.level!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+
+    @cached_property
+    def audited(self) -> tuple[ExperimentResult, ExperimentResult, bool]:
+        """Check 8's grids swept once: the results of ``run_experiment`` with
+        statistic ``GAMMA`` and ``Z_CROSSINGS``, and the audit verdict."""
+        config = _full_crossing_config(self.level, self.workers)
+        gamma, crossings, oks = zip(*map_workers(_audited_chunk, config))
+        return (
+            assemble_result(replace(config, statistic=Statistic.GAMMA), gamma),
+            assemble_result(replace(config, statistic=Statistic.Z_CROSSINGS), crossings),
+            all(oks),
+        )
+
+
 # --------------------------------------------------------------- check 1
 
 
@@ -88,9 +116,9 @@ def _rebuild_dyadic(limit: int) -> Iterator[tuple[int, int]]:
         yield num, exp
 
 
-def _check_return_probability(level: str, workers: int) -> tuple[bool, str]:
-    limit = exactprob.EXACT_CEILING if level == "full" else 2000
-    ident_limit = 1000 if level == "full" else 200
+def _check_return_probability(run: _Run) -> tuple[bool, str]:
+    limit = exactprob.EXACT_CEILING if run.level == "full" else 2000
+    ident_limit = 1000 if run.level == "full" else 200
     samples = {*range(51), 509, 997, limit}
     # one pass over the oracle's pairs and the generator's, so no pair is
     # held; a Fraction is built only at the n a closed form or identity reads
@@ -122,8 +150,8 @@ def _check_return_probability(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 2
 
 
-def _check_wallis_envelope(level: str, workers: int) -> tuple[bool, str]:
-    limit = 10_000 if level == "full" else 2000
+def _check_wallis_envelope(run: _Run) -> tuple[bool, str]:
+    limit = 10_000 if run.level == "full" else 2000
     n = np.arange(1, limit + 1, dtype=np.int64)
     defect = p_float_vec(n) * np.sqrt(np.pi * n) - (1.0 - 1.0 / (8.0 * n))
     scaled = defect * n.astype(np.float64) ** 2
@@ -138,9 +166,9 @@ def _check_wallis_envelope(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 3
 
 
-def _check_difference_window(level: str, workers: int) -> tuple[bool, str]:
-    mono_limit = 1_000_000 if level == "full" else 100_000
-    window_hi = 10_000 if level == "full" else 2000
+def _check_difference_window(run: _Run) -> tuple[bool, str]:
+    mono_limit = 1_000_000 if run.level == "full" else 100_000
+    window_hi = 10_000 if run.level == "full" else 2000
     # n and n + 1 for n = 0..mono_limit, CHUNK_CELLS cells at a time; each
     # chunk starts on the last cell of the one before
     step = exactprob.CHUNK_CELLS - 1
@@ -169,8 +197,8 @@ def _check_difference_window(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 4
 
 
-def _check_diagonal_mean_law(level: str, workers: int) -> tuple[bool, str]:
-    if level == "full":
+def _check_diagonal_mean_law(run: _Run) -> tuple[bool, str]:
+    if run.level == "full":
         chain = [100 * 2**k for k in range(10)]  # 100 .. 51200
         ratio_at = 10**6
     else:
@@ -193,8 +221,8 @@ def _check_diagonal_mean_law(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 5
 
 
-def _check_diagonal_variance_band(level: str, workers: int) -> tuple[bool, str]:
-    sizes = (10, 100, 1000, 2000) if level == "full" else (10, 100, 1000)
+def _check_diagonal_variance_band(run: _Run) -> tuple[bool, str]:
+    sizes = (10, 100, 1000, 2000) if run.level == "full" else (10, 100, 1000)
     gaps = {
         n: abs(delta_var_exact(n) - DIAG_LOG_COEFF * math.log(n)) for n in sizes
     }
@@ -215,10 +243,10 @@ def _check_diagonal_variance_band(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 6
 
 
-def _check_fastpath_consistency(level: str, workers: int) -> tuple[bool, str]:
-    points, reps = (10_000, 2000) if level == "full" else (2000, 500)
+def _check_fastpath_consistency(run: _Run) -> tuple[bool, str]:
+    points, reps = (10_000, 2000) if run.level == "full" else (2000, 500)
     (row,) = delta_log_law_report(
-        [points], replicates=reps, seed=Seed(11), workers=workers
+        [points], replicates=reps, seed=Seed(11), workers=run.workers
     )
     z = (row.mc_mean - row.exact_mean) / row.mc_stderr
     ok = abs(z) <= 4.0
@@ -230,11 +258,18 @@ def _check_fastpath_consistency(level: str, workers: int) -> tuple[bool, str]:
 
 # ------------------------------------------------- checks 7-9: one pass
 
-#: Check 8's audited run by config, so checks 7 and 9 read the pass it
-#: makes: its gamma values, its crossing values and the audit verdict of
-#: its grids.  A dict only during a :func:`run_checks` call; outside one it
-#: is ``None`` and every audited run sweeps.
-_AUDITED: dict[ExperimentConfig, tuple[ExperimentResult, ExperimentResult, bool]] | None = None
+
+def _full_crossing_config(level: str, workers: int) -> ExperimentConfig:
+    sizes, replicates = (
+        ((128, 256, 512, 1024), 200) if level == "full" else ((64, 128, 256, 512), 60)
+    )
+    return ExperimentConfig(
+        statistic=Statistic.Z_CROSSINGS,
+        sizes=sizes,
+        replicates=replicates,
+        seed=Seed(1),
+        workers=workers,
+    )
 
 
 def _audited_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[
@@ -249,36 +284,15 @@ def _audited_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[
     return (mine, values["gamma"]), (mine, values["z_crossings"]), bool(ok.all())
 
 
-def _audited_run(
-    config: ExperimentConfig,
-) -> tuple[ExperimentResult, ExperimentResult, bool]:
-    """The gamma and crossing results of the config's grids, plus their audit.
-
-    The results equal ``run_experiment`` of the config with statistic
-    ``GAMMA`` and ``Z_CROSSINGS``.  Within a :func:`run_checks` call,
-    later calls with the same config read the memo; outside one, every
-    call sweeps.
-    """
-    memo = {} if _AUDITED is None else _AUDITED
-    if config not in memo:
-        gamma, crossings, oks = zip(*map_workers(_audited_chunk, config))
-        memo[config] = (
-            assemble_result(replace(config, statistic=Statistic.GAMMA), gamma),
-            assemble_result(replace(config, statistic=Statistic.Z_CROSSINGS), crossings),
-            all(oks),
-        )
-    return memo[config]
-
-
 # --------------------------------------------------------------- check 7
 
 
-def _check_zero_count_scaling(level: str, workers: int) -> tuple[bool, str]:
+def _check_zero_count_scaling(run: _Run) -> tuple[bool, str]:
     sizes = tuple(2**k for k in range(6, 11))
     exact = {n: gamma_mean_exact(n) for n in sizes}
     fit = estimate_exponent(sizes, list(exact.values()))
-    config = _full_crossing_config(level, workers)
-    gamma, _, _ = _audited_run(config)
+    gamma, _, _ = run.audited
+    config = gamma.config
     top = max(config.sizes)  # 1024 at full, 512 at quick
     ratio = gamma.summaries[top].mean / exact[top]
     slope_ok = 0.97 <= fit.slope <= 1.03
@@ -299,27 +313,9 @@ def _check_zero_count_scaling(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 8
 
 
-def _full_crossing_config(level: str, workers: int) -> ExperimentConfig:
-    if level == "full":
-        return ExperimentConfig(
-            statistic=Statistic.Z_CROSSINGS,
-            sizes=(128, 256, 512, 1024),
-            replicates=200,
-            seed=Seed(1),
-            workers=workers,
-        )
-    return ExperimentConfig(
-        statistic=Statistic.Z_CROSSINGS,
-        sizes=(64, 128, 256, 512),
-        replicates=60,
-        seed=Seed(1),
-        workers=workers,
-    )
-
-
-def _check_crossing_count_scaling(level: str, workers: int) -> tuple[bool, str]:
-    config = _full_crossing_config(level, workers)
-    _, result, _ = _audited_run(config)
+def _check_crossing_count_scaling(run: _Run) -> tuple[bool, str]:
+    _, result, _ = run.audited
+    config = result.config
     means = [result.summaries[n].mean for n in config.sizes]
     fit = estimate_exponent(config.sizes, means)
     ok = 1.40 <= fit.slope <= 1.60
@@ -332,10 +328,10 @@ def _check_crossing_count_scaling(level: str, workers: int) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 9
 
 
-def _check_crossing_decomposition(level: str, workers: int) -> tuple[bool, str]:
+def _check_crossing_decomposition(run: _Run) -> tuple[bool, str]:
     # audits exactly the grids swept for checks 7 and 8, in their one pass;
     # run without them, it makes that pass itself
-    _, result, ok = _audited_run(_full_crossing_config(level, workers))
+    _, result, ok = run.audited
     grids = sum(vals.size for vals in result.values.values())
     return ok, (
         f"crossing total equals profile sum and zero-touch counts are "
@@ -369,8 +365,8 @@ def _recount_twins(field, eps: float, N: int, radius: int) -> int:
     return count
 
 
-def _check_oracle_equivalence(level: str, workers: int) -> tuple[bool, str]:
-    seeds = 50 if level == "full" else 12
+def _check_oracle_equivalence(run: _Run) -> tuple[bool, str]:
+    seeds = 50 if run.level == "full" else 12
     sizes = (5, 8, 12, 17, 24)
     ok = True
     wide = (seeds, 70)  # rows of 70 cells span two of the row fold's 64-cell blocks
@@ -406,9 +402,9 @@ def _check_oracle_equivalence(level: str, workers: int) -> tuple[bool, str]:
 # -------------------------------------------------------------- check 11
 
 
-def _check_antidiagonal_constant(level: str, workers: int) -> tuple[bool, str]:
+def _check_antidiagonal_constant(run: _Run) -> tuple[bool, str]:
     # the anti-diagonal mean stays bounded: ~N/2 admissible cells, each ~c/N
-    ms = (250, 500, 1000, 2000) if level == "full" else (250, 500, 1000)
+    ms = (250, 500, 1000, 2000) if run.level == "full" else (250, 500, 1000)
     values = [antidiag_mean_exact(2 * m) for m in ms]
     gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     cauchy_ok = all(g <= 0.01 for g in gaps)
@@ -437,7 +433,7 @@ def _check_antidiagonal_constant(level: str, workers: int) -> tuple[bool, str]:
 # -------------------------------------------------------------- check 12
 
 
-def _check_hitting_floor(level: str, workers: int) -> tuple[bool, str]:
+def _check_hitting_floor(run: _Run) -> tuple[bool, str]:
     # The estimate reads exactly 1.0 at every n_max: its minimum is always the
     # n = 1, x = 2 term, sqrt(1) * P(S = 2 | S >= 2) = 1 for a sum of 2 signs.
     # The smallest term over n >= 2 is 1.1314, at (n, x) = (2, 2), so the
@@ -450,11 +446,11 @@ def _check_hitting_floor(level: str, workers: int) -> tuple[bool, str]:
 # -------------------------------------------------------------- check 13
 
 
-def _check_determinism(level: str, workers: int) -> tuple[bool, str]:
+def _check_determinism(run: _Run) -> tuple[bool, str]:
     from . import cli  # deferred: cli imports this module for cmd_verify
 
-    worker_counts = (1, 2, 8) if level == "full" else (1, 2)
-    render_n = 256 if level == "full" else 128
+    worker_counts = (1, 2, 8) if run.level == "full" else (1, 2)
+    render_n = 256 if run.level == "full" else 128
     raws = []
     ok = True
     with TemporaryDirectory() as tmp:
@@ -530,33 +526,31 @@ def check_names() -> tuple[str, ...]:
 def run_checks(
     level: str = "full", workers: int = 1, names: set[str] | None = None
 ) -> list[CheckResult]:
-    if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    global _AUDITED
+    run = _Run(level, workers)
+    if names is not None:
+        unknown = sorted(set(names) - set(check_names()))
+        if unknown:
+            raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
+        if not names:
+            raise ValueError("no check selected")
     results = []
-    _AUDITED = {}  # a memo shared across calls would skip their sweeps
-    try:
-        for index, (name, func) in enumerate(_CHECKS, start=1):
-            if names is not None and name not in names:
-                continue
-            start = time.perf_counter()
-            try:
-                passed, detail = func(level, workers)
-            except Exception as exc:  # a crashed check is a failed check
-                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-            results.append(
-                CheckResult(
-                    index=index,
-                    name=name,
-                    passed=passed,
-                    seconds=time.perf_counter() - start,
-                    detail=detail,
-                )
+    for index, (name, func) in enumerate(_CHECKS, start=1):
+        if names is not None and name not in names:
+            continue
+        start = time.perf_counter()
+        try:
+            passed, detail = func(run)
+        except Exception as exc:  # a crashed check is a failed check
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(
+            CheckResult(
+                index=index,
+                name=name,
+                passed=passed,
+                seconds=time.perf_counter() - start,
+                detail=detail,
             )
-    finally:
-        _AUDITED = None
+        )
     return results
 
 

@@ -216,12 +216,17 @@ def estimate_exponent(
 
     Nonpositive means cannot enter a log fit; they are dropped with a
     warning.  ``drop_below`` additionally excludes sizes under a floor
-    (small-size transients).  Fewer than two surviving points is an error.
+    (small-size transients).  Non-finite values, sizes below 1 and fewer
+    than two distinct surviving sizes are errors.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)
     if sizes.shape != means.shape or sizes.ndim != 1:
         raise ValueError("sizes and means must be 1-d and the same length")
+    if not (np.isfinite(sizes).all() and np.isfinite(means).all()):
+        raise ValueError("sizes and means must be finite")
+    if (sizes < 1).any():
+        raise ValueError(f"sizes must be >= 1, got {sizes.min():g}")
     keep = np.ones(sizes.size, dtype=bool)
     if drop_below is not None:
         keep &= sizes >= drop_below
@@ -232,8 +237,8 @@ def estimate_exponent(
             stacklevel=2,
         )
         keep &= means > 0
-    if keep.sum() < 2:
-        raise ValueError("need at least two positive points to fit a slope")
+    if np.unique(sizes[keep]).size < 2:
+        raise ValueError("need positive means at two distinct sizes to fit a slope")
     x = np.log(sizes[keep])
     y = np.log(means[keep])
     dx = x - x.mean()

@@ -70,7 +70,7 @@ def test_criterion(full_results, name):
 
 
 def test_a_crashed_expected_red_check_fails_the_gate(monkeypatch):
-    def crash(level, workers):
+    def crash(run):
         raise RuntimeError("injected")
 
     patched = tuple(
@@ -111,30 +111,29 @@ def _zero_count_config(level, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("make", [_zero_count_config, checks._full_crossing_config])
 def test_audited_run_equals_run_experiment(make, workers, inline_pool):
-    # one audited pass gives both statistics, each equal to its own plain run,
-    # whichever of the two statistics the config names
+    # the run's one audited pass gives what check 7 reads (gamma) and what
+    # check 8 reads (crossings); each equals the plain run of that check's config
     config = make("quick", workers)
-    gamma, crossings, ok = checks._audited_run(config)
+    gamma, crossings, ok = checks._Run("quick", workers).audited
     assert ok
     assert inline_pool == ([2] if workers == 2 else [])  # one pool for both
-    for audited, stat in ((gamma, Statistic.GAMMA), (crossings, Statistic.Z_CROSSINGS)):
-        plain = run_experiment(dataclasses.replace(config, statistic=stat))
-        assert audited.config == plain.config
-        assert list(audited.values) == list(plain.values) == list(config.sizes)
-        for n in config.sizes:
-            assert np.array_equal(audited.values[n], plain.values[n])
-            assert audited.summaries[n] == plain.summaries[n]
-    assert inline_pool == ([2] * 3 if workers == 2 else [])  # one pool per run
+    audited = gamma if config.statistic is Statistic.GAMMA else crossings
+    plain = run_experiment(config)
+    assert audited.config == plain.config == config
+    assert list(audited.values) == list(plain.values) == list(config.sizes)
+    for n in config.sizes:
+        assert np.array_equal(audited.values[n], plain.values[n])
+        assert audited.summaries[n] == plain.summaries[n]
+    assert inline_pool == ([2] * 2 if workers == 2 else [])  # one pool per run
 
 
 def test_each_verify_call_sweeps_its_grids_again(inline_pool):
-    # checks 7-9 share one pass, made by the first of them to run; the memo
-    # does not outlive the call, so a second call sweeps again
+    # checks 7-9 share one pass, made by the first of them to run; the pass
+    # belongs to the call's run, so a second call sweeps again
     first = run_checks(level="quick", workers=2, names=SHARED_PASS)
     assert inline_pool == [2]
     second = run_checks(level="quick", workers=2, names=SHARED_PASS)
     assert inline_pool == [2] * 2
-    assert checks._AUDITED is None
     assert [(r.passed, r.detail) for r in first] == [(r.passed, r.detail) for r in second]
     # run alone, check 9 sweeps the same grids itself, to the same verdict
     (alone,) = run_checks(level="quick", workers=2, names={"crossing-decomposition"})
@@ -144,9 +143,9 @@ def test_each_verify_call_sweeps_its_grids_again(inline_pool):
 
 
 def test_a_direct_call_of_check_9_sweeps_again(monkeypatch):
-    # outside run_checks there is no memo: a second direct call sweeps its
-    # grids again, so audit verdicts that turned red since are seen
-    assert checks._check_crossing_decomposition("quick", 1)[0]
+    # a direct call with a fresh run sweeps its grids again, so audit
+    # verdicts that turned red since are seen
+    assert checks._check_crossing_decomposition(checks._Run("quick", 1))[0]
     real = checks.audit_roots
 
     def all_red(roots, sizes, counters):
@@ -154,33 +153,69 @@ def test_a_direct_call_of_check_9_sweeps_again(monkeypatch):
         return values, np.zeros_like(ok)
 
     monkeypatch.setattr(checks, "audit_roots", all_red)
-    assert not checks._check_crossing_decomposition("quick", 1)[0]
+    assert not checks._check_crossing_decomposition(checks._Run("quick", 1))[0]
 
 
-def test_the_memo_is_emptied_when_a_check_aborts(monkeypatch):
+def test_a_verify_call_after_an_aborted_one_sweeps_again(monkeypatch, inline_pool):
+    # check 7 makes the pass, then check 9 aborts the call; the pass went
+    # with that call's run, so the next call makes its own
     class Abort(BaseException):
         pass
 
-    def abort(level, workers):
-        assert checks._AUDITED  # check 7 has filled it
+    def abort(run):
         raise Abort
 
+    original = checks._CHECKS
     patched = tuple(
-        (name, abort if name == "crossing-decomposition" else func)
-        for name, func in checks._CHECKS
+        (name, abort if name == "crossing-decomposition" else func) for name, func in original
     )
     monkeypatch.setattr(checks, "_CHECKS", patched)
     with pytest.raises(Abort):
-        run_checks(level="quick", names={"zero-count-scaling", "crossing-decomposition"})
-    assert checks._AUDITED is None
+        run_checks(level="quick", workers=2, names=SHARED_PASS)
+    assert inline_pool == [2]
+    monkeypatch.setattr(checks, "_CHECKS", original)
+    (alone,) = run_checks(level="quick", workers=2, names={"crossing-decomposition"})
+    assert inline_pool == [2] * 2
+    assert alone.passed and "240 grids" in alone.detail
+
+
+def _unrun(run):
+    raise AssertionError("a check ran")
 
 
 @pytest.mark.parametrize("workers", [0, -2])
 def test_nonpositive_workers_are_rejected_before_any_check(monkeypatch, workers):
     # rejected at entry, like a bad level: no check runs and no pool starts
-    def unrun(level, workers):
-        raise AssertionError("a check ran")
-
-    monkeypatch.setattr(checks, "_CHECKS", tuple((name, unrun) for name, _ in checks._CHECKS))
+    monkeypatch.setattr(checks, "_CHECKS", tuple((name, _unrun) for name, _ in checks._CHECKS))
     with pytest.raises(ValueError, match="workers must be >= 1, got"):
         run_checks(level="quick", workers=workers)
+
+
+@pytest.mark.parametrize(
+    "level, workers, message",
+    [
+        ("FULL", 1, "level must be 'quick' or 'full', got 'FULL'"),
+        ("quick", 0, "workers must be >= 1, got 0"),
+    ],
+    ids=["FULL", "no-workers"],
+)
+def test_a_run_rejects_a_bad_level_or_worker_count(level, workers, message):
+    # so a direct check call cannot fall back to the quick sizes on a typo
+    with pytest.raises(ValueError, match=message):
+        checks._Run(level, workers)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ({"no-such-check"}, r"unknown check name\(s\): no-such-check$"),
+        ({"hitting-floor", "hitting_floor"}, r"unknown check name\(s\): hitting_floor$"),
+        (set(), "no check selected"),
+    ],
+    ids=["unknown", "one-unknown", "empty"],
+)
+def test_run_checks_rejects_a_bad_selection_before_any_check(monkeypatch, names, message):
+    # an empty result list has no report: format_report would fail on it
+    monkeypatch.setattr(checks, "_CHECKS", tuple((name, _unrun) for name, _ in checks._CHECKS))
+    with pytest.raises(ValueError, match=message):
+        run_checks(level="quick", names=names)

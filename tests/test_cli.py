@@ -589,6 +589,29 @@ class TestEstimateCommand:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(8, 8.0), (8, 9.0)], "two distinct sizes"),  # sxx would be 0
+            ([(8, "nan"), (16, 16.0), (32, 32.0)], "must be finite"),  # not valid JSON
+            ([(8, 8.0), (16, "inf")], "must be finite"),
+            ([(0, 1.0), (16, 16.0)], "sizes must be >= 1"),  # log(0)
+        ],
+        ids=["one-size", "nan-mean", "inf-mean", "zero-size"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_unfittable_summary_is_usage_error(self, tmp_path, capsys, rows, message, to_file):
+        path = tmp_path / "summary.csv"
+        self.write_summary(path, rows)
+        out = tmp_path / "fit.json"
+        argv = ["estimate", "--summary", str(path)] + (["--out", str(out)] if to_file else [])
+        assert main(argv) == 2  # pytest makes a numpy RuntimeWarning an error
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sheetwalk: invalid input: ")
+        assert message in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["estimate", "--summary", str(tmp_path / "nope.csv")]) == 4
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetwalk import exactprob as ep
-from sheetwalk.checks import _check_return_probability, _rebuild_dyadic
+from sheetwalk.checks import _check_return_probability, _rebuild_dyadic, _Run
 from sheetwalk.cli import main
 
 
@@ -218,7 +218,8 @@ class TestTableMemory:
             assert (int(index), num, den) == (n, p.numerator, p.denominator)
 
     def test_check_1_at_full_streams(self, monkeypatch):
-        (ok, _), peak = self._traced(monkeypatch, lambda: _check_return_probability("full", 1))
+        run = _Run("full", 1)
+        (ok, _), peak = self._traced(monkeypatch, lambda: _check_return_probability(run))
         assert (ok, peak < 2**20) == (True, True)
 
 

@@ -72,7 +72,7 @@ class TestSignRowsColumnsFromZero:
             run(seed=3, replicates=[0, 5], start=7, rows=2, count=4)
 
     def test_killed_by_check_10(self):
-        ok, _ = checks._check_oracle_equivalence("quick", 1)
+        ok, _ = checks._check_oracle_equivalence(checks._Run("quick", 1))
         assert not ok
 
 
@@ -215,8 +215,8 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     test_exactprob.test_sum_bits_are_pinned("gamma_mean_exact", exactprob.GAMMA_SUM_CEILING)
     test_exactprob.test_sum_bits_are_pinned("delta_mean_exact", exactprob.MEAN_SUM_CEILING)
     test_exactprob.test_the_tree_walk_adds_as_np_sum_does(monkeypatch, 131_084, exactprob.CHUNK_CELLS)
-    assert checks._check_oracle_equivalence("quick", 1)[0]
-    assert checks._check_return_probability("quick", 1)[0]
+    assert checks._check_oracle_equivalence(checks._Run("quick", 1))[0]
+    assert checks._check_return_probability(checks._Run("quick", 1))[0]
     test_walkstats.test_band_seams_equal_brute_force((65, 70))
     test_walkstats.test_band_seams_equal_brute_force((9, 70))
     test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
@@ -238,7 +238,7 @@ class TestSweepBlockEdits:
         monkeypatch.setattr(walkstats, name, _edited(name, old, new))
 
     def test_killed_by_check_10(self):
-        ok, _ = checks._check_oracle_equivalence("quick", 1)
+        ok, _ = checks._check_oracle_equivalence(checks._Run("quick", 1))
         assert not ok
 
     def test_killed_by_the_frozen_example(self):
@@ -318,7 +318,7 @@ class TestTableWithoutTheStickyBit:
             test_exactprob.TestReturnProbExact().test_table_floats_are_the_rounded_quotients()
 
     def test_killed_by_check_1(self):
-        assert not checks._check_return_probability("quick", 1)[0]
+        assert not checks._check_return_probability(checks._Run("quick", 1))[0]
 
 
 class TestCarryRowNotAdded:
@@ -340,7 +340,7 @@ class TestCarryRowNotAdded:
 
     def test_killed_by_check_10(self):
         # its block of 14 grids of N = 70 is read in tiles of 65 + 5 rows
-        assert not checks._check_oracle_equivalence("quick", 1)[0]
+        assert not checks._check_oracle_equivalence(checks._Run("quick", 1))[0]
 
 
 class TestShortBlockKeepsTheFullHeight:
@@ -387,7 +387,7 @@ class TestRowFoldBlockCarryDropped:
 
     def test_killed_by_check_10(self):
         # its N = 70 grid has rows of two fold blocks
-        assert not checks._check_oracle_equivalence("quick", 1)[0]
+        assert not checks._check_oracle_equivalence(checks._Run("quick", 1))[0]
 
 
 class TestSharedPassFilesCrossingsAsGamma:
