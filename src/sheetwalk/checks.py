@@ -169,8 +169,10 @@ def _check_wallis_envelope(run: _Run) -> tuple[bool, str]:
 def _check_difference_window(run: _Run) -> tuple[bool, str]:
     mono_limit = 1_000_000 if run.level == "full" else 100_000
     window_hi = 10_000 if run.level == "full" else 2000
-    # n and n + 1 for n = 0..mono_limit, CHUNK_CELLS cells at a time; each
-    # chunk starts on the last cell of the one before
+    # n and n + 1 for n = 0..mono_limit, CHUNK_CELLS cells at a time, so each
+    # p_float_vec call is one evaluator block (about 0.5 MiB of scratch; 62
+    # calls at full) and no mono_limit-long array is held; each chunk starts
+    # on the last cell of the one before
     step = exactprob.CHUNK_CELLS - 1
     decreasing = True
     for lo in range(0, mono_limit + 1, step):

@@ -30,7 +30,7 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -74,6 +74,24 @@ def _digits(k: int) -> str:
     return str(decimal.Decimal(k))
 
 
+def _fractions(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """``num/2**exp`` in decimal digits for each ``(num, exp)`` of ``pairs``.
+
+    The denominator is carried as an exact ``Decimal``: each row multiplies
+    the one before by ``2**(exp - previous exp)``, which costs far less
+    than converting ``1 << exp`` from binary.  The context has the largest
+    precision and exponent and traps any rounding, so a digit that could
+    not be kept raises rather than being lost.
+    """
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+    )
+    den, last = decimal.Decimal(1), 0
+    for num, exp in pairs:
+        den, last = exact.multiply(den, 1 << (exp - last)), exp
+        yield f"{_digits(num)}/{den}"
+
+
 @contextlib.contextmanager
 def _atomic_file(path: Path | str, mode: str = "wb", **kwargs):
     """A handle on a temporary file that replaces ``path`` once the block completes.
@@ -109,11 +127,14 @@ def _write_csv(target: Path | str | None, header: str, rows: Iterable) -> None:
     """Write ``header`` and ``rows`` to ``target`` through :func:`_destination`.
 
     Each row is written as it is formatted, so ``rows`` may be a generator
-    and the table is never held in memory whole.
+    and the table is never held in memory whole.  Every field is a number
+    or a fraction of digits, which needs no quoting, so fields are joined
+    with commas as they stand: ``csv.writer`` took 1.1 s to scan the 60 MB
+    of ``exact pn --rational`` digits for characters to quote.
     """
     with _destination(target) as handle:
         handle.write(header + "\n")
-        csv.writer(handle, lineterminator="\n").writerows(rows)
+        handle.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_json(target: Path | str | None, payload: dict) -> None:
@@ -221,10 +242,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             )
         if args.rational:
             pairs = itertools.islice(exactprob.dyadic_pairs(), args.max + 1)
-            rows = (
-                (n, f"{_digits(num)}/{_digits(1 << exp)}")
-                for n, (num, exp) in enumerate(pairs)
-            )
+            rows = enumerate(_fractions(pairs))
         else:
             floats = exactprob._table().float_values[: args.max + 1].tolist()
             rows = ((n, _fmt15(p)) for n, p in enumerate(floats))

@@ -87,29 +87,33 @@ def test_block_sums_are_bit_identical_to_the_per_row_oracles(name, N, chunk):
     assert got.hex() == want.hex()
 
 
-@pytest.mark.parametrize("chunk", [ep.CHUNK_CELLS, 1000])
+@pytest.mark.parametrize("chunk", [2**16, ep.CHUNK_CELLS, 1000])
 @pytest.mark.parametrize(
     "name,N",
     [("gamma_mean_exact", ep.GAMMA_SUM_CEILING), ("delta_var_exact", ep.VAR_SUM_CEILING)],
 )
 def test_block_sums_at_the_ceilings_match_the_oracles(monkeypatch, name, N, chunk):
     want = _ORACLES[name](N)
-    monkeypatch.setattr(ep, "CHUNK_CELLS", chunk)  # 1000: each wide row is its own block
+    # 2**16: blocks of 16 gamma rows, four times the module's; 1000: each
+    # wide row is its own block
+    monkeypatch.setattr(ep, "CHUNK_CELLS", chunk)
     assert getattr(ep, name)(N).hex() == want.hex()
 
 
-# traced peaks (MiB) of the block sums.  The grid sums' bounds are their
-# peaks at their bench sizes while each sum sized its own blocks.  The means
-# hold one leaf of the pairwise tree, 1.97 MiB at 10**6 and 1.24 MiB at the
-# ceiling, where a whole N-long array took 9.20 and 5.88 MiB at 10**6 and
-# 77.9 and 40.2 MiB at the ceiling
+# traced peaks (MiB) of the block sums, each bound 20% over the peak taken
+# at CHUNK_CELLS = 2**14: gamma_mean_exact(4096) 0.95, delta_var_exact(4000)
+# 0.76, the means 0.50 at 10**6 and 0.39 (delta) and 0.34 (antidiag) at the
+# ceiling.  Blocks of 2**15 cells take 1.68, 1.26, 0.99, 0.66 and 0.63 MiB
+# and fail every bound; at 2**16 they took 3.06, 2.29, 1.97 and 1.24 MiB, and
+# a whole N-long array took 9.20 and 5.88 MiB at 10**6 and 77.9 and 40.2 MiB
+# at the ceiling
 BLOCK_SUM_PEAKS_MIB = {
-    ("gamma_mean_exact", 4096): 4.22,
-    ("delta_var_exact", 4000): 2.47,
-    ("delta_mean_exact", 10**6): 3.0,
-    ("antidiag_mean_exact", 10**6): 3.0,
-    ("delta_mean_exact", ep.MEAN_SUM_CEILING): 3.0,
-    ("antidiag_mean_exact", ep.MEAN_SUM_CEILING): 3.0,
+    ("gamma_mean_exact", 4096): 1.15,
+    ("delta_var_exact", 4000): 0.91,
+    ("delta_mean_exact", 10**6): 0.60,
+    ("antidiag_mean_exact", 10**6): 0.60,
+    ("delta_mean_exact", ep.MEAN_SUM_CEILING): 0.47,
+    ("antidiag_mean_exact", ep.MEAN_SUM_CEILING): 0.41,
 }
 
 
@@ -137,12 +141,13 @@ def _tree_sum(values):
     return ep._pairwise(len(values), leaf)
 
 
-# 131_084 cells first split at 65_536, not at half of them (65_542)
+# 65_535..65_537 straddle the leaf cap of 2**16-cell chunks; 131_084 cells
+# first split at 65_536, not at half of them (65_542)
 TREE_LENGTHS = [0, 1, 127, 128, 129, ep.CHUNK_CELLS - 1, ep.CHUNK_CELLS, ep.CHUNK_CELLS + 1,
-                131_084, 1_000_003]
+                65_535, 65_536, 65_537, 131_084, 1_000_003]
 
 
-@pytest.mark.parametrize("chunk", [1, 200, ep.CHUNK_CELLS])
+@pytest.mark.parametrize("chunk", [1, 200, ep.CHUNK_CELLS, 2**16])
 @pytest.mark.parametrize("n", TREE_LENGTHS)
 def test_the_tree_walk_adds_as_np_sum_does(monkeypatch, n, chunk):
     # values over 17 decades whose exact sum nearly cancels: the float sum is
@@ -459,6 +464,7 @@ SUM_PINS = {
         65536: "0x1.280c229522e9bp+2",
         65537: "0x1.280c3c1d4e956p+2",
         1_000_000: "0x1.6da0714ef40edp+2",
+        3_000_000: "0x1.89ad446fbf7a6p+2",
         10_000_000: "0x1.a86ac21e72b79p+2",
     },
     "antidiag_mean_exact": {

@@ -115,9 +115,11 @@ class TestPFillTableBelowTheCeiling:
 class TestPairwiseSplitUnaligned:
     """Mutant of :func:`exactprob._pairwise`: a run splits at ``n // 2``, not rounded down to 8.
 
-    numpy still sums every leaf, so only the adds above the leaves move:
-    every mean pinned at 10**6 and below keeps its bits, and of the pins
-    only ``delta_mean_exact`` at the ceiling sees it.
+    numpy still sums every leaf, so only the adds above the leaves move.
+    Which pinned sums see that depends on the leaf size: with leaves of at
+    most ``CHUNK_CELLS`` = 2**14 cells, of the pins only ``delta_mean_exact``
+    at 3 * 10**6 moves, and every mean at 10**6, 2 * 10**6, 5 * 10**6 and
+    the ceiling keeps its bits.
     """
 
     @pytest.fixture(autouse=True)
@@ -126,9 +128,9 @@ class TestPairwiseSplitUnaligned:
         mutant = _edited("_pairwise", split, "h = n // 2", module=exactprob)
         monkeypatch.setattr(exactprob, "_pairwise", mutant)
 
-    def test_killed_by_the_delta_mean_pin_at_the_ceiling(self):
+    def test_killed_by_the_delta_mean_pin_at_three_million(self):
         with pytest.raises(AssertionError):
-            test_exactprob.test_sum_bits_are_pinned("delta_mean_exact", exactprob.MEAN_SUM_CEILING)
+            test_exactprob.test_sum_bits_are_pinned("delta_mean_exact", 3_000_000)
 
     def test_killed_by_the_tree_walk(self, monkeypatch):
         with pytest.raises(AssertionError):
@@ -139,7 +141,7 @@ class TestPairwiseSplitUnaligned:
     def test_survives_the_other_mean_pins(self):
         for name in ("delta_mean_exact", "antidiag_mean_exact"):
             for n in test_exactprob.SUM_PINS[name]:
-                if (name, n) != ("delta_mean_exact", exactprob.MEAN_SUM_CEILING):
+                if (name, n) != ("delta_mean_exact", 3_000_000):
                     test_exactprob.test_sum_bits_are_pinned(name, n)
 
 
