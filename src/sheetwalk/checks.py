@@ -13,20 +13,30 @@ Each check reads the run object of its :func:`run_checks` call, which
 holds the one pass checks 7-9 share over check 8's grids: each grid is
 swept once for its zero count and its crossings, and audited in the same
 sweep.  Check 7 reads its zero counts, check 8 its crossings and check 9
-its audit verdict.  The pass belongs to the run: the first of the three
-to read it makes it, and it ends with the :func:`run_checks` call.
+its audit verdict.  The pass belongs to the run, and it ends with the
+:func:`run_checks` call.
+
+With more than one worker the run owns one process pool.  At its start
+it queues every task of check 6's draws and of the shared pass; the
+checks that read no pool work run in this process meanwhile, then checks
+6-9 collect their tasks, so their ``seconds`` are mostly waiting.  The
+pool is shut down before ``determinism``, which opens pools of its own.
+Results come back in index order either way, and on one worker every
+check runs in index order with no pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
-from dataclasses import dataclass, replace
+from concurrent.futures import Future
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,10 +55,16 @@ from .mcharness import (
     ExperimentConfig,
     ExperimentResult,
     Statistic,
+    _worker_chunk,
     assemble_result,
+    delta_fastpath_config,
     delta_log_law_report,
     estimate_exponent,
     map_workers,
+    pool_processes,
+    run_experiment,
+    submit_tasks,
+    task_pool,
 )
 from .randfield import RademacherField, Seed, StreamKey, field_roots
 from .walkstats import (
@@ -71,13 +87,32 @@ class CheckResult:
     seconds: float
     detail: str
 
+    @property
+    def raised(self) -> bool:
+        """The check crashed: it measured nothing, so it is never an expected red."""
+        return self.detail.startswith("raised ")
+
 
 @dataclass(frozen=True)
+class Suite:
+    """What one :func:`run_suite` call reports."""
+
+    results: list[CheckResult]  # in index order
+    # per pool job, the seconds of each of its tasks, timed in the process that ran it
+    pool: dict[str, tuple[float, ...]]
+
+
+@dataclass
 class _Run:
-    """One :func:`run_checks` call: what every check reads of it."""
+    """One :func:`run_checks` call: what every check reads of it, and its pool."""
 
     level: str
     workers: int
+    pool_seconds: dict[str, tuple[float, ...]] = field(default_factory=dict, init=False)
+    # config -> (job name, its tasks' futures) for the work queued on the run's pool
+    _jobs: dict[ExperimentConfig, tuple[str, list[Future]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.level not in ("quick", "full"):
@@ -85,12 +120,58 @@ class _Run:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
+    def _pool_work(self, names: set[str]) -> dict[str, tuple[Callable, ExperimentConfig]]:
+        """The pool jobs the checks ``names`` read: job name -> task and config."""
+        work = {}
+        if "fastpath-consistency" in names:
+            config = delta_fastpath_config(**_fastpath_draws(self.level), workers=self.workers)
+            work["fastpath-draws"] = _worker_chunk, config
+        if names & _SHARED_PASS:
+            work["shared-pass"] = _audited_chunk, _full_crossing_config(self.level, self.workers)
+        return work
+
+    @contextlib.contextmanager
+    def pool(self, names: set[str]) -> Iterator[bool]:
+        """Queue the pool work of the checks ``names`` on one pool for the block.
+
+        Yields whether a pool started: not on one worker or one usable CPU,
+        nor when no check in ``names`` reads pool work.  The pool is shut
+        down however the block exits.
+        """
+        work = self._pool_work(names)
+        processes = max((pool_processes(config) for _, config in work.values()), default=1)
+        if processes == 1:
+            yield False
+            return
+        with task_pool(processes) as pool:
+            for name, (task, config) in work.items():
+                self._jobs[config] = name, submit_tasks(pool, task, config)
+            yield True
+
+    def _pooled(self, config: ExperimentConfig) -> list | None:
+        """The task values of ``config``'s job on the run's pool, or None if
+        it has none there; a task that raised raises here."""
+        if config not in self._jobs:
+            return None
+        name, futures = self._jobs[config]
+        values, seconds = zip(*(future.result() for future in futures))
+        self.pool_seconds[name] = seconds
+        return list(values)
+
+    def experiment(self, config: ExperimentConfig) -> ExperimentResult:
+        """``run_experiment(config)``, collected from the run's pool if queued there."""
+        chunks = self._pooled(config)
+        return run_experiment(config) if chunks is None else assemble_result(config, chunks)
+
     @cached_property
     def audited(self) -> tuple[ExperimentResult, ExperimentResult, bool]:
         """Check 8's grids swept once: the results of ``run_experiment`` with
         statistic ``GAMMA`` and ``Z_CROSSINGS``, and the audit verdict."""
         config = _full_crossing_config(self.level, self.workers)
-        gamma, crossings, oks = zip(*map_workers(_audited_chunk, config))
+        chunks = self._pooled(config)
+        if chunks is None:
+            chunks = map_workers(_audited_chunk, config)
+        gamma, crossings, oks = zip(*chunks)
         return (
             assemble_result(replace(config, statistic=Statistic.GAMMA), gamma),
             assemble_result(replace(config, statistic=Statistic.Z_CROSSINGS), crossings),
@@ -245,13 +326,18 @@ def _check_diagonal_variance_band(run: _Run) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 6
 
 
+def _fastpath_draws(level: str) -> dict:
+    """Check 6's Monte Carlo arguments of :func:`delta_log_law_report`."""
+    points, reps = (10_000, 2000) if level == "full" else (2000, 500)
+    return dict(sizes=[points], replicates=reps, seed=Seed(11))
+
+
 def _check_fastpath_consistency(run: _Run) -> tuple[bool, str]:
-    points, reps = (10_000, 2000) if run.level == "full" else (2000, 500)
-    (row,) = delta_log_law_report(
-        [points], replicates=reps, seed=Seed(11), workers=run.workers
-    )
+    draws = _fastpath_draws(run.level)
+    (row,) = delta_log_law_report(**draws, workers=run.workers, experiment=run.experiment)
     z = (row.mc_mean - row.exact_mean) / row.mc_stderr
     ok = abs(z) <= 4.0
+    (points,), reps = draws["sizes"], draws["replicates"]
     return ok, (
         f"diagonal fast path, {points} points x {reps} replicates: "
         f"mc {row.mc_mean:.4f} vs exact {row.exact_mean:.4f}, z = {z:+.3f}"
@@ -277,10 +363,11 @@ def _full_crossing_config(level: str, workers: int) -> ExperimentConfig:
 def _audited_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[
     tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], bool
 ]:
-    # one worker's share of the harness's partition: each replicate swept
-    # once, its gamma and crossings read and every size audited from that sweep
-    config, worker_index, workers = args
-    mine = np.arange(worker_index, config.replicates, workers)
+    # task t of T in the harness's split, args = (config, t, T): each of its
+    # replicates r = t (mod T) swept once, its gamma and crossings read and
+    # every size audited from that sweep
+    config, task, tasks = args
+    mine = np.arange(task, config.replicates, tasks)
     roots = field_roots(config.seed, mine)
     values, ok = audit_roots(roots, config.sizes, ("gamma", "z_crossings"))
     return (mine, values["gamma"]), (mine, values["z_crossings"]), bool(ok.all())
@@ -521,13 +608,46 @@ EXPECTED_RED = frozenset(
 )
 
 
+# the checks that read the one pass over check 8's grids
+_SHARED_PASS = frozenset(
+    {"zero-count-scaling", "crossing-count-scaling", "crossing-decomposition"}
+)
+# the checks that read work queued on the run's pool
+_POOL_READERS = _SHARED_PASS | {"fastpath-consistency"}
+# checks that open pools of their own: they run once the run's pool is down,
+# since forking while its executor thread lives is unsafe (and warns on 3.12)
+_OWN_POOLS = frozenset({"determinism"})
+
+
 def check_names() -> tuple[str, ...]:
     return tuple(name for name, _ in _CHECKS)
 
 
-def run_checks(
+def _run_check(
+    run: _Run, index: int, name: str, func: Callable[[_Run], tuple[bool, str]]
+) -> CheckResult:
+    start = time.perf_counter()
+    try:
+        passed, detail = func(run)
+    except Exception as exc:  # a crashed check is a failed check
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(
+        index=index,
+        name=name,
+        passed=passed,
+        seconds=time.perf_counter() - start,
+        detail=detail,
+    )
+
+
+def run_suite(
     level: str = "full", workers: int = 1, names: set[str] | None = None
-) -> list[CheckResult]:
+) -> Suite:
+    """Run the checks ``names`` (all by default) and time the run's pool work.
+
+    With a pool, the checks that read no pool work run first, while the
+    pool works; without one, every check runs in index order.
+    """
     run = _Run(level, workers)
     if names is not None:
         unknown = sorted(set(names) - set(check_names()))
@@ -535,25 +655,26 @@ def run_checks(
             raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
         if not names:
             raise ValueError("no check selected")
-    results = []
-    for index, (name, func) in enumerate(_CHECKS, start=1):
-        if names is not None and name not in names:
-            continue
-        start = time.perf_counter()
-        try:
-            passed, detail = func(run)
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(
-            CheckResult(
-                index=index,
-                name=name,
-                passed=passed,
-                seconds=time.perf_counter() - start,
-                detail=detail,
-            )
-        )
-    return results
+    selected = [
+        (index, name, func)
+        for index, (name, func) in enumerate(_CHECKS, start=1)
+        if names is None or name in names
+    ]
+    beside_pool = [check for check in selected if check[1] not in _OWN_POOLS]
+    with run.pool({name for _, name, _ in beside_pool}) as pooled:
+        if pooled:
+            beside_pool.sort(key=lambda check: check[1] in _POOL_READERS)
+        results = [_run_check(run, *check) for check in beside_pool]
+    results += [_run_check(run, *check) for check in selected if check[1] in _OWN_POOLS]
+    results.sort(key=lambda result: result.index)
+    return Suite(results, dict(run.pool_seconds))
+
+
+def run_checks(
+    level: str = "full", workers: int = 1, names: set[str] | None = None
+) -> list[CheckResult]:
+    """The results of :func:`run_suite`, in index order."""
+    return run_suite(level, workers, names).results
 
 
 def format_report(results: list[CheckResult], level: str) -> str:
@@ -567,7 +688,9 @@ def format_report(results: list[CheckResult], level: str) -> str:
         )
     passed = sum(r.passed for r in results)
     lines.append(f"{passed}/{len(results)} checks passed")
-    failed_expected = [r.name for r in results if not r.passed and r.name in EXPECTED_RED]
+    failed_expected = [
+        r.name for r in results if not r.passed and not r.raised and r.name in EXPECTED_RED
+    ]
     if failed_expected:
         lines.append(
             "expected-red checks (committed bounds shown unattainable; "

@@ -68,28 +68,20 @@ def _fmt15(x: float) -> str:
     return "%.15g" % x
 
 
-def _digits(k: int) -> str:
-    # str(int) refuses ints above the interpreter's digit limit (4300 by
-    # default, passed at n = 7148); Decimal converts any length
-    return str(decimal.Decimal(k))
-
-
-def _fractions(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
+def _fractions(pairs: Iterable[tuple[decimal.Decimal, int]]) -> Iterator[str]:
     """``num/2**exp`` in decimal digits for each ``(num, exp)`` of ``pairs``.
 
-    The denominator is carried as an exact ``Decimal``: each row multiplies
-    the one before by ``2**(exp - previous exp)``, which costs far less
-    than converting ``1 << exp`` from binary.  The context has the largest
-    precision and exponent and traps any rounding, so a digit that could
-    not be kept raises rather than being lost.
+    The numerators come as exact ``Decimal`` integers, and the denominator
+    is carried as one too: each row multiplies the one before by
+    ``2**(exp - previous exp)`` in :data:`~sheetwalk.exactprob.EXACT_DECIMAL`.
+    So no digit is converted from binary, which cost far more than the
+    carry, and no int passes through ``str``, which refuses more than 4300
+    digits by default (a numerator passes that at n = 7148).
     """
-    exact = decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
-    )
     den, last = decimal.Decimal(1), 0
     for num, exp in pairs:
-        den, last = exact.multiply(den, 1 << (exp - last)), exp
-        yield f"{_digits(num)}/{den}"
+        den, last = exactprob.EXACT_DECIMAL.multiply(den, 1 << (exp - last)), exp
+        yield f"{num}/{den}"
 
 
 @contextlib.contextmanager
@@ -241,8 +233,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
                 f"exact values stop at n={exactprob.EXACT_CEILING}, got --max {args.max}"
             )
         if args.rational:
-            pairs = itertools.islice(exactprob.dyadic_pairs(), args.max + 1)
-            rows = enumerate(_fractions(pairs))
+            pairs = exactprob.dyadic_pairs(decimal_numerators=True)
+            rows = enumerate(_fractions(itertools.islice(pairs, args.max + 1)))
         else:
             floats = exactprob._table().float_values[: args.max + 1].tolist()
             rows = ((n, _fmt15(p)) for n, p in enumerate(floats))
@@ -399,7 +391,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import checks
 
     workers = _resolve_workers(args.workers)
-    results = checks.run_checks(level=args.level, workers=workers)
+    suite = checks.run_suite(level=args.level, workers=workers)
+    results = suite.results
     sys.stdout.write(checks.format_report(results, level=args.level))
     if args.out:
         payload = {
@@ -409,11 +402,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 {
                     "name": r.name,
                     "passed": r.passed,
+                    # checks 6-9 read the run's pool: with one, this is their wait
                     "seconds": round(r.seconds, 3),
                     "detail": r.detail,
                 }
                 for r in results
             ],
+            # per job on the run's pool, its tasks' seconds in the pool processes, summed
+            "pool": {
+                job: {"seconds": round(sum(seconds), 3), "tasks": len(seconds)}
+                for job, seconds in suite.pool.items()
+            },
             "environment": {
                 "cpu_count": os.cpu_count(),
                 "numpy": np.__version__,

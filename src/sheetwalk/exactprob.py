@@ -4,8 +4,9 @@ Everything here reduces to ``p(n) = C(2n, n) / 4**n``, the chance that a
 balanced +/-1 sum of length ``2n`` returns to zero.  ``p(n)`` is a dyadic
 rational with odd numerator: one generator, :func:`dyadic_pairs`, walks
 the recurrence ``p(n+1) = p(n) * (2n+1)/(2n+2)`` as (odd numerator, binary
-exponent) pairs.  The table holds only the correctly rounded float of each
-pair, taken from its top 60 bits plus a sticky bit.  No pair is held: the
+exponent) pairs, its numerators ints or, for the decimal table, exact
+``Decimal`` integers.  The table holds only the correctly rounded float
+of each pair, taken from its top 60 bits plus a sticky bit.  No pair is held: the
 rational readers (``exact pn --rational`` and check 1) read n = 0, 1, 2, ...
 in order and walk the generator themselves.
 
@@ -44,8 +45,10 @@ block at about 0.5 MiB of scratch, a quarter of what 2**16 took.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -79,15 +82,33 @@ class CapacityError(Exception):
     """An exact computation exceeds its configured ceiling."""
 
 
-def dyadic_pairs() -> Iterator[tuple[int, int]]:
-    """Yield ``(odd numerator, exponent)`` of ``p(n)`` for ``n = 0..EXACT_CEILING``."""
-    num, exp = 1, 0
+#: Decimal arithmetic that keeps every digit: the largest precision and
+#: exponent, and any rounding raises rather than losing a digit.
+EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+)
+
+
+def dyadic_pairs(
+    decimal_numerators: bool = False,
+) -> Iterator[tuple[int | decimal.Decimal, int]]:
+    """Yield ``(odd numerator, exponent)`` of ``p(n)`` for ``n = 0..EXACT_CEILING``.
+
+    With ``decimal_numerators`` the same recurrence carries each numerator
+    as an exact ``Decimal`` integer in :data:`EXACT_DECIMAL`, for readers
+    that print its digits: converting a 6000-digit int from binary costs
+    far more than the carry.
+    """
+    if decimal_numerators:
+        num, times, over = decimal.Decimal(1), EXACT_DECIMAL.multiply, EXACT_DECIMAL.divide_int
+    else:
+        num, times, over = 1, operator.mul, operator.floordiv
+    exp = 0
     yield num, exp
     for n in range(EXACT_CEILING):
-        num *= 2 * n + 1
         m = n + 1
         twos = (m & -m).bit_length() - 1  # strip the even part of 2n+2
-        num //= m >> twos
+        num = over(times(num, 2 * n + 1), m >> twos)
         exp += 1 + twos
         yield num, exp
 

@@ -1,11 +1,15 @@
 """Deterministic Monte Carlo harness over the grid statistics.
 
 Replicate ``r`` of an experiment always simulates stream
-``StreamKey(seed, r)``, and worker ``r mod W`` owns it under a static
-partition (:func:`map_workers`), so the full set of simulated values — and
-every float reduced from them, since aggregation happens in replicate
-order after the pool returns — is byte-identical for any worker count.
-A worker sweeps each of its replicates of a grid statistic once, at the
+``StreamKey(seed, r)``.  The replicates are split into interleaved tasks:
+of ``T`` tasks, task ``t`` owns the replicates ``r = t (mod T)``
+(:func:`split_tasks`).  All ``T`` are queued on one process pool at once,
+and each idle process pulls the next, so no process waits on a slower
+one's fixed share (:func:`map_workers`).  Each value lands at its
+replicate's index, and every float is reduced from them in replicate
+order after the last task returns, so the full set of simulated values
+and every summary is byte-identical for any worker count.
+A task sweeps each of its replicates of a grid statistic once, at the
 largest edge, and reads every smaller size as a prefix of that sweep (see
 :func:`~sheetwalk.walkstats.sweep_roots`).  It derives the roots of all its
 streams in one call (:func:`~sheetwalk.randfield.field_roots`), and the
@@ -16,23 +20,25 @@ diagonal fast path draws each replicate's increments once, for the
 largest size, and counts every size on a prefix of them
 (:func:`~sheetwalk.walkstats.diag_zero_counts`); the zero-set statistics
 read each replicate's zeros once, for all sizes.  Raw per-replicate
-values are retained, not just summaries.  A worker's output is its
+values are retained, not just summaries.  A task's output is its
 replicate indices and a sizes-by-replicates array of their values;
 :func:`assemble_result` is the one place that output becomes an
 :class:`ExperimentResult`.  A caller that runs its own task on the same
-partition (the acceptance checks, which also audit each grid in the pass)
-builds its result there too.
+split (the acceptance checks, which also audit each grid in the pass)
+queues it with :func:`submit_tasks` and builds its result there too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import os
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -58,6 +64,9 @@ _BUNDLE_FIELDS = {Statistic(c) for c in COUNTERS}  # the statistics a sweep coun
 
 # replicates x sizes of one result: its values take 80 MB of float64 at the cap
 RESULT_CEILING = 10**7
+# tasks queued per pool process: a process that finishes early pulls another
+# task instead of waiting on a slower one's fixed share
+TASKS_PER_PROCESS = 4
 
 
 @dataclass(frozen=True)
@@ -127,8 +136,9 @@ def summarize(values: np.ndarray) -> SummaryStats:
 
 
 def _worker_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    config, worker_index, workers = args
-    mine = np.arange(worker_index, config.replicates, workers)
+    """Task ``t`` of ``T``, ``args = (config, t, T)``: the replicates ``r = t (mod T)``."""
+    config, task, tasks = args
+    mine = np.arange(task, config.replicates, tasks)
     stat, sizes = config.statistic, config.sizes
     if stat in _BUNDLE_FIELDS:  # only the counter read is swept, from the roots
         roots = field_roots(config.seed, mine)
@@ -152,35 +162,81 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_workers(task: Callable, config: ExperimentConfig) -> list:
-    """Run ``task((config, w, W))`` for each worker ``w``; results in worker order.
+def pool_processes(config: ExperimentConfig) -> int:
+    """The processes an experiment's tasks run on: one per worker, but no
+    more than there are replicates to share out or CPUs to run them."""
+    return min(config.workers, config.replicates, usable_cpus())
 
-    This is the static partition: of ``W = min(config.workers,
-    config.replicates)`` workers, worker ``w`` owns replicates ``r = w
-    (mod W)``.  The ``W`` jobs run on ``min(W, usable_cpus())``
-    processes, so no more processes start than there are replicates to
-    share out or CPUs to run them.  With one process the jobs run inline;
-    otherwise ``task`` must be a module-level function.
+
+def split_tasks(config: ExperimentConfig) -> list[tuple[ExperimentConfig, int, int]]:
+    """The arguments ``(config, t, T)`` of an experiment's ``T`` tasks.
+
+    Task ``t`` owns the replicates ``r = t (mod T)``.  On one process the
+    replicates run as one task; on ``P`` processes they go into ``T =
+    min(replicates, TASKS_PER_PROCESS * P)`` tasks, so none is empty.
     """
-    workers = min(config.workers, config.replicates)
-    jobs = [(config, w, workers) for w in range(workers)]
-    processes = min(workers, usable_cpus())
+    processes = pool_processes(config)
+    tasks = 1 if processes == 1 else min(config.replicates, TASKS_PER_PROCESS * processes)
+    return [(config, t, tasks) for t in range(tasks)]
+
+
+def timed(task: Callable, args) -> tuple:
+    """``task(args)`` and the seconds it took, timed where it ran."""
+    start = time.perf_counter()
+    value = task(args)
+    return value, time.perf_counter() - start
+
+
+@contextlib.contextmanager
+def task_pool(processes: int) -> Iterator[ProcessPoolExecutor]:
+    """A pool of ``processes`` processes for the block, shut down however it exits.
+
+    On the way out the queued tasks are cancelled and the running ones
+    waited for, so no process outlives the block.
+    """
+    pool = ProcessPoolExecutor(max_workers=processes)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def submit_tasks(
+    pool: ProcessPoolExecutor, task: Callable, config: ExperimentConfig
+) -> list[Future]:
+    """Queue ``task`` on ``pool`` for every task of :func:`split_tasks`.
+
+    Each future gives ``(value, seconds)`` (:func:`timed`); ``task`` must
+    be a module-level function.
+    """
+    return [pool.submit(timed, task, args) for args in split_tasks(config)]
+
+
+def map_workers(task: Callable, config: ExperimentConfig) -> list:
+    """Run ``task`` on every task of :func:`split_tasks`; values in task order.
+
+    With one process the one task runs inline.  Otherwise every task is
+    queued at once on a pool of :func:`pool_processes` processes, whose
+    idle processes pull them in turn, and the values are collected in task
+    order.
+    """
+    processes = pool_processes(config)
     if processes == 1:
-        return [task(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(task, jobs))
+        return [task(args) for args in split_tasks(config)]
+    with task_pool(processes) as pool:
+        return [future.result()[0] for future in submit_tasks(pool, task, config)]
 
 
 def assemble_result(
     config: ExperimentConfig, chunks: Iterable[tuple[np.ndarray, np.ndarray]]
 ) -> ExperimentResult:
-    """Place every worker's values at their replicates; summarize each size.
+    """Place every task's values at their replicates; summarize each size.
 
-    A chunk is ``(replicates, values)``: the worker's replicate indices
+    A chunk is ``(replicates, values)``: the task's replicate indices
     and a ``(len(sizes), len(replicates))`` array, one row per size in
     the order of ``config.sizes``.  Values land at their replicate's
     index, so the result does not depend on how the replicates were
-    shared out among the workers.
+    split into tasks.
     """
     values = {
         size: np.empty(config.replicates, dtype=np.float64) for size in config.sizes
@@ -266,12 +322,28 @@ class LogLawRow:
     mc_stderr: float | None = None
 
 
+def delta_fastpath_config(
+    sizes, *, replicates: int, seed: Seed | int, workers: int = 1
+) -> ExperimentConfig:
+    """The fast-path experiment behind :func:`delta_log_law_report`'s Monte
+    Carlo columns: ``sizes`` count diagonal points, so the grid edges are
+    twice them."""
+    return ExperimentConfig(
+        statistic=Statistic.DELTA_FASTPATH,
+        sizes=tuple(2 * int(n) for n in sizes),
+        replicates=replicates,
+        seed=Seed(seed),
+        workers=workers,
+    )
+
+
 def delta_log_law_report(
     sizes,
     *,
     replicates: int = 0,
     seed: Seed | int = 0,
     workers: int = 1,
+    experiment: Callable[[ExperimentConfig], ExperimentResult] | None = None,
 ) -> list[LogLawRow]:
     """Tabulate the diagonal zero count against its logarithmic law.
 
@@ -280,22 +352,18 @@ def delta_log_law_report(
     reporting — one row per size with the exact mean, the
     ``ln n / sqrt(2 pi)`` prediction and their ratio, plus Monte Carlo
     columns (via the distribution-level fast path) when ``replicates``
-    is positive.  No row is asserted here; judgments belong to callers.
+    is positive.  ``experiment`` runs the :func:`delta_fastpath_config`
+    experiment; it is :func:`run_experiment` unless a caller has the
+    draws under way already.  No row is asserted here; judgments belong
+    to callers.
     """
     sizes = tuple(int(n) for n in sizes)
     if not sizes or any(n < 2 for n in sizes):
         raise ValueError(f"sizes must all be >= 2, got {sizes}")
     mc: dict[int, SummaryStats] = {}
     if replicates:
-        result = run_experiment(
-            ExperimentConfig(
-                statistic=Statistic.DELTA_FASTPATH,
-                sizes=tuple(2 * n for n in sizes),  # grid edge = 2 * points
-                replicates=replicates,
-                seed=Seed(seed),
-                workers=workers,
-            )
-        )
+        config = delta_fastpath_config(sizes, replicates=replicates, seed=seed, workers=workers)
+        result = (experiment or run_experiment)(config)
         mc = {n: result.summaries[2 * n] for n in sizes}
     rows = []
     for n in sizes:

@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from sheetwalk import mcharness, walkstats
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Run the harness's pool chunks inline; returns the widths it asked for.
+    """Run the harness's pool tasks inline; returns the widths it asked for.
 
-    The CPU count, installed and usable, is pinned above every width a
-    test asks for, so the widths do not depend on the machine; a test may
-    patch it again.
+    A task runs when it is submitted, and its future comes back done, with
+    the task's value or its exception.  The CPU count, installed and
+    usable, is pinned above every width a test asks for, so the widths do
+    not depend on the machine; a test may patch it again.
     """
     opened = []
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -22,14 +24,16 @@ def inline_pool(monkeypatch):
         def __init__(self, max_workers):
             opened.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(mcharness, "ProcessPoolExecutor", InlinePool)
     return opened

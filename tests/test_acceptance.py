@@ -10,13 +10,16 @@ README.md carries the full analysis.
 """
 
 import dataclasses
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from sheetwalk import checks
-from sheetwalk.checks import EXPECTED_RED, CheckResult, check_names, run_checks
-from sheetwalk.mcharness import Statistic, run_experiment
+from sheetwalk import checks, mcharness, walkstats
+from sheetwalk.checks import EXPECTED_RED, CheckResult, check_names, format_report, run_checks
+from sheetwalk.mcharness import ExperimentConfig, Statistic, run_experiment, usable_cpus
+from sheetwalk.randfield import Seed
 
 # the checks that share one audited pass over check 8's grids: check 7 reads
 # its gamma there, check 8 its crossings and check 9 its audit verdict
@@ -94,7 +97,7 @@ def test_a_crashed_expected_red_check_fails_the_gate(monkeypatch):
 
 
 def test_audit_on_two_workers_keeps_the_verdict(full_results, inline_pool):
-    # check 9 shares check 8's partition; the width must not change it
+    # check 9 shares check 8's task split; the width must not change it
     (wide,) = run_checks(level="full", workers=2, names={"crossing-decomposition"})
     assert inline_pool == [2]
     serial = full_results["crossing-decomposition"]
@@ -181,6 +184,122 @@ def test_a_verify_call_after_an_aborted_one_sweeps_again(monkeypatch, inline_poo
 
 def _unrun(run):
     raise AssertionError("a check ran")
+
+
+@pytest.fixture(scope="module")
+def quick_serial():
+    return run_checks(level="quick", workers=1)
+
+
+def _reported(results):
+    return [(r.index, r.name, r.passed, r.detail) for r in results]
+
+
+@pytest.fixture
+def real_pools(monkeypatch):
+    """Real process pools, whose widths are recorded as they open."""
+    opened = []
+
+    class Recorded(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mcharness, "ProcessPoolExecutor", Recorded)
+    return opened
+
+
+# a selection that reads no pool work: no pool opens for it
+NO_POOL_WORK = {"return-probability", "oracle-equivalence", "hitting-floor"}
+
+
+@pytest.mark.parametrize(
+    "names, pools",
+    [(None, [2, 2]), ({"crossing-decomposition"}, [2]), (NO_POOL_WORK, [])],
+    ids=["all", "check-9", "no-pool-work"],
+)
+def test_a_real_pool_reports_what_one_worker_does(quick_serial, real_pools, names, pools):
+    # the run's pool, then determinism's own pool at two workers; checks 6-9
+    # collect their tasks after the others ran, yet the report is in index order
+    wide = run_checks(level="quick", workers=2, names=names)
+    serial = [r for r in quick_serial if names is None or r.name in names]
+    assert _reported(wide) == _reported(serial)
+    assert real_pools == (pools if usable_cpus() >= 2 else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_with_a_pool_the_checks_that_read_none_run_first(monkeypatch, inline_pool):
+    # checks 6-9 collect their pool work after the others ran beside it, and
+    # determinism waits for the pool to go; on one worker, index order
+    order = []
+
+    def recorded(name):
+        def check(run):
+            order.append(name)
+            return True, ""
+
+        return check
+
+    monkeypatch.setattr(
+        checks, "_CHECKS", tuple((name, recorded(name)) for name, _ in checks._CHECKS)
+    )
+    readers = ["fastpath-consistency", *sorted(SHARED_PASS, key=check_names().index)]
+    reports = run_checks(level="quick", workers=2)
+    assert inline_pool == [2]
+    beside = [name for name in check_names() if name not in readers and name != "determinism"]
+    assert order == beside + readers + ["determinism"]
+    assert [r.name for r in reports] == list(check_names())
+    order.clear()
+    run_checks(level="quick", workers=1)
+    assert inline_pool == [2] and order == list(check_names())
+
+
+def test_a_crashed_pool_task_is_a_crash_and_leaves_no_process(monkeypatch):
+    # check 6's draws past the fast path's ceiling raise in the pool's task
+    past = walkstats.DIAG_FAST_CEILING // 2 + 1
+    monkeypatch.setattr(
+        checks, "_fastpath_draws", lambda level: dict(sizes=[past], replicates=8, seed=Seed(11))
+    )
+    crashed, other = run_checks(
+        level="quick", workers=2, names={"fastpath-consistency", "hitting-floor"}
+    )
+    assert crashed.raised and not crashed.passed
+    assert crashed.detail.startswith("raised CapacityError: diagonal draws capped")
+    assert other.passed
+    assert multiprocessing.active_children() == []
+
+
+def test_a_crashed_shared_pass_is_never_an_expected_red(monkeypatch):
+    # zero-count-scaling is expected red; crashed, it fails the gate and the
+    # report does not list it among the expected-red checks
+    def past_the_ceiling(level, workers):
+        sizes = (walkstats.SWEEP_CEILING + 1,)
+        return ExperimentConfig(Statistic.Z_CROSSINGS, sizes, 4, Seed(1), workers)
+
+    monkeypatch.setattr(checks, "_full_crossing_config", past_the_ceiling)
+    results = run_checks(level="quick", workers=2, names=SHARED_PASS)
+    detail = "raised CapacityError: sweep capped at N=32768, got 32769"
+    assert [r.detail for r in results] == [detail] * 3
+    assert "expected-red" not in format_report(results, "quick")
+    for result in results:
+        with pytest.raises(AssertionError):
+            judge(result)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_in_the_parent_shuts_the_pool_down(monkeypatch, real_pools):
+    # hitting-floor runs while check 6's tasks are on the pool, and is interrupted
+    def interrupt(run):
+        raise KeyboardInterrupt
+
+    patched = tuple(
+        (name, interrupt if name == "hitting-floor" else func) for name, func in checks._CHECKS
+    )
+    monkeypatch.setattr(checks, "_CHECKS", patched)
+    with pytest.raises(KeyboardInterrupt):
+        run_checks(level="full", workers=2, names={"fastpath-consistency", "hitting-floor"})
+    assert real_pools == ([2] if usable_cpus() >= 2 else [])
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -61,14 +61,16 @@ class TestExactCommand:
         # rows stream into a temporary file; one that fails mid-table must
         # leave neither a partial table nor the temporary file behind
         formatted = []
+        pairs = exactprob.dyadic_pairs
 
-        def digits(k):
-            formatted.append(k)
-            if len(formatted) > 6:
-                raise ValueError("formatting failed")
-            return str(k)
+        def failing(**kwargs):
+            for pair in pairs(**kwargs):
+                formatted.append(pair)
+                if len(formatted) > 6:
+                    raise ValueError("formatting failed")
+                yield pair
 
-        monkeypatch.setattr(cli, "_digits", digits)
+        monkeypatch.setattr(exactprob, "dyadic_pairs", failing)
         target = tmp_path / "pn.csv"
         argv = ["exact", "pn", "--max", "50", "--rational", "--out", str(target)]
         assert main(argv) == 2
@@ -714,8 +716,9 @@ class TestVerifyCommand:
         report_path = tmp_path / "report.json"
         assert main(["verify", "--workers", "3", "--out", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
-        assert set(report) == {"level", "passed", "checks", "environment"}
+        assert set(report) == {"level", "passed", "checks", "pool", "environment"}
         assert (report["level"], report["passed"]) == ("quick", True)
+        assert report["pool"] == {}  # hitting-floor reads no pool work
         assert [set(c) for c in report["checks"]] == [{"name", "passed", "seconds", "detail"}]
         assert report["environment"] == {
             "cpu_count": os.cpu_count(),
@@ -724,6 +727,25 @@ class TestVerifyCommand:
             "usable_cpus": usable_cpus(),
             "workers": 3,
         }
+
+    def test_report_times_the_pool_jobs(self, tmp_path, monkeypatch, inline_pool):
+        # check 6's draws and the shared pass of checks 7-9 go on the run's one
+        # pool as 8 tasks each (4 per process); each job's task seconds are summed
+        from sheetwalk import checks
+
+        readers = {"fastpath-consistency", "zero-count-scaling", "crossing-count-scaling",
+                   "crossing-decomposition"}
+        only = tuple(c for c in checks._CHECKS if c[0] in readers | {"hitting-floor"})
+        monkeypatch.setattr(checks, "_CHECKS", only)
+        report_path = tmp_path / "report.json"
+        main(["verify", "--workers", "2", "--out", str(report_path)])
+        assert inline_pool == [2]
+        report = json.loads(report_path.read_text())
+        assert not any(c["detail"].startswith("raised ") for c in report["checks"])
+        assert set(report["pool"]) == {"fastpath-draws", "shared-pass"}
+        for job in report["pool"].values():
+            assert set(job) == {"seconds", "tasks"}
+            assert job["tasks"] == 8 and job["seconds"] > 0
 
     def test_report_says_why_one_worker_ran(self, tmp_path, monkeypatch):
         # an affinity mask of one CPU on a larger machine: the default worker

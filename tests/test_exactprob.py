@@ -258,6 +258,16 @@ class TestReturnProbExact:
         nums = [num for num, _ in itertools.islice(ep.dyadic_pairs(), 0, None, 509)]
         assert all(num % 2 == 1 for num in nums)
 
+    def test_decimal_numerators_are_the_int_ones(self):
+        # the same recurrence carried in exact Decimals: every exponent equal,
+        # and the numerators equal where sampled, past 4300 digits at n = 7148
+        pairs = zip(ep.dyadic_pairs(), ep.dyadic_pairs(decimal_numerators=True))
+        for n, ((num, exp), (dec, dec_exp)) in enumerate(pairs):
+            assert isinstance(dec, decimal.Decimal) and dec_exp == exp
+            if n % 509 == 0 or n in (7148, ep.EXACT_CEILING):
+                assert dec.as_tuple().exponent == 0 and int(dec) == num
+        assert n == ep.EXACT_CEILING
+
 
 class TestReturnProbFloat:
     def test_known_value(self):

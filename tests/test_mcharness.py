@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sheetwalk import checks, mcharness, walkstats
@@ -145,8 +147,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("cpus,pools", [(3, [3]), (1, []), (None, [])])
     def test_processes_are_capped_at_the_cpu_count(self, inline_pool, monkeypatch, cpus, pools):
-        # 20 jobs of the static partition share out over the CPUs; one CPU
-        # (or an unknown count) runs them all inline.  With no affinity mask
+        # 20 replicates go into TASKS_PER_PROCESS tasks per CPU; one CPU (or
+        # an unknown count) runs them all inline, as one task.  With no affinity mask
         # to read, the installed count is the usable one
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -169,6 +171,29 @@ class TestRunExperiment:
         serial = run_experiment(config(replicates=20))
         for n in (8, 16):
             assert np.array_equal(pinned.values[n], serial.values[n])
+
+    @given(
+        replicates=st.integers(1, 60), workers=st.integers(1, 8), cpus=st.integers(1, 4)
+    )
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_every_replicate_lands_in_one_task(self, inline_pool, replicates, workers, cpus):
+        # the task split: one task inline, else TASKS_PER_PROCESS per process,
+        # never more tasks than replicates, and each replicate in exactly one
+        wide = config(replicates=replicates, workers=workers)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcharness, "usable_cpus", lambda: cpus)
+            tasks = mcharness.split_tasks(wide)
+            values = run_experiment(wide).values
+        processes = min(workers, replicates, cpus)
+        per_process = mcharness.TASKS_PER_PROCESS * processes
+        assert len(tasks) == (1 if processes == 1 else min(replicates, per_process))
+        owned = [mcharness._worker_chunk(args)[0].tolist() for args in tasks]
+        assert all(owned)
+        assert sorted(r for mine in owned for r in mine) == list(range(replicates))
+        serial = run_experiment(config(replicates=replicates)).values
+        assert all(np.array_equal(values[n], serial[n]) for n in serial)
 
     def test_fastpath_matches_sweep_law(self):
         # same distribution, different streams: means agree to 4 combined SEs
