@@ -10,19 +10,17 @@ verification section carries the analysis) and stay red by design; they
 are listed in :data:`EXPECTED_RED`.
 
 Each check reads the run object of its :func:`run_checks` call, which
-holds the one pass checks 7-9 share over check 8's grids: each grid is
-swept once for its zero count and its crossings, and audited in the same
-sweep.  Check 7 reads its zero counts, check 8 its crossings and check 9
-its audit verdict.  The pass belongs to the run, and it ends with the
-:func:`run_checks` call.
+collects each pool job of the table :data:`_JOBS` at most once: check 6
+reads ``fastpath-draws``, and checks 7-9 ``shared-pass``, one pass over
+check 8's grids that sweeps each grid once for its zero count and its
+crossings and audits it in the same sweep.
 
-With more than one worker the run owns one process pool.  At its start
-it queues every task of check 6's draws and of the shared pass; the
-checks that read no pool work run in this process meanwhile, then checks
-6-9 collect their tasks, so their ``seconds`` are mostly waiting.  The
-pool is shut down before ``determinism``, which opens pools of its own.
-Results come back in index order either way, and on one worker every
-check runs in index order with no pool.
+Every run takes one order.  With more than one worker and usable CPU, it
+queues the selected checks' jobs on one process pool at its start; the
+checks that read no job run in this process meanwhile, then checks 6-9
+collect their jobs, so their ``seconds`` are mostly waiting.  Otherwise
+a job runs inline when first read.  ``determinism``, which opens pools
+of its own, runs last.  Results come back in index order.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import math
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -58,11 +55,9 @@ from .mcharness import (
     _worker_chunk,
     assemble_result,
     delta_fastpath_config,
-    delta_log_law_report,
     estimate_exponent,
     map_workers,
     pool_processes,
-    run_experiment,
     submit_tasks,
     task_pool,
 )
@@ -98,8 +93,8 @@ class Suite:
     """What one :func:`run_suite` call reports."""
 
     results: list[CheckResult]  # in index order
-    # per pool job, the seconds of each of its tasks, timed in the process that ran it
-    pool: dict[str, tuple[float, ...]]
+    # per pool job, its tasks' seconds and their cpu_seconds, timed in the process that ran each
+    pool: dict[str, tuple[tuple[float, ...], tuple[float, ...]]]
 
 
 @dataclass
@@ -108,9 +103,14 @@ class _Run:
 
     level: str
     workers: int
-    pool_seconds: dict[str, tuple[float, ...]] = field(default_factory=dict, init=False)
-    # config -> (job name, its tasks' futures) for the work queued on the run's pool
-    _jobs: dict[ExperimentConfig, tuple[str, list[Future]]] = field(
+    # job -> its tasks' seconds and cpu_seconds, for the jobs collected from the pool
+    pool_seconds: dict[str, tuple] = field(default_factory=dict, init=False)
+    # job -> its config and its futures, for the jobs queued on the run's pool
+    _queued: dict[str, tuple[ExperimentConfig, list[Future]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    # job -> its config and its task values, for the jobs read
+    _done: dict[str, tuple[ExperimentConfig, list]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -120,57 +120,41 @@ class _Run:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
-    def _pool_work(self, names: set[str]) -> dict[str, tuple[Callable, ExperimentConfig]]:
-        """The pool jobs the checks ``names`` read: job name -> task and config."""
-        work = {}
-        if "fastpath-consistency" in names:
-            config = delta_fastpath_config(**_fastpath_draws(self.level), workers=self.workers)
-            work["fastpath-draws"] = _worker_chunk, config
-        if names & _SHARED_PASS:
-            work["shared-pass"] = _audited_chunk, _full_crossing_config(self.level, self.workers)
-        return work
-
     @contextlib.contextmanager
-    def pool(self, names: set[str]) -> Iterator[bool]:
-        """Queue the pool work of the checks ``names`` on one pool for the block.
-
-        Yields whether a pool started: not on one worker or one usable CPU,
-        nor when no check in ``names`` reads pool work.  The pool is shut
-        down however the block exits.
-        """
-        work = self._pool_work(names)
+    def pool(self, jobs: set[str]) -> Iterator[None]:
+        """Queue the ``jobs`` on one pool for the block, in table order; none
+        starts on one worker or usable CPU, or for no job.  The pool is shut
+        down however the block exits."""
+        work = {name: _JOBS[name](self.level, self.workers) for name in _JOBS if name in jobs}
         processes = max((pool_processes(config) for _, config in work.values()), default=1)
         if processes == 1:
-            yield False
+            yield
             return
         with task_pool(processes) as pool:
             for name, (task, config) in work.items():
-                self._jobs[config] = name, submit_tasks(pool, task, config)
-            yield True
+                self._queued[name] = config, submit_tasks(pool, task, config)
+            yield
 
-    def _pooled(self, config: ExperimentConfig) -> list | None:
-        """The task values of ``config``'s job on the run's pool, or None if
-        it has none there; a task that raised raises here."""
-        if config not in self._jobs:
-            return None
-        name, futures = self._jobs[config]
-        values, seconds = zip(*(future.result() for future in futures))
-        self.pool_seconds[name] = seconds
-        return list(values)
+    def job(self, name: str) -> tuple[ExperimentConfig, list]:
+        """Job ``name``'s config and task values, in task order, read once per
+        run: from the run's pool if queued there, else from :func:`map_workers`.
+        A task that raised raises here."""
+        if name not in self._done:
+            if name in self._queued:
+                config, futures = self._queued[name]
+                values, walls, cpus = zip(*(future.result() for future in futures))
+                self.pool_seconds[name] = walls, cpus
+            else:
+                task, config = _JOBS[name](self.level, self.workers)
+                values = map_workers(task, config)
+            self._done[name] = config, list(values)
+        return self._done[name]
 
-    def experiment(self, config: ExperimentConfig) -> ExperimentResult:
-        """``run_experiment(config)``, collected from the run's pool if queued there."""
-        chunks = self._pooled(config)
-        return run_experiment(config) if chunks is None else assemble_result(config, chunks)
-
-    @cached_property
+    @property
     def audited(self) -> tuple[ExperimentResult, ExperimentResult, bool]:
         """Check 8's grids swept once: the results of ``run_experiment`` with
         statistic ``GAMMA`` and ``Z_CROSSINGS``, and the audit verdict."""
-        config = _full_crossing_config(self.level, self.workers)
-        chunks = self._pooled(config)
-        if chunks is None:
-            chunks = map_workers(_audited_chunk, config)
+        config, chunks = self.job("shared-pass")
         gamma, crossings, oks = zip(*chunks)
         return (
             assemble_result(replace(config, statistic=Statistic.GAMMA), gamma),
@@ -327,20 +311,21 @@ def _check_diagonal_variance_band(run: _Run) -> tuple[bool, str]:
 
 
 def _fastpath_draws(level: str) -> dict:
-    """Check 6's Monte Carlo arguments of :func:`delta_log_law_report`."""
+    """Check 6's arguments of :func:`delta_fastpath_config`."""
     points, reps = (10_000, 2000) if level == "full" else (2000, 500)
     return dict(sizes=[points], replicates=reps, seed=Seed(11))
 
 
 def _check_fastpath_consistency(run: _Run) -> tuple[bool, str]:
-    draws = _fastpath_draws(run.level)
-    (row,) = delta_log_law_report(**draws, workers=run.workers, experiment=run.experiment)
-    z = (row.mc_mean - row.exact_mean) / row.mc_stderr
+    config, chunks = run.job("fastpath-draws")
+    (edge,) = config.sizes  # twice the diagonal points
+    mc = assemble_result(config, chunks).summaries[edge]
+    exact = delta_mean_exact(edge // 2)
+    z = (mc.mean - exact) / mc.stderr
     ok = abs(z) <= 4.0
-    (points,), reps = draws["sizes"], draws["replicates"]
     return ok, (
-        f"diagonal fast path, {points} points x {reps} replicates: "
-        f"mc {row.mc_mean:.4f} vs exact {row.exact_mean:.4f}, z = {z:+.3f}"
+        f"diagonal fast path, {edge // 2} points x {config.replicates} replicates: "
+        f"mc {mc.mean:.4f} vs exact {exact:.4f}, z = {z:+.3f}"
     )
 
 
@@ -608,12 +593,22 @@ EXPECTED_RED = frozenset(
 )
 
 
-# the checks that read the one pass over check 8's grids
-_SHARED_PASS = frozenset(
-    {"zero-count-scaling", "crossing-count-scaling", "crossing-decomposition"}
-)
-# the checks that read work queued on the run's pool
-_POOL_READERS = _SHARED_PASS | {"fastpath-consistency"}
+# The pool jobs, in the order a run queues them: job -> its task and config
+# at a level and worker count.  Each entry looks its names up when called, so
+# a name patched on this module is the one used.
+_JOBS: dict[str, Callable[[str, int], tuple[Callable, ExperimentConfig]]] = {
+    "fastpath-draws": lambda level, workers: (
+        _worker_chunk, delta_fastpath_config(**_fastpath_draws(level), workers=workers)
+    ),
+    "shared-pass": lambda level, workers: (_audited_chunk, _full_crossing_config(level, workers)),
+}
+# check -> the pool job it reads
+_READS = {
+    "fastpath-consistency": "fastpath-draws",
+    "zero-count-scaling": "shared-pass",
+    "crossing-count-scaling": "shared-pass",
+    "crossing-decomposition": "shared-pass",
+}
 # checks that open pools of their own: they run once the run's pool is down,
 # since forking while its executor thread lives is unsafe (and warns on 3.12)
 _OWN_POOLS = frozenset({"determinism"})
@@ -645,8 +640,8 @@ def run_suite(
 ) -> Suite:
     """Run the checks ``names`` (all by default) and time the run's pool work.
 
-    With a pool, the checks that read no pool work run first, while the
-    pool works; without one, every check runs in index order.
+    The checks that read no pool job run first, while the pool works, then
+    the readers collect their jobs, then the checks with pools of their own.
     """
     run = _Run(level, workers)
     if names is not None:
@@ -661,9 +656,8 @@ def run_suite(
         if names is None or name in names
     ]
     beside_pool = [check for check in selected if check[1] not in _OWN_POOLS]
-    with run.pool({name for _, name, _ in beside_pool}) as pooled:
-        if pooled:
-            beside_pool.sort(key=lambda check: check[1] in _POOL_READERS)
+    beside_pool.sort(key=lambda check: check[1] in _READS)
+    with run.pool({_READS[name] for _, name, _ in beside_pool if name in _READS}):
         results = [_run_check(run, *check) for check in beside_pool]
     results += [_run_check(run, *check) for check in selected if check[1] in _OWN_POOLS]
     results.sort(key=lambda result: result.index)

@@ -210,7 +210,10 @@ def _resolve_workers(flag: int | None) -> int:
         return flag
     env = os.environ.get("WORKERS")
     if env is not None:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"WORKERS must be an integer, got {env!r}") from None
         if value < 1:
             raise ValueError(f"WORKERS must be >= 1, got {value}")
         return value
@@ -408,10 +411,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 }
                 for r in results
             ],
-            # per job on the run's pool, its tasks' seconds in the pool processes, summed
+            # per job on the run's pool, its tasks' wall and CPU seconds in the
+            # pool processes, summed
             "pool": {
-                job: {"seconds": round(sum(seconds), 3), "tasks": len(seconds)}
-                for job, seconds in suite.pool.items()
+                job: {"seconds": round(sum(walls), 3), "cpu_seconds": round(sum(cpus), 3),
+                      "tasks": len(walls)}
+                for job, (walls, cpus) in suite.pool.items()
             },
             "environment": {
                 "cpu_count": os.cpu_count(),

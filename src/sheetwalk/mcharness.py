@@ -23,9 +23,9 @@ read each replicate's zeros once, for all sizes.  Raw per-replicate
 values are retained, not just summaries.  A task's output is its
 replicate indices and a sizes-by-replicates array of their values;
 :func:`assemble_result` is the one place that output becomes an
-:class:`ExperimentResult`.  A caller that runs its own task on the same
-split (the acceptance checks, which also audit each grid in the pass)
-queues it with :func:`submit_tasks` and builds its result there too.
+:class:`ExperimentResult`.  The acceptance checks queue their pool jobs
+on the same split with :func:`submit_tasks` (one runs its own task, which
+also audits each grid) and build their results there too.
 """
 
 from __future__ import annotations
@@ -181,10 +181,11 @@ def split_tasks(config: ExperimentConfig) -> list[tuple[ExperimentConfig, int, i
 
 
 def timed(task: Callable, args) -> tuple:
-    """``task(args)`` and the seconds it took, timed where it ran."""
-    start = time.perf_counter()
+    """``task(args)``, its seconds and its cpu_seconds, timed where it ran:
+    wall time, which counts any wait for a CPU, and the process's CPU time."""
+    start, cpu_start = time.perf_counter(), time.process_time()
     value = task(args)
-    return value, time.perf_counter() - start
+    return value, time.perf_counter() - start, time.process_time() - cpu_start
 
 
 @contextlib.contextmanager
@@ -206,8 +207,8 @@ def submit_tasks(
 ) -> list[Future]:
     """Queue ``task`` on ``pool`` for every task of :func:`split_tasks`.
 
-    Each future gives ``(value, seconds)`` (:func:`timed`); ``task`` must
-    be a module-level function.
+    Each future gives ``(value, seconds, cpu_seconds)`` (:func:`timed`);
+    ``task`` must be a module-level function.
     """
     return [pool.submit(timed, task, args) for args in split_tasks(config)]
 
@@ -343,7 +344,6 @@ def delta_log_law_report(
     replicates: int = 0,
     seed: Seed | int = 0,
     workers: int = 1,
-    experiment: Callable[[ExperimentConfig], ExperimentResult] | None = None,
 ) -> list[LogLawRow]:
     """Tabulate the diagonal zero count against its logarithmic law.
 
@@ -351,11 +351,9 @@ def delta_log_law_report(
     to ``(2n, 2n)``, i.e. a simulated grid of edge ``2n``.  Pure
     reporting — one row per size with the exact mean, the
     ``ln n / sqrt(2 pi)`` prediction and their ratio, plus Monte Carlo
-    columns (via the distribution-level fast path) when ``replicates``
-    is positive.  ``experiment`` runs the :func:`delta_fastpath_config`
-    experiment; it is :func:`run_experiment` unless a caller has the
-    draws under way already.  No row is asserted here; judgments belong
-    to callers.
+    columns when ``replicates`` is positive, from :func:`run_experiment`
+    of the distribution-level fast path's :func:`delta_fastpath_config`.
+    No row is asserted here; judgments belong to callers.
     """
     sizes = tuple(int(n) for n in sizes)
     if not sizes or any(n < 2 for n in sizes):
@@ -363,7 +361,7 @@ def delta_log_law_report(
     mc: dict[int, SummaryStats] = {}
     if replicates:
         config = delta_fastpath_config(sizes, replicates=replicates, seed=seed, workers=workers)
-        result = (experiment or run_experiment)(config)
+        result = run_experiment(config)
         mc = {n: result.summaries[2 * n] for n in sizes}
     rows = []
     for n in sizes:

@@ -230,7 +230,7 @@ def test_a_real_pool_reports_what_one_worker_does(quick_serial, real_pools, name
 
 def test_with_a_pool_the_checks_that_read_none_run_first(monkeypatch, inline_pool):
     # checks 6-9 collect their pool work after the others ran beside it, and
-    # determinism waits for the pool to go; on one worker, index order
+    # determinism waits for the pool to go; one worker takes the same order
     order = []
 
     def recorded(name):
@@ -249,9 +249,52 @@ def test_with_a_pool_the_checks_that_read_none_run_first(monkeypatch, inline_poo
     beside = [name for name in check_names() if name not in readers and name != "determinism"]
     assert order == beside + readers + ["determinism"]
     assert [r.name for r in reports] == list(check_names())
+    single = list(order)
     order.clear()
     run_checks(level="quick", workers=1)
-    assert inline_pool == [2] and order == list(check_names())
+    assert inline_pool == [2] and order == single
+
+
+def test_every_reader_is_a_check_and_every_job_resolves():
+    # the job table and the map of its readers name only what exists
+    assert set(checks._READS) <= set(check_names())
+    assert set(checks._READS.values()) == set(checks._JOBS)
+    for level in ("quick", "full"):
+        for job in checks._JOBS:
+            task, config = checks._JOBS[job](level, 2)
+            assert callable(task) and isinstance(config, ExperimentConfig)
+            assert config.workers == 2
+
+
+@pytest.mark.parametrize(
+    "names, jobs",
+    [
+        (None, ["fastpath-draws", "shared-pass"]),
+        (
+            {"crossing-decomposition", "hitting-floor", "fastpath-consistency"},
+            ["fastpath-draws", "shared-pass"],
+        ),
+        ({"zero-count-scaling", "crossing-count-scaling"}, ["shared-pass"]),
+        ({"fastpath-consistency", "determinism"}, ["fastpath-draws"]),
+        (NO_POOL_WORK, []),
+    ],
+    ids=["all", "6-and-9", "7-and-8", "6", "no-pool-work"],
+)
+def test_a_two_worker_run_queues_the_jobs_of_its_checks(monkeypatch, inline_pool, names, jobs):
+    # exactly the jobs the selected checks read, in the table's order
+    queued = []
+
+    def recorded(pool, task, config):
+        queued.append((task, config))
+        return []
+
+    monkeypatch.setattr(checks, "submit_tasks", recorded)
+    monkeypatch.setattr(
+        checks, "_CHECKS", tuple((name, lambda run: (True, "")) for name, _ in checks._CHECKS)
+    )
+    run_checks(level="quick", workers=2, names=names)
+    assert queued == [checks._JOBS[job]("quick", 2) for job in jobs]
+    assert inline_pool == ([2] if jobs else [])
 
 
 def test_a_crashed_pool_task_is_a_crash_and_leaves_no_process(monkeypatch):

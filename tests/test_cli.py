@@ -393,6 +393,14 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "env2/manifest.json").read_text())
         assert manifest["workers"] == 2
 
+    def test_a_non_integer_workers_env_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WORKERS", "abc")
+        argv = ["simulate", "--stat", "delta-fast", "--sizes", "40", "--reps", "4",
+                "--out", str(tmp_path / "bad")]
+        assert main(argv) == 2
+        assert "WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
 
 # seed-0 bytes of the grid statistics, taken before the tile kernel was
 # rebuilt; any change to the field stream or to a counter moves them
@@ -744,8 +752,8 @@ class TestVerifyCommand:
         assert not any(c["detail"].startswith("raised ") for c in report["checks"])
         assert set(report["pool"]) == {"fastpath-draws", "shared-pass"}
         for job in report["pool"].values():
-            assert set(job) == {"seconds", "tasks"}
-            assert job["tasks"] == 8 and job["seconds"] > 0
+            assert set(job) == {"seconds", "cpu_seconds", "tasks"}
+            assert job["tasks"] == 8 and job["seconds"] > 0 and job["cpu_seconds"] > 0
 
     def test_report_says_why_one_worker_ran(self, tmp_path, monkeypatch):
         # an affinity mask of one CPU on a larger machine: the default worker

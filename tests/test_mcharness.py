@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from sheetwalk.mcharness import (
 from sheetwalk.exactprob import CapacityError, delta_mean_exact
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
 from sheetwalk.walkstats import brute_force_bundle, sweep_grid, tile_shape
+
+
+def _sleep(args):
+    time.sleep(0.05)
 
 
 def config(**overrides):
@@ -194,6 +199,16 @@ class TestRunExperiment:
         assert sorted(r for mine in owned for r in mine) == list(range(replicates))
         serial = run_experiment(config(replicates=replicates)).values
         assert all(np.array_equal(values[n], serial[n]) for n in serial)
+
+    def test_a_sleeping_task_takes_wall_seconds_not_cpu_seconds(self, inline_pool):
+        # each task is timed in wall and CPU seconds: a wait, here a sleep,
+        # counts in the first only
+        with mcharness.task_pool(2) as pool:
+            futures = mcharness.submit_tasks(pool, _sleep, config(replicates=2, workers=2))
+        assert inline_pool == [2] and len(futures) == 2
+        for future in futures:
+            value, seconds, cpu_seconds = future.result()
+            assert seconds >= 0.05 and cpu_seconds < seconds / 5
 
     def test_fastpath_matches_sweep_law(self):
         # same distribution, different streams: means agree to 4 combined SEs
