@@ -10,17 +10,16 @@ verification section carries the analysis) and stay red by design; they
 are listed in :data:`EXPECTED_RED`.
 
 Each check reads the run object of its :func:`run_checks` call, which
-collects each pool job of the table :data:`_JOBS` at most once: check 6
-reads ``fastpath-draws``, and checks 7-9 ``shared-pass``, one pass over
-check 8's grids that sweeps each grid once for its zero count and its
-crossings and audits it in the same sweep.
+collects each pool job of the table :data:`_JOBS` once, values or error:
+check 6 reads ``fastpath-draws``, and checks 7-9 ``shared-pass``, one
+pass over check 8's grids that sweeps each grid once for its zero count
+and its crossings and audits it in the same sweep.
 
-Every run takes one order.  With more than one worker and usable CPU, it
-queues the selected checks' jobs on one process pool at its start; the
-checks that read no job run in this process meanwhile, then checks 6-9
-collect their jobs, so their ``seconds`` are mostly waiting.  Otherwise
-a job runs inline when first read.  ``determinism``, which opens pools
-of its own, runs last.  Results come back in index order.
+Every run takes one order.  It puts the selected checks' jobs on one
+:func:`~sheetwalk.mcharness.job_queue` at its start; the checks that read
+no job run meanwhile, beside the queue's pool if it has one, then checks
+6-9 collect their jobs, then ``determinism``, which opens pools of its
+own.  Results come back in index order.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -56,10 +55,7 @@ from .mcharness import (
     assemble_result,
     delta_fastpath_config,
     estimate_exponent,
-    map_workers,
-    pool_processes,
-    submit_tasks,
-    task_pool,
+    job_queue,
 )
 from .randfield import RademacherField, Seed, StreamKey, field_roots
 from .walkstats import (
@@ -99,18 +95,17 @@ class Suite:
 
 @dataclass
 class _Run:
-    """One :func:`run_checks` call: what every check reads of it, and its pool."""
+    """One :func:`run_checks` call: what every check reads of it."""
 
     level: str
     workers: int
-    # job -> its tasks' seconds and cpu_seconds, for the jobs collected from the pool
+    # collect of the run's job_queue; with none (a check called directly) a job
+    # is read from a queue of its own
+    collect: Callable[[str], tuple] | None = field(default=None, repr=False)
+    # job -> its tasks' seconds and cpu_seconds, for the jobs collected from a pool
     pool_seconds: dict[str, tuple] = field(default_factory=dict, init=False)
-    # job -> its config and its futures, for the jobs queued on the run's pool
-    _queued: dict[str, tuple[ExperimentConfig, list[Future]]] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    # job -> its config and its task values, for the jobs read
-    _done: dict[str, tuple[ExperimentConfig, list]] = field(
+    # job -> its config and task values, or the exception collecting it raised
+    _done: dict[str, tuple[ExperimentConfig, list] | Exception] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -120,37 +115,26 @@ class _Run:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
-    @contextlib.contextmanager
-    def pool(self, jobs: set[str]) -> Iterator[None]:
-        """Queue the ``jobs`` on one pool for the block, in table order; none
-        starts on one worker or usable CPU, or for no job.  The pool is shut
-        down however the block exits."""
-        work = {name: _JOBS[name](self.level, self.workers) for name in _JOBS if name in jobs}
-        processes = max((pool_processes(config) for _, config in work.values()), default=1)
-        if processes == 1:
-            yield
-            return
-        with task_pool(processes) as pool:
-            for name, (task, config) in work.items():
-                self._queued[name] = config, submit_tasks(pool, task, config)
-            yield
-
     def job(self, name: str) -> tuple[ExperimentConfig, list]:
-        """Job ``name``'s config and task values, in task order, read once per
-        run: from the run's pool if queued there, else from :func:`map_workers`.
-        A task that raised raises here."""
+        """Job ``name``'s config and task values, in task order, collected once
+        per run.  A task that raised raises here, at every read."""
         if name not in self._done:
-            if name in self._queued:
-                config, futures = self._queued[name]
-                values, walls, cpus = zip(*(future.result() for future in futures))
-                self.pool_seconds[name] = walls, cpus
+            task, config = _JOBS[name](self.level, self.workers)
+            own = None if self.collect else job_queue({name: (task, config)})
+            try:
+                with own or contextlib.nullcontext(self.collect) as collect:
+                    values, times = collect(name)
+            except Exception as exc:
+                self._done[name] = exc
             else:
-                task, config = _JOBS[name](self.level, self.workers)
-                values = map_workers(task, config)
-            self._done[name] = config, list(values)
+                self._done[name] = config, values
+                if times:
+                    self.pool_seconds[name] = times
+        if isinstance(self._done[name], Exception):
+            raise self._done[name]
         return self._done[name]
 
-    @property
+    @cached_property
     def audited(self) -> tuple[ExperimentResult, ExperimentResult, bool]:
         """Check 8's grids swept once: the results of ``run_experiment`` with
         statistic ``GAMMA`` and ``Z_CROSSINGS``, and the audit verdict."""
@@ -345,14 +329,12 @@ def _full_crossing_config(level: str, workers: int) -> ExperimentConfig:
     )
 
 
-def _audited_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[
+def _audited_chunk(args: tuple[ExperimentConfig, np.ndarray]) -> tuple[
     tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], bool
 ]:
-    # task t of T in the harness's split, args = (config, t, T): each of its
-    # replicates r = t (mod T) swept once, its gamma and crossings read and
-    # every size audited from that sweep
-    config, task, tasks = args
-    mine = np.arange(task, config.replicates, tasks)
+    # one task of the harness's split, args = (config, replicate indices): each
+    # replicate swept once, its gamma and crossings read and audited from it
+    config, mine = args
     roots = field_roots(config.seed, mine)
     values, ok = audit_roots(roots, config.sizes, ("gamma", "z_crossings"))
     return (mine, values["gamma"]), (mine, values["z_crossings"]), bool(ok.all())
@@ -640,8 +622,8 @@ def run_suite(
 ) -> Suite:
     """Run the checks ``names`` (all by default) and time the run's pool work.
 
-    The checks that read no pool job run first, while the pool works, then
-    the readers collect their jobs, then the checks with pools of their own.
+    The checks that read no pool job run first, beside the queue of the
+    others' jobs, then those collect them, then the checks with own pools.
     """
     run = _Run(level, workers)
     if names is not None:
@@ -657,7 +639,10 @@ def run_suite(
     ]
     beside_pool = [check for check in selected if check[1] not in _OWN_POOLS]
     beside_pool.sort(key=lambda check: check[1] in _READS)
-    with run.pool({_READS[name] for _, name, _ in beside_pool if name in _READS}):
+    read = {_READS[name] for _, name, _ in beside_pool if name in _READS}
+    jobs = {name: _JOBS[name](level, workers) for name in _JOBS if name in read}
+    with job_queue(jobs) as collect:
+        run.collect = collect
         results = [_run_check(run, *check) for check in beside_pool]
     results += [_run_check(run, *check) for check in selected if check[1] in _OWN_POOLS]
     results.sort(key=lambda result: result.index)

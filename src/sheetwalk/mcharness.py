@@ -2,10 +2,10 @@
 
 Replicate ``r`` of an experiment always simulates stream
 ``StreamKey(seed, r)``.  The replicates are split into interleaved tasks:
-of ``T`` tasks, task ``t`` owns the replicates ``r = t (mod T)``
-(:func:`split_tasks`).  All ``T`` are queued on one process pool at once,
-and each idle process pulls the next, so no process waits on a slower
-one's fixed share (:func:`map_workers`).  Each value lands at its
+of ``T`` tasks, task ``t`` gets the replicates ``r = t (mod T)``
+(:func:`split_tasks`).  A :func:`job_queue` puts every task on one pool at
+once, and each idle process pulls the next, so no process waits on a
+slower one's fixed share.  Each value lands at its
 replicate's index, and every float is reduced from them in replicate
 order after the last task returns, so the full set of simulated values
 and every summary is byte-identical for any worker count.
@@ -23,9 +23,9 @@ read each replicate's zeros once, for all sizes.  Raw per-replicate
 values are retained, not just summaries.  A task's output is its
 replicate indices and a sizes-by-replicates array of their values;
 :func:`assemble_result` is the one place that output becomes an
-:class:`ExperimentResult`.  The acceptance checks queue their pool jobs
-on the same split with :func:`submit_tasks` (one runs its own task, which
-also audits each grid) and build their results there too.
+:class:`ExperimentResult`.  The acceptance checks queue their jobs on
+one queue (one runs its own task, which also audits each grid) and build
+their results there too.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Iterator
 
@@ -135,10 +135,9 @@ def summarize(values: np.ndarray) -> SummaryStats:
     )
 
 
-def _worker_chunk(args: tuple[ExperimentConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Task ``t`` of ``T``, ``args = (config, t, T)``: the replicates ``r = t (mod T)``."""
-    config, task, tasks = args
-    mine = np.arange(task, config.replicates, tasks)
+def _worker_chunk(args: tuple[ExperimentConfig, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One task of :func:`split_tasks`, ``args = (config, replicate indices)``."""
+    config, mine = args
     stat, sizes = config.statistic, config.sizes
     if stat in _BUNDLE_FIELDS:  # only the counter read is swept, from the roots
         roots = field_roots(config.seed, mine)
@@ -168,16 +167,16 @@ def pool_processes(config: ExperimentConfig) -> int:
     return min(config.workers, config.replicates, usable_cpus())
 
 
-def split_tasks(config: ExperimentConfig) -> list[tuple[ExperimentConfig, int, int]]:
-    """The arguments ``(config, t, T)`` of an experiment's ``T`` tasks.
+def split_tasks(config: ExperimentConfig) -> list[tuple[ExperimentConfig, np.ndarray]]:
+    """The arguments ``(config, replicate indices)`` of an experiment's ``T`` tasks.
 
-    Task ``t`` owns the replicates ``r = t (mod T)``.  On one process the
+    Task ``t`` gets the replicates ``r = t (mod T)``.  On one process the
     replicates run as one task; on ``P`` processes they go into ``T =
     min(replicates, TASKS_PER_PROCESS * P)`` tasks, so none is empty.
     """
     processes = pool_processes(config)
     tasks = 1 if processes == 1 else min(config.replicates, TASKS_PER_PROCESS * processes)
-    return [(config, t, tasks) for t in range(tasks)]
+    return [(config, np.arange(t, config.replicates, tasks)) for t in range(tasks)]
 
 
 def timed(task: Callable, args) -> tuple:
@@ -202,30 +201,39 @@ def task_pool(processes: int) -> Iterator[ProcessPoolExecutor]:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def submit_tasks(
-    pool: ProcessPoolExecutor, task: Callable, config: ExperimentConfig
-) -> list[Future]:
-    """Queue ``task`` on ``pool`` for every task of :func:`split_tasks`.
+@contextlib.contextmanager
+def job_queue(
+    jobs: dict[str, tuple[Callable, ExperimentConfig]]
+) -> Iterator[Callable[[str], tuple[list, tuple | None]]]:
+    """Queue the ``jobs``, name -> ``(task, config)``; yield ``collect(name)``,
+    the job's values in the task order of :func:`split_tasks` and, if it
+    ran on a pool, their seconds and cpu_seconds (:func:`timed`), else None.
 
-    Each future gives ``(value, seconds, cpu_seconds)`` (:func:`timed`);
-    ``task`` must be a module-level function.
+    One :func:`task_pool` as wide as the widest job takes every task (of
+    module-level functions) at entry, or with a width of 1 none starts and
+    each job runs inline, as one task, when collected.  A task that raised
+    raises at ``collect``.
     """
-    return [pool.submit(timed, task, args) for args in split_tasks(config)]
-
-
-def map_workers(task: Callable, config: ExperimentConfig) -> list:
-    """Run ``task`` on every task of :func:`split_tasks`; values in task order.
-
-    With one process the one task runs inline.  Otherwise every task is
-    queued at once on a pool of :func:`pool_processes` processes, whose
-    idle processes pull them in turn, and the values are collected in task
-    order.
-    """
-    processes = pool_processes(config)
+    processes = max((pool_processes(config) for _, config in jobs.values()), default=1)
     if processes == 1:
-        return [task(args) for args in split_tasks(config)]
+
+        def run_inline(name: str) -> tuple[list, None]:
+            task, config = jobs[name]
+            return [task(args) for args in split_tasks(config)], None
+
+        yield run_inline
+        return
     with task_pool(processes) as pool:
-        return [future.result()[0] for future in submit_tasks(pool, task, config)]
+        queued = {
+            name: [pool.submit(timed, task, args) for args in split_tasks(config)]
+            for name, (task, config) in jobs.items()
+        }
+
+        def collect(name: str) -> tuple[list, tuple]:
+            values, seconds, cpu_seconds = zip(*(future.result() for future in queued[name]))
+            return list(values), (seconds, cpu_seconds)
+
+        yield collect
 
 
 def assemble_result(
@@ -255,7 +263,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     The outcome is a pure function of ``(statistic, sizes, replicates,
     seed, eps, radius)`` — the worker count only changes wall time.
     """
-    return assemble_result(config, map_workers(_worker_chunk, config))
+    with job_queue({"run": (_worker_chunk, config)}) as collect:
+        chunks, _ = collect("run")
+    return assemble_result(config, chunks)
 
 
 @dataclass(frozen=True)

@@ -281,20 +281,44 @@ def test_every_reader_is_a_check_and_every_job_resolves():
     ids=["all", "6-and-9", "7-and-8", "6", "no-pool-work"],
 )
 def test_a_two_worker_run_queues_the_jobs_of_its_checks(monkeypatch, inline_pool, names, jobs):
-    # exactly the jobs the selected checks read, in the table's order
+    # exactly the jobs the selected checks read, in the table's order; the
+    # queue is handed tasks that do no work, since no check collects them
     queued = []
+    real = checks.job_queue
 
-    def recorded(pool, task, config):
-        queued.append((task, config))
-        return []
+    def recorded(jobs):
+        queued.extend(jobs.values())
+        return real({name: (_idle, config) for name, (_, config) in jobs.items()})
 
-    monkeypatch.setattr(checks, "submit_tasks", recorded)
+    monkeypatch.setattr(checks, "job_queue", recorded)
     monkeypatch.setattr(
         checks, "_CHECKS", tuple((name, lambda run: (True, "")) for name, _ in checks._CHECKS)
     )
     run_checks(level="quick", workers=2, names=names)
     assert queued == [checks._JOBS[job]("quick", 2) for job in jobs]
     assert inline_pool == ([2] if jobs else [])
+
+
+def _idle(args):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_crashed_job_runs_once_for_all_its_readers(monkeypatch, inline_pool, workers):
+    # checks 7-9 read one shared pass; when it raises, each reports the crash,
+    # and each replicate was swept once in all, not once per reader
+    swept = []
+
+    def crash(args):
+        swept.extend(args[1].tolist())
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(checks, "_audited_chunk", crash)
+    results = run_checks(level="quick", workers=workers, names=SHARED_PASS)
+    assert [r.detail for r in results] == ["raised RuntimeError: sweep failed"] * 3
+    replicates = checks._full_crossing_config("quick", workers).replicates
+    assert sorted(swept) == list(range(replicates))
+    assert inline_pool == ([2] if workers == 2 else [])
 
 
 def test_a_crashed_pool_task_is_a_crash_and_leaves_no_process(monkeypatch):

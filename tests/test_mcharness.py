@@ -27,6 +27,14 @@ def _sleep(args):
     time.sleep(0.05)
 
 
+def _replicates(args):
+    return args[1].tolist()
+
+
+def _raise(args):
+    raise RuntimeError("task failed")
+
+
 def config(**overrides):
     base = dict(
         statistic=Statistic.Z_CROSSINGS,
@@ -138,7 +146,7 @@ class TestRunExperiment:
         for stat in walkstats.COUNTERS:
             swept = config(statistic=Statistic(stat), replicates=tile_shape(16)[0] + 3)
             run_experiment(swept)
-            checks._audited_chunk((swept, 0, 1))
+            checks._audited_chunk((swept, np.arange(swept.replicates)))
 
     def test_pool_is_clamped_to_the_replicate_count(self, inline_pool):
         wide = run_experiment(config(replicates=2, workers=8))
@@ -203,12 +211,51 @@ class TestRunExperiment:
     def test_a_sleeping_task_takes_wall_seconds_not_cpu_seconds(self, inline_pool):
         # each task is timed in wall and CPU seconds: a wait, here a sleep,
         # counts in the first only
-        with mcharness.task_pool(2) as pool:
-            futures = mcharness.submit_tasks(pool, _sleep, config(replicates=2, workers=2))
-        assert inline_pool == [2] and len(futures) == 2
-        for future in futures:
-            value, seconds, cpu_seconds = future.result()
-            assert seconds >= 0.05 and cpu_seconds < seconds / 5
+        with mcharness.job_queue({"sleep": (_sleep, config(replicates=2, workers=2))}) as collect:
+            values, (seconds, cpu_seconds) = collect("sleep")
+        assert inline_pool == [2] and len(values) == len(seconds) == len(cpu_seconds) == 2
+        for wall, cpu in zip(seconds, cpu_seconds):
+            assert wall >= 0.05 and cpu < wall / 5
+
+    def test_an_inline_queue_runs_a_job_only_when_collected(self, inline_pool):
+        # one worker: no pool, no times, and a job never collected never runs
+        ran = []
+
+        def task(args):
+            ran.append(args[1].tolist())
+            return len(ran)
+
+        def never(args):
+            raise AssertionError("an uncollected job ran")
+
+        jobs = {"never": (never, config()), "collected": (task, config(replicates=4))}
+        with mcharness.job_queue(jobs) as collect:
+            assert ran == []
+            assert collect("collected") == ([1], None)  # its replicates as one task
+        assert ran == [[0, 1, 2, 3]] and inline_pool == []
+
+    def test_a_queue_shares_one_pool_of_its_widest_job(self, inline_pool):
+        # every task of every job on one pool as wide as the widest job,
+        # each job's values in task order
+        jobs = {
+            "narrow": (_replicates, config(replicates=20, workers=2)),
+            "wide": (_replicates, config(replicates=20, workers=3)),
+        }
+        with mcharness.job_queue(jobs) as collect:
+            for name in ("wide", "narrow"):
+                values, (seconds, _) = collect(name)
+                tasks = mcharness.split_tasks(jobs[name][1])
+                assert values == [mine.tolist() for _, mine in tasks]
+                assert len(seconds) == len(tasks) > 1
+        assert inline_pool == [3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_task_raises_at_collect(self, inline_pool, workers):
+        # the queue opens without raising; the job's collect raises
+        with mcharness.job_queue({"bad": (_raise, config(workers=workers))}) as collect:
+            with pytest.raises(RuntimeError, match="task failed"):
+                collect("bad")
+        assert inline_pool == ([2] if workers == 2 else [])
 
     def test_fastpath_matches_sweep_law(self):
         # same distribution, different streams: means agree to 4 combined SEs
