@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import csv
 import decimal
-import hashlib
 import itertools
 import json
 import math
@@ -172,12 +171,16 @@ def _directory_lock(outdir: Path):
 
 
 def _output_entry(path: Path) -> dict:
-    data = path.read_bytes()
-    return {
-        "name": path.name,
-        "bytes": len(data),
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
+    """The manifest entry of an output: its name, size and sha256, read in
+    64 KiB chunks so the file is never held whole."""
+    import hashlib  # here, its one user, so a run that writes no manifest never loads it
+
+    digest, size = hashlib.sha256(), 0
+    with open(path, "rb") as handle:
+        while chunk := handle.read(2**16):
+            digest.update(chunk)
+            size += len(chunk)
+    return {"name": path.name, "bytes": size, "sha256": digest.hexdigest()}
 
 
 def render_zero_set(field, n: int) -> bytes:

@@ -10,6 +10,16 @@ of each pair, taken from its top 60 bits plus a sticky bit.  No pair is held: th
 rational readers (``exact pn --rational`` and check 1) read n = 0, 1, 2, ...
 in order and walk the generator themselves.
 
+The float table is package data, :data:`TABLE_FILE`, which
+:meth:`ReturnProbTable.build` wrote: a process loads its 80 KB instead of
+walking 10 001 big-integer steps before its first value.  Check 1 at the
+full level compares every entry with an independent rebuild, so a stale
+or damaged file fails ``verify``.  After a change to
+:meth:`ReturnProbTable.build`, regenerate the file from a checkout, with
+``src`` on the path::
+
+    >>> np.save(exactprob.TABLE_FILE, exactprob.ReturnProbTable.build().float_values)
+
 Float evaluation is hybrid: exact table up to ``EXACT_CEILING``, then a
 five-term asymptotic expansion of ``1/sqrt(pi*n)``.  On the overlap window
 ``[9000, 10000]`` the two branches agree to ~1 ulp (tests pin 1e-12
@@ -50,6 +60,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -78,8 +89,17 @@ _C4 = -21.0 / 32768.0
 _C5 = -399.0 / 262144.0
 
 
+#: The float table, ``p(0..EXACT_CEILING)`` as float64, written by
+#: :meth:`ReturnProbTable.build` (see the module docstring to regenerate it).
+TABLE_FILE = Path(__file__).with_name("pn_table.npy")
+
+
 class CapacityError(Exception):
     """An exact computation exceeds its configured ceiling."""
+
+
+class TableFileError(OSError):
+    """The table file is not ``EXACT_CEILING + 1`` float64 values in ``.npy`` form."""
 
 
 #: Decimal arithmetic that keeps every digit: the largest precision and
@@ -119,9 +139,27 @@ class ReturnProbTable:
 
     ``float_values[n]`` is the correctly rounded float of ``p(n)``, taken
     from the pair :func:`dyadic_pairs` yields at ``n``; the pairs are not kept.
+    :meth:`build` computes the floats and wrote :data:`TABLE_FILE`;
+    :meth:`load` reads them back, read-only.
     """
 
     float_values: np.ndarray
+
+    @classmethod
+    def load(cls, path: Path) -> "ReturnProbTable":
+        """The table stored at ``path``; :class:`TableFileError` unless it is
+        ``EXACT_CEILING + 1`` float64 values."""
+        try:
+            values = np.load(path, allow_pickle=False)
+        except ValueError as exc:  # not an .npy file, or one of pickled objects
+            raise TableFileError(f"{path}: {exc}") from None
+        if values.shape != (EXACT_CEILING + 1,) or values.dtype != np.float64:
+            raise TableFileError(
+                f"{path} holds {values.dtype} values of shape {values.shape}, "
+                f"not float64 of shape ({EXACT_CEILING + 1},)"
+            )
+        values.flags.writeable = False
+        return cls(values)
 
     @classmethod
     def build(cls) -> "ReturnProbTable":
@@ -138,9 +176,10 @@ _TABLE: ReturnProbTable | None = None
 
 
 def _table() -> ReturnProbTable:
+    """The process's float table, loaded from :data:`TABLE_FILE` at its first read."""
     global _TABLE
     if _TABLE is None:
-        _TABLE = ReturnProbTable.build()
+        _TABLE = ReturnProbTable.load(TABLE_FILE)
     return _TABLE
 
 

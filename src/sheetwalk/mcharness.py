@@ -36,15 +36,17 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .exactprob import DIAG_LOG_COEFF, CapacityError, delta_mean_exact
 from .randfield import RademacherField, Seed, StreamKey, field_roots
 from .walkstats import COUNTERS, annulus_counts, diag_zero_counts, sweep_roots, twin_zero_counts
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class Statistic(enum.Enum):
@@ -194,6 +196,8 @@ def task_pool(processes: int) -> Iterator[ProcessPoolExecutor]:
     On the way out the queued tasks are cancelled and the running ones
     waited for, so no process outlives the block.
     """
+    from concurrent.futures import ProcessPoolExecutor  # here, so only a pool loads multiprocessing
+
     pool = ProcessPoolExecutor(max_workers=processes)
     try:
         yield pool

@@ -1,10 +1,11 @@
+import concurrent.futures
 import os
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from sheetwalk import mcharness, walkstats
+from sheetwalk import walkstats
 
 
 @pytest.fixture
@@ -35,7 +36,8 @@ def inline_pool(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(mcharness, "ProcessPoolExecutor", InlinePool)
+    # task_pool imports the name from concurrent.futures when it opens a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return opened
 
 

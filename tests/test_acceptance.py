@@ -9,6 +9,7 @@ that crashes fails the gate even when it is one of those four.
 README.md carries the full analysis.
 """
 
+import concurrent.futures
 import dataclasses
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -16,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from sheetwalk import checks, mcharness, walkstats
+from sheetwalk import checks, walkstats
 from sheetwalk.checks import EXPECTED_RED, CheckResult, check_names, format_report, run_checks
 from sheetwalk.mcharness import ExperimentConfig, Statistic, run_experiment, usable_cpus
 from sheetwalk.randfield import Seed
@@ -205,7 +206,7 @@ def real_pools(monkeypatch):
             opened.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(mcharness, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
     return opened
 
 

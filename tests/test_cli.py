@@ -4,11 +4,16 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import StubField
 
+import sheetwalk
 from sheetwalk import cli, exactprob, mcharness, walkstats
 from sheetwalk.cli import main, render_zero_set
 from sheetwalk.exactprob import gamma_mean_exact
@@ -56,6 +61,15 @@ class TestExactCommand:
         monkeypatch.setattr(exactprob, "dyadic_pairs", unread)
         assert main(["exact", "pn", "--max", "10001"]) == 3
         assert main(["exact", "pn", "--max", "10001", "--rational"]) == 3
+
+    def test_a_damaged_table_file_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        damaged = tmp_path / "pn_table.npy"
+        np.save(damaged, np.zeros(exactprob.EXACT_CEILING))
+        monkeypatch.setattr(exactprob, "TABLE_FILE", damaged)
+        monkeypatch.setattr(exactprob, "_TABLE", None)
+        assert main(["exact", "pn", "--max", "4"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"sheetwalk: i/o error: {damaged} holds float64 values")
 
     def test_a_failing_row_leaves_no_table(self, tmp_path, monkeypatch):
         # rows stream into a temporary file; one that fails mid-table must
@@ -514,6 +528,17 @@ class TestBytePins:
         assert main(argv) == 0
         _assert_canonical_json((tmp_path / "manifest.json").read_text(encoding="utf-8"))
 
+    def test_manifest_entries_are_the_outputs(self, tmp_path):
+        argv = ["simulate", "--stat", "gamma", "--sizes", "8", "--reps", "2",
+                "--workers", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["outputs"] == [
+            {"name": name, "bytes": (tmp_path / name).stat().st_size,
+             "sha256": _sha256(tmp_path / name)}
+            for name in ("raw.csv", "summary.csv")
+        ]
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_estimate_report_bytes(self, tmp_path, capsys, to_file):
         summary = tmp_path / "summary.csv"
@@ -826,3 +851,48 @@ def test_missing_out_directory_names_the_target(tmp_path, capsys, monkeypatch, a
     assert err.startswith("sheetwalk: i/o error: ")
     assert err.endswith(f"'{target}'\n")
     assert not (tmp_path / "missing").exists()
+
+
+def test_an_output_is_hashed_without_holding_it(tmp_path):
+    # a raw.csv at RESULT_CEILING is about 150 MB; its manifest entry reads
+    # it in chunks rather than whole
+    path = tmp_path / "raw.csv"
+    data = np.random.default_rng(0).bytes(8 * 2**20)
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        entry = cli._output_entry(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entry == {
+        "name": "raw.csv", "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()
+    }
+    assert peak < 2**20
+
+
+# run in a fresh interpreter, since this one has imported the pool stack
+_FIRST_READS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import sheetwalk.cli
+from sheetwalk import exactprob
+
+def unread(*args, **kwargs):
+    raise AssertionError("the dyadic pairs were walked")
+
+exactprob.dyadic_pairs = unread
+exactprob.p_float(1)
+exactprob.gamma_mean_exact(64)
+print(sorted({"multiprocessing", "concurrent.futures.process", "hashlib"} & set(sys.modules)))
+"""
+
+
+def test_reading_p_loads_the_table_and_no_pool_or_hash_module():
+    src = Path(sheetwalk.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _FIRST_READS, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

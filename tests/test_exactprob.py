@@ -2,6 +2,7 @@ import decimal
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -226,6 +227,33 @@ class TestTableMemory:
         run = _Run("full", 1)
         (ok, _), peak = self._traced(monkeypatch, lambda: _check_return_probability(run))
         assert (ok, peak < 2**20) == (True, True)
+
+
+class TestTableFile:
+    """The committed float table is what :meth:`ReturnProbTable.build` computes."""
+
+    def test_the_committed_table_is_the_build(self):
+        loaded = ep.ReturnProbTable.load(ep.TABLE_FILE).float_values
+        built = ep.ReturnProbTable.build().float_values
+        assert (loaded.shape, loaded.dtype) == ((ep.EXACT_CEILING + 1,), np.float64)
+        assert not loaded.flags.writeable
+        assert loaded.tobytes() == built.tobytes()
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: np.save(path, np.zeros(ep.EXACT_CEILING)),
+            lambda path: np.save(path, np.zeros(ep.EXACT_CEILING + 1, dtype=np.float32)),
+            lambda path: path.write_bytes(b"n,p\n0,1\n"),
+            lambda path: np.save(path, np.array([1.0, "p"], dtype=object)),
+        ],
+        ids=["short", "float32", "not-npy", "pickled"],
+    )
+    def test_a_file_that_is_not_the_table_is_named(self, tmp_path, write):
+        path = tmp_path / "table.npy"
+        write(path)
+        with pytest.raises(ep.TableFileError, match=re.escape(str(path))):
+            ep.ReturnProbTable.load(path)
 
 
 class TestReturnProbExact:

@@ -209,7 +209,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     sticky = "float((num >> shift) | 1)"
     table = _edited("ReturnProbTable", sticky, sticky, module=exactprob)
     monkeypatch.setattr(exactprob, "ReturnProbTable", table)
-    monkeypatch.setattr(exactprob, "_TABLE", None)
+    monkeypatch.setattr(exactprob, "_TABLE", table.build())
     mask = "np.less_equal("
     monkeypatch.setattr(exactprob, "_p_blocks", _edited("_p_blocks", mask, mask, module=exactprob))
     split = "h = n // 2 - n // 2 % 8"
@@ -304,8 +304,11 @@ class TestTableWithoutTheStickyBit:
 
     The dropped bits then round ties to even where the exact value lies
     above the tie: 34 of the 10001 table floats are one ulp low, the first
-    at n = 166.  Check 1 requires every float to equal its rebuilt
-    quotient, so it fails, and so does the table's own quotient test.
+    at n = 166.  A process loads the table from its file, so the fixture
+    installs the mutant's built table, what a file it wrote would hold.
+    Check 1 requires every float to equal its rebuilt quotient, so it
+    fails, and so does the table's own quotient test; the committed file
+    no longer equals the mutant's build.
     """
 
     @pytest.fixture(autouse=True)
@@ -313,7 +316,7 @@ class TestTableWithoutTheStickyBit:
         sticky = "float((num >> shift) | 1)"
         mutant = _edited("ReturnProbTable", sticky, "float(num >> shift)", module=exactprob)
         monkeypatch.setattr(exactprob, "ReturnProbTable", mutant)
-        monkeypatch.setattr(exactprob, "_TABLE", None)  # the next read builds the mutant's table
+        monkeypatch.setattr(exactprob, "_TABLE", mutant.build())
 
     def test_killed_by_the_rounded_quotients(self):
         with pytest.raises(AssertionError):
@@ -321,6 +324,10 @@ class TestTableWithoutTheStickyBit:
 
     def test_killed_by_check_1(self):
         assert not checks._check_return_probability(checks._Run("quick", 1))[0]
+
+    def test_killed_by_the_committed_file(self):
+        with pytest.raises(AssertionError):
+            test_exactprob.TestTableFile().test_the_committed_table_is_the_build()
 
 
 class TestCarryRowNotAdded:
