@@ -1,7 +1,7 @@
 """The acceptance-check suite behind ``sheetwalk verify``.
 
 Thirteen checks, each a literal assertion about the package's exact
-values, Monte Carlo output, or file-level determinism.  ``full`` runs
+values, Monte Carlo output, or byte-level determinism.  ``full`` runs
 every check at its committed size; ``quick`` shrinks the expensive grids
 for a sub-minute smoke pass.  Results are reported honestly: a check
 that measures a violated bound FAILS and says what it measured — four
@@ -11,15 +11,17 @@ are listed in :data:`EXPECTED_RED`.
 
 Each check reads the run object of its :func:`run_checks` call, which
 collects each pool job of the table :data:`_JOBS` once, values or error:
-check 6 reads ``fastpath-draws``, and checks 7-9 ``shared-pass``, one
-pass over check 8's grids that sweeps each grid once for its zero count
-and its crossings and audits it in the same sweep.
+check 6 reads ``fastpath-draws``, checks 7-9 ``shared-pass``, one pass
+over check 8's grids that sweeps each grid once for its zero count and
+its crossings and audits it in the same sweep, and check 13
+``determinism``, whose result from the run's task split it compares with
+every other split's, assembled in process.
 
 Every run takes one order.  It puts the selected checks' jobs on one
 :func:`~sheetwalk.mcharness.job_queue` at its start; the checks that read
 no job run meanwhile, beside the queue's pool if it has one, then checks
-6-9 collect their jobs, then ``determinism``, which opens pools of its
-own.  Results come back in index order.
+6-9 and 13 collect their jobs.  No check starts a process of its own.
+Results come back in index order.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from pathlib import Path
-from tempfile import TemporaryDirectory
 from typing import Callable, Iterator
 
 import numpy as np
@@ -56,6 +56,7 @@ from .mcharness import (
     delta_fastpath_config,
     estimate_exponent,
     job_queue,
+    split_tasks,
 )
 from .randfield import RademacherField, Seed, StreamKey, field_roots
 from .walkstats import (
@@ -503,47 +504,25 @@ def _check_hitting_floor(run: _Run) -> tuple[bool, str]:
 
 
 def _check_determinism(run: _Run) -> tuple[bool, str]:
-    from . import cli  # deferred: cli imports this module for cmd_verify
+    from .cli import render_zero_set  # deferred: cli imports this module for cmd_verify
 
-    worker_counts = (1, 2, 8) if run.level == "full" else (1, 2)
+    config, chunks = run.job("determinism")
+
+    def written(chunks) -> list:  # what simulate formats raw.csv and summary.csv from
+        result = assemble_result(config, chunks)
+        return [(result.values[n].tobytes(), result.summaries[n]) for n in config.sizes]
+
+    ran = written(chunks)  # from the run's own task split
+    splits = range(1, config.replicates + 1)
+    same = sum(written(map(_worker_chunk, split_tasks(config, t))) == ran for t in splits)
     render_n = 256 if run.level == "full" else 128
-    raws = []
-    ok = True
-    with TemporaryDirectory() as tmp:
-        for w in worker_counts:
-            outdir = Path(tmp) / f"w{w}"
-            code = cli.main(
-                [
-                    "simulate",
-                    "--stat",
-                    "z-crossings",
-                    "--sizes",
-                    "32,64",
-                    "--reps",
-                    "24",
-                    "--seed",
-                    "7",
-                    "--workers",
-                    str(w),
-                    "--out",
-                    str(outdir),
-                ]
-            )
-            ok &= code == 0
-            raws.append((outdir / "raw.csv").read_bytes())
-        ok &= all(raw == raws[0] for raw in raws)
-        images = []
-        for run in ("a", "b"):
-            target = Path(tmp) / f"{run}.pgm"
-            code = cli.main(
-                ["render", "--seed", "7", "--n", str(render_n), "--out", str(target)]
-            )
-            ok &= code == 0
-            images.append(target.read_bytes())
-        ok &= images[0] == images[1]
-    return bool(ok), (
-        f"raw CSV identical across workers {worker_counts}; "
-        f"render(seed 7, N={render_n}) identical across two runs"
+    images = [render_zero_set(RademacherField(StreamKey(Seed(7), 0)), render_n) for _ in range(2)]
+    same_image = images[0] == images[1]
+    return same == len(splits) and same_image, (
+        f"{config.statistic.value} at N in {config.sizes} (M={config.replicates}, "
+        f"seed {config.seed}): {same} of the {len(splits)} splits into T = "
+        f"1..{config.replicates} interleaved tasks give the run's values and summaries; "
+        f"render(seed 7, N={render_n}) identical across two calls: {same_image}"
     )
 
 
@@ -583,6 +562,9 @@ _JOBS: dict[str, Callable[[str, int], tuple[Callable, ExperimentConfig]]] = {
         _worker_chunk, delta_fastpath_config(**_fastpath_draws(level), workers=workers)
     ),
     "shared-pass": lambda level, workers: (_audited_chunk, _full_crossing_config(level, workers)),
+    "determinism": lambda level, workers: (
+        _worker_chunk, ExperimentConfig(Statistic.Z_CROSSINGS, (32, 64), 24, Seed(7), workers)
+    ),
 }
 # check -> the pool job it reads
 _READS = {
@@ -590,10 +572,8 @@ _READS = {
     "zero-count-scaling": "shared-pass",
     "crossing-count-scaling": "shared-pass",
     "crossing-decomposition": "shared-pass",
+    "determinism": "determinism",
 }
-# checks that open pools of their own: they run once the run's pool is down,
-# since forking while its executor thread lives is unsafe (and warns on 3.12)
-_OWN_POOLS = frozenset({"determinism"})
 
 
 def check_names() -> tuple[str, ...]:
@@ -623,7 +603,7 @@ def run_suite(
     """Run the checks ``names`` (all by default) and time the run's pool work.
 
     The checks that read no pool job run first, beside the queue of the
-    others' jobs, then those collect them, then the checks with own pools.
+    others' jobs, then those collect them.
     """
     run = _Run(level, workers)
     if names is not None:
@@ -637,14 +617,12 @@ def run_suite(
         for index, (name, func) in enumerate(_CHECKS, start=1)
         if names is None or name in names
     ]
-    beside_pool = [check for check in selected if check[1] not in _OWN_POOLS]
-    beside_pool.sort(key=lambda check: check[1] in _READS)
-    read = {_READS[name] for _, name, _ in beside_pool if name in _READS}
+    selected.sort(key=lambda check: check[1] in _READS)
+    read = {_READS[name] for _, name, _ in selected if name in _READS}
     jobs = {name: _JOBS[name](level, workers) for name in _JOBS if name in read}
     with job_queue(jobs) as collect:
         run.collect = collect
-        results = [_run_check(run, *check) for check in beside_pool]
-    results += [_run_check(run, *check) for check in selected if check[1] in _OWN_POOLS]
+        results = [_run_check(run, *check) for check in selected]
     results.sort(key=lambda result: result.index)
     return Suite(results, dict(run.pool_seconds))
 

@@ -153,7 +153,7 @@ def _worker_chunk(args: tuple[ExperimentConfig, np.ndarray]) -> tuple[np.ndarray
         values = [twin_zero_counts(f, config.eps, sizes, config.radius) for f in fields]
     else:
         values = [annulus_counts(f, config.eps, sizes) for f in fields]
-    return mine, np.array(values, dtype=np.float64).T
+    return mine, np.array(values, dtype=np.float64).reshape(len(mine), len(sizes)).T
 
 
 def usable_cpus() -> int:
@@ -169,15 +169,12 @@ def pool_processes(config: ExperimentConfig) -> int:
     return min(config.workers, config.replicates, usable_cpus())
 
 
-def split_tasks(config: ExperimentConfig) -> list[tuple[ExperimentConfig, np.ndarray]]:
-    """The arguments ``(config, replicate indices)`` of an experiment's ``T`` tasks.
+def split_tasks(config: ExperimentConfig, tasks: int) -> list[tuple[ExperimentConfig, np.ndarray]]:
+    """The arguments ``(config, replicate indices)`` of an experiment's ``tasks`` tasks.
 
-    Task ``t`` gets the replicates ``r = t (mod T)``.  On one process the
-    replicates run as one task; on ``P`` processes they go into ``T =
-    min(replicates, TASKS_PER_PROCESS * P)`` tasks, so none is empty.
+    Task ``t`` of ``T`` gets the replicates ``r = t (mod T)``; with ``T``
+    above the replicate count the last tasks are empty.
     """
-    processes = pool_processes(config)
-    tasks = 1 if processes == 1 else min(config.replicates, TASKS_PER_PROCESS * processes)
     return [(config, np.arange(t, config.replicates, tasks)) for t in range(tasks)]
 
 
@@ -215,21 +212,28 @@ def job_queue(
 
     One :func:`task_pool` as wide as the widest job takes every task (of
     module-level functions) at entry, or with a width of 1 none starts and
-    each job runs inline, as one task, when collected.  A task that raised
-    raises at ``collect``.
+    each job runs inline, as one task, when collected.  On the pool, a job
+    of ``P`` :func:`pool_processes` is split into one task if ``P`` is 1,
+    else into ``min(replicates, TASKS_PER_PROCESS * P)``, so none is empty.
+    A task that raised raises at ``collect``.
     """
     processes = max((pool_processes(config) for _, config in jobs.values()), default=1)
     if processes == 1:
 
         def run_inline(name: str) -> tuple[list, None]:
             task, config = jobs[name]
-            return [task(args) for args in split_tasks(config)], None
+            return [task(args) for args in split_tasks(config, 1)], None
 
         yield run_inline
         return
+
+    def tasks(config: ExperimentConfig) -> int:
+        width = pool_processes(config)
+        return 1 if width == 1 else min(config.replicates, TASKS_PER_PROCESS * width)
+
     with task_pool(processes) as pool:
         queued = {
-            name: [pool.submit(timed, task, args) for args in split_tasks(config)]
+            name: [pool.submit(timed, task, args) for args in split_tasks(config, tasks(config))]
             for name, (task, config) in jobs.items()
         }
 

@@ -342,13 +342,18 @@ def sweep_roots(
     """
     plan = _SweepPlan(_check_sizes(sizes), _check_counters(counters))
     swept = [_sweep_block(block, plan) for block in _field_blocks(roots, plan.M)]
-    return {c: np.concatenate([values[c] for values in swept], axis=1) for c in plan.counters}
+    return {c: _joined([values[c] for values in swept], plan) for c in plan.counters}
 
 
-def _check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+def _some_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     sizes = tuple(sizes)
     if not sizes:
         raise ValueError("need at least one grid size")
+    return sizes
+
+
+def _check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    sizes = _some_sizes(sizes)
     for n in sizes:
         _check_edge(n)
     return sizes
@@ -365,8 +370,16 @@ def _check_counters(counters: Iterable[str]) -> frozenset[str]:
 
 def _field_blocks(roots: np.ndarray, N: int) -> Iterator[np.ndarray]:
     """``roots`` in slices of ``tile_shape(N)[0]``, the blocks of a sweep at edge ``N``."""
+    dtype = getattr(roots, "dtype", type(roots).__name__)
+    if dtype != np.uint64:
+        raise ValueError(f"roots must be a uint64 array, got {dtype}")
     grids = tile_shape(N)[0]
     return (roots[at : at + grids] for at in range(0, len(roots), grids))
+
+
+def _joined(blocks: list[np.ndarray], plan: _SweepPlan) -> np.ndarray:
+    """The blocks' ``(len(sizes), R)`` arrays side by side; ``(len(sizes), 0)`` with none."""
+    return np.concatenate([np.empty((len(plan.sizes), 0), dtype=np.int64), *blocks], axis=1)
 
 
 ZEROS, ONES, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES = range(5)  # flag planes
@@ -635,8 +648,8 @@ def audit_roots(
     counters = _check_counters(counters)
     plan = _SweepPlan(_check_sizes(sizes), counters | {"z_crossings"}, audit=True)
     audited = [_audit_block(block, plan) for block in _field_blocks(roots, plan.M)]
-    values = {c: np.concatenate([v[c] for v, _ in audited], axis=1) for c in counters}
-    return values, np.concatenate([ok for _, ok in audited])
+    values = {c: _joined([v[c] for v, _ in audited], plan) for c in counters}
+    return values, np.concatenate([np.empty(0, dtype=bool), *(ok for _, ok in audited)])
 
 
 def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, ...]:
@@ -691,6 +704,7 @@ def diag_zero_counts(key: StreamKey, sizes: Sequence[int]) -> list[int]:
     ``k`` draws are those of a batch of ``k``, so each count equals a
     draw of its own size.
     """
+    sizes = _some_sizes(sizes)
     if min(sizes) < 0:
         raise ValueError(f"N must be >= 0, got {tuple(sizes)}")
     if max(sizes) > DIAG_FAST_CEILING:
@@ -739,6 +753,7 @@ def twin_zero_counts(field, eps: float, sizes: Sequence[int], radius: int) -> li
         raise ValueError(f"eps must be in (0,1), got {eps}")
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
+    sizes = _some_sizes(sizes)
     if min(sizes) < 0:
         raise ValueError(f"N must be >= 0, got {tuple(sizes)}")
     M = max(sizes)

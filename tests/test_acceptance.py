@@ -10,6 +10,7 @@ README.md carries the full analysis.
 """
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -44,9 +45,36 @@ RUNTIME_LIMITS = {
 }
 
 
+@contextlib.contextmanager
+def recorded_pools():
+    """Real process pools for the block, whose widths are recorded as they open."""
+    opened = []
+
+    class Recorded(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        yield opened
+
+
+def _one_worker_run(level):
+    # the run at one worker, and the pools it opened
+    with recorded_pools() as opened:
+        results = run_checks(level=level, workers=1)
+    return results, opened
+
+
 @pytest.fixture(scope="module")
-def full_results():
-    return {r.name: r for r in run_checks(level="full", workers=1)}
+def full_run():
+    return _one_worker_run("full")
+
+
+@pytest.fixture(scope="module")
+def full_results(full_run):
+    return {r.name: r for r in full_run[0]}
 
 
 def judge(result: CheckResult) -> None:
@@ -188,8 +216,13 @@ def _unrun(run):
 
 
 @pytest.fixture(scope="module")
-def quick_serial():
-    return run_checks(level="quick", workers=1)
+def quick_run():
+    return _one_worker_run("quick")
+
+
+@pytest.fixture(scope="module")
+def quick_serial(quick_run):
+    return quick_run[0]
 
 
 def _reported(results):
@@ -197,17 +230,18 @@ def _reported(results):
 
 
 @pytest.fixture
-def real_pools(monkeypatch):
+def real_pools():
     """Real process pools, whose widths are recorded as they open."""
-    opened = []
+    with recorded_pools() as opened:
+        yield opened
 
-    class Recorded(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-    return opened
+@pytest.mark.parametrize("run", ["quick_run", "full_run"])
+def test_one_worker_starts_no_process(request, run):
+    # every check at one worker, determinism among them, runs in this process
+    results, opened = request.getfixturevalue(run)
+    assert len(results) == len(check_names())
+    assert opened == [] and multiprocessing.active_children() == []
 
 
 # a selection that reads no pool work: no pool opens for it
@@ -216,12 +250,12 @@ NO_POOL_WORK = {"return-probability", "oracle-equivalence", "hitting-floor"}
 
 @pytest.mark.parametrize(
     "names, pools",
-    [(None, [2, 2]), ({"crossing-decomposition"}, [2]), (NO_POOL_WORK, [])],
+    [(None, [2]), ({"crossing-decomposition"}, [2]), (NO_POOL_WORK, [])],
     ids=["all", "check-9", "no-pool-work"],
 )
 def test_a_real_pool_reports_what_one_worker_does(quick_serial, real_pools, names, pools):
-    # the run's pool, then determinism's own pool at two workers; checks 6-9
-    # collect their tasks after the others ran, yet the report is in index order
+    # the run's one pool at two workers; checks 6-9 and 13 collect their tasks
+    # after the others ran, yet the report is in index order
     wide = run_checks(level="quick", workers=2, names=names)
     serial = [r for r in quick_serial if names is None or r.name in names]
     assert _reported(wide) == _reported(serial)
@@ -230,8 +264,8 @@ def test_a_real_pool_reports_what_one_worker_does(quick_serial, real_pools, name
 
 
 def test_with_a_pool_the_checks_that_read_none_run_first(monkeypatch, inline_pool):
-    # checks 6-9 collect their pool work after the others ran beside it, and
-    # determinism waits for the pool to go; one worker takes the same order
+    # checks 6-9 and 13 collect their pool work after the others ran beside
+    # it; one worker takes the same order
     order = []
 
     def recorded(name):
@@ -244,11 +278,11 @@ def test_with_a_pool_the_checks_that_read_none_run_first(monkeypatch, inline_poo
     monkeypatch.setattr(
         checks, "_CHECKS", tuple((name, recorded(name)) for name, _ in checks._CHECKS)
     )
-    readers = ["fastpath-consistency", *sorted(SHARED_PASS, key=check_names().index)]
+    readers = ["fastpath-consistency", *sorted(SHARED_PASS, key=check_names().index), "determinism"]
     reports = run_checks(level="quick", workers=2)
     assert inline_pool == [2]
-    beside = [name for name in check_names() if name not in readers and name != "determinism"]
-    assert order == beside + readers + ["determinism"]
+    beside = [name for name in check_names() if name not in readers]
+    assert order == beside + readers
     assert [r.name for r in reports] == list(check_names())
     single = list(order)
     order.clear()
@@ -270,13 +304,13 @@ def test_every_reader_is_a_check_and_every_job_resolves():
 @pytest.mark.parametrize(
     "names, jobs",
     [
-        (None, ["fastpath-draws", "shared-pass"]),
+        (None, ["fastpath-draws", "shared-pass", "determinism"]),
         (
             {"crossing-decomposition", "hitting-floor", "fastpath-consistency"},
             ["fastpath-draws", "shared-pass"],
         ),
         ({"zero-count-scaling", "crossing-count-scaling"}, ["shared-pass"]),
-        ({"fastpath-consistency", "determinism"}, ["fastpath-draws"]),
+        ({"fastpath-consistency", "determinism"}, ["fastpath-draws", "determinism"]),
         (NO_POOL_WORK, []),
     ],
     ids=["all", "6-and-9", "7-and-8", "6", "no-pool-work"],

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -13,9 +13,11 @@ from sheetwalk.cli import _resolve_workers
 from sheetwalk.mcharness import (
     ExperimentConfig,
     Statistic,
+    assemble_result,
     delta_log_law_report,
     estimate_exponent,
     run_experiment,
+    split_tasks,
     summarize,
 )
 from sheetwalk.exactprob import CapacityError, delta_mean_exact
@@ -33,6 +35,14 @@ def _replicates(args):
 
 def _raise(args):
     raise RuntimeError("task failed")
+
+
+def _assembled(config, tasks):
+    """The result of ``config`` split into ``tasks`` tasks, each run in process;
+    every task's values are sizes by its replicates, an empty task's too."""
+    chunks = [mcharness._worker_chunk(args) for args in split_tasks(config, tasks)]
+    assert all(values.shape == (len(config.sizes), len(mine)) for mine, values in chunks)
+    return assemble_result(config, chunks)
 
 
 def config(**overrides):
@@ -54,12 +64,33 @@ class TestRunExperiment:
             assert np.array_equal(a.values[n], b.values[n])
 
     def test_worker_count_never_changes_results(self):
-        base = run_experiment(config(replicates=9))
-        for workers in (2, 3, 5):
-            other = run_experiment(config(replicates=9, workers=workers))
+        # the splits a pool may take, T = 8 among them, assembled in process,
+        # whatever the machine's CPU count
+        nine = config(replicates=9)
+        base = run_experiment(nine)
+        for tasks in (2, 3, 5, 8, 9):
+            other = _assembled(nine, tasks)
             for n in (8, 16):
                 assert np.array_equal(base.values[n], other.values[n])
                 assert base.summaries[n] == other.summaries[n]
+
+    @given(
+        stat=st.sampled_from(Statistic),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
+        replicates=st.integers(1, 30),
+        tasks=st.integers(1, 40),
+    )
+    @example(stat=Statistic.GAMMA, sizes=[40, 7], replicates=30, tasks=7)
+    @settings(max_examples=40, deadline=None)
+    def test_every_task_split_assembles_the_same_result(self, stat, sizes, replicates, tasks):
+        # any T gives the one-task result byte for byte: a T that does not
+        # divide the sweep's block of tile_shape(max(sizes))[0] grids (7 of
+        # 204 above), and a T over the replicate count, whose last tasks are empty
+        split = config(statistic=stat, sizes=sizes, replicates=replicates)
+        one, other = _assembled(split, 1), _assembled(split, tasks)
+        for n in sizes:
+            assert one.values[n].tobytes() == other.values[n].tobytes()
+            assert one.summaries[n] == other.summaries[n]
 
     def test_raw_values_are_retained_per_replicate(self):
         res = run_experiment(config(replicates=5))
@@ -192,17 +223,17 @@ class TestRunExperiment:
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     def test_every_replicate_lands_in_one_task(self, inline_pool, replicates, workers, cpus):
-        # the task split: one task inline, else TASKS_PER_PROCESS per process,
-        # never more tasks than replicates, and each replicate in exactly one
+        # the queue's task split: one task inline, else TASKS_PER_PROCESS per
+        # process, never more tasks than replicates, and each replicate in exactly one
         wide = config(replicates=replicates, workers=workers)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mcharness, "usable_cpus", lambda: cpus)
-            tasks = mcharness.split_tasks(wide)
+            with mcharness.job_queue({"split": (_replicates, wide)}) as collect:
+                owned, _ = collect("split")
             values = run_experiment(wide).values
         processes = min(workers, replicates, cpus)
         per_process = mcharness.TASKS_PER_PROCESS * processes
-        assert len(tasks) == (1 if processes == 1 else min(replicates, per_process))
-        owned = [mcharness._worker_chunk(args)[0].tolist() for args in tasks]
+        assert len(owned) == (1 if processes == 1 else min(replicates, per_process))
         assert all(owned)
         assert sorted(r for mine in owned for r in mine) == list(range(replicates))
         serial = run_experiment(config(replicates=replicates)).values
@@ -244,7 +275,8 @@ class TestRunExperiment:
         with mcharness.job_queue(jobs) as collect:
             for name in ("wide", "narrow"):
                 values, (seconds, _) = collect(name)
-                tasks = mcharness.split_tasks(jobs[name][1])
+                job = jobs[name][1]  # TASKS_PER_PROCESS tasks per process of the job
+                tasks = split_tasks(job, mcharness.TASKS_PER_PROCESS * job.workers)
                 assert values == [mine.tolist() for _, mine in tasks]
                 assert len(seconds) == len(tasks) > 1
         assert inline_pool == [3]

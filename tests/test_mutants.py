@@ -206,6 +206,9 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     gamma = '(mine, values["gamma"])'
     chunk = _edited("_audited_chunk", gamma, gamma, module=checks)
     monkeypatch.setattr(checks, "_audited_chunk", chunk)
+    placed = "values[size][replicates] = row"
+    assemble = _edited("assemble_result", placed, placed, module=mcharness)
+    monkeypatch.setattr(checks, "assemble_result", assemble)
     sticky = "float((num >> shift) | 1)"
     table = _edited("ReturnProbTable", sticky, sticky, module=exactprob)
     monkeypatch.setattr(exactprob, "ReturnProbTable", table)
@@ -219,6 +222,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     test_exactprob.test_the_tree_walk_adds_as_np_sum_does(monkeypatch, 131_084, exactprob.CHUNK_CELLS)
     assert checks._check_oracle_equivalence(checks._Run("quick", 1))[0]
     assert checks._check_return_probability(checks._Run("quick", 1))[0]
+    assert checks._check_determinism(checks._Run("quick", 1))[0]
     test_walkstats.test_band_seams_equal_brute_force((65, 70))
     test_walkstats.test_band_seams_equal_brute_force((9, 70))
     test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
@@ -429,3 +433,27 @@ class TestSharedPassFilesCrossingsAsGamma:
             "crossing-count-scaling": True,
             "crossing-decomposition": True,
         }
+
+
+class TestAssembleMisplacesValuesOfASplit:
+    """Split into more than one task, each task's values land at its replicates reversed.
+
+    One task places them right, so a result from one task, as every
+    one-worker run takes, cannot see this; check 13 compares every split.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        placed = "values[size][replicates] = row"
+        one_task = "replicates if len(replicates) == config.replicates else replicates[::-1]"
+        misplaced = f"values[size][{one_task}] = row"
+        mutant = _edited("assemble_result", placed, misplaced, module=mcharness)
+        monkeypatch.setattr(checks, "assemble_result", mutant)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_killed_by_check_13(self, inline_pool, workers):
+        assert not checks._check_determinism(checks._Run("quick", workers))[0]
+
+    def test_survives_check_8_at_one_worker(self):
+        (result,) = checks.run_checks("quick", 1, {"crossing-count-scaling"})
+        assert result.passed

@@ -399,6 +399,35 @@ def test_nested_sweep_needs_valid_sizes(entry):
             run(())
 
 
+def test_no_roots_sweep_to_empty_counters():
+    # an empty block of streams: each counter (len(sizes), 0), and no verdict
+    none = np.empty(0, dtype=np.uint64)
+    swept = sweep_roots(none, (8, 16, 4), COUNTERS)
+    audited, ok = audit_roots(none, (8, 16, 4), ("gamma",))
+    assert set(swept) == set(COUNTERS)
+    for values in (*swept.values(), audited["gamma"]):
+        assert values.shape == (3, 0) and values.dtype == np.int64
+    assert ok.shape == (0,) and ok.dtype == bool
+
+
+@pytest.mark.parametrize("entry", [sweep_roots, audit_roots], ids=["sweep", "audit"])
+@pytest.mark.parametrize(
+    "roots, named",
+    [(np.array([1, 2], dtype=np.int64), "int64"), ([1, 2], "list")],
+    ids=["int64", "list"],
+)
+def test_roots_that_are_not_uint64_are_named(entry, roots, named):
+    with pytest.raises(ValueError, match=f"roots must be a uint64 array, got {named}$"):
+        entry(roots, (8,), COUNTERS)
+
+
+def test_counts_read_off_the_sweep_need_a_size():
+    with pytest.raises(ValueError, match="need at least one grid size"):
+        twin_zero_counts(field(), 0.5, (), 3)
+    with pytest.raises(ValueError, match="need at least one grid size"):
+        diag_zero_counts(StreamKey(Seed(1), 0), ())
+
+
 def _shift_profile(plan, R, size, row, by):
     """Add ``by`` to the first stream's crossings in ``row`` on the segment of edge ``size``.
 
