@@ -9,13 +9,14 @@ bounds in this suite are unattainable as committed (the README's
 verification section carries the analysis) and stay red by design; they
 are listed in :data:`EXPECTED_RED`.
 
-Each check reads the run object of its :func:`run_checks` call, which
-collects each pool job of the table :data:`_JOBS` once, values or error:
-check 6 reads ``fastpath-draws``, checks 7-9 ``shared-pass``, one pass
-over check 8's grids that sweeps each grid once for its zero count and
-its crossings and audits it in the same sweep, and check 13
-``determinism``, whose result from the run's task split it compares with
-every other split's, assembled in process.
+A check reads only its run, the object that :func:`run_suite` makes: the
+run's level and the pool jobs of the table :data:`_JOBS` it queued, each
+from the run's queue, which runs a job once and hands every reader its
+values or its error.  Check 6 reads ``fastpath-draws``, checks 7-9
+``shared-pass``, one pass over check 8's grids that sweeps each grid
+once for its zero count and its crossings and audits it in the same
+sweep, and check 13 ``determinism``, whose result from the run's task
+split it compares with every other split's, assembled in process.
 
 Every run takes one order.  It puts the selected checks' jobs on one
 :func:`~sheetwalk.mcharness.job_queue` at its start; the checks that read
@@ -26,7 +27,6 @@ Results come back in index order.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -64,6 +64,7 @@ from .walkstats import (
     annulus_zero_check,
     audit_roots,
     brute_force_bundle,
+    render_zero_set,
     sweep_grid,
     sweep_roots,
     twin_zero_count,
@@ -96,44 +97,22 @@ class Suite:
 
 @dataclass
 class _Run:
-    """One :func:`run_checks` call: what every check reads of it."""
+    """One :func:`run_suite` call: what every check reads of it."""
 
     level: str
-    workers: int
-    # collect of the run's job_queue; with none (a check called directly) a job
-    # is read from a queue of its own
-    collect: Callable[[str], tuple] | None = field(default=None, repr=False)
+    # the jobs the run queued, name -> (task, config), and collect of their job_queue
+    jobs: dict[str, tuple[Callable, ExperimentConfig]]
+    collect: Callable[[str], tuple] = field(repr=False)
     # job -> its tasks' seconds and cpu_seconds, for the jobs collected from a pool
     pool_seconds: dict[str, tuple] = field(default_factory=dict, init=False)
-    # job -> its config and task values, or the exception collecting it raised
-    _done: dict[str, tuple[ExperimentConfig, list] | Exception] = field(
-        default_factory=dict, init=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.level not in ("quick", "full"):
-            raise ValueError(f"level must be 'quick' or 'full', got {self.level!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def job(self, name: str) -> tuple[ExperimentConfig, list]:
-        """Job ``name``'s config and task values, in task order, collected once
-        per run.  A task that raised raises here, at every read."""
-        if name not in self._done:
-            task, config = _JOBS[name](self.level, self.workers)
-            own = None if self.collect else job_queue({name: (task, config)})
-            try:
-                with own or contextlib.nullcontext(self.collect) as collect:
-                    values, times = collect(name)
-            except Exception as exc:
-                self._done[name] = exc
-            else:
-                self._done[name] = config, values
-                if times:
-                    self.pool_seconds[name] = times
-        if isinstance(self._done[name], Exception):
-            raise self._done[name]
-        return self._done[name]
+        """Job ``name``'s config and task values, in task order; the queue runs
+        it once, and a task that raised raises here, at every read."""
+        values, times = self.collect(name)
+        if times:
+            self.pool_seconds[name] = times
+        return self.jobs[name][1], values
 
     @cached_property
     def audited(self) -> tuple[ExperimentResult, ExperimentResult, bool]:
@@ -504,8 +483,6 @@ def _check_hitting_floor(run: _Run) -> tuple[bool, str]:
 
 
 def _check_determinism(run: _Run) -> tuple[bool, str]:
-    from .cli import render_zero_set  # deferred: cli imports this module for cmd_verify
-
     config, chunks = run.job("determinism")
 
     def written(chunks) -> list:  # what simulate formats raw.csv and summary.csv from
@@ -605,7 +582,10 @@ def run_suite(
     The checks that read no pool job run first, beside the queue of the
     others' jobs, then those collect them.
     """
-    run = _Run(level, workers)
+    if level not in ("quick", "full"):
+        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if names is not None:
         unknown = sorted(set(names) - set(check_names()))
         if unknown:
@@ -621,10 +601,10 @@ def run_suite(
     read = {_READS[name] for _, name, _ in selected if name in _READS}
     jobs = {name: _JOBS[name](level, workers) for name in _JOBS if name in read}
     with job_queue(jobs) as collect:
-        run.collect = collect
+        run = _Run(level, jobs, collect)
         results = [_run_check(run, *check) for check in selected]
     results.sort(key=lambda result: result.index)
-    return Suite(results, dict(run.pool_seconds))
+    return Suite(results, run.pool_seconds)
 
 
 def run_checks(

@@ -7,8 +7,8 @@ Carlo runs to CSV), ``estimate`` (log-log slope fits of summary means),
 Exit codes are part of the contract: 0 success, 1 verification failure,
 2 usage/validation, 3 capacity, 4 I/O.  Every table and report goes
 through :func:`_destination`: stdout without ``--out``, else a temporary
-file renamed over the target once complete.  ``render_zero_set``
-returns the PGM bytes, written the same atomic way.  A run's manifest
+file renamed over the target once complete.  ``render`` writes the PGM
+bytes of :func:`~sheetwalk.walkstats.render_zero_set` the same atomic way.  A run's manifest
 is written last, so a manifest's existence certifies complete outputs.
 Reals are serialized with shortest round-trip ``repr``; the ``exact``
 tables use 15 significant digits, with exact numerator/denominator
@@ -44,9 +44,7 @@ from .mcharness import (
     usable_cpus,
 )
 from .randfield import RademacherField, Seed, StreamKey
-from .walkstats import partial_sum_blocks
-
-RENDER_CEILING = 2**13
+from .walkstats import render_zero_set
 
 _STAT_NAMES = {
     "gamma": Statistic.GAMMA,
@@ -181,24 +179,6 @@ def _output_entry(path: Path) -> dict:
             digest.update(chunk)
             size += len(chunk)
     return {"name": path.name, "bytes": size, "sha256": digest.hexdigest()}
-
-
-def render_zero_set(field, n: int) -> bytes:
-    """The zero set of ``field`` on ``[1, n]^2`` as a binary PGM.
-
-    Pixel (1, 1) is top left and rows run in row-major order, one byte
-    per cell: 0 zero, 128 negative, 255 positive.
-    """
-    if n < 1:
-        raise ValueError(f"image edge must be >= 1, got {n}")
-    if n > RENDER_CEILING:
-        raise CapacityError(f"render capped at N={RENDER_CEILING}, got {n}")
-    pixels = np.empty((n, n), dtype=np.uint8)
-    for start, sums in partial_sum_blocks(field, n, n):
-        pixels[start - 1 : start - 1 + len(sums)] = np.where(
-            sums == 0, 0, np.where(sums < 0, 128, 255)
-        )
-    return b"P5\n%d %d\n255\n" % (n, n) + pixels.tobytes()
 
 
 def _now() -> str:

@@ -43,7 +43,16 @@ import numpy as np
 
 from .exactprob import DIAG_LOG_COEFF, CapacityError, delta_mean_exact
 from .randfield import RademacherField, Seed, StreamKey, field_roots
-from .walkstats import COUNTERS, annulus_counts, diag_zero_counts, sweep_roots, twin_zero_counts
+from .walkstats import (
+    COUNTERS,
+    annulus_counts,
+    check_diag_sizes,
+    check_sizes,
+    diag_zero_counts,
+    sweep_roots,
+    twin_band,
+    twin_zero_counts,
+)
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -212,17 +221,27 @@ def job_queue(
 
     One :func:`task_pool` as wide as the widest job takes every task (of
     module-level functions) at entry, or with a width of 1 none starts and
-    each job runs inline, as one task, when collected.  On the pool, a job
-    of ``P`` :func:`pool_processes` is split into one task if ``P`` is 1,
-    else into ``min(replicates, TASKS_PER_PROCESS * P)``, so none is empty.
-    A task that raised raises at ``collect``.
+    each job runs inline, as one task, when first collected.  On the pool,
+    a job of ``P`` :func:`pool_processes` is split into one task if ``P``
+    is 1, else into ``min(replicates, TASKS_PER_PROCESS * P)``, so none is
+    empty.  Either way a job runs at most once: every ``collect`` of it
+    hands back the values of that run, or raises the exception a task of
+    it raised.
     """
     processes = max((pool_processes(config) for _, config in jobs.values()), default=1)
     if processes == 1:
+        done: dict[str, tuple[list, None] | Exception] = {}  # a job's values, or what it raised
 
         def run_inline(name: str) -> tuple[list, None]:
-            task, config = jobs[name]
-            return [task(args) for args in split_tasks(config, 1)], None
+            if name not in done:
+                task, config = jobs[name]
+                try:
+                    done[name] = [task(args) for args in split_tasks(config, 1)], None
+                except Exception as exc:
+                    done[name] = exc
+            if isinstance(done[name], Exception):
+                raise done[name]
+            return done[name]
 
         yield run_inline
         return
@@ -265,12 +284,25 @@ def assemble_result(
     return ExperimentResult(config=config, values=values, summaries=summaries)
 
 
+def _check_capacity(config: ExperimentConfig) -> None:
+    """Raise the ``CapacityError`` a task of ``config`` would raise, through
+    the check its reader calls first."""
+    if config.statistic is Statistic.DELTA_FASTPATH:
+        check_diag_sizes(config.sizes)
+    elif config.statistic is Statistic.TWIN_ZEROS:
+        twin_band(max(config.sizes), config.eps, config.radius)
+    else:  # a sweep, or the annulus's read of the largest grid
+        check_sizes(config.sizes)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Simulate every (size, replicate) cell of the experiment grid.
 
     The outcome is a pure function of ``(statistic, sizes, replicates,
     seed, eps, radius)`` — the worker count only changes wall time.
+    A grid past its reader's ceiling is refused before any task starts.
     """
+    _check_capacity(config)
     with job_queue({"run": (_worker_chunk, config)}) as collect:
         chunks, _ = collect("run")
     return assemble_result(config, chunks)

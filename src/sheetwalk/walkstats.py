@@ -23,8 +23,9 @@ The kernel's one input is a block of stream roots, a ``uint64`` array
 per counter, sizes by grids.  :func:`sweep_roots` and
 :func:`audit_roots`, the production path, take and return just those
 arrays.  The one-field readers (:func:`sweep_grid`,
-:func:`decomposition_audit`, :func:`partial_sum_blocks` and the zero-set
-readers on it) send in a block of one root, ``field.root``; only
+:func:`decomposition_audit`, :func:`partial_sum_blocks` and the readers
+on it: the zero-set readers and :func:`render_zero_set`, the PGM of a
+zero set) send in a block of one root, ``field.root``; only
 :func:`sweep_grid` and :func:`decomposition_audit` turn the arrays into
 a :class:`StatBundle`.
 
@@ -46,7 +47,11 @@ counts, and the oracle check, read the zeros from it.
 
 Bounds that keep int64 safe: ``|S(i,j)| <= i*j <= 2**30`` at the sweep
 ceiling, so the audit's adjacent products stay below ``2**60``.  The
-sweep's own crossing test multiplies int8 signs, never the sums.
+sweep's own crossing test multiplies int8 signs, never the sums.  Each
+ceiling rule is written once, in the check its readers call first:
+:func:`check_sizes` for the sweeps and the annulus, :func:`check_diag_sizes`
+for the diagonal draws and :func:`twin_band` for the twin-zero band.  The
+harness calls the same checks before it starts any task.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from .randfield import RademacherField, StreamKey, sign_rows, signed_binomial_ba
 SWEEP_CEILING = 2**15
 # Largest grid edge delta-fast draws: its N // 2 diagonal points, as many as delta_mean_exact takes
 DIAG_FAST_CEILING = 2 * MEAN_SUM_CEILING
+RENDER_CEILING = 2**13  # largest image edge render_zero_set draws
 TILE_CELLS = 2**16  # cells per tile, each row counted at its padded width
 BAND_ROWS = 8  # rows per tile of a full block: grids side by side, few row adds per cell
 
@@ -313,6 +319,24 @@ def zero_points(field, rows: int, cols: int) -> np.ndarray:
     return np.stack(np.divmod(np.concatenate(found), cols), axis=1) + 1
 
 
+def render_zero_set(field, n: int) -> bytes:
+    """The zero set of ``field`` on ``[1, n]^2`` as a binary PGM.
+
+    Pixel (1, 1) is top left and rows run in row-major order, one byte
+    per cell: 0 zero, 128 negative, 255 positive.
+    """
+    if n < 1:
+        raise ValueError(f"image edge must be >= 1, got {n}")
+    if n > RENDER_CEILING:
+        raise CapacityError(f"render capped at N={RENDER_CEILING}, got {n}")
+    pixels = np.empty((n, n), dtype=np.uint8)
+    for start, sums in partial_sum_blocks(field, n, n):
+        pixels[start - 1 : start - 1 + len(sums)] = np.where(
+            sums == 0, 0, np.where(sums < 0, 128, 255)
+        )
+    return b"P5\n%d %d\n255\n" % (n, n) + pixels.tobytes()
+
+
 def iter_partial_rows(field: RademacherField, N: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(i, S(i, 1..N))`` for each row; the vector is reused in place.
 
@@ -340,7 +364,7 @@ def sweep_roots(
     ``(len(sizes), len(roots))`` array, sizes in the order given and
     streams in the order of ``roots``.
     """
-    plan = _SweepPlan(_check_sizes(sizes), _check_counters(counters))
+    plan = _SweepPlan(check_sizes(sizes), _check_counters(counters))
     swept = [_sweep_block(block, plan) for block in _field_blocks(roots, plan.M)]
     return {c: _joined([values[c] for values in swept], plan) for c in plan.counters}
 
@@ -352,7 +376,9 @@ def _some_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
-def _check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+def check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """``sizes`` as a tuple, refused when empty or when an edge is below 1 or
+    past :data:`SWEEP_CEILING`: the check of every sweep and of the annulus."""
     sizes = _some_sizes(sizes)
     for n in sizes:
         _check_edge(n)
@@ -556,7 +582,7 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
 
 def sweep_grid(field: RademacherField, N: int) -> StatBundle:
     """One pass over the grid, returning every pathwise counter at once."""
-    plan = _SweepPlan(_check_sizes((N,)), frozenset(COUNTERS))
+    plan = _SweepPlan(check_sizes((N,)), frozenset(COUNTERS))
     return _bundle(plan, _sweep_block(_root_block(field), plan))
 
 
@@ -646,7 +672,7 @@ def audit_roots(
     ``counters``.
     """
     counters = _check_counters(counters)
-    plan = _SweepPlan(_check_sizes(sizes), counters | {"z_crossings"}, audit=True)
+    plan = _SweepPlan(check_sizes(sizes), counters | {"z_crossings"}, audit=True)
     audited = [_audit_block(block, plan) for block in _field_blocks(roots, plan.M)]
     values = {c: _joined([v[c] for v, _ in audited], plan) for c in counters}
     return values, np.concatenate([np.empty(0, dtype=bool), *(ok for _, ok in audited)])
@@ -686,9 +712,20 @@ def decomposition_audit(
     sizes = tuple(sorted({N, *nested}))
     if sizes[-1] > N:
         raise ValueError(f"nested edges must be <= {N}, got {tuple(nested)}")
-    plan = _SweepPlan(_check_sizes(sizes), frozenset(COUNTERS), audit=True)
+    plan = _SweepPlan(check_sizes(sizes), frozenset(COUNTERS), audit=True)
     values, ok = _audit_block(_root_block(field), plan)
     return _bundle(plan, values), bool(ok[0])
+
+
+def check_diag_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """``sizes`` as a tuple, refused when empty, negative or past
+    :data:`DIAG_FAST_CEILING`: the check of :func:`diag_zero_counts`."""
+    sizes = _some_sizes(sizes)
+    if min(sizes) < 0:
+        raise ValueError(f"N must be >= 0, got {sizes}")
+    if max(sizes) > DIAG_FAST_CEILING:
+        raise CapacityError(f"diagonal draws capped at N={DIAG_FAST_CEILING}, got {max(sizes)}")
+    return sizes
 
 
 def diag_zero_counts(key: StreamKey, sizes: Sequence[int]) -> list[int]:
@@ -704,11 +741,7 @@ def diag_zero_counts(key: StreamKey, sizes: Sequence[int]) -> list[int]:
     ``k`` draws are those of a batch of ``k``, so each count equals a
     draw of its own size.
     """
-    sizes = _some_sizes(sizes)
-    if min(sizes) < 0:
-        raise ValueError(f"N must be >= 0, got {tuple(sizes)}")
-    if max(sizes) > DIAG_FAST_CEILING:
-        raise CapacityError(f"diagonal draws capped at N={DIAG_FAST_CEILING}, got {max(sizes)}")
+    sizes = check_diag_sizes(sizes)
     steps = max(sizes) // 2
     if steps == 0:
         return [0] * len(sizes)
@@ -727,7 +760,7 @@ def annulus_counts(field, eps: float, sizes: Sequence[int]) -> list[int]:
     """Zeros on ``[ceil(eps*n), n]^2`` for each size ``n``, from one read of the largest grid."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    M = max(_check_sizes(sizes))
+    M = max(check_sizes(sizes))
     i, j = zero_points(field, M, M).T
     near, far = np.minimum(i, j), np.maximum(i, j)
     return [int(np.count_nonzero((near >= math.ceil(eps * n)) & (far <= n))) for n in sizes]
@@ -737,6 +770,20 @@ def annulus_zero_check(field: RademacherField, eps: float, N: int) -> tuple[bool
     """Presence and count of zeros on the co-annulus square ``[eps*N, N]^2``."""
     (count,) = annulus_counts(field, eps, (N,))
     return count > 0, count
+
+
+def twin_band(M: int, eps: float, radius: int) -> tuple[int, int] | None:
+    """Rows and columns of the band :func:`twin_zero_counts` reads for largest size ``M``.
+
+    None when ``M <= 2``, whose wedge holds no cell, so no band is read;
+    either side past :data:`SWEEP_CEILING` is refused, rows first.
+    """
+    if M <= 2:
+        return None
+    rows, cols = M - 1 + radius, math.ceil((M - 1) / eps) - 1 + radius
+    _check_edge(rows)
+    _check_edge(cols)
+    return rows, cols
 
 
 def twin_zero_counts(field, eps: float, sizes: Sequence[int], radius: int) -> list[int]:
@@ -757,10 +804,11 @@ def twin_zero_counts(field, eps: float, sizes: Sequence[int], radius: int) -> li
     if min(sizes) < 0:
         raise ValueError(f"N must be >= 0, got {tuple(sizes)}")
     M = max(sizes)
-    if M <= 2:
+    band = twin_band(M, eps, radius)
+    if band is None:
         return [0] * len(sizes)
-    cols = math.ceil((M - 1) / eps) - 1 + radius
-    i, j = zero_points(field, M - 1 + radius, cols).T
+    rows, cols = band
+    i, j = zero_points(field, rows, cols).T
     stride = cols + radius + 1  # a ball's span on a row never reaches the next row's codes
     codes = i * stride + j
     wedge = (1 < i) & (i < M) & (eps * i < j) & (j < i / eps)  # the definition's float tests

@@ -50,16 +50,37 @@ class StubField:
     wherever its tag stands among a block's roots.
     """
 
-    tagged: dict = {}  # tag -> subclass
+    tagged: dict = {}  # tag -> the stub whose positive the sweep reads there
+
+    @staticmethod
+    def tag(stub) -> int:
+        """A new tag for ``stub``, a subclass or an instance with a ``positive``."""
+        root = len(StubField.tagged) + 1
+        StubField.tagged[root] = stub
+        return root
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.root = len(StubField.tagged) + 1
-        StubField.tagged[cls.root] = cls
+        cls.root = StubField.tag(cls)
 
     def value(self, i, j):
         """Sign at cell ``(i, j)``, the scalar read of the dense oracles."""
         return 1 if self.positive(i, j) else -1
+
+
+class PlaneField(StubField):
+    """A stub that reads a given sign plane: +1 at ``(i, j)`` where ``plane[i - 1, j - 1]``.
+
+    Each instance has a tag of its own, so one block of roots may hold
+    many planes.
+    """
+
+    def __init__(self, plane):
+        self.plane = np.asarray(plane, dtype=bool)
+        self.root = StubField.tag(self)
+
+    def positive(self, i, j):
+        return self.plane[i - 1, j - 1]
 
 
 _SIGN_BIT = np.uint64(1 << 63)

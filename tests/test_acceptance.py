@@ -20,7 +20,14 @@ import pytest
 
 from sheetwalk import checks, walkstats
 from sheetwalk.checks import EXPECTED_RED, CheckResult, check_names, format_report, run_checks
-from sheetwalk.mcharness import ExperimentConfig, Statistic, run_experiment, usable_cpus
+from sheetwalk.mcharness import (
+    ExperimentConfig,
+    Statistic,
+    job_queue,
+    run_experiment,
+    split_tasks,
+    usable_cpus,
+)
 from sheetwalk.randfield import Seed
 
 # the checks that share one audited pass over check 8's grids: check 7 reads
@@ -146,7 +153,9 @@ def test_audited_run_equals_run_experiment(make, workers, inline_pool):
     # the run's one audited pass gives what check 7 reads (gamma) and what
     # check 8 reads (crossings); each equals the plain run of that check's config
     config = make("quick", workers)
-    gamma, crossings, ok = checks._Run("quick", workers).audited
+    jobs = {"shared-pass": checks._JOBS["shared-pass"]("quick", workers)}
+    with job_queue(jobs) as collect:
+        gamma, crossings, ok = checks._Run("quick", jobs, collect).audited
     assert ok
     assert inline_pool == ([2] if workers == 2 else [])  # one pool for both
     audited = gamma if config.statistic is Statistic.GAMMA else crossings
@@ -157,6 +166,25 @@ def test_audited_run_equals_run_experiment(make, workers, inline_pool):
         assert np.array_equal(audited.values[n], plain.values[n])
         assert audited.summaries[n] == plain.summaries[n]
     assert inline_pool == ([2] * 2 if workers == 2 else [])  # one pool per run
+
+
+def test_the_shared_pass_is_the_same_under_any_task_split():
+    # the pass's tasks assembled from T = 1 .. 31 tasks, the last split with an
+    # empty task; size 70 has rows of two 64-cell fold blocks
+    config = ExperimentConfig(Statistic.Z_CROSSINGS, (16, 40, 70), 30, Seed(1))
+    jobs = {"shared-pass": (checks._audited_chunk, config)}
+
+    def assembled(tasks):
+        chunks = [checks._audited_chunk(args) for args in split_tasks(config, tasks)]
+        gamma, crossings, ok = checks._Run("quick", jobs, lambda name: (chunks, None)).audited
+        written = [(r.values[n].tobytes(), r.summaries[n]) for r in (gamma, crossings)
+                   for n in config.sizes]
+        return written, ok
+
+    one_task = assembled(1)
+    assert one_task[1]
+    for tasks in (2, 3, 7, 8, 31):
+        assert assembled(tasks) == one_task, f"T = {tasks}"
 
 
 def test_each_verify_call_sweeps_its_grids_again(inline_pool):
@@ -175,9 +203,10 @@ def test_each_verify_call_sweeps_its_grids_again(inline_pool):
 
 
 def test_a_direct_call_of_check_9_sweeps_again(monkeypatch):
-    # a direct call with a fresh run sweeps its grids again, so audit
-    # verdicts that turned red since are seen
-    assert checks._check_crossing_decomposition(checks._Run("quick", 1))[0]
+    # a run of check 9 alone sweeps its grids again, so audit verdicts that
+    # turned red since are seen
+    (first,) = run_checks("quick", 1, {"crossing-decomposition"})
+    assert first.passed
     real = checks.audit_roots
 
     def all_red(roots, sizes, counters):
@@ -185,7 +214,8 @@ def test_a_direct_call_of_check_9_sweeps_again(monkeypatch):
         return values, np.zeros_like(ok)
 
     monkeypatch.setattr(checks, "audit_roots", all_red)
-    assert not checks._check_crossing_decomposition(checks._Run("quick", 1))[0]
+    (again,) = run_checks("quick", 1, {"crossing-decomposition"})
+    assert not again.passed and not again.raised
 
 
 def test_a_verify_call_after_an_aborted_one_sweeps_again(monkeypatch, inline_pool):
@@ -421,9 +451,9 @@ def test_nonpositive_workers_are_rejected_before_any_check(monkeypatch, workers)
     ids=["FULL", "no-workers"],
 )
 def test_a_run_rejects_a_bad_level_or_worker_count(level, workers, message):
-    # so a direct check call cannot fall back to the quick sizes on a typo
+    # so a run cannot fall back to the quick sizes on a typo
     with pytest.raises(ValueError, match=message):
-        checks._Run(level, workers)
+        run_checks(level, workers)
 
 
 @pytest.mark.parametrize(

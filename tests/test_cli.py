@@ -321,7 +321,7 @@ class TestSimulateCommand:
 
     def test_delta_fast_past_the_ceiling_exits_3_and_writes_no_raw(self, tmp_path):
         # a grid edge of 2 * 10**7 + 1 asks for more diagonal points than delta-mean
-        # takes; diag_zero_counts raises after the output directory was made
+        # takes; the harness refuses it after the output directory was made
         argv = ["simulate", "--stat", "delta-fast", "--sizes", "20000001", "--reps", "1",
                 "--workers", "1", "--out", str(tmp_path / "run")]
         assert main(argv) == 3
@@ -336,6 +336,34 @@ class TestSimulateCommand:
         argv = ["simulate", "--stat", "gamma", "--sizes", "8", "--reps", "100000000000",
                 "--workers", "1", "--out", str(tmp_path / "run")]
         assert main(argv) == 3
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "stat, sizes, message",
+        [
+            *(
+                (stat, "32769", "sweep capped at N=32768, got 32769")
+                for stat in ("gamma", "gamma-prime", "z-crossings", "delta", "antidiag", "annulus")
+            ),
+            (
+                "delta-fast",
+                str(walkstats.DIAG_FAST_CEILING + 1),
+                f"diagonal draws capped at N={walkstats.DIAG_FAST_CEILING}, "
+                f"got {walkstats.DIAG_FAST_CEILING + 1}",
+            ),
+            # the band of M = 8193 at eps 0.25 and radius 8: 8192 / 0.25 - 1 + 8 columns
+            ("twin-zeros", "8193", "sweep capped at N=32768, got 32775"),
+        ],
+    )
+    def test_a_grid_past_its_ceiling_is_refused_before_a_pool_opens(
+        self, tmp_path, capsys, inline_pool, stat, sizes, message
+    ):
+        # two workers and four replicates would open a pool of two
+        argv = ["simulate", "--stat", stat, "--sizes", sizes, "--reps", "4", "--workers", "2",
+                "--eps", "0.25", "--radius", "8", "--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"sheetwalk: capacity: {message}\n"
+        assert inline_pool == []
         assert not (tmp_path / "run").exists()
 
     def _fail_after_mkdir(self, monkeypatch, outdir, error):

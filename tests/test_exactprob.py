@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetwalk import exactprob as ep
-from sheetwalk.checks import _check_return_probability, _rebuild_dyadic, _Run
+from sheetwalk.checks import _rebuild_dyadic, run_checks
 from sheetwalk.cli import main
 
 
@@ -224,9 +224,9 @@ class TestTableMemory:
             assert (int(index), num, den) == (n, p.numerator, p.denominator)
 
     def test_check_1_at_full_streams(self, monkeypatch):
-        run = _Run("full", 1)
-        (ok, _), peak = self._traced(monkeypatch, lambda: _check_return_probability(run))
-        assert (ok, peak < 2**20) == (True, True)
+        names = {"return-probability"}
+        (result,), peak = self._traced(monkeypatch, lambda: run_checks("full", 1, names))
+        assert (result.passed, peak < 2**20) == (True, True)
 
 
 class TestTableFile:

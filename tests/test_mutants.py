@@ -51,6 +51,13 @@ def _audit_rows_edge_zero_kept(plan, R, n, t):
     return crossings, touched, zeros, zeros
 
 
+def _verdict(name, workers=1):
+    """Check ``name``'s verdict from a quick run of it alone; a crash is no verdict."""
+    (result,) = checks.run_checks("quick", workers, {name})
+    assert not result.raised, result.detail
+    return result.passed
+
+
 def _edited(name, old, new, module=walkstats):
     """Mutant of ``module.<name>`` with the one occurrence of ``old`` made ``new``."""
     source = inspect.getsource(getattr(module, name))
@@ -72,8 +79,7 @@ class TestSignRowsColumnsFromZero:
             run(seed=3, replicates=[0, 5], start=7, rows=2, count=4)
 
     def test_killed_by_check_10(self):
-        ok, _ = checks._check_oracle_equivalence(checks._Run("quick", 1))
-        assert not ok
+        assert not _verdict("oracle-equivalence")
 
 
 class TestFieldRootsOfTheNextReplicate:
@@ -220,9 +226,9 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     test_exactprob.test_sum_bits_are_pinned("gamma_mean_exact", exactprob.GAMMA_SUM_CEILING)
     test_exactprob.test_sum_bits_are_pinned("delta_mean_exact", exactprob.MEAN_SUM_CEILING)
     test_exactprob.test_the_tree_walk_adds_as_np_sum_does(monkeypatch, 131_084, exactprob.CHUNK_CELLS)
-    assert checks._check_oracle_equivalence(checks._Run("quick", 1))[0]
-    assert checks._check_return_probability(checks._Run("quick", 1))[0]
-    assert checks._check_determinism(checks._Run("quick", 1))[0]
+    assert _verdict("oracle-equivalence")
+    assert _verdict("return-probability")
+    assert _verdict("determinism")
     test_walkstats.test_band_seams_equal_brute_force((65, 70))
     test_walkstats.test_band_seams_equal_brute_force((9, 70))
     test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
@@ -244,8 +250,7 @@ class TestSweepBlockEdits:
         monkeypatch.setattr(walkstats, name, _edited(name, old, new))
 
     def test_killed_by_check_10(self):
-        ok, _ = checks._check_oracle_equivalence(checks._Run("quick", 1))
-        assert not ok
+        assert not _verdict("oracle-equivalence")
 
     def test_killed_by_the_frozen_example(self):
         with pytest.raises(AssertionError):
@@ -327,7 +332,7 @@ class TestTableWithoutTheStickyBit:
             test_exactprob.TestReturnProbExact().test_table_floats_are_the_rounded_quotients()
 
     def test_killed_by_check_1(self):
-        assert not checks._check_return_probability(checks._Run("quick", 1))[0]
+        assert not _verdict("return-probability")
 
     def test_killed_by_the_committed_file(self):
         with pytest.raises(AssertionError):
@@ -353,7 +358,7 @@ class TestCarryRowNotAdded:
 
     def test_killed_by_check_10(self):
         # its block of 14 grids of N = 70 is read in tiles of 65 + 5 rows
-        assert not checks._check_oracle_equivalence(checks._Run("quick", 1))[0]
+        assert not _verdict("oracle-equivalence")
 
 
 class TestShortBlockKeepsTheFullHeight:
@@ -400,7 +405,7 @@ class TestRowFoldBlockCarryDropped:
 
     def test_killed_by_check_10(self):
         # its N = 70 grid has rows of two fold blocks
-        assert not checks._check_oracle_equivalence(checks._Run("quick", 1))[0]
+        assert not _verdict("oracle-equivalence")
 
 
 class TestSharedPassFilesCrossingsAsGamma:
@@ -452,7 +457,7 @@ class TestAssembleMisplacesValuesOfASplit:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_by_check_13(self, inline_pool, workers):
-        assert not checks._check_determinism(checks._Run("quick", workers))[0]
+        assert not _verdict("determinism", workers)
 
     def test_survives_check_8_at_one_worker(self):
         (result,) = checks.run_checks("quick", 1, {"crossing-count-scaling"})

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import StubField
+from conftest import PlaneField, StubField
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -559,6 +559,41 @@ def test_band_seams_equal_brute_force(sizes):
     assert ok.tolist() == [True] * len(roots)
     fields = [field(seed, r) for r in range(grids + 2)]
     assert _lists(swept) == _lists(audited) == _layout(_brute, fields, sizes)
+
+
+# 9 crosses a band seam and 70 a 64-cell fold block; 61 grids of N = 130 are a
+# full block of 60, swept in 8-row bands, and a short last block of one, read
+# in one 130-row tile
+RELATION_SIZES = (9, 70, 130)
+
+
+@pytest.mark.parametrize(
+    "transform, kept, moved",
+    [
+        (np.transpose, ("gamma", "gamma_prime", "delta", "d_antidiag"), "z_crossings"),
+        (np.logical_not, ("gamma", "z_crossings", "delta", "d_antidiag"), "gamma_prime"),
+    ],
+    ids=["transposed", "negated"],
+)
+def test_transformed_signs_keep_their_invariant_counters(transform, kept, moved):
+    # S of the transposed signs is S transposed, and of the negated signs -S:
+    # each keeps the counters whose cells and rule map onto themselves, and
+    # negation keeps the audit verdict; the counter it moves shows the
+    # transformed planes were read
+    planes = np.random.default_rng(5).random((61, 130, 130)) < 0.5
+    assert tile_shape(130) == (60, walkstats.BAND_ROWS)
+    read = []
+    for signs in (planes, [transform(p) for p in planes]):
+        roots = _roots([PlaneField(p) for p in signs])
+        read.append((sweep_roots(roots, RELATION_SIZES, COUNTERS),
+                     *audit_roots(roots, RELATION_SIZES, COUNTERS)))
+    (swept, audited, ok), (swept_t, audited_t, ok_t) = read
+    for c in kept:
+        assert swept[c].tolist() == swept_t[c].tolist(), c
+        assert audited[c].tolist() == audited_t[c].tolist(), c
+    assert swept[moved].tolist() != swept_t[moved].tolist()
+    if transform is np.logical_not:
+        assert ok.tolist() == ok_t.tolist()
 
 
 def _plan_bytes(N):
