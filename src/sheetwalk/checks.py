@@ -10,13 +10,14 @@ verification section carries the analysis) and stay red by design; they
 are listed in :data:`EXPECTED_RED`.
 
 A check reads only its run, the object that :func:`run_suite` makes: the
-run's level and the pool jobs of the table :data:`_JOBS` it queued, each
-from the run's queue, which runs a job once and hands every reader its
-values or its error.  Check 6 reads ``fastpath-draws``, checks 7-9
-``shared-pass``, one pass over check 8's grids that sweeps each grid
-once for its zero count and its crossings and audits it in the same
-sweep, and check 13 ``determinism``, whose result from the run's task
-split it compares with every other split's, assembled in process.
+run's level and the pool jobs it queued, each from the run's queue,
+which runs a job once and hands every reader its values or its error.
+:func:`_jobs` writes each job's config once, in grid edges.  Check 6
+reads ``fastpath-draws``, checks 7-9 ``shared-pass``, one pass over
+check 8's grids that sweeps each grid once for its zero count and its
+crossings and audits it in the same sweep, and check 13
+``determinism``, whose result from the run's task split it compares
+with every other split's, assembled in process.
 
 Every run takes one order.  It puts the selected checks' jobs on one
 :func:`~sheetwalk.mcharness.job_queue` at its start; the checks that read
@@ -53,7 +54,6 @@ from .mcharness import (
     Statistic,
     _worker_chunk,
     assemble_result,
-    delta_fastpath_config,
     estimate_exponent,
     job_queue,
     split_tasks,
@@ -274,12 +274,6 @@ def _check_diagonal_variance_band(run: _Run) -> tuple[bool, str]:
 # --------------------------------------------------------------- check 6
 
 
-def _fastpath_draws(level: str) -> dict:
-    """Check 6's arguments of :func:`delta_fastpath_config`."""
-    points, reps = (10_000, 2000) if level == "full" else (2000, 500)
-    return dict(sizes=[points], replicates=reps, seed=Seed(11))
-
-
 def _check_fastpath_consistency(run: _Run) -> tuple[bool, str]:
     config, chunks = run.job("fastpath-draws")
     (edge,) = config.sizes  # twice the diagonal points
@@ -294,19 +288,6 @@ def _check_fastpath_consistency(run: _Run) -> tuple[bool, str]:
 
 
 # ------------------------------------------------- checks 7-9: one pass
-
-
-def _full_crossing_config(level: str, workers: int) -> ExperimentConfig:
-    sizes, replicates = (
-        ((128, 256, 512, 1024), 200) if level == "full" else ((64, 128, 256, 512), 60)
-    )
-    return ExperimentConfig(
-        statistic=Statistic.Z_CROSSINGS,
-        sizes=sizes,
-        replicates=replicates,
-        seed=Seed(1),
-        workers=workers,
-    )
 
 
 def _audited_chunk(args: tuple[ExperimentConfig, np.ndarray]) -> tuple[
@@ -531,18 +512,29 @@ EXPECTED_RED = frozenset(
 )
 
 
-# The pool jobs, in the order a run queues them: job -> its task and config
-# at a level and worker count.  Each entry looks its names up when called, so
-# a name patched on this module is the one used.
-_JOBS: dict[str, Callable[[str, int], tuple[Callable, ExperimentConfig]]] = {
-    "fastpath-draws": lambda level, workers: (
-        _worker_chunk, delta_fastpath_config(**_fastpath_draws(level), workers=workers)
-    ),
-    "shared-pass": lambda level, workers: (_audited_chunk, _full_crossing_config(level, workers)),
-    "determinism": lambda level, workers: (
-        _worker_chunk, ExperimentConfig(Statistic.Z_CROSSINGS, (32, 64), 24, Seed(7), workers)
-    ),
-}
+def _jobs(level: str, workers: int) -> dict[str, tuple[Callable, ExperimentConfig]]:
+    """The pool jobs of a run at ``level`` on ``workers``, in the order it
+    queues them: job -> its task and config.  Every size is a grid edge."""
+    if level == "full":
+        draws, grids = ((20_000,), 2000), ((128, 256, 512, 1024), 200)
+    else:
+        draws, grids = ((4000,), 500), ((64, 128, 256, 512), 60)
+    return {
+        # check 6: the diagonal out to (2n, 2n), n = 10^4 points (2000 at quick)
+        "fastpath-draws": (
+            _worker_chunk, ExperimentConfig(Statistic.DELTA_FASTPATH, *draws, Seed(11), workers)
+        ),
+        # checks 7-9: check 8's grids, each swept once
+        "shared-pass": (
+            _audited_chunk, ExperimentConfig(Statistic.Z_CROSSINGS, *grids, Seed(1), workers)
+        ),
+        # check 13: a simulate run
+        "determinism": (
+            _worker_chunk, ExperimentConfig(Statistic.Z_CROSSINGS, (32, 64), 24, Seed(7), workers)
+        ),
+    }
+
+
 # check -> the pool job it reads
 _READS = {
     "fastpath-consistency": "fastpath-draws",
@@ -599,7 +591,7 @@ def run_suite(
     ]
     selected.sort(key=lambda check: check[1] in _READS)
     read = {_READS[name] for _, name, _ in selected if name in _READS}
-    jobs = {name: _JOBS[name](level, workers) for name in _JOBS if name in read}
+    jobs = {name: job for name, job in _jobs(level, workers).items() if name in read}
     with job_queue(jobs) as collect:
         run = _Run(level, jobs, collect)
         results = [_run_check(run, *check) for check in selected]

@@ -37,7 +37,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,9 +53,6 @@ from .walkstats import (
     twin_band,
     twin_zero_counts,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 
 class Statistic(enum.Enum):
@@ -196,22 +193,6 @@ def timed(task: Callable, args) -> tuple:
 
 
 @contextlib.contextmanager
-def task_pool(processes: int) -> Iterator[ProcessPoolExecutor]:
-    """A pool of ``processes`` processes for the block, shut down however it exits.
-
-    On the way out the queued tasks are cancelled and the running ones
-    waited for, so no process outlives the block.
-    """
-    from concurrent.futures import ProcessPoolExecutor  # here, so only a pool loads multiprocessing
-
-    pool = ProcessPoolExecutor(max_workers=processes)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-@contextlib.contextmanager
 def job_queue(
     jobs: dict[str, tuple[Callable, ExperimentConfig]]
 ) -> Iterator[Callable[[str], tuple[list, tuple | None]]]:
@@ -219,14 +200,16 @@ def job_queue(
     the job's values in the task order of :func:`split_tasks` and, if it
     ran on a pool, their seconds and cpu_seconds (:func:`timed`), else None.
 
-    One :func:`task_pool` as wide as the widest job takes every task (of
+    One process pool as wide as the widest job takes every task (of
     module-level functions) at entry, or with a width of 1 none starts and
     each job runs inline, as one task, when first collected.  On the pool,
     a job of ``P`` :func:`pool_processes` is split into one task if ``P``
     is 1, else into ``min(replicates, TASKS_PER_PROCESS * P)``, so none is
     empty.  Either way a job runs at most once: every ``collect`` of it
     hands back the values of that run, or raises the exception a task of
-    it raised.
+    it raised.  The pool is shut down however the block exits: the queued
+    tasks are cancelled and the running ones waited for, so no process
+    outlives the block.
     """
     processes = max((pool_processes(config) for _, config in jobs.values()), default=1)
     if processes == 1:
@@ -250,7 +233,10 @@ def job_queue(
         width = pool_processes(config)
         return 1 if width == 1 else min(config.replicates, TASKS_PER_PROCESS * width)
 
-    with task_pool(processes) as pool:
+    from concurrent.futures import ProcessPoolExecutor  # here, so only a pool loads multiprocessing
+
+    pool = ProcessPoolExecutor(max_workers=processes)
+    try:
         queued = {
             name: [pool.submit(timed, task, args) for args in split_tasks(config, tasks(config))]
             for name, (task, config) in jobs.items()
@@ -261,6 +247,8 @@ def job_queue(
             return list(values), (seconds, cpu_seconds)
 
         yield collect
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def assemble_result(
@@ -373,21 +361,6 @@ class LogLawRow:
     mc_stderr: float | None = None
 
 
-def delta_fastpath_config(
-    sizes, *, replicates: int, seed: Seed | int, workers: int = 1
-) -> ExperimentConfig:
-    """The fast-path experiment behind :func:`delta_log_law_report`'s Monte
-    Carlo columns: ``sizes`` count diagonal points, so the grid edges are
-    twice them."""
-    return ExperimentConfig(
-        statistic=Statistic.DELTA_FASTPATH,
-        sizes=tuple(2 * int(n) for n in sizes),
-        replicates=replicates,
-        seed=Seed(seed),
-        workers=workers,
-    )
-
-
 def delta_log_law_report(
     sizes,
     *,
@@ -402,7 +375,7 @@ def delta_log_law_report(
     reporting — one row per size with the exact mean, the
     ``ln n / sqrt(2 pi)`` prediction and their ratio, plus Monte Carlo
     columns when ``replicates`` is positive, from :func:`run_experiment`
-    of the distribution-level fast path's :func:`delta_fastpath_config`.
+    of the distribution-level fast path on the grid edges ``2n``.
     No row is asserted here; judgments belong to callers.
     """
     sizes = tuple(int(n) for n in sizes)
@@ -410,7 +383,9 @@ def delta_log_law_report(
         raise ValueError(f"sizes must all be >= 2, got {sizes}")
     mc: dict[int, SummaryStats] = {}
     if replicates:
-        config = delta_fastpath_config(sizes, replicates=replicates, seed=seed, workers=workers)
+        config = ExperimentConfig(
+            Statistic.DELTA_FASTPATH, tuple(2 * n for n in sizes), replicates, seed, workers
+        )
         result = run_experiment(config)
         mc = {n: result.summaries[2 * n] for n in sizes}
     rows = []

@@ -36,7 +36,7 @@ def inline_pool(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    # task_pool imports the name from concurrent.futures when it opens a pool
+    # job_queue imports the name from concurrent.futures when it opens a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return opened
 

@@ -141,19 +141,35 @@ def test_audit_on_two_workers_keeps_the_verdict(full_results, inline_pool):
     assert "800 grids" in wide.detail
 
 
+def _full_crossing_config(level, workers):
+    # what check 8 reads: the config of the run's shared pass
+    return checks._jobs(level, workers)["shared-pass"][1]
+
+
 def _zero_count_config(level, workers):
     # what check 7 reads: the gamma statistic of check 8's grids
-    config = checks._full_crossing_config(level, workers)
+    config = _full_crossing_config(level, workers)
     return dataclasses.replace(config, statistic=Statistic.GAMMA)
 
 
+def _with_job_config(monkeypatch, job, config):
+    """Patch the run's job ``job`` to the same task on ``config(workers)``."""
+    real = checks._jobs
+
+    def jobs(level, workers):
+        table = real(level, workers)
+        return {**table, job: (table[job][0], config(workers))}
+
+    monkeypatch.setattr(checks, "_jobs", jobs)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("make", [_zero_count_config, checks._full_crossing_config])
+@pytest.mark.parametrize("make", [_zero_count_config, _full_crossing_config])
 def test_audited_run_equals_run_experiment(make, workers, inline_pool):
     # the run's one audited pass gives what check 7 reads (gamma) and what
     # check 8 reads (crossings); each equals the plain run of that check's config
     config = make("quick", workers)
-    jobs = {"shared-pass": checks._JOBS["shared-pass"]("quick", workers)}
+    jobs = {"shared-pass": checks._jobs("quick", workers)["shared-pass"]}
     with job_queue(jobs) as collect:
         gamma, crossings, ok = checks._Run("quick", jobs, collect).audited
     assert ok
@@ -323,10 +339,10 @@ def test_with_a_pool_the_checks_that_read_none_run_first(monkeypatch, inline_poo
 def test_every_reader_is_a_check_and_every_job_resolves():
     # the job table and the map of its readers name only what exists
     assert set(checks._READS) <= set(check_names())
-    assert set(checks._READS.values()) == set(checks._JOBS)
     for level in ("quick", "full"):
-        for job in checks._JOBS:
-            task, config = checks._JOBS[job](level, 2)
+        jobs = checks._jobs(level, 2)
+        assert set(checks._READS.values()) == set(jobs)
+        for task, config in jobs.values():
             assert callable(task) and isinstance(config, ExperimentConfig)
             assert config.workers == 2
 
@@ -360,7 +376,7 @@ def test_a_two_worker_run_queues_the_jobs_of_its_checks(monkeypatch, inline_pool
         checks, "_CHECKS", tuple((name, lambda run: (True, "")) for name, _ in checks._CHECKS)
     )
     run_checks(level="quick", workers=2, names=names)
-    assert queued == [checks._JOBS[job]("quick", 2) for job in jobs]
+    assert queued == [checks._jobs("quick", 2)[job] for job in jobs]
     assert inline_pool == ([2] if jobs else [])
 
 
@@ -381,16 +397,18 @@ def test_a_crashed_job_runs_once_for_all_its_readers(monkeypatch, inline_pool, w
     monkeypatch.setattr(checks, "_audited_chunk", crash)
     results = run_checks(level="quick", workers=workers, names=SHARED_PASS)
     assert [r.detail for r in results] == ["raised RuntimeError: sweep failed"] * 3
-    replicates = checks._full_crossing_config("quick", workers).replicates
+    replicates = _full_crossing_config("quick", workers).replicates
     assert sorted(swept) == list(range(replicates))
     assert inline_pool == ([2] if workers == 2 else [])
 
 
 def test_a_crashed_pool_task_is_a_crash_and_leaves_no_process(monkeypatch):
     # check 6's draws past the fast path's ceiling raise in the pool's task
-    past = walkstats.DIAG_FAST_CEILING // 2 + 1
-    monkeypatch.setattr(
-        checks, "_fastpath_draws", lambda level: dict(sizes=[past], replicates=8, seed=Seed(11))
+    past = walkstats.DIAG_FAST_CEILING // 2 + 1  # diagonal points, so the edge is twice that
+    _with_job_config(
+        monkeypatch,
+        "fastpath-draws",
+        lambda workers: ExperimentConfig(Statistic.DELTA_FASTPATH, (2 * past,), 8, Seed(11), workers),
     )
     crashed, other = run_checks(
         level="quick", workers=2, names={"fastpath-consistency", "hitting-floor"}
@@ -404,11 +422,11 @@ def test_a_crashed_pool_task_is_a_crash_and_leaves_no_process(monkeypatch):
 def test_a_crashed_shared_pass_is_never_an_expected_red(monkeypatch):
     # zero-count-scaling is expected red; crashed, it fails the gate and the
     # report does not list it among the expected-red checks
-    def past_the_ceiling(level, workers):
+    def past_the_ceiling(workers):
         sizes = (walkstats.SWEEP_CEILING + 1,)
         return ExperimentConfig(Statistic.Z_CROSSINGS, sizes, 4, Seed(1), workers)
 
-    monkeypatch.setattr(checks, "_full_crossing_config", past_the_ceiling)
+    _with_job_config(monkeypatch, "shared-pass", past_the_ceiling)
     results = run_checks(level="quick", workers=2, names=SHARED_PASS)
     detail = "raised CapacityError: sweep capped at N=32768, got 32769"
     assert [r.detail for r in results] == [detail] * 3

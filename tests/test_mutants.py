@@ -16,6 +16,7 @@ import pytest
 import test_acceptance
 import test_cli
 import test_exactprob
+import test_exhaustive
 import test_randfield
 import test_walkstats
 from test_acceptance import SHARED_PASS
@@ -152,7 +153,12 @@ class TestPairwiseSplitUnaligned:
 
 
 class TestAuditRowsEdgeZeroKept:
-    """Survives check 9 on real fields: its lower sandwich bound never binds there."""
+    """The zeros over ``[1, n-1]`` counted with the one at column ``n`` kept.
+
+    Check 9's verdict still cannot see it: on the real fields of its grids
+    the lower sandwich bound never binds.  The per-row count oracle sees
+    it on real fields, and so does the audit of all 2^16 fields at N <= 4.
+    """
 
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch, stub_hash):
@@ -163,6 +169,19 @@ class TestAuditRowsEdgeZeroKept:
         # edge zero's subtraction keeps the zeros on [1, n-1] at the touches
         _, ok = walkstats.decomposition_audit(AlternatingRowsField(), 6, (3,))
         assert not ok
+
+    def test_killed_by_the_segment_counts(self):
+        # real fields 3 and 4, at n = 30 and 12
+        with pytest.raises(AssertionError):
+            test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
+
+    def test_killed_by_every_field_at_n_4(self, monkeypatch):
+        counts = test_exhaustive.exhaustive_counters()
+        with pytest.raises(AssertionError):
+            test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(counts, monkeypatch)
+
+    def test_survives_the_random_fields_audit(self):
+        test_walkstats.TestDecompositionAudit().test_random_fields_pass()
 
 
 # one text replacement each in the sweep's probe reads: (name, old, new)

@@ -561,32 +561,40 @@ def test_band_seams_equal_brute_force(sizes):
     assert _lists(swept) == _lists(audited) == _layout(_brute, fields, sizes)
 
 
-# 9 crosses a band seam and 70 a 64-cell fold block; 61 grids of N = 130 are a
-# full block of 60, swept in 8-row bands, and a short last block of one, read
-# in one 130-row tile
+# each relation: the map of the sign planes, the counters it keeps, and one it moves
+_RELATIONS = {
+    "transposed": (np.transpose, ("gamma", "gamma_prime", "delta", "d_antidiag"), "z_crossings"),
+    "negated": (np.logical_not, ("gamma", "z_crossings", "delta", "d_antidiag"), "gamma_prime"),
+}
+# sizes and plane counts: 9 crosses a band seam and 70 a 64-cell fold block;
+# 61 grids of N = 130 are a full block of 60, swept in 8-row bands, and a short
+# last block of one, read in one 130-row tile; at check 8's sizes, 9 grids of
+# N = 1024 are a full block of 8 and a short last block of one
 RELATION_SIZES = (9, 70, 130)
+CHECK_8_SIZES = (128, 256, 512, 1024)
 
 
 @pytest.mark.parametrize(
-    "transform, kept, moved",
+    "transform, kept, moved, sizes, grids",
     [
-        (np.transpose, ("gamma", "gamma_prime", "delta", "d_antidiag"), "z_crossings"),
-        (np.logical_not, ("gamma", "z_crossings", "delta", "d_antidiag"), "gamma_prime"),
+        pytest.param(*_RELATIONS[name], sizes, grids, id=name + suffix)
+        for suffix, sizes, grids in (("", RELATION_SIZES, 61), ("-check-8", CHECK_8_SIZES, 9))
+        for name in _RELATIONS
     ],
-    ids=["transposed", "negated"],
 )
-def test_transformed_signs_keep_their_invariant_counters(transform, kept, moved):
+def test_transformed_signs_keep_their_invariant_counters(transform, kept, moved, sizes, grids):
     # S of the transposed signs is S transposed, and of the negated signs -S:
     # each keeps the counters whose cells and rule map onto themselves, and
     # negation keeps the audit verdict; the counter it moves shows the
-    # transformed planes were read
-    planes = np.random.default_rng(5).random((61, 130, 130)) < 0.5
-    assert tile_shape(130) == (60, walkstats.BAND_ROWS)
+    # transformed planes were read; every grid passes the audit either way
+    top = max(sizes)
+    rng = np.random.default_rng(5)
+    planes = [rng.random((top, top)) < 0.5 for _ in range(grids)]
+    assert tile_shape(top) == (grids - 1, walkstats.BAND_ROWS)
     read = []
     for signs in (planes, [transform(p) for p in planes]):
         roots = _roots([PlaneField(p) for p in signs])
-        read.append((sweep_roots(roots, RELATION_SIZES, COUNTERS),
-                     *audit_roots(roots, RELATION_SIZES, COUNTERS)))
+        read.append((sweep_roots(roots, sizes, COUNTERS), *audit_roots(roots, sizes, COUNTERS)))
     (swept, audited, ok), (swept_t, audited_t, ok_t) = read
     for c in kept:
         assert swept[c].tolist() == swept_t[c].tolist(), c
@@ -594,6 +602,7 @@ def test_transformed_signs_keep_their_invariant_counters(transform, kept, moved)
     assert swept[moved].tolist() != swept_t[moved].tolist()
     if transform is np.logical_not:
         assert ok.tolist() == ok_t.tolist()
+    assert ok.all() and ok_t.all()
 
 
 def _plan_bytes(N):
