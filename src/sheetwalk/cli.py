@@ -36,25 +36,19 @@ import numpy as np
 from . import __version__
 from . import exactprob
 from .exactprob import CapacityError
-from .mcharness import (
-    ExperimentConfig,
-    Statistic,
-    estimate_exponent,
-    run_experiment,
-    usable_cpus,
-)
 from .randfield import RademacherField, Seed, StreamKey
-from .walkstats import render_zero_set
 
+# the value of each command-line statistic's mcharness.Statistic; mcharness
+# and walkstats are imported by the commands that use them, so `exact` loads neither
 _STAT_NAMES = {
-    "gamma": Statistic.GAMMA,
-    "gamma-prime": Statistic.GAMMA_PRIME,
-    "z-crossings": Statistic.Z_CROSSINGS,
-    "delta": Statistic.DELTA,
-    "delta-fast": Statistic.DELTA_FASTPATH,
-    "antidiag": Statistic.D_ANTIDIAG,
-    "twin-zeros": Statistic.TWIN_ZEROS,
-    "annulus": Statistic.ANNULUS,
+    "gamma": "gamma",
+    "gamma-prime": "gamma_prime",
+    "z-crossings": "z_crossings",
+    "delta": "delta",
+    "delta-fast": "delta_fastpath",
+    "antidiag": "d_antidiag",
+    "twin-zeros": "twin_zeros",
+    "annulus": "annulus",
 }
 
 RAW_HEADER = "N,replicate,value"
@@ -200,6 +194,8 @@ def _resolve_workers(flag: int | None) -> int:
         if value < 1:
             raise ValueError(f"WORKERS must be >= 1, got {value}")
         return value
+    from .mcharness import usable_cpus
+
     return usable_cpus()
 
 
@@ -250,10 +246,12 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import mcharness
+
     sizes = tuple(int(part) for part in args.sizes.split(","))
     workers = _resolve_workers(args.workers)
-    config = ExperimentConfig(
-        statistic=_STAT_NAMES[args.stat],
+    config = mcharness.ExperimentConfig(
+        statistic=mcharness.Statistic(_STAT_NAMES[args.stat]),
         sizes=sizes,
         replicates=args.reps,
         seed=Seed(args.seed),
@@ -264,7 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     started = _now()
     with _new_directory(outdir), _directory_lock(outdir):
-        result = run_experiment(config)
+        result = mcharness.run_experiment(config)
         raw_rows = (
             (n, r, repr(float(result.values[n][r])))
             for n in sizes
@@ -312,6 +310,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from .mcharness import estimate_exponent
+
     path = Path(args.summary)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -361,6 +361,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .walkstats import render_zero_set
+
     field = RademacherField(StreamKey(Seed(args.seed), 0))
     pgm = render_zero_set(field, args.n)
     with _atomic_file(args.out) as handle:
@@ -375,6 +377,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     import platform  # deferred with checks: no other command needs either
 
     from . import checks
+    from .mcharness import usable_cpus
 
     workers = _resolve_workers(args.workers)
     suite = checks.run_suite(level=args.level, workers=workers)

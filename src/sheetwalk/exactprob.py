@@ -33,12 +33,12 @@ zero probabilities factor into ``p`` values of block half-areas.  Sums with
 an odd number of signs can never vanish, hence the even-parity filters.
 
 Every array of ``p`` values comes from one block evaluator,
-:func:`_p_blocks`.  It reads the blocks of a sum from a plan, has the
-caller write their arguments into buffers it sizes once, to the largest
-block, evaluates the series in place and patches in the table values where
-``k <= EXACT_CEILING``.  The grid sums take as many rows as fit in
-``CHUNK_CELLS`` cells (at least one) and add each row's sum in row order;
-:func:`p_float_vec` reads one-cell rows straight into its output array.
+:func:`_p_blocks`, the series' one caller.  It reads the blocks of a sum
+from a plan, has the caller write their arguments into buffers it sizes
+once, to the largest block, evaluates the series in place and patches in
+the table values where ``k <= EXACT_CEILING``.  The grid sums take as many
+rows as fit in ``CHUNK_CELLS`` cells (at least one) and add each row's sum
+in row order; :func:`p_float_vec` copies one-cell rows into its result.
 The two means never hold their ``N`` values: :func:`_p_sum` walks numpy's
 pairwise-sum tree over them, evaluates one leaf of at most
 ``max(CHUNK_CELLS, 128)`` cells at a time, sums it with ``ndarray.sum`` and
@@ -64,6 +64,8 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+
+from .randfield import as_int
 
 EXACT_CEILING = 10_000  # largest n with a tabulated exact p(n)
 VAR_SUM_CEILING = 4_000  # pairwise diagonal sums: O(N^2) p evaluations
@@ -203,17 +205,22 @@ def _p_series(x: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 
 def p_float(n: int) -> float:
-    """``p(n)`` as a float, exact-table below the ceiling, series above."""
+    """``p(n)`` of an int ``n < 2**63``: the table up to the ceiling, :func:`p_float_vec` above."""
+    n = as_int("n", n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n <= EXACT_CEILING:
         return float(_table().float_values[n])
-    x = np.array([float(n)])
-    return float(_p_series(x, np.empty(1), np.empty(1))[0])
+    if n >= 2**63:  # past the evaluator's int64 arguments
+        raise CapacityError(f"p_float takes n < 2**63, got {n}")
+    return float(p_float_vec(np.array([n]))[0])
 
 
 def p_float_vec(ns: np.ndarray) -> np.ndarray:
     """Vectorized :func:`p_float` over an int array of any shape (entries >= 0)."""
+    ns = np.asarray(ns)
+    if ns.size and ns.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got {ns.dtype} values such as {ns.flat[0]}")
     ns = np.ascontiguousarray(ns, dtype=np.int64)
     if ns.size and ns.min() < 0:
         raise ValueError("all indices must be >= 0")
@@ -223,8 +230,8 @@ def p_float_vec(ns: np.ndarray) -> np.ndarray:
     def fill(r, K):
         np.copyto(K[:, 0], flat[r : r + len(K)])
 
-    for _ in _p_blocks(_row_plan(flat.size, 1), fill, out):
-        pass
+    for r, V in _p_blocks(_row_plan(flat.size, 1), fill):
+        out[r : r + len(V)] = V[:, 0]
     return out.reshape(ns.shape)
 
 
@@ -244,25 +251,23 @@ def _row_plan(rows: int, width) -> list[tuple[int, int]]:
     return plan
 
 
-def _p_blocks(plan: list[tuple[int, int]], fill, out: np.ndarray | None = None):
+def _p_blocks(plan: list[tuple[int, int]], fill):
     """Yield ``(r, V)``, ``V = p(K)`` over each block of rows ``r..r+b-1``.
 
     ``plan`` lists the ``(b, w)`` of the blocks in row order, ``b`` rows of
     width ``w`` each.  ``fill(r, K)`` writes the block's int64 arguments into
     ``K``, shape ``(b, w)``.  Every buffer is sized once, to the largest
-    block; ``V`` views the values buffer, or ``out`` (all the values, one
-    width) when given.  Table cells get a finite stand-in series argument,
-    then their table values.
+    block; ``V`` views the values buffer, which the next block overwrites.
+    Table cells get a finite stand-in series argument, then their table
+    values.
     """
     cells = max((b * w for b, w in plan), default=0)
     ks, x, inv = np.empty(cells, dtype=np.int64), np.empty(cells), np.empty(cells)
-    small = np.empty(cells, dtype=bool)
-    values = np.empty(cells) if out is None else None
+    small, values = np.empty(cells, dtype=bool), np.empty(cells)
     r = 0
     for b, w in plan:
         n = b * w
-        k, arg, mask = ks[:n], x[:n], small[:n]
-        v = values[:n] if out is None else out[r * w : r * w + n]
+        k, arg, mask, v = ks[:n], x[:n], small[:n], values[:n]
         fill(r, k.reshape(b, w))
         np.copyto(arg, k)
         np.maximum(arg, EXACT_CEILING + 1.0, out=arg)

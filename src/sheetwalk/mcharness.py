@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .exactprob import DIAG_LOG_COEFF, CapacityError, delta_mean_exact
-from .randfield import RademacherField, Seed, StreamKey, field_roots
+from .randfield import RademacherField, Seed, StreamKey, as_int, field_roots
 from .walkstats import (
     COUNTERS,
     annulus_counts,
@@ -88,7 +88,9 @@ class ExperimentConfig:
     radius: int = 8  # companion distance for twin-zero counting
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(as_int("grid size", n) for n in self.sizes))
+        for name in ("replicates", "workers", "radius"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         object.__setattr__(self, "seed", Seed(self.seed))
         if not self.sizes:
             raise ValueError("need at least one grid size")

@@ -28,6 +28,7 @@ oracle.  All index arithmetic wraps modulo 2**64 by design.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,11 +129,19 @@ def field_roots(seed: int, replicates) -> np.ndarray:
     return _mix64_vec(replicates.astype(np.uint64) * _V_GOLDEN + base)
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int, numpy ints too; a ``ValueError`` naming it for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class Seed(int):
-    """A 64-bit seed.  Arbitrary ints are accepted and reduced mod 2**64."""
+    """A 64-bit seed.  Arbitrary ints (numpy ints too) are accepted and reduced mod 2**64."""
 
     def __new__(cls, value: int = 0) -> "Seed":
-        return super().__new__(cls, int(value) & _MASK64)
+        return super().__new__(cls, as_int("seed", value) & _MASK64)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,15 @@ holding at most :data:`TILE_CELLS` cells, rows counted at their width
 padded to whole 8-cell words, or one row when a row alone is larger.  A
 full block of grids lies side by side in bands of :data:`BAND_ROWS`
 rows; a block of fewer grids, a lone field among them, gets taller tiles
-(see :func:`tile_shape`).  Each tile is hashed in one call and read into
-a 0/1 byte plane of its sign bits; :class:`_RowFold` sums it along its
-rows eight cells per ``uint64`` word, by exact byte-lane arithmetic, with
-a ``cumsum`` only over each row's 64-cell block counts; ``b`` in-place
-row adds fold the rows down, the first of which adds the row carried
-from the tile above.  Each block width of a sweep has its own buffers,
-a :class:`_Block` at exact shapes, filled in place by every tile of
-that width, so no tile allocates; a sweep has at most two widths, the
+(see :func:`tile_shape`).  One :class:`_Tiles` per tile shape owns every
+buffer of the read: :meth:`_Tiles.read` hashes each tile in one call and
+reads it into a 0/1 byte plane of its sign bits; :meth:`_Tiles.fold` sums
+it along its rows eight cells per ``uint64`` word, by exact byte-lane
+arithmetic, with a ``cumsum`` only over each row's 64-cell block counts;
+``b`` in-place row adds fold the rows down, the first of which adds the
+row carried from the tile above.  Each block width of a sweep has its own
+buffers, a :class:`_Block` at exact shapes, filled in place by every tile
+of that width, so no tile allocates; a sweep has at most two widths, the
 full block's and a short last block's, and holds one at a time.
 
 The kernel's one input is a block of stream roots, a ``uint64`` array
@@ -142,49 +143,37 @@ _S55 = np.uint64(55)
 _LANE_BIAS = np.uint64(0x38393A3B3C3D3E3F) - np.arange(0, 64, 8, dtype=np.uint64) * _ONES
 
 
-class _RowFold:
-    """Row sums of tiles of signs read as 0/1 bytes, eight cells per ``uint64`` word.
+class _Tiles:
+    """A block of ``grids`` ``rows x cols`` grids, read in tiles of ``height`` rows.
 
-    ``bits[k, r, j-1]`` is 1 where the sign at tile row ``k``, grid ``r``,
-    column ``j`` is +1, else 0; each row is padded to whole 8-cell words.
-    Calling the fold on ``b`` rows writes ``S_row(j)``, the sum of the
-    row's signs over columns ``1..j``, as int64.  Viewed as ``uint64``, a
-    word of the plane holds 8 cells, one per byte lane, and exact lane
-    arithmetic turns it, in place, into ``S_blk + 64`` per cell, where
-    ``S_blk`` sums the row from the start of the cell's 64-cell block:
-
-    - one multiply by ``0x0101...01`` leaves each word's count of +1
-      cells in its top byte;
-    - those counts, packed 8 to a word (one word per block), multiplied
-      the same way and shifted left one byte, give each word's count of
-      +1 cells before it in its block, ``B``;
-    - ``(word + B) * 0x0202...02`` puts ``2C`` in each lane, ``C`` the +1
-      cells of the block up to that cell, and adding ``63 - p`` to the
-      lane of block place ``p`` makes it ``2C + 63 - p = S_blk + 64``.
-      Since ``C <= p + 1``, every lane stays in ``[0, 128]``, so no
-      carry crosses a lane.
-
-    A ``cumsum`` over the block counts gives each row's sum before each
-    block; a row of one block needs none.  One add of the lanes and those
-    sums, less 64, writes the int64 row sums.  The block sums are int16:
-    its arithmetic wraps modulo ``2**16``, and every block sum fits int16,
-    so each comes out exact.  The add runs in int16 too, which holds every
-    sum of a row narrower than ``2**15``, and in int32 for the widest rows.
-    A padding byte only reaches lanes, words and blocks to its right, past
-    column ``cols``, so its value does not matter.
-
-    A fold owns its buffers, shaped for tiles of up to ``height`` rows of
-    ``grids`` grids; the words per block start at zero, so the pad word
-    before a row of several blocks stays zero.
+    Both sides are checked against :data:`SWEEP_CEILING` first; ``height``
+    is :func:`_tile_height`.  ``words`` takes each tile's hash words in
+    rows ``1..height`` and the carried row in row 0, and ``sums``, listed
+    by row in ``row_views``, is the same memory as int64; ``scratch`` is
+    the hash's scratch.  ``bits[k, r, j-1]`` is 1 where the sign at tile
+    row ``k``, grid ``r``, column ``j`` is +1, else 0, each row padded to
+    whole 8-cell words; ``plane`` is it cut to ``cols``.  The rest are the
+    fold's; its words per block start at zero, so the pad word before a
+    row of several blocks stays zero.
     """
 
-    def __init__(self, grids: int, height: int, cols: int):
+    def __init__(self, rows: int, cols: int, grids: int) -> None:
+        _check_edge(rows)
+        _check_edge(cols)
+        self.rows = rows
+        self.height = height = _tile_height(rows, cols, grids)
+        self.words = np.empty((height + 1, grids, cols), dtype=np.uint64)
+        self.sums = self.words.view(np.int64)  # the same memory: the hash words become the sums
+        # a list of rows: indexing a row per add costs as much as the add
+        self.row_views = list(self.sums)
+        self.scratch = np.empty((height, grids, cols), dtype=np.uint64)
         nwords, self.blocks, self.full = -(-cols // 8), -(-cols // 64), cols // 64
         # a row of more than one block starts with a zero word, a pad for the block cumsum
         pad = int(self.blocks > 1)
         per_row = self.blocks + pad
         self.bits = np.empty((height, grids, nwords * 8), dtype=np.uint8)  # whole 8-cell words
-        self.words = self.bits.view(np.uint64)
+        self.plane = self.bits[:, :, :cols]
+        self.lanes = self.bits.view(np.uint64)
         self.counts = np.empty((height, grids, nwords), dtype=np.uint64)  # +1 cells, byte 7
         self.packed = np.zeros((height, grids, per_row), dtype=np.uint64)  # a word per block
         self.word_base = self.packed.view(np.uint8)[:, :, 8 * pad : 8 * pad + nwords]  # B
@@ -196,12 +185,41 @@ class _RowFold:
         self.block_bias = (64 * np.arange(1, self.blocks + 1)).astype(np.int16)
         self.sum_type = np.int16 if cols < 2**15 else np.int32  # |S_row| <= cols
 
-    def __call__(self, b: int, out: np.ndarray) -> np.ndarray:
-        """Write the row sums of the plane's first ``b`` rows into ``out``; return it."""
-        words, counts, packed, word_base = (
-            self.words[:b], self.counts[:b], self.packed[:b], self.word_base[:b]
+    def fold(self, b: int) -> np.ndarray:
+        """Write the row sums of the plane's first ``b`` rows into ``sums[1 : b + 1]``; return it.
+
+        Row ``k`` gets ``S_row(j)``, the sum of its signs over columns
+        ``1..j``, as int64.  Viewed as ``uint64``, a word of the plane holds
+        8 cells, one per byte lane, and exact lane arithmetic turns it, in
+        place, into ``S_blk + 64`` per cell, where ``S_blk`` sums the row
+        from the start of the cell's 64-cell block:
+
+        - one multiply by ``0x0101...01`` leaves each word's count of +1
+          cells in its top byte;
+        - those counts, packed 8 to a word (one word per block), multiplied
+          the same way and shifted left one byte, give each word's count of
+          +1 cells before it in its block, ``B``;
+        - ``(word + B) * 0x0202...02`` puts ``2C`` in each lane, ``C`` the
+          +1 cells of the block up to that cell, and adding ``63 - p`` to
+          the lane of block place ``p`` makes it ``2C + 63 - p = S_blk +
+          64``.  Since ``C <= p + 1``, every lane stays in ``[0, 128]``, so
+          no carry crosses a lane.
+
+        A ``cumsum`` over the block counts gives each row's sum before each
+        block; a row of one block needs none.  One add of the lanes and
+        those sums, less 64, writes the int64 row sums.  The block sums are
+        int16: its arithmetic wraps modulo ``2**16``, and every block sum
+        fits int16, so each comes out exact.  The add runs in int16 too,
+        which holds every sum of a row narrower than ``2**15``, and in int32
+        for the widest rows.  A padding byte only reaches lanes, words and
+        blocks to its right, past column ``cols``, so its value does not
+        matter.
+        """
+        out = self.sums[1 : b + 1]
+        lanes, counts, packed, word_base = (
+            self.lanes[:b], self.counts[:b], self.packed[:b], self.word_base[:b]
         )
-        np.multiply(words, _ONES, out=counts)
+        np.multiply(lanes, _ONES, out=counts)
         np.copyto(word_base, counts.view(np.uint8)[:, :, 7::8])
         packed *= _ONES
         before = self.before[:b]
@@ -216,9 +234,9 @@ class _RowFold:
             np.subtract(block_base, before[:, :, :1], out=block_base)
             block_base -= self.block_bias
         np.left_shift(packed, _S8, out=packed)
-        np.add(words, word_base, out=words)
-        words *= _TWOS
-        words += self.lane_bias
+        np.add(lanes, word_base, out=lanes)
+        lanes *= _TWOS
+        lanes += self.lane_bias
         full, split = self.full, 64 * self.full
         if full:
             blocks = (b, out.shape[1], full, 64)
@@ -238,59 +256,32 @@ class _RowFold:
             )
         return out
 
+    def read(self, roots: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(start, T)``, ``T[k, r, j-1] = S(start + k, j)`` of the stream ``roots[r]``.
 
-class _Tiles:
-    """The buffers of a block of ``grids`` ``rows x cols`` grids, read in tiles of ``height`` rows.
+        ``roots`` is a ``uint64`` block of exactly ``grids`` roots; the
+        tiles may read several blocks in turn.  Every ``T`` is a view of
+        the sums buffer that the next tile overwrites, so it lives for one
+        iteration; a caller that keeps it must copy it.
 
-    Both sides are checked against :data:`SWEEP_CEILING` first; ``height``
-    is :func:`_tile_height`.  ``words`` takes each tile's hash words in
-    rows ``1..height`` and the carried row in row 0, and ``sums``, listed
-    by row in ``row_views``, is the same memory as int64.  ``scratch`` is
-    the hash's scratch, and ``fold`` the :class:`_RowFold`, of one tile;
-    ``plane`` is the fold's 0/1 sign plane cut to ``cols``.
-    """
-
-    def __init__(self, rows: int, cols: int, grids: int) -> None:
-        _check_edge(rows)
-        _check_edge(cols)
-        self.rows = rows
-        self.height = height = _tile_height(rows, cols, grids)
-        self.words = np.empty((height + 1, grids, cols), dtype=np.uint64)
-        self.sums = self.words.view(np.int64)  # the same memory: the hash words become the sums
-        # a list of rows: indexing a row per add costs as much as the add
-        self.row_views = list(self.sums)
-        self.scratch = np.empty((height, grids, cols), dtype=np.uint64)
-        self.fold = _RowFold(grids, height, cols)
-        self.plane = self.fold.bits[:, :, :cols]
-
-
-def _partial_sum_tiles(roots: np.ndarray, tiles: _Tiles) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, T)`` with ``T[k, r, j-1] = S(start + k, j)`` of the stream with ``roots[r]``.
-
-    ``roots`` is a ``uint64`` block of exactly the ``grids`` of ``tiles``;
-    ``tiles`` may serve several blocks in turn.  Every ``T`` is a view of
-    the sums buffer that the next tile overwrites, so it lives for one
-    iteration; a caller that keeps it must copy it.
-
-    Row 0 of the buffer carries ``S(start - 1, .)``.  Each tile's hash
-    words are hashed into rows ``1..b`` in one call, and their sign bits
-    (bit 63) read by one compare into the 0/1 plane of a
-    :class:`_RowFold`.  The fold writes the row sums over the hash words,
-    and ``b`` in-place row adds, the first of which adds the carried row,
-    fold them down.
-    """
-    rows, height, words, sums = tiles.rows, tiles.height, tiles.words, tiles.sums
-    row_views, scratch, fold, plane = tiles.row_views, tiles.scratch, tiles.fold, tiles.plane
-    sums[0] = 0  # S(0, j)
-    for start in range(1, rows + 1, height):
-        b = min(height, rows + 1 - start)
-        hashed = sign_rows(roots, start, words[1 : b + 1], scratch[:b])
-        np.less(hashed.view(np.int64), 0, out=plane[:b])
-        tile = fold(b, sums[1 : b + 1])
-        for above, row in zip(row_views, row_views[1 : b + 1]):
-            row += above
-        sums[0] = sums[b]  # the carry, copied out before the next tile is hashed over it
-        yield start, tile
+        Row 0 of the buffer carries ``S(start - 1, .)``.  Each tile's hash
+        words are hashed into rows ``1..b`` in one call, and their sign bits
+        (bit 63) read by one compare into the 0/1 plane.  :meth:`fold`
+        writes the row sums over the hash words, and ``b`` in-place row
+        adds, the first of which adds the carried row, fold them down.
+        """
+        rows, height, words, sums = self.rows, self.height, self.words, self.sums
+        row_views, scratch, fold, plane = self.row_views, self.scratch, self.fold, self.plane
+        sums[0] = 0  # S(0, j)
+        for start in range(1, rows + 1, height):
+            b = min(height, rows + 1 - start)
+            hashed = sign_rows(roots, start, words[1 : b + 1], scratch[:b])
+            np.less(hashed.view(np.int64), 0, out=plane[:b])
+            tile = fold(b)
+            for above, row in zip(row_views, row_views[1 : b + 1]):
+                row += above
+            sums[0] = sums[b]  # the carry, copied out before the next tile is hashed over it
+            yield start, tile
 
 
 def _root_block(field: RademacherField) -> np.ndarray:
@@ -305,7 +296,7 @@ def partial_sum_blocks(field, rows: int, cols: int) -> Iterator[tuple[int, np.nd
     block overwrites ``B``; copy it to keep it.
     """
     tiles = _Tiles(rows, cols, 1)
-    return ((start, t[:, 0]) for start, t in _partial_sum_tiles(_root_block(field), tiles))
+    return ((start, t[:, 0]) for start, t in tiles.read(_root_block(field)))
 
 
 def zero_points(field, rows: int, cols: int) -> np.ndarray:
@@ -510,7 +501,7 @@ class _Block:
 
 
 def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
-    """Counters of one block of grids (a :func:`_partial_sum_tiles` source).
+    """Counters of one block of grids, ``source`` a block of roots (see :meth:`_Tiles.read`).
 
     Returns each counter of ``plan`` as an int64 ``(len(sizes), R)``
     array; the per-row counts, row profiles among them, and the probe
@@ -545,7 +536,7 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
     if plan.audit:
         sum_products = block.sum_products
         crossed, touched = flags[slot[PRODUCT_CROSSINGS] :, :, :, 1:]
-    for start, tile in _partial_sum_tiles(source, block.tiles):
+    for start, tile in block.tiles.read(source):
         rows = len(tile)
         here = slice(start - 1, start - 1 + rows)
         if crossing:

@@ -15,11 +15,11 @@ from conftest import StubField
 
 import sheetwalk
 from sheetwalk import cli, exactprob, mcharness, walkstats
-from sheetwalk.cli import main, render_zero_set
+from sheetwalk.cli import main
 from sheetwalk.exactprob import gamma_mean_exact
 from sheetwalk.mcharness import usable_cpus
 from sheetwalk.randfield import RademacherField, Seed, StreamKey
-from sheetwalk.walkstats import annulus_zero_check
+from sheetwalk.walkstats import annulus_zero_check, render_zero_set
 
 
 class PlusField(StubField):
@@ -313,7 +313,7 @@ class TestSimulateCommand:
         def unread(*args):
             raise AssertionError("a tile was read")
 
-        monkeypatch.setattr(walkstats, "_partial_sum_tiles", unread)
+        monkeypatch.setattr(walkstats._Tiles, "read", unread)
         argv = ["simulate", "--stat", stat, "--sizes", sizes, "--eps", eps, "--reps", "1",
                 "--workers", "1", "--out", str(tmp_path / "run")]
         assert main(argv) == 3
@@ -372,7 +372,7 @@ class TestSimulateCommand:
             assert outdir.is_dir()  # made before the run, as the lock needs it
             raise error
 
-        monkeypatch.setattr(cli, "run_experiment", failing)
+        monkeypatch.setattr(mcharness, "run_experiment", failing)
         return main(["simulate", "--stat", "gamma", "--sizes", "8", "--reps", "2",
                      "--workers", "1", "--out", str(outdir)])
 
@@ -899,7 +899,7 @@ def test_an_output_is_hashed_without_holding_it(tmp_path):
     assert peak < 2**20
 
 
-# run in a fresh interpreter, since this one has imported the pool stack
+# run in a fresh interpreter, since this one has imported the pool stack and the sweep
 _FIRST_READS = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -912,7 +912,9 @@ def unread(*args, **kwargs):
 exactprob.dyadic_pairs = unread
 exactprob.p_float(1)
 exactprob.gamma_mean_exact(64)
-print(sorted({"multiprocessing", "concurrent.futures.process", "hashlib"} & set(sys.modules)))
+unloaded = {"multiprocessing", "concurrent.futures.process", "hashlib",
+            "sheetwalk.walkstats", "sheetwalk.mcharness"}
+print(sorted(unloaded & set(sys.modules)))
 """
 
 

@@ -350,6 +350,44 @@ class TestReturnProbFloat:
         with pytest.raises(ValueError):
             ep.p_float_vec(np.array([2, -1]))
 
+    @pytest.mark.parametrize("bad", [2.5, 10_000.5, "5", np.float64(7.0)])
+    def test_scalar_refuses_a_non_integer_by_value(self, bad):
+        # 2.5 raised an IndexError from the table, and 10000.5 read the series
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {bad!r}")):
+            ep.p_float(bad)
+
+    @pytest.mark.parametrize("bad", [[2.5], [2.0, 3.0], ["5"], np.array([1, 2], dtype=object)])
+    def test_vector_refuses_non_integer_dtypes(self, bad):
+        # float64 [2.5] was cast to int64 and returned p(2)
+        dtype = np.asarray(bad).dtype
+        with pytest.raises(ValueError, match=re.escape(f"indices must be integers, got {dtype}")):
+            ep.p_float_vec(bad)
+
+    def test_integer_dtypes_and_empty_input_are_taken(self):
+        want = [ep.p_float(3), ep.p_float(20_000)]
+        for dtype in (np.int32, np.uint16, np.uint64):
+            assert ep.p_float_vec(np.array([3, 20_000], dtype=dtype)).tolist() == want
+        assert ep.p_float(np.int64(20_000)) == want[1]
+        assert ep.p_float_vec(np.array([], dtype=np.float64)).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "n,bits",
+        [
+            (10_001, "0x1.71b963c10dc89p-8"),
+            (123_456, "0x1.a4edb96023108p-10"),
+            (10**7, "0x1.76286ed512372p-13"),
+            (2 * 10**14, "0x1.56b055d12575bp-25"),
+        ],
+    )
+    def test_scalar_bits_above_the_table_are_pinned(self, n, bits):
+        # the series branch of p_float, which reads p_float_vec
+        assert ep.p_float(n).hex() == bits
+
+    def test_scalar_past_int64_is_capacity(self):
+        assert ep.p_float(2**63 - 1) > 0
+        with pytest.raises(ep.CapacityError, match=str(2**63)):
+            ep.p_float(2**63)
+
 
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=120, deadline=None)

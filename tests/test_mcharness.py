@@ -124,6 +124,28 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             config(**bad)
 
+    @pytest.mark.parametrize(
+        "bad,named",
+        [
+            (dict(sizes=(8.7,)), "grid size must be an integer, got 8.7"),
+            (dict(workers=1.5), "workers must be an integer, got 1.5"),
+            (dict(replicates=2.5), "replicates must be an integer, got 2.5"),
+            (dict(radius=8.5), "radius must be an integer, got 8.5"),
+        ],
+    )
+    def test_config_refuses_non_integers_by_value(self, bad, named):
+        # a float size or worker count was truncated, and 2.5 replicates
+        # crashed inside numpy with a TypeError
+        with pytest.raises(ValueError, match=named):
+            config(**bad)
+
+    def test_config_takes_numpy_ints(self):
+        cfg = config(sizes=(np.int64(8), np.int32(16)), replicates=np.int64(6),
+                     workers=np.int16(1), radius=np.uint8(8), seed=np.uint64(42))
+        assert (cfg.sizes, cfg.replicates, cfg.workers, cfg.radius) == ((8, 16), 6, 1, 8)
+        assert {type(v) for v in (*cfg.sizes, cfg.replicates, cfg.workers, cfg.radius)} == {int}
+        assert cfg == config()
+
     def test_result_ceiling_is_capacity_before_any_work(self, monkeypatch):
         def unrun(*args):
             raise AssertionError("a worker ran")

@@ -214,13 +214,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     # the copies themselves are sound, so each kill below is the replacement's
     diagonal = "probed[1:n:2"
     monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", diagonal, diagonal))
-    same = "block_base -= self.block_bias"
-    monkeypatch.setattr(walkstats, "_RowFold", _edited("_RowFold", same, same))
-    adds = "zip(row_views, row_views[1 : b + 1])"
-    monkeypatch.setattr(
-        walkstats, "_partial_sum_tiles", _edited("_partial_sum_tiles", adds, adds)
-    )
-    height = "_tile_height(rows, cols, grids)"
+    height = "_tile_height(rows, cols, grids)"  # one copy of _Tiles, which three mutants edit
     monkeypatch.setattr(walkstats, "_Tiles", _edited("_Tiles", height, height))
     edges = "np.full(M, n - 1)"
     monkeypatch.setattr(walkstats, "_SweepPlan", _edited("_SweepPlan", edges, edges))
@@ -364,8 +358,8 @@ class TestCarryRowNotAdded:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
         adds = "zip(row_views, row_views[1 : b + 1])"
-        mutant = _edited("_partial_sum_tiles", adds, "zip(row_views[1:], row_views[2 : b + 1])")
-        monkeypatch.setattr(walkstats, "_partial_sum_tiles", mutant)
+        mutant = _edited("_Tiles", adds, "zip(row_views[1:], row_views[2 : b + 1])")
+        monkeypatch.setattr(walkstats, "_Tiles", mutant)
 
     def test_killed_by_the_band_seams(self):
         with pytest.raises(AssertionError):
@@ -407,8 +401,8 @@ class TestRowFoldBlockCarryDropped:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch, stub_hash):
         carry = "block_base -= self.block_bias\n"
-        mutant = _edited("_RowFold", carry, "block_base[:] = -64\n")
-        monkeypatch.setattr(walkstats, "_RowFold", mutant)
+        mutant = _edited("_Tiles", carry, "block_base[:] = -64\n")
+        monkeypatch.setattr(walkstats, "_Tiles", mutant)
 
     def test_killed_by_the_fold_widths(self):
         with pytest.raises(AssertionError):

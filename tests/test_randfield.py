@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,15 @@ class TestSeedAndKey:
         assert Seed(2**64 + 5) == Seed(5)
         assert Seed(-1) == Seed(2**64 - 1)
         assert 0 <= Seed(-12345) < 2**64
+
+    @pytest.mark.parametrize("bad", [2.5, "5", np.float64(3.0), None])
+    def test_seed_refuses_a_non_integer_by_value(self, bad):
+        # int() truncated 2.5 to seed 2 and parsed "5" as seed 5
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {bad!r}")):
+            Seed(bad)
+
+    def test_seed_takes_numpy_ints(self):
+        assert Seed(np.uint64(2**64 - 1)) == Seed(-1) and Seed(np.int8(-1)) == Seed(-1)
 
     def test_replicate_must_be_nonnegative(self):
         with pytest.raises(ValueError):

@@ -303,7 +303,7 @@ def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
                 block = fields[at : at + grids]
                 dense = [_value_sums(f, rows, cols) for f in block]
                 starts = []
-                for start, tile in walkstats._partial_sum_tiles(_roots(block), tiles[len(block)]):
+                for start, tile in tiles[len(block)].read(_roots(block)):
                     assert tile.shape[1] == len(block)
                     starts.append(start)
                     for r, sums in enumerate(dense):
@@ -315,7 +315,7 @@ def test_a_short_roots_block_is_refused_by_wider_tiles():
     # one root through tiles of two grids would hash the same stream into both
     tiles = walkstats._Tiles(5, 65, 2)
     with pytest.raises(ValueError, match="1 roots for a buffer of 2 grids"):
-        next(walkstats._partial_sum_tiles(field_roots(0, [0]), tiles))
+        next(tiles.read(field_roots(0, [0])))
 
 
 @pytest.mark.parametrize("cols", [SWEEP_CEILING - 1, SWEEP_CEILING])
@@ -608,14 +608,14 @@ def test_transformed_signs_keep_their_invariant_counters(transform, kept, moved,
 def _plan_bytes(N):
     """Bytes of the arrays an auditing sweep plan of ``N`` holds for a full block, each once.
 
-    The plan's own, and those of its full block's buffers, tiles and fold;
-    a view (the sums of the hash words, the fold's word and block views,
+    The plan's own, and those of its full block's buffers and tiles; a
+    view (the sums of the hash words, the fold's word and block views,
     the plane) counts as the array it views.
     """
     plan = walkstats._SweepPlan((N,), frozenset(COUNTERS), audit=True)
     block = plan.block(tile_shape(N)[0])
     bases = {}
-    for owner in (plan, block, block.tiles, block.tiles.fold):
+    for owner in (plan, block, block.tiles):
         for a in vars(owner).values():
             if isinstance(a, np.ndarray):
                 while a.base is not None:
