@@ -6,18 +6,18 @@ every check at its committed size; ``quick`` shrinks the expensive grids
 for a sub-minute smoke pass.  Results are reported honestly: a check
 that measures a violated bound FAILS and says what it measured — four
 bounds in this suite are unattainable as committed (the README's
-verification section carries the analysis) and stay red by design; they
-are listed in :data:`EXPECTED_RED`.
+verification section carries the analysis) and stay red by design.
 
-A check reads only its run, the object that :func:`run_suite` makes: the
-run's level and the pool jobs it queued, each from the run's queue,
-which runs a job once and hands every reader its values or its error.
-:func:`_jobs` writes each job's config once, in grid edges.  Check 6
-reads ``fastpath-draws``, checks 7-9 ``shared-pass``, one pass over
-check 8's grids that sweeps each grid once for its zero count and its
-crossings and audits it in the same sweep, and check 13
-``determinism``, whose result from the run's task split it compares
-with every other split's, assembled in process.
+Each check is one row of ``_CHECKS``: its name, its function, the pool
+job it reads, if any, and whether it is red by design; the red rows
+make :data:`EXPECTED_RED`.  A check reads only its run, the object that
+:func:`run_suite` makes: the run's level and the pool jobs it queued,
+each from the run's queue, which runs a job once and hands every reader
+its values or its error.  :func:`_jobs` writes each job's config once,
+in grid edges.  ``shared-pass`` is one pass over check 8's grids that
+sweeps each grid once for checks 7-9 and audits it in the same sweep;
+check 13 compares its ``determinism`` job's result from the run's task
+split with every other split's, assembled in process.
 
 Every run takes one order.  It puts the selected checks' jobs on one
 :func:`~sheetwalk.mcharness.job_queue` at its start; the checks that read
@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -484,32 +484,34 @@ def _check_determinism(run: _Run) -> tuple[bool, str]:
     )
 
 
+class _Check(NamedTuple):
+    """One check of the suite: all the suite knows of it."""
+
+    name: str
+    run: Callable[[_Run], tuple[bool, str]]
+    job: str | None = None  # the key of _jobs it reads
+    red: bool = False  # its committed bound is unattainable: red by design (see README)
+
+
 _CHECKS = (
-    ("return-probability", _check_return_probability),
-    ("wallis-envelope", _check_wallis_envelope),
-    ("difference-window", _check_difference_window),
-    ("diagonal-mean-log-law", _check_diagonal_mean_law),
-    ("diagonal-variance-band", _check_diagonal_variance_band),
-    ("fastpath-consistency", _check_fastpath_consistency),
-    ("zero-count-scaling", _check_zero_count_scaling),
-    ("crossing-count-scaling", _check_crossing_count_scaling),
-    ("crossing-decomposition", _check_crossing_decomposition),
-    ("oracle-equivalence", _check_oracle_equivalence),
-    ("antidiagonal-constant", _check_antidiagonal_constant),
-    ("hitting-floor", _check_hitting_floor),
-    ("determinism", _check_determinism),
+    _Check("return-probability", _check_return_probability),
+    _Check("wallis-envelope", _check_wallis_envelope),
+    _Check("difference-window", _check_difference_window, red=True),
+    _Check("diagonal-mean-log-law", _check_diagonal_mean_law),
+    _Check("diagonal-variance-band", _check_diagonal_variance_band, red=True),
+    _Check("fastpath-consistency", _check_fastpath_consistency, "fastpath-draws"),
+    _Check("zero-count-scaling", _check_zero_count_scaling, "shared-pass", red=True),
+    _Check("crossing-count-scaling", _check_crossing_count_scaling, "shared-pass"),
+    _Check("crossing-decomposition", _check_crossing_decomposition, "shared-pass"),
+    _Check("oracle-equivalence", _check_oracle_equivalence),
+    _Check("antidiagonal-constant", _check_antidiagonal_constant, red=True),
+    _Check("hitting-floor", _check_hitting_floor),
+    _Check("determinism", _check_determinism, "determinism"),
 )
 
 #: Checks that measure bounds known to be unattainable as committed; they
 #: stay red on a correct build.  Kept failing on purpose — see README.
-EXPECTED_RED = frozenset(
-    {
-        "difference-window",
-        "diagonal-variance-band",
-        "zero-count-scaling",
-        "antidiagonal-constant",
-    }
-)
+EXPECTED_RED = frozenset(c.name for c in _CHECKS if c.red)
 
 
 def _jobs(level: str, workers: int) -> dict[str, tuple[Callable, ExperimentConfig]]:
@@ -535,31 +537,19 @@ def _jobs(level: str, workers: int) -> dict[str, tuple[Callable, ExperimentConfi
     }
 
 
-# check -> the pool job it reads
-_READS = {
-    "fastpath-consistency": "fastpath-draws",
-    "zero-count-scaling": "shared-pass",
-    "crossing-count-scaling": "shared-pass",
-    "crossing-decomposition": "shared-pass",
-    "determinism": "determinism",
-}
-
-
 def check_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _CHECKS)
+    return tuple(c.name for c in _CHECKS)
 
 
-def _run_check(
-    run: _Run, index: int, name: str, func: Callable[[_Run], tuple[bool, str]]
-) -> CheckResult:
+def _run_check(run: _Run, index: int, check: _Check) -> CheckResult:
     start = time.perf_counter()
     try:
-        passed, detail = func(run)
+        passed, detail = check.run(run)
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
     return CheckResult(
         index=index,
-        name=name,
+        name=check.name,
         passed=passed,
         seconds=time.perf_counter() - start,
         detail=detail,
@@ -585,16 +575,16 @@ def run_suite(
         if not names:
             raise ValueError("no check selected")
     selected = [
-        (index, name, func)
-        for index, (name, func) in enumerate(_CHECKS, start=1)
-        if names is None or name in names
+        (index, check)
+        for index, check in enumerate(_CHECKS, start=1)
+        if names is None or check.name in names
     ]
-    selected.sort(key=lambda check: check[1] in _READS)
-    read = {_READS[name] for _, name, _ in selected if name in _READS}
+    selected.sort(key=lambda pair: pair[1].job is not None)
+    read = {check.job for _, check in selected}
     jobs = {name: job for name, job in _jobs(level, workers).items() if name in read}
     with job_queue(jobs) as collect:
         run = _Run(level, jobs, collect)
-        results = [_run_check(run, *check) for check in selected]
+        results = [_run_check(run, *pair) for pair in selected]
     results.sort(key=lambda result: result.index)
     return Suite(results, run.pool_seconds)
 

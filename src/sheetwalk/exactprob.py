@@ -221,6 +221,8 @@ def p_float_vec(ns: np.ndarray) -> np.ndarray:
     ns = np.asarray(ns)
     if ns.size and ns.dtype.kind not in "iu":
         raise ValueError(f"indices must be integers, got {ns.dtype} values such as {ns.flat[0]}")
+    if ns.dtype.kind == "u" and ns.size and ns.max() >= 2**63:  # the int64 cast would wrap them
+        raise CapacityError(f"p_float takes n < 2**63, got {ns.max()}")
     ns = np.ascontiguousarray(ns, dtype=np.int64)
     if ns.size and ns.min() < 0:
         raise ValueError("all indices must be >= 0")

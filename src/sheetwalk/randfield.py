@@ -119,10 +119,10 @@ def field_roots(seed: int, replicates) -> np.ndarray:
     Entry ``k`` is ``RademacherField(StreamKey(seed, replicates[k])).root``,
     bit for bit, as a ``uint64`` array.  The seed is reduced mod ``2**64``
     as :class:`Seed` reduces it, and ``r * GOLDEN`` wraps as the scalar
-    path's does.  Replicates are ints in ``[0, 2**63)``; a negative one is
-    rejected, as :class:`StreamKey` rejects it.
+    path's does.  Replicates are ints in ``[0, 2**63)``; a negative one or
+    one that is no int is rejected, as :class:`StreamKey` rejects it.
     """
-    replicates = np.asarray(replicates, dtype=np.int64)
+    replicates = _int64_array("replicate", replicates)
     if replicates.size and replicates.min() < 0:
         raise ValueError(f"replicate must be >= 0, got {int(replicates.min())}")
     base = np.uint64(_mix64(Seed(seed) ^ _FIELD_TAG))
@@ -135,6 +135,18 @@ def as_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _int64_array(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; a ``ValueError`` names an entry that is
+    no int, as :func:`as_int` has it (so 2.0 neither), or is ``2**63`` or more."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":  # floats, or ints that numpy holds as objects or floats
+        ints = [as_int(name, v) for v in np.asarray(values, dtype=object).flat]
+        array = np.array(ints, dtype=object).reshape(array.shape)
+    if array.dtype.kind != "i" and array.size and array.max() >= 2**63:
+        raise ValueError(f"{name} out of range: must be < 2**63, got {array.max()}")
+    return np.asarray(array, dtype=np.int64)
 
 
 class Seed(int):
@@ -153,6 +165,7 @@ class StreamKey:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", Seed(self.seed))
+        object.__setattr__(self, "replicate", as_int("replicate", self.replicate))
         if self.replicate < 0:
             raise ValueError(f"replicate must be >= 0, got {self.replicate}")
 
@@ -201,7 +214,7 @@ def signed_binomial_batch(key: StreamKey, counts: np.ndarray) -> np.ndarray:
     single Philox stream keyed off ``key``.  Domain-separated from the
     field cells, so the two never share variates.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _int64_array("count", counts)
     if counts.size and counts.min() < 1:
         raise ValueError("all counts must be >= 1")
     root = key._root(_BATCH_TAG)

@@ -113,8 +113,7 @@ def test_a_crashed_expected_red_check_fails_the_gate(monkeypatch):
         raise RuntimeError("injected")
 
     patched = tuple(
-        (name, crash if name == "difference-window" else func)
-        for name, func in checks._CHECKS
+        c._replace(run=crash) if c.name == "difference-window" else c for c in checks._CHECKS
     )
     monkeypatch.setattr(checks, "_CHECKS", patched)
     (result,) = run_checks(level="quick", names={"difference-window"})
@@ -245,7 +244,7 @@ def test_a_verify_call_after_an_aborted_one_sweeps_again(monkeypatch, inline_poo
 
     original = checks._CHECKS
     patched = tuple(
-        (name, abort if name == "crossing-decomposition" else func) for name, func in original
+        c._replace(run=abort) if c.name == "crossing-decomposition" else c for c in original
     )
     monkeypatch.setattr(checks, "_CHECKS", patched)
     with pytest.raises(Abort):
@@ -322,7 +321,7 @@ def test_with_a_pool_the_checks_that_read_none_run_first(monkeypatch, inline_poo
         return check
 
     monkeypatch.setattr(
-        checks, "_CHECKS", tuple((name, recorded(name)) for name, _ in checks._CHECKS)
+        checks, "_CHECKS", tuple(c._replace(run=recorded(c.name)) for c in checks._CHECKS)
     )
     readers = ["fastpath-consistency", *sorted(SHARED_PASS, key=check_names().index), "determinism"]
     reports = run_checks(level="quick", workers=2)
@@ -337,11 +336,11 @@ def test_with_a_pool_the_checks_that_read_none_run_first(monkeypatch, inline_poo
 
 
 def test_every_reader_is_a_check_and_every_job_resolves():
-    # the job table and the map of its readers name only what exists
-    assert set(checks._READS) <= set(check_names())
+    # the rows name only jobs of the job table, and some row reads each job
+    read = {c.job for c in checks._CHECKS if c.job is not None}
     for level in ("quick", "full"):
         jobs = checks._jobs(level, 2)
-        assert set(checks._READS.values()) == set(jobs)
+        assert read == set(jobs)
         for task, config in jobs.values():
             assert callable(task) and isinstance(config, ExperimentConfig)
             assert config.workers == 2
@@ -373,7 +372,7 @@ def test_a_two_worker_run_queues_the_jobs_of_its_checks(monkeypatch, inline_pool
 
     monkeypatch.setattr(checks, "job_queue", recorded)
     monkeypatch.setattr(
-        checks, "_CHECKS", tuple((name, lambda run: (True, "")) for name, _ in checks._CHECKS)
+        checks, "_CHECKS", tuple(c._replace(run=lambda run: (True, "")) for c in checks._CHECKS)
     )
     run_checks(level="quick", workers=2, names=names)
     assert queued == [checks._jobs("quick", 2)[job] for job in jobs]
@@ -443,7 +442,7 @@ def test_an_interrupt_in_the_parent_shuts_the_pool_down(monkeypatch, real_pools)
         raise KeyboardInterrupt
 
     patched = tuple(
-        (name, interrupt if name == "hitting-floor" else func) for name, func in checks._CHECKS
+        c._replace(run=interrupt) if c.name == "hitting-floor" else c for c in checks._CHECKS
     )
     monkeypatch.setattr(checks, "_CHECKS", patched)
     with pytest.raises(KeyboardInterrupt):
@@ -455,7 +454,7 @@ def test_an_interrupt_in_the_parent_shuts_the_pool_down(monkeypatch, real_pools)
 @pytest.mark.parametrize("workers", [0, -2])
 def test_nonpositive_workers_are_rejected_before_any_check(monkeypatch, workers):
     # rejected at entry, like a bad level: no check runs and no pool starts
-    monkeypatch.setattr(checks, "_CHECKS", tuple((name, _unrun) for name, _ in checks._CHECKS))
+    monkeypatch.setattr(checks, "_CHECKS", tuple(c._replace(run=_unrun) for c in checks._CHECKS))
     with pytest.raises(ValueError, match="workers must be >= 1, got"):
         run_checks(level="quick", workers=workers)
 
@@ -485,6 +484,6 @@ def test_a_run_rejects_a_bad_level_or_worker_count(level, workers, message):
 )
 def test_run_checks_rejects_a_bad_selection_before_any_check(monkeypatch, names, message):
     # an empty result list has no report: format_report would fail on it
-    monkeypatch.setattr(checks, "_CHECKS", tuple((name, _unrun) for name, _ in checks._CHECKS))
+    monkeypatch.setattr(checks, "_CHECKS", tuple(c._replace(run=_unrun) for c in checks._CHECKS))
     with pytest.raises(ValueError, match=message):
         run_checks(level="quick", names=names)

@@ -585,7 +585,7 @@ class TestBytePins:
         # one fast check stands in for the suite
         from sheetwalk import checks
 
-        only = tuple(c for c in checks._CHECKS if c[0] == "hitting-floor")
+        only = tuple(c for c in checks._CHECKS if c.name == "hitting-floor")
         monkeypatch.setattr(checks, "_CHECKS", only)
         report_path = tmp_path / "report.json"
         assert main(["verify", "--workers", "1", "--out", str(report_path)]) == 0
@@ -772,7 +772,7 @@ class TestVerifyCommand:
         # one fast check stands in for the suite; the report's keys are pinned
         from sheetwalk import checks
 
-        only = tuple(c for c in checks._CHECKS if c[0] == "hitting-floor")
+        only = tuple(c for c in checks._CHECKS if c.name == "hitting-floor")
         monkeypatch.setattr(checks, "_CHECKS", only)
         report_path = tmp_path / "report.json"
         assert main(["verify", "--workers", "3", "--out", str(report_path)]) == 0
@@ -796,7 +796,7 @@ class TestVerifyCommand:
 
         readers = {"fastpath-consistency", "zero-count-scaling", "crossing-count-scaling",
                    "crossing-decomposition"}
-        only = tuple(c for c in checks._CHECKS if c[0] in readers | {"hitting-floor"})
+        only = tuple(c for c in checks._CHECKS if c.name in readers | {"hitting-floor"})
         monkeypatch.setattr(checks, "_CHECKS", only)
         report_path = tmp_path / "report.json"
         main(["verify", "--workers", "2", "--out", str(report_path)])
@@ -813,7 +813,7 @@ class TestVerifyCommand:
         # count follows the mask, and the report records both counts
         from sheetwalk import checks
 
-        only = tuple(c for c in checks._CHECKS if c[0] == "hitting-floor")
+        only = tuple(c for c in checks._CHECKS if c.name == "hitting-floor")
         monkeypatch.setattr(checks, "_CHECKS", only)
         monkeypatch.delenv("WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -867,7 +867,7 @@ def test_missing_out_directory_names_the_target(tmp_path, capsys, monkeypatch, a
     # the error names the path given, not the random temporary file beside it
     from sheetwalk import checks
 
-    only = tuple(c for c in checks._CHECKS if c[0] == "hitting-floor")
+    only = tuple(c for c in checks._CHECKS if c.name == "hitting-floor")
     monkeypatch.setattr(checks, "_CHECKS", only)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "summary.csv").write_text(

@@ -388,6 +388,13 @@ class TestReturnProbFloat:
         with pytest.raises(ep.CapacityError, match=str(2**63)):
             ep.p_float(2**63)
 
+    @pytest.mark.parametrize("past", [2**63, 2**64 - 1])
+    def test_vector_past_int64_is_capacity(self, past):
+        # the int64 cast wrapped these uint64 entries, and the error said "must be >= 0"
+        assert ep.p_float_vec(np.array([2**63 - 1], dtype=np.uint64))[0] == ep.p_float(2**63 - 1)
+        with pytest.raises(ep.CapacityError, match=f"p_float takes n < 2\\*\\*63, got {past}"):
+            ep.p_float_vec(np.array([3, past], dtype=np.uint64))
+
 
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=120, deadline=None)

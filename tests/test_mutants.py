@@ -52,6 +52,12 @@ def _audit_rows_edge_zero_kept(plan, R, n, t):
     return crossings, touched, zeros, zeros
 
 
+@pytest.fixture(scope="module")
+def every_field():
+    """Each counter of all 2^16 fields of ``tests/test_exhaustive.py`` at n = 1..4."""
+    return test_exhaustive.exhaustive_counters()
+
+
 def _verdict(name, workers=1):
     """Check ``name``'s verdict from a quick run of it alone; a crash is no verdict."""
     (result,) = checks.run_checks("quick", workers, {name})
@@ -175,10 +181,11 @@ class TestAuditRowsEdgeZeroKept:
         with pytest.raises(AssertionError):
             test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
 
-    def test_killed_by_every_field_at_n_4(self, monkeypatch):
-        counts = test_exhaustive.exhaustive_counters()
+    def test_killed_by_every_field_at_n_4(self, monkeypatch, every_field):
         with pytest.raises(AssertionError):
-            test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(counts, monkeypatch)
+            test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(
+                every_field, monkeypatch
+            )
 
     def test_survives_the_random_fields_audit(self):
         test_walkstats.TestDecompositionAudit().test_random_fields_pass()
@@ -269,6 +276,12 @@ class TestSweepBlockEdits:
         with pytest.raises(AssertionError):
             test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
 
+    def test_killed_by_every_field_at_n_4(self, monkeypatch, every_field):
+        with pytest.raises(AssertionError):
+            test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(
+                every_field, monkeypatch
+            )
+
 
 class TestSegmentEdits:
     @pytest.fixture(autouse=True, params=sorted(_SEGMENT_EDITS))
@@ -280,6 +293,12 @@ class TestSegmentEdits:
     def test_killed_by_the_band_seams(self, sizes):
         with pytest.raises(AssertionError):
             test_walkstats.test_band_seams_equal_brute_force(sizes)
+
+    def test_killed_by_every_field_at_n_4(self, monkeypatch, every_field):
+        with pytest.raises(AssertionError):
+            test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(
+                every_field, monkeypatch
+            )
 
 
 class TestEdgeZeroFlagOneColumnLeft:
@@ -301,6 +320,11 @@ class TestEdgeZeroFlagOneColumnLeft:
     def test_survives_the_band_seams(self):
         test_walkstats.test_band_seams_equal_brute_force((65, 70))
 
+    def test_survives_every_field_at_n_4(self, monkeypatch, every_field):
+        test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(
+            every_field, monkeypatch
+        )
+
 
 class TestTouchesAsNegativeProducts:
     """Touches counted as products ``< 0``, the strict crossings, not ``== 0``."""
@@ -319,6 +343,12 @@ class TestTouchesAsNegativeProducts:
     def test_killed_by_the_sandwich_on_real_fields(self):
         with pytest.raises(AssertionError):
             test_walkstats.TestDecompositionAudit().test_random_fields_pass()
+
+    def test_killed_by_every_field_at_n_4(self, monkeypatch, every_field):
+        with pytest.raises(AssertionError):
+            test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(
+                every_field, monkeypatch
+            )
 
 
 class TestTableWithoutTheStickyBit:

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import PlaneField, StubField
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -16,6 +17,7 @@ from sheetwalk.randfield import (
     sign_rows,
     signed_binomial_batch,
 )
+from sheetwalk.walkstats import sweep_roots
 
 
 def field(seed=1, replicate=0):
@@ -41,6 +43,15 @@ class TestSeedAndKey:
         with pytest.raises(ValueError):
             StreamKey(Seed(0), -1)
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(3.0), "1"])
+    def test_replicate_refuses_a_non_integer_by_value(self, bad):
+        # StreamKey(0, 2.5) was accepted, and its field failed later in _mix64
+        with pytest.raises(ValueError, match=re.escape(f"replicate must be an integer, got {bad!r}")):
+            StreamKey(Seed(0), bad)
+
+    def test_replicate_takes_numpy_ints(self):
+        assert StreamKey(Seed(3), np.uint8(4)) == StreamKey(Seed(3), 4)
+
     def test_keys_are_hashable_values(self):
         assert StreamKey(Seed(3), 1) == StreamKey(Seed(3), 1)
         assert len({StreamKey(Seed(3), r) for r in (0, 1, 1)}) == 2
@@ -60,6 +71,36 @@ class TestFieldRoots:
     def test_negative_replicate_is_rejected(self):
         with pytest.raises(ValueError):
             field_roots(Seed(0), [2, -1])
+
+    @pytest.mark.parametrize("bad", [[2.5], [2, 2.5], np.array([2.5, 4.0])])
+    def test_a_non_integer_replicate_is_refused_by_value(self, bad):
+        # the int64 cast truncated [2.5] to the roots of [2]
+        with pytest.raises(ValueError, match=re.escape("replicate must be an integer, got 2.5")):
+            field_roots(Seed(0), bad)
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            (np.array([3, 2**63], dtype=np.uint64), 2**63),
+            (np.array([2**64 - 1], dtype=np.uint64), 2**64 - 1),
+            ([1, 2**63], 2**63),
+            ([2**64], 2**64),
+        ],
+        ids=["uint64", "uint64-max", "list", "past-uint64"],
+    )
+    def test_replicates_at_or_past_2_63_are_out_of_range(self, bad, shown):
+        # the int64 cast wrapped them, and the error named a negative replicate
+        message = f"replicate out of range: must be < 2**63, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            field_roots(Seed(0), bad)
+
+    def test_integer_dtypes_and_empty_input_are_taken(self):
+        last = 2**63 - 1
+        want = [RademacherField(StreamKey(Seed(5), r)).root for r in (3, last)]
+        for replicates in ([3, last], np.array([3, last], dtype=np.uint64), np.array([3, last])):
+            assert field_roots(Seed(5), replicates).tolist() == want
+        assert field_roots(Seed(5), np.array([3], dtype=np.int8)).tolist() == want[:1]
+        assert field_roots(Seed(5), []).shape == (0,)
 
 
 class TestFieldValues:
@@ -158,6 +199,54 @@ class TestFieldStatistics:
         assert abs(dot / n) < 4 / math.sqrt(n)
 
 
+class TestSecondStreamOracle:
+    """The hash's counts against a second, independent stream.
+
+    ``M`` production fields at ``N = 64`` (seed 0, replicates ``0..M-1``)
+    and ``M`` dense sign planes from numpy's Philox (seed 24), the planes
+    read through the same sweep as stub fields, so one kernel counts both
+    sides.  Fixed before the first run, and not to be re-picked:
+
+    - a two-sample KS test per counter must read ``p >= 0.001``; under
+      equal laws that fails with probability at most 0.001 per counter,
+      at most 0.3% for the three (KS on tied integer counts is
+      conservative, so the rate is lower still);
+    - the correlation of each counter between replicates ``r`` and
+      ``r + 1`` must read ``|rho| <= 4 / sqrt(M - 1)``; for independent
+      replicates rho is about normal with sd ``1 / sqrt(M - 1)``, so each
+      fails with probability about 6e-5, about 2e-4 for the three.
+    """
+
+    M, N, PHILOX_SEED, P_FLOOR = 4000, 64, 24, 0.001
+    COUNTED = ("gamma", "gamma_prime", "z_crossings")
+
+    @pytest.fixture(scope="class")
+    def production(self):
+        swept = sweep_roots(field_roots(Seed(0), range(self.M)), (self.N,), self.COUNTED)
+        return {c: swept[c][0] for c in self.COUNTED}
+
+    @pytest.mark.usefixtures("stub_hash")
+    def test_the_counts_follow_the_law_of_a_philox_stream(self, production):
+        rng = np.random.Generator(np.random.Philox(self.PHILOX_SEED))
+        planes = [PlaneField(rng.random((self.N, self.N)) < 0.5) for _ in range(self.M)]
+        roots = np.array([p.root for p in planes], dtype=np.uint64)
+        try:
+            dense = sweep_roots(roots, (self.N,), self.COUNTED)
+        finally:
+            for root in roots.tolist():
+                StubField.tagged.pop(root)
+        for c in self.COUNTED:
+            test = stats.ks_2samp(production[c], dense[c][0])
+            assert test.pvalue >= self.P_FLOOR, (c, test)
+
+    def test_neighbouring_replicates_are_uncorrelated(self, production):
+        bound = 4 / math.sqrt(self.M - 1)
+        for c in self.COUNTED:
+            values = production[c].astype(np.float64)
+            rho = np.corrcoef(values[:-1], values[1:])[0, 1]
+            assert abs(rho) <= bound, (c, rho, bound)
+
+
 class TestSignedBinomial:
     """The law of :func:`signed_binomial_batch`, the one binomial sampler."""
 
@@ -219,6 +308,12 @@ class TestSignedBinomialBatch:
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             signed_binomial_batch(StreamKey(Seed(0), 0), np.array([3, 0]))
+
+    @pytest.mark.parametrize("bad", [[2.5, 3], np.array([2.5, 3.0])])
+    def test_refuses_non_integer_counts_by_value(self, bad):
+        # the int64 cast truncated [2.5, 3] to the draws of [2, 3]
+        with pytest.raises(ValueError, match=re.escape("count must be an integer, got 2.5")):
+            signed_binomial_batch(StreamKey(Seed(0), 0), bad)
 
     def test_batch_mean_scales_like_sqrt_count(self):
         key = StreamKey(Seed(11), 0)
