@@ -58,7 +58,7 @@ from .mcharness import (
     job_queue,
     split_tasks,
 )
-from .randfield import RademacherField, Seed, StreamKey, field_roots
+from .randfield import RademacherField, Seed, StreamKey, as_int, field_roots
 from .walkstats import (
     COUNTERS,
     annulus_zero_check,
@@ -566,8 +566,7 @@ def run_suite(
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = as_int("workers", workers, 1)
     if names is not None:
         unknown = sorted(set(names) - set(check_names()))
         if unknown:

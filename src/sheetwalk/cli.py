@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from . import exactprob
 from .exactprob import CapacityError
-from .randfield import RademacherField, Seed, StreamKey
+from .randfield import RademacherField, Seed, StreamKey, as_int
 
 # the value of each command-line statistic's mcharness.Statistic; mcharness
 # and walkstats are imported by the commands that use them, so `exact` loads neither
@@ -182,18 +182,14 @@ def _now() -> str:
 def _resolve_workers(flag: int | None) -> int:
     # env overrides the default; an explicit flag wins over both
     if flag is not None:
-        if flag < 1:
-            raise ValueError(f"workers must be >= 1, got {flag}")
-        return flag
+        return as_int("workers", flag, 1)
     env = os.environ.get("WORKERS")
     if env is not None:
         try:
             value = int(env)
         except ValueError:
             raise ValueError(f"WORKERS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"WORKERS must be >= 1, got {value}")
-        return value
+        return as_int("WORKERS", value, 1)
     from .mcharness import usable_cpus
 
     return usable_cpus()
@@ -208,8 +204,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         # their centered column takes ln N or divides by N
         raise ValueError(f"--n must be >= 1 for {target}, got {args.n}")
     if target == "pn":
-        if args.max < 0:
-            raise ValueError(f"--max must be >= 0, got {args.max}")
+        as_int("--max", args.max, 0)
         if args.max > exactprob.EXACT_CEILING:
             raise CapacityError(
                 f"exact values stop at n={exactprob.EXACT_CEILING}, got --max {args.max}"

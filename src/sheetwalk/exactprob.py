@@ -206,9 +206,7 @@ def _p_series(x: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 def p_float(n: int) -> float:
     """``p(n)`` of an int ``n < 2**63``: the table up to the ceiling, :func:`p_float_vec` above."""
-    n = as_int("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = as_int("n", n, 0)
     if n <= EXACT_CEILING:
         return float(_table().float_values[n])
     if n >= 2**63:  # past the evaluator's int64 arguments
@@ -326,16 +324,16 @@ def _add_in_order(values: np.ndarray) -> float:
     return total
 
 
-def _check_size(N: int, ceiling: int, what: str) -> None:
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
+def _check_size(N: int, ceiling: int, what: str) -> int:
+    N = as_int("N", N, 0)
     if N > ceiling:
         raise CapacityError(f"{what} capped at N={ceiling}, got {N}")
+    return N
 
 
 def delta_mean_exact(N: int) -> float:
     """``E[# of i <= N with zero diagonal sum at (2i,2i)]``."""
-    _check_size(N, MEAN_SUM_CEILING, "linear sum")
+    N = _check_size(N, MEAN_SUM_CEILING, "linear sum")
 
     def fill(lo, k):  # 2 i^2 for i = lo+1..lo+len(k)
         _count_from(lo + 1, k)
@@ -355,7 +353,7 @@ def delta_var_exact(N: int) -> float:
     ``a..a+b-1`` is evaluated over the columns ``a+1..N``, and the cells
     with ``j < i`` in it are evaluated at ``p(2 (i^2 - j^2))`` and never read.
     """
-    _check_size(N, VAR_SUM_CEILING, "pairwise sum")
+    N = _check_size(N, VAR_SUM_CEILING, "pairwise sum")
     squares = np.arange(1, N + 1, dtype=np.int64) ** 2
     singles = p_float_vec(2 * squares)
     mean = float(singles.sum())
@@ -382,7 +380,7 @@ def gamma_mean_exact(N: int) -> float:
     ``p(i * h)`` for ``h = 1..N/2`` (``j = 2h``) on odd rows.  Rows of one
     parity share a width, so they are evaluated in stacked blocks.
     """
-    _check_size(N, GAMMA_SUM_CEILING, "full-grid sum")
+    N = _check_size(N, GAMMA_SUM_CEILING, "full-grid sum")
     row_sums = np.empty(N)
     for first, width in ((1, N // 2), (2, N)):
         factors = np.arange(first, N + 1, 2, dtype=np.int64)[:, None] // first  # i or i/2
@@ -406,7 +404,7 @@ def antidiag_mean_exact(N: int) -> float:
     for odd ``N`` and ``c = N / 2, s = 1`` for even ``N``, which the cells'
     arguments take in place, with no temporary array.
     """
-    _check_size(N, MEAN_SUM_CEILING, "linear sum")
+    N = _check_size(N, MEAN_SUM_CEILING, "linear sum")
     c, s = (N, 3) if N % 2 else (N // 2, 1)
 
     def fill(lo, k):  # 2k - c for k = lo+1..lo+len(k), then the argument
@@ -426,8 +424,7 @@ def hit_constant_estimate(n_max: int) -> float:
     Lower-bounds the constant in the ``K / sqrt(n)`` floor for the
     conditional point mass.  Brute force over the whole (n, x) triangle.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = as_int("n_max", n_max, 1)
     if n_max > HIT_CONSTANT_CEILING:
         raise CapacityError(
             f"hit-constant estimate capped at n_max={HIT_CONSTANT_CEILING}, got {n_max}"

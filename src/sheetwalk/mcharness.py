@@ -88,29 +88,21 @@ class ExperimentConfig:
     radius: int = 8  # companion distance for twin-zero counting
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(as_int("grid size", n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(as_int("grid size", n, 1) for n in self.sizes))
         for name in ("replicates", "workers", "radius"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+            object.__setattr__(self, name, as_int(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", Seed(self.seed))
         if not self.sizes:
             raise ValueError("need at least one grid size")
-        if any(n < 1 for n in self.sizes):
-            raise ValueError(f"grid sizes must be >= 1, got {self.sizes}")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError(f"grid sizes must be distinct, got {self.sizes}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.replicates * len(self.sizes) > RESULT_CEILING:
             raise CapacityError(
                 f"replicates x sizes capped at {RESULT_CEILING}, "
                 f"got {self.replicates} x {len(self.sizes)}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not 0 < self.eps < 1:
             raise ValueError(f"eps must be in (0,1), got {self.eps}")
-        if self.radius < 1:
-            raise ValueError(f"radius must be >= 1, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -380,9 +372,9 @@ def delta_log_law_report(
     of the distribution-level fast path on the grid edges ``2n``.
     No row is asserted here; judgments belong to callers.
     """
-    sizes = tuple(int(n) for n in sizes)
-    if not sizes or any(n < 2 for n in sizes):
-        raise ValueError(f"sizes must all be >= 2, got {sizes}")
+    sizes = tuple(as_int("size", n, 2) for n in sizes)
+    if not sizes:
+        raise ValueError("need at least one size")
     mc: dict[int, SummaryStats] = {}
     if replicates:
         config = ExperimentConfig(

@@ -24,6 +24,13 @@ change bit 63, the only bit a sign reads.
 the only place the words become int64 +/-1 signs;
 :meth:`RademacherField.value` runs the full finalizer and is the scalar
 oracle.  All index arithmetic wraps modulo 2**64 by design.
+
+Integer input follows one rule across the package, read by :func:`as_int`
+(scalars) and :func:`_int64_array` (arrays): an integer argument is an int
+or a numpy int, a float (2.0 too) is refused by value rather than
+truncated, and a value below its floor is refused with a ``ValueError``
+naming it.  A replicate lies in ``[0, 2**63)``, for :class:`StreamKey` and
+:func:`field_roots` alike.
 """
 
 from __future__ import annotations
@@ -101,8 +108,7 @@ def sign_rows(
     ``roots`` holds exactly ``R`` roots; numpy would broadcast one root
     over every grid, so any other count is refused.
     """
-    if start < 1:
-        raise ValueError(f"row index must be >= 1, got {start}")
+    start = as_int("row index", start, 1)
     b, grids, count = words.shape
     if len(roots) != grids:
         raise ValueError(f"{len(roots)} roots for a buffer of {grids} grids")
@@ -119,33 +125,38 @@ def field_roots(seed: int, replicates) -> np.ndarray:
     Entry ``k`` is ``RademacherField(StreamKey(seed, replicates[k])).root``,
     bit for bit, as a ``uint64`` array.  The seed is reduced mod ``2**64``
     as :class:`Seed` reduces it, and ``r * GOLDEN`` wraps as the scalar
-    path's does.  Replicates are ints in ``[0, 2**63)``; a negative one or
-    one that is no int is rejected, as :class:`StreamKey` rejects it.
+    path's does.  Replicates are ints in ``[0, 2**63)``, read as
+    :class:`StreamKey` reads its one.
     """
-    replicates = _int64_array("replicate", replicates)
-    if replicates.size and replicates.min() < 0:
-        raise ValueError(f"replicate must be >= 0, got {int(replicates.min())}")
+    replicates = _int64_array("replicate", replicates, 0)
     base = np.uint64(_mix64(Seed(seed) ^ _FIELD_TAG))
     return _mix64_vec(replicates.astype(np.uint64) * _V_GOLDEN + base)
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as an int, numpy ints too; a ``ValueError`` naming it for anything else."""
+def as_int(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int, numpy ints too, and at least ``low`` when given;
+    a ``ValueError`` naming it for anything else."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
-def _int64_array(name: str, values) -> np.ndarray:
+def _int64_array(name: str, values, low: int) -> np.ndarray:
     """``values`` as an int64 array; a ``ValueError`` names an entry that is
-    no int, as :func:`as_int` has it (so 2.0 neither), or is ``2**63`` or more."""
+    no int, as :func:`as_int` has it (so 2.0 neither), is below ``low`` or is
+    ``2**63`` or more."""
     array = np.asarray(values)
     if array.dtype.kind not in "iu":  # floats, or ints that numpy holds as objects or floats
         ints = [as_int(name, v) for v in np.asarray(values, dtype=object).flat]
         array = np.array(ints, dtype=object).reshape(array.shape)
-    if array.dtype.kind != "i" and array.size and array.max() >= 2**63:
-        raise ValueError(f"{name} out of range: must be < 2**63, got {array.max()}")
+    if array.size and array.min() < low:
+        raise ValueError(f"{name} must be >= {low}, got {int(array.min())}")
+    if array.size and array.max() >= 2**63:
+        raise ValueError(f"{name} out of range: must be < 2**63, got {int(array.max())}")
     return np.asarray(array, dtype=np.int64)
 
 
@@ -158,16 +169,16 @@ class Seed(int):
 
 @dataclass(frozen=True)
 class StreamKey:
-    """Identifies one replicate's stream: ``(seed, replicate)``."""
+    """Identifies one replicate's stream: ``(seed, replicate)``, replicate in ``[0, 2**63)``."""
 
     seed: Seed
     replicate: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", Seed(self.seed))
-        object.__setattr__(self, "replicate", as_int("replicate", self.replicate))
-        if self.replicate < 0:
-            raise ValueError(f"replicate must be >= 0, got {self.replicate}")
+        # as_int first refuses a list, and names a numpy float by its own repr
+        replicate = _int64_array("replicate", as_int("replicate", self.replicate), 0)
+        object.__setattr__(self, "replicate", int(replicate))
 
     def _root(self, tag: int) -> int:
         return _mix64(_mix64(self.seed ^ tag) + self.replicate * _GOLDEN)
@@ -214,9 +225,7 @@ def signed_binomial_batch(key: StreamKey, counts: np.ndarray) -> np.ndarray:
     single Philox stream keyed off ``key``.  Domain-separated from the
     field cells, so the two never share variates.
     """
-    counts = _int64_array("count", counts)
-    if counts.size and counts.min() < 1:
-        raise ValueError("all counts must be >= 1")
+    counts = _int64_array("count", counts, 1)
     root = key._root(_BATCH_TAG)
     gen = np.random.Generator(np.random.Philox(key=[root, _mix64(root + _GOLDEN)]))
     heads = gen.binomial(counts, 0.5)

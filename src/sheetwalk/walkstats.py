@@ -64,7 +64,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .exactprob import MEAN_SUM_CEILING, CapacityError
-from .randfield import RademacherField, StreamKey, sign_rows, signed_binomial_batch
+from .randfield import RademacherField, StreamKey, as_int, sign_rows, signed_binomial_batch
 
 # Largest grid edge the sweep accepts.  Time grows as N**2; memory is one
 # tile per worker (TILE_CELLS cells, or one row of N cells when that is
@@ -127,11 +127,11 @@ def _tile_height(rows: int, cols: int, R: int) -> int:
     return min(rows, max(1, TILE_CELLS // (R * _padded(cols))))
 
 
-def _check_edge(N: int) -> None:
-    if N < 1:
-        raise ValueError(f"grid edge must be >= 1, got {N}")
+def _check_edge(N: int) -> int:
+    N = as_int("grid edge", N, 1)
     if N > SWEEP_CEILING:
         raise CapacityError(f"sweep capped at N={SWEEP_CEILING}, got {N}")
+    return N
 
 
 _ONES = np.uint64(0x0101010101010101)  # a multiply sums each byte lane with the lanes below
@@ -158,9 +158,8 @@ class _Tiles:
     """
 
     def __init__(self, rows: int, cols: int, grids: int) -> None:
-        _check_edge(rows)
-        _check_edge(cols)
-        self.rows = rows
+        self.rows = rows = _check_edge(rows)
+        cols = _check_edge(cols)
         self.height = height = _tile_height(rows, cols, grids)
         self.words = np.empty((height + 1, grids, cols), dtype=np.uint64)
         self.sums = self.words.view(np.int64)  # the same memory: the hash words become the sums
@@ -316,8 +315,7 @@ def render_zero_set(field, n: int) -> bytes:
     Pixel (1, 1) is top left and rows run in row-major order, one byte
     per cell: 0 zero, 128 negative, 255 positive.
     """
-    if n < 1:
-        raise ValueError(f"image edge must be >= 1, got {n}")
+    n = as_int("image edge", n, 1)
     if n > RENDER_CEILING:
         raise CapacityError(f"render capped at N={RENDER_CEILING}, got {n}")
     pixels = np.empty((n, n), dtype=np.uint8)
@@ -370,10 +368,7 @@ def _some_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
 def check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     """``sizes`` as a tuple, refused when empty or when an edge is below 1 or
     past :data:`SWEEP_CEILING`: the check of every sweep and of the annulus."""
-    sizes = _some_sizes(sizes)
-    for n in sizes:
-        _check_edge(n)
-    return sizes
+    return tuple(_check_edge(n) for n in _some_sizes(sizes))
 
 
 def _check_counters(counters: Iterable[str]) -> frozenset[str]:
@@ -593,8 +588,7 @@ def brute_force_bundle(
     Quadratic memory; exists to cross-check :func:`sweep_grid` and
     :func:`zero_points` on small grids, not for production sizes.
     """
-    if N < 1:
-        raise ValueError(f"grid edge must be >= 1, got {N}")
+    N = as_int("grid edge", N, 1)
     if N > 256:
         raise CapacityError(f"dense recount capped at N=256, got {N}")
     S = [[0] * (N + 1) for _ in range(N + 1)]
@@ -711,9 +705,7 @@ def decomposition_audit(
 def check_diag_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     """``sizes`` as a tuple, refused when empty, negative or past
     :data:`DIAG_FAST_CEILING`: the check of :func:`diag_zero_counts`."""
-    sizes = _some_sizes(sizes)
-    if min(sizes) < 0:
-        raise ValueError(f"N must be >= 0, got {sizes}")
+    sizes = tuple(as_int("N", n, 0) for n in _some_sizes(sizes))
     if max(sizes) > DIAG_FAST_CEILING:
         raise CapacityError(f"diagonal draws capped at N={DIAG_FAST_CEILING}, got {max(sizes)}")
     return sizes
@@ -789,11 +781,8 @@ def twin_zero_counts(field, eps: float, sizes: Sequence[int], radius: int) -> li
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    sizes = _some_sizes(sizes)
-    if min(sizes) < 0:
-        raise ValueError(f"N must be >= 0, got {tuple(sizes)}")
+    radius = as_int("radius", radius, 1)
+    sizes = tuple(as_int("N", n, 0) for n in _some_sizes(sizes))
     M = max(sizes)
     band = twin_band(M, eps, radius)
     if band is None:

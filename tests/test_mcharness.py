@@ -400,3 +400,8 @@ class TestDeltaLogLawReport:
             delta_log_law_report([1, 10])
         with pytest.raises(ValueError):
             delta_log_law_report([])
+
+    def test_a_non_integer_size_is_refused_by_value(self):
+        # int(n) truncated 10.7 to a row of size 10
+        with pytest.raises(ValueError, match=r"^size must be an integer, got 10\.7$"):
+            delta_log_law_report([10.7])

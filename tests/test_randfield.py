@@ -52,6 +52,16 @@ class TestSeedAndKey:
     def test_replicate_takes_numpy_ints(self):
         assert StreamKey(Seed(3), np.uint8(4)) == StreamKey(Seed(3), 4)
 
+    @pytest.mark.parametrize("past", [2**63, 2**64])
+    def test_replicate_at_or_past_2_63_is_out_of_range(self, past):
+        # field_roots refused it, but the key wrapped it mod 2**64, so
+        # StreamKey(0, 2**64) read the stream of replicate 0
+        message = f"replicate out of range: must be < 2**63, got {past}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StreamKey(Seed(0), past)
+        last = 2**63 - 1
+        assert RademacherField(StreamKey(Seed(0), last)).root == field_roots(Seed(0), [last])[0]
+
     def test_keys_are_hashable_values(self):
         assert StreamKey(Seed(3), 1) == StreamKey(Seed(3), 1)
         assert len({StreamKey(Seed(3), r) for r in (0, 1, 1)}) == 2
@@ -71,6 +81,12 @@ class TestFieldRoots:
     def test_negative_replicate_is_rejected(self):
         with pytest.raises(ValueError):
             field_roots(Seed(0), [2, -1])
+
+    @pytest.mark.parametrize("below", [-(2**63) - 1, -(2**64)])
+    def test_replicates_below_int64_are_refused_by_value(self, below):
+        # the int64 cast raised an OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"replicate must be >= 0, got {below}")):
+            field_roots(Seed(0), [3, below])
 
     @pytest.mark.parametrize("bad", [[2.5], [2, 2.5], np.array([2.5, 4.0])])
     def test_a_non_integer_replicate_is_refused_by_value(self, bad):
@@ -308,6 +324,12 @@ class TestSignedBinomialBatch:
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             signed_binomial_batch(StreamKey(Seed(0), 0), np.array([3, 0]))
+
+    @pytest.mark.parametrize("below", [-(2**63) - 1, -(2**64)])
+    def test_counts_below_int64_are_refused_by_value(self, below):
+        # the int64 cast raised an OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"count must be >= 1, got {below}")):
+            signed_binomial_batch(StreamKey(Seed(0), 0), [3, below])
 
     @pytest.mark.parametrize("bad", [[2.5, 3], np.array([2.5, 3.0])])
     def test_refuses_non_integer_counts_by_value(self, bad):

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import PlaneField, StubField
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheetwalk import walkstats
+from sheetwalk import exactprob, walkstats
 from sheetwalk.checks import _recount_twins
 from sheetwalk.exactprob import CapacityError
 from sheetwalk.randfield import (
@@ -29,6 +30,7 @@ from sheetwalk.walkstats import (
     diag_zero_count,
     diag_zero_counts,
     iter_partial_rows,
+    render_zero_set,
     sweep_grid,
     sweep_roots,
     tile_shape,
@@ -426,6 +428,31 @@ def test_counts_read_off_the_sweep_need_a_size():
         twin_zero_counts(field(), 0.5, (), 3)
     with pytest.raises(ValueError, match="need at least one grid size"):
         diag_zero_counts(StreamKey(Seed(1), 0), ())
+
+
+_NON_INTEGER_CALLS = {
+    "gamma_mean_exact": (lambda: exactprob.gamma_mean_exact(4.0), "N", 4.0),
+    "delta_mean_exact": (lambda: exactprob.delta_mean_exact(10.5), "N", 10.5),
+    "delta_var_exact": (lambda: exactprob.delta_var_exact(10.5), "N", 10.5),
+    "antidiag_mean_exact": (lambda: exactprob.antidiag_mean_exact(10.5), "N", 10.5),
+    "hit_constant_estimate": (lambda: exactprob.hit_constant_estimate(3.5), "n_max", 3.5),
+    "sweep_roots": (
+        lambda: sweep_roots(field_roots(Seed(1), [0]), (8.5,), ("gamma",)), "grid edge", 8.5
+    ),
+    "zero_points": (lambda: zero_points(field(), 4.5, 4), "grid edge", 4.5),
+    "render_zero_set": (lambda: render_zero_set(field(), 8.5), "image edge", 8.5),
+    "brute_force_bundle": (lambda: brute_force_bundle(field(), 4.5), "grid edge", 4.5),
+    "diag_zero_counts": (lambda: diag_zero_counts(StreamKey(Seed(1), 0), (10.5,)), "N", 10.5),
+    "twin_zero_counts": (lambda: twin_zero_counts(field(), 0.5, (8,), 2.5), "radius", 2.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NON_INTEGER_CALLS))
+def test_integer_entries_refuse_a_non_integer_by_name(entry):
+    # each raised a TypeError that named no argument
+    call, name, value = _NON_INTEGER_CALLS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call()
 
 
 def _shift_profile(plan, R, size, row, by):
