@@ -375,6 +375,8 @@ def delta_log_law_report(
     sizes = tuple(as_int("size", n, 2) for n in sizes)
     if not sizes:
         raise ValueError("need at least one size")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"sizes must be distinct, got {sizes}")
     mc: dict[int, SummaryStats] = {}
     if replicates:
         config = ExperimentConfig(

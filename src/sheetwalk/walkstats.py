@@ -46,13 +46,14 @@ zero.
 :func:`zero_points` is the one zero-set reader: the annulus and twin-zero
 counts, and the oracle check, read the zeros from it.
 
-Bounds that keep int64 safe: ``|S(i,j)| <= i*j <= 2**30`` at the sweep
-ceiling, so the audit's adjacent products stay below ``2**60``.  The
-sweep's own crossing test multiplies int8 signs, never the sums.  Each
-ceiling rule is written once, in the check its readers call first:
-:func:`check_sizes` for the sweeps and the annulus, :func:`check_diag_sizes`
-for the diagonal draws and :func:`twin_band` for the twin-zero band.  The
-harness calls the same checks before it starts any task.
+Integer widths: the sums are int32, since ``|S(i,j)| <= i*j <= 2**30``
+at the sweep ceiling, and the audit's adjacent products, which reach
+``2**60``, are int64.  The sweep's own crossing test multiplies int8
+signs, never the sums.  Each ceiling rule is written once, in the check
+its readers call first: :func:`check_sizes` for the sweeps and the
+annulus, :func:`check_diag_sizes` for the diagonal draws and
+:func:`twin_band` for the twin-zero band.  The harness calls the same
+checks before it starts any task.
 """
 
 from __future__ import annotations
@@ -148,21 +149,23 @@ class _Tiles:
 
     Both sides are checked against :data:`SWEEP_CEILING` first; ``height``
     is :func:`_tile_height`.  ``words`` takes each tile's hash words in
-    rows ``1..height`` and the carried row in row 0, and ``sums``, listed
-    by row in ``row_views``, is the same memory as int64; ``scratch`` is
-    the hash's scratch.  ``bits[k, r, j-1]`` is 1 where the sign at tile
-    row ``k``, grid ``r``, column ``j`` is +1, else 0, each row padded to
-    whole 8-cell words; ``plane`` is it cut to ``cols``.  The rest are the
-    fold's; its words per block start at zero, so the pad word before a
-    row of several blocks stays zero.
+    rows ``1..height``, and ``sums``, listed by row in ``row_views``, is
+    the first half of the same memory as int32, with the carried row in
+    row 0: that row lies below word row 1, which the hash never writes,
+    and sum rows ``1..b`` lie only over words that the sign compare has
+    already read.  ``scratch`` is the hash's scratch.  ``bits[k, r,
+    j-1]`` is 1 where the sign at tile row ``k``, grid ``r``, column ``j``
+    is +1, else 0, each row padded to whole 8-cell words; ``plane`` is it
+    cut to ``cols``.  The rest are the fold's; its words per block start
+    at zero, so the pad word before a row of several blocks stays zero.
     """
 
     def __init__(self, rows: int, cols: int, grids: int) -> None:
         self.rows = rows = _check_edge(rows)
         cols = _check_edge(cols)
         self.height = height = _tile_height(rows, cols, grids)
-        self.words = np.empty((height + 1, grids, cols), dtype=np.uint64)
-        self.sums = self.words.view(np.int64)  # the same memory: the hash words become the sums
+        self.words = words = np.empty((height + 1, grids, cols), dtype=np.uint64)
+        self.sums = words.view(np.int32).reshape(-1)[: words.size].reshape(words.shape)
         # a list of rows: indexing a row per add costs as much as the add
         self.row_views = list(self.sums)
         self.scratch = np.empty((height, grids, cols), dtype=np.uint64)
@@ -188,7 +191,7 @@ class _Tiles:
         """Write the row sums of the plane's first ``b`` rows into ``sums[1 : b + 1]``; return it.
 
         Row ``k`` gets ``S_row(j)``, the sum of its signs over columns
-        ``1..j``, as int64.  Viewed as ``uint64``, a word of the plane holds
+        ``1..j``, as int32.  Viewed as ``uint64``, a word of the plane holds
         8 cells, one per byte lane, and exact lane arithmetic turns it, in
         place, into ``S_blk + 64`` per cell, where ``S_blk`` sums the row
         from the start of the cell's 64-cell block:
@@ -206,7 +209,7 @@ class _Tiles:
 
         A ``cumsum`` over the block counts gives each row's sum before each
         block; a row of one block needs none.  One add of the lanes and
-        those sums, less 64, writes the int64 row sums.  The block sums are
+        those sums, less 64, writes the int32 row sums.  The block sums are
         int16: its arithmetic wraps modulo ``2**16``, and every block sum
         fits int16, so each comes out exact.  The add runs in int16 too,
         which holds every sum of a row narrower than ``2**15``, and in int32
@@ -504,23 +507,23 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
     :meth:`_SweepPlan.per_row`).
 
     Every size is reduced in one pass over the tiles of the largest edge
-    ``M``, and each tile fills only the planes of ``plan``.  Zeros come
-    from the int8 signs when the crossing plane has made them, else
-    straight from the sums; each row's counts are taken on every column
-    segment of ``plan`` by one ``reduceat`` over the planes (a crossing
-    is filed under the column of its right-hand cell, so the pairs of
-    the ``n`` grid are those filed at columns ``< n``); size ``n`` sums
-    the segments up to ``n`` over its first ``n`` rows.  An auditing
-    plan adds the product rule's two planes to the same count, filed the
-    same way.  One gather per tile flags ``S == 0`` at every probe column
-    of its rows; ``delta`` sums the diagonal probe over the even rows
+    ``M``, and each tile fills only the planes of ``plan``: the zeros and
+    the ones each by one compare of the sums, the crossings from their
+    int8 signs.  Each row's counts are taken on every column segment of
+    ``plan`` by one ``reduceat`` over the planes (a crossing is filed
+    under the column of its right-hand cell, so the pairs of the ``n``
+    grid are those filed at columns ``< n``); size ``n`` sums the
+    segments up to ``n`` over its first ``n`` rows.  An auditing plan
+    adds the product rule's two planes to the same count, filed the same
+    way.  One gather per tile flags ``S == 0`` at every probe column of
+    its rows; ``delta`` sums the diagonal probe over the even rows
     ``<= n``, ``d_antidiag`` the anti-diagonal probe of edge ``n`` over
     rows ``< n``.
     """
     R, slot = len(source), plan.slot
     block = plan.block(R)
     flags, counts = block.flags, block.counts
-    zero = flags[slot[ZEROS]] if ZEROS in slot else None
+    equal = [(flags[slot[p]], value) for p, value in ((ZEROS, 0), (ONES, 1)) if p in slot]
     crossing = CROSSINGS in slot
     if crossing:
         signs, products = block.signs, block.products
@@ -534,17 +537,13 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
     for start, tile in block.tiles.read(source):
         rows = len(tile)
         here = slice(start - 1, start - 1 + rows)
+        for plane, value in equal:  # S == 0 and S == 1, one compare of the sums each
+            np.equal(tile, value, out=plane[:rows])
         if crossing:
             sg = signs[:rows]
             np.sign(tile, out=sg, casting="unsafe")  # -1, 0, 1: exact in int8
-            if zero is not None:
-                np.equal(sg, 0, out=zero[:rows])
             np.multiply(sg[:, :, :-1], sg[:, :, 1:], out=products[:rows])
             np.less_equal(products[:rows], 0, out=cross[:rows])
-        elif zero is not None:
-            np.equal(tile, 0, out=zero[:rows])
-        if ONES in slot:
-            np.equal(tile, 1, out=flags[slot[ONES], :rows])
         if plan.audit:
             _product_crossings(tile, sum_products[:rows], crossed[:rows], touched[:rows])
         if plan.planes:
@@ -632,7 +631,7 @@ def _product_crossings(
     ``rows``.  A product ``<= 0`` is a crossing; one ``== 0`` is a
     crossing that touches a zero (its sign is ambiguous at the boundary).
     """
-    np.multiply(rows[..., :-1], rows[..., 1:], out=products)
+    np.multiply(rows[..., :-1], rows[..., 1:], out=products, dtype=np.int64)
     np.less_equal(products, 0, out=crosses)
     np.equal(products, 0, out=touches)
 

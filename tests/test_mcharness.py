@@ -405,3 +405,9 @@ class TestDeltaLogLawReport:
         # int(n) truncated 10.7 to a row of size 10
         with pytest.raises(ValueError, match=r"^size must be an integer, got 10\.7$"):
             delta_log_law_report([10.7])
+
+    @pytest.mark.parametrize("replicates", [0, 5])
+    def test_repeated_sizes_are_refused_in_the_callers_words(self, replicates):
+        # refused in the sizes the caller passed, not the grid edges 2n
+        with pytest.raises(ValueError, match=r"^sizes must be distinct, got \(10, 10\)$"):
+            delta_log_law_report([10, 10], replicates=replicates)

@@ -255,6 +255,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     test_walkstats.TestDecompositionAudit().test_random_fields_pass()
     test_walkstats.TestDecompositionAudit().test_product_recount_matches_upcrossing_times_per_row()
     test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
+    test_walkstats.TestSweepFrozenExamples().test_all_plus_grid_has_no_zeros_and_one_unit_cell(256)
     test_walkstats.test_fold_equals_dense_recount_across_word_and_block_edges(65, False)
     test_walkstats.test_fold_at_the_ceiling_width(walkstats.SWEEP_CEILING)
     test_exactprob.TestReturnProbExact().test_table_floats_are_the_rounded_quotients()
@@ -349,6 +350,20 @@ class TestTouchesAsNegativeProducts:
             test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(
                 every_field, monkeypatch
             )
+
+
+class TestAuditProductsInInt32:
+    """The audit's adjacent products formed in the sums' int32, which wraps past ``2**31``."""
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch, stub_hash):
+        mutant = _edited("_product_crossings", ", dtype=np.int64", "")
+        monkeypatch.setattr(walkstats, "_product_crossings", mutant)
+
+    def test_killed_by_the_all_plus_grid(self):
+        frozen = test_walkstats.TestSweepFrozenExamples()
+        with pytest.raises(AssertionError):
+            frozen.test_all_plus_grid_has_no_zeros_and_one_unit_cell(256)
 
 
 class TestTableWithoutTheStickyBit:

@@ -120,12 +120,16 @@ def _oracle_field(kind, seed):
 
 
 class TestSweepFrozenExamples:
-    def test_all_plus_grid_has_no_zeros_and_one_unit_cell(self):
-        b = sweep_grid(ConstantField(), 5)
+    @pytest.mark.parametrize("N", [5, 256])
+    def test_all_plus_grid_has_no_zeros_and_one_unit_cell(self, N):
+        b = sweep_grid(ConstantField(), N)
         assert b.gamma == 0
         assert b.gamma_prime == 1  # only S(1,1) == 1
         assert b.z_crossings == 0
         assert b.delta == 0
+        # S = i * j, so at N = 256 the audit's adjacent products reach about 4.3e9, past 2**31
+        audited, ok = decomposition_audit(ConstantField(), N)
+        assert ok and audited.z_crossings == 0
 
     def test_alternating_columns_four_by_four(self):
         b = sweep_grid(AlternatingColumnsField(), 4)
@@ -330,6 +334,17 @@ def test_fold_at_the_ceiling_width(cols):
     ):
         ((_, block),) = walkstats.partial_sum_blocks(stub, 1, cols)
         assert np.array_equal(block[0], sums)
+
+
+@pytest.mark.parametrize("N,grids", [(64, 128), (1024, 8)])
+def test_the_sums_are_int32_in_the_hash_words_memory(N, grids):
+    # |S(i, j)| <= i * j, so every sum of a sweep fits int32, and a full block's
+    # sums take the first half of its hash words, no buffer of their own
+    assert SWEEP_CEILING**2 < 2**31
+    assert tile_shape(N)[0] == grids
+    tiles = walkstats._Tiles(N, N, grids)
+    assert tiles.sums.dtype == np.int32
+    assert np.shares_memory(tiles.sums, tiles.words)
 
 
 def test_stub_fields_sweep_in_blocks():
