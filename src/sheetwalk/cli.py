@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import decimal
 import itertools
 import json
@@ -29,7 +30,7 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -195,45 +196,80 @@ def _resolve_workers(flag: int | None) -> int:
     return usable_cpus()
 
 
+def _environment(workers: int) -> dict:
+    """The ``environment`` block of a manifest or verify report: versions and CPU counts."""
+    import platform
+
+    from .mcharness import usable_cpus
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "usable_cpus": usable_cpus(),  # the default worker count follows it
+        "workers": workers,
+    }
+
+
 # ---------------------------------------------------------------- exact
 
 
+class _Target(NamedTuple):
+    """One ``exact`` table of one row: its help, CSV header, least ``--n``, and row."""
+
+    help: str
+    header: str
+    least: int
+    row: Callable[[int], tuple[float, ...]]  # the row's floats after ``--n``
+
+
+# a moment's centered column takes ln N or divides by N, so its table starts at 1;
+# each row looks its sum up in exactprob when it runs, so a patched sum is the one read
+_TARGETS = {
+    "delta-mean": _Target(
+        "expected diagonal zero count", "N,mean,centered", 1,
+        lambda n: (m := exactprob.delta_mean_exact(n),
+                   m - exactprob.DIAG_LOG_COEFF * math.log(n)),
+    ),
+    "delta-var": _Target(
+        "variance of the diagonal zero count", "N,variance,centered", 1,
+        lambda n: (v := exactprob.delta_var_exact(n),
+                   v - exactprob.DIAG_LOG_COEFF * math.log(n)),
+    ),
+    "gamma-mean": _Target(  # centered: the per-column mean
+        "expected grid zero count", "N,mean,centered", 1,
+        lambda n: (m := exactprob.gamma_mean_exact(n), m / n),
+    ),
+    "antidiag-mean": _Target(  # centered: the gap to the limiting constant
+        "expected anti-diagonal zero count", "N,mean,centered", 0,
+        lambda n: (m := exactprob.antidiag_mean_exact(n), m - math.sqrt(math.pi / 2)),
+    ),
+    "hit-constant": _Target(
+        "conditional hitting-probability floor", "n_max,estimate", 1,
+        lambda n: (exactprob.hit_constant_estimate(n),),
+    ),
+}
+
+
 def cmd_exact(args: argparse.Namespace) -> int:
-    target = args.target
-    if target in ("delta-mean", "delta-var", "gamma-mean") and args.n < 1:
-        # their centered column takes ln N or divides by N
-        raise ValueError(f"--n must be >= 1 for {target}, got {args.n}")
-    if target == "pn":
-        as_int("--max", args.max, 0)
-        if args.max > exactprob.EXACT_CEILING:
-            raise CapacityError(
-                f"exact values stop at n={exactprob.EXACT_CEILING}, got --max {args.max}"
-            )
-        if args.rational:
-            pairs = exactprob.dyadic_pairs(decimal_numerators=True)
-            rows = enumerate(_fractions(itertools.islice(pairs, args.max + 1)))
-        else:
-            floats = exactprob._table().float_values[: args.max + 1].tolist()
-            rows = ((n, _fmt15(p)) for n, p in enumerate(floats))
-        _write_csv(args.out, "n,p", rows)
-    elif target == "hit-constant":
-        estimate = exactprob.hit_constant_estimate(args.n)
-        _write_csv(args.out, "n_max,estimate", [(args.n, _fmt15(estimate))])
-    else:  # a moment and its centered form
-        n, column = args.n, "mean"
-        if target == "delta-mean":
-            value = exactprob.delta_mean_exact(n)
-            centered = value - exactprob.DIAG_LOG_COEFF * math.log(n)
-        elif target == "delta-var":
-            column, value = "variance", exactprob.delta_var_exact(n)
-            centered = value - exactprob.DIAG_LOG_COEFF * math.log(n)
-        elif target == "gamma-mean":
-            value = exactprob.gamma_mean_exact(n)
-            centered = value / n  # per-column mean
-        else:  # antidiag-mean
-            value = exactprob.antidiag_mean_exact(n)
-            centered = value - math.sqrt(math.pi / 2)  # gap to the limiting constant
-        _write_csv(args.out, f"N,{column},centered", [(n, _fmt15(value), _fmt15(centered))])
+    if args.target != "pn":
+        target = _TARGETS[args.target]
+        if args.n < target.least:
+            raise ValueError(f"--n must be >= {target.least} for {args.target}, got {args.n}")
+        _write_csv(args.out, target.header, [(args.n, *map(_fmt15, target.row(args.n)))])
+        return 0
+    as_int("--max", args.max, 0)
+    if args.max > exactprob.EXACT_CEILING:
+        raise CapacityError(
+            f"exact values stop at n={exactprob.EXACT_CEILING}, got --max {args.max}"
+        )
+    if args.rational:
+        pairs = exactprob.dyadic_pairs(decimal_numerators=True)
+        rows = enumerate(_fractions(itertools.islice(pairs, args.max + 1)))
+    else:
+        floats = exactprob._table().float_values[: args.max + 1].tolist()
+        rows = ((n, _fmt15(p)) for n, p in enumerate(floats))
+    _write_csv(args.out, "n,p", rows)
     return 0
 
 
@@ -258,28 +294,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     started = _now()
     with _new_directory(outdir), _directory_lock(outdir):
         result = mcharness.run_experiment(config)
+        raw_path, summary_path = outdir / "raw.csv", outdir / "summary.csv"
         raw_rows = (
-            (n, r, repr(float(result.values[n][r])))
-            for n in sizes
-            for r in range(config.replicates)
+            (n, r, value) for n in sizes for r, value in enumerate(result.values[n].tolist())
         )
-        raw_path = outdir / "raw.csv"
         _write_csv(raw_path, RAW_HEADER, raw_rows)
-        summary_rows = []
-        for n in sizes:
-            s = result.summaries[n]
-            summary_rows.append(
-                (
-                    n,
-                    s.count,
-                    repr(s.mean),
-                    repr(s.variance),
-                    repr(s.stderr),
-                    repr(s.minimum),
-                    repr(s.maximum),
-                )
-            )
-        summary_path = outdir / "summary.csv"
+        # a float's str is its repr, and SummaryStats' fields are the columns after N
+        summary_rows = [(n, *dataclasses.astuple(result.summaries[n])) for n in sizes]
         _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
         manifest = {  # provenance of the run; always the last file written
             "version": __version__,
@@ -293,6 +314,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             },
             "seed": int(config.seed),
             "workers": workers,
+            "environment": _environment(workers),
             "started": started,
             "finished": _now(),
             "outputs": [_output_entry(raw_path), _output_entry(summary_path)],
@@ -369,10 +391,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    import platform  # deferred with checks: no other command needs either
-
-    from . import checks
-    from .mcharness import usable_cpus
+    from . import checks  # deferred: no other command needs it
 
     workers = _resolve_workers(args.workers)
     suite = checks.run_suite(level=args.level, workers=workers)
@@ -399,13 +418,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                       "tasks": len(walls)}
                 for job, (walls, cpus) in suite.pool.items()
             },
-            "environment": {
-                "cpu_count": os.cpu_count(),
-                "numpy": np.__version__,
-                "python": platform.python_version(),
-                "usable_cpus": usable_cpus(),  # the default worker count follows it
-                "workers": workers,
-            },
+            "environment": _environment(workers),
         }
         _write_json(args.out, payload)
     return 0 if all(r.passed for r in results) else 1
@@ -430,14 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rational", action="store_true", help="exact numerator/denominator column"
     )
     p_pn.add_argument("--out")
-    for name, helptext in [
-        ("delta-mean", "expected diagonal zero count"),
-        ("delta-var", "variance of the diagonal zero count"),
-        ("gamma-mean", "expected grid zero count"),
-        ("antidiag-mean", "expected anti-diagonal zero count"),
-        ("hit-constant", "conditional hitting-probability floor"),
-    ]:
-        p_t = exact_sub.add_parser(name, help=helptext)
+    for name, target in _TARGETS.items():
+        p_t = exact_sub.add_parser(name, help=target.help)
         p_t.add_argument("--n", type=int, required=True)
         p_t.add_argument("--out")
 

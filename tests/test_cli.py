@@ -38,6 +38,16 @@ class NegativeOddColumnsField(StubField):
         return j % 2 == 0
 
 
+# the least --n of each one-row exact table
+EXACT_FLOORS = {
+    "delta-mean": 1,
+    "delta-var": 1,
+    "gamma-mean": 1,
+    "antidiag-mean": 0,
+    "hit-constant": 1,
+}
+
+
 class TestExactCommand:
     def test_pn_table_matches_frozen_rows(self, capsys):
         assert main(["exact", "pn", "--max", "4"]) == 0
@@ -111,11 +121,16 @@ class TestExactCommand:
         mean = gamma_mean_exact(8)
         assert row == "8,%.15g,%.15g" % (mean, mean / 8)
 
-    @pytest.mark.parametrize("target", ["delta-mean", "delta-var", "gamma-mean"])
+    @pytest.mark.parametrize("target", list(EXACT_FLOORS))
     def test_centered_tables_need_a_positive_n(self, target, capsys):
-        # the centered column takes ln N or divides by N
-        assert main(["exact", target, "--n", "0"]) == 2
-        assert "--n must be >= 1" in capsys.readouterr().err
+        # a moment's centered column takes ln N or divides by N; each table's
+        # floor is refused in the command's words, whatever its sum accepts
+        least = EXACT_FLOORS[target]
+        assert main(["exact", target, "--n", str(least - 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"sheetwalk: invalid input: --n must be >= {least} for {target}, got {least - 1}\n"
+        )
+        assert main(["exact", target, "--n", str(least)]) == 0
 
     def test_antidiag_mean_runs(self, capsys):
         assert main(["exact", "antidiag-mean", "--n", "64"]) == 0
@@ -540,6 +555,9 @@ class TestBytePins:
         assert main(["exact", target, "--n", n, "--out", str(out)]) == 0
         assert out.read_bytes() == EXACT_ROW_PINS[target, n]
 
+    def test_every_exact_target_is_pinned(self):
+        assert {target for target, _ in EXACT_ROW_PINS} == set(cli._TARGETS)
+
     def test_pn_table_bytes(self, tmp_path):
         out = tmp_path / "pn.csv"
         assert main(["exact", "pn", "--max", str(exactprob.EXACT_CEILING), "--out", str(out)]) == 0
@@ -555,6 +573,19 @@ class TestBytePins:
                 "--workers", "1", "--out", str(tmp_path)]
         assert main(argv) == 0
         _assert_canonical_json((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+
+    def test_manifest_environment_is_the_verify_reports(self, tmp_path):
+        argv = ["simulate", "--stat", "gamma", "--sizes", "8", "--reps", "2",
+                "--workers", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["environment"] == {
+            "cpu_count": os.cpu_count(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "usable_cpus": usable_cpus(),
+            "workers": 1,
+        }
 
     def test_manifest_entries_are_the_outputs(self, tmp_path):
         argv = ["simulate", "--stat", "gamma", "--sizes", "8", "--reps", "2",

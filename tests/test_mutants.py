@@ -318,6 +318,10 @@ class TestEdgeZeroFlagOneColumnLeft:
         with pytest.raises(AssertionError):
             test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
 
+    def test_killed_by_the_dense_recounts_zero_rows(self):
+        with pytest.raises(AssertionError):
+            test_walkstats.test_audit_zero_rows_equal_the_dense_recounts_zeros()
+
     def test_survives_the_band_seams(self):
         test_walkstats.test_band_seams_equal_brute_force((65, 70))
 

@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -806,6 +807,31 @@ def test_segment_audit_counts_where_the_edge_zero_flag_matters():
     # a zero flag read one column off the edge miscounts the zeros over
     # [1, n-1]; one row per tile
     _assert_segment_counts([field(3, 3), field(4, 4)], [30, 12], 1)
+
+
+def test_audit_zero_rows_equal_the_dense_recounts_zeros():
+    # per row of grids 9, 24 and 70 of four streams swept in one block, the
+    # audit's zeros over [1, n-1] and over [1, n] are the rows' counts of the
+    # dense recount's zero coordinates, which share no kernel code
+    sizes, fields = (9, 24, 70), [field(3, r) for r in range(4)]
+    seen = {n: [] for n in sizes}
+    real = walkstats._audit_rows
+
+    def recorded(plan, R, n, t):
+        counts = real(plan, R, n, t)
+        seen[n].append([c.copy() for c in counts[2:]])
+        return counts
+
+    with mock.patch.object(walkstats, "_audit_rows", recorded):
+        audit_roots(_roots(fields), sizes, COUNTERS)
+    zeros = [brute_force_bundle(f, max(sizes))[1] for f in fields]
+    for n in sizes:
+        [(interior, full)] = seen[n]  # one block
+        for r, coords in enumerate(zeros):
+            below = Counter(i for i, j in coords if i <= n and j < n)
+            upto = Counter(i for i, j in coords if i <= n and j <= n)
+            assert interior[:, r].tolist() == [below[i] for i in range(1, n + 1)]
+            assert full[:, r].tolist() == [upto[i] for i in range(1, n + 1)]
 
 
 class TestDecompositionAudit:
