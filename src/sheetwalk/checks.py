@@ -60,9 +60,9 @@ from .mcharness import (
 )
 from .randfield import RademacherField, Seed, StreamKey, as_int, field_roots
 from .walkstats import (
+    AUDIT,
     COUNTERS,
     annulus_zero_check,
-    audit_roots,
     brute_force_bundle,
     render_zero_set,
     sweep_grid,
@@ -297,8 +297,8 @@ def _audited_chunk(args: tuple[ExperimentConfig, np.ndarray]) -> tuple[
     # replicate swept once, its gamma and crossings read and audited from it
     config, mine = args
     roots = field_roots(config.seed, mine)
-    values, ok = audit_roots(roots, config.sizes, ("gamma", "z_crossings"))
-    return (mine, values["gamma"]), (mine, values["z_crossings"]), bool(ok.all())
+    values = sweep_roots(roots, config.sizes, ("gamma", "z_crossings", AUDIT))
+    return (mine, values["gamma"]), (mine, values["z_crossings"]), not values[AUDIT].any()
 
 
 # --------------------------------------------------------------- check 7

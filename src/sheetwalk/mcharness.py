@@ -305,8 +305,9 @@ def estimate_exponent(
 
     Nonpositive means cannot enter a log fit; they are dropped with a
     warning.  ``drop_below`` additionally excludes sizes under a floor
-    (small-size transients).  Non-finite values, sizes below 1 and fewer
-    than two distinct surviving sizes are errors.
+    (small-size transients); it is compared exactly, so a floor past
+    float range drops every size.  Non-finite values, sizes below 1 and
+    fewer than two distinct surviving sizes are errors.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)
@@ -318,7 +319,7 @@ def estimate_exponent(
         raise ValueError(f"sizes must be >= 1, got {sizes.min():g}")
     keep = np.ones(sizes.size, dtype=bool)
     if drop_below is not None:
-        keep &= sizes >= drop_below
+        keep &= np.array([n >= drop_below for n in sizes.tolist()], dtype=bool)
     bad = keep & (means <= 0)
     if bad.any():
         warnings.warn(

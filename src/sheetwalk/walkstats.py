@@ -21,12 +21,12 @@ full block's and a short last block's, and holds one at a time.
 The kernel's one input is a block of stream roots, a ``uint64`` array
 (see :func:`~sheetwalk.randfield.field_roots`), hashed by
 :func:`~sheetwalk.randfield.sign_rows`; its output is one int64 array
-per counter, sizes by grids.  :func:`sweep_roots` and
-:func:`audit_roots`, the production path, take and return just those
-arrays.  The one-field readers (:func:`sweep_grid`,
-:func:`decomposition_audit`, :func:`partial_sum_blocks` and the readers
-on it: the zero-set readers and :func:`render_zero_set`, the PGM of a
-zero set) send in a block of one root, ``field.root``; only
+per counter, sizes by grids.  :func:`sweep_roots`, the production
+path, takes and returns just those arrays.  The one-field readers
+(:func:`sweep_grid`, :func:`decomposition_audit`,
+:func:`partial_sum_blocks` and the readers on it: the zero-set readers
+and :func:`render_zero_set`, the PGM of a zero set) send in a block of
+one root, ``field.root``; only
 :func:`sweep_grid` and :func:`decomposition_audit` turn the arrays into
 a :class:`StatBundle`.
 
@@ -38,11 +38,11 @@ its caller reads need: the zeros (``S == 0``) for ``gamma``, the ones for
 ``gamma_prime``, and the crossings, from int8 signs, for ``z_crossings``;
 ``delta`` and ``d_antidiag`` read one cell per row, through one probe
 table and one gather per tile, and no plane at all.  The crossing audit
-(:func:`audit_roots`) is counted in that same pass, on the same segments,
-and always adds the planes it reads, with each row's zero flag at every
-edge column from the same gather; its rule is on int64 adjacent products
-of the sums: ``S(i,j) * S(i,j+1) <= 0`` crosses, and ``== 0`` touches a
-zero.
+is one more output of the sweep, :data:`AUDIT`: it is counted in that
+same pass, on the same segments, and always adds the planes it reads,
+with each row's zero flag at every edge column from the same gather; its
+rule is on int64 adjacent products of the sums: ``S(i,j) * S(i,j+1) <=
+0`` crosses, and ``== 0`` touches a zero.
 :func:`zero_points` is the one zero-set reader: the annulus and twin-zero
 counts, and the oracle check, read the zeros from it.
 
@@ -98,6 +98,9 @@ class StatBundle:
 
 #: The counters of a :class:`StatBundle`, in field order.
 COUNTERS = ("gamma", "gamma_prime", "z_crossings", "delta", "d_antidiag")
+#: The crossing audit's output of :func:`sweep_roots`, not a bundle field: each
+#: grid's count of failed audit conditions, 0 when it passes.
+AUDIT = "audit_faults"
 
 
 def tile_shape(rows: int, cols: int | None = None) -> tuple[int, int]:
@@ -351,10 +354,22 @@ def sweep_roots(
     of the ``M x M`` grid, ``M = max(sizes)``, so one sweep at ``M`` serves
     all sizes: size ``n`` is read from rows ``<= n`` and columns ``<= n``
     of the same tiles.  Only the ``counters`` asked for (names from
-    :data:`COUNTERS`) are computed.  The streams are swept in blocks of
-    ``tile_shape(M)[0]``.  Each counter comes back as an int64
-    ``(len(sizes), len(roots))`` array, sizes in the order given and
-    streams in the order of ``roots``.
+    :data:`COUNTERS`, and :data:`AUDIT`) are computed.  The streams are
+    swept in blocks of ``tile_shape(M)[0]``.  Each counter comes back as
+    an int64 ``(len(sizes), len(roots))`` array, sizes in the order given
+    and streams in the order of ``roots``.
+
+    :data:`AUDIT` is the crossing audit, counted in the same pass on the
+    sweep's column segments.  Per row of each ``n x n`` grid, the count of
+    adjacent products ``S(i,j) * S(i,j+1) <= 0`` (int64 products of the
+    sums, a rule that shares no code with the sweep's sign-based
+    profiles) must equal the profile entry, and the products ``== 0``
+    (crossings that touch a zero) must be sandwiched between the row's
+    zeros over ``[1, n-1]`` and twice its zeros over ``[1, n]`` (every
+    zero makes at most two of them vanish).  The crossing totals must
+    match too.  Its entry counts the grid's failed conditions, so 0 means
+    the grid passes.  The audit always sweeps the planes it reads, so its
+    entries do not depend on the other counters asked for.
     """
     plan = _SweepPlan(check_sizes(sizes), _check_counters(counters))
     swept = [_sweep_block(block, plan) for block in _field_blocks(roots, plan.M)]
@@ -378,8 +393,8 @@ def _check_counters(counters: Iterable[str]) -> frozenset[str]:
     counters = frozenset(counters)
     if not counters:
         raise ValueError("need at least one counter")
-    if unknown := counters - set(COUNTERS):
-        raise ValueError(f"unknown counters {sorted(unknown)}; choose from {COUNTERS}")
+    if unknown := counters - {*COUNTERS, AUDIT}:
+        raise ValueError(f"unknown counters {sorted(unknown)}; choose from {(*COUNTERS, AUDIT)}")
     return counters
 
 
@@ -407,29 +422,28 @@ class _SweepPlan:
     The sorted edges cut each row of the ``M x M`` grid into column
     segments ``[e_{t-1}, e_t)``.  Each row is counted per segment on the
     flag planes that ``counters`` read: zeros for ``gamma``, ones for
-    ``gamma_prime`` and crossings for ``z_crossings``.  An auditing plan
-    always adds the zeros and the crossings, and the audit's product
-    crossings and product touches.  ``planes`` lists the planes filled,
-    in plane order, and ``slot[p]`` is plane ``p``'s place in the flag
-    and count buffers.  Single cells are read through ``probes``, ``(M,
-    P)`` 0-based columns, one per row per probe, clipped to the grid
-    (``None`` with no probe): ``i - 1`` in row ``i`` at ``diag``, for
-    ``delta``; ``n - i - 1`` at ``anti + t`` and ``n - 1`` at ``edge +
-    t``, ``n = edges[t]``, for ``d_antidiag`` and the audit.
+    ``gamma_prime`` and crossings for ``z_crossings``.  A plan whose
+    counters hold :data:`AUDIT` always adds the zeros and the crossings,
+    and the audit's product crossings and product touches.  ``planes``
+    lists the planes filled, in plane order, and ``slot[p]`` is plane
+    ``p``'s place in the flag and count buffers.  Single cells are read
+    through ``probes``, ``(M, P)`` 0-based columns, one per row per
+    probe, clipped to the grid (``None`` with no probe): ``i - 1`` in row
+    ``i`` at ``diag``, for ``delta``; ``n - i - 1`` at ``anti + t`` and
+    ``n - 1`` at ``edge + t``, ``n = edges[t]``, for ``d_antidiag`` and
+    the audit.
     The buffers of a block of ``R`` grids are a :class:`_Block`, from
     :meth:`block`; the plan keeps one width's at a time.
     """
 
-    def __init__(
-        self, sizes: tuple[int, ...], counters: frozenset[str], audit: bool = False
-    ) -> None:
+    def __init__(self, sizes: tuple[int, ...], counters: frozenset[str]) -> None:
         self.sizes = sizes
         self.counters = counters
         self.M = M = max(sizes)
         self.edges = edges = sorted(set(sizes))
         self.rank = [edges.index(n) for n in sizes]  # sizes[s] == edges[rank[s]]
         self.bounds = np.array([0, *edges[:-1]])
-        self.audit = audit
+        self.audit = audit = AUDIT in counters
         read = {_PLANE_OF[c] for c in counters if c in _PLANE_OF}
         if audit:
             read |= {ZEROS, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES}
@@ -518,7 +532,10 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
     way.  One gather per tile flags ``S == 0`` at every probe column of
     its rows; ``delta`` sums the diagonal probe over the even rows
     ``<= n``, ``d_antidiag`` the anti-diagonal probe of edge ``n`` over
-    rows ``< n``.
+    rows ``< n``.  :data:`AUDIT` counts, per size, the rows that break
+    each row condition of the audit rule (see :func:`sweep_roots`), on
+    the per-row counts of :func:`_audit_rows` and the profile, plus one
+    when the crossing totals differ.
     """
     R, slot = len(source), plan.slot
     block = plan.block(R)
@@ -562,6 +579,12 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
             values["delta"][s] = probed[1:n:2, :, plan.diag].sum(0)  # (2k, 2k) with 2k <= n
         if "d_antidiag" in plan.counters:
             values["d_antidiag"][s] = probed[: n - 1, :, plan.anti + t].sum(0)  # (i, n - i)
+        if plan.audit:
+            crossings, touched, interior, full = _audit_rows(plan, R, n, t)
+            (profile,) = plan.per_row(R, n, t, [CROSSINGS])
+            faults = [crossings != profile, interior > touched, touched > 2 * full]
+            # the totals' term follows from the rows' equality; it is the rule as documented
+            values[AUDIT][s] = sum(f.sum(0) for f in faults) + (crossings.sum(0) != profile.sum(0))
     return values
 
 
@@ -636,32 +659,6 @@ def _product_crossings(
     np.equal(products, 0, out=touches)
 
 
-def audit_roots(
-    roots: np.ndarray, sizes: Sequence[int], counters: Iterable[str]
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """:func:`sweep_roots` with the crossing audit counted in the same pass.
-
-    Returns the counters asked for, as :func:`sweep_roots` does, and each
-    stream's audit verdict as a bool array in the order of ``roots``.  The
-    audit is counted on the sweep's column segments: per row of each
-    ``n x n`` grid, the count of adjacent products ``S(i,j) * S(i,j+1) <=
-    0`` (int64 products of the sums, a rule that shares no code with the
-    sweep's sign-based profiles) must equal the profile entry, and the
-    products ``== 0`` (crossings that touch a zero) must be sandwiched
-    between the row's zeros over ``[1, n-1]`` and twice its zeros over
-    ``[1, n]`` (every zero makes at most two of them vanish).  The
-    crossing totals must match too.  A stream passes only if every one of
-    its grids does.  The profiles are swept whatever ``counters`` asks
-    for, since the audit reads them; the verdict does not depend on
-    ``counters``.
-    """
-    counters = _check_counters(counters)
-    plan = _SweepPlan(check_sizes(sizes), counters | {"z_crossings"}, audit=True)
-    audited = [_audit_block(block, plan) for block in _field_blocks(roots, plan.M)]
-    values = {c: _joined([v[c] for v, _ in audited], plan) for c in counters}
-    return values, np.concatenate([np.empty(0, dtype=bool), *(ok for _, ok in audited)])
-
-
 def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, ...]:
     """Per-row audit counts of grid ``n = edges[t]`` of the block just swept, each ``(n, R)``.
 
@@ -673,32 +670,21 @@ def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, .
     return crossings, touched, zeros - plan.block(R).probed[:n, :, plan.edge + t], zeros
 
 
-def _audit_block(source, plan: _SweepPlan) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """:func:`_sweep_block` of an auditing plan, plus each grid's verdict as a bool array."""
-    values, R = _sweep_block(source, plan), len(source)
-    ok = np.ones(R, dtype=bool)
-    for s, (n, t) in enumerate(zip(plan.sizes, plan.rank)):
-        crossings, touched, zeros_interior, zeros_full = _audit_rows(plan, R, n, t)
-        ok &= ((zeros_interior <= touched) & (touched <= 2 * zeros_full)).all(axis=0)
-        ok &= (crossings == plan.per_row(R, n, t, [CROSSINGS])[0]).all(axis=0)  # the profile
-        ok &= crossings.sum(axis=0) == values["z_crossings"][s]
-    return values, ok
-
-
 def decomposition_audit(
     field: RademacherField, N: int, nested: Sequence[int] = ()
 ) -> tuple[StatBundle, bool]:
-    """Audit one field's ``N`` grid and its nested grids: :func:`audit_roots` of one stream.
+    """Audit one field's ``N`` grid and its nested grids: the :data:`AUDIT` of one stream.
 
     Every edge in ``nested`` must be at most ``N``.  Returns the bundle of
-    the ``N`` grid plus the audit verdict over all of them.
+    the ``N`` grid, from the same sweep, plus the audit verdict over all
+    of them: True when no grid fails a condition.
     """
     sizes = tuple(sorted({N, *nested}))
     if sizes[-1] > N:
         raise ValueError(f"nested edges must be <= {N}, got {tuple(nested)}")
-    plan = _SweepPlan(check_sizes(sizes), frozenset(COUNTERS), audit=True)
-    values, ok = _audit_block(_root_block(field), plan)
-    return _bundle(plan, values), bool(ok[0])
+    plan = _SweepPlan(check_sizes(sizes), frozenset((*COUNTERS, AUDIT)))
+    values = _sweep_block(_root_block(field), plan)
+    return _bundle(plan, values), not values[AUDIT].any()
 
 
 def check_diag_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
@@ -758,12 +744,16 @@ def twin_band(M: int, eps: float, radius: int) -> tuple[int, int] | None:
     """Rows and columns of the band :func:`twin_zero_counts` reads for largest size ``M``.
 
     None when ``M <= 2``, whose wedge holds no cell, so no band is read;
-    either side past :data:`SWEEP_CEILING` is refused, rows first.
+    either side past :data:`SWEEP_CEILING` is refused, rows first, and so
+    is a band whose width ``(M - 1) / eps`` overflows to infinity.
     """
     if M <= 2:
         return None
-    rows, cols = M - 1 + radius, math.ceil((M - 1) / eps) - 1 + radius
+    rows, width = M - 1 + radius, (M - 1) / eps
     _check_edge(rows)
+    if math.isinf(width):  # (M - 1) / eps overflowed, at a subnormal eps; math.ceil would raise
+        raise CapacityError(f"sweep capped at N={SWEEP_CEILING}, got a band of infinite width")
+    cols = math.ceil(width) - 1 + radius
     _check_edge(cols)
     return rows, cols
 

@@ -41,6 +41,19 @@ def inline_pool(monkeypatch):
     return opened
 
 
+def audit_roots(roots, sizes, counters):
+    """``sweep_roots`` of ``counters`` and :data:`walkstats.AUDIT`: the counters and the verdicts.
+
+    Returns the counters asked for, and each stream's verdict as a bool
+    array, True where none of its grids fails an audit condition.
+    ``counters`` is checked on its own first, so none at all is refused
+    as it is without the audit.
+    """
+    counters = walkstats._check_counters(counters)
+    values = walkstats.sweep_roots(roots, sizes, counters | {walkstats.AUDIT})
+    return values, ~values.pop(walkstats.AUDIT).any(axis=0)
+
+
 class StubField:
     """A test double for a field: the sign at ``(i, j)`` is +1 exactly where ``positive(i, j)``.
 

@@ -222,13 +222,14 @@ def test_a_direct_call_of_check_9_sweeps_again(monkeypatch):
     # turned red since are seen
     (first,) = run_checks("quick", 1, {"crossing-decomposition"})
     assert first.passed
-    real = checks.audit_roots
+    real = checks.sweep_roots
 
     def all_red(roots, sizes, counters):
-        values, ok = real(roots, sizes, counters)
-        return values, np.zeros_like(ok)
+        values = real(roots, sizes, counters)
+        values[walkstats.AUDIT] = np.ones_like(values[walkstats.AUDIT])
+        return values
 
-    monkeypatch.setattr(checks, "audit_roots", all_red)
+    monkeypatch.setattr(checks, "sweep_roots", all_red)
     (again,) = run_checks("quick", 1, {"crossing-decomposition"})
     assert not again.passed and not again.raised
 

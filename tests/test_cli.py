@@ -334,6 +334,16 @@ class TestSimulateCommand:
         assert main(argv) == 3
         assert not (tmp_path / "run" / "manifest.json").exists()
 
+    def test_a_subnormal_twin_zero_eps_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # the band's width (M - 1) / eps overflows to infinity; its ceiling once
+        # raised an OverflowError, exit 1
+        argv = ["simulate", "--stat", "twin-zeros", "--sizes", "8", "--reps", "1",
+                "--eps", "5e-324", "--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        message = "sweep capped at N=32768, got a band of infinite width"
+        assert capsys.readouterr().err == f"sheetwalk: capacity: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_delta_fast_past_the_ceiling_exits_3_and_writes_no_raw(self, tmp_path):
         # a grid edge of 2 * 10**7 + 1 asks for more diagonal points than delta-mean
         # takes; the harness refuses it after the output directory was made
@@ -655,6 +665,19 @@ class TestEstimateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["points_used"] == [16, 32, 64]
         assert report["slope"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_floor_past_float_range_is_usage_error(self, tmp_path, capsys):
+        # it drops every size, as a floor above every size in float range does;
+        # comparing it as a float once raised an OverflowError, exit 1
+        path = tmp_path / "summary.csv"
+        self.write_summary(path, [(n, float(n)) for n in (16, 32, 64)])
+        for floor in (str(10**20 - 1), str(10**400)):
+            assert main(["estimate", "--summary", str(path), "--drop-below", floor]) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                "sheetwalk: invalid input: need positive means at two distinct sizes "
+                "to fit a slope\n"
+            )
 
     def test_too_few_rows_is_usage_error(self, tmp_path):
         path = tmp_path / "summary.csv"

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import audit_roots
 
 from sheetwalk import walkstats
 from sheetwalk.exactprob import (
@@ -20,7 +21,7 @@ from sheetwalk.exactprob import (
     delta_var_exact,
     gamma_mean_exact,
 )
-from sheetwalk.walkstats import COUNTERS, audit_roots, sweep_roots
+from sheetwalk.walkstats import COUNTERS, sweep_roots
 
 EDGE = 4
 FIELDS = 2 ** (EDGE * EDGE)

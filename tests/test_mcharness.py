@@ -368,6 +368,12 @@ class TestEstimateExponent:
         assert fit.points_used == (64, 128)
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_floor_past_float_range_drops_every_size(self):
+        with pytest.raises(ValueError, match="need positive means at two distinct sizes"):
+            estimate_exponent([64, 128], [64.0, 128.0], drop_below=10**400)
+        fit = estimate_exponent([64, 128], [64.0, 128.0], drop_below=-(10**400))
+        assert fit.points_used == (64, 128)
+
     def test_nonpositive_means_warn_and_drop(self):
         with pytest.warns(UserWarning, match="nonpositive"):
             fit = estimate_exponent([4, 8, 16], [0.0, 8.0, 16.0])

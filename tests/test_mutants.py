@@ -218,17 +218,19 @@ _SEGMENT_EDITS = {
 
 
 def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
-    # the copies themselves are sound, so each kill below is the replacement's
+    # the copies themselves are sound, so each kill below is the replacement's;
+    # a copy runs in a copy of the module's namespace, so the _product_crossings
+    # copy goes in before the _sweep_block copy that calls it
+    touches = "np.equal(products, 0, out=touches)"
+    monkeypatch.setattr(
+        walkstats, "_product_crossings", _edited("_product_crossings", touches, touches)
+    )
     diagonal = "probed[1:n:2"
     monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", diagonal, diagonal))
     height = "_tile_height(rows, cols, grids)"  # one copy of _Tiles, which three mutants edit
     monkeypatch.setattr(walkstats, "_Tiles", _edited("_Tiles", height, height))
     edges = "np.full(M, n - 1)"
     monkeypatch.setattr(walkstats, "_SweepPlan", _edited("_SweepPlan", edges, edges))
-    touches = "np.equal(products, 0, out=touches)"
-    monkeypatch.setattr(
-        walkstats, "_product_crossings", _edited("_product_crossings", touches, touches)
-    )
     gamma = '(mine, values["gamma"])'
     chunk = _edited("_audited_chunk", gamma, gamma, module=checks)
     monkeypatch.setattr(checks, "_audited_chunk", chunk)
@@ -254,6 +256,8 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     test_walkstats.test_segment_audit_counts_where_the_edge_zero_flag_matters()
     test_walkstats.TestDecompositionAudit().test_random_fields_pass()
     test_walkstats.TestDecompositionAudit().test_product_recount_matches_upcrossing_times_per_row()
+    for _, kill in _AUDIT_RULE_EDITS.values():
+        kill(test_walkstats.TestDecompositionAudit())
     test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
     test_walkstats.TestSweepFrozenExamples().test_all_plus_grid_has_no_zeros_and_one_unit_cell(256)
     test_walkstats.test_fold_equals_dense_recount_across_word_and_block_edges(65, False)
@@ -354,6 +358,34 @@ class TestTouchesAsNegativeProducts:
             test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(
                 every_field, monkeypatch
             )
+
+
+# one condition of the audit's per-row rule dropped from _sweep_block's reduce:
+# (the text dropped, the TestDecompositionAudit call that kills it); dropping the
+# totals' term instead is an equivalent mutant, since the per-row equality over
+# the same rows implies it
+_AUDIT_RULE_EDITS = {
+    "profile-equality": (
+        "crossings != profile, ",
+        lambda audit: audit.test_a_crossing_moved_between_rows_fails_the_audit(),
+    ),
+    "lower-sandwich-bound": (
+        "interior > touched, ",
+        lambda audit: audit.test_misbooked_zeros_fail_the_sandwich("edge-zero-inside"),
+    ),
+    "upper-sandwich-bound": (
+        ", touched > 2 * full",
+        lambda audit: audit.test_misbooked_zeros_fail_the_sandwich("zeros-unbooked"),
+    ),
+}
+
+
+@pytest.mark.parametrize("dropped", sorted(_AUDIT_RULE_EDITS))
+def test_a_dropped_audit_condition_is_killed(monkeypatch, stub_hash, dropped):
+    text, kill = _AUDIT_RULE_EDITS[dropped]
+    monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", text, ""))
+    with pytest.raises(AssertionError):
+        kill(test_walkstats.TestDecompositionAudit())
 
 
 class TestAuditProductsInInt32:

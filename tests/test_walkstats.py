@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import PlaneField, StubField
+from conftest import PlaneField, StubField, audit_roots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,6 @@ from sheetwalk.walkstats import (
     SWEEP_CEILING,
     annulus_counts,
     annulus_zero_check,
-    audit_roots,
     brute_force_bundle,
     decomposition_audit,
     diag_zero_count,
@@ -482,6 +481,30 @@ def _shift_profile(plan, R, size, row, by):
     crossings[row : row + 1, 0, plan.edges.index(size)] += np.uint16(by % 2**16)
 
 
+def _sweep_globals():
+    """The globals ``_sweep_block`` reads ``_audit_rows`` from: the module's own, or
+    the copy that a text-edit mutant of it runs in (see ``tests/test_mutants.py``)."""
+    return walkstats._sweep_block.__globals__
+
+
+def _before_the_audit(corrupt):
+    """Patch the sweep's ``_audit_rows`` to call ``corrupt(plan, R)`` first, once per block.
+
+    The sweep reduces the audit size by size after its last tile, so the
+    counts ``corrupt`` changes at a block's first size are those that
+    every size's audit reads.
+    """
+    real, calls = _sweep_globals()["_audit_rows"], []
+
+    def audit_rows(plan, R, n, t):
+        if len(calls) % len(plan.sizes) == 0:  # a block's first size
+            corrupt(plan, R)
+        calls.append(n)
+        return real(plan, R, n, t)
+
+    return mock.patch.dict(_sweep_globals(), _audit_rows=audit_rows)
+
+
 @given(
     seed=st.integers(0, 2**32),
     sizes=st.lists(
@@ -512,19 +535,14 @@ def test_audit_roots_equal_the_sweep_and_the_one_field_audit(seed, sizes, count,
     # one profile entry of the first field off by one: only its verdict turns red
     size = data.draw(st.sampled_from(sizes), label="size")
     row = data.draw(st.integers(0, size - 1), label="row")
-    real = walkstats._sweep_block
     first = []
 
-    def corrupted(source, plan):
-        values = real(source, plan)
+    def corrupt(plan, R):
         if not first:
             first.append(True)
-            _shift_profile(plan, len(source), size, row, 1)
-        return values
+            _shift_profile(plan, R, size, row, 1)
 
-    with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
-        walkstats, "_sweep_block", corrupted
-    ):
+    with mock.patch.object(walkstats, "TILE_CELLS", cap), _before_the_audit(corrupt):
         _, ok = audit_roots(roots, sizes, COUNTERS)
     assert ok.tolist() == [False] + [True] * (count - 1)
 
@@ -564,7 +582,8 @@ def test_selected_counters_equal_brute_force(kinds, seed, counters, sizes, data)
     ids=str,
 )
 def test_plan_fills_only_the_planes_read(counters, audit, planes):
-    plan = walkstats._SweepPlan((64, 16), frozenset(counters), audit=audit)
+    audited = {walkstats.AUDIT} if audit else set()
+    plan = walkstats._SweepPlan((64, 16), frozenset(counters) | audited)
     assert plan.planes == planes
     # a full block's tile at N = 64: 128 grids side by side in 8-row bands
     assert tile_shape(64) == (128, 8)
@@ -655,7 +674,7 @@ def _plan_bytes(N):
     view (the sums of the hash words, the fold's word and block views,
     the plane) counts as the array it views.
     """
-    plan = walkstats._SweepPlan((N,), frozenset(COUNTERS), audit=True)
+    plan = walkstats._SweepPlan((N,), frozenset((*COUNTERS, walkstats.AUDIT)))
     block = plan.block(tile_shape(N)[0])
     bases = {}
     for owner in (plan, block, block.tiles):
@@ -702,6 +721,20 @@ def test_counters_are_checked(sweep):
             sweep(field_roots(1, [0]), (4,), counters)
 
 
+def test_the_counter_refusals_name_every_output():
+    roots = field_roots(1, [0])
+    with pytest.raises(ValueError, match="^need at least one counter$"):
+        sweep_roots(roots, (4,), ())
+    names = "'gamma', 'gamma_prime', 'z_crossings', 'delta', 'd_antidiag', 'audit_faults'"
+    message = f"unknown counters ['crossings', 'zeros']; choose from ({names})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_roots(roots, (4,), ("zeros", "gamma", "crossings"))
+    # the audit alone is an output of its own, the one key returned
+    alone = sweep_roots(field_roots(1, [0, 1]), (4, 9), (walkstats.AUDIT,))
+    assert list(alone) == ["audit_faults"]
+    assert alone["audit_faults"].tolist() == [[0, 0], [0, 0]]
+
+
 @given(
     seed=st.integers(0, 2**32),
     counter=st.sampled_from(COUNTERS),
@@ -724,16 +757,11 @@ def test_one_counter_audit_gives_the_full_verdicts(seed, counter, sizes, count, 
 
     size = data.draw(st.sampled_from(sizes), label="size")
     row = data.draw(st.integers(0, size - 1), label="row")
-    real = walkstats._sweep_block
 
-    def corrupted(source, plan):
-        values = real(source, plan)
-        _shift_profile(plan, len(source), size, row, 1)
-        return values
+    def corrupt(plan, R):
+        _shift_profile(plan, R, size, row, 1)
 
-    with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
-        walkstats, "_sweep_block", corrupted
-    ):
+    with mock.patch.object(walkstats, "TILE_CELLS", cap), _before_the_audit(corrupt):
         _, one_ok = audit_roots(roots, sizes, (counter,))
         _, full_ok = audit_roots(roots, sizes, COUNTERS)
     # each block's first stream is corrupted, so the verdicts agree block by block
@@ -763,15 +791,15 @@ def _assert_segment_counts(fields, sizes, cap):
     top = max(sizes)
     # per size and block: recount, touched, zeros over [1, n-1] and over [1, n]
     seen = {n: [] for n in sizes}
-    real = walkstats._audit_rows
+    real = _sweep_globals()["_audit_rows"]
 
     def recorded(plan, R, n, t):
         counts = real(plan, R, n, t)
         seen[n].append([c.copy() for c in counts])
         return counts
 
-    with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
-        walkstats, "_audit_rows", recorded
+    with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.dict(
+        _sweep_globals(), _audit_rows=recorded
     ):
         _, ok = audit_roots(_roots(fields), sizes, COUNTERS)
     assert ok.tolist() == [True] * len(fields)
@@ -815,14 +843,14 @@ def test_audit_zero_rows_equal_the_dense_recounts_zeros():
     # dense recount's zero coordinates, which share no kernel code
     sizes, fields = (9, 24, 70), [field(3, r) for r in range(4)]
     seen = {n: [] for n in sizes}
-    real = walkstats._audit_rows
+    real = _sweep_globals()["_audit_rows"]
 
     def recorded(plan, R, n, t):
         counts = real(plan, R, n, t)
         seen[n].append([c.copy() for c in counts[2:]])
         return counts
 
-    with mock.patch.object(walkstats, "_audit_rows", recorded):
+    with mock.patch.dict(_sweep_globals(), _audit_rows=recorded):
         audit_roots(_roots(fields), sizes, COUNTERS)
     zeros = [brute_force_bundle(f, max(sizes))[1] for f in fields]
     for n in sizes:
@@ -878,16 +906,12 @@ class TestDecompositionAudit:
         # a profile entry off by one, with or without the grid total kept
         # (a zero count shifted down wraps), in any of the nested grids,
         # must turn the verdict red
-        real = walkstats._sweep_block
-
-        def corrupted(source, plan):
-            values = real(source, plan)
+        def corrupt(plan, R):
             for row, by in enumerate(shift, start=2):
-                _shift_profile(plan, len(source), size, row, by)
-            return values
+                _shift_profile(plan, R, size, row, by)
 
         assert decomposition_audit(field(9), 30, (7, 12))[1]
-        with mock.patch.object(walkstats, "_sweep_block", corrupted):
+        with _before_the_audit(corrupt):
             assert not decomposition_audit(field(9), 30, (7, 12))[1]
             # an audit that reports one counter still audits the profiles
             for counter in COUNTERS:
@@ -895,26 +919,38 @@ class TestDecompositionAudit:
                 assert not ok[0]
 
 
+    def test_a_crossing_moved_between_rows_fails_the_audit(self):
+        # one crossing of the 30 grid moved from a row's profile to the next
+        # row's keeps every total, so only the per-row equality turns it red
+        def move(plan, R):
+            segment = plan.block(R).counts[plan.slot[walkstats.CROSSINGS], :30, 0, -1]
+            row = int(np.flatnonzero(segment)[0])  # a count of at least one: no wrap
+            assert row < 29
+            _shift_profile(plan, R, 30, row, -1)
+            _shift_profile(plan, R, 30, row + 1, 1)
+
+        swept = sweep_grid(field(9), 30)
+        with _before_the_audit(move):
+            bundle, ok = decomposition_audit(field(9), 30, (7, 12))
+        assert not ok
+        assert bundle.z_crossings == int(bundle.row_profiles.sum()) == swept.z_crossings
+        assert bundle.row_profiles.tolist() != swept.row_profiles.tolist()
+
     @pytest.mark.parametrize("misbooking", ["edge-zero-inside", "zeros-unbooked"])
     def test_misbooked_zeros_fail_the_sandwich(self, misbooking):
         # even rows of the stub vanish, so n - 1 pairs touch a zero and both
         # sides of the sandwich are tight; the profiles and totals stay right,
         # so only the sandwich can turn the verdict red
-        real = walkstats._sweep_block
-
-        def misbooked(source, plan):
-            out = real(source, plan)
-            R = len(source)
+        def misbook(plan, R):
             if misbooking == "edge-zero-inside":  # the zero at column n counted in [1, n-1]
                 plan.block(R).probed[:, :, plan.edge :] = False
             else:  # no zero booked on any segment: touches exceed twice the zeros
                 plan.block(R).counts[walkstats.ZEROS] = 0
-            return out
 
         stub = AlternatingRowsField()
         bundle, ok = decomposition_audit(stub, 6, (3,))
         assert ok and bundle.row_profiles.tolist() == [0, 5, 0, 5, 0, 5]
-        with mock.patch.object(walkstats, "_sweep_block", misbooked):
+        with _before_the_audit(misbook):
             bundle, ok = decomposition_audit(stub, 6, (3,))
         assert not ok
         assert bundle.row_profiles.tolist() == [0, 5, 0, 5, 0, 5]
@@ -1012,6 +1048,17 @@ class TestTwinZeros:
 
     def test_tiny_grids_have_no_wedge(self):
         assert twin_zero_count(field(1), 0.5, 2, 3) == 0
+
+    def test_a_subnormal_eps_is_past_the_ceiling(self):
+        # (M - 1) / eps overflows to infinity; its ceiling once raised an OverflowError
+        with pytest.raises(CapacityError, match="got a band of infinite width$"):
+            twin_zero_counts(field(1), 5e-324, (8,), 8)
+        # the rows are still refused first, and a finite quotient's columns as before
+        with pytest.raises(CapacityError, match=f"got {SWEEP_CEILING + 1}$"):
+            walkstats.twin_band(SWEEP_CEILING + 1, 5e-324, 1)
+        with pytest.raises(CapacityError, match=f"got {math.ceil(7 / 1e-300) + 7}$"):
+            walkstats.twin_band(8, 1e-300, 8)
+        assert walkstats.twin_band(8, 0.25, 8) == (15, 35)
 
     def test_radius_one_requires_adjacent_zero(self):
         # wedge zeros of the alternating stub sit at even columns with odd
