@@ -115,15 +115,13 @@ class _Run:
         return self.jobs[name][1], values
 
     @cached_property
-    def audited(self) -> tuple[ExperimentResult, ExperimentResult, bool]:
+    def audited(self) -> tuple[ExperimentResult, ExperimentResult, ExperimentResult]:
         """Check 8's grids swept once: the results of ``run_experiment`` with
-        statistic ``GAMMA`` and ``Z_CROSSINGS``, and the audit verdict."""
+        statistic ``GAMMA`` and ``Z_CROSSINGS``, and of the audit's fault counts."""
         config, chunks = self.job("shared-pass")
-        gamma, crossings, oks = zip(*chunks)
-        return (
-            assemble_result(replace(config, statistic=Statistic.GAMMA), gamma),
-            assemble_result(replace(config, statistic=Statistic.Z_CROSSINGS), crossings),
-            all(oks),
+        read = (Statistic.GAMMA, Statistic.Z_CROSSINGS, config.statistic)
+        return tuple(
+            assemble_result(replace(config, statistic=s), c) for s, c in zip(read, zip(*chunks))
         )
 
 
@@ -290,15 +288,13 @@ def _check_fastpath_consistency(run: _Run) -> tuple[bool, str]:
 # ------------------------------------------------- checks 7-9: one pass
 
 
-def _audited_chunk(args: tuple[ExperimentConfig, np.ndarray]) -> tuple[
-    tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], bool
-]:
+def _audited_chunk(args: tuple[ExperimentConfig, np.ndarray]) -> tuple[tuple, ...]:
     # one task of the harness's split, args = (config, replicate indices): each
-    # replicate swept once, its gamma and crossings read and audited from it
+    # replicate swept once, its gamma, crossings and audit fault counts read from it
     config, mine = args
     roots = field_roots(config.seed, mine)
     values = sweep_roots(roots, config.sizes, ("gamma", "z_crossings", AUDIT))
-    return (mine, values["gamma"]), (mine, values["z_crossings"]), not values[AUDIT].any()
+    return (mine, values["gamma"]), (mine, values["z_crossings"]), (mine, values[AUDIT])
 
 
 # --------------------------------------------------------------- check 7
@@ -348,9 +344,17 @@ def _check_crossing_count_scaling(run: _Run) -> tuple[bool, str]:
 def _check_crossing_decomposition(run: _Run) -> tuple[bool, str]:
     # audits exactly the grids swept for checks 7 and 8, in their one pass;
     # run without them, it makes that pass itself
-    _, result, ok = run.audited
-    grids = sum(vals.size for vals in result.values.values())
-    return ok, (
+    _, _, faults = run.audited
+    grids = sum(vals.size for vals in faults.values.values())
+    failed = {n: np.count_nonzero(vals) for n, vals in faults.values.items() if vals.any()}
+    if failed:
+        at = ", ".join(f"N={n}: {k}" for n, k in failed.items())
+        total = int(sum(vals.sum() for vals in faults.values.values()))
+        return False, (
+            f"crossing audit failed on {sum(failed.values())} of {grids} grids ({at}), "
+            f"{total} failed conditions in all"
+        )
+    return True, (
         f"crossing total equals profile sum and zero-touch counts are "
         f"sandwiched by row zeros on all {grids} grids"
     )

@@ -9,17 +9,17 @@ slower one's fixed share.  Each value lands at its
 replicate's index, and every float is reduced from them in replicate
 order after the last task returns, so the full set of simulated values
 and every summary is byte-identical for any worker count.
-A task sweeps each of its replicates of a grid statistic once, at the
-largest edge, and reads every smaller size as a prefix of that sweep (see
-:func:`~sheetwalk.walkstats.sweep_roots`).  It derives the roots of all its
-streams in one call (:func:`~sheetwalk.randfield.field_roots`), and the
-sweep takes that array and hands back one int64 array per counter, sizes
-by replicates; it computes only the one counter the statistic reads.  No
-field, key or bundle object is made per replicate on that path.  The
-diagonal fast path draws each replicate's increments once, for the
+A task reads each of its replicates of a grid statistic once, at the
+largest edge, and reads every smaller size as a prefix of that read.  It
+derives the roots of all its streams in one call
+(:func:`~sheetwalk.randfield.field_roots`); the statistic's reader takes
+them in blocks and hands back an int64 array, sizes by replicates: the
+sweep (:func:`~sheetwalk.walkstats.sweep_roots`) of the one counter the
+statistic reads, or the annulus or twin-zero counts of the zero sets.  No
+field, key or bundle object is made per replicate of a grid statistic.
+The diagonal fast path draws each replicate's increments once, for the
 largest size, and counts every size on a prefix of them
-(:func:`~sheetwalk.walkstats.diag_zero_counts`); the zero-set statistics
-read each replicate's zeros once, for all sizes.  Raw per-replicate
+(:func:`~sheetwalk.walkstats.diag_zero_counts`).  Raw per-replicate
 values are retained, not just summaries.  A task's output is its
 replicate indices and a sizes-by-replicates array of their values;
 :func:`assemble_result` is the one place that output becomes an
@@ -42,9 +42,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .exactprob import DIAG_LOG_COEFF, CapacityError, delta_mean_exact
-from .randfield import RademacherField, Seed, StreamKey, as_int, field_roots
+from .randfield import Seed, StreamKey, as_int, field_roots
 from .walkstats import (
-    COUNTERS,
     annulus_counts,
     check_diag_sizes,
     check_sizes,
@@ -67,8 +66,6 @@ class Statistic(enum.Enum):
     TWIN_ZEROS = "twin_zeros"
     ANNULUS = "annulus"
 
-
-_BUNDLE_FIELDS = {Statistic(c) for c in COUNTERS}  # the statistics a sweep counts
 
 # replicates x sizes of one result: its values take 80 MB of float64 at the cap
 RESULT_CEILING = 10**7
@@ -141,19 +138,15 @@ def _worker_chunk(args: tuple[ExperimentConfig, np.ndarray]) -> tuple[np.ndarray
     """One task of :func:`split_tasks`, ``args = (config, replicate indices)``."""
     config, mine = args
     stat, sizes = config.statistic, config.sizes
-    if stat in _BUNDLE_FIELDS:  # only the counter read is swept, from the roots
-        roots = field_roots(config.seed, mine)
-        return mine, sweep_roots(roots, sizes, (stat.value,))[stat.value]
-    keys = [StreamKey(config.seed, r) for r in mine.tolist()]
-    fields = (RademacherField(key) for key in keys)
-    # per replicate, one value per size in the order of sizes
     if stat is Statistic.DELTA_FASTPATH:  # drawn, not read from a grid
-        values = [diag_zero_counts(key, sizes) for key in keys]
-    elif stat is Statistic.TWIN_ZEROS:
-        values = [twin_zero_counts(f, config.eps, sizes, config.radius) for f in fields]
-    else:
-        values = [annulus_counts(f, config.eps, sizes) for f in fields]
-    return mine, np.array(values, dtype=np.float64).reshape(len(mine), len(sizes)).T
+        values = [diag_zero_counts(StreamKey(config.seed, r), sizes) for r in mine.tolist()]
+        return mine, np.array(values, dtype=np.float64).reshape(len(mine), len(sizes)).T
+    roots = field_roots(config.seed, mine)
+    if stat is Statistic.TWIN_ZEROS:
+        return mine, twin_zero_counts(roots, config.eps, sizes, config.radius)
+    if stat is Statistic.ANNULUS:
+        return mine, annulus_counts(roots, config.eps, sizes)
+    return mine, sweep_roots(roots, sizes, (stat.value,))[stat.value]  # only the counter read
 
 
 def usable_cpus() -> int:

@@ -23,10 +23,9 @@ The kernel's one input is a block of stream roots, a ``uint64`` array
 :func:`~sheetwalk.randfield.sign_rows`; its output is one int64 array
 per counter, sizes by grids.  :func:`sweep_roots`, the production
 path, takes and returns just those arrays.  The one-field readers
-(:func:`sweep_grid`, :func:`decomposition_audit`,
-:func:`partial_sum_blocks` and the readers on it: the zero-set readers
-and :func:`render_zero_set`, the PGM of a zero set) send in a block of
-one root, ``field.root``; only
+(:func:`sweep_grid`, :func:`decomposition_audit`, the one-size zero-set
+wrappers, :func:`iter_partial_rows` and :func:`render_zero_set`, the PGM
+of a zero set) send in a block of one root, ``field.root``; only
 :func:`sweep_grid` and :func:`decomposition_audit` turn the arrays into
 a :class:`StatBundle`.
 
@@ -43,8 +42,8 @@ same pass, on the same segments, and always adds the planes it reads,
 with each row's zero flag at every edge column from the same gather; its
 rule is on int64 adjacent products of the sums: ``S(i,j) * S(i,j+1) <=
 0`` crosses, and ``== 0`` touches a zero.
-:func:`zero_points` is the one zero-set reader: the annulus and twin-zero
-counts, and the oracle check, read the zeros from it.
+:func:`_zero_blocks` is the one zero-set reader, of blocks of roots: the
+annulus and twin-zero counts and :func:`zero_points` read the zeros from it.
 
 Integer widths: the sums are int32, since ``|S(i,j)| <= i*j <= 2**30``
 at the sweep ceiling, and the audit's adjacent products, which reach
@@ -294,25 +293,23 @@ def _root_block(field: RademacherField) -> np.ndarray:
     return np.array([field.root], dtype=np.uint64)
 
 
-def partial_sum_blocks(field, rows: int, cols: int) -> Iterator[tuple[int, np.ndarray]]:
-    """One field's tiles as ``(start, B)``, ``B[k, j-1] = S(start + k, j)``, in row order.
-
-    The sides are checked on the call, before any row is read.  The next
-    block overwrites ``B``; copy it to keep it.
-    """
-    tiles = _Tiles(rows, cols, 1)
-    return ((start, t[:, 0]) for start, t in tiles.read(_root_block(field)))
+def _zero_blocks(roots: np.ndarray, rows: int, cols: int) -> Iterator[tuple]:
+    """Yield ``(R, r, i, j)`` per block of ``R`` streams: the zeros on ``[1, rows] x [1, cols]``,
+    int64, stably sorted by ``r``, a zero's stream in the block, so row-major in each stream."""
+    for block in _field_blocks(roots, rows, cols):
+        R = len(block)
+        tiles = _Tiles(rows, cols, R).read(block)  # found: ((i - 1) * R + r) * cols + j - 1
+        found = [np.flatnonzero(tile == 0) + (start - 1) * R * cols for start, tile in tiles]
+        row, j = np.divmod(np.concatenate(found), cols)
+        i, r = np.divmod(row, R)
+        order = np.argsort(r, kind="stable")
+        yield R, r[order], i[order] + 1, j[order] + 1
 
 
 def zero_points(field, rows: int, cols: int) -> np.ndarray:
-    """``(k, 2)`` int64 ``(i, j)`` of every zero of ``S`` on ``[1, rows] x [1, cols]``, row-major.
-
-    The package's one zero-set reader; memory is the points plus one tile.
-    """
-    found = [np.empty(0, dtype=np.int64)]  # row-major cell indices (i - 1) * cols + j - 1
-    for start, block in partial_sum_blocks(field, rows, cols):
-        found.append(np.flatnonzero(block == 0) + (start - 1) * cols)
-    return np.stack(np.divmod(np.concatenate(found), cols), axis=1) + 1
+    """Row-major ``(k, 2)`` int64 ``(i, j)`` of the zeros of ``S`` on ``[1, rows] x [1, cols]``."""
+    ((_, _, i, j),) = _zero_blocks(_root_block(field), rows, cols)
+    return np.stack((i, j), axis=1)
 
 
 def render_zero_set(field, n: int) -> bytes:
@@ -324,8 +321,8 @@ def render_zero_set(field, n: int) -> bytes:
     n = as_int("image edge", n, 1)
     if n > RENDER_CEILING:
         raise CapacityError(f"render capped at N={RENDER_CEILING}, got {n}")
-    pixels = np.empty((n, n), dtype=np.uint8)
-    for start, sums in partial_sum_blocks(field, n, n):
+    pixels = np.empty((n, 1, n), dtype=np.uint8)  # rows of a one-grid tile
+    for start, sums in _Tiles(n, n, 1).read(_root_block(field)):
         pixels[start - 1 : start - 1 + len(sums)] = np.where(
             sums == 0, 0, np.where(sums < 0, 128, 255)
         )
@@ -337,10 +334,9 @@ def iter_partial_rows(field: RademacherField, N: int) -> Iterator[tuple[int, np.
 
     Callers that keep a row beyond one iteration must copy it.
     """
-    blocks = partial_sum_blocks(field, N, N)
     col = np.empty(N, dtype=np.int64)
-    for start, block in blocks:
-        for k, row in enumerate(block):
+    for start, tile in _Tiles(N, N, 1).read(_root_block(field)):
+        for k, row in enumerate(tile[:, 0]):
             col[:] = row
             yield start + k, col
 
@@ -372,8 +368,8 @@ def sweep_roots(
     entries do not depend on the other counters asked for.
     """
     plan = _SweepPlan(check_sizes(sizes), _check_counters(counters))
-    swept = [_sweep_block(block, plan) for block in _field_blocks(roots, plan.M)]
-    return {c: _joined([values[c] for values in swept], plan) for c in plan.counters}
+    swept = [_sweep_block(block, plan) for block in _field_blocks(roots, plan.M, plan.M)]
+    return {c: _joined([values[c] for values in swept], plan.sizes) for c in plan.counters}
 
 
 def _some_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
@@ -398,18 +394,18 @@ def _check_counters(counters: Iterable[str]) -> frozenset[str]:
     return counters
 
 
-def _field_blocks(roots: np.ndarray, N: int) -> Iterator[np.ndarray]:
-    """``roots`` in slices of ``tile_shape(N)[0]``, the blocks of a sweep at edge ``N``."""
+def _field_blocks(roots: np.ndarray, rows: int, cols: int) -> Iterator[np.ndarray]:
+    """``roots`` in the blocks of a read of ``rows x cols`` grids; both edges are checked first."""
     dtype = getattr(roots, "dtype", type(roots).__name__)
     if dtype != np.uint64:
         raise ValueError(f"roots must be a uint64 array, got {dtype}")
-    grids = tile_shape(N)[0]
+    grids = tile_shape(_check_edge(rows), _check_edge(cols))[0]
     return (roots[at : at + grids] for at in range(0, len(roots), grids))
 
 
-def _joined(blocks: list[np.ndarray], plan: _SweepPlan) -> np.ndarray:
+def _joined(blocks: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
     """The blocks' ``(len(sizes), R)`` arrays side by side; ``(len(sizes), 0)`` with none."""
-    return np.concatenate([np.empty((len(plan.sizes), 0), dtype=np.int64), *blocks], axis=1)
+    return np.concatenate([np.empty((len(sizes), 0), dtype=np.int64), *blocks], axis=1)
 
 
 ZEROS, ONES, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES = range(5)  # flag planes
@@ -724,19 +720,22 @@ def diag_zero_count(key: StreamKey, N: int) -> int:
     return count
 
 
-def annulus_counts(field, eps: float, sizes: Sequence[int]) -> list[int]:
-    """Zeros on ``[ceil(eps*n), n]^2`` for each size ``n``, from one read of the largest grid."""
+def annulus_counts(roots: np.ndarray, eps: float, sizes: Sequence[int]) -> np.ndarray:
+    """Zeros on ``[ceil(eps*n), n]^2``, sizes ``n`` by streams, read at the largest size."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    M = max(check_sizes(sizes))
-    i, j = zero_points(field, M, M).T
-    near, far = np.minimum(i, j), np.maximum(i, j)
-    return [int(np.count_nonzero((near >= math.ceil(eps * n)) & (far <= n))) for n in sizes]
+    sizes = check_sizes(sizes)
+    M, counts = max(sizes), []
+    for R, r, i, j in _zero_blocks(roots, M, M):
+        near, far = np.minimum(i, j), np.maximum(i, j)
+        inside = [(near >= math.ceil(eps * n)) & (far <= n) for n in sizes]
+        counts.append(np.array([np.bincount(r[m], minlength=R) for m in inside]))
+    return _joined(counts, sizes)
 
 
 def annulus_zero_check(field: RademacherField, eps: float, N: int) -> tuple[bool, int]:
     """Presence and count of zeros on the co-annulus square ``[eps*N, N]^2``."""
-    (count,) = annulus_counts(field, eps, (N,))
+    count = int(annulus_counts(_root_block(field), eps, (N,))[0, 0])
     return count > 0, count
 
 
@@ -758,15 +757,17 @@ def twin_band(M: int, eps: float, radius: int) -> tuple[int, int] | None:
     return rows, cols
 
 
-def twin_zero_counts(field, eps: float, sizes: Sequence[int], radius: int) -> list[int]:
-    """:func:`twin_zero_count` for each size, from one read of the largest size's band.
+def twin_zero_counts(
+    roots: np.ndarray, eps: float, sizes: Sequence[int], radius: int
+) -> np.ndarray:
+    """:func:`twin_zero_count`, sizes by streams, from one read of the largest size's band.
 
     The band of ``M = max(sizes)``, ``M - 1 + radius`` rows by ``ceil((M -
     1) / eps) - 1 + radius`` columns, holds every wedge zero of every size
-    and every zero within ``radius`` of one, so one companion mask serves
-    all sizes.  Zeros are coded ``i * stride + j``, sorted as they are
-    row-major; per row offset, two binary searches count the codes in the
-    span of each wedge zero's L1 ball on that row.
+    and every zero within ``radius`` of one, so one companion search serves
+    all sizes and a block's streams.  Zeros are coded ``r * page + (i +
+    radius) * stride + j``, sorted in :func:`_zero_blocks`' order; per row
+    offset, two binary searches count the codes in each wedge zero's L1 ball.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
@@ -775,18 +776,21 @@ def twin_zero_counts(field, eps: float, sizes: Sequence[int], radius: int) -> li
     M = max(sizes)
     band = twin_band(M, eps, radius)
     if band is None:
-        return [0] * len(sizes)
+        return np.zeros((len(sizes), len(roots)), dtype=np.int64)
     rows, cols = band
-    i, j = zero_points(field, rows, cols).T
     stride = cols + radius + 1  # a ball's span on a row never reaches the next row's codes
-    codes = i * stride + j
-    wedge = (1 < i) & (i < M) & (eps * i < j) & (j < i / eps)  # the definition's float tests
-    hits = np.full(np.count_nonzero(wedge), -1)  # each wedge zero finds itself at offset 0
-    for di in range(-radius, radius + 1):
-        w, centre = radius - abs(di), codes[wedge] + di * stride
-        hits += np.searchsorted(codes, centre + w, "right") - np.searchsorted(codes, centre - w)
-    twin_rows = i[wedge][hits > 0]  # ascending
-    return [int(np.searchsorted(twin_rows, n)) for n in sizes]  # rows i < n
+    page = (rows + 2 * radius + 1) * stride  # nor a ball's rows the next stream's
+    counts = []
+    for R, r, i, j in _zero_blocks(roots, rows, cols):
+        codes = r * page + (i + radius) * stride + j
+        wedge = (1 < i) & (i < M) & (eps * i < j) & (j < i / eps)  # the definition's float tests
+        hits = np.full(np.count_nonzero(wedge), -1)  # each wedge zero finds itself at offset 0
+        for di in range(-radius, radius + 1):
+            w, centre = radius - abs(di), codes[wedge] + di * stride
+            hits += np.searchsorted(codes, centre + w, "right") - np.searchsorted(codes, centre - w)
+        r, i = r[wedge][hits > 0], i[wedge][hits > 0]
+        counts.append(np.array([np.bincount(r[i < n], minlength=R) for n in sizes]))
+    return _joined(counts, sizes)
 
 
 def twin_zero_count(field: RademacherField, eps: float, N: int, radius: int) -> int:
@@ -796,5 +800,4 @@ def twin_zero_count(field: RademacherField, eps: float, N: int, radius: int) -> 
     required) at L1 distance at most ``radius``.  Memory is the zero points
     of the band :func:`twin_zero_counts` reads, plus one tile.
     """
-    (count,) = twin_zero_counts(field, eps, (N,), radius)
-    return count
+    return int(twin_zero_counts(_root_block(field), eps, (N,), radius)[0, 0])

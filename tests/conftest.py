@@ -106,8 +106,7 @@ def stub_hash(monkeypatch):
     ``walkstats.sign_rows`` becomes a wrapper that hashes every root with
     the real ``sign_rows``, then gives each stub tag among the roots words
     whose bit 63 is set exactly where the stub's sign is +1, so blocks may
-    mix stubs and real streams.  Install it before copying ``walkstats``'
-    namespace, as a mutant made by ``exec`` does.
+    mix stubs and real streams.
     """
     real = walkstats.sign_rows
 

@@ -170,8 +170,8 @@ def test_audited_run_equals_run_experiment(make, workers, inline_pool):
     config = make("quick", workers)
     jobs = {"shared-pass": checks._jobs("quick", workers)["shared-pass"]}
     with job_queue(jobs) as collect:
-        gamma, crossings, ok = checks._Run("quick", jobs, collect).audited
-    assert ok
+        gamma, crossings, faults = checks._Run("quick", jobs, collect).audited
+    assert not any(faults.values[n].any() for n in config.sizes)
     assert inline_pool == ([2] if workers == 2 else [])  # one pool for both
     audited = gamma if config.statistic is Statistic.GAMMA else crossings
     plain = run_experiment(config)
@@ -191,10 +191,10 @@ def test_the_shared_pass_is_the_same_under_any_task_split():
 
     def assembled(tasks):
         chunks = [checks._audited_chunk(args) for args in split_tasks(config, tasks)]
-        gamma, crossings, ok = checks._Run("quick", jobs, lambda name: (chunks, None)).audited
-        written = [(r.values[n].tobytes(), r.summaries[n]) for r in (gamma, crossings)
+        gamma, crossings, faults = checks._Run("quick", jobs, lambda name: (chunks, None)).audited
+        written = [(r.values[n].tobytes(), r.summaries[n]) for r in (gamma, crossings, faults)
                    for n in config.sizes]
-        return written, ok
+        return written, not any(faults.values[n].any() for n in config.sizes)
 
     one_task = assembled(1)
     assert one_task[1]
@@ -232,6 +232,11 @@ def test_a_direct_call_of_check_9_sweeps_again(monkeypatch):
     monkeypatch.setattr(checks, "sweep_roots", all_red)
     (again,) = run_checks("quick", 1, {"crossing-decomposition"})
     assert not again.passed and not again.raised
+    # the red detail says what failed; it once read as the green one does
+    assert again.detail == (
+        "crossing audit failed on 240 of 240 grids (N=64: 60, N=128: 60, N=256: 60, "
+        "N=512: 60), 240 failed conditions in all"
+    )
 
 
 def test_a_verify_call_after_an_aborted_one_sweeps_again(monkeypatch, inline_pool):

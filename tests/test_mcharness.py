@@ -201,6 +201,18 @@ class TestRunExperiment:
             run_experiment(swept)
             checks._audited_chunk((swept, np.arange(swept.replicates)))
 
+    def test_grid_statistics_build_no_field(self, monkeypatch):
+        # annulus and twin zeros once built a RademacherField per replicate
+        def refused(self):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(RademacherField, "__post_init__", refused)
+        for stat in Statistic:
+            if stat is not Statistic.DELTA_FASTPATH:
+                grid = config(statistic=stat, eps=0.5, radius=3, replicates=5)
+                mine, values = mcharness._worker_chunk((grid, np.arange(5)))
+                assert values.shape == (2, 5)
+
     def test_pool_is_clamped_to_the_replicate_count(self, inline_pool):
         wide = run_experiment(config(replicates=2, workers=8))
         assert inline_pool == [2]

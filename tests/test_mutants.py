@@ -3,9 +3,9 @@ and each test asserts that a named check or test kills it.
 
 The killing tests are called on fixed inputs (hypothesis tests through
 ``.hypothesis.inner_test``), so the file runs in seconds.  A test that
-reads a stub asks for the ``stub_hash`` fixture; a mutant made by
-:func:`_edited` asks for it too, so its copy of the module's namespace
-holds the fake hash.
+reads a stub asks for the ``stub_hash`` fixture.  A mutant made by
+:func:`_edited` runs in its module's live namespace, so it calls whatever
+the module holds when it runs, the fake hash or a later patch among them.
 """
 
 import inspect
@@ -65,13 +65,18 @@ def _verdict(name, workers=1):
     return result.passed
 
 
-def _edited(name, old, new, module=walkstats):
-    """Mutant of ``module.<name>`` with the one occurrence of ``old`` made ``new``."""
+def _edited(monkeypatch, name, old, new, module=walkstats):
+    """Install a mutant of ``module.<name>``, its one occurrence of ``old`` made ``new``; return it.
+
+    The edited source runs in the module's own namespace, so the mutant
+    reads every name it calls from the module when it runs;
+    ``monkeypatch`` puts the original back after the test.
+    """
     source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
-    namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
-    return namespace[name]
+    monkeypatch.setattr(module, name, getattr(module, name))  # restored at teardown
+    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module))
+    return getattr(module, name)
 
 
 class TestSignRowsColumnsFromZero:
@@ -109,8 +114,7 @@ class TestPFillTableBelowTheCeiling:
 
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
-        blocks = _edited("_p_blocks", "np.less_equal(", "np.less(", module=exactprob)
-        monkeypatch.setattr(exactprob, "_p_blocks", blocks)
+        _edited(monkeypatch, "_p_blocks", "np.less_equal(", "np.less(", module=exactprob)
 
     def test_killed_by_the_scalar_path(self):
         ceiling = exactprob.EXACT_CEILING
@@ -138,8 +142,7 @@ class TestPairwiseSplitUnaligned:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
         split = "h = n // 2 - n // 2 % 8"
-        mutant = _edited("_pairwise", split, "h = n // 2", module=exactprob)
-        monkeypatch.setattr(exactprob, "_pairwise", mutant)
+        _edited(monkeypatch, "_pairwise", split, "h = n // 2", module=exactprob)
 
     def test_killed_by_the_delta_mean_pin_at_three_million(self):
         with pytest.raises(AssertionError):
@@ -218,33 +221,29 @@ _SEGMENT_EDITS = {
 
 
 def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
-    # the copies themselves are sound, so each kill below is the replacement's;
-    # a copy runs in a copy of the module's namespace, so the _product_crossings
-    # copy goes in before the _sweep_block copy that calls it
+    # the copies themselves are sound, so each kill below is the replacement's
     touches = "np.equal(products, 0, out=touches)"
-    monkeypatch.setattr(
-        walkstats, "_product_crossings", _edited("_product_crossings", touches, touches)
-    )
+    _edited(monkeypatch, "_product_crossings", touches, touches)
     diagonal = "probed[1:n:2"
-    monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", diagonal, diagonal))
+    _edited(monkeypatch, "_sweep_block", diagonal, diagonal)
     height = "_tile_height(rows, cols, grids)"  # one copy of _Tiles, which three mutants edit
-    monkeypatch.setattr(walkstats, "_Tiles", _edited("_Tiles", height, height))
+    _edited(monkeypatch, "_Tiles", height, height)
     edges = "np.full(M, n - 1)"
-    monkeypatch.setattr(walkstats, "_SweepPlan", _edited("_SweepPlan", edges, edges))
+    _edited(monkeypatch, "_SweepPlan", edges, edges)
+    stream = "divmod(row, R)"
+    _edited(monkeypatch, "_zero_blocks", stream, stream)
     gamma = '(mine, values["gamma"])'
-    chunk = _edited("_audited_chunk", gamma, gamma, module=checks)
-    monkeypatch.setattr(checks, "_audited_chunk", chunk)
+    _edited(monkeypatch, "_audited_chunk", gamma, gamma, module=checks)
     placed = "values[size][replicates] = row"
-    assemble = _edited("assemble_result", placed, placed, module=mcharness)
+    assemble = _edited(monkeypatch, "assemble_result", placed, placed, module=mcharness)
     monkeypatch.setattr(checks, "assemble_result", assemble)
     sticky = "float((num >> shift) | 1)"
-    table = _edited("ReturnProbTable", sticky, sticky, module=exactprob)
-    monkeypatch.setattr(exactprob, "ReturnProbTable", table)
+    table = _edited(monkeypatch, "ReturnProbTable", sticky, sticky, module=exactprob)
     monkeypatch.setattr(exactprob, "_TABLE", table.build())
     mask = "np.less_equal("
-    monkeypatch.setattr(exactprob, "_p_blocks", _edited("_p_blocks", mask, mask, module=exactprob))
+    _edited(monkeypatch, "_p_blocks", mask, mask, module=exactprob)
     split = "h = n // 2 - n // 2 % 8"
-    monkeypatch.setattr(exactprob, "_pairwise", _edited("_pairwise", split, split, module=exactprob))
+    _edited(monkeypatch, "_pairwise", split, split, module=exactprob)
     test_exactprob.test_sum_bits_are_pinned("gamma_mean_exact", exactprob.GAMMA_SUM_CEILING)
     test_exactprob.test_sum_bits_are_pinned("delta_mean_exact", exactprob.MEAN_SUM_CEILING)
     test_exactprob.test_the_tree_walk_adds_as_np_sum_does(monkeypatch, 131_084, exactprob.CHUNK_CELLS)
@@ -260,6 +259,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
         kill(test_walkstats.TestDecompositionAudit())
     test_walkstats.TestSweepFrozenExamples().test_alternating_columns_four_by_four()
     test_walkstats.TestSweepFrozenExamples().test_all_plus_grid_has_no_zeros_and_one_unit_cell(256)
+    test_walkstats.test_zero_set_counts_of_a_block_equal_each_streams_lone_count(5 * 192)
     test_walkstats.test_fold_equals_dense_recount_across_word_and_block_edges(65, False)
     test_walkstats.test_fold_at_the_ceiling_width(walkstats.SWEEP_CEILING)
     test_exactprob.TestReturnProbExact().test_table_floats_are_the_rounded_quotients()
@@ -268,11 +268,28 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     )
 
 
+def test_a_mutant_calls_a_callee_patched_after_the_edit(monkeypatch):
+    # a copy that ran in a snapshot of the module's namespace kept calling the
+    # _audit_rows it saw when it was made, so this patch never reached it
+    diagonal = "probed[1:n:2"
+    mutant = _edited(monkeypatch, "_sweep_block", diagonal, diagonal)
+    real, calls = walkstats._audit_rows, []
+
+    def recorded(plan, R, n, t):
+        calls.append(n)
+        return real(plan, R, n, t)
+
+    monkeypatch.setattr(walkstats, "_audit_rows", recorded)
+    walkstats.sweep_roots(randfield.field_roots(0, [0, 1]), (8, 4), (walkstats.AUDIT,))
+    assert walkstats._sweep_block is mutant
+    assert calls == [8, 4]  # one block, each size once
+
+
 class TestSweepBlockEdits:
     @pytest.fixture(autouse=True, params=sorted(_SWEEP_BLOCK_EDITS))
     def mutant(self, request, monkeypatch, stub_hash):
         name, old, new = _SWEEP_BLOCK_EDITS[request.param]
-        monkeypatch.setattr(walkstats, name, _edited(name, old, new))
+        _edited(monkeypatch, name, old, new)
 
     def test_killed_by_check_10(self):
         assert not _verdict("oracle-equivalence")
@@ -292,7 +309,7 @@ class TestSegmentEdits:
     @pytest.fixture(autouse=True, params=sorted(_SEGMENT_EDITS))
     def mutant(self, request, monkeypatch):
         name, old, new = _SEGMENT_EDITS[request.param]
-        monkeypatch.setattr(walkstats, name, _edited(name, old, new))
+        _edited(monkeypatch, name, old, new)
 
     @pytest.mark.parametrize("sizes", [(65, 70), (9, 70)], ids=str)
     def test_killed_by_the_band_seams(self, sizes):
@@ -315,8 +332,7 @@ class TestEdgeZeroFlagOneColumnLeft:
 
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
-        mutant = _edited("_SweepPlan", "np.full(M, n - 1)", "np.full(M, n - 2)")
-        monkeypatch.setattr(walkstats, "_SweepPlan", mutant)
+        _edited(monkeypatch, "_SweepPlan", "np.full(M, n - 1)", "np.full(M, n - 2)")
 
     def test_killed_by_the_segment_counts(self):
         with pytest.raises(AssertionError):
@@ -341,8 +357,7 @@ class TestTouchesAsNegativeProducts:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
         touches = "np.equal(products, 0, out=touches)"
-        mutant = _edited("_product_crossings", touches, "np.less(products, 0, out=touches)")
-        monkeypatch.setattr(walkstats, "_product_crossings", mutant)
+        _edited(monkeypatch, "_product_crossings", touches, "np.less(products, 0, out=touches)")
 
     def test_killed_by_the_upcrossing_oracle(self):
         audit = test_walkstats.TestDecompositionAudit()
@@ -383,7 +398,7 @@ _AUDIT_RULE_EDITS = {
 @pytest.mark.parametrize("dropped", sorted(_AUDIT_RULE_EDITS))
 def test_a_dropped_audit_condition_is_killed(monkeypatch, stub_hash, dropped):
     text, kill = _AUDIT_RULE_EDITS[dropped]
-    monkeypatch.setattr(walkstats, "_sweep_block", _edited("_sweep_block", text, ""))
+    _edited(monkeypatch, "_sweep_block", text, "")
     with pytest.raises(AssertionError):
         kill(test_walkstats.TestDecompositionAudit())
 
@@ -393,13 +408,29 @@ class TestAuditProductsInInt32:
 
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch, stub_hash):
-        mutant = _edited("_product_crossings", ", dtype=np.int64", "")
-        monkeypatch.setattr(walkstats, "_product_crossings", mutant)
+        _edited(monkeypatch, "_product_crossings", ", dtype=np.int64", "")
 
     def test_killed_by_the_all_plus_grid(self):
         frozen = test_walkstats.TestSweepFrozenExamples()
         with pytest.raises(AssertionError):
             frozen.test_all_plus_grid_has_no_zeros_and_one_unit_cell(256)
+
+
+class TestZeroSetStreamOfAWiderBlock:
+    """The zero-set reader decodes each zero's stream as if its block held one grid more.
+
+    Zeros land under the wrong stream, and some under a stream past the
+    block, whose counts then have rows of different lengths, which numpy
+    refuses; either way the block's counts are not the lone streams'.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        _edited(monkeypatch, "_zero_blocks", "divmod(row, R)", "divmod(row, R + 1)")
+
+    def test_killed_by_the_block_seams(self):
+        with pytest.raises((AssertionError, ValueError)):
+            test_walkstats.test_zero_set_counts_of_a_block_equal_each_streams_lone_count(5 * 192)
 
 
 class TestTableWithoutTheStickyBit:
@@ -417,8 +448,8 @@ class TestTableWithoutTheStickyBit:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
         sticky = "float((num >> shift) | 1)"
-        mutant = _edited("ReturnProbTable", sticky, "float(num >> shift)", module=exactprob)
-        monkeypatch.setattr(exactprob, "ReturnProbTable", mutant)
+        unsticky = "float(num >> shift)"
+        mutant = _edited(monkeypatch, "ReturnProbTable", sticky, unsticky, module=exactprob)
         monkeypatch.setattr(exactprob, "_TABLE", mutant.build())
 
     def test_killed_by_the_rounded_quotients(self):
@@ -439,8 +470,7 @@ class TestCarryRowNotAdded:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
         adds = "zip(row_views, row_views[1 : b + 1])"
-        mutant = _edited("_Tiles", adds, "zip(row_views[1:], row_views[2 : b + 1])")
-        monkeypatch.setattr(walkstats, "_Tiles", mutant)
+        _edited(monkeypatch, "_Tiles", adds, "zip(row_views[1:], row_views[2 : b + 1])")
 
     def test_killed_by_the_band_seams(self):
         with pytest.raises(AssertionError):
@@ -465,8 +495,7 @@ class TestShortBlockKeepsTheFullHeight:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
         height = "_tile_height(rows, cols, grids)"
-        mutant = _edited("_Tiles", height, "tile_shape(rows, cols)[1]")
-        monkeypatch.setattr(walkstats, "_Tiles", mutant)
+        _edited(monkeypatch, "_Tiles", height, "tile_shape(rows, cols)[1]")
 
     def test_killed_by_the_band_seams(self):
         with pytest.raises(AssertionError):
@@ -482,8 +511,7 @@ class TestRowFoldBlockCarryDropped:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch, stub_hash):
         carry = "block_base -= self.block_bias\n"
-        mutant = _edited("_Tiles", carry, "block_base[:] = -64\n")
-        monkeypatch.setattr(walkstats, "_Tiles", mutant)
+        _edited(monkeypatch, "_Tiles", carry, "block_base[:] = -64\n")
 
     def test_killed_by_the_fold_widths(self):
         with pytest.raises(AssertionError):
@@ -514,10 +542,8 @@ class TestSharedPassFilesCrossingsAsGamma:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
         gamma = '(mine, values["gamma"])'
-        mutant = _edited(
-            "_audited_chunk", gamma, '(mine, values["z_crossings"])', module=checks
-        )
-        monkeypatch.setattr(checks, "_audited_chunk", mutant)
+        crossings = '(mine, values["z_crossings"])'
+        _edited(monkeypatch, "_audited_chunk", gamma, crossings, module=checks)
 
     def test_killed_by_the_equality_with_run_experiment(self):
         with pytest.raises(AssertionError):
@@ -546,7 +572,7 @@ class TestAssembleMisplacesValuesOfASplit:
         placed = "values[size][replicates] = row"
         one_task = "replicates if len(replicates) == config.replicates else replicates[::-1]"
         misplaced = f"values[size][{one_task}] = row"
-        mutant = _edited("assemble_result", placed, misplaced, module=mcharness)
+        mutant = _edited(monkeypatch, "assemble_result", placed, misplaced, module=mcharness)
         monkeypatch.setattr(checks, "assemble_result", mutant)
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -332,8 +332,8 @@ def test_fold_at_the_ceiling_width(cols):
         (ConstantField(), np.arange(1, cols + 1)),
         (AlternatingColumnsField(), np.arange(1, cols + 1) % 2),
     ):
-        ((_, block),) = walkstats.partial_sum_blocks(stub, 1, cols)
-        assert np.array_equal(block[0], sums)
+        ((_, tile),) = walkstats._Tiles(1, cols, 1).read(_roots([stub]))
+        assert np.array_equal(tile[0, 0], sums)
 
 
 @pytest.mark.parametrize("N,grids", [(64, 128), (1024, 8)])
@@ -440,7 +440,7 @@ def test_roots_that_are_not_uint64_are_named(entry, roots, named):
 
 def test_counts_read_off_the_sweep_need_a_size():
     with pytest.raises(ValueError, match="need at least one grid size"):
-        twin_zero_counts(field(), 0.5, (), 3)
+        twin_zero_counts(_roots([field()]), 0.5, (), 3)
     with pytest.raises(ValueError, match="need at least one grid size"):
         diag_zero_counts(StreamKey(Seed(1), 0), ())
 
@@ -458,7 +458,9 @@ _NON_INTEGER_CALLS = {
     "render_zero_set": (lambda: render_zero_set(field(), 8.5), "image edge", 8.5),
     "brute_force_bundle": (lambda: brute_force_bundle(field(), 4.5), "grid edge", 4.5),
     "diag_zero_counts": (lambda: diag_zero_counts(StreamKey(Seed(1), 0), (10.5,)), "N", 10.5),
-    "twin_zero_counts": (lambda: twin_zero_counts(field(), 0.5, (8,), 2.5), "radius", 2.5),
+    "twin_zero_counts": (
+        lambda: twin_zero_counts(_roots([field()]), 0.5, (8,), 2.5), "radius", 2.5
+    ),
 }
 
 
@@ -481,12 +483,6 @@ def _shift_profile(plan, R, size, row, by):
     crossings[row : row + 1, 0, plan.edges.index(size)] += np.uint16(by % 2**16)
 
 
-def _sweep_globals():
-    """The globals ``_sweep_block`` reads ``_audit_rows`` from: the module's own, or
-    the copy that a text-edit mutant of it runs in (see ``tests/test_mutants.py``)."""
-    return walkstats._sweep_block.__globals__
-
-
 def _before_the_audit(corrupt):
     """Patch the sweep's ``_audit_rows`` to call ``corrupt(plan, R)`` first, once per block.
 
@@ -494,7 +490,7 @@ def _before_the_audit(corrupt):
     counts ``corrupt`` changes at a block's first size are those that
     every size's audit reads.
     """
-    real, calls = _sweep_globals()["_audit_rows"], []
+    real, calls = walkstats._audit_rows, []
 
     def audit_rows(plan, R, n, t):
         if len(calls) % len(plan.sizes) == 0:  # a block's first size
@@ -502,7 +498,7 @@ def _before_the_audit(corrupt):
         calls.append(n)
         return real(plan, R, n, t)
 
-    return mock.patch.dict(_sweep_globals(), _audit_rows=audit_rows)
+    return mock.patch.object(walkstats, "_audit_rows", audit_rows)
 
 
 @given(
@@ -791,15 +787,15 @@ def _assert_segment_counts(fields, sizes, cap):
     top = max(sizes)
     # per size and block: recount, touched, zeros over [1, n-1] and over [1, n]
     seen = {n: [] for n in sizes}
-    real = _sweep_globals()["_audit_rows"]
+    real = walkstats._audit_rows
 
     def recorded(plan, R, n, t):
         counts = real(plan, R, n, t)
         seen[n].append([c.copy() for c in counts])
         return counts
 
-    with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.dict(
-        _sweep_globals(), _audit_rows=recorded
+    with mock.patch.object(walkstats, "TILE_CELLS", cap), mock.patch.object(
+        walkstats, "_audit_rows", recorded
     ):
         _, ok = audit_roots(_roots(fields), sizes, COUNTERS)
     assert ok.tolist() == [True] * len(fields)
@@ -843,14 +839,14 @@ def test_audit_zero_rows_equal_the_dense_recounts_zeros():
     # dense recount's zero coordinates, which share no kernel code
     sizes, fields = (9, 24, 70), [field(3, r) for r in range(4)]
     seen = {n: [] for n in sizes}
-    real = _sweep_globals()["_audit_rows"]
+    real = walkstats._audit_rows
 
     def recorded(plan, R, n, t):
         counts = real(plan, R, n, t)
         seen[n].append([c.copy() for c in counts[2:]])
         return counts
 
-    with mock.patch.dict(_sweep_globals(), _audit_rows=recorded):
+    with mock.patch.object(walkstats, "_audit_rows", recorded):
         audit_roots(_roots(fields), sizes, COUNTERS)
     zeros = [brute_force_bundle(f, max(sizes))[1] for f in fields]
     for n in sizes:
@@ -1052,7 +1048,7 @@ class TestTwinZeros:
     def test_a_subnormal_eps_is_past_the_ceiling(self):
         # (M - 1) / eps overflows to infinity; its ceiling once raised an OverflowError
         with pytest.raises(CapacityError, match="got a band of infinite width$"):
-            twin_zero_counts(field(1), 5e-324, (8,), 8)
+            twin_zero_counts(_roots([field(1)]), 5e-324, (8,), 8)
         # the rows are still refused first, and a finite quotient's columns as before
         with pytest.raises(CapacityError, match=f"got {SWEEP_CEILING + 1}$"):
             walkstats.twin_band(SWEEP_CEILING + 1, 5e-324, 1)
@@ -1099,7 +1095,7 @@ class TestTwinZeros:
         band = (M - 1 + radius) * (math.ceil((M - 1) / eps) - 1 + radius)
         cap = data.draw(st.integers(1, max(1, 3 * band)), label="cap")
         with mock.patch.object(walkstats, "TILE_CELLS", cap):
-            counts = twin_zero_counts(f, eps, sizes, radius)
+            counts = twin_zero_counts(_roots([f]), eps, sizes, radius)[:, 0].tolist()
         assert counts == [_recount_twins(f, eps, n, radius) for n in sizes]
         assert twin_zero_count(f, eps, M, radius) == counts[sizes.index(M)]
 
@@ -1115,7 +1111,7 @@ class TestAnnulus:
         with pytest.raises(ValueError):
             annulus_zero_check(field(), 1.0, 8)
         with pytest.raises(ValueError):
-            annulus_counts(field(), 0.0, (8, 16))
+            annulus_counts(_roots([field()]), 0.0, (8, 16))
 
     @given(
         kind=st.sampled_from(["real", "alternating", "constant"]),
@@ -1137,7 +1133,7 @@ class TestAnnulus:
         cols = data.draw(st.integers(1, M), label="cols")
         cap = data.draw(st.integers(1, 3 * M * M), label="cap")
         with mock.patch.object(walkstats, "TILE_CELLS", cap):
-            counts = annulus_counts(f, eps, sizes)
+            counts = annulus_counts(_roots([f]), eps, sizes)[:, 0].tolist()
             zeros = zero_tuples(f, rows, cols)
         _, oracle = brute_force_bundle(f, M)
         expected = []
@@ -1151,6 +1147,26 @@ class TestAnnulus:
 
     def test_sizes_are_checked(self):
         with pytest.raises(ValueError):
-            annulus_counts(field(), 0.5, (8, 0))
+            annulus_counts(_roots([field()]), 0.5, (8, 0))
         with pytest.raises(CapacityError):
-            annulus_counts(field(), 0.5, (8, SWEEP_CEILING + 1))
+            annulus_counts(_roots([field()]), 0.5, (8, SWEEP_CEILING + 1))
+
+
+# both reads below have rows of 24 padded cells, so a band of BAND_ROWS rows is 192 cells
+@pytest.mark.parametrize("cap", [1, 2 * 192, 5 * 192, 7 * 192 + 100, 23 * 20 * 24], ids=str)
+def test_zero_set_counts_of_a_block_equal_each_streams_lone_count(cap):
+    # 23 streams read in blocks, the last one short, against each stream read
+    # alone at the default cap; a zero filed under the wrong stream moves a count
+    roots = field_roots(5, range(23))
+    with mock.patch.object(walkstats, "TILE_CELLS", cap):
+        grids = tile_shape(20)[0]
+        assert grids == tile_shape(14, 24)[0] and (grids == 1 or len(roots) % grids)
+        annulus = annulus_counts(roots, 0.3, (20, 9, 14))
+        twins = twin_zero_counts(roots, 0.5, (12, 7), 3)
+    assert walkstats.twin_band(12, 0.5, 3) == (14, 24)
+    lone = [root[None] for root in roots]
+    assert annulus.dtype == twins.dtype == np.int64
+    lone_annulus = [annulus_counts(r, 0.3, (20, 9, 14)) for r in lone]
+    lone_twins = [twin_zero_counts(r, 0.5, (12, 7), 3) for r in lone]
+    assert annulus.tolist() == np.hstack(lone_annulus).tolist()
+    assert twins.tolist() == np.hstack(lone_twins).tolist()
