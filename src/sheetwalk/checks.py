@@ -64,6 +64,7 @@ from .walkstats import (
     COUNTERS,
     annulus_zero_check,
     brute_force_bundle,
+    dense_sums,
     render_zero_set,
     sweep_grid,
     sweep_roots,
@@ -370,11 +371,8 @@ def _recount_twins(field, eps: float, N: int, radius: int) -> int:
     rows = N - 1 + radius
     cols = math.ceil((N - 1) / eps) - 1 + radius
     extent = max(rows, cols)
-    zeros = set()
-    col = np.zeros(extent, dtype=np.int64)
-    for i in range(1, extent + 1):
-        col += np.cumsum([field.value(i, j) for j in range(1, extent + 1)])
-        zeros.update((i, int(j) + 1) for j in np.nonzero(col == 0)[0])
+    sums = dense_sums(field, extent, extent)
+    zeros = {(i + 1, j + 1) for i, j in np.argwhere(sums == 0).tolist()}
     count = 0
     for zi, zj in zeros:
         if not (1 < zi < N and eps * zi < zj < zi / eps):

@@ -350,9 +350,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     sizes = np.array([n for n, _ in rows], dtype=np.float64)
     means = np.array([m for _, m in rows], dtype=np.float64)
     fit = estimate_exponent(sizes, means, drop_below=args.drop_below)
-    keep = [i for i, n in enumerate(sizes) if int(n) in fit.points_used]
     residuals = []
-    for i in keep:
+    for i in fit.rows_used:
         log_mean = math.log(means[i])
         fitted = fit.intercept + fit.slope * math.log(sizes[i])
         residuals.append(

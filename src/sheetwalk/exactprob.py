@@ -309,19 +309,16 @@ def _p_sum(count: int, fill) -> float:
 
 
 def _count_from(first: int, k: np.ndarray, step: int = 1) -> None:
-    """Write ``first, first + step, ...`` into ``k`` in place, where ``np.arange`` would allocate."""
-    k[:1], done = first, 1
-    while done < k.size:  # the next cells are the written ones shifted by their span
-        np.add(k[: min(done, k.size - done)], done * step, out=k[done : 2 * done])
-        done *= 2
+    """Write ``first, first + step, ...`` into ``k`` by an in-place ``cumsum``, where ``np.arange``
+    would allocate a leaf-sized temporary."""
+    k.fill(step)
+    k[:1] = first
+    np.cumsum(k, out=k)
 
 
 def _add_in_order(values: np.ndarray) -> float:
     """Left-to-right float sum, the order of a running ``total += value`` loop."""
-    total = 0.0
-    for value in values.tolist():
-        total += value
-    return total
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def _check_size(N: int, ceiling: int, what: str) -> int:

@@ -289,6 +289,7 @@ class SlopeFit:
     intercept: float
     stderr: float  # OLS slope standard error; 0 when the fit is exact
     points_used: tuple[int, ...]
+    rows_used: tuple[int, ...]  # the positions in the input of the points used
 
 
 def estimate_exponent(
@@ -336,6 +337,7 @@ def estimate_exponent(
         intercept=intercept,
         stderr=math.sqrt(s2 / sxx),
         points_used=tuple(int(n) for n in sizes[keep]),
+        rows_used=tuple(np.flatnonzero(keep).tolist()),
     )
 
 

@@ -44,6 +44,9 @@ rule is on int64 adjacent products of the sums: ``S(i,j) * S(i,j+1) <=
 0`` crosses, and ``== 0`` touches a zero.
 :func:`_zero_blocks` is the one zero-set reader, of blocks of roots: the
 annulus and twin-zero counts and :func:`zero_points` read the zeros from it.
+The dense oracle shares none of this: :func:`dense_sums` builds the int64
+table ``S`` from the scalar ``field.value`` with one ``cumsum`` down and
+one across, and :func:`brute_force_bundle` counts it with whole-array numpy.
 
 Integer widths: the sums are int32, since ``|S(i,j)| <= i*j <= 2**30``
 at the sweep ceiling, and the audit's adjacent products, which reach
@@ -396,11 +399,15 @@ def _check_counters(counters: Iterable[str]) -> frozenset[str]:
 
 def _field_blocks(roots: np.ndarray, rows: int, cols: int) -> Iterator[np.ndarray]:
     """``roots`` in the blocks of a read of ``rows x cols`` grids; both edges are checked first."""
+    _check_roots(roots)
+    grids = tile_shape(_check_edge(rows), _check_edge(cols))[0]
+    return (roots[at : at + grids] for at in range(0, len(roots), grids))
+
+
+def _check_roots(roots: np.ndarray) -> None:
     dtype = getattr(roots, "dtype", type(roots).__name__)
     if dtype != np.uint64:
         raise ValueError(f"roots must be a uint64 array, got {dtype}")
-    grids = tile_shape(_check_edge(rows), _check_edge(cols))[0]
-    return (roots[at : at + grids] for at in range(0, len(roots), grids))
 
 
 def _joined(blocks: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
@@ -474,7 +481,7 @@ class _SweepPlan:
         """
         counts = self.block(R).counts[[self.slot[p] for p in planes], :n]
         rows = counts[..., 0].astype(np.int64)
-        for u in range(1, t + 1):
+        for u in range(1, t + 1):  # a sum over the short last axis is 5-7x slower
             rows += counts[..., u]
         return rows
 
@@ -597,48 +604,43 @@ def _bundle(plan: _SweepPlan, values: dict[str, np.ndarray]) -> StatBundle:
     return StatBundle(plan.M, *(int(values[c][s, 0]) for c in COUNTERS), profile[:, 0])
 
 
+def dense_sums(field, rows: int, cols: int) -> np.ndarray:
+    """The int64 table ``S(i, j)`` on ``[1, rows] x [1, cols]``, from the scalar ``field.value``.
+
+    One ``cumsum`` down and one across; no tile, hash block or fold, so the
+    dense recounts that read it share no code with the sweep.
+    """
+    signs = [field.value(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+    return np.array(signs, dtype=np.int64).reshape(rows, cols).cumsum(axis=0).cumsum(axis=1)
+
+
 def brute_force_bundle(
     field: RademacherField, N: int
 ) -> tuple[StatBundle, tuple[tuple[int, int], ...]]:
-    """Reference recount via a dense table of sums, pure Python arithmetic.
+    """Reference recount on the :func:`dense_sums` table, counted with whole-array numpy.
 
-    Returns the bundle and the zeros' ``(i, j)`` in row-major order.
-    Quadratic memory; exists to cross-check :func:`sweep_grid` and
-    :func:`zero_points` on small grids, not for production sizes.
+    Returns the bundle and the zeros' ``(i, j)`` in row-major order.  A
+    crossing is an int64 adjacent product ``<= 0``.  Quadratic memory;
+    exists to cross-check :func:`sweep_grid` and :func:`zero_points` on
+    small grids, not for production sizes.
     """
     N = as_int("grid edge", N, 1)
     if N > 256:
         raise CapacityError(f"dense recount capped at N=256, got {N}")
-    S = [[0] * (N + 1) for _ in range(N + 1)]
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            S[i][j] = (
-                field.value(i, j) + S[i - 1][j] + S[i][j - 1] - S[i - 1][j - 1]
-            )
-    gamma = sum(S[i][j] == 0 for i in range(1, N + 1) for j in range(1, N + 1))
-    gamma_prime = sum(S[i][j] == 1 for i in range(1, N + 1) for j in range(1, N + 1))
-    profiles = np.array(
-        [
-            sum(S[i][j] * S[i][j + 1] <= 0 for j in range(1, N))
-            for i in range(1, N + 1)
-        ],
-        dtype=np.int64,
-    )
-    delta = sum(S[2 * k][2 * k] == 0 for k in range(1, N // 2 + 1))
-    anti = sum(S[i][N - i] == 0 for i in range(1, N))
-    coords = tuple(
-        (i, j) for i in range(1, N + 1) for j in range(1, N + 1) if S[i][j] == 0
-    )
+    S = dense_sums(field, N, N)
+    zero = S == 0
+    profiles = (S[:, :-1] * S[:, 1:] <= 0).sum(axis=1, dtype=np.int64)
+    k = np.arange(N - 1)  # (k + 1, N - 1 - k): the anti-diagonal i + j = N
     bundle = StatBundle(
         N=N,
-        gamma=gamma,
-        gamma_prime=gamma_prime,
+        gamma=int(np.count_nonzero(zero)),
+        gamma_prime=int(np.count_nonzero(S == 1)),
         z_crossings=int(profiles.sum()),
-        delta=delta,
-        d_antidiag=anti,
+        delta=int(np.count_nonzero(zero.diagonal()[1::2])),  # (2k, 2k) with 2k <= N
+        d_antidiag=int(np.count_nonzero(zero[k, N - 2 - k])),
         row_profiles=profiles,
     )
-    return bundle, coords
+    return bundle, tuple(map(tuple, (np.argwhere(zero) + 1).tolist()))
 
 
 def _product_crossings(
@@ -775,7 +777,8 @@ def twin_zero_counts(
     sizes = tuple(as_int("N", n, 0) for n in _some_sizes(sizes))
     M = max(sizes)
     band = twin_band(M, eps, radius)
-    if band is None:
+    if band is None:  # no read, so the roots are checked here
+        _check_roots(roots)
         return np.zeros((len(sizes), len(roots)), dtype=np.int64)
     rows, cols = band
     stride = cols + radius + 1  # a ball's span on a row never reaches the next row's codes

@@ -84,11 +84,31 @@ def full_results(full_run):
     return {r.name: r for r in full_run[0]}
 
 
-def judge(result: CheckResult) -> None:
-    """Gate one check: under its ceiling, and passed or expected-red.
+# the numbers each expected-red check is red for, at each level, as its
+# detail prints them (the README's verification section derives them); the
+# level changes only how many sizes a detail lists
+RED_FOR = {
+    "difference-window": dict.fromkeys(
+        ("quick", "full"), ("in [0.2789528664, ", "; min sits at n=100 ")
+    ),
+    "zero-count-scaling": dict.fromkeys(("quick", "full"), ("slope over 64..1024: 1.0574 vs",)),
+    "diagonal-variance-band": {
+        "quick": ("at N=10: 0.1574, N=100: 0.4992, N=1000: 0.9596 — ",),
+        "full": ("at N=10: 0.1574, N=100: 0.4992, N=1000: 0.9596, N=2000: 1.1063 — ",),
+    },
+    "antidiagonal-constant": {
+        "quick": ("successive gaps 0.0216, 0.0153 vs",),
+        "full": ("successive gaps 0.0216, 0.0153, 0.0108 vs",),
+    },
+}
 
-    Only a measured failure of an expected-red check is xfailed; a check
-    that raised is a failure whatever its name.
+
+def judge(result: CheckResult, level: str = "full") -> None:
+    """Gate one check of a run at ``level``: under its ceiling, and passed or expected-red.
+
+    Only a measured failure of an expected-red check is xfailed, and only
+    while its detail carries the numbers :data:`RED_FOR` documents; a
+    check that raised is a failure whatever its name.
     """
     limit = RUNTIME_LIMITS[result.name]
     assert result.seconds < limit, (
@@ -96,6 +116,8 @@ def judge(result: CheckResult) -> None:
     )
     crashed = result.detail.startswith("raised ")
     if not result.passed and result.name in EXPECTED_RED and not crashed:
+        missing = [n for n in RED_FOR[result.name][level] if n not in result.detail]
+        assert not missing, f"red for numbers other than {missing}: {result.detail}"
         pytest.xfail(f"bound unattainable as committed: {result.detail}")
     assert result.passed, result.detail
 
@@ -126,9 +148,60 @@ def test_a_crashed_expected_red_check_fails_the_gate(monkeypatch):
         pass
     else:
         pytest.fail("a crashed expected-red check passed the gate")
-    measured = CheckResult(3, "difference-window", False, 0.1, "min 0.2789 < 0.2790")
+    detail = (
+        "strictly decreasing to n=100000: True; scaled difference on [100,2000] in "
+        "[0.2789528664, 0.2819361933] vs [0.2790, 0.2825]; min sits at n=100 — the "
+        "committed lower edge is above the true minimum (band holds from n=102); see README"
+    )
+    measured = CheckResult(3, "difference-window", False, 0.1, detail)
     with pytest.raises(pytest.xfail.Exception):
-        judge(measured)
+        judge(measured, "quick")
+    undocumented = CheckResult(3, "difference-window", False, 0.1, "min 0.2789 < 0.2790")
+    with pytest.raises(AssertionError, match="red for numbers other than"):
+        judge(undocumented, "quick")
+
+
+def test_every_expected_red_check_has_its_documented_numbers():
+    assert set(RED_FOR) == EXPECTED_RED
+    assert all(set(levels) == {"quick", "full"} for levels in RED_FOR.values())
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_RED))
+def test_a_quick_expected_red_check_is_red_for_its_documented_numbers(quick_serial, name):
+    (result,) = [r for r in quick_serial if r.name == name]
+    with pytest.raises(pytest.xfail.Exception):
+        judge(result, "quick")
+
+
+# one exact value each expected-red check reads, moved by a stub that keeps
+# the check red: (the name the check calls, the stub made from the real one)
+_DRIFTS = {
+    # the lower edge of the scaled difference, 0.2789528664, moves in its 10th digit
+    "difference-window": ("p_float_vec", lambda real: lambda n: real(n) * (1 + 1e-9)),
+    # the exact-mean slope over 64..1024, 1.0574, moves to about 1.061
+    "zero-count-scaling": (
+        "gamma_mean_exact", lambda real: lambda n: real(n) * (1.01 if n == 1024 else 1.0)
+    ),
+    # the gap at N = 100, 0.4992, moves by 0.001
+    "diagonal-variance-band": (
+        "delta_var_exact", lambda real: lambda n: real(n) + (0.001 if n == 100 else 0.0)
+    ),
+    # the last mean, at 2000, moves by 0.001, and with it the gap 0.0153
+    "antidiagonal-constant": (
+        "antidiag_mean_exact", lambda real: lambda n: real(n) + (0.001 if n == 2000 else 0.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRIFTS))
+def test_a_drifted_number_fails_the_gate(monkeypatch, name):
+    # still red, but for a number the README does not document: not an xfail
+    attr, drift = _DRIFTS[name]
+    monkeypatch.setattr(checks, attr, drift(getattr(checks, attr)))
+    (result,) = run_checks(level="quick", names={name})
+    assert not result.passed and not result.detail.startswith("raised ")
+    with pytest.raises(AssertionError, match="red for numbers other than"):
+        judge(result, "quick")
 
 
 def test_audit_on_two_workers_keeps_the_verdict(full_results, inline_pool):

@@ -679,6 +679,19 @@ class TestEstimateCommand:
                 "to fit a slope\n"
             )
 
+    def test_a_repeated_size_keeps_its_positive_row(self, tmp_path, capsys):
+        # the zero mean at 64 is dropped from the fit; the other row at 64 is
+        # fitted, and only the rows fitted get a residual
+        path = tmp_path / "summary.csv"
+        self.write_summary(path, [(64, 5.0), (64, 0.0), (128, 9.0)])
+        with pytest.warns(UserWarning, match="excluding 1 nonpositive mean") as warned:
+            assert main(["estimate", "--summary", str(path)]) == 0
+        assert len(warned) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["points_used"] == [64, 128]
+        assert [r["N"] for r in report["residuals"]] == [64, 128]
+        assert [r["log_mean"] for r in report["residuals"]] == [math.log(5.0), math.log(9.0)]
+
     def test_too_few_rows_is_usage_error(self, tmp_path):
         path = tmp_path / "summary.csv"
         self.write_summary(path, [(8, 8.0)])

@@ -378,6 +378,7 @@ class TestEstimateExponent:
         means = np.array([99.0, 99.0, 64.0, 128.0])
         fit = estimate_exponent(sizes, means, drop_below=32)
         assert fit.points_used == (64, 128)
+        assert fit.rows_used == (2, 3)
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
 
     def test_a_floor_past_float_range_drops_every_size(self):
@@ -390,6 +391,7 @@ class TestEstimateExponent:
         with pytest.warns(UserWarning, match="nonpositive"):
             fit = estimate_exponent([4, 8, 16], [0.0, 8.0, 16.0])
         assert fit.points_used == (8, 16)
+        assert fit.rows_used == (1, 2)
 
     def test_too_few_points(self):
         with pytest.warns(UserWarning), pytest.raises(ValueError):

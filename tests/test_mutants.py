@@ -248,6 +248,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     test_exactprob.test_sum_bits_are_pinned("delta_mean_exact", exactprob.MEAN_SUM_CEILING)
     test_exactprob.test_the_tree_walk_adds_as_np_sum_does(monkeypatch, 131_084, exactprob.CHUNK_CELLS)
     assert _verdict("oracle-equivalence")
+    assert _verdict("crossing-decomposition")
     assert _verdict("return-probability")
     assert _verdict("determinism")
     test_walkstats.test_band_seams_equal_brute_force((65, 70))
@@ -373,6 +374,47 @@ class TestTouchesAsNegativeProducts:
             test_exhaustive.test_the_sweep_counts_every_field_as_the_recount_does(
                 every_field, monkeypatch
             )
+
+
+class TestProductCrossingsStrict:
+    """The audit's product crossings counted as products ``< 0``, missing every touch of a zero.
+
+    Check 9 kills it through ``run_checks``, on the grids of its own quick
+    pass: each has a row whose recount falls short of its profile.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        crosses = "np.less_equal(products, 0, out=crosses)"
+        _edited(monkeypatch, "_product_crossings", crosses, "np.less(products, 0, out=crosses)")
+
+    def test_killed_by_check_9(self):
+        (result,) = checks.run_checks("quick", 1, {"crossing-decomposition"})
+        assert result.detail == (
+            "crossing audit failed on 240 of 240 grids (N=64: 60, N=128: 60, N=256: 60, "
+            "N=512: 60), 39624 failed conditions in all"
+        )
+
+    def test_survives_checks_8_and_10(self):
+        assert _verdict("crossing-count-scaling")
+        assert _verdict("oracle-equivalence")
+
+
+class TestProductPlanesUnderTheLeftCell:
+    """The audit's two product planes filed under each pair's left-hand cell, not its right.
+
+    The ``n`` grid's recount then also counts the pair ``(n, n + 1)`` that
+    leaves it; check 9 kills it through ``run_checks`` on its own quick
+    grids, and no other check reads the audit.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        planes = "flags[slot[PRODUCT_CROSSINGS] :, :, :, "
+        _edited(monkeypatch, "_sweep_block", planes + "1:]", planes + ":-1]")
+
+    def test_killed_by_check_9(self):
+        assert not _verdict("crossing-decomposition")
 
 
 # one condition of the audit's per-row rule dropped from _sweep_block's reduce:

@@ -27,6 +27,7 @@ from sheetwalk.walkstats import (
     annulus_zero_check,
     brute_force_bundle,
     decomposition_audit,
+    dense_sums,
     diag_zero_count,
     diag_zero_counts,
     iter_partial_rows,
@@ -220,6 +221,33 @@ class TestBruteForceOracle:
         with pytest.raises(CapacityError):
             brute_force_bundle(field(), 257)
 
+    def test_reads_no_sweep_code(self, monkeypatch):
+        # the dense table comes from the scalar value alone, so the oracles
+        # agree with the sweep with its hash, tiles and reduce all gone
+        f = field(5)
+        swept, zeros = sweep_grid(f, 24), zero_tuples(f, 24, 24)
+        twins = twin_zero_count(f, 0.5, 9, 3)
+
+        def unread(*args):
+            raise AssertionError("a dense oracle called the sweep")
+
+        for name in ("sign_rows", "_Tiles", "_sweep_block"):
+            monkeypatch.setattr(walkstats, name, unread)
+        b, dense_zeros = brute_force_bundle(f, 24)
+        assert [getattr(b, c) for c in COUNTERS] == [getattr(swept, c) for c in COUNTERS]
+        assert b.row_profiles.tolist() == swept.row_profiles.tolist()
+        assert dense_zeros == zeros
+        assert _recount_twins(f, 0.5, 9, 3) == twins
+
+    def test_dense_sums_of_any_rectangle(self):
+        f = field(4)
+        whole = dense_sums(f, 6, 9)
+        assert whole.dtype == np.int64
+        assert np.array_equal(dense_sums(f, 4, 3), whole[:4, :3])  # prefix-consistent
+        assert dense_sums(f, 0, 5).shape == (0, 5)
+        assert dense_sums(f, 5, 0).shape == (5, 0)
+        assert dense_sums(AlternatingColumnsField(), 2, 4).tolist() == [[1, 0, 1, 0], [2, 0, 2, 0]]
+
 
 @given(seed=st.integers(0, 2**32), n=st.integers(1, 12))
 @settings(max_examples=40, deadline=None)
@@ -271,16 +299,10 @@ def test_tile_kernel_equals_brute_force(seed, n, stride, count, data):
     assert zeros == [brute_force_bundle(f, n)[1] for f in fields]
 
 
-def _value_sums(f, rows, cols):
-    """``S(i, j)`` on ``[1, rows] x [1, cols]`` from the scalar ``value``, as an int64 array."""
-    signs = np.array([[f.value(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)])
-    return signs.cumsum(axis=0).cumsum(axis=1)
-
-
 @pytest.mark.parametrize("n,cap", [(17, 3 * 17 + 1), (9, 1), (12, 2 * 144)])
 def test_partial_rows_across_tile_seams(n, cap):
     f = field(6)
-    dense = _value_sums(f, n, n)
+    dense = dense_sums(f, n, n)
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
         rows = [(i, col.copy()) for i, col in iter_partial_rows(f, n)]
     assert [i for i, _ in rows] == list(range(1, n + 1))
@@ -307,7 +329,7 @@ def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
         for fields in (real, mixed):
             for at in range(0, len(fields), grids):
                 block = fields[at : at + grids]
-                dense = [_value_sums(f, rows, cols) for f in block]
+                dense = [dense_sums(f, rows, cols) for f in block]
                 starts = []
                 for start, tile in tiles[len(block)].read(_roots(block)):
                     assert tile.shape[1] == len(block)
@@ -427,7 +449,17 @@ def test_no_roots_sweep_to_empty_counters():
     assert ok.shape == (0,) and ok.dtype == bool
 
 
-@pytest.mark.parametrize("entry", [sweep_roots, audit_roots], ids=["sweep", "audit"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda r: sweep_roots(r, (8,), COUNTERS),
+        lambda r: audit_roots(r, (8,), COUNTERS),
+        lambda r: twin_zero_counts(r, 0.5, (8,), 3),
+        lambda r: twin_zero_counts(r, 0.5, (2,), 3),  # an empty wedge: no band is read
+        lambda r: annulus_counts(r, 0.5, (8,)),
+    ],
+    ids=["sweep", "audit", "twin", "twin-no-band", "annulus"],
+)
 @pytest.mark.parametrize(
     "roots, named",
     [(np.array([1, 2], dtype=np.int64), "int64"), ([1, 2], "list")],
@@ -435,7 +467,7 @@ def test_no_roots_sweep_to_empty_counters():
 )
 def test_roots_that_are_not_uint64_are_named(entry, roots, named):
     with pytest.raises(ValueError, match=f"roots must be a uint64 array, got {named}$"):
-        entry(roots, (8,), COUNTERS)
+        entry(roots)
 
 
 def test_counts_read_off_the_sweep_need_a_size():
@@ -802,7 +834,7 @@ def _assert_segment_counts(fields, sizes, cap):
     for n in sizes:
         got = [np.concatenate(blocks, axis=1) for blocks in zip(*seen[n])]  # each (n, fields)
         for r, f in enumerate(fields):
-            want = _audit_oracle(_value_sums(f, top, top), n)
+            want = _audit_oracle(dense_sums(f, top, top), n)
             assert [g[:, r].tolist() for g in got] == [w.tolist() for w in want]
 
 
