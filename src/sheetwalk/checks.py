@@ -335,7 +335,7 @@ def _check_crossing_count_scaling(run: _Run) -> tuple[bool, str]:
     ok = 1.40 <= fit.slope <= 1.60
     return ok, (
         f"crossing-count slope over {config.sizes[0]}..{config.sizes[-1]} "
-        f"(M={config.replicates}, seed 1): {fit.slope:.4f} vs [1.40, 1.60]"
+        f"(M={config.replicates}, seed {config.seed}): {fit.slope:.4f} vs [1.40, 1.60]"
     )
 
 

@@ -19,7 +19,9 @@ statistic reads, or the annulus or twin-zero counts of the zero sets.  No
 field, key or bundle object is made per replicate of a grid statistic.
 The diagonal fast path draws each replicate's increments once, for the
 largest size, and counts every size on a prefix of them
-(:func:`~sheetwalk.walkstats.diag_zero_counts`).  Raw per-replicate
+(:func:`~sheetwalk.walkstats.diag_zero_counts`).  Each reader checks its
+own input, so :func:`run_experiment`'s capacity gate is the task itself,
+run in process on no replicates before any pool opens.  Raw per-replicate
 values are retained, not just summaries.  A task's output is its
 replicate indices and a sizes-by-replicates array of their values;
 :func:`assemble_result` is the one place that output becomes an
@@ -46,10 +48,9 @@ from .randfield import Seed, StreamKey, as_int, field_roots
 from .walkstats import (
     annulus_counts,
     check_diag_sizes,
-    check_sizes,
+    check_eps,
     diag_zero_counts,
     sweep_roots,
-    twin_band,
     twin_zero_counts,
 )
 
@@ -98,8 +99,7 @@ class ExperimentConfig:
                 f"replicates x sizes capped at {RESULT_CEILING}, "
                 f"got {self.replicates} x {len(self.sizes)}"
             )
-        if not 0 < self.eps < 1:
-            raise ValueError(f"eps must be in (0,1), got {self.eps}")
+        check_eps(self.eps)
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,7 @@ def _worker_chunk(args: tuple[ExperimentConfig, np.ndarray]) -> tuple[np.ndarray
     config, mine = args
     stat, sizes = config.statistic, config.sizes
     if stat is Statistic.DELTA_FASTPATH:  # drawn, not read from a grid
+        check_diag_sizes(sizes)  # once, so a task of no replicates checks them too
         values = [diag_zero_counts(StreamKey(config.seed, r), sizes) for r in mine.tolist()]
         return mine, np.array(values, dtype=np.float64).reshape(len(mine), len(sizes)).T
     roots = field_roots(config.seed, mine)
@@ -259,25 +260,15 @@ def assemble_result(
     return ExperimentResult(config=config, values=values, summaries=summaries)
 
 
-def _check_capacity(config: ExperimentConfig) -> None:
-    """Raise the ``CapacityError`` a task of ``config`` would raise, through
-    the check its reader calls first."""
-    if config.statistic is Statistic.DELTA_FASTPATH:
-        check_diag_sizes(config.sizes)
-    elif config.statistic is Statistic.TWIN_ZEROS:
-        twin_band(max(config.sizes), config.eps, config.radius)
-    else:  # a sweep, or the annulus's read of the largest grid
-        check_sizes(config.sizes)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Simulate every (size, replicate) cell of the experiment grid.
 
     The outcome is a pure function of ``(statistic, sizes, replicates,
     seed, eps, radius)`` — the worker count only changes wall time.
-    A grid past its reader's ceiling is refused before any task starts.
+    A grid past its reader's ceiling is refused before any pool opens,
+    by the config's own task run first in process on no replicates.
     """
-    _check_capacity(config)
+    _worker_chunk((config, np.arange(0)))
     with job_queue({"run": (_worker_chunk, config)}) as collect:
         chunks, _ = collect("run")
     return assemble_result(config, chunks)

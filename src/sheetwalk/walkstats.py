@@ -54,8 +54,8 @@ at the sweep ceiling, and the audit's adjacent products, which reach
 signs, never the sums.  Each ceiling rule is written once, in the check
 its readers call first: :func:`check_sizes` for the sweeps and the
 annulus, :func:`check_diag_sizes` for the diagonal draws and
-:func:`twin_band` for the twin-zero band.  The harness calls the same
-checks before it starts any task.
+:func:`twin_band` for the twin-zero band.  The harness's capacity gate
+is a task of no replicates, which reads nothing and runs just these checks.
 """
 
 from __future__ import annotations
@@ -337,8 +337,9 @@ def iter_partial_rows(field: RademacherField, N: int) -> Iterator[tuple[int, np.
 
     Callers that keep a row beyond one iteration must copy it.
     """
+    tiles = _Tiles(N, N, 1)  # checks N before the row is made
     col = np.empty(N, dtype=np.int64)
-    for start, tile in _Tiles(N, N, 1).read(_root_block(field)):
+    for start, tile in tiles.read(_root_block(field)):
         for k, row in enumerate(tile[:, 0]):
             col[:] = row
             yield start + k, col
@@ -386,6 +387,12 @@ def check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     """``sizes`` as a tuple, refused when empty or when an edge is below 1 or
     past :data:`SWEEP_CEILING`: the check of every sweep and of the annulus."""
     return tuple(_check_edge(n) for n in _some_sizes(sizes))
+
+
+def check_eps(eps: float) -> None:
+    """Refuse a wedge or annulus aperture ``eps`` outside ``(0, 1)``."""
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0,1), got {eps}")
 
 
 def _check_counters(counters: Iterable[str]) -> frozenset[str]:
@@ -610,6 +617,7 @@ def dense_sums(field, rows: int, cols: int) -> np.ndarray:
     One ``cumsum`` down and one across; no tile, hash block or fold, so the
     dense recounts that read it share no code with the sweep.
     """
+    rows, cols = as_int("rows", rows, 0), as_int("cols", cols, 0)
     signs = [field.value(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
     return np.array(signs, dtype=np.int64).reshape(rows, cols).cumsum(axis=0).cumsum(axis=1)
 
@@ -677,10 +685,10 @@ def decomposition_audit(
     the ``N`` grid, from the same sweep, plus the audit verdict over all
     of them: True when no grid fails a condition.
     """
-    sizes = tuple(sorted({N, *nested}))
-    if sizes[-1] > N:
+    N, *edges = (as_int("grid edge", n) for n in (N, *nested))  # before a set merges 3.0 into 3
+    if max(edges, default=N) > N:
         raise ValueError(f"nested edges must be <= {N}, got {tuple(nested)}")
-    plan = _SweepPlan(check_sizes(sizes), frozenset((*COUNTERS, AUDIT)))
+    plan = _SweepPlan(check_sizes(sorted({N, *edges})), frozenset((*COUNTERS, AUDIT)))
     values = _sweep_block(_root_block(field), plan)
     return _bundle(plan, values), not values[AUDIT].any()
 
@@ -724,8 +732,7 @@ def diag_zero_count(key: StreamKey, N: int) -> int:
 
 def annulus_counts(roots: np.ndarray, eps: float, sizes: Sequence[int]) -> np.ndarray:
     """Zeros on ``[ceil(eps*n), n]^2``, sizes ``n`` by streams, read at the largest size."""
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
+    check_eps(eps)
     sizes = check_sizes(sizes)
     M, counts = max(sizes), []
     for R, r, i, j in _zero_blocks(roots, M, M):
@@ -771,8 +778,7 @@ def twin_zero_counts(
     radius) * stride + j``, sorted in :func:`_zero_blocks`' order; per row
     offset, two binary searches count the codes in each wedge zero's L1 ball.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
+    check_eps(eps)
     radius = as_int("radius", radius, 1)
     sizes = tuple(as_int("N", n, 0) for n in _some_sizes(sizes))
     M = max(sizes)

@@ -275,6 +275,16 @@ def test_the_shared_pass_is_the_same_under_any_task_split():
         assert assembled(tasks) == one_task, f"T = {tasks}"
 
 
+def test_check_8_names_the_seed_of_its_job():
+    # the detail formats the shared pass's own seed, as check 7's does
+    config = ExperimentConfig(Statistic.Z_CROSSINGS, (16, 32), 4, Seed(5))
+    jobs = {"shared-pass": (checks._audited_chunk, config)}
+    chunks = [checks._audited_chunk(args) for args in split_tasks(config, 1)]
+    run = checks._Run("quick", jobs, lambda name: (chunks, None))
+    _, detail = checks._check_crossing_count_scaling(run)
+    assert "(M=4, seed 5): " in detail
+
+
 def test_each_verify_call_sweeps_its_grids_again(inline_pool):
     # checks 7-9 share one pass, made by the first of them to run; the pass
     # belongs to the call's run, so a second call sweeps again

@@ -245,6 +245,16 @@ class TestSimulateCommand:
         assert "distinct" in capsys.readouterr().err
         assert not (tmp_path / "dup" / "raw.csv").exists()
 
+    @pytest.mark.parametrize("stat", sorted(cli._STAT_NAMES))
+    def test_a_bad_eps_is_a_usage_error_for_every_statistic(self, tmp_path, capsys, stat):
+        # a statistic that reads no eps refuses one out of range all the same
+        argv = ["simulate", "--stat", stat, "--sizes", "8", "--reps", "2", "--eps", "2",
+                "--workers", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        message = "eps must be in (0,1), got 2.0"
+        assert capsys.readouterr().err == f"sheetwalk: invalid input: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_clamped_pool_keeps_bytes_and_requested_workers(self, tmp_path, inline_pool):
         for workers in ("1", "8"):
             argv = ["simulate", "--stat", "z-crossings", "--sizes", "16", "--reps", "2",

@@ -21,7 +21,7 @@ from sheetwalk.mcharness import (
     summarize,
 )
 from sheetwalk.exactprob import CapacityError, delta_mean_exact
-from sheetwalk.randfield import RademacherField, Seed, StreamKey
+from sheetwalk.randfield import RademacherField, Seed, StreamKey, field_roots
 from sheetwalk.walkstats import brute_force_bundle, sweep_grid, tile_shape
 
 
@@ -138,6 +138,17 @@ class TestRunExperiment:
         # crashed inside numpy with a TypeError
         with pytest.raises(ValueError, match=named):
             config(**bad)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan])
+    def test_every_reader_of_eps_refuses_it_with_one_message(self, eps):
+        roots = field_roots(1, [0, 1])
+        for refuse in (
+            lambda: config(eps=eps),
+            lambda: walkstats.annulus_counts(roots, eps, (8,)),
+            lambda: walkstats.twin_zero_counts(roots, eps, (8,), 3),
+        ):
+            with pytest.raises(ValueError, match=rf"^eps must be in \(0,1\), got {eps}$"):
+                refuse()
 
     def test_config_takes_numpy_ints(self):
         cfg = config(sizes=(np.int64(8), np.int32(16)), replicates=np.int64(6),

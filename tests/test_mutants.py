@@ -624,3 +624,48 @@ class TestAssembleMisplacesValuesOfASplit:
     def test_survives_check_8_at_one_worker(self):
         (result,) = checks.run_checks("quick", 1, {"crossing-count-scaling"})
         assert result.passed
+
+
+
+def _refused_before_a_pool_opens(tmp_path, capsys, inline_pool, stat, sizes, message):
+    """The ``simulate`` test of a grid past its ceiling, on one case of its table."""
+    simulate = test_cli.TestSimulateCommand()
+    simulate.test_a_grid_past_its_ceiling_is_refused_before_a_pool_opens(
+        tmp_path, capsys, inline_pool, stat, sizes, message
+    )
+
+
+class TestRunExperimentWithoutItsGate:
+    """Mutant of :func:`mcharness.run_experiment`: no task of no replicates runs first."""
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        gate = "    _worker_chunk((config, np.arange(0)))\n"
+        _edited(monkeypatch, "run_experiment", gate, "", module=mcharness)
+
+    def test_killed_by_the_pool_gate(self, tmp_path, capsys, inline_pool):
+        # the tasks still refuse the grid, but only on the pool they opened
+        message = f"sweep capped at N={walkstats.SWEEP_CEILING}, got 32769"
+        with pytest.raises(AssertionError):
+            _refused_before_a_pool_opens(tmp_path, capsys, inline_pool, "gamma", "32769", message)
+
+
+class TestDeltaFastTaskWithoutItsSizeCheck:
+    """Mutant of :func:`mcharness._worker_chunk`: the delta-fast branch checks its
+    sizes only in each replicate's draw, so a task of no replicates checks none."""
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch):
+        _edited(monkeypatch, "_worker_chunk", "check_diag_sizes(sizes)", "pass", module=mcharness)
+
+    def test_killed_by_the_pool_gate(self, tmp_path, capsys, inline_pool):
+        N = walkstats.DIAG_FAST_CEILING + 1
+        message = f"diagonal draws capped at N={walkstats.DIAG_FAST_CEILING}, got {N}"
+        with pytest.raises(AssertionError):
+            _refused_before_a_pool_opens(
+                tmp_path, capsys, inline_pool, "delta-fast", str(N), message
+            )
+
+    def test_survives_the_pool_gate_of_a_sweep(self, tmp_path, capsys, inline_pool):
+        message = f"sweep capped at N={walkstats.SWEEP_CEILING}, got 32769"
+        _refused_before_a_pool_opens(tmp_path, capsys, inline_pool, "gamma", "32769", message)

@@ -188,6 +188,15 @@ class TestPartialRows:
         _, second = next(it)
         assert first is second
 
+    @pytest.mark.parametrize(
+        "N, named",
+        [(4.5, "grid edge must be an integer, got 4.5"), (-1, "grid edge must be >= 1, got -1")],
+    )
+    def test_a_bad_edge_is_refused_by_name(self, N, named):
+        # the edge is checked before the row buffer is made of it
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            list(iter_partial_rows(ConstantField(), N))
+
 
 class TestBruteForceOracle:
     def test_matches_sweep_on_stub(self):
@@ -247,6 +256,18 @@ class TestBruteForceOracle:
         assert dense_sums(f, 0, 5).shape == (0, 5)
         assert dense_sums(f, 5, 0).shape == (5, 0)
         assert dense_sums(AlternatingColumnsField(), 2, 4).tolist() == [[1, 0, 1, 0], [2, 0, 2, 0]]
+
+    @pytest.mark.parametrize(
+        "rows, cols, named",
+        [
+            (-1, 5, "rows must be >= 0, got -1"),
+            (2, -1, "cols must be >= 0, got -1"),
+            (4.5, 4, "rows must be an integer, got 4.5"),
+        ],
+    )
+    def test_dense_sums_refuses_a_bad_extent_by_name(self, rows, cols, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            dense_sums(field(4), rows, cols)
 
 
 @given(seed=st.integers(0, 2**32), n=st.integers(1, 12))
@@ -428,7 +449,9 @@ _NESTED_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(_NESTED_ENTRIES))
 def test_nested_sweep_needs_valid_sizes(entry):
     run = _NESTED_ENTRIES[entry]
-    for sizes in [(8, 0), (8, -2), (0,)]:  # decomposition_audit(f, 8, (0,)) among them
+    # decomposition_audit(f, 8, (0,)) among them; a float equal to an int
+    # edge is refused too, before a set could merge the two
+    for sizes in [(8, 0), (8, -2), (0,), (5, 5.0), (5, 3, 3.0)]:
         with pytest.raises(ValueError):
             run(sizes)
     with pytest.raises(CapacityError):
