@@ -105,13 +105,14 @@ def sign_rows(
     count)``, rows outermost: bit 63 of entry ``[k, r, j-1]`` is set
     exactly when the sign at cell ``(start + k, j)`` of the stream with
     root ``roots[r]`` is +1.  The other bits are hash state, not signs.
-    ``roots`` holds exactly ``R`` roots; numpy would broadcast one root
-    over every grid, so any other count is refused.
+    ``roots`` has shape ``(R,)``; numpy would broadcast one root over
+    every grid, or a column of roots over the rows, so any other shape is
+    refused.
     """
     start = as_int("row index", start, 1)
     b, grids, count = words.shape
-    if len(roots) != grids:
-        raise ValueError(f"{len(roots)} roots for a buffer of {grids} grids")
+    if np.shape(roots) != (grids,):
+        raise ValueError(f"roots of shape {np.shape(roots)} for a buffer of {grids} grids")
     rows = np.arange(start, start + b, dtype=np.uint64)
     row_keys = _mix64_vec(rows.reshape(-1, 1) * _V_GOLDEN + roots)
     cols = np.arange(1, count + 1, dtype=np.uint64) * _V_GOLDEN

@@ -13,10 +13,11 @@ reads it into a 0/1 byte plane of its sign bits; :meth:`_Tiles.fold` sums
 it along its rows eight cells per ``uint64`` word, by exact byte-lane
 arithmetic, with a ``cumsum`` only over each row's 64-cell block counts;
 ``b`` in-place row adds fold the rows down, the first of which adds the
-row carried from the tile above.  Each block width of a sweep has its own
-buffers, a :class:`_Block` at exact shapes, filled in place by every tile
-of that width, so no tile allocates; a sweep has at most two widths, the
-full block's and a short last block's, and holds one at a time.
+row carried from the tile above.  Each block width of a sweep is one
+:class:`_Block`: the plan that every block of that width reads, and every
+buffer at its exact shape, filled in place by every tile of that width,
+so no tile allocates; a sweep has at most two widths, the full block's
+and a short last block's, and holds one at a time.
 
 The kernel's one input is a block of stream roots, a ``uint64`` array
 (see :func:`~sheetwalk.randfield.field_roots`), hashed by
@@ -60,6 +61,7 @@ is a task of no replicates, which reads nothing and runs just these checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -371,9 +373,13 @@ def sweep_roots(
     the grid passes.  The audit always sweeps the planes it reads, so its
     entries do not depend on the other counters asked for.
     """
-    plan = _SweepPlan(check_sizes(sizes), _check_counters(counters))
-    swept = [_sweep_block(block, plan) for block in _field_blocks(roots, plan.M, plan.M)]
-    return {c: _joined([values[c] for values in swept], plan.sizes) for c in plan.counters}
+    sizes, counters = check_sizes(sizes), _check_counters(counters)
+    M, swept = max(sizes), []
+    for R, blocks in itertools.groupby(_field_blocks(roots, M, M), len):
+        block = _Block(sizes, counters, R)
+        swept += [_sweep_block(block, source) for source in blocks]
+        del block  # the full width's buffers go before a short last block's are made
+    return {c: _joined([values[c] for values in swept], sizes) for c in counters}
 
 
 def _some_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
@@ -396,6 +402,8 @@ def check_eps(eps: float) -> None:
 
 
 def _check_counters(counters: Iterable[str]) -> frozenset[str]:
+    if isinstance(counters, str):  # a set of it would be its letters
+        raise ValueError(f"counters must be a collection of names, got the string {counters!r}")
     counters = frozenset(counters)
     if not counters:
         raise ValueError("need at least one counter")
@@ -415,6 +423,8 @@ def _check_roots(roots: np.ndarray) -> None:
     dtype = getattr(roots, "dtype", type(roots).__name__)
     if dtype != np.uint64:
         raise ValueError(f"roots must be a uint64 array, got {dtype}")
+    if roots.ndim != 1:  # numpy would broadcast any other shape into wrong counts
+        raise ValueError(f"roots must be a 1-D array, got shape {roots.shape}")
 
 
 def _joined(blocks: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
@@ -426,27 +436,34 @@ ZEROS, ONES, CROSSINGS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES = range(5)  # flag pl
 _PLANE_OF = {"gamma": ZEROS, "gamma_prime": ONES, "z_crossings": CROSSINGS}
 
 
-class _SweepPlan:
-    """What a sweep of ``sizes`` sets up once and every block reuses.
+class _Block:
+    """One block width of a sweep of ``sizes``: the plan of its blocks of ``R`` grids, and buffers.
 
     The sorted edges cut each row of the ``M x M`` grid into column
     segments ``[e_{t-1}, e_t)``.  Each row is counted per segment on the
     flag planes that ``counters`` read: zeros for ``gamma``, ones for
-    ``gamma_prime`` and crossings for ``z_crossings``.  A plan whose
-    counters hold :data:`AUDIT` always adds the zeros and the crossings,
-    and the audit's product crossings and product touches.  ``planes``
-    lists the planes filled, in plane order, and ``slot[p]`` is plane
-    ``p``'s place in the flag and count buffers.  Single cells are read
-    through ``probes``, ``(M, P)`` 0-based columns, one per row per
-    probe, clipped to the grid (``None`` with no probe): ``i - 1`` in row
-    ``i`` at ``diag``, for ``delta``; ``n - i - 1`` at ``anti + t`` and
-    ``n - 1`` at ``edge + t``, ``n = edges[t]``, for ``d_antidiag`` and
-    the audit.
-    The buffers of a block of ``R`` grids are a :class:`_Block`, from
-    :meth:`block`; the plan keeps one width's at a time.
+    ``gamma_prime`` and crossings for ``z_crossings``.  Counters that hold
+    :data:`AUDIT` always add the zeros and the crossings, and the audit's
+    product crossings and product touches.  ``planes`` lists the planes
+    filled, in plane order, and ``slot[p]`` is plane ``p``'s place in the
+    flag and count buffers.  Single cells are read through ``probes``,
+    ``(M, P)`` 0-based columns, one per row per probe, clipped to the grid
+    (``None`` with no probe): ``i - 1`` in row ``i`` at ``diag``, for
+    ``delta``; ``n - i - 1`` at ``anti + t`` and ``n - 1`` at ``edge +
+    t``, ``n = edges[t]``, for ``d_antidiag`` and the audit.
+
+    The buffers, each at its exact shape, are filled in place by every
+    block of ``R`` grids.  Per tile of ``b = tiles.height`` rows:
+    ``flags``, ``(planes, b, R, M)``; the crossing test's int8 ``signs``
+    and ``products``; the audit's int64 ``sum_products``.  Per row:
+    ``counts``, ``(planes, M, R, K)``, each plane's count on each column
+    segment (a row has at most ``SWEEP_CEILING = 2**15`` cells, so they
+    fit uint16), and ``probed``, ``(M, R, P)``, ``S == 0`` at the row's
+    probe columns, gathered through ``row`` and ``grid``.  A buffer no
+    counter reads is empty or not made.
     """
 
-    def __init__(self, sizes: tuple[int, ...], counters: frozenset[str]) -> None:
+    def __init__(self, sizes: tuple[int, ...], counters: frozenset[str], R: int) -> None:
         self.sizes = sizes
         self.counters = counters
         self.M = M = max(sizes)
@@ -472,72 +489,47 @@ class _SweepPlan:
             probes += [np.full(M, n - 1) for n in edges]
         # a column is below SWEEP_CEILING = 2**15, so it fits int16
         self.probes = np.stack(probes, 1).clip(0, M - 1).astype(np.int16) if probes else None
-        self._blocks: dict[int, _Block] = {}
+        self.tiles = _Tiles(M, M, R)
+        b = self.tiles.height
+        self.flags = np.empty((len(self.planes), b, R, M), dtype=bool)
+        self.counts = np.empty((len(self.planes), M, R, len(edges)), dtype=np.uint16)
+        if CROSSINGS in self.slot:  # the crossing test multiplies int8 signs
+            self.signs = np.empty((b, R, M), dtype=np.int8)
+            self.products = np.empty((b, R, M - 1), dtype=np.int8)
+        if audit:
+            self.sum_products = np.empty((b, R, M - 1), dtype=np.int64)
+        if probes:
+            self.probed = np.empty((M, R, len(probes)), dtype=bool)
+            self.row, self.grid = np.arange(b)[:, None, None], np.arange(R)[:, None]
 
-    def block(self, R: int) -> _Block:
-        """The buffers of a block of ``R`` grids: the last block's when it had ``R`` too."""
-        if R not in self._blocks:
-            self._blocks.clear()  # the old width's buffers go before the new ones are made
-            self._blocks[R] = _Block(self, R)
-        return self._blocks[R]
-
-    def per_row(self, R: int, n: int, t: int, planes) -> np.ndarray:
+    def per_row(self, n: int, t: int, planes) -> np.ndarray:
         """``(len(planes), n, R)`` int64 counts of grid ``n = edges[t]``, per row.
 
-        Rows ``1..n``, summed over the segments up to edge ``n``.
+        Rows ``1..n`` of the block last swept, summed over the segments up
+        to edge ``n``.
         """
-        counts = self.block(R).counts[[self.slot[p] for p in planes], :n]
+        counts = self.counts[[self.slot[p] for p in planes], :n]
         rows = counts[..., 0].astype(np.int64)
         for u in range(1, t + 1):  # a sum over the short last axis is 5-7x slower
             rows += counts[..., u]
         return rows
 
 
-class _Block:
-    """The buffers a sweep of ``plan`` fills for a block of ``R`` grids, each at its exact shape.
+def _sweep_block(block: _Block, roots: np.ndarray) -> dict[str, np.ndarray]:
+    """Counters of one block of grids, ``roots`` a block of ``R`` roots (see :meth:`_Tiles.read`).
 
-    Per tile of ``b = tiles.height`` rows: ``flags``, ``(planes, b, R,
-    M)``; the crossing test's int8 ``signs`` and ``products``; the audit's
-    int64 ``sum_products``.  Per row: ``counts``, ``(planes, M, R, K)``,
-    each plane's count on each column segment (a row has at most
-    ``SWEEP_CEILING = 2**15`` cells, so they fit uint16), and ``probed``,
-    ``(M, R, P)``, ``S == 0`` at the row's probe columns, gathered through
-    ``row`` and ``grid``.  A buffer no counter of ``plan`` reads is empty
-    or not made.
-    """
-
-    def __init__(self, plan: _SweepPlan, R: int) -> None:
-        M = plan.M
-        self.tiles = _Tiles(M, M, R)
-        b = self.tiles.height
-        self.flags = np.empty((len(plan.planes), b, R, M), dtype=bool)
-        self.counts = np.empty((len(plan.planes), M, R, len(plan.edges)), dtype=np.uint16)
-        if CROSSINGS in plan.slot:  # the crossing test multiplies int8 signs
-            self.signs = np.empty((b, R, M), dtype=np.int8)
-            self.products = np.empty((b, R, M - 1), dtype=np.int8)
-        if plan.audit:
-            self.sum_products = np.empty((b, R, M - 1), dtype=np.int64)
-        if plan.probes is not None:
-            self.probed = np.empty((M, R, plan.probes.shape[1]), dtype=bool)
-            self.row, self.grid = np.arange(b)[:, None, None], np.arange(R)[:, None]
-
-
-def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
-    """Counters of one block of grids, ``source`` a block of roots (see :meth:`_Tiles.read`).
-
-    Returns each counter of ``plan`` as an int64 ``(len(sizes), R)``
+    Returns each counter of ``block`` as an int64 ``(len(sizes), R)``
     array; the per-row counts, row profiles among them, and the probe
-    flags stay in the plan's :class:`_Block` of ``R`` grids (see
-    :meth:`_SweepPlan.per_row`).
+    flags stay in the buffers of ``block`` (see :meth:`_Block.per_row`).
 
     Every size is reduced in one pass over the tiles of the largest edge
-    ``M``, and each tile fills only the planes of ``plan``: the zeros and
-    the ones each by one compare of the sums, the crossings from their
-    int8 signs.  Each row's counts are taken on every column segment of
-    ``plan`` by one ``reduceat`` over the planes (a crossing is filed
+    ``M``, and each tile fills only the planes of ``block``: the zeros
+    and the ones each by one compare of the sums, the crossings from
+    their int8 signs.  Each row's counts are taken on every column
+    segment by one ``reduceat`` over the planes (a crossing is filed
     under the column of its right-hand cell, so the pairs of the ``n``
     grid are those filed at columns ``< n``); size ``n`` sums the
-    segments up to ``n`` over its first ``n`` rows.  An auditing plan
+    segments up to ``n`` over its first ``n`` rows.  An auditing block
     adds the product rule's two planes to the same count, filed the same
     way.  One gather per tile flags ``S == 0`` at every probe column of
     its rows; ``delta`` sums the diagonal probe over the even rows
@@ -547,21 +539,19 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
     the per-row counts of :func:`_audit_rows` and the profile, plus one
     when the crossing totals differ.
     """
-    R, slot = len(source), plan.slot
-    block = plan.block(R)
-    flags, counts = block.flags, block.counts
+    R, slot, flags, counts = len(roots), block.slot, block.flags, block.counts
     equal = [(flags[slot[p]], value) for p, value in ((ZEROS, 0), (ONES, 1)) if p in slot]
     crossing = CROSSINGS in slot
     if crossing:
         signs, products = block.signs, block.products
         flags[slot[CROSSINGS] :, :, :, 0] = False  # no pair ends at column 1
         cross = flags[slot[CROSSINGS], :, :, 1:]  # cross[k, r, j - 1]: the pair (j - 1, j) crosses
-    if plan.probes is not None:
+    if block.probes is not None:
         probed, row, grid = block.probed, block.row, block.grid
-    if plan.audit:
+    if block.audit:
         sum_products = block.sum_products
         crossed, touched = flags[slot[PRODUCT_CROSSINGS] :, :, :, 1:]
-    for start, tile in block.tiles.read(source):
+    for start, tile in block.tiles.read(roots):
         rows = len(tile)
         here = slice(start - 1, start - 1 + rows)
         for plane, value in equal:  # S == 0 and S == 1, one compare of the sums each
@@ -571,27 +561,27 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
             np.sign(tile, out=sg, casting="unsafe")  # -1, 0, 1: exact in int8
             np.multiply(sg[:, :, :-1], sg[:, :, 1:], out=products[:rows])
             np.less_equal(products[:rows], 0, out=cross[:rows])
-        if plan.audit:
+        if block.audit:
             _product_crossings(tile, sum_products[:rows], crossed[:rows], touched[:rows])
-        if plan.planes:
+        if block.planes:
             np.add.reduceat(
-                flags[:, :rows], plan.bounds, axis=3, dtype=np.uint16, out=counts[:, here]
+                flags[:, :rows], block.bounds, axis=3, dtype=np.uint16, out=counts[:, here]
             )
-        if plan.probes is not None:  # the same columns in every grid
-            np.equal(tile[row[:rows], grid, plan.probes[here, None]], 0, out=probed[here])
-    read = [c for c in COUNTERS if c in _PLANE_OF and c in plan.counters]  # off the planes
-    values = {c: np.empty((len(plan.sizes), R), dtype=np.int64) for c in plan.counters}
-    for s, (n, t) in enumerate(zip(plan.sizes, plan.rank)):
-        per_row = plan.per_row(R, n, t, [_PLANE_OF[c] for c in read])
+        if block.probes is not None:  # the same columns in every grid
+            np.equal(tile[row[:rows], grid, block.probes[here, None]], 0, out=probed[here])
+    read = [c for c in COUNTERS if c in _PLANE_OF and c in block.counters]  # off the planes
+    values = {c: np.empty((len(block.sizes), R), dtype=np.int64) for c in block.counters}
+    for s, (n, t) in enumerate(zip(block.sizes, block.rank)):
+        per_row = block.per_row(n, t, [_PLANE_OF[c] for c in read])
         for c, total in zip(read, per_row.sum(axis=1)):
             values[c][s] = total
-        if "delta" in plan.counters:
-            values["delta"][s] = probed[1:n:2, :, plan.diag].sum(0)  # (2k, 2k) with 2k <= n
-        if "d_antidiag" in plan.counters:
-            values["d_antidiag"][s] = probed[: n - 1, :, plan.anti + t].sum(0)  # (i, n - i)
-        if plan.audit:
-            crossings, touched, interior, full = _audit_rows(plan, R, n, t)
-            (profile,) = plan.per_row(R, n, t, [CROSSINGS])
+        if "delta" in block.counters:
+            values["delta"][s] = probed[1:n:2, :, block.diag].sum(0)  # (2k, 2k) with 2k <= n
+        if "d_antidiag" in block.counters:
+            values["d_antidiag"][s] = probed[: n - 1, :, block.anti + t].sum(0)  # (i, n - i)
+        if block.audit:
+            crossings, touched, interior, full = _audit_rows(block, n, t)
+            (profile,) = block.per_row(n, t, [CROSSINGS])
             faults = [crossings != profile, interior > touched, touched > 2 * full]
             # the totals' term follows from the rows' equality; it is the rule as documented
             values[AUDIT][s] = sum(f.sum(0) for f in faults) + (crossings.sum(0) != profile.sum(0))
@@ -600,15 +590,17 @@ def _sweep_block(source, plan: _SweepPlan) -> dict[str, np.ndarray]:
 
 def sweep_grid(field: RademacherField, N: int) -> StatBundle:
     """One pass over the grid, returning every pathwise counter at once."""
-    plan = _SweepPlan(check_sizes((N,)), frozenset(COUNTERS))
-    return _bundle(plan, _sweep_block(_root_block(field), plan))
+    return _one_stream(field, (N,), frozenset(COUNTERS))[0]
 
 
-def _bundle(plan: _SweepPlan, values: dict[str, np.ndarray]) -> StatBundle:
-    """The bundle of the largest grid of a one-stream block swept for every counter."""
-    s = plan.sizes.index(plan.M)
-    (profile,) = plan.per_row(1, plan.M, len(plan.edges) - 1, [CROSSINGS])
-    return StatBundle(plan.M, *(int(values[c][s, 0]) for c in COUNTERS), profile[:, 0])
+def _one_stream(field, sizes: Sequence[int], counters: frozenset[str]) -> tuple[StatBundle, dict]:
+    """``field`` swept alone for ``counters``, all of :data:`COUNTERS` among them: the bundle of
+    its largest grid, and the values."""
+    block = _Block(check_sizes(sizes), counters, 1)
+    values = _sweep_block(block, _root_block(field))
+    s, M = block.sizes.index(block.M), block.M
+    (profile,) = block.per_row(M, len(block.edges) - 1, [CROSSINGS])
+    return StatBundle(M, *(int(values[c][s, 0]) for c in COUNTERS), profile[:, 0]), values
 
 
 def dense_sums(field, rows: int, cols: int) -> np.ndarray:
@@ -665,15 +657,15 @@ def _product_crossings(
     np.equal(products, 0, out=touches)
 
 
-def _audit_rows(plan: _SweepPlan, R: int, n: int, t: int) -> tuple[np.ndarray, ...]:
+def _audit_rows(block: _Block, n: int, t: int) -> tuple[np.ndarray, ...]:
     """Per-row audit counts of grid ``n = edges[t]`` of the block just swept, each ``(n, R)``.
 
     Product crossings, product touches, zeros over ``[1, n-1]`` and
     zeros over ``[1, n]``: the last from the sweep's zero segments, the
     first from it less the row's zero flag at column ``n``, a probe.
     """
-    zeros, crossings, touched = plan.per_row(R, n, t, [ZEROS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES])
-    return crossings, touched, zeros - plan.block(R).probed[:n, :, plan.edge + t], zeros
+    zeros, crossings, touched = block.per_row(n, t, [ZEROS, PRODUCT_CROSSINGS, PRODUCT_TOUCHES])
+    return crossings, touched, zeros - block.probed[:n, :, block.edge + t], zeros
 
 
 def decomposition_audit(
@@ -688,9 +680,8 @@ def decomposition_audit(
     N, *edges = (as_int("grid edge", n) for n in (N, *nested))  # before a set merges 3.0 into 3
     if max(edges, default=N) > N:
         raise ValueError(f"nested edges must be <= {N}, got {tuple(nested)}")
-    plan = _SweepPlan(check_sizes(sorted({N, *edges})), frozenset((*COUNTERS, AUDIT)))
-    values = _sweep_block(_root_block(field), plan)
-    return _bundle(plan, values), not values[AUDIT].any()
+    bundle, values = _one_stream(field, sorted({N, *edges}), frozenset((*COUNTERS, AUDIT)))
+    return bundle, not values[AUDIT].any()
 
 
 def check_diag_sizes(sizes: Sequence[int]) -> tuple[int, ...]:

@@ -90,8 +90,8 @@ def _field_sign_rows(roots, start, words, scratch):
 
 
 def test_the_sweep_counts_every_field_as_the_recount_does(counts, monkeypatch):
-    # all 2^16 fields through the production sweep and the audited sweep, in
-    # blocks of tile_shape(4)[0] grids
+    # all 2^16 fields through the production sweep, the audited sweep and the
+    # sweep of each counter alone, in blocks of tile_shape(4)[0] grids
     monkeypatch.setattr(walkstats, "sign_rows", _field_sign_rows)
     roots = np.arange(FIELDS, dtype=np.uint64)
     swept = sweep_roots(roots, SIZES, COUNTERS)
@@ -100,3 +100,6 @@ def test_the_sweep_counts_every_field_as_the_recount_does(counts, monkeypatch):
         assert np.array_equal(swept[c], counts[c]), c
         assert np.array_equal(audited[c], counts[c]), c
     assert ok.all()
+    for c in COUNTERS:
+        (alone,) = sweep_roots(roots, SIZES, (c,)).values()
+        assert np.array_equal(alone, counts[c]), c

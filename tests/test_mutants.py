@@ -44,10 +44,10 @@ def _field_roots_of_the_next_replicate(seed, replicates):
     return randfield._mix64_vec(replicates.astype(np.uint64) * randfield._V_GOLDEN + base)
 
 
-def _audit_rows_edge_zero_kept(plan, R, n, t):
+def _audit_rows_edge_zero_kept(block, n, t):
     """Mutant of :func:`walkstats._audit_rows`: the zero at column ``n`` stays in ``[1, n-1]``."""
-    zeros, crossings, touched = plan.per_row(
-        R, n, t, [walkstats.ZEROS, walkstats.PRODUCT_CROSSINGS, walkstats.PRODUCT_TOUCHES]
+    zeros, crossings, touched = block.per_row(
+        n, t, [walkstats.ZEROS, walkstats.PRODUCT_CROSSINGS, walkstats.PRODUCT_TOUCHES]
     )
     return crossings, touched, zeros, zeros
 
@@ -199,7 +199,7 @@ _SWEEP_BLOCK_EDITS = {
     # the diagonal counted on the odd cells (2k - 1, 2k - 1), where S never vanishes
     "diagonal-parity": ("_sweep_block", "probed[1:n:2", "probed[0:n:2"),
     # the anti-diagonal probed one column right, on the cells (i, n + 1 - i)
-    "antidiagonal-offset": ("_SweepPlan", "n - 2 - k", "n - 1 - k"),
+    "antidiagonal-offset": ("_Block", "n - 2 - k", "n - 1 - k"),
 }
 
 # one text replacement each in the sweep's segment bookkeeping: (name, old, new)
@@ -213,7 +213,7 @@ _SEGMENT_EDITS = {
     ),
     # segments cut at column e - 1, so the n grid misses its column n
     "segment-bounds-at-e-1": (
-        "_SweepPlan",
+        "_Block",
         "np.array([0, *edges[:-1]])",
         "np.array([0, *(e - 1 for e in edges[:-1])])",
     ),
@@ -229,7 +229,7 @@ def test_an_unmutated_copy_survives(monkeypatch, stub_hash):
     height = "_tile_height(rows, cols, grids)"  # one copy of _Tiles, which three mutants edit
     _edited(monkeypatch, "_Tiles", height, height)
     edges = "np.full(M, n - 1)"
-    _edited(monkeypatch, "_SweepPlan", edges, edges)
+    _edited(monkeypatch, "_Block", edges, edges)
     stream = "divmod(row, R)"
     _edited(monkeypatch, "_zero_blocks", stream, stream)
     gamma = '(mine, values["gamma"])'
@@ -276,9 +276,9 @@ def test_a_mutant_calls_a_callee_patched_after_the_edit(monkeypatch):
     mutant = _edited(monkeypatch, "_sweep_block", diagonal, diagonal)
     real, calls = walkstats._audit_rows, []
 
-    def recorded(plan, R, n, t):
+    def recorded(block, n, t):
         calls.append(n)
-        return real(plan, R, n, t)
+        return real(block, n, t)
 
     monkeypatch.setattr(walkstats, "_audit_rows", recorded)
     walkstats.sweep_roots(randfield.field_roots(0, [0, 1]), (8, 4), (walkstats.AUDIT,))
@@ -333,7 +333,7 @@ class TestEdgeZeroFlagOneColumnLeft:
 
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
-        _edited(monkeypatch, "_SweepPlan", "np.full(M, n - 1)", "np.full(M, n - 2)")
+        _edited(monkeypatch, "_Block", "np.full(M, n - 1)", "np.full(M, n - 2)")
 
     def test_killed_by_the_segment_counts(self):
         with pytest.raises(AssertionError):

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -17,6 +18,7 @@ from sheetwalk.randfield import (
     Seed,
     StreamKey,
     field_roots,
+    sign_rows,
     signed_binomial_batch,
 )
 from sheetwalk.walkstats import (
@@ -363,7 +365,7 @@ def test_fold_equals_dense_recount_across_word_and_block_edges(cols, band):
 def test_a_short_roots_block_is_refused_by_wider_tiles():
     # one root through tiles of two grids would hash the same stream into both
     tiles = walkstats._Tiles(5, 65, 2)
-    with pytest.raises(ValueError, match="1 roots for a buffer of 2 grids"):
+    with pytest.raises(ValueError, match=re.escape("roots of shape (1,) for a buffer of 2 grids")):
         next(tiles.read(field_roots(0, [0])))
 
 
@@ -411,13 +413,16 @@ def test_stub_fields_sweep_in_blocks():
 @settings(max_examples=30, deadline=None)
 def test_nested_sizes_equal_one_size_sweeps(seed, sizes, count, data):
     # sizes arrive unsorted; one sweep at the largest edge, tile caps from one
-    # cell (one row per tile, rows need not divide the edge) to several grids
+    # cell (one row per tile, rows need not divide the edge) to several grids;
+    # each counter swept alone, as the harness sweeps it, equals its value in
+    # the all-counter sweep
     top = max(sizes)
     cap = data.draw(st.integers(1, 3 * top * top), label="cap")
-    fields = [field(seed, r) for r in range(count)]
+    fields, roots = [field(seed, r) for r in range(count)], field_roots(seed, range(count))
     with mock.patch.object(walkstats, "TILE_CELLS", cap):
-        nested = sweep_roots(field_roots(seed, range(count)), sizes, COUNTERS)
-    assert _lists(nested) == _layout(sweep_grid, fields, sizes)
+        nested = sweep_roots(roots, sizes, COUNTERS)
+        alone = {c: sweep_roots(roots, sizes, (c,))[c] for c in COUNTERS}
+    assert _lists(nested) == _lists(alone) == _layout(sweep_grid, fields, sizes)
 
 
 @pytest.mark.parametrize("sizes", [(1, 2), (2, 1, 3), (3, 2)], ids=str)
@@ -472,17 +477,17 @@ def test_no_roots_sweep_to_empty_counters():
     assert ok.shape == (0,) and ok.dtype == bool
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda r: sweep_roots(r, (8,), COUNTERS),
-        lambda r: audit_roots(r, (8,), COUNTERS),
-        lambda r: twin_zero_counts(r, 0.5, (8,), 3),
-        lambda r: twin_zero_counts(r, 0.5, (2,), 3),  # an empty wedge: no band is read
-        lambda r: annulus_counts(r, 0.5, (8,)),
-    ],
-    ids=["sweep", "audit", "twin", "twin-no-band", "annulus"],
-)
+# the readers of a block of roots, each called on a block ``r``
+_ROOTS_READERS = {
+    "sweep": lambda r: sweep_roots(r, (8,), COUNTERS),
+    "audit": lambda r: audit_roots(r, (8,), COUNTERS),
+    "twin": lambda r: twin_zero_counts(r, 0.5, (8,), 3),
+    "twin-no-band": lambda r: twin_zero_counts(r, 0.5, (2,), 3),  # an empty wedge: no band
+    "annulus": lambda r: annulus_counts(r, 0.5, (8,)),
+}
+
+
+@pytest.mark.parametrize("entry", _ROOTS_READERS.values(), ids=_ROOTS_READERS)
 @pytest.mark.parametrize(
     "roots, named",
     [(np.array([1, 2], dtype=np.int64), "int64"), ([1, 2], "list")],
@@ -490,6 +495,24 @@ def test_no_roots_sweep_to_empty_counters():
 )
 def test_roots_that_are_not_uint64_are_named(entry, roots, named):
     with pytest.raises(ValueError, match=f"roots must be a uint64 array, got {named}$"):
+        entry(roots)
+
+
+def _sign_rows_of(r):
+    """One row of four columns of ``r.size`` grids hashed from ``r``."""
+    words = np.empty((1, r.size, 4), dtype=np.uint64)
+    return sign_rows(r, 1, words, np.empty_like(words))
+
+
+@pytest.mark.parametrize(
+    "entry", [*_ROOTS_READERS.values(), _sign_rows_of], ids=[*_ROOTS_READERS, "sign-rows"]
+)
+@pytest.mark.parametrize("shape", [(8, 1), (2, 4), ()], ids=str)
+def test_roots_that_are_not_one_dimensional_are_refused(entry, shape):
+    # a column of eight roots was swept as one stream, its counts repeated
+    # eight times; other shapes failed inside numpy, naming no argument
+    roots = field_roots(1, range(math.prod(shape))).reshape(shape)
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
         entry(roots)
 
 
@@ -527,19 +550,19 @@ def test_integer_entries_refuse_a_non_integer_by_name(entry):
         call()
 
 
-def _shift_profile(plan, R, size, row, by):
+def _shift_profile(block, size, row, by):
     """Add ``by`` to the first stream's crossings in ``row`` on the segment of edge ``size``.
 
     That moves the row's profile in the ``size`` grid and every larger one.
     The segment counts are uint16, so the shift wraps modulo ``2**16`` on
     purpose: a zero count shifted by -1 reads 65535.
     """
-    crossings = plan.block(R).counts[plan.slot[walkstats.CROSSINGS]]
-    crossings[row : row + 1, 0, plan.edges.index(size)] += np.uint16(by % 2**16)
+    crossings = block.counts[block.slot[walkstats.CROSSINGS]]
+    crossings[row : row + 1, 0, block.edges.index(size)] += np.uint16(by % 2**16)
 
 
 def _before_the_audit(corrupt):
-    """Patch the sweep's ``_audit_rows`` to call ``corrupt(plan, R)`` first, once per block.
+    """Patch the sweep's ``_audit_rows`` to call ``corrupt(block)`` first, once per block.
 
     The sweep reduces the audit size by size after its last tile, so the
     counts ``corrupt`` changes at a block's first size are those that
@@ -547,11 +570,11 @@ def _before_the_audit(corrupt):
     """
     real, calls = walkstats._audit_rows, []
 
-    def audit_rows(plan, R, n, t):
-        if len(calls) % len(plan.sizes) == 0:  # a block's first size
-            corrupt(plan, R)
+    def audit_rows(block, n, t):
+        if len(calls) % len(block.sizes) == 0:  # a block's first size
+            corrupt(block)
         calls.append(n)
-        return real(plan, R, n, t)
+        return real(block, n, t)
 
     return mock.patch.object(walkstats, "_audit_rows", audit_rows)
 
@@ -588,10 +611,10 @@ def test_audit_roots_equal_the_sweep_and_the_one_field_audit(seed, sizes, count,
     row = data.draw(st.integers(0, size - 1), label="row")
     first = []
 
-    def corrupt(plan, R):
+    def corrupt(block):
         if not first:
             first.append(True)
-            _shift_profile(plan, R, size, row, 1)
+            _shift_profile(block, size, row, 1)
 
     with mock.patch.object(walkstats, "TILE_CELLS", cap), _before_the_audit(corrupt):
         _, ok = audit_roots(roots, sizes, COUNTERS)
@@ -634,23 +657,22 @@ def test_selected_counters_equal_brute_force(kinds, seed, counters, sizes, data)
 )
 def test_plan_fills_only_the_planes_read(counters, audit, planes):
     audited = {walkstats.AUDIT} if audit else set()
-    plan = walkstats._SweepPlan((64, 16), frozenset(counters) | audited)
-    assert plan.planes == planes
     # a full block's tile at N = 64: 128 grids side by side in 8-row bands
     assert tile_shape(64) == (128, 8)
-    block = plan.block(128)
+    block = walkstats._Block((64, 16), frozenset(counters) | audited, 128)
+    assert block.planes == planes
     assert block.flags.shape == (len(planes), 8, 128, 64)
     assert block.counts.shape == (len(planes), 64, 128, 2)
     assert hasattr(block, "signs") == (walkstats.CROSSINGS in planes)  # the int8 sign pass
     assert hasattr(block, "sum_products") == audit
     # one probe column per row for delta, one per edge for d_antidiag and for the audit
-    K = len(plan.edges)
+    K = len(block.edges)
     probes = ("delta" in counters) + K * ("d_antidiag" in counters) + K * audit
     if probes:
-        assert plan.probes.shape == (64, probes)
+        assert block.probes.shape == (64, probes)
         assert block.probed.shape == (64, 128, probes)
     else:
-        assert plan.probes is None
+        assert block.probes is None
         assert not hasattr(block, "probed")
 
 
@@ -664,8 +686,8 @@ def test_band_seams_equal_brute_force(sizes):
     with mock.patch.object(walkstats, "TILE_CELLS", 3 * walkstats.BAND_ROWS * 72):
         grids, rows = tile_shape(top)
         assert (grids, rows) == (3, walkstats.BAND_ROWS)
-        plan = walkstats._SweepPlan(sizes, frozenset(COUNTERS))
-        assert [plan.block(R).tiles.height for R in (1, 2, grids)] == [24, 12, 8]
+        blocks = [walkstats._Block(sizes, frozenset(COUNTERS), R) for R in (1, 2, grids)]
+        assert [block.tiles.height for block in blocks] == [24, 12, 8]
         roots = field_roots(seed, range(grids + 2))
         swept = sweep_roots(roots, sizes, COUNTERS)
         audited, ok = audit_roots(roots, sizes, COUNTERS)
@@ -718,17 +740,16 @@ def test_transformed_signs_keep_their_invariant_counters(transform, kept, moved,
     assert ok.all() and ok_t.all()
 
 
-def _plan_bytes(N):
-    """Bytes of the arrays an auditing sweep plan of ``N`` holds for a full block, each once.
+def _block_bytes(N):
+    """Bytes of the arrays an auditing sweep of ``N`` holds for a full block, each once.
 
-    The plan's own, and those of its full block's buffers and tiles; a
-    view (the sums of the hash words, the fold's word and block views,
-    the plane) counts as the array it views.
+    The block's plan and buffers, and its tiles'; a view (the sums of the
+    hash words, the fold's word and block views, the plane) counts as the
+    array it views.
     """
-    plan = walkstats._SweepPlan((N,), frozenset((*COUNTERS, walkstats.AUDIT)))
-    block = plan.block(tile_shape(N)[0])
+    block = walkstats._Block((N,), frozenset((*COUNTERS, walkstats.AUDIT)), tile_shape(N)[0])
     bases = {}
-    for owner in (plan, block, block.tiles):
+    for owner in (block, block.tiles):
         for a in vars(owner).values():
             if isinstance(a, np.ndarray):
                 while a.base is not None:
@@ -742,8 +763,8 @@ def test_narrow_grids_fit_the_tile_budget():
     # byte-plane cells than one of N = 64; the bound adds what a narrow row
     # still costs beyond its cells: the fold's block word and int16 block sum
     # for each of the TILE_CELLS // 8 one-word rows of the narrowest tile
-    limit = _plan_bytes(64) + walkstats.TILE_CELLS // 8 * (8 + 2)
-    assert max(_plan_bytes(N) for N in range(1, 71)) <= limit
+    limit = _block_bytes(64) + walkstats.TILE_CELLS // 8 * (8 + 2)
+    assert max(_block_bytes(N) for N in range(1, 71)) <= limit
 
 
 @pytest.mark.parametrize("sweep", [sweep_roots, audit_roots], ids=lambda f: f.__name__)
@@ -751,13 +772,17 @@ def test_narrow_grids_fit_the_tile_budget():
 def test_a_sweep_makes_one_block_of_buffers_per_width(monkeypatch, sweep, count, widths):
     # 3 grids of N = 70 per full block: two full blocks and a short one make
     # the full width's buffers and then the short one's; whole blocks only
-    # make the full width's
-    made = []
+    # make the full width's; each width's buffers are gone before the next
+    # width's are made
+    made, alive = [], []
     real = walkstats._Block
 
-    def counted(plan, R):
+    def counted(sizes, counters, R):
+        assert not any(block() for block in alive)
         made.append(R)
-        return real(plan, R)
+        block = real(sizes, counters, R)
+        alive.append(weakref.ref(block))
+        return block
 
     monkeypatch.setattr(walkstats, "_Block", counted)
     monkeypatch.setattr(walkstats, "TILE_CELLS", 3 * walkstats.BAND_ROWS * 72)
@@ -780,6 +805,10 @@ def test_the_counter_refusals_name_every_output():
     message = f"unknown counters ['crossings', 'zeros']; choose from ({names})"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sweep_roots(roots, (4,), ("zeros", "gamma", "crossings"))
+    # a bare name, which a set would split into its letters
+    message = "counters must be a collection of names, got the string 'gamma'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_roots(roots, (4,), "gamma")
     # the audit alone is an output of its own, the one key returned
     alone = sweep_roots(field_roots(1, [0, 1]), (4, 9), (walkstats.AUDIT,))
     assert list(alone) == ["audit_faults"]
@@ -809,8 +838,8 @@ def test_one_counter_audit_gives_the_full_verdicts(seed, counter, sizes, count, 
     size = data.draw(st.sampled_from(sizes), label="size")
     row = data.draw(st.integers(0, size - 1), label="row")
 
-    def corrupt(plan, R):
-        _shift_profile(plan, R, size, row, 1)
+    def corrupt(block):
+        _shift_profile(block, size, row, 1)
 
     with mock.patch.object(walkstats, "TILE_CELLS", cap), _before_the_audit(corrupt):
         _, one_ok = audit_roots(roots, sizes, (counter,))
@@ -844,8 +873,8 @@ def _assert_segment_counts(fields, sizes, cap):
     seen = {n: [] for n in sizes}
     real = walkstats._audit_rows
 
-    def recorded(plan, R, n, t):
-        counts = real(plan, R, n, t)
+    def recorded(block, n, t):
+        counts = real(block, n, t)
         seen[n].append([c.copy() for c in counts])
         return counts
 
@@ -896,8 +925,8 @@ def test_audit_zero_rows_equal_the_dense_recounts_zeros():
     seen = {n: [] for n in sizes}
     real = walkstats._audit_rows
 
-    def recorded(plan, R, n, t):
-        counts = real(plan, R, n, t)
+    def recorded(block, n, t):
+        counts = real(block, n, t)
         seen[n].append([c.copy() for c in counts[2:]])
         return counts
 
@@ -957,9 +986,9 @@ class TestDecompositionAudit:
         # a profile entry off by one, with or without the grid total kept
         # (a zero count shifted down wraps), in any of the nested grids,
         # must turn the verdict red
-        def corrupt(plan, R):
+        def corrupt(block):
             for row, by in enumerate(shift, start=2):
-                _shift_profile(plan, R, size, row, by)
+                _shift_profile(block, size, row, by)
 
         assert decomposition_audit(field(9), 30, (7, 12))[1]
         with _before_the_audit(corrupt):
@@ -973,12 +1002,12 @@ class TestDecompositionAudit:
     def test_a_crossing_moved_between_rows_fails_the_audit(self):
         # one crossing of the 30 grid moved from a row's profile to the next
         # row's keeps every total, so only the per-row equality turns it red
-        def move(plan, R):
-            segment = plan.block(R).counts[plan.slot[walkstats.CROSSINGS], :30, 0, -1]
+        def move(block):
+            segment = block.counts[block.slot[walkstats.CROSSINGS], :30, 0, -1]
             row = int(np.flatnonzero(segment)[0])  # a count of at least one: no wrap
             assert row < 29
-            _shift_profile(plan, R, 30, row, -1)
-            _shift_profile(plan, R, 30, row + 1, 1)
+            _shift_profile(block, 30, row, -1)
+            _shift_profile(block, 30, row + 1, 1)
 
         swept = sweep_grid(field(9), 30)
         with _before_the_audit(move):
@@ -992,11 +1021,11 @@ class TestDecompositionAudit:
         # even rows of the stub vanish, so n - 1 pairs touch a zero and both
         # sides of the sandwich are tight; the profiles and totals stay right,
         # so only the sandwich can turn the verdict red
-        def misbook(plan, R):
+        def misbook(block):
             if misbooking == "edge-zero-inside":  # the zero at column n counted in [1, n-1]
-                plan.block(R).probed[:, :, plan.edge :] = False
+                block.probed[:, :, block.edge :] = False
             else:  # no zero booked on any segment: touches exceed twice the zeros
-                plan.block(R).counts[walkstats.ZEROS] = 0
+                block.counts[walkstats.ZEROS] = 0
 
         stub = AlternatingRowsField()
         bundle, ok = decomposition_audit(stub, 6, (3,))
